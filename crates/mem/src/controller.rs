@@ -14,12 +14,20 @@
 //!    column-over-row reordering (Table 1), with write draining driven by
 //!    queue watermarks.
 //!
+//! Demand requests wait in one bank-indexed queue per direction
+//! (`demand_queue.rs`). What the scheduler may issue for a request depends
+//! only on its bank and on whether it hits that bank's open row, so a tick
+//! weighs at most two candidates per bank that has requests — the oldest row
+//! hit and the oldest other request — instead of every queued request (see
+//! `MemoryController::select`).
+//!
 //! Every *demand* row activation is reported to the attached mitigation
 //! mechanism (whose trigger algorithm may request preventive actions) and to
 //! BreakHammer (which attributes activations to hardware threads and observes
 //! the preventive actions).
 
 use crate::config::MemControllerConfig;
+use crate::demand_queue::{DemandQueue, QueueEntry};
 use crate::latency::LatencyHistogram;
 use crate::request::{MemRequest, MemResponse};
 use bh_core::BreakHammer;
@@ -167,63 +175,6 @@ impl BhSink<'_> {
 /// delays each preventive command by a bounded, security-irrelevant amount.
 const PREVENTIVE_DEFER_TICKS: u32 = 32;
 
-/// A queued demand request with its decoded DRAM coordinates.
-#[derive(Debug, Clone, Copy)]
-struct QueueEntry {
-    req: MemRequest,
-    loc: DramLocation,
-    /// Flat bank index of `loc.bank`, cached at enqueue time so the
-    /// scheduler's per-tick scans do not re-derive it per entry.
-    flat: usize,
-    /// Bank-group index of `loc.bank`, cached alongside `flat`.
-    group: usize,
-    /// Whether the row hit/miss/conflict classification was already recorded.
-    classified: bool,
-}
-
-/// The scan-relevant coordinates of a queue entry packed into one `u64`
-/// (`row | flat << 32 | group << 40 | rank << 48`). The per-tick FR-FCFS
-/// scan walks these dense keys (8 bytes/entry) instead of the ~80-byte
-/// [`QueueEntry`] records — the full entry is only touched once a candidate
-/// is selected. Kept in lockstep with its queue (same index order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ScanKey(u64);
-
-impl ScanKey {
-    fn new(entry: &QueueEntry) -> ScanKey {
-        debug_assert!(entry.loc.row < (1 << 32));
-        debug_assert!(entry.flat < (1 << 8));
-        debug_assert!(entry.group < (1 << 8));
-        debug_assert!(entry.loc.bank.rank < (1 << 8));
-        ScanKey(
-            entry.loc.row as u64
-                | (entry.flat as u64) << 32
-                | (entry.group as u64) << 40
-                | (entry.loc.bank.rank as u64) << 48,
-        )
-    }
-
-    #[inline]
-    fn row(self) -> usize {
-        (self.0 & 0xFFFF_FFFF) as usize
-    }
-
-    #[inline]
-    fn flat(self) -> usize {
-        (self.0 >> 32 & 0xFF) as usize
-    }
-
-    #[inline]
-    fn group(self) -> usize {
-        (self.0 >> 40 & 0xFF) as usize
-    }
-
-    #[inline]
-    fn rank(self) -> usize {
-        (self.0 >> 48 & 0xFF) as usize
-    }
-}
-
 /// What the scheduler decided to issue for a chosen demand request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServiceStep {
@@ -239,12 +190,12 @@ enum ServiceStep {
 /// components for one (bank group, rank) pair, by command kind. Every bank
 /// of the pair shares these, and a bank's full ready cycle is this shared
 /// component maxed with one bank-local load
-/// ([`DramChannel::demand_ready_bank_component`]) — so the FR-FCFS scan
-/// derives the scattered group/rank/bus maxes at most once per (pair, kind)
-/// per tick, not once per bank. Slots are stamped and filled *lazily*, only
-/// for the command kind an entry actually needs. The open row itself is
-/// read straight off the bank state — it is a single array load, cheaper
-/// than any cache in front of it.
+/// ([`DramChannel::demand_ready_bank_component`]) — so the scheduler derives
+/// the scattered group/rank/bus maxes at most once per (pair, kind) per
+/// tick, however many of the pair's banks have requests. Slots are stamped
+/// and filled *lazily*, only for the command kind a bank's candidate
+/// actually needs. The open row itself is read straight off the bank state
+/// — it is a single array load, cheaper than any cache in front of it.
 #[derive(Debug, Clone, Copy, Default)]
 struct SharedScanEntry {
     /// Tick stamps the corresponding `ready` slot is valid for, indexed by
@@ -276,10 +227,10 @@ impl ReadyKind {
 }
 
 /// The earliest issue cycle of `kind` on bank `flat`: the tick-stamped
-/// shared (group/rank/bus) component — derived lazily on the first entry of
+/// shared (group/rank/bus) component — derived lazily on the first bank of
 /// the tick that needs this (group, kind) pair — maxed with the bank-local
-/// load. A free function over the individual fields so the FR-FCFS scan can
-/// fill the cache while it holds the key deque.
+/// load. A free function over the individual fields so the scheduler can
+/// fill the cache while it borrows the demand queue.
 #[inline]
 fn bank_ready_in(
     shared_scan: &mut [SharedScanEntry],
@@ -324,11 +275,8 @@ pub struct MemoryController {
     /// single-channel systems); reported to BreakHammer with every preventive
     /// action.
     channel_index: usize,
-    read_queue: VecDeque<QueueEntry>,
-    write_queue: VecDeque<QueueEntry>,
-    /// Packed scan keys, index-aligned with `read_queue` / `write_queue`.
-    read_keys: VecDeque<ScanKey>,
-    write_keys: VecDeque<ScanKey>,
+    read_queue: DemandQueue,
+    write_queue: DemandQueue,
     responses: Vec<MemResponse>,
     preventive_queue: VecDeque<DramCommand>,
     next_refresh: Vec<Cycle>,
@@ -356,9 +304,9 @@ pub struct MemoryController {
     /// Per-(bank group, rank) shared scheduling view for the current tick
     /// (see [`SharedScanEntry`]; `scan_stamp` is bumped once per
     /// [`MemoryController::tick`], and no command issues between the two
-    /// queue scans of a tick, so the cache stays coherent for the whole
+    /// queue selections of a tick, so the cache stays coherent for the whole
     /// tick). Indexed by the global group index `rank * bank_groups +
-    /// bank_group` (the same index [`ScanKey::group`] carries).
+    /// bank_group` (the index [`QueueEntry::group`] carries).
     shared_scan: Vec<SharedScanEntry>,
     scan_stamp: u64,
     hit_streak: Vec<u32>,
@@ -392,30 +340,21 @@ impl MemoryController {
         mechanism: Box<dyn TriggerMechanism>,
     ) -> Self {
         config.validate().expect("invalid memory controller configuration");
-        // The packed 8-byte scan keys give flat-bank/group/rank 8 bits each
-        // and the row 32; reject out-of-range geometries up front instead of
-        // silently truncating in release builds.
-        let geometry = channel.geometry();
-        assert!(
-            geometry.banks_per_channel() <= 1 << 8,
-            "scan keys support at most 256 banks per channel"
-        );
-        assert!(geometry.rows_per_bank <= 1 << 32, "scan keys support at most 2^32 rows per bank");
         let ranks = channel.geometry().ranks;
         let banks = channel.geometry().banks_per_channel();
         let groups_total = ranks * channel.geometry().bank_groups;
         let t_refi = channel.timing().t_refi;
         let num_threads = config.num_threads;
         let mechanism_may_block = mechanism.may_block();
+        let read_queue = DemandQueue::new(config.read_queue_capacity, banks);
+        let write_queue = DemandQueue::new(config.write_queue_capacity, banks);
         MemoryController {
             config,
             channel,
             mechanism,
             channel_index: 0,
-            read_queue: VecDeque::new(),
-            write_queue: VecDeque::new(),
-            read_keys: VecDeque::new(),
-            write_keys: VecDeque::new(),
+            read_queue,
+            write_queue,
             responses: Vec::new(),
             preventive_queue: VecDeque::new(),
             next_refresh: (0..ranks)
@@ -485,8 +424,8 @@ impl MemoryController {
     /// True if a request of the given kind can currently be accepted.
     pub fn can_accept(&self, kind: AccessKind) -> bool {
         match kind {
-            AccessKind::Read => self.read_queue.len() < self.config.read_queue_capacity,
-            AccessKind::Write => self.write_queue.len() < self.config.write_queue_capacity,
+            AccessKind::Read => !self.read_queue.is_full(),
+            AccessKind::Write => !self.write_queue.is_full(),
         }
     }
 
@@ -503,19 +442,21 @@ impl MemoryController {
         let loc = self.config.mapping.decode(req.addr, geometry);
         let flat = geometry.flat_bank(loc.bank);
         let group = loc.bank.rank * geometry.bank_groups + loc.bank.bank_group;
-        let entry = QueueEntry { req, loc, flat, group, classified: false };
+        let entry = QueueEntry { req, loc, flat, group, classified: false, seq: 0 };
         // A new request can only move the memoized no-op horizon *earlier*:
         // lower it to this entry's earliest issuable cycle (ignoring
         // scheduling masks, which can only delay further — undershooting the
         // horizon merely wastes a tick, overshooting would skip work).
-        // Known nuance (pre-dating the memo's introduction in the
-        // event-driven-kernel PR): if this entry is a row hit on the bank the
+        // Known nuance: if this entry is a row hit on the bank the
         // preventive head is waiting for, the ticks skipped until `ready_at`
         // do not advance the bounded-deferral counter, so the head can be
         // deferred up to that many wall-cycles beyond
-        // `PREVENTIVE_DEFER_TICKS`. Both kernels share the memo, so they stay
-        // bit-identical; the deferral remains bounded (ticking resumes at the
-        // hit's ready cycle) and is security-neutral while the row is open.
+        // `PREVENTIVE_DEFER_TICKS`. It is a property of the memo, not of
+        // how the queue is searched: `try_preventive` counts a deferral only
+        // on a tick that runs, and the memo decides which ticks run. Both
+        // kernels share the memo, so they stay bit-identical; the deferral
+        // remains bounded (ticking resumes at the hit's ready cycle) and is
+        // security-neutral while the row is open.
         if self.idle_until > 0 {
             let kind = match self.channel.open_row_flat(flat) {
                 Some(row) if row == loc.row => match req.kind {
@@ -532,18 +473,7 @@ impl MemoryController {
                 kind,
             ));
         }
-        match req.kind {
-            AccessKind::Read => {
-                debug_assert!(self.read_queue.back().is_none_or(|e| e.req.arrival <= req.arrival));
-                self.read_queue.push_back(entry);
-                self.read_keys.push_back(ScanKey::new(&entry));
-            }
-            AccessKind::Write => {
-                debug_assert!(self.write_queue.back().is_none_or(|e| e.req.arrival <= req.arrival));
-                self.write_queue.push_back(entry);
-                self.write_keys.push_back(ScanKey::new(&entry));
-            }
-        }
+        self.queue_mut(req.kind == AccessKind::Write).push(entry);
         Ok(())
     }
 
@@ -579,12 +509,12 @@ impl MemoryController {
     /// demand command, or advance the bounded preventive-deferral counter.
     ///
     /// The horizon is computed as a by-product of the most recent
-    /// non-issuing [`MemoryController::tick`] (whose scheduling scan already
-    /// derives, for every queued command, the earliest cycle its timing
-    /// constraints are met), so this query is O(1). Immediately after a tick
-    /// that issued a command — or an enqueue that could beat the memoized
-    /// horizon — the horizon is unknown and `now + 1` is returned: the next
-    /// tick re-derives it. Horizons may undershoot (waking early is only
+    /// non-issuing [`MemoryController::tick`] (whose scheduling stages
+    /// already derive, for every command they could issue next, the earliest
+    /// cycle its timing constraints are met), so this query is O(1).
+    /// Immediately after a tick that issued a command — or an enqueue that
+    /// could beat the memoized horizon — the horizon is unknown and `now + 1`
+    /// is returned: the next tick re-derives it. Horizons may undershoot (waking early is only
     /// wasted work) but never overshoot: between `now` and the returned
     /// cycle, `tick` is guaranteed to leave all controller, DRAM and
     /// mitigation state untouched (BreakHammer's window rotations are driven
@@ -658,13 +588,13 @@ impl MemoryController {
         let order = if first_writes { [true, false] } else { [false, true] };
         for use_writes in order {
             // An empty queue contributes neither a candidate nor a horizon.
-            if if use_writes { self.write_keys.is_empty() } else { self.read_keys.is_empty() } {
+            if if use_writes { self.write_queue.is_empty() } else { self.read_queue.is_empty() } {
                 continue;
             }
             let (candidate, queue_horizon) =
-                self.scan_queue(use_writes, cycle, refresh_pending, preventive_bank);
-            if let Some((idx, step)) = candidate {
-                self.service(use_writes, idx, step, cycle, bh_sink.reborrow());
+                self.select(use_writes, cycle, refresh_pending, preventive_bank);
+            if let Some((slot, step)) = candidate {
+                self.service(use_writes, slot, step, cycle, bh_sink.reborrow());
                 // A command was issued: timing and queue state changed, so
                 // the next tick must re-derive its decisions from scratch.
                 self.idle_until = 0;
@@ -807,51 +737,51 @@ impl MemoryController {
     /// `row` (and could therefore be lost by precharging the bank now).
     fn demand_hit_pending(&self, bank: BankAddr, row: usize) -> bool {
         let flat = self.channel.geometry().flat_bank(bank);
-        self.read_keys
-            .iter()
-            .chain(self.write_keys.iter())
-            .any(|k| k.flat() == flat && k.row() == row)
+        self.read_queue.bank(flat).chain(self.write_queue.bank(flat)).any(|(_, e)| e.loc.row == row)
     }
 
-    /// One scan over the chosen queue: finds the next request to service —
-    /// the oldest row-buffer hit whose bank is still under the FR-FCFS
-    /// reordering cap, falling back to the oldest schedulable request (FCFS)
-    /// — and, as a by-product, the earliest future cycle at which any entry
-    /// of this queue could become issuable (the demand contribution to the
-    /// controller's no-op horizon).
+    fn queue_mut(&mut self, use_writes: bool) -> &mut DemandQueue {
+        if use_writes {
+            &mut self.write_queue
+        } else {
+            &mut self.read_queue
+        }
+    }
+
+    /// Chooses the next request of one queue to service — the oldest
+    /// row-buffer hit whose bank is still under the FR-FCFS reordering cap,
+    /// else the oldest schedulable request of any kind (FCFS) — as `(slot,
+    /// step)`. When there is none, the second component is the earliest
+    /// future cycle at which any request of this queue could become issuable
+    /// (the demand contribution to the controller's no-op horizon); it is
+    /// unspecified when a request is chosen, because issuing a command
+    /// discards the horizon.
     ///
-    /// The queue is arrival-ordered (enqueue cycles are monotone and removal
-    /// preserves order; `try_enqueue` debug-asserts this), which turns the
-    /// oldest-first selection into a prefix scan with two early exits:
+    /// Only banks with requests are visited. Within a bank every request
+    /// that hits the open row shares one step (`Column`) and one ready
+    /// cycle, and every other request shares another (`Precharge`; on a
+    /// closed bank all want `Activate`), so the oldest of each class stands
+    /// for its class and the winner is a `seq` compare across banks. The one
+    /// row-dependent input is BlockHammer's per-row delay: with a mechanism
+    /// that may block, a closed bank walks its own requests instead.
     ///
-    /// * the first schedulable capped row hit is *the* FR-FCFS winner — no
-    ///   later entry can be older, and hits pre-empt everything else — so the
-    ///   scan stops there (the common case under a row-hit stream costs one
-    ///   entry, not the whole queue);
-    /// * once a fallback candidate is known, only capped row hits can still
-    ///   change the outcome, so other entries skip their timing checks — and
-    ///   the horizon is no longer tracked, because the caller discards it
-    ///   whenever a command issues.
-    ///
-    /// Entries are pre-filtered by rank-refresh masking, the preventive-head
-    /// bank reservation and BlockHammer blacklists; filtered entries
+    /// A bank is skipped while its rank has a refresh due, and a bank the
+    /// preventive head is waiting on accepts no new row cycle — pending hits
+    /// on its open row may still drain (the counterpart of the
+    /// forward-progress rule in `try_preventive`). Skipped requests
     /// contribute no horizon of their own because the event that unblocks
-    /// them (refresh issued, preventive head popped, an activation elsewhere)
-    /// invalidates the memoized horizon anyway.
-    fn scan_queue(
+    /// them (refresh issued, preventive head popped) invalidates the
+    /// memoized horizon anyway.
+    fn select(
         &mut self,
         use_writes: bool,
         cycle: Cycle,
         refresh_pending: u64,
         preventive_bank: Option<usize>,
     ) -> (Option<(usize, ServiceStep)>, Cycle) {
-        // Disjoint field borrows: the key walk holds the key deque while the
-        // bank-view cache is filled lazily — destructuring lets the borrow
-        // checker see they are different fields (and the chained-slice
-        // iterator below replaces per-index `VecDeque` wrap arithmetic).
+        // Disjoint field borrows: the queue is walked while the shared-ready
+        // cache is filled lazily.
         let Self {
-            read_keys,
-            write_keys,
             read_queue,
             write_queue,
             shared_scan,
@@ -864,132 +794,82 @@ impl MemoryController {
             scan_stamp,
             ..
         } = self;
-        let keys = if use_writes { write_keys } else { read_keys };
-        let stamp = *scan_stamp;
-        let cap = config.frfcfs_cap;
-        // Sentinel form of the preventive-head bank reservation: `usize::MAX`
-        // never equals a flat bank index, so the per-entry check is one
-        // compare instead of an `Option` match.
-        let preventive_flat = preventive_bank.unwrap_or(usize::MAX);
-        // The oldest schedulable request of any kind (the FCFS fallback).
-        let mut best_any: Option<(usize, ServiceStep)> = None;
-        let mut horizon = Cycle::MAX;
-        let refresh_any = refresh_pending != 0;
+        let queue: &DemandQueue = if use_writes { write_queue } else { read_queue };
         let ready_col = if use_writes { ReadyKind::Write } else { ReadyKind::Read };
-        let mut tail_from = keys.len();
-        // Duplicate-coordinate skip: a queue entry with the *same packed key*
-        // (same bank, row, group, rank) as one already classified
-        // not-schedulable this tick reaches the identical decision — same
-        // step, same ready cycle, same filters, same horizon contribution —
-        // so it is skipped outright. Two slots cover the common pattern (an
-        // attacker alternating between two aggressor rows fills the queue
-        // with duplicates of two keys).
-        let mut dup_memo = [ScanKey(u64::MAX), ScanKey(u64::MAX)];
-        let mut dup_next = 0usize;
-        // Phase 1 — until the FCFS fallback candidate is known: classify
-        // every entry, derive its ready cycle, accumulate the horizon, and
-        // early-exit on the first schedulable capped row hit.
-        for (idx, &key) in keys.iter().enumerate() {
-            if key == dup_memo[0] || key == dup_memo[1] {
-                continue;
-            }
-            let flat = key.flat();
-            if refresh_any && refresh_pending & (1 << key.rank()) != 0 {
-                continue;
-            }
-            let step = match channel.open_row_flat(flat) {
-                None => ServiceStep::Activate,
-                Some(row) if row == key.row() => ServiceStep::Column,
-                Some(_) => ServiceStep::Precharge,
-            };
-            // A bank the preventive head is waiting on accepts no new row
-            // cycles, but pending hits on its open row may still drain (the
-            // counterpart of the forward-progress rule in `try_preventive`).
-            if preventive_flat == flat && step != ServiceStep::Column {
-                continue;
-            }
-            let capped_hit = step == ServiceStep::Column && hit_streak[flat] < cap;
-            // Queue entries are decoded from in-range addresses and their
-            // step matches the bank state by construction, so only the
-            // timing constraints (and BlockHammer blacklists) gate issue.
-            let ready_kind = match step {
-                ServiceStep::Column => ready_col,
-                ServiceStep::Activate => ReadyKind::Activate,
-                ServiceStep::Precharge => ReadyKind::Precharge,
-            };
-            let mut ready_at = bank_ready_in(
-                shared_scan,
-                channel,
-                stamp,
-                flat,
-                key.group(),
-                key.rank(),
-                ready_kind,
-            );
-            if step == ServiceStep::Activate && *mechanism_may_block {
-                // BlockHammer: rows whose activation is blocked cannot be
-                // opened before their delay expires. (Rare enough that
-                // touching the full entry for its row address is fine.)
-                let queue = if use_writes { &write_queue } else { &read_queue };
-                ready_at = ready_at.max(mechanism.blocked_until(queue[idx].loc.row_addr(), cycle));
-            }
+        let cap = config.frfcfs_cap;
+        // `(seq, slot, step)` of the oldest ready capped row hit, and of the
+        // oldest ready request that is not one.
+        let mut best_hit: Option<(u64, usize, ServiceStep)> = None;
+        let mut best_any: Option<(u64, usize, ServiceStep)> = None;
+        let mut horizon = Cycle::MAX;
+        // Weighs one bank's candidate; returns whether it is ready. A request
+        // that is not ready contributes to the horizon unless its rank's
+        // refresh will interpose first (the refresh horizon covers that).
+        let mut offer = |slot: usize, e: &QueueEntry, step: ServiceStep, ready_at: Cycle| {
             if cycle < ready_at {
-                // Not issuable yet: contributes to the horizon unless the
-                // rank's refresh will interpose first (the refresh horizon
-                // covers that case). Later same-key entries skip via the
-                // duplicate memo (their horizon contribution would be the
-                // same value, so the minimum is unaffected).
-                if ready_at < next_refresh[key.rank()] {
+                if ready_at < next_refresh[e.loc.bank.rank] {
                     horizon = horizon.min(ready_at);
                 }
-                dup_memo[dup_next] = key;
-                dup_next ^= 1;
+                return false;
+            }
+            let capped_hit = step == ServiceStep::Column && hit_streak[e.flat] < cap;
+            let best = if capped_hit { &mut best_hit } else { &mut best_any };
+            if best.is_none_or(|(seq, ..)| e.seq < seq) {
+                *best = Some((e.seq, slot, step));
+            }
+            true
+        };
+        // `seq` of the oldest ready capped hit found so far.
+        let mut oldest_hit = u64::MAX;
+        for flat in queue.banks() {
+            let (head_slot, head) = queue.bank(flat).next().expect("bank marked non-empty");
+            let rank = head.loc.bank.rank;
+            // Nothing in this bank is older than its head, so once an older
+            // ready capped hit is known the bank cannot change the outcome.
+            if refresh_pending & (1 << rank) != 0 || oldest_hit < head.seq {
                 continue;
             }
-            if capped_hit {
-                // Oldest capped row hit: nothing later can pre-empt it.
-                return (Some((idx, ServiceStep::Column)), horizon);
+            let reserved = preventive_bank == Some(flat);
+            let mut ready = |kind| {
+                bank_ready_in(shared_scan, channel, *scan_stamp, flat, head.group, rank, kind)
+            };
+            match channel.open_row_flat(flat) {
+                None if reserved => {}
+                None if *mechanism_may_block => {
+                    // BlockHammer: a blacklisted row cannot be opened before
+                    // its delay expires, so requests differ by row.
+                    let shared = ready(ReadyKind::Activate);
+                    for (slot, e) in queue.bank(flat) {
+                        let blocked = mechanism.blocked_until(e.loc.row_addr(), cycle);
+                        if offer(slot, e, ServiceStep::Activate, shared.max(blocked)) {
+                            break;
+                        }
+                    }
+                }
+                None => {
+                    offer(head_slot, head, ServiceStep::Activate, ready(ReadyKind::Activate));
+                }
+                Some(row) => {
+                    let hit = queue.bank(flat).find(|(_, e)| e.loc.row == row);
+                    if let Some((slot, e)) = hit {
+                        if offer(slot, e, ServiceStep::Column, ready(ready_col))
+                            && hit_streak[flat] < cap
+                        {
+                            // A ready capped hit pre-empts every non-hit.
+                            oldest_hit = oldest_hit.min(e.seq);
+                            continue;
+                        }
+                    }
+                    if reserved {
+                        continue;
+                    }
+                    if let Some((slot, e)) = queue.bank(flat).find(|(_, e)| e.loc.row != row) {
+                        offer(slot, e, ServiceStep::Precharge, ready(ReadyKind::Precharge));
+                    }
+                }
             }
-            best_any = Some((idx, step));
-            tail_from = idx + 1;
-            break;
         }
-        // Phase 2 — a fallback candidate exists: only an older capped row
-        // hit can still change the outcome, so the remaining entries reduce
-        // to a row compare against their bank's open row (no horizon
-        // bookkeeping, no ready derivation for non-hits; the preventive-head
-        // reservation never filters hits, and the caller discards the
-        // horizon whenever a command issues).
-        for (off, &key) in keys.iter().skip(tail_from).enumerate() {
-            if key == dup_memo[0] || key == dup_memo[1] {
-                // Same full coordinates as an entry already classified
-                // not-schedulable this tick (possibly in phase 1).
-                continue;
-            }
-            let flat = key.flat();
-            if refresh_any && refresh_pending & (1 << key.rank()) != 0 {
-                continue;
-            }
-            if channel.open_row_flat(flat) != Some(key.row()) || hit_streak[flat] >= cap {
-                continue;
-            }
-            let ready_at = bank_ready_in(
-                shared_scan,
-                channel,
-                stamp,
-                flat,
-                key.group(),
-                key.rank(),
-                ready_col,
-            );
-            if cycle >= ready_at {
-                // Oldest capped row hit: nothing later can pre-empt it.
-                return (Some((tail_from + off, ServiceStep::Column)), horizon);
-            }
-            dup_memo[dup_next] = key;
-            dup_next ^= 1;
-        }
-        (best_any, horizon)
+        (best_hit.or(best_any).map(|(_, slot, step)| (slot, step)), horizon)
     }
 
     fn command_for(&self, entry: &QueueEntry, step: ServiceStep, use_writes: bool) -> DramCommand {
@@ -1011,12 +891,12 @@ impl MemoryController {
     fn service(
         &mut self,
         use_writes: bool,
-        idx: usize,
+        slot: usize,
         step: ServiceStep,
         cycle: Cycle,
         bh_sink: BhSink<'_>,
     ) {
-        let entry = if use_writes { self.write_queue[idx] } else { self.read_queue[idx] };
+        let entry = *self.queue_mut(use_writes).entry(slot);
         let flat = entry.flat;
         let cmd = self.command_for(&entry, step, use_writes);
         let outcome = self.channel.issue_prechecked(&cmd, cycle);
@@ -1045,26 +925,17 @@ impl MemoryController {
                     completed_at,
                     latency,
                 });
-                if use_writes {
-                    self.write_queue.remove(idx);
-                    self.write_keys.remove(idx);
-                } else {
-                    // `remove` shifts the shorter side; the serviced entry is
-                    // almost always at or near the front (oldest-first), so
-                    // this is O(1)-ish in practice.
-                    self.read_queue.remove(idx);
-                    self.read_keys.remove(idx);
-                }
+                self.queue_mut(use_writes).remove(slot);
             }
             ServiceStep::Precharge => {
                 self.hit_streak[flat] = 0;
-                if !self.mark_classified(use_writes, idx) {
+                if !self.mark_classified(use_writes, slot) {
                     self.stats.row_conflicts += 1;
                 }
             }
             ServiceStep::Activate => {
                 self.hit_streak[flat] = 0;
-                if !self.mark_classified(use_writes, idx) {
+                if !self.mark_classified(use_writes, slot) {
                     self.stats.row_misses += 1;
                 }
                 self.on_demand_activation(entry.loc, entry.req.thread, cycle, bh_sink);
@@ -1073,11 +944,8 @@ impl MemoryController {
     }
 
     /// Marks the queue entry as classified, returning the previous flag.
-    fn mark_classified(&mut self, use_writes: bool, idx: usize) -> bool {
-        let entry = if use_writes { &mut self.write_queue[idx] } else { &mut self.read_queue[idx] };
-        let was = entry.classified;
-        entry.classified = true;
-        was
+    fn mark_classified(&mut self, use_writes: bool, slot: usize) -> bool {
+        std::mem::replace(&mut self.queue_mut(use_writes).entry_mut(slot).classified, true)
     }
 
     /// Reports a demand activation to the mitigation mechanism and
@@ -1585,6 +1453,316 @@ mod tests {
         }
         assert!(ctrl.stats().table_accesses > 0);
         assert!(ctrl.stats().preventive_actions_total() > 0);
+    }
+
+    /// Serves an older row conflict (id 1) queued behind the request that
+    /// opens row 5 (id 0) and ahead of `2 * 4` younger hits on row 5 (ids
+    /// 2..), and returns the ids served before the conflict's `Precharge`.
+    ///
+    /// FR-FCFS is first-*ready*: the cap only decides a cycle on which a hit
+    /// and the conflict's precharge are both issuable. `fast_test` spaces
+    /// reads further apart than read-to-precharge, so the precharge would
+    /// slip in between two hits whatever the cap; with `t_rtp == t_ccd_l`
+    /// both become ready together after every read and the cap alone decides.
+    fn hits_served_before_the_conflict(frfcfs_cap: u32) -> Vec<u64> {
+        let geometry = DramGeometry::tiny();
+        let mut timing = TimingParams::fast_test();
+        timing.t_rtp = timing.t_ccd_l;
+        let mechanism = MechanismKind::None.build(&geometry, &timing, 1024, 1);
+        let config = MemControllerConfig { frfcfs_cap, ..small_config() };
+        let mut ctrl = MemoryController::new(config, DramChannel::new(geometry, timing), mechanism);
+        ctrl.try_enqueue(MemRequest::read(0, ThreadId(0), addr_of(&ctrl, 5, 0), 0)).unwrap();
+        ctrl.try_enqueue(MemRequest::read(1, ThreadId(0), addr_of(&ctrl, 9, 0), 0)).unwrap();
+        for i in 0..8 {
+            let addr = addr_of(&ctrl, 5, 1 + i as usize);
+            ctrl.try_enqueue(MemRequest::read(2 + i, ThreadId(0), addr, 0)).unwrap();
+        }
+        let mut served = Vec::new();
+        let mut cycle = 0;
+        while ctrl.stats().row_conflicts == 0 {
+            ctrl.tick(cycle, None);
+            served.extend(ctrl.drain_responses().iter().map(|r| r.id));
+            cycle += 1;
+            assert!(cycle < 10_000, "the conflict was never scheduled");
+        }
+        // The conflict then runs to completion before the remaining hits.
+        let (rest, _) = run_until_responses(&mut ctrl, cycle, 10 - served.len(), 10_000);
+        assert_eq!(rest[0].id, 1, "the older request goes first once its row is closed");
+        assert_eq!(served.len() + rest.len(), 10);
+        served
+    }
+
+    /// With an older row conflict waiting, a bank serves exactly
+    /// `frfcfs_cap` column accesses from its open row — the activating
+    /// request's, then `frfcfs_cap - 1` younger hits that overtake the
+    /// conflict (the streak counts from the activation) — before the
+    /// conflict's `Precharge`; without a binding cap every pending hit
+    /// overtakes it.
+    #[test]
+    fn the_reordering_cap_bounds_hits_served_past_an_older_conflict() {
+        let cap = MemControllerConfig::paper_table1(4).frfcfs_cap;
+        assert_eq!(hits_served_before_the_conflict(cap), [0, 2, 3, 4]);
+        assert_eq!(hits_served_before_the_conflict(2), [0, 2]);
+        assert_eq!(hits_served_before_the_conflict(100), [0, 2, 3, 4, 5, 6, 7, 8, 9]);
+    }
+
+    /// The cap only reorders among *ready* requests: while the older
+    /// conflict's `Precharge` is held back by write recovery, row hits past
+    /// the cap are still served (FCFS among what can issue) rather than
+    /// idling the bank.
+    #[test]
+    fn an_uncapped_hit_is_served_while_nothing_older_is_ready() {
+        let mut ctrl = controller(MechanismKind::None, 1024);
+        let cap = ctrl.config().frfcfs_cap;
+        let hits = 2 * u64::from(cap);
+        ctrl.try_enqueue(MemRequest::write(0, ThreadId(0), addr_of(&ctrl, 5, 0), 0)).unwrap();
+        ctrl.try_enqueue(MemRequest::write(1, ThreadId(0), addr_of(&ctrl, 9, 0), 0)).unwrap();
+        for i in 0..hits {
+            let addr = addr_of(&ctrl, 5, 1 + i as usize);
+            ctrl.try_enqueue(MemRequest::write(2 + i, ThreadId(0), addr, 0)).unwrap();
+        }
+        let t = ctrl.channel().timing().clone();
+        assert!(t.t_wr + t.cwl > t.t_ccd_l, "premise: write recovery outlasts the column gap");
+        let mut served = 0;
+        let mut cycle = 0;
+        while ctrl.stats().row_conflicts == 0 {
+            ctrl.tick(cycle, None);
+            served += ctrl.drain_responses().len() as u64;
+            cycle += 1;
+            assert!(cycle < 10_000, "the conflict was never scheduled");
+        }
+        assert_eq!(served, 1 + hits, "every pending hit drained before the precharge");
+        assert!(ctrl.hit_streak[0] == 0 && ctrl.stats().writes_served > u64::from(cap));
+    }
+
+    /// Deterministic 64-bit stream for the differential test (splitmix64).
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Which scheduling situations a differential run exercised.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        hits_chosen: u64,
+        row_commands_chosen: u64,
+        horizons_compared: u64,
+        refresh_masked: u64,
+        reserved_bank: u64,
+        streak_at_cap: u64,
+        streak_over_cap: u64,
+        blocked_rows: u64,
+        drain_with_reads_waiting: u64,
+        reads_with_writes_waiting: u64,
+    }
+
+    impl MemoryController {
+        fn queue(&self, use_writes: bool) -> &DemandQueue {
+            if use_writes {
+                &self.write_queue
+            } else {
+                &self.read_queue
+            }
+        }
+
+        /// The scheduler this controller had before its queues were indexed
+        /// by bank, kept as the oracle for [`MemoryController::select`]: one
+        /// pass over the whole queue in arrival order, deciding request by
+        /// request, with every ready cycle taken from
+        /// [`DramChannel::earliest_issue`] instead of the per-tick cache.
+        fn select_linear(
+            &self,
+            use_writes: bool,
+            cycle: Cycle,
+            refresh_pending: u64,
+            preventive_bank: Option<usize>,
+        ) -> (Option<(usize, ServiceStep)>, Cycle) {
+            let queue = self.queue(use_writes);
+            let mut arrival_order: Vec<_> = queue.banks().flat_map(|b| queue.bank(b)).collect();
+            arrival_order.sort_by_key(|(_, e)| e.seq);
+            let mut fallback = None;
+            let mut horizon = Cycle::MAX;
+            for (slot, e) in arrival_order {
+                let rank = e.loc.bank.rank;
+                if refresh_pending & (1 << rank) != 0 {
+                    continue;
+                }
+                let step = match self.channel.open_row(e.loc.bank) {
+                    None => ServiceStep::Activate,
+                    Some(row) if row == e.loc.row => ServiceStep::Column,
+                    Some(_) => ServiceStep::Precharge,
+                };
+                if preventive_bank == Some(e.flat) && step != ServiceStep::Column {
+                    continue;
+                }
+                let mut ready_at =
+                    self.channel.earliest_issue(&self.command_for(e, step, use_writes));
+                if step == ServiceStep::Activate && self.mechanism_may_block {
+                    ready_at = ready_at.max(self.mechanism.blocked_until(e.loc.row_addr(), cycle));
+                }
+                if cycle < ready_at {
+                    if ready_at < self.next_refresh[rank] {
+                        horizon = horizon.min(ready_at);
+                    }
+                } else if step == ServiceStep::Column
+                    && self.hit_streak[e.flat] < self.config.frfcfs_cap
+                {
+                    return (Some((slot, step)), horizon);
+                } else if fallback.is_none() {
+                    fallback = Some((slot, step));
+                }
+            }
+            (fallback, horizon)
+        }
+
+        /// Asserts that both selectors make the same choice on both queues in
+        /// the current state, and — when nothing can issue, the only time it
+        /// is used — report the same horizon.
+        fn assert_selectors_agree(&mut self, cycle: Cycle, seen: &mut Coverage) {
+            self.scan_stamp += 1;
+            let refresh_pending = self.refresh_pending_ranks(cycle);
+            let preventive_bank =
+                self.preventive_queue.front().map(|c| self.channel.geometry().flat_bank(c.bank));
+            for use_writes in [false, true] {
+                let (choice, horizon) =
+                    self.select(use_writes, cycle, refresh_pending, preventive_bank);
+                let (expected, expected_horizon) =
+                    self.select_linear(use_writes, cycle, refresh_pending, preventive_bank);
+                let id = |c: Option<(usize, ServiceStep)>| {
+                    c.map(|(slot, step)| (self.queue(use_writes).entry(slot).req.id, step))
+                };
+                assert_eq!(id(choice), id(expected), "cycle {cycle}, writes: {use_writes}");
+                match choice {
+                    Some((_, ServiceStep::Column)) => seen.hits_chosen += 1,
+                    Some(_) => seen.row_commands_chosen += 1,
+                    None => {
+                        assert_eq!(
+                            horizon, expected_horizon,
+                            "cycle {cycle}, writes: {use_writes}"
+                        );
+                        seen.horizons_compared += u64::from(horizon != Cycle::MAX);
+                    }
+                }
+                let queue = self.queue(use_writes);
+                let cap = self.config.frfcfs_cap;
+                for (_, e) in queue.banks().flat_map(|b| queue.bank(b)) {
+                    let open = self.channel.open_row_flat(e.flat);
+                    let streak = self.hit_streak[e.flat];
+                    seen.refresh_masked += u64::from(refresh_pending & (1 << e.loc.bank.rank) != 0);
+                    seen.reserved_bank += u64::from(preventive_bank == Some(e.flat));
+                    seen.streak_at_cap += u64::from(open == Some(e.loc.row) && streak == cap);
+                    seen.streak_over_cap += u64::from(open == Some(e.loc.row) && streak > cap);
+                    seen.blocked_rows += u64::from(
+                        open.is_none()
+                            && self.mechanism.blocked_until(e.loc.row_addr(), cycle) > cycle,
+                    );
+                }
+            }
+            let both_waiting = !self.read_queue.is_empty() && !self.write_queue.is_empty();
+            seen.drain_with_reads_waiting += u64::from(both_waiting && self.write_drain_mode);
+            seen.reads_with_writes_waiting += u64::from(both_waiting && !self.write_drain_mode);
+        }
+    }
+
+    /// Drives the controller with a seeded stream of reads and writes whose
+    /// intensity and locality change every few hundred cycles, checking the
+    /// bank-indexed selector against the linear one before every tick.
+    fn drive_both_selectors(kind: MechanismKind, nrh: u64, seed: u64, seen: &mut Coverage) {
+        let mut ctrl = controller(kind, nrh);
+        let geometry = ctrl.channel().geometry().clone();
+        let mut rng = SplitMix(seed);
+        let (mut read_rate, mut write_rate, mut banks, mut rows) = (0, 0, 1, 1);
+        let mut id = 0;
+        for cycle in 0..40_000 {
+            if cycle % 400 == 0 {
+                read_rate = rng.below(100);
+                write_rate = rng.below(100);
+                banks = 1 + rng.below(geometry.banks_per_channel() as u64) as usize;
+                rows = 1 + rng.below(4) as usize;
+            }
+            for (rate, write) in [(read_rate, false), (write_rate, true)] {
+                if rng.below(256) >= rate {
+                    continue;
+                }
+                let loc = DramLocation {
+                    channel: 0,
+                    bank: geometry.bank_from_flat(rng.below(banks as u64) as usize),
+                    row: 40 + 2 * rng.below(rows as u64) as usize,
+                    column: rng.below(geometry.columns_per_row as u64) as usize,
+                };
+                let addr = AddressMapping::paper_default().encode(&loc, &geometry);
+                let thread = ThreadId(rng.below(4) as usize);
+                let req = if write {
+                    MemRequest::write(id, thread, addr, cycle)
+                } else {
+                    MemRequest::read(id, thread, addr, cycle)
+                };
+                id += 1;
+                // A full queue rejecting the request is part of the stream.
+                let _ = ctrl.try_enqueue(req);
+            }
+            ctrl.assert_selectors_agree(cycle, seen);
+            ctrl.tick(cycle, None);
+            let _ = ctrl.drain_responses();
+        }
+    }
+
+    #[test]
+    fn bank_indexed_selector_matches_the_linear_scan() {
+        let mut seen = Coverage::default();
+        for (i, (kind, nrh)) in [
+            (MechanismKind::None, 1024),
+            (MechanismKind::Graphene, 64),
+            (MechanismKind::Para, 64),
+            (MechanismKind::Hydra, 64),
+            (MechanismKind::BlockHammer, 64),
+            (MechanismKind::BlockHammer, 256),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for seed in 0..3 {
+                drive_both_selectors(kind, nrh, 0xB4EA_C0DE + 16 * i as u64 + seed, &mut seen);
+            }
+        }
+        // Every situation the selector special-cases was actually compared.
+        let Coverage {
+            hits_chosen,
+            row_commands_chosen,
+            horizons_compared,
+            refresh_masked,
+            reserved_bank,
+            streak_at_cap,
+            streak_over_cap,
+            blocked_rows,
+            drain_with_reads_waiting,
+            reads_with_writes_waiting,
+        } = seen;
+        for (what, count) in [
+            ("row hits chosen", hits_chosen),
+            ("activates/precharges chosen", row_commands_chosen),
+            ("idle horizons compared", horizons_compared),
+            ("requests behind a due refresh", refresh_masked),
+            ("requests in the preventive head's bank", reserved_bank),
+            ("hits with the streak at the cap", streak_at_cap),
+            ("hits with the streak over the cap", streak_over_cap),
+            ("requests to a BlockHammer-blocked row", blocked_rows),
+            ("write drain with reads waiting", drain_with_reads_waiting),
+            ("read mode with writes waiting", reads_with_writes_waiting),
+        ] {
+            assert!(count > 100, "{what}: only {count} cases");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@
 
 pub mod config;
 pub mod controller;
+mod demand_queue;
 pub mod latency;
 pub mod mapping;
 pub mod pool;

@@ -8,7 +8,10 @@
 //! driven through the *same* stream again while the allocation counter is
 //! watched. A single allocation during the measured phase fails the test:
 //! `on_activation` must not return heap-allocated action lists, and the flat
-//! trackers must not rehash or grow once warm.
+//! trackers must not rehash or grow once warm. The memory controller's
+//! steady state (enqueue → tick → drain with its read queue kept full) is
+//! held to the same standard: the demand-queue slab, the preventive queue and
+//! the response buffer must have stopped growing once warm.
 //!
 //! This file contains exactly one `#[test]` on purpose: Rust runs tests in a
 //! binary concurrently, and a second test's allocations would race the
@@ -21,8 +24,10 @@
 //! historical `allocation_free` flake.
 
 use breakhammer_suite::dram::{
-    BankAddr, DramGeometry, RowAddr, RowHammerTracker, ThreadId, TimingParams,
+    AccessKind, BankAddr, DramChannel, DramGeometry, PhysAddr, RowAddr, RowHammerTracker, ThreadId,
+    TimingParams,
 };
+use breakhammer_suite::mem::{MemControllerConfig, MemRequest, MemoryController};
 use breakhammer_suite::mitigation::{ActionSink, ActivationEvent, MechanismKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -205,4 +210,51 @@ fn activation_hot_path_is_allocation_free_after_warmup() {
          activations"
     );
     assert_eq!(tracker.bitflip_count(), 0, "threshold chosen so no bitflip is recorded");
+
+    // The controller around that hot path: Table 1 queues (64 + 64 entries),
+    // Graphene at N_RH = 64 so victim refreshes flow through the preventive
+    // queue, the read queue topped up to capacity before every tick and a
+    // writeback every eighth cycle. Requests stride over every bank and ~100
+    // rows, mixing row hits with conflicts.
+    let mechanism = MechanismKind::Graphene.build(&geometry, &timing, 64, 7);
+    let channel = DramChannel::with_rowhammer(geometry.clone(), timing.clone(), 64);
+    let mut ctrl = MemoryController::new(MemControllerConfig::paper_table1(4), channel, mechanism);
+    let mut responses = Vec::new();
+    let mut id = 0u64;
+    let mut drive = |ctrl: &mut MemoryController, from: u64, to: u64| {
+        for cycle in from..to {
+            let mut request = |write: bool| {
+                id += 1;
+                let addr = PhysAddr((id % 97) * 4096 + (id % 7) * 64);
+                let thread = ThreadId((id % 4) as usize);
+                if write {
+                    MemRequest::write(id, thread, addr, cycle)
+                } else {
+                    MemRequest::read(id, thread, addr, cycle)
+                }
+            };
+            while ctrl.can_accept(AccessKind::Read) {
+                ctrl.try_enqueue(request(false)).expect("queue has room");
+            }
+            if cycle % 8 == 0 && ctrl.can_accept(AccessKind::Write) {
+                ctrl.try_enqueue(request(true)).expect("queue has room");
+            }
+            ctrl.tick(cycle, None);
+            ctrl.drain_responses_into(&mut responses);
+        }
+    };
+    drive(&mut ctrl, 0, WARMUP_STEPS);
+    let served_warm = ctrl.stats().reads_served + ctrl.stats().writes_served;
+    arm();
+    let before = allocations();
+    drive(&mut ctrl, WARMUP_STEPS, WARMUP_STEPS + MEASURED_STEPS);
+    let allocated = allocations() - before;
+    disarm();
+    assert_eq!(
+        allocated, 0,
+        "MemoryController: {allocated} heap allocation(s) in {MEASURED_STEPS} steady-state ticks"
+    );
+    let stats = ctrl.stats();
+    assert!(stats.reads_served + stats.writes_served > served_warm + 1_000, "{stats:?}");
+    assert!(stats.writes_served > 0 && stats.victim_rows_refreshed > 0, "{stats:?}");
 }
