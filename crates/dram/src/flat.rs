@@ -134,11 +134,6 @@ impl<V: Copy + Default> FlatMap<V> {
 
     /// Removes `key`, returning its value if it was present. Uses
     /// backward-shift deletion, so the table never accumulates tombstones.
-    ///
-    /// `bh_mitigation`'s Misra–Gries table carries extra per-slot state the
-    /// generic map cannot hold and therefore duplicates this probe/deletion
-    /// scheme (`MisraGries::remove_slot`); keep the cyclic-interval rule
-    /// below in sync with it.
     pub fn remove(&mut self, key: u64) -> Option<V> {
         let Ok(mut hole) = self.probe(key) else {
             return None;

@@ -21,6 +21,18 @@
 //! hit and the oldest other request — instead of every queued request (see
 //! `MemoryController::select`).
 //!
+//! Two things the scheduler derives survive between ticks and are cached.
+//! The two candidates of a bank depend on the bank's list and its open row
+//! only; the queue keeps them per bank, exact under every `push` / `remove`,
+//! and re-derives them when it is asked about another row than the one they
+//! were derived for. And a tick that can issue nothing has, by weighing every
+//! candidate's ready cycle for the no-op horizon, already found the command a
+//! tick at that horizon would choose; when the demand stage alone owns the
+//! horizon it is kept as a `Plan` and the tick at the horizon issues it
+//! without a refresh, preventive or selection pass. Any enqueue drops the
+//! plan, as it lowers the horizon; any issued command consumes or precedes
+//! it. So the full pass runs about once per issued command, not twice.
+//!
 //! Every *demand* row activation is reported to the attached mitigation
 //! mechanism (whose trigger algorithm may request preventive actions) and to
 //! BreakHammer (which attributes activations to hardware threads and observes
@@ -158,17 +170,6 @@ pub enum BhSink<'a> {
     Record(&'a mut Vec<BhEvent>),
 }
 
-impl BhSink<'_> {
-    /// Reborrows the sink for a callee without consuming it.
-    fn reborrow(&mut self) -> BhSink<'_> {
-        match self {
-            BhSink::None => BhSink::None,
-            BhSink::Live(bh) => BhSink::Live(bh),
-            BhSink::Record(buf) => BhSink::Record(buf),
-        }
-    }
-}
-
 /// Maximum consecutive ticks the head of the preventive queue may be
 /// deferred in favour of pending demand row-hits — enough for several column
 /// accesses (tCCD apart) to drain, small enough that a sustained hit stream
@@ -261,6 +262,20 @@ enum TickOutcome {
     Horizon(Cycle),
 }
 
+/// The demand command a non-issuing tick already knows the tick at `at` will
+/// issue. The pass that finds nothing ready weighs every candidate's ready
+/// cycle to derive the horizon; the candidate that sets the horizon — ties
+/// broken the way the scheduler breaks them — is the one a full pass at the
+/// horizon would pick, provided the refresh and preventive stages cannot act
+/// at or before `at` and nothing arrives in between.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    use_writes: bool,
+    slot: usize,
+    step: ServiceStep,
+    at: Cycle,
+}
+
 /// The memory controller for one channel.
 ///
 /// BreakHammer is *not* owned by the controller: it is a memory-system-wide
@@ -293,6 +308,10 @@ pub struct MemoryController {
     /// re-deriving scheduling state. Reset to 0 whenever the queues or the
     /// DRAM timing state change (enqueue or command issue).
     idle_until: Cycle,
+    /// The demand command the no-op horizon is waiting for, when the last
+    /// non-issuing tick could name it (see [`Plan`]). Dropped by any enqueue
+    /// and by the next tick that runs.
+    plan: Option<Plan>,
     /// Cached [`TriggerMechanism::may_block`]: lets the scheduler skip the
     /// per-request blacklist query for the mechanisms that never block.
     mechanism_may_block: bool,
@@ -364,6 +383,7 @@ impl MemoryController {
             write_drain_mode: false,
             preventive_deferred_ticks: 0,
             idle_until: 0,
+            plan: None,
             mechanism_may_block,
             sink: ActionSink::default(),
             shared_scan: vec![SharedScanEntry::default(); groups_total],
@@ -456,7 +476,14 @@ impl MemoryController {
         // on a tick that runs, and the memo decides which ticks run. Both
         // kernels share the memo, so they stay bit-identical; the deferral
         // remains bounded (ticking resumes at the hit's ready cycle) and is
-        // security-neutral while the row is open.
+        // security-neutral while the row is open. The carried-over plan does
+        // not touch this: it only replaces a tick the memo already scheduled
+        // by its outcome, and a tick in the deferral branch never leaves one.
+        //
+        // The plan goes the same way as the horizon: the newcomer may be the
+        // better candidate at `plan.at` (or flip the drain mode), so the next
+        // tick that runs decides from scratch.
+        self.plan = None;
         if self.idle_until > 0 {
             let kind = match self.channel.open_row_flat(flat) {
                 Some(row) if row == loc.row => match req.kind {
@@ -514,11 +541,13 @@ impl MemoryController {
     /// cycle its timing constraints are met), so this query is O(1).
     /// Immediately after a tick that issued a command — or an enqueue that
     /// could beat the memoized horizon — the horizon is unknown and `now + 1`
-    /// is returned: the next tick re-derives it. Horizons may undershoot (waking early is only
-    /// wasted work) but never overshoot: between `now` and the returned
-    /// cycle, `tick` is guaranteed to leave all controller, DRAM and
-    /// mitigation state untouched (BreakHammer's window rotations are driven
-    /// separately by the simulation kernel).
+    /// is returned: the next tick re-derives it. Horizons may undershoot
+    /// (waking early is only wasted work) but never overshoot: between `now`
+    /// and the returned cycle, `tick` is guaranteed to leave all controller,
+    /// DRAM and mitigation state untouched (BreakHammer's window rotations
+    /// are driven separately by the simulation kernel). A carried-over plan
+    /// changes none of this — it is the command the tick *at* the returned
+    /// cycle will issue, not a different horizon.
     pub fn next_event(&self, now: Cycle) -> Cycle {
         if self.idle_until > now {
             self.idle_until
@@ -564,9 +593,27 @@ impl MemoryController {
         if cycle < self.idle_until {
             return;
         }
+        // Every tick that runs updates the drain mode (with no reads and few
+        // writes queued it toggles from one running tick to the next).
+        self.update_write_drain_mode();
+        // Second fast path: the tick that set `idle_until` also named the
+        // demand command this tick issues. Since then no command issued and
+        // no request arrived (either would have dropped the plan), so refresh
+        // deadlines, the preventive head, every hit streak and every ready
+        // cycle are what that pass saw, and so is the queue order: while both
+        // queues hold requests a second drain-mode update changes nothing.
+        // That pass checked that the refresh and preventive stages cannot act
+        // before `plan.at + 1`, which leaves the plan as the candidate a full
+        // pass would choose now.
+        if let Some(Plan { use_writes, slot, step, at }) = self.plan.take() {
+            if at == cycle {
+                self.service(use_writes, slot, step, cycle, bh_sink);
+                self.idle_until = 0;
+                return;
+            }
+        }
         self.scan_stamp += 1;
         let mut horizon = Cycle::MAX;
-        self.update_write_drain_mode();
         match self.try_refresh(cycle) {
             TickOutcome::Issued => {
                 self.idle_until = 0;
@@ -586,25 +633,40 @@ impl MemoryController {
             self.preventive_queue.front().map(|c| self.channel.geometry().flat_bank(c.bank));
         let first_writes = self.write_drain_mode && !self.write_queue.is_empty();
         let order = if first_writes { [true, false] } else { [false, true] };
+        // The earliest-ready candidate of either queue; on a tie the queue
+        // scheduled first this tick keeps it, as it would at that cycle.
+        let mut next: Option<Plan> = None;
         for use_writes in order {
             // An empty queue contributes neither a candidate nor a horizon.
             if if use_writes { self.write_queue.is_empty() } else { self.read_queue.is_empty() } {
                 continue;
             }
-            let (candidate, queue_horizon) =
-                self.select(use_writes, cycle, refresh_pending, preventive_bank);
-            if let Some((slot, step)) = candidate {
-                self.service(use_writes, slot, step, cycle, bh_sink.reborrow());
+            let Some((at, slot, step)) =
+                self.select(use_writes, cycle, refresh_pending, preventive_bank)
+            else {
+                continue;
+            };
+            if at <= cycle {
+                self.service(use_writes, slot, step, cycle, bh_sink);
                 // A command was issued: timing and queue state changed, so
                 // the next tick must re-derive its decisions from scratch.
                 self.idle_until = 0;
                 return;
             }
-            horizon = horizon.min(queue_horizon);
+            if next.is_none_or(|n| at < n.at) {
+                next = Some(Plan { use_writes, slot, step, at });
+            }
         }
         // Nothing could issue: memoize the horizon until which every tick is
-        // a pure no-op.
-        self.idle_until = horizon.max(cycle + 1);
+        // a pure no-op, and the demand command due at it when the demand
+        // stage alone owns that horizon. Strictly: a refresh or preventive
+        // command that becomes issuable in the same cycle goes first. A
+        // mechanism that may block is left out because `blocked_until` is
+        // asked with the cycle, so its answer at `at` is not the one weighed
+        // here. (A tick in `try_preventive`'s bounded-deferral branch reports
+        // `cycle + 1`, below any demand horizon, so it never leaves a plan.)
+        self.plan = next.filter(|n| n.at < horizon && !self.mechanism_may_block);
+        self.idle_until = next.map_or(horizon, |n| horizon.min(n.at)).max(cycle + 1);
     }
 
     fn update_write_drain_mode(&mut self) {
@@ -735,9 +797,10 @@ impl MemoryController {
 
     /// True if some queued demand request is a row hit on `bank`'s open
     /// `row` (and could therefore be lost by precharging the bank now).
-    fn demand_hit_pending(&self, bank: BankAddr, row: usize) -> bool {
+    fn demand_hit_pending(&mut self, bank: BankAddr, row: usize) -> bool {
         let flat = self.channel.geometry().flat_bank(bank);
-        self.read_queue.bank(flat).chain(self.write_queue.bank(flat)).any(|(_, e)| e.loc.row == row)
+        self.read_queue.class_heads(flat, row).0.is_some()
+            || self.write_queue.class_heads(flat, row).0.is_some()
     }
 
     fn queue_mut(&mut self, use_writes: bool) -> &mut DemandQueue {
@@ -748,22 +811,31 @@ impl MemoryController {
         }
     }
 
-    /// Chooses the next request of one queue to service — the oldest
-    /// row-buffer hit whose bank is still under the FR-FCFS reordering cap,
-    /// else the oldest schedulable request of any kind (FCFS) — as `(slot,
-    /// step)`. When there is none, the second component is the earliest
-    /// future cycle at which any request of this queue could become issuable
-    /// (the demand contribution to the controller's no-op horizon); it is
-    /// unspecified when a request is chosen, because issuing a command
-    /// discards the horizon.
+    /// Chooses the request of one queue to service next, as `(at, slot,
+    /// step)`: with `at <= cycle` it is issuable now — the oldest row-buffer
+    /// hit whose bank is still under the FR-FCFS reordering cap, else the
+    /// oldest schedulable request of any kind (FCFS). With `at > cycle`
+    /// nothing is issuable, `at` is the earliest cycle at which any request of
+    /// this queue becomes so (the demand contribution to the controller's
+    /// no-op horizon), and the request is the one the same rule picks at that
+    /// cycle if nothing changes first. `None`: no request of this queue can
+    /// become issuable before some other event invalidates the horizon.
+    ///
+    /// Both cases are one minimum: every candidate is keyed `(cycle it can
+    /// issue, not a capped hit, seq)` with the first component clamped to
+    /// `cycle`, so among candidates ready now the order is the scheduling
+    /// rule, and among those that are not the earliest wins with ties broken
+    /// by the same rule.
     ///
     /// Only banks with requests are visited. Within a bank every request
     /// that hits the open row shares one step (`Column`) and one ready
     /// cycle, and every other request shares another (`Precharge`; on a
     /// closed bank all want `Activate`), so the oldest of each class stands
-    /// for its class and the winner is a `seq` compare across banks. The one
-    /// row-dependent input is BlockHammer's per-row delay: with a mechanism
-    /// that may block, a closed bank walks its own requests instead.
+    /// for its class — the queue caches those two per bank
+    /// ([`DemandQueue::class_heads`]) — and the winner is a key compare
+    /// across banks. The one row-dependent input is BlockHammer's per-row
+    /// delay: with a mechanism that may block, a closed bank walks its own
+    /// requests instead.
     ///
     /// A bank is skipped while its rank has a refresh due, and a bank the
     /// preventive head is waiting on accepts no new row cycle — pending hits
@@ -771,16 +843,17 @@ impl MemoryController {
     /// forward-progress rule in `try_preventive`). Skipped requests
     /// contribute no horizon of their own because the event that unblocks
     /// them (refresh issued, preventive head popped) invalidates the
-    /// memoized horizon anyway.
+    /// memoized horizon anyway; neither does a request that only becomes
+    /// ready once its rank's refresh is due (the refresh horizon covers it).
     fn select(
         &mut self,
         use_writes: bool,
         cycle: Cycle,
         refresh_pending: u64,
         preventive_bank: Option<usize>,
-    ) -> (Option<(usize, ServiceStep)>, Cycle) {
-        // Disjoint field borrows: the queue is walked while the shared-ready
-        // cache is filled lazily.
+    ) -> Option<(Cycle, usize, ServiceStep)> {
+        // Disjoint field borrows: the queue re-derives stale class heads
+        // while the shared-ready cache is filled lazily.
         let Self {
             read_queue,
             write_queue,
@@ -794,82 +867,85 @@ impl MemoryController {
             scan_stamp,
             ..
         } = self;
-        let queue: &DemandQueue = if use_writes { write_queue } else { read_queue };
+        #[cfg(test)]
+        tests::SELECT_PASSES.set(tests::SELECT_PASSES.get() + 1);
+        let queue: &mut DemandQueue = if use_writes { write_queue } else { read_queue };
         let ready_col = if use_writes { ReadyKind::Write } else { ReadyKind::Read };
         let cap = config.frfcfs_cap;
-        // `(seq, slot, step)` of the oldest ready capped row hit, and of the
-        // oldest ready request that is not one.
-        let mut best_hit: Option<(u64, usize, ServiceStep)> = None;
-        let mut best_any: Option<(u64, usize, ServiceStep)> = None;
-        let mut horizon = Cycle::MAX;
-        // Weighs one bank's candidate; returns whether it is ready. A request
-        // that is not ready contributes to the horizon unless its rank's
-        // refresh will interpose first (the refresh horizon covers that).
-        let mut offer = |slot: usize, e: &QueueEntry, step: ServiceStep, ready_at: Cycle| {
-            if cycle < ready_at {
-                if ready_at < next_refresh[e.loc.bank.rank] {
-                    horizon = horizon.min(ready_at);
+        // `(key, slot, step)` of the best candidate so far.
+        type Best = Option<((Cycle, bool, u64), usize, ServiceStep)>;
+        let mut best: Best = None;
+        // Weighs one bank's candidate; returns whether it is ready.
+        let offer =
+            |best: &mut Best, slot: usize, e: &QueueEntry, step: ServiceStep, ready_at: Cycle| {
+                let ready = ready_at <= cycle;
+                if !ready && ready_at >= next_refresh[e.loc.bank.rank] {
+                    return false;
                 }
-                return false;
-            }
-            let capped_hit = step == ServiceStep::Column && hit_streak[e.flat] < cap;
-            let best = if capped_hit { &mut best_hit } else { &mut best_any };
-            if best.is_none_or(|(seq, ..)| e.seq < seq) {
-                *best = Some((e.seq, slot, step));
-            }
-            true
-        };
-        // `seq` of the oldest ready capped hit found so far.
-        let mut oldest_hit = u64::MAX;
-        for flat in queue.banks() {
-            let (head_slot, head) = queue.bank(flat).next().expect("bank marked non-empty");
-            let rank = head.loc.bank.rank;
-            // Nothing in this bank is older than its head, so once an older
-            // ready capped hit is known the bank cannot change the outcome.
-            if refresh_pending & (1 << rank) != 0 || oldest_hit < head.seq {
-                continue;
-            }
-            let reserved = preventive_bank == Some(flat);
-            let mut ready = |kind| {
-                bank_ready_in(shared_scan, channel, *scan_stamp, flat, head.group, rank, kind)
+                let capped_hit = step == ServiceStep::Column && hit_streak[e.flat] < cap;
+                let key = (ready_at.max(cycle), !capped_hit, e.seq);
+                if best.is_none_or(|(k, ..)| key < k) {
+                    *best = Some((key, slot, step));
+                }
+                ready
             };
-            match channel.open_row_flat(flat) {
-                None if reserved => {}
-                None if *mechanism_may_block => {
-                    // BlockHammer: a blacklisted row cannot be opened before
-                    // its delay expires, so requests differ by row.
-                    let shared = ready(ReadyKind::Activate);
-                    for (slot, e) in queue.bank(flat) {
-                        let blocked = mechanism.blocked_until(e.loc.row_addr(), cycle);
-                        if offer(slot, e, ServiceStep::Activate, shared.max(blocked)) {
-                            break;
+        for word in 0..queue.bank_mask().len() {
+            let mut bits = queue.bank_mask()[word];
+            while bits != 0 {
+                let flat = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (head_slot, head) = queue.bank(flat).next().expect("bank marked non-empty");
+                let (rank, group) = (head.loc.bank.rank, head.group);
+                // Nothing in this bank is older than its head, so once an
+                // older ready capped hit is known the bank cannot change the
+                // outcome.
+                if refresh_pending & (1 << rank) != 0
+                    || best.is_some_and(|(k, ..)| k < (cycle, false, head.seq))
+                {
+                    continue;
+                }
+                let reserved = preventive_bank == Some(flat);
+                let mut ready = |kind| {
+                    bank_ready_in(shared_scan, channel, *scan_stamp, flat, group, rank, kind)
+                };
+                match channel.open_row_flat(flat) {
+                    None if reserved => {}
+                    None if *mechanism_may_block => {
+                        // BlockHammer: a blacklisted row cannot be opened
+                        // before its delay expires, so requests differ by row.
+                        let shared = ready(ReadyKind::Activate);
+                        for (slot, e) in queue.bank(flat) {
+                            let blocked = mechanism.blocked_until(e.loc.row_addr(), cycle);
+                            if offer(&mut best, slot, e, ServiceStep::Activate, shared.max(blocked))
+                            {
+                                break;
+                            }
                         }
                     }
-                }
-                None => {
-                    offer(head_slot, head, ServiceStep::Activate, ready(ReadyKind::Activate));
-                }
-                Some(row) => {
-                    let hit = queue.bank(flat).find(|(_, e)| e.loc.row == row);
-                    if let Some((slot, e)) = hit {
-                        if offer(slot, e, ServiceStep::Column, ready(ready_col))
-                            && hit_streak[flat] < cap
-                        {
-                            // A ready capped hit pre-empts every non-hit.
-                            oldest_hit = oldest_hit.min(e.seq);
-                            continue;
+                    None => {
+                        let at = ready(ReadyKind::Activate);
+                        offer(&mut best, head_slot, head, ServiceStep::Activate, at);
+                    }
+                    Some(row) => {
+                        let (hit, miss) = queue.class_heads(flat, row);
+                        if let Some(slot) = hit {
+                            let at = ready(ready_col);
+                            if offer(&mut best, slot, queue.entry(slot), ServiceStep::Column, at)
+                                && hit_streak[flat] < cap
+                            {
+                                // A ready capped hit pre-empts every non-hit.
+                                continue;
+                            }
                         }
-                    }
-                    if reserved {
-                        continue;
-                    }
-                    if let Some((slot, e)) = queue.bank(flat).find(|(_, e)| e.loc.row != row) {
-                        offer(slot, e, ServiceStep::Precharge, ready(ReadyKind::Precharge));
+                        if let (Some(slot), false) = (miss, reserved) {
+                            let at = ready(ReadyKind::Precharge);
+                            offer(&mut best, slot, queue.entry(slot), ServiceStep::Precharge, at);
+                        }
                     }
                 }
             }
         }
-        (best_hit.or(best_any).map(|(_, slot, step)| (slot, step)), horizon)
+        best.map(|((at, ..), slot, step)| (at, slot, step))
     }
 
     fn command_for(&self, entry: &QueueEntry, step: ServiceStep, use_writes: bool) -> DramCommand {
@@ -896,6 +972,8 @@ impl MemoryController {
         cycle: Cycle,
         bh_sink: BhSink<'_>,
     ) {
+        #[cfg(test)]
+        tests::DEMAND_COMMANDS.set(tests::DEMAND_COMMANDS.get() + 1);
         let entry = *self.queue_mut(use_writes).entry(slot);
         let flat = entry.flat;
         let cmd = self.command_for(&entry, step, use_writes);
@@ -1056,10 +1134,12 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demand_queue::SplitMix;
     use crate::mapping::AddressMapping;
     use bh_core::BreakHammerConfig;
     use bh_dram::{DramGeometry, PhysAddr, TimingParams};
     use bh_mitigation::MechanismKind;
+    use std::cell::Cell;
 
     fn small_config() -> MemControllerConfig {
         let mut c = MemControllerConfig::paper_table1(4);
@@ -1535,21 +1615,11 @@ mod tests {
         assert!(ctrl.hit_streak[0] == 0 && ctrl.stats().writes_served > u64::from(cap));
     }
 
-    /// Deterministic 64-bit stream for the differential test (splitmix64).
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
+    thread_local! {
+        /// Calls of [`MemoryController::select`] and of
+        /// [`MemoryController::service`] on this thread.
+        pub(super) static SELECT_PASSES: Cell<u64> = const { Cell::new(0) };
+        pub(super) static DEMAND_COMMANDS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Which scheduling situations a differential run exercised.
@@ -1565,6 +1635,19 @@ mod tests {
         blocked_rows: u64,
         drain_with_reads_waiting: u64,
         reads_with_writes_waiting: u64,
+        // Carried-over plans.
+        plans_issued: u64,
+        plan_dropped_by_read: u64,
+        plan_dropped_by_write: u64,
+        refresh_deadline_at_demand_horizon: u64,
+        preventive_horizon_not_after_demand: u64,
+        deferral_ticks: u64,
+        plan_in_drain_with_both_queues_ready: u64,
+        plan_with_hit_at_cap: u64,
+        plan_with_hit_over_cap: u64,
+        // `select` passes the plans saved.
+        select_passes: u64,
+        select_passes_without_plans: u64,
     }
 
     impl MemoryController {
@@ -1588,8 +1671,7 @@ mod tests {
             refresh_pending: u64,
             preventive_bank: Option<usize>,
         ) -> (Option<(usize, ServiceStep)>, Cycle) {
-            let queue = self.queue(use_writes);
-            let mut arrival_order: Vec<_> = queue.banks().flat_map(|b| queue.bank(b)).collect();
+            let mut arrival_order: Vec<_> = self.queue(use_writes).iter().collect();
             arrival_order.sort_by_key(|(_, e)| e.seq);
             let mut fallback = None;
             let mut horizon = Cycle::MAX;
@@ -1626,27 +1708,37 @@ mod tests {
             (fallback, horizon)
         }
 
-        /// Asserts that both selectors make the same choice on both queues in
-        /// the current state, and — when nothing can issue, the only time it
-        /// is used — report the same horizon.
-        fn assert_selectors_agree(&mut self, cycle: Cycle, seen: &mut Coverage) {
-            self.scan_stamp += 1;
-            let refresh_pending = self.refresh_pending_ranks(cycle);
+        /// The scheduling masks a tick at `cycle` hands to the selectors.
+        fn masks(&self, cycle: Cycle) -> (u64, Option<usize>) {
             let preventive_bank =
                 self.preventive_queue.front().map(|c| self.channel.geometry().flat_bank(c.bank));
+            (self.refresh_pending_ranks(cycle), preventive_bank)
+        }
+
+        /// Asserts that both selectors make the same choice on both queues in
+        /// the current state, and — when nothing can issue — report the same
+        /// horizon. Returns the demand horizon of the linear scan if neither
+        /// queue has anything to issue.
+        fn assert_selectors_agree(&mut self, cycle: Cycle, seen: &mut Coverage) -> Option<Cycle> {
+            self.scan_stamp += 1;
+            let (refresh_pending, preventive_bank) = self.masks(cycle);
+            let mut demand_horizon = Some(Cycle::MAX);
             for use_writes in [false, true] {
-                let (choice, horizon) =
-                    self.select(use_writes, cycle, refresh_pending, preventive_bank);
+                let selected = self.select(use_writes, cycle, refresh_pending, preventive_bank);
                 let (expected, expected_horizon) =
                     self.select_linear(use_writes, cycle, refresh_pending, preventive_bank);
-                let id = |c: Option<(usize, ServiceStep)>| {
-                    c.map(|(slot, step)| (self.queue(use_writes).entry(slot).req.id, step))
-                };
-                assert_eq!(id(choice), id(expected), "cycle {cycle}, writes: {use_writes}");
+                let id = |slot| self.queue(use_writes).entry(slot).req.id;
+                let choice = selected.filter(|&(at, ..)| at <= cycle);
+                assert_eq!(
+                    choice.map(|(_, slot, step)| (id(slot), step)),
+                    expected.map(|(slot, step)| (id(slot), step)),
+                    "cycle {cycle}, writes: {use_writes}"
+                );
                 match choice {
-                    Some((_, ServiceStep::Column)) => seen.hits_chosen += 1,
+                    Some((.., ServiceStep::Column)) => seen.hits_chosen += 1,
                     Some(_) => seen.row_commands_chosen += 1,
                     None => {
+                        let horizon = selected.map_or(Cycle::MAX, |(at, ..)| at);
                         assert_eq!(
                             horizon, expected_horizon,
                             "cycle {cycle}, writes: {use_writes}"
@@ -1654,9 +1746,12 @@ mod tests {
                         seen.horizons_compared += u64::from(horizon != Cycle::MAX);
                     }
                 }
-                let queue = self.queue(use_writes);
+                demand_horizon = match expected {
+                    None => demand_horizon.map(|h| h.min(expected_horizon)),
+                    Some(_) => None,
+                };
                 let cap = self.config.frfcfs_cap;
-                for (_, e) in queue.banks().flat_map(|b| queue.bank(b)) {
+                for (_, e) in self.queue(use_writes).iter() {
                     let open = self.channel.open_row_flat(e.flat);
                     let streak = self.hit_streak[e.flat];
                     seen.refresh_masked += u64::from(refresh_pending & (1 << e.loc.bank.rank) != 0);
@@ -1672,14 +1767,90 @@ mod tests {
             let both_waiting = !self.read_queue.is_empty() && !self.write_queue.is_empty();
             seen.drain_with_reads_waiting += u64::from(both_waiting && self.write_drain_mode);
             seen.reads_with_writes_waiting += u64::from(both_waiting && !self.write_drain_mode);
+            demand_horizon
+        }
+
+        /// If the tick at `cycle` will issue from a carried-over plan, asserts
+        /// that the plan is what the linear scan chooses in this state: the
+        /// choice of the queue scheduled first, else of the other. (While a
+        /// plan stands the drain mode is settled — it only toggles from tick
+        /// to tick with the read queue empty, where the order is moot.)
+        fn assert_plan_is_the_linear_choice(&self, cycle: Cycle, seen: &mut Coverage) {
+            let Some(plan) = self.plan.filter(|p| p.at == cycle && cycle >= self.idle_until) else {
+                return;
+            };
+            assert!(!self.mechanism_may_block, "cycle {cycle}: plan beside a blocking mechanism");
+            let (refresh_pending, preventive_bank) = self.masks(cycle);
+            let first_writes = self.write_drain_mode && !self.write_queue.is_empty();
+            let order = if first_writes { [true, false] } else { [false, true] };
+            let choices = order.map(|use_writes| {
+                let (choice, _) =
+                    self.select_linear(use_writes, cycle, refresh_pending, preventive_bank);
+                choice.map(|(slot, step)| (use_writes, self.queue(use_writes).entry(slot), step))
+            });
+            let describe = |(w, e, step): (bool, &QueueEntry, ServiceStep)| (w, e.req.id, step);
+            let planned =
+                (plan.use_writes, self.queue(plan.use_writes).entry(plan.slot), plan.step);
+            assert_eq!(
+                Some(describe(planned)),
+                choices[0].or(choices[1]).map(describe),
+                "cycle {cycle}: the carried-over plan is not what a full pass would issue"
+            );
+            seen.plans_issued += 1;
+            seen.plan_in_drain_with_both_queues_ready +=
+                u64::from(first_writes && choices.iter().all(Option::is_some));
+            let cap = self.config.frfcfs_cap;
+            for (_, e, step) in choices.into_iter().flatten() {
+                let streak = self.hit_streak[e.flat];
+                seen.plan_with_hit_at_cap +=
+                    u64::from(step == ServiceStep::Column && streak == cap);
+                seen.plan_with_hit_over_cap +=
+                    u64::from(step == ServiceStep::Column && streak > cap);
+            }
+        }
+
+        /// When the command `try_preventive` has to issue next becomes
+        /// issuable, if the preventive queue holds any.
+        fn preventive_ready_at(&self) -> Option<Cycle> {
+            let head = *self.preventive_queue.front()?;
+            let cmd = match (head.kind, self.channel.open_row(head.bank)) {
+                (CommandKind::VictimRefresh | CommandKind::RefreshManagement, Some(_)) => {
+                    DramCommand::precharge(head.bank)
+                }
+                (CommandKind::Read | CommandKind::Write, Some(row)) if row != head.row => {
+                    DramCommand::precharge(head.bank)
+                }
+                (CommandKind::Read | CommandKind::Write, None) => {
+                    DramCommand::activate(head.bank, head.row)
+                }
+                _ => head,
+            };
+            Some(self.channel.earliest_issue(&cmd))
+        }
+
+        /// Everything a tick can change that a later tick can observe.
+        fn observable_state(&mut self) -> impl PartialEq + std::fmt::Debug {
+            let open_rows: Vec<_> =
+                (0..self.hit_streak.len()).map(|flat| self.channel.open_row_flat(flat)).collect();
+            (
+                (self.stats.clone(), self.channel.stats().clone(), self.drain_responses()),
+                (self.idle_until, self.write_drain_mode, self.preventive_deferred_ticks),
+                (self.hit_streak.clone(), self.preventive_queue.clone(), open_rows),
+                (self.next_refresh.clone(), self.read_queue.len(), self.write_queue.len()),
+            )
         }
     }
 
     /// Drives the controller with a seeded stream of reads and writes whose
-    /// intensity and locality change every few hundred cycles, checking the
-    /// bank-indexed selector against the linear one before every tick.
+    /// intensity and locality change every few hundred cycles. Before every
+    /// tick the bank-indexed selector is checked against the linear one, and
+    /// a standing plan against what the linear one would issue; after every
+    /// tick the controller is compared with a twin fed the same stream whose
+    /// plan is discarded before each tick, so that it always runs the full
+    /// refresh / preventive / select pass.
     fn drive_both_selectors(kind: MechanismKind, nrh: u64, seed: u64, seen: &mut Coverage) {
         let mut ctrl = controller(kind, nrh);
+        let mut full = controller(kind, nrh);
         let geometry = ctrl.channel().geometry().clone();
         let mut rng = SplitMix(seed);
         let (mut read_rate, mut write_rate, mut banks, mut rows) = (0, 0, 1, 1);
@@ -1710,11 +1881,46 @@ mod tests {
                 };
                 id += 1;
                 // A full queue rejecting the request is part of the stream.
-                let _ = ctrl.try_enqueue(req);
+                let standing = ctrl.plan.is_some();
+                let accepted = ctrl.try_enqueue(req).is_ok();
+                assert_eq!(full.try_enqueue(req).is_ok(), accepted);
+                let dropped = u64::from(accepted && standing && ctrl.plan.is_none());
+                if write {
+                    seen.plan_dropped_by_write += dropped;
+                } else {
+                    seen.plan_dropped_by_read += dropped;
+                }
             }
-            ctrl.assert_selectors_agree(cycle, seen);
+            let demand_horizon = ctrl.assert_selectors_agree(cycle, seen);
+            ctrl.assert_plan_is_the_linear_choice(cycle, seen);
+            let deferred = ctrl.preventive_deferred_ticks;
+
+            let passes = SELECT_PASSES.get();
             ctrl.tick(cycle, None);
-            let _ = ctrl.drain_responses();
+            seen.select_passes += SELECT_PASSES.get() - passes;
+            full.plan = None;
+            let passes = SELECT_PASSES.get();
+            full.tick(cycle, None);
+            seen.select_passes_without_plans += SELECT_PASSES.get() - passes;
+            assert_eq!(ctrl.observable_state(), full.observable_state(), "after cycle {cycle}");
+
+            // Where a plan must not be left behind.
+            if ctrl.preventive_deferred_ticks > deferred {
+                seen.deferral_ticks += 1;
+                assert!(ctrl.plan.is_none(), "cycle {cycle}: plan left by a deferring tick");
+            }
+            let Some(demand) = demand_horizon.filter(|&d| d != Cycle::MAX && ctrl.idle_until != 0)
+            else {
+                continue;
+            };
+            if ctrl.next_refresh.contains(&demand) {
+                seen.refresh_deadline_at_demand_horizon += 1;
+                assert!(ctrl.plan.is_none(), "cycle {cycle}: plan at a refresh deadline");
+            }
+            if ctrl.preventive_ready_at().is_some_and(|at| at <= demand) {
+                seen.preventive_horizon_not_after_demand += 1;
+                assert!(ctrl.plan.is_none(), "cycle {cycle}: plan beside a preventive command");
+            }
         }
     }
 
@@ -1736,7 +1942,8 @@ mod tests {
                 drive_both_selectors(kind, nrh, 0xB4EA_C0DE + 16 * i as u64 + seed, &mut seen);
             }
         }
-        // Every situation the selector special-cases was actually compared.
+        // Every situation the selector and the plan special-case was
+        // actually compared.
         let Coverage {
             hits_chosen,
             row_commands_chosen,
@@ -1748,6 +1955,17 @@ mod tests {
             blocked_rows,
             drain_with_reads_waiting,
             reads_with_writes_waiting,
+            plans_issued,
+            plan_dropped_by_read,
+            plan_dropped_by_write,
+            refresh_deadline_at_demand_horizon,
+            preventive_horizon_not_after_demand,
+            deferral_ticks,
+            plan_in_drain_with_both_queues_ready,
+            plan_with_hit_at_cap,
+            plan_with_hit_over_cap,
+            select_passes,
+            select_passes_without_plans,
         } = seen;
         for (what, count) in [
             ("row hits chosen", hits_chosen),
@@ -1760,9 +1978,71 @@ mod tests {
             ("requests to a BlockHammer-blocked row", blocked_rows),
             ("write drain with reads waiting", drain_with_reads_waiting),
             ("read mode with writes waiting", reads_with_writes_waiting),
+            ("commands issued from a plan", plans_issued),
+            ("plans dropped by a read arriving first", plan_dropped_by_read),
+            ("plans dropped by a write arriving first", plan_dropped_by_write),
+            ("refresh deadlines at the demand horizon", refresh_deadline_at_demand_horizon),
+            ("preventive heads due no later than the demand", preventive_horizon_not_after_demand),
+            ("ticks that deferred the preventive head", deferral_ticks),
+            ("plans in drain mode with both queues ready", plan_in_drain_with_both_queues_ready),
+            ("plans weighed against a hit at the cap", plan_with_hit_at_cap),
+            ("plans weighed against a hit over the cap", plan_with_hit_over_cap),
         ] {
             assert!(count > 100, "{what}: only {count} cases");
         }
+        // A command issued from a plan is a tick without selection passes.
+        assert!(select_passes + plans_issued <= select_passes_without_plans);
+    }
+
+    /// Four threads hammer two rows each of their own bank, two reads in
+    /// flight per thread and the next sent when one returns — the shape of
+    /// the attack workloads, where the controller mostly waits for one bank's
+    /// row cycle. The full pass runs about twice per issued command (once to
+    /// learn the horizon, once at it); with the plan carried over, about once.
+    #[test]
+    fn a_carried_over_plan_halves_the_selections_per_command() {
+        let per_command = |plans: bool| {
+            let (geometry, timing) = (DramGeometry::paper_ddr5(), TimingParams::ddr5_4800());
+            let mechanism = MechanismKind::Graphene.build(&geometry, &timing, 64, 1);
+            let channel = DramChannel::with_rowhammer(geometry, timing, 64);
+            let config = MemControllerConfig::paper_table1(4);
+            let mut ctrl = MemoryController::new(config, channel, mechanism);
+            let (passes, commands) = (SELECT_PASSES.get(), DEMAND_COMMANDS.get());
+            let mut in_flight = [0; 4];
+            let mut sent = [0; 4];
+            let mut id = 0;
+            let mut cycle = 0;
+            while cycle < 100_000 {
+                for (thread, pending) in in_flight.iter_mut().enumerate() {
+                    while *pending < 2 {
+                        let loc = DramLocation {
+                            channel: 0,
+                            bank: ctrl.channel().geometry().bank_from_flat(thread),
+                            row: 50 + 2 * (sent[thread] % 2),
+                            column: 0,
+                        };
+                        sent[thread] += 1;
+                        let addr = ctrl.config().mapping.encode(&loc, ctrl.channel().geometry());
+                        ctrl.try_enqueue(MemRequest::read(id, ThreadId(thread), addr, cycle))
+                            .unwrap();
+                        id += 1;
+                        *pending += 1;
+                    }
+                }
+                if !plans {
+                    ctrl.plan = None;
+                }
+                ctrl.tick(cycle, None);
+                for response in ctrl.drain_responses() {
+                    in_flight[response.thread.index()] -= 1;
+                }
+                cycle = ctrl.next_event(cycle);
+            }
+            assert!(ctrl.stats().preventive_refresh_actions > 100);
+            (SELECT_PASSES.get() - passes) as f64 / (DEMAND_COMMANDS.get() - commands) as f64
+        };
+        let (with, without) = (per_command(true), per_command(false));
+        assert!(with <= 1.45 && without >= 1.9, "{with:.2} vs {without:.2} selections per command");
     }
 
     #[test]

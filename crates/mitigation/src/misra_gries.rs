@@ -10,54 +10,45 @@
 //! ## Storage layout
 //!
 //! This mirrors the CAM Graphene builds in hardware: a flat open-addressing
-//! table (Fibonacci hashing, linear probing, backward-shift deletion) sized
-//! at construction to at most 50% load, so it never rehashes or grows. The
-//! original `HashMap` implementation found an eviction victim by iterating
+//! table — [`bh_dram::FlatMap`], Fibonacci hashing, linear probing,
+//! backward-shift deletion. `capacity` is the logical bound on tracked rows
+//! (and what the hardware-cost model charges for); the slot array starts small
+//! and doubles as rows are first seen, up to the size `capacity` rows need, so
+//! a table built for the worst case costs what the run actually touches. It
+//! grows only while the tracked-row count sets a new record — during warm-up
+//! — and [`MisraGries::clear`] keeps the slots.
+//!
+//! The original `HashMap` implementation found an eviction victim by iterating
 //! the whole map and taking the minimum decayed row — an O(capacity) scan
 //! with SipHash on every access. Here eviction candidates are tracked *in
 //! table*: an entry's count can only fall to the spillover level through one
-//! of three observable transitions (insertion-time spillover catch-up,
-//! [`MisraGries::reset_row`], or a spillover increment), and each transition
-//! pushes the row into a min-heap of decayed candidates, deduplicated by a
-//! per-slot flag. `record` is therefore O(1) amortized — a probe plus, on
-//! eviction, an O(log capacity) heap pop — and the only remaining full scan
-//! runs when the spillover itself increments (at most once per
-//! capacity-exceeding activation burst, the same event that forced the old
-//! implementation's scan on *every* eviction).
+//! of two observable transitions ([`MisraGries::reset_row`] or a spillover
+//! increment), and each transition pushes the row into a min-heap of decayed
+//! candidates, deduplicated by a per-entry flag. `record` is therefore O(1)
+//! amortized — a probe plus, on eviction, an O(log capacity) heap pop — and
+//! the only remaining full scan runs when the spillover itself increments (at
+//! most once per capacity-exceeding activation burst, the same event that
+//! forced the old implementation's scan on *every* eviction).
 //!
 //! Behaviour is bit-identical to the `HashMap` version, including the
 //! deterministic lowest-row-index victim rule; the `reference_equivalence`
 //! proptest below drives both implementations with random operation streams
 //! and asserts identical observable state at every step.
 
+use bh_dram::FlatMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Sentinel row index marking an empty slot.
-const EMPTY: u32 = u32::MAX;
-
-/// Multiplier for Fibonacci hashing (2^64 / φ, odd).
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// A Misra–Gries summary over row indices.
 ///
-/// Rows must fit in a `u32` below `u32::MAX` (row indices are bounded by
-/// `rows_per_bank`, far below that).
+/// Rows must fit in a `u32` (row indices are bounded by `rows_per_bank`, far
+/// below that).
 #[derive(Debug, Clone)]
 pub struct MisraGries {
     capacity: usize,
-    /// `slots - 1`; slots is a power of two `>= 2 * capacity`.
-    mask: usize,
-    /// `64 - log2(slots)`.
-    shift: u32,
-    /// Row key per slot (`EMPTY` = vacant).
-    rows: Box<[u32]>,
-    /// Estimated activation count per slot.
-    counts: Box<[u64]>,
-    /// True if the slot's row currently has a copy in `decayed` (dedup flag;
-    /// moves with the entry on backward-shift deletion).
-    in_heap: Box<[bool]>,
-    len: usize,
+    /// Row -> (estimated activation count, whether the row currently has a
+    /// copy in `decayed` — the dedup flag).
+    entries: FlatMap<(u64, bool)>,
     spillover: u64,
     /// Min-heap (by row index) of candidate eviction victims: every row whose
     /// count equals the spillover has a copy here (the converse need not
@@ -72,59 +63,22 @@ impl MisraGries {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "Misra-Gries capacity must be positive");
-        let slots = (capacity * 2).max(8).next_power_of_two();
         MisraGries {
             capacity,
-            mask: slots - 1,
-            shift: 64 - slots.trailing_zeros(),
-            rows: vec![EMPTY; slots].into_boxed_slice(),
-            counts: vec![0; slots].into_boxed_slice(),
-            in_heap: vec![false; slots].into_boxed_slice(),
-            len: 0,
+            entries: FlatMap::default(),
             spillover: 0,
             decayed: BinaryHeap::new(),
         }
     }
 
-    #[inline]
-    fn home(&self, row: u32) -> usize {
-        (u64::from(row).wrapping_mul(FIB) >> self.shift) as usize
-    }
-
-    /// `Ok(slot)` if `row` is present, `Err(slot)` with its insertion point.
-    #[inline]
-    fn probe(&self, row: u32) -> Result<usize, usize> {
-        let mut i = self.home(row);
-        loop {
-            let r = self.rows[i];
-            if r == row {
-                return Ok(i);
-            }
-            if r == EMPTY {
-                return Err(i);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Marks slot `i` as an eviction candidate (its count reached the
-    /// spillover level), unless it already has a heap copy.
-    #[inline]
-    fn mark_decayed(&mut self, i: usize) {
-        if !self.in_heap[i] {
-            self.in_heap[i] = true;
-            self.decayed.push(Reverse(self.rows[i]));
-        }
-    }
-
     /// Pops the lowest-row-index entry whose count still equals the
-    /// spillover, discarding stale candidates. Returns its slot.
-    fn pop_decayed(&mut self) -> Option<usize> {
+    /// spillover, discarding stale candidates.
+    fn pop_decayed(&mut self) -> Option<u32> {
         while let Some(Reverse(row)) = self.decayed.pop() {
-            if let Ok(i) = self.probe(row) {
-                self.in_heap[i] = false;
-                if self.counts[i] == self.spillover {
-                    return Some(i);
+            if let Some((count, in_heap)) = self.entries.get_mut(u64::from(row)) {
+                *in_heap = false;
+                if *count == self.spillover {
+                    return Some(row);
                 }
             }
             // Absent rows are ghosts of removed entries; drop them.
@@ -132,131 +86,77 @@ impl MisraGries {
         None
     }
 
-    /// Re-derives the eviction-candidate set after a spillover increment:
-    /// entries whose count just fell to the (new) spillover level join the
-    /// heap. This is the only O(capacity) path left in the structure.
-    #[cold]
-    fn rescan_decayed(&mut self) {
-        for i in 0..self.rows.len() {
-            if self.rows[i] != EMPTY && self.counts[i] == self.spillover {
-                self.mark_decayed(i);
-            }
-        }
-    }
-
-    /// Removes the entry at slot `hole` (backward-shift deletion, so probe
-    /// chains stay intact without tombstones).
-    ///
-    /// Mirrors `bh_dram::FlatMap::remove` — duplicated because this table
-    /// moves the `in_heap` flag alongside each entry; keep the
-    /// cyclic-interval rule in sync with the generic map's.
-    fn remove_slot(&mut self, mut hole: usize) {
-        let mut i = hole;
-        loop {
-            i = (i + 1) & self.mask;
-            let r = self.rows[i];
-            if r == EMPTY {
-                break;
-            }
-            let home = self.home(r);
-            if (i.wrapping_sub(home) & self.mask) >= (i.wrapping_sub(hole) & self.mask) {
-                self.rows[hole] = r;
-                self.counts[hole] = self.counts[i];
-                self.in_heap[hole] = self.in_heap[i];
-                hole = i;
-            }
-        }
-        self.rows[hole] = EMPTY;
-        self.in_heap[hole] = false;
-        self.len -= 1;
-    }
-
-    /// Inserts `row` at its probe position with the given count. The caller
-    /// guarantees the row is absent and the table below capacity.
-    fn insert(&mut self, row: u32, count: u64) {
-        let i = self.probe(row).unwrap_err();
-        self.rows[i] = row;
-        self.counts[i] = count;
-        self.in_heap[i] = false;
-        self.len += 1;
-        if count == self.spillover {
-            self.mark_decayed(i);
-        }
-    }
-
     /// Records one activation of `row` and returns its estimated count.
     pub fn record(&mut self, row: usize) -> u64 {
-        let row = row as u32;
-        if let Ok(i) = self.probe(row) {
+        if let Some((count, _)) = self.entries.get_mut(row as u64) {
             // A decayed entry that gains a count leaves the candidate set;
             // its heap copy (if any) goes stale and is skipped on pop.
-            self.counts[i] += 1;
-            return self.counts[i];
-        }
-        if self.len < self.capacity {
-            let count = self.spillover + 1;
-            self.insert(row, count);
-            return count;
+            *count += 1;
+            return *count;
         }
         // Table full: either replace an entry that has decayed to the
         // spillover level, or absorb the activation into the spillover.
         // The victim choice is deterministic (lowest row index) so that
         // simulations are exactly reproducible run to run.
-        if let Some(victim) = self.pop_decayed() {
-            self.remove_slot(victim);
-            let count = self.spillover + 1;
-            self.insert(row, count);
-            count
-        } else {
-            self.spillover += 1;
-            self.rescan_decayed();
-            self.spillover
+        if self.entries.len() >= self.capacity {
+            let Some(victim) = self.pop_decayed() else {
+                self.spillover += 1;
+                // Entries whose count just fell to the (new) spillover level
+                // join the candidates: the only O(capacity) path left.
+                let (spillover, decayed) = (self.spillover, &mut self.decayed);
+                self.entries.for_each_mut(|row, (count, in_heap)| {
+                    if *count == spillover && !*in_heap {
+                        *in_heap = true;
+                        decayed.push(Reverse(row as u32));
+                    }
+                });
+                return self.spillover;
+            };
+            self.entries.remove(u64::from(victim));
         }
+        let count = self.spillover + 1;
+        self.entries.insert(row as u64, (count, false));
+        count
     }
 
     /// Estimated activation count of `row` (the spillover if untracked).
     pub fn estimate(&self, row: usize) -> u64 {
-        match self.probe(row as u32) {
-            Ok(i) => self.counts[i],
-            Err(_) => self.spillover,
-        }
+        self.entries.get(row as u64).map_or(self.spillover, |(count, _)| count)
     }
 
     /// Resets the counter of `row` to the current spillover level, as Graphene
     /// does after issuing a preventive refresh for the row.
     pub fn reset_row(&mut self, row: usize) {
-        if let Ok(i) = self.probe(row as u32) {
-            self.counts[i] = self.spillover;
-            self.mark_decayed(i);
+        if let Some((count, in_heap)) = self.entries.get_mut(row as u64) {
+            *count = self.spillover;
+            if !std::mem::replace(in_heap, true) {
+                self.decayed.push(Reverse(row as u32));
+            }
         }
     }
 
     /// Removes `row` from the table entirely (AQUA does this after migrating
     /// the row away, because the quarantined copy starts cold).
     pub fn remove_row(&mut self, row: usize) {
-        if let Ok(i) = self.probe(row as u32) {
-            // A heap copy may survive as a ghost; pop discards it.
-            self.remove_slot(i);
-        }
+        // A heap copy may survive as a ghost; pop discards it.
+        self.entries.remove(row as u64);
     }
 
     /// Clears the whole summary (done at every reset window).
     pub fn clear(&mut self) {
-        self.rows.fill(EMPTY);
-        self.in_heap.fill(false);
-        self.len = 0;
+        self.entries.clear();
         self.spillover = 0;
         self.decayed.clear();
     }
 
     /// Number of tracked rows.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True if no row is currently tracked.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// The configured capacity.
@@ -271,11 +171,7 @@ impl MisraGries {
 
     /// Iterates over `(row, estimated_count)` pairs of tracked rows.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.rows
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|(r, _)| **r != EMPTY)
-            .map(|(r, c)| (*r as usize, *c))
+        self.entries.iter().map(|(row, (count, _))| (row as usize, count))
     }
 }
 
@@ -481,42 +377,48 @@ mod tests {
         /// the spillover across random operation streams — i.e. the rewrite
         /// (including its in-table min-tracking eviction path) is
         /// bit-identical to the original, lowest-row-victim rule included.
+        /// Rows are drawn from about twice the capacity, so every size both
+        /// fills up and evicts; the slot array starts at 8 and doubles at
+        /// 3/4 load, so capacities from 25 cross three growth steps on the
+        /// way.
         #[test]
         fn reference_equivalence(
-            capacity in 1usize..6,
-            ops in proptest::collection::vec((0u8..8, 0usize..24), 1..400),
+            capacity in 1usize..40,
+            ops in proptest::collection::vec((0u8..8, 0usize..1024), 1..600),
         ) {
+            let rows = 2 * capacity + 8;
             let mut flat = MisraGries::new(capacity);
             let mut reference = HashMisraGries::new(capacity);
             for (i, (op, row)) in ops.iter().enumerate() {
+                let row = row % rows;
                 let context = format!("op {i} ({op}, row {row})");
                 match op {
                     // Bias toward record: it is the only operation with a
                     // non-trivial (eviction/spillover) decision to compare.
                     0..=4 => {
-                        let a = flat.record(*row);
-                        let b = reference.record(*row);
+                        let a = flat.record(row);
+                        let b = reference.record(row);
                         prop_assert_eq!(a, b, "record return at {}", context);
                     }
                     5 => {
-                        flat.reset_row(*row);
-                        reference.reset_row(*row);
+                        flat.reset_row(row);
+                        reference.reset_row(row);
                     }
                     6 => {
-                        flat.remove_row(*row);
-                        reference.remove_row(*row);
+                        flat.remove_row(row);
+                        reference.remove_row(row);
                     }
                     _ => {
                         prop_assert_eq!(
-                            flat.estimate(*row),
-                            reference.estimate(*row),
+                            flat.estimate(row),
+                            reference.estimate(row),
                             "estimate at {}",
                             context
                         );
                     }
                 }
                 assert_same_state(&flat, &reference, &context);
-                for probe_row in 0..24usize {
+                for probe_row in 0..rows {
                     prop_assert_eq!(
                         flat.estimate(probe_row),
                         reference.estimate(probe_row),
