@@ -1,11 +1,18 @@
-//! `bh-campaign` — checkpointed campaign sweeps over the (mechanism × N_RH ×
+//! `bh-campaign` — the experiment harness's one command: the paper's figures
+//! and tables, and checkpointed campaign sweeps over the (mechanism × N_RH ×
 //! ±BreakHammer × mix × seed) grid, with resume.
 //!
 //! ```text
+//! bh_campaign fig <id> [--print-config]                print one figure or table
 //! bh_campaign sweep  --store results.jsonl [options]   start a fresh sweep
 //! bh_campaign resume --store results.jsonl [options]   continue an interrupted sweep
 //! bh_campaign report --store results.jsonl [--strict]  aggregate a store into a table
 //! ```
+//!
+//! Figure ids: `2 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19` (the paper's
+//! figures), `ablations`, `scenarios`, `table3`, `hw_cost`, `storage`.
+//! `--print-config` prepends the Table 1 / Table 2 configuration summary to
+//! the figures that simulate.
 //!
 //! Options (sweep/resume):
 //!
@@ -44,14 +51,17 @@
 // bh-bench is outside the digest-pinned set.
 #![allow(clippy::disallowed_types)]
 
-use bh_bench::campaign::{report_table, CampaignSpec, ResultStore};
-use bh_bench::{print_results, Scale};
+use bh_bench::campaign::{
+    evaluated_cells, pending_failures, report_table, verdict_cells, CampaignSpec, ResultStore,
+};
+use bh_bench::{figures, render_results, BenchEnv};
 use bh_mitigation::MechanismKind;
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: bh_campaign <sweep|resume|report> --store PATH \
+const USAGE: &str = "usage: bh_campaign fig ID [--print-config]
+       bh_campaign <sweep|resume|report> --store PATH \
 [--mechanisms LIST] [--nrh LIST] [--seeds LIST] [--breakhammer off|on|both] \
 [--benign] [--max-cells N] [--strict]";
 
@@ -138,6 +148,18 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
+/// `fig ID [--print-config]`, in either order.
+fn parse_fig(args: &[String]) -> Result<(&'static figures::Figure, bool), String> {
+    let (flags, ids): (Vec<&String>, Vec<&String>) = args.iter().partition(|a| a.starts_with("--"));
+    if let Some(flag) = flags.iter().find(|flag| flag.as_str() != "--print-config") {
+        return Err(format!("unknown option {flag:?}"));
+    }
+    match ids.as_slice() {
+        [id] => Ok((figures::find(id)?, !flags.is_empty())),
+        _ => Err("fig needs exactly one figure id".to_string()),
+    }
+}
+
 fn parse_list(list: &str, flag: &str) -> Result<Vec<u64>, String> {
     let parsed: Vec<u64> = list
         .split(',')
@@ -152,8 +174,9 @@ fn parse_list(list: &str, flag: &str) -> Result<Vec<u64>, String> {
 }
 
 fn build_spec(options: &Options) -> CampaignSpec {
-    let scale = Scale::from_env();
-    let mut spec = CampaignSpec::from_scale(scale, options.mechanisms.clone(), options.attack);
+    let env = BenchEnv::from_env();
+    let mut spec = CampaignSpec::from_scale(env.scale, options.mechanisms.clone(), options.attack);
+    spec.cell_timeout = env.cell_timeout;
     if let Some(nrh) = &options.nrh_values {
         spec.nrh_values = nrh.clone();
     }
@@ -174,6 +197,12 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         return Err("missing command".to_string());
     };
     match command.as_str() {
+        "fig" => {
+            let (figure, print_config) = parse_fig(rest)?;
+            let env = BenchEnv { print_config, ..BenchEnv::from_env() };
+            print!("{}", figures::render(figure, &env));
+            Ok(ExitCode::SUCCESS)
+        }
         "sweep" | "resume" => {
             let options = parse_options(rest)?;
             let resume = command == "resume";
@@ -229,16 +258,16 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         }
         "report" => {
             let options = parse_options(rest)?;
-            let records = ResultStore::load(&options.store).map_err(|e| e.to_string())?;
+            let entries = ResultStore::entries(&options.store).map_err(|e| e.to_string())?;
+            let pending = pending_failures(&entries);
+            let records = evaluated_cells(entries);
             let ok_count = records.iter().filter(|r| r.is_ok()).count();
             if records.is_empty() {
                 return Err(format!("{} holds no completed cells", options.store.display()));
             }
-            print_results(
-                &format!("Campaign report ({ok_count} ok cells)"),
-                &report_table(&records),
-            );
-            let verdicts = ResultStore::verdict_cells(&options.store).map_err(|e| e.to_string())?;
+            let title = format!("Campaign report ({ok_count} ok cells)");
+            print!("{}", render_results(&title, &report_table(&records)));
+            let verdicts = verdict_cells(&records);
             if !verdicts.is_empty() {
                 println!();
                 println!("{} cell(s) settled with a watchdog verdict:", verdicts.len());
@@ -249,7 +278,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                     }
                 }
             }
-            let pending = ResultStore::failed_cells(&options.store).map_err(|e| e.to_string())?;
             if !pending.is_empty() {
                 println!();
                 println!("{} failed cell(s) pending retry (bh_campaign resume):", pending.len());

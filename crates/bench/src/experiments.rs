@@ -1,285 +1,18 @@
-//! Shared experiment machinery used by every figure/table binary.
+//! Shared experiment machinery behind every figure, table and sweep.
 //!
-//! Each binary in `src/bin/` builds a [`Campaign`] (the workload mixes plus a
-//! shared alone-IPC cache), runs the configurations its figure needs, and
-//! prints the resulting series both as an aligned text table and as CSV.
-//!
-//! The experiment scale (instruction budget, number of mixes per class, the
-//! `N_RH` sweep) defaults to a laptop-friendly "quick" configuration and can
-//! be grown towards the paper's scale through environment variables:
-//!
-//! | Variable | Meaning | Quick default |
-//! |---|---|---|
-//! | `BH_INSTRUCTIONS` | instructions each benign core retires | 120 000 |
-//! | `BH_MIXES_PER_CLASS` | workloads per mix class (paper: 15) | 1 |
-//! | `BH_TRACE_ENTRIES` | trace records per benign application | 20 000 |
-//! | `BH_ATTACKER_ENTRIES` | trace records for the attacker | 8 000 |
-//! | `BH_NRH_LIST` | comma-separated `N_RH` sweep | `4096,1024,256,64` |
-//! | `BH_SEED` | workload-generation seed | 42 |
-//! | `BH_THREADS` | worker threads for parallel runs | all cores |
-//! | `BH_WORKERS` | preferred alias for `BH_THREADS` (wins when both are set) | all cores |
-//! | `BH_CHANNELS` | memory channels (sharded memory system) | 1 |
-//! | `BH_SCENARIOS` | comma-separated attack scenarios (`all` = catalog) | none |
-//! | `BH_FAULT_MODEL` | `threshold` or `probabilistic` bit-flip model | `threshold` |
-//! | `BH_FLIP_PROBABILITY` | per-crossing flip probability (probabilistic model) | 0.5 |
-//! | `BH_NRH_VARIATION` | per-row `N_RH` variation half-width (probabilistic model) | 0.1 |
-//! | `BH_ECC` | ECC scheme classifying flips: `none` or `secded` | `none` |
-//! | `BH_WATCHDOG_EPOCH_CYCLES` | watchdog epoch length (0 = auto-derive) | 0 |
-//! | `BH_WATCHDOG_STALL_EPOCHS` | zero-progress epochs before a livelock verdict | 8 |
-//! | `BH_WATCHDOG_MAX_EPOCHS` | per-run epoch budget (0 = unlimited) | 0 |
-//! | `BH_WATCHDOG_MAX_PREVENTIVE` | per-run preventive-action budget (0 = unlimited) | 0 |
-//!
-//! Set-but-unparseable variables (garbage, `0` where a positive count is
-//! required) fall back to their defaults with a one-time warning on stderr
-//! naming the variable and the fallback used.
+//! A [`Campaign`] holds the workload mixes plus a shared alone-IPC cache and
+//! evaluates configurations against them on a worker pool
+//! ([`evaluate_jobs`]); each evaluated (configuration, mix) pair comes back
+//! as a flat [`RunRecord`], which the aggregation helpers at the end of the
+//! module select from and reduce. The experiment scale lives in
+//! [`crate::scale`].
 
-use bh_dram::{EccMode, FaultConfig, FaultModel};
+use crate::scale::Scale;
 use bh_mitigation::MechanismKind;
-use bh_sim::{Evaluator, MixEvaluation, SystemConfig, TerminationReason, WatchdogConfig};
+use bh_sim::{Evaluator, MixEvaluation, SystemConfig, TerminationReason};
 use bh_stats::Table;
-use bh_workloads::{
-    scenario_by_name, scenario_catalog, MixBuilder, MixClass, TraceGenerator, WorkloadMix,
-};
+use bh_workloads::{scenario_by_name, MixBuilder, MixClass, TraceGenerator, WorkloadMix};
 use std::collections::BTreeMap;
-
-/// Experiment scale knobs (see the module documentation for the environment
-/// variables that override them).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scale {
-    /// Instructions each benign core must retire.
-    pub instructions_per_core: u64,
-    /// Number of workloads generated per mix class (the paper uses 15).
-    pub mixes_per_class: usize,
-    /// Trace records generated per benign application.
-    pub benign_entries: usize,
-    /// Trace records generated for the attacker.
-    pub attacker_entries: usize,
-    /// RowHammer thresholds swept by the scaling figures.
-    pub nrh_values: Vec<u64>,
-    /// Workload-generation seed.
-    pub seed: u64,
-    /// Worker threads used to evaluate mixes in parallel.
-    pub worker_threads: usize,
-    /// Memory channels in the simulated system (1 = the paper's Table 1
-    /// system; more shard the memory system into per-channel controllers and
-    /// mitigation instances with one shared BreakHammer).
-    pub channels: usize,
-    /// Attack-scenario names from the composable-attacker catalog swept in
-    /// addition to the classic attack mixes (empty = classic attacker only;
-    /// `BH_SCENARIOS=all` selects the whole catalog).
-    pub scenarios: Vec<String>,
-    /// The fault-injection model and ECC scheme applied to every
-    /// configuration of the sweep (`BH_FAULT_MODEL`, `BH_FLIP_PROBABILITY`,
-    /// `BH_NRH_VARIATION`, `BH_ECC`); the default is the legacy hard
-    /// threshold with no ECC.
-    pub fault: FaultConfig,
-    /// Forward-progress watchdog and per-run budgets applied to every
-    /// configuration of the sweep (`BH_WATCHDOG_EPOCH_CYCLES`,
-    /// `BH_WATCHDOG_STALL_EPOCHS`, `BH_WATCHDOG_MAX_EPOCHS`,
-    /// `BH_WATCHDOG_MAX_PREVENTIVE`); the default keeps the watchdog on with
-    /// auto-derived epochs and no budgets.
-    pub watchdog: WatchdogConfig,
-}
-
-impl Scale {
-    /// The laptop-friendly default scale.
-    pub fn quick() -> Self {
-        Scale {
-            instructions_per_core: 60_000,
-            mixes_per_class: 1,
-            benign_entries: 20_000,
-            attacker_entries: 8_000,
-            nrh_values: vec![4096, 1024, 256, 64],
-            seed: 42,
-            worker_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            channels: 1,
-            scenarios: Vec::new(),
-            fault: FaultConfig::default(),
-            watchdog: WatchdogConfig::default(),
-        }
-    }
-
-    /// Reads the scale from the environment, falling back to
-    /// [`Scale::quick`] for anything unspecified. Set-but-unparseable
-    /// variables fall back too, with a one-time warning on stderr naming the
-    /// variable and the fallback used.
-    pub fn from_env() -> Self {
-        // Every name `from_lookup_with_warnings` asks for is a registered
-        // knob; routing the lookup through `bh_core::knobs::raw` keeps the
-        // registry honest (debug builds assert registration).
-        let (scale, warnings) = Scale::from_lookup_with_warnings(bh_core::knobs::raw);
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            for warning in &warnings {
-                eprintln!("warning: {warning}");
-            }
-        });
-        scale
-    }
-
-    /// Reads the scale from an arbitrary variable lookup (the injection point
-    /// the tests use: mutating real process environment variables under a
-    /// parallel test runner races against every other test reading them),
-    /// discarding parse warnings.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
-        Scale::from_lookup_with_warnings(lookup).0
-    }
-
-    /// Reads the scale from an arbitrary variable lookup, returning the scale
-    /// plus one warning per variable that was set but could not be used as
-    /// given (garbage, or `0` where a positive count is required). Each
-    /// warning names the variable and the fallback applied.
-    pub fn from_lookup_with_warnings(
-        lookup: impl Fn(&str) -> Option<String>,
-    ) -> (Self, Vec<String>) {
-        let mut scale = Scale::quick();
-        let mut warnings: Vec<String> = Vec::new();
-        // A positive count: garbage and 0 both fall back (with a warning).
-        let mut count = |name: &str, fallback: u64| -> Option<u64> {
-            let raw = lookup(name)?;
-            match raw.trim().parse::<u64>() {
-                Ok(0) => {
-                    warnings.push(format!("{name}=0 is not a positive count; using {fallback}"));
-                    None
-                }
-                Ok(v) => Some(v),
-                Err(_) => {
-                    warnings.push(format!("{name}={raw:?} is not a number; using {fallback}"));
-                    None
-                }
-            }
-        };
-        if let Some(v) = count("BH_INSTRUCTIONS", scale.instructions_per_core) {
-            scale.instructions_per_core = v;
-        }
-        if let Some(v) = count("BH_MIXES_PER_CLASS", scale.mixes_per_class as u64) {
-            scale.mixes_per_class = v as usize;
-        }
-        if let Some(v) = count("BH_TRACE_ENTRIES", scale.benign_entries as u64) {
-            scale.benign_entries = (v as usize).max(100);
-        }
-        if let Some(v) = count("BH_ATTACKER_ENTRIES", scale.attacker_entries as u64) {
-            scale.attacker_entries = (v as usize).max(100);
-        }
-        if let Some(v) = count("BH_THREADS", scale.worker_threads as u64) {
-            scale.worker_threads = v as usize;
-        }
-        // `BH_WORKERS` is the preferred spelling (it matches the campaign
-        // CLI's terminology); it wins over the legacy `BH_THREADS`.
-        if let Some(v) = count("BH_WORKERS", scale.worker_threads as u64) {
-            scale.worker_threads = v as usize;
-        }
-        if let Some(v) = count("BH_CHANNELS", scale.channels as u64) {
-            scale.channels = v as usize;
-        }
-        // Zero stall epochs would disable the livelock detectors outright;
-        // turning the watchdog off has an explicit switch instead.
-        if let Some(v) = count("BH_WATCHDOG_STALL_EPOCHS", u64::from(scale.watchdog.stall_epochs)) {
-            scale.watchdog.stall_epochs = v.min(u64::from(u32::MAX)) as u32;
-        }
-        // The seed is any u64 (0 included); only garbage warns.
-        if let Some(raw) = lookup("BH_SEED") {
-            match raw.trim().parse::<u64>() {
-                Ok(v) => scale.seed = v,
-                Err(_) => {
-                    warnings.push(format!("BH_SEED={raw:?} is not a number; using {}", scale.seed))
-                }
-            }
-        }
-        // The watchdog cycle knobs accept 0 (auto epoch length / unlimited
-        // budget), so only garbage warns.
-        {
-            let targets: [(&str, &mut u64); 3] = [
-                ("BH_WATCHDOG_EPOCH_CYCLES", &mut scale.watchdog.epoch_cycles),
-                ("BH_WATCHDOG_MAX_EPOCHS", &mut scale.watchdog.max_epochs),
-                ("BH_WATCHDOG_MAX_PREVENTIVE", &mut scale.watchdog.max_preventive_actions),
-            ];
-            for (name, slot) in targets {
-                let Some(raw) = lookup(name) else { continue };
-                match raw.trim().parse::<u64>() {
-                    Ok(v) => *slot = v,
-                    Err(_) => {
-                        warnings.push(format!("{name}={raw:?} is not a number; using {}", *slot))
-                    }
-                }
-            }
-        }
-        if let Some(list) = lookup("BH_NRH_LIST") {
-            let parsed: Vec<u64> =
-                list.split(',').filter_map(|s| s.trim().parse::<u64>().ok()).collect();
-            if parsed.is_empty() {
-                warnings.push(format!(
-                    "BH_NRH_LIST={list:?} has no parseable thresholds; using {:?}",
-                    scale.nrh_values
-                ));
-            } else {
-                scale.nrh_values = parsed;
-            }
-        }
-        if let Some(list) = lookup("BH_SCENARIOS") {
-            if list.trim() == "all" {
-                scale.scenarios = scenario_catalog().iter().map(|s| s.name.to_string()).collect();
-            } else {
-                scale.scenarios = list
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if scale.scenarios.is_empty() {
-                    warnings.push(format!(
-                        "BH_SCENARIOS={list:?} names no scenarios; sweeping the classic \
-                         attacker only"
-                    ));
-                }
-            }
-        }
-        // The fault-model axis. Probabilities parse independently of the
-        // model selector so a later `BH_FAULT_MODEL=probabilistic` run can
-        // reuse the same environment.
-        let mut unit = |name: &str, fallback: f64| -> f64 {
-            let Some(raw) = lookup(name) else { return fallback };
-            match raw.trim().parse::<f64>() {
-                Ok(v) if (0.0..=1.0).contains(&v) => v,
-                _ => {
-                    warnings.push(format!(
-                        "{name}={raw:?} is not a probability in [0, 1]; using {fallback}"
-                    ));
-                    fallback
-                }
-            }
-        };
-        let flip_probability = unit("BH_FLIP_PROBABILITY", 0.5);
-        let nrh_variation = unit("BH_NRH_VARIATION", 0.1).min(0.999);
-        if let Some(raw) = lookup("BH_FAULT_MODEL") {
-            match raw.trim().to_ascii_lowercase().as_str() {
-                "threshold" => scale.fault.model = FaultModel::Threshold,
-                "probabilistic" => {
-                    scale.fault.model =
-                        FaultModel::Probabilistic { flip_probability, nrh_variation }
-                }
-                _ => warnings.push(format!(
-                    "BH_FAULT_MODEL={raw:?} is neither \"threshold\" nor \"probabilistic\"; \
-                     using the hard threshold"
-                )),
-            }
-        }
-        if let Some(raw) = lookup("BH_ECC") {
-            match raw.trim().to_ascii_lowercase().as_str() {
-                "none" => scale.fault.ecc = EccMode::None,
-                "secded" => scale.fault.ecc = EccMode::SecDed,
-                _ => warnings.push(format!(
-                    "BH_ECC={raw:?} is neither \"none\" nor \"secded\"; running without ECC"
-                )),
-            }
-        }
-        (scale, warnings)
-    }
-
-    /// The full seven-point `N_RH` sweep of the paper (4K → 64).
-    pub fn paper_nrh_sweep() -> Vec<u64> {
-        vec![4096, 2048, 1024, 512, 256, 128, 64]
-    }
-}
 
 /// One evaluated (configuration, mix) pair, flattened for aggregation.
 #[derive(Debug, Clone)]
@@ -372,14 +105,14 @@ impl RunRecord {
             livelock: eval.result.livelock.as_ref().map(|report| report.to_string()),
         }
     }
+}
 
-    /// Short configuration label used in tables, e.g. `"Graphene+BH"`.
-    pub fn config_label(&self) -> String {
-        if self.breakhammer {
-            format!("{}+BH", self.mechanism)
-        } else {
-            self.mechanism.to_string()
-        }
+/// Short configuration label used in tables, e.g. `"Graphene+BH"`.
+pub fn config_label(mechanism: MechanismKind, breakhammer: bool) -> String {
+    if breakhammer {
+        format!("{mechanism}+BH")
+    } else {
+        mechanism.to_string()
     }
 }
 
@@ -402,6 +135,28 @@ pub fn paper_config(
     // are cut off; IPCs measured up to the cut-off remain valid samples.
     config.max_dram_cycles = scale.instructions_per_core.saturating_mul(400).max(5_000_000);
     config
+}
+
+/// The (mechanism × N_RH × ±BreakHammer) configuration matrix at `scale`,
+/// mechanism-major. [`MechanismKind::None`] never gets the BreakHammer arm:
+/// BreakHammer needs a mechanism to observe.
+pub fn config_matrix(
+    mechanisms: &[MechanismKind],
+    nrh_values: &[u64],
+    breakhammer_options: &[bool],
+    scale: &Scale,
+) -> Vec<SystemConfig> {
+    let mut configs = Vec::new();
+    for &mechanism in mechanisms {
+        for &nrh in nrh_values {
+            for &bh in breakhammer_options {
+                if mechanism != MechanismKind::None || !bh {
+                    configs.push(paper_config(mechanism, nrh, bh, scale));
+                }
+            }
+        }
+    }
+    configs
 }
 
 /// A campaign holds the generated workload mixes and the shared alone-IPC
@@ -454,30 +209,10 @@ impl Campaign {
         &self.scale
     }
 
-    /// The attack mixes (HHHA … LLLA).
-    pub fn attack_mixes(&self) -> &[WorkloadMix] {
-        &self.attack_mixes
-    }
-
-    /// The benign mixes (HHHH … LLLL).
-    pub fn benign_mixes(&self) -> &[WorkloadMix] {
-        &self.benign_mixes
-    }
-
-    /// The composable-attacker scenario mixes (one suite per entry of
-    /// [`Scale::scenarios`]).
-    pub fn scenario_mixes(&self) -> &[WorkloadMix] {
-        &self.scenario_mixes
-    }
-
     /// The mixes an attack (or benign) sweep evaluates: attack sweeps cover
     /// the classic attack suite plus every requested scenario suite. Cloning
     /// a mix bumps trace reference counts, it does not copy records.
     pub fn sweep_mixes(&self, attack: bool) -> Vec<WorkloadMix> {
-        self.mixes(attack)
-    }
-
-    fn mixes(&self, attack: bool) -> Vec<WorkloadMix> {
         if attack {
             self.attack_mixes.iter().chain(self.scenario_mixes.iter()).cloned().collect()
         } else {
@@ -490,26 +225,20 @@ impl Campaign {
     /// unprotected system, so one cache serves every configuration of a
     /// sweep.
     pub fn warmed_alone_cache(&mut self) -> &BTreeMap<String, f64> {
-        self.warm_alone_cache();
+        if self.alone_cache.is_empty() {
+            let config = paper_config(MechanismKind::None, 4096, false, &self.scale);
+            let mut evaluator = Evaluator::new(config);
+            for mix in self
+                .attack_mixes
+                .iter()
+                .chain(self.benign_mixes.iter())
+                .chain(self.scenario_mixes.iter())
+            {
+                evaluator.warm_alone_cache(mix);
+            }
+            self.alone_cache = evaluator.alone_cache().clone();
+        }
         &self.alone_cache
-    }
-
-    /// Ensures the alone-IPC cache covers every application of every mix.
-    fn warm_alone_cache(&mut self) {
-        if !self.alone_cache.is_empty() {
-            return;
-        }
-        let config = paper_config(MechanismKind::None, 4096, false, &self.scale);
-        let mut evaluator = Evaluator::new(config);
-        for mix in self
-            .attack_mixes
-            .iter()
-            .chain(self.benign_mixes.iter())
-            .chain(self.scenario_mixes.iter())
-        {
-            evaluator.warm_alone_cache(mix);
-        }
-        self.alone_cache = evaluator.alone_cache().clone();
     }
 
     /// Evaluates one configuration against the attack or benign mix suite,
@@ -529,18 +258,7 @@ impl Campaign {
         breakhammer_options: &[bool],
         attack: bool,
     ) -> Vec<RunRecord> {
-        let scale = self.scale.clone();
-        let mut configs = Vec::new();
-        for &mechanism in mechanisms {
-            for &nrh in nrh_values {
-                for &bh in breakhammer_options {
-                    if mechanism == MechanismKind::None && bh {
-                        continue; // BreakHammer needs a mechanism to observe.
-                    }
-                    configs.push(paper_config(mechanism, nrh, bh, &scale));
-                }
-            }
-        }
+        let configs = config_matrix(mechanisms, nrh_values, breakhammer_options, &self.scale);
         self.run_configs(&configs, attack)
     }
 
@@ -549,8 +267,8 @@ impl Campaign {
     /// configuration (in `configs` order) and, within each configuration, in
     /// mix order — the same order the former config-serial loop produced.
     fn run_configs(&mut self, configs: &[SystemConfig], attack: bool) -> Vec<RunRecord> {
-        self.warm_alone_cache();
-        let mixes = self.mixes(attack);
+        self.warmed_alone_cache();
+        let mixes = self.sweep_mixes(attack);
         let jobs: Vec<(usize, usize)> =
             (0..configs.len()).flat_map(|c| (0..mixes.len()).map(move |m| (c, m))).collect();
         let results = evaluate_jobs(
@@ -771,17 +489,6 @@ pub fn select(
         .collect()
 }
 
-/// Restricts a record selection to one mix class; the pseudo-class
-/// `"geomean"` keeps every record (used for the aggregate columns of
-/// Figs. 6, 7, 13 and 14).
-pub fn filter_class<'a>(set: &[&'a RunRecord], class: &str) -> Vec<&'a RunRecord> {
-    if class == "geomean" {
-        set.to_vec()
-    } else {
-        set.iter().copied().filter(|r| r.mix_class == class).collect()
-    }
-}
-
 /// Geometric mean of the weighted speedups of a record selection.
 ///
 /// # Panics
@@ -800,183 +507,17 @@ pub fn mean_of(records: &[&RunRecord], f: impl Fn(&RunRecord) -> f64) -> f64 {
     records.iter().map(|r| f(r)).sum::<f64>() / records.len() as f64
 }
 
-/// Prints a table as text and CSV, under a heading, and returns the CSV (for
-/// tests).
-pub fn print_results(title: &str, table: &Table) -> String {
-    println!("=== {title} ===");
-    println!("{}", table.to_text());
-    println!("--- CSV ---");
-    let csv = table.to_csv();
-    println!("{csv}");
-    csv
-}
-
-/// The RowHammer threshold used by the fixed-threshold figures (6, 7 and 14):
-/// the paper evaluates them at N_RH = 1K; override with `BH_FIG_NRH` when
-/// running at a reduced scale, where the per-row thresholds of N_RH = 1K are
-/// not reachable within the shortened simulations.
-pub fn figure_nrh(default: u64) -> u64 {
-    bh_core::knobs::u64_value("BH_FIG_NRH", "the figure's threshold").unwrap_or(default)
-}
-
-/// Prints the Table 1 / Table 2 configuration summary when `--print-config`
-/// is among the command-line arguments.
-pub fn maybe_print_config(scale: &Scale) {
-    if std::env::args().any(|a| a == "--print-config") {
-        let config = paper_config(MechanismKind::Graphene, 1024, true, scale);
-        println!("System configuration (Table 1): {}", config.summary());
-        println!("{:#?}", config.memctrl);
-        println!("{:#?}", config.cache);
-        println!(
-            "BreakHammer configuration (Table 2): {:#?}",
-            config.effective_breakhammer_config()
-        );
-    }
+/// Renders a table under a heading, as aligned text and then as CSV — the
+/// block every figure, table and report prints.
+pub fn render_results(title: &str, table: &Table) -> String {
+    format!("=== {title} ===\n{}\n--- CSV ---\n{}\n", table.to_text(), table.to_csv())
 }
 
 #[cfg(test)]
 #[allow(clippy::disallowed_types)] // test-only hash collections: assertion sets and reference models, never digest-bearing
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_lookup_overrides_are_applied() {
-        // `from_lookup` is the injection point: mutating real environment
-        // variables under the parallel test runner would race against every
-        // other test that reads the scale.
-        let vars: std::collections::HashMap<&str, &str> = [
-            ("BH_INSTRUCTIONS", "5000"),
-            ("BH_NRH_LIST", "128, 64"),
-            ("BH_MIXES_PER_CLASS", "2"),
-            ("BH_ATTACKER_ENTRIES", "1234"),
-        ]
-        .into_iter()
-        .collect();
-        let scale = Scale::from_lookup(|name| vars.get(name).map(|v| v.to_string()));
-        assert_eq!(scale.instructions_per_core, 5000);
-        assert_eq!(scale.nrh_values, vec![128, 64]);
-        assert_eq!(scale.mixes_per_class, 2);
-        assert_eq!(scale.attacker_entries, 1234);
-        // Unset variables keep their quick defaults.
-        assert_eq!(scale.benign_entries, Scale::quick().benign_entries);
-        assert!(scale.scenarios.is_empty(), "scenarios default to none");
-    }
-
-    #[test]
-    fn bh_workers_wins_over_legacy_bh_threads() {
-        let both = Scale::from_lookup(|name| match name {
-            "BH_THREADS" => Some("3".to_string()),
-            "BH_WORKERS" => Some("7".to_string()),
-            _ => None,
-        });
-        assert_eq!(both.worker_threads, 7);
-        let legacy = Scale::from_lookup(|name| (name == "BH_THREADS").then(|| "3".to_string()));
-        assert_eq!(legacy.worker_threads, 3);
-        let preferred = Scale::from_lookup(|name| (name == "BH_WORKERS").then(|| "5".to_string()));
-        assert_eq!(preferred.worker_threads, 5);
-    }
-
-    #[test]
-    fn scenario_lookup_accepts_names_and_the_all_keyword() {
-        let named = Scale::from_lookup(|name| {
-            (name == "BH_SCENARIOS").then(|| "fuzz-nbr, press-nbr".to_string())
-        });
-        assert_eq!(named.scenarios, vec!["fuzz-nbr", "press-nbr"]);
-        let all = Scale::from_lookup(|name| (name == "BH_SCENARIOS").then(|| "all".to_string()));
-        assert_eq!(
-            all.scenarios,
-            scenario_catalog().iter().map(|s| s.name.to_string()).collect::<Vec<_>>()
-        );
-        assert!(all.scenarios.len() >= 4);
-    }
-
-    #[test]
-    fn unparseable_lookup_values_fall_back_to_defaults() {
-        let scale = Scale::from_lookup(|name| {
-            (name == "BH_INSTRUCTIONS").then(|| "not-a-number".to_string())
-        });
-        assert_eq!(scale, Scale::quick());
-    }
-
-    #[test]
-    fn set_but_unusable_variables_warn_with_the_fallback() {
-        let (scale, warnings) = Scale::from_lookup_with_warnings(|name| match name {
-            "BH_WORKERS" => Some("banana".to_string()),
-            "BH_CHANNELS" => Some("0".to_string()),
-            "BH_SCENARIOS" => Some(" , ,".to_string()),
-            "BH_FAULT_MODEL" => Some("maybe".to_string()),
-            _ => None,
-        });
-        assert_eq!(scale, Scale::quick(), "every bad value falls back to the default");
-        assert_eq!(warnings.len(), 4, "{warnings:?}");
-        assert!(warnings.iter().any(|w| w.contains("BH_WORKERS") && w.contains("banana")));
-        assert!(warnings.iter().any(|w| w.contains("BH_CHANNELS=0")));
-        assert!(warnings.iter().any(|w| w.contains("BH_SCENARIOS")));
-        assert!(warnings.iter().any(|w| w.contains("BH_FAULT_MODEL")));
-        let (_, clean) = Scale::from_lookup_with_warnings(|_| None);
-        assert!(clean.is_empty(), "unset variables must not warn");
-    }
-
-    #[test]
-    fn watchdog_env_knobs_are_parsed() {
-        let (scale, warnings) = Scale::from_lookup_with_warnings(|name| match name {
-            "BH_WATCHDOG_EPOCH_CYCLES" => Some("25000".to_string()),
-            "BH_WATCHDOG_STALL_EPOCHS" => Some("3".to_string()),
-            "BH_WATCHDOG_MAX_EPOCHS" => Some("900".to_string()),
-            "BH_WATCHDOG_MAX_PREVENTIVE" => Some("50".to_string()),
-            _ => None,
-        });
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(scale.watchdog.epoch_cycles, 25_000);
-        assert_eq!(scale.watchdog.stall_epochs, 3);
-        assert_eq!(scale.watchdog.max_epochs, 900);
-        assert_eq!(scale.watchdog.max_preventive_actions, 50);
-
-        // 0 is a meaningful value, not garbage: auto epoch sizing and
-        // unlimited budgets.
-        let (zeros, zero_warnings) = Scale::from_lookup_with_warnings(|name| {
-            name.starts_with("BH_WATCHDOG_").then(|| "0".to_string())
-        });
-        assert!(zero_warnings.iter().all(|w| !w.contains("BH_WATCHDOG_MAX")), "{zero_warnings:?}");
-        assert_eq!(zeros.watchdog.epoch_cycles, 0, "0 = derive from the BreakHammer window");
-        assert_eq!(zeros.watchdog.max_epochs, 0, "0 = unlimited");
-        assert_eq!(zeros.watchdog.max_preventive_actions, 0, "0 = unlimited");
-
-        let (garbage, garbage_warnings) = Scale::from_lookup_with_warnings(|name| {
-            (name == "BH_WATCHDOG_MAX_EPOCHS").then(|| "soon".to_string())
-        });
-        assert_eq!(garbage.watchdog, Scale::quick().watchdog);
-        assert!(
-            garbage_warnings.iter().any(|w| w.contains("BH_WATCHDOG_MAX_EPOCHS")),
-            "{garbage_warnings:?}"
-        );
-    }
-
-    #[test]
-    fn fault_model_env_knobs_are_parsed() {
-        let (scale, warnings) = Scale::from_lookup_with_warnings(|name| match name {
-            "BH_FAULT_MODEL" => Some("probabilistic".to_string()),
-            "BH_FLIP_PROBABILITY" => Some("0.25".to_string()),
-            "BH_NRH_VARIATION" => Some("0.2".to_string()),
-            "BH_ECC" => Some("secded".to_string()),
-            _ => None,
-        });
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(
-            scale.fault.model,
-            FaultModel::Probabilistic { flip_probability: 0.25, nrh_variation: 0.2 }
-        );
-        assert_eq!(scale.fault.ecc, EccMode::SecDed);
-        // The fault axis reaches the system configuration.
-        let config = paper_config(MechanismKind::Graphene, 1024, true, &scale);
-        assert_eq!(config.fault, scale.fault);
-        assert_eq!(config.validate(), Ok(()));
-    }
-
-    #[test]
-    fn paper_nrh_sweep_matches_the_figures() {
-        assert_eq!(Scale::paper_nrh_sweep(), vec![4096, 2048, 1024, 512, 256, 128, 64]);
-    }
+    use bh_workloads::scenario_catalog;
 
     #[test]
     fn campaign_builds_the_requested_mix_suites() {
@@ -985,11 +526,11 @@ mod tests {
         scale.benign_entries = 500;
         scale.attacker_entries = 500;
         let campaign = Campaign::new(scale);
-        assert_eq!(campaign.attack_mixes().len(), 12);
-        assert_eq!(campaign.benign_mixes().len(), 12);
-        assert!(campaign.attack_mixes().iter().all(|m| m.attacker_thread.is_some()));
-        assert!(campaign.benign_mixes().iter().all(|m| m.attacker_thread.is_none()));
-        assert!(campaign.scenario_mixes().is_empty(), "no scenarios requested");
+        assert_eq!(campaign.attack_mixes.len(), 12);
+        assert_eq!(campaign.benign_mixes.len(), 12);
+        assert!(campaign.attack_mixes.iter().all(|m| m.attacker_thread.is_some()));
+        assert!(campaign.benign_mixes.iter().all(|m| m.attacker_thread.is_none()));
+        assert!(campaign.scenario_mixes.is_empty(), "no scenarios requested");
     }
 
     #[test]
@@ -999,16 +540,16 @@ mod tests {
         scale.attacker_entries = 500;
         scale.scenarios = scenario_catalog().iter().map(|s| s.name.to_string()).collect();
         let campaign = Campaign::new(scale);
-        assert_eq!(campaign.scenario_mixes().len(), scenario_catalog().len());
-        for (mix, scenario) in campaign.scenario_mixes().iter().zip(scenario_catalog()) {
+        assert_eq!(campaign.scenario_mixes.len(), scenario_catalog().len());
+        for (mix, scenario) in campaign.scenario_mixes.iter().zip(scenario_catalog()) {
             assert_eq!(mix.scenario.as_deref(), Some(scenario.name));
             assert!(mix.name.contains(scenario.name), "{}", mix.name);
             assert!(mix.attacker_thread.is_some());
             assert!(!mix.victim_rows.is_empty(), "{}", mix.name);
         }
-        let sweep = campaign.mixes(true);
-        assert_eq!(sweep.len(), campaign.attack_mixes().len() + campaign.scenario_mixes().len());
-        assert_eq!(campaign.mixes(false).len(), campaign.benign_mixes().len());
+        let sweep = campaign.sweep_mixes(true);
+        assert_eq!(sweep.len(), campaign.attack_mixes.len() + campaign.scenario_mixes.len());
+        assert_eq!(campaign.sweep_mixes(false).len(), campaign.benign_mixes.len());
     }
 
     #[test]
@@ -1085,7 +626,7 @@ mod tests {
         assert_eq!(sel.len(), 2);
         assert!((geomean_speedup(&sel) - 4.0).abs() < 1e-12);
         assert!((mean_of(&sel, |r| r.max_slowdown) - 2.0).abs() < 1e-12);
-        assert_eq!(sel[0].config_label(), "PARA+BH");
-        assert_eq!(select(&records, MechanismKind::Para, 1024, false)[0].config_label(), "PARA");
+        assert_eq!(config_label(MechanismKind::Para, true), "PARA+BH");
+        assert_eq!(config_label(MechanismKind::Para, false), "PARA");
     }
 }

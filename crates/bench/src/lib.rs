@@ -1,11 +1,13 @@
 //! # bh-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the BreakHammer paper's evaluation.
-//! Each figure has a dedicated binary under `src/bin/` (run it with
-//! `cargo run -p bh-bench --release --bin figNN_…`); the shared machinery —
-//! workload-mix campaigns, parallel evaluation, aggregation, table/CSV
-//! output, and the environment-variable scale knobs — lives in
-//! [`experiments`].
+//! The figures are rows of one registry ([`figures::FIGURES`]) rendered by
+//! one binary — `cargo run -p bh-bench --release --bin bh_campaign -- fig
+//! <id>` — which also drives checkpointed sweeps (`sweep` / `resume` /
+//! `report`, the [`campaign`] engine). The shared machinery — workload-mix
+//! campaigns, parallel evaluation, aggregation and table/CSV output — lives
+//! in [`experiments`]; [`scale`] turns the `BH_*` environment variables into
+//! typed values once, at the binary edge.
 //!
 //! Criterion micro-benchmarks for the simulator's hot paths live under
 //! `benches/` and run with `cargo bench -p bh-bench`.
@@ -15,12 +17,15 @@
 
 pub mod campaign;
 pub mod experiments;
+pub mod figures;
+pub mod scale;
 
 pub use campaign::{
     termination_status, CampaignSpec, CellOverseer, CellRecord, FailedCell, ResultStore,
     StoreEntry, SweepSummary,
 };
 pub use experiments::{
-    evaluate_jobs, figure_nrh, filter_class, geomean_speedup, maybe_print_config, mean_of,
-    paper_config, print_results, select, Campaign, EvalHooks, RunRecord, Scale,
+    config_label, config_matrix, evaluate_jobs, geomean_speedup, mean_of, paper_config,
+    render_results, select, Campaign, EvalHooks, RunRecord,
 };
+pub use scale::{BenchEnv, Scale};

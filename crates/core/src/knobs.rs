@@ -125,11 +125,6 @@ pub const KNOBS: &[Knob] = &[
         default: "unset",
     },
     Knob {
-        name: "BH_THREADS",
-        summary: "legacy spelling of BH_WORKERS (BH_WORKERS wins)",
-        default: "all cores",
-    },
-    Knob {
         name: "BH_TRACE_ENTRIES",
         summary: "trace records per benign application",
         default: "20000",
@@ -227,12 +222,6 @@ pub fn positive_usize(name: &str, fallback_desc: &str) -> Option<usize> {
         "is not a positive integer",
         fallback_desc,
     )
-}
-
-/// Parses a knob as any `u64` (0 included), warning once and returning
-/// `None` on garbage.
-pub fn u64_value(name: &str, fallback_desc: &str) -> Option<u64> {
-    parse_or_warn(name, |raw| raw.parse::<u64>().ok(), "is not a number", fallback_desc)
 }
 
 #[cfg(test)]

@@ -155,16 +155,13 @@ impl WorkloadMix {
 pub struct MixBuilder {
     generator: TraceGenerator,
     attacker: ComposedAttacker,
-    /// The legacy profile the attacker was lowered from, if any — kept so the
-    /// deprecated channel-scenario builders can retarget it.
-    compat: Option<AttackerProfile>,
     /// Trace records generated per benign core.
     pub benign_entries: usize,
     /// Trace records generated for the attacker core.
     pub attacker_entries: usize,
-    /// Optional scenario tag appended to mix names (e.g. `"chp0"` for a
-    /// channel-pinned attacker), so scenario variants of the same class and
-    /// index stay distinguishable in result tables. Defaults to the composed
+    /// Optional scenario tag appended to mix names (e.g. `"fuzz-nbr"` for a
+    /// catalog scenario), so scenario variants of the same class and index
+    /// stay distinguishable in result tables. Defaults to the composed
     /// attacker's tag (`None` for compat-lowered attackers).
     scenario_suffix: Option<String>,
 }
@@ -172,11 +169,9 @@ pub struct MixBuilder {
 impl MixBuilder {
     /// Creates a builder for the paper's system configuration.
     pub fn new(generator: TraceGenerator) -> Self {
-        let profile = AttackerProfile::paper_default();
         MixBuilder {
             generator,
-            attacker: profile.compose(),
-            compat: Some(profile),
+            attacker: AttackerProfile::paper_default().compose(),
             benign_entries: 20_000,
             attacker_entries: 8_000,
             scenario_suffix: None,
@@ -187,7 +182,6 @@ impl MixBuilder {
     /// composable framework; mix names stay untagged).
     pub fn with_attacker(mut self, attacker: AttackerProfile) -> Self {
         self.attacker = attacker.compose();
-        self.compat = Some(attacker);
         self
     }
 
@@ -195,7 +189,6 @@ impl MixBuilder {
     /// The attacker's tag (if any) becomes the mix-name suffix.
     pub fn with_composed_attacker(mut self, attacker: ComposedAttacker) -> Self {
         self.attacker = attacker;
-        self.compat = None;
         self
     }
 
@@ -271,63 +264,6 @@ impl MixBuilder {
             scenario,
             success_criterion,
         }
-    }
-
-    /// Builds the channel-pinned attack scenario: the attacker concentrates
-    /// its whole hammering pattern on memory channel `channel`.
-    ///
-    /// Deprecated: channel targeting is the placement trait's job — pin the
-    /// placement instead, e.g.
-    /// `builder.with_composed_attacker(ComposedAttacker::new(pattern,
-    /// NeighborPlacement::pinned(channel)))`, or keep using an
-    /// [`AttackerProfile`] with
-    /// [`pinned_to_channel`](AttackerProfile::pinned_to_channel).
-    ///
-    /// # Panics
-    /// Panics if the builder's attacker was set through
-    /// [`MixBuilder::with_composed_attacker`] (there is no legacy profile to
-    /// retarget).
-    #[deprecated(note = "pin the placement instead (e.g. NeighborPlacement::pinned) and use \
-                         MixBuilder::build")]
-    pub fn build_channel_pinned(
-        &self,
-        class: MixClass,
-        index: usize,
-        seed: u64,
-        channel: usize,
-    ) -> WorkloadMix {
-        let profile =
-            self.compat.expect("channel-scenario builders need an AttackerProfile-based builder");
-        let mut builder = self.clone().with_attacker(profile.pinned_to_channel(channel));
-        builder.scenario_suffix = Some(format!("chp{channel}"));
-        builder.build(class, index, seed)
-    }
-
-    /// Builds the channel-interleaved attack scenario: the attacker
-    /// replicates its hammering pattern across every memory channel in turn.
-    ///
-    /// Deprecated: channel targeting is the placement trait's job — use an
-    /// interleaved placement (e.g.
-    /// [`NeighborPlacement::interleaved`](crate::placement::NeighborPlacement::interleaved))
-    /// with [`MixBuilder::build`].
-    ///
-    /// # Panics
-    /// Panics if the builder's attacker was set through
-    /// [`MixBuilder::with_composed_attacker`] (there is no legacy profile to
-    /// retarget).
-    #[deprecated(note = "use an interleaved placement (e.g. NeighborPlacement::interleaved) and \
-                         MixBuilder::build")]
-    pub fn build_channel_interleaved(
-        &self,
-        class: MixClass,
-        index: usize,
-        seed: u64,
-    ) -> WorkloadMix {
-        let profile =
-            self.compat.expect("channel-scenario builders need an AttackerProfile-based builder");
-        let mut builder = self.clone().with_attacker(profile.interleaved_channels());
-        builder.scenario_suffix = Some("chi".to_string());
-        builder.build(class, index, seed)
     }
 
     /// Builds `per_class` workloads for each of the given classes (the paper
@@ -444,47 +380,6 @@ mod tests {
             builder().with_composed_attacker(attacker).build(MixClass::attack_classes()[0], 1, 7);
         assert_eq!(mix.name, "HHHA-01");
         assert_eq!(mix.scenario, None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn channel_scenarios_tag_names_and_retarget_the_attacker() {
-        use crate::generator::TraceGenerator;
-        use bh_dram::DramGeometry;
-        use bh_mem::AddressMapping;
-
-        let geometry = DramGeometry::paper_ddr5().with_channels(2);
-        let mapping = AddressMapping::paper_default();
-        let mut b = MixBuilder::new(TraceGenerator::new(geometry.clone(), mapping));
-        b.benign_entries = 1_000;
-        b.attacker_entries = 1_000;
-        let class = MixClass::attack_classes()[0];
-
-        let pinned = b.build_channel_pinned(class, 0, 42, 1);
-        assert_eq!(pinned.name, "HHHA-chp1-00");
-        let attacker = pinned.attacker_thread.unwrap();
-        assert!(pinned.traces[attacker]
-            .entries()
-            .iter()
-            .all(|e| mapping.decode(e.addr, &geometry).channel == 1));
-
-        let interleaved = b.build_channel_interleaved(class, 0, 42);
-        assert_eq!(interleaved.name, "HHHA-chi-00");
-        let attacker = interleaved.attacker_thread.unwrap();
-        let channels: std::collections::HashSet<usize> = interleaved.traces[attacker]
-            .entries()
-            .iter()
-            .map(|e| mapping.decode(e.addr, &geometry).channel)
-            .collect();
-        assert_eq!(channels.len(), 2, "interleaved attacker must touch both channels");
-
-        // The benign cores are identical across scenarios (only the attacker
-        // is retargeted), so scenario comparisons isolate attacker placement.
-        let plain = b.build(class, 0, 42);
-        for t in plain.benign_threads() {
-            assert_eq!(plain.traces[t], pinned.traces[t]);
-            assert_eq!(plain.traces[t], interleaved.traces[t]);
-        }
     }
 
     #[test]
