@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 /// watchdog misses, a pathological configuration with the watchdog disabled),
 /// it warns on stderr, once per cell, and keeps the sweep running. It never
 /// influences results, so keeping it (and the only wall-clock reads of the
-/// workspace outside benches) confined to the campaign layer preserves the
+/// workspace outside tests) confined to the campaign layer preserves the
 /// sim crates' determinism lint.
 #[derive(Debug)]
 pub struct CellOverseer {
@@ -63,7 +63,7 @@ impl CellOverseer {
 
     /// Marks a cell as in flight (called when a worker claims it).
     // The overseer is the one deliberate wall-clock consumer outside the
-    // benches: it only warns, never feeds results (bh_analyze D2 exempts
+    // tests: it only warns, never feeds results (bh_analyze D2 exempts
     // bh-bench for exactly this kind of harness machinery).
     #[allow(clippy::disallowed_methods)]
     pub fn begin(&self, cell: &str) {

@@ -9,8 +9,9 @@
 //! in [`experiments`]; [`scale`] turns the `BH_*` environment variables into
 //! typed values once, at the binary edge.
 //!
-//! Criterion micro-benchmarks for the simulator's hot paths live under
-//! `benches/` and run with `cargo bench -p bh-bench`.
+//! Host-time measurement is not this crate's job: the repository's one
+//! performance harness is the standalone `benchmark/` package, which drives
+//! [`campaign`] and [`experiments`] through their public items.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

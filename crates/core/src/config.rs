@@ -1,14 +1,13 @@
 //! BreakHammer configuration (Table 2 of the paper).
 
 use bh_dram::{Cycle, TimingParams};
-use serde::{Deserialize, Serialize};
 
 /// Configuration parameters of BreakHammer.
 ///
 /// The defaults reproduce Table 2: a 64 ms throttling window, a threat
 /// threshold of 32, an outlier threshold of 0.65, and quota-reduction
 /// constants `P_oldsuspect = 1` and `P_newsuspect = 10`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreakHammerConfig {
     /// Length of one throttling window in DRAM cycles (`TH_window`, 64 ms).
     pub window_cycles: Cycle,

@@ -7,8 +7,6 @@
 //! per hardware thread — plus a shallow pipeline. This module reproduces that
 //! arithmetic so the §6 quantities can be regenerated.
 
-use serde::{Deserialize, Serialize};
-
 /// Bits of storage BreakHammer keeps per hardware thread.
 pub const BITS_PER_THREAD: u64 = 2 * 32 + 16 + 2;
 
@@ -26,7 +24,7 @@ pub const PIPELINE_STAGES: u32 = 8;
 pub const CLOCK_GHZ: f64 = 1.5;
 
 /// Hardware cost estimate of one BreakHammer instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareCost {
     /// Hardware threads tracked.
     pub threads: usize,

@@ -38,16 +38,6 @@ pub const KNOBS: &[Knob] = &[
         default: "8000",
     },
     Knob {
-        name: "BH_BENCH_SAMPLES",
-        summary: "samples per bench_hotpath measurement",
-        default: "10",
-    },
-    Knob {
-        name: "BH_BENCH_TARGET_MS",
-        summary: "per-sample time budget of bench_hotpath (ms)",
-        default: "50",
-    },
-    Knob {
         name: "BH_CELL_TIMEOUT_SECS",
         summary: "campaign overseer: warn when a cell runs longer (wall clock)",
         default: "unset (off)",

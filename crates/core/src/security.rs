@@ -15,10 +15,8 @@
 //! [`max_attacker_score_ratio`]; Fig. 5 plots it for a sweep of `TH_outlier`
 //! values.
 
-use serde::{Deserialize, Serialize};
-
 /// One point of the Fig. 5 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecurityPoint {
     /// Fraction of all hardware threads controlled by the attacker (0..1).
     pub attacker_fraction: f64,

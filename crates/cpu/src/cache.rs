@@ -10,7 +10,6 @@
 //! new miss buffers, which limits its dynamic memory request count.
 
 use bh_dram::{Cycle, FlatMap, PhysAddr, ThreadId};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an outstanding miss (one per allocated MSHR).
 pub type MissToken = u64;
@@ -21,7 +20,7 @@ pub type MissToken = u64;
 const TOKEN_SLOT_BITS: u32 = 8;
 
 /// LLC configuration (Table 1: 8 MiB, 8-way, 64-byte lines).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -116,7 +115,7 @@ pub enum AccessOutcome {
 }
 
 /// Why an LLC access was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// All MSHRs are in use.
     MshrsFull,
@@ -139,7 +138,7 @@ pub struct OutgoingRequest {
 }
 
 /// LLC statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand accesses that hit.
     pub hits: u64,

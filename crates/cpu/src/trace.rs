@@ -7,12 +7,10 @@
 //! synthetic trace can drive an arbitrarily long simulation.
 
 use bh_dram::PhysAddr;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One trace record: `bubbles` non-memory instructions, then one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Number of non-memory instructions preceding the access.
     pub bubbles: u32,
@@ -50,7 +48,7 @@ impl TraceEntry {
 }
 
 /// A cyclic instruction trace for one hardware thread.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
 }
@@ -99,15 +97,15 @@ impl Trace {
 
     /// Serialises the trace to a compact binary representation
     /// (13 bytes per record).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + self.entries.len() * 13);
-        buf.put_u64(self.entries.len() as u64);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(8 + self.entries.len() * 13);
+        buf.extend_from_slice(&(self.entries.len() as u64).to_be_bytes());
         for e in &self.entries {
-            buf.put_u32(e.bubbles);
-            buf.put_u64(e.addr.0);
-            buf.put_u8(u8::from(e.is_write) | (u8::from(e.uncached) << 1));
+            buf.extend_from_slice(&e.bubbles.to_be_bytes());
+            buf.extend_from_slice(&e.addr.0.to_be_bytes());
+            buf.push(u8::from(e.is_write) | (u8::from(e.uncached) << 1));
         }
-        buf.freeze()
+        buf
     }
 
     /// Compiles the trace into its shareable replay representation (see
@@ -121,33 +119,32 @@ impl Trace {
     ///
     /// # Errors
     /// Returns a descriptive error if the buffer is truncated or empty.
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self, String> {
-        if bytes.remaining() < 8 {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
+        let Some((header, body)) = bytes.split_first_chunk::<8>() else {
             return Err("trace buffer too short for header".to_string());
-        }
-        let count = bytes.get_u64() as usize;
+        };
+        let count = u64::from_be_bytes(*header);
         if count == 0 {
             return Err("trace must contain at least one record".to_string());
         }
-        if bytes.remaining() < count * 13 {
+        // The header is unvalidated input: size the body with checked
+        // arithmetic and allocate only for records that are really there.
+        let need = usize::try_from(count).ok().and_then(|n| n.checked_mul(13));
+        let Some(records) = need.and_then(|need| body.get(..need)) else {
             return Err(format!(
-                "trace buffer truncated: need {} bytes, have {}",
-                count * 13,
-                bytes.remaining()
+                "trace buffer truncated: {count} records do not fit in {} bytes",
+                body.len()
             ));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let bubbles = bytes.get_u32();
-            let addr = PhysAddr(bytes.get_u64());
-            let flags = bytes.get_u8();
-            entries.push(TraceEntry {
-                bubbles,
-                addr,
-                is_write: flags & 0b01 != 0,
-                uncached: flags & 0b10 != 0,
-            });
-        }
+        };
+        let entries = records
+            .chunks_exact(13)
+            .map(|r| TraceEntry {
+                bubbles: u32::from_be_bytes(r[..4].try_into().expect("4 of 13 bytes")),
+                addr: PhysAddr(u64::from_be_bytes(r[4..12].try_into().expect("8 of 13 bytes"))),
+                is_write: r[12] & 0b01 != 0,
+                uncached: r[12] & 0b10 != 0,
+            })
+            .collect();
         Ok(Trace { entries })
     }
 }
@@ -253,19 +250,51 @@ mod tests {
     fn byte_roundtrip_preserves_the_trace() {
         let t = sample();
         let bytes = t.to_bytes();
-        let back = Trace::from_bytes(bytes).unwrap();
+        let back = Trace::from_bytes(&bytes).unwrap();
         assert_eq!(t, back);
+    }
+
+    /// The wire format, byte for byte: big-endian `u64` record count, then per
+    /// record a big-endian `u32` bubble count, a big-endian `u64` address and
+    /// one flag byte (bit 0 = store, bit 1 = uncached). A round-trip cannot
+    /// see the format move; this can.
+    #[test]
+    fn wire_format_is_pinned_byte_for_byte() {
+        let t = Trace::new(vec![
+            TraceEntry::load(0x0102_0304, PhysAddr(0x1122_3344_5566_7788)),
+            TraceEntry::store(0, PhysAddr(0x2000)),
+            TraceEntry::uncached_load(10, PhysAddr(0x3000)),
+        ]);
+        #[rustfmt::skip]
+        let wire: [u8; 47] = [
+            0, 0, 0, 0, 0, 0, 0, 3,
+            0x01, 0x02, 0x03, 0x04, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0b00,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x20, 0x00, 0b01,
+            0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0x30, 0x00, 0b10,
+        ];
+        assert_eq!(t.to_bytes(), wire);
+        assert_eq!(Trace::from_bytes(&wire).unwrap(), t);
     }
 
     #[test]
     fn from_bytes_rejects_truncated_buffers() {
         let t = sample();
         let bytes = t.to_bytes();
-        let truncated = bytes.slice(0..bytes.len() - 1);
+        let truncated = &bytes[..bytes.len() - 1];
         assert!(Trace::from_bytes(truncated).is_err());
-        assert!(Trace::from_bytes(Bytes::from_static(&[0, 0])).is_err());
-        let empty_header = Bytes::copy_from_slice(&0u64.to_be_bytes());
-        assert!(Trace::from_bytes(empty_header).is_err());
+        assert!(Trace::from_bytes(&[0, 0]).is_err());
+        let empty_header = 0u64.to_be_bytes();
+        assert!(Trace::from_bytes(&empty_header).is_err());
+    }
+
+    #[test]
+    fn from_bytes_rejects_record_counts_whose_byte_length_overflows() {
+        // ceil(2^64 / 13): the smallest count whose body length wraps `usize`.
+        for count in [1_418_980_313_362_273_202u64, u64::MAX] {
+            let mut hostile = count.to_be_bytes().to_vec();
+            hostile.extend_from_slice(&[0; 16]);
+            assert!(Trace::from_bytes(&hostile).is_err(), "count {count}");
+        }
     }
 
     #[test]

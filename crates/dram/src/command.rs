@@ -8,11 +8,10 @@
 //! preventive actions are visible in statistics and energy accounting).
 
 use crate::geometry::{BankAddr, DramLocation, RowAddr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a DRAM command, without its target coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Activate (open) a row into the bank's row buffer.
     Activate,
@@ -84,7 +83,7 @@ impl fmt::Display for CommandKind {
 }
 
 /// A fully-addressed DRAM command ready to be issued to a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramCommand {
     /// What the command does.
     pub kind: CommandKind,
@@ -133,17 +132,6 @@ impl DramCommand {
         DramCommand {
             kind: CommandKind::Refresh,
             bank: BankAddr { rank, bank_group: 0, bank: 0 },
-            row: 0,
-            column: 0,
-        }
-    }
-
-    /// Builds a same-bank refresh targeting bank index `bank` of every bank
-    /// group in `rank`.
-    pub fn refresh_same_bank(rank: usize, bank: usize) -> Self {
-        DramCommand {
-            kind: CommandKind::RefreshSameBank,
-            bank: BankAddr { rank, bank_group: 0, bank },
             row: 0,
             column: 0,
         }

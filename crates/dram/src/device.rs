@@ -15,7 +15,6 @@ use crate::geometry::{BankAddr, DramGeometry, RowAddr};
 use crate::rowhammer::RowHammerTracker;
 use crate::timing::TimingParams;
 use crate::types::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Depth of the rolling activation window used for the tFAW constraint.
 const FAW_DEPTH: usize = 4;
@@ -34,7 +33,7 @@ pub struct CommandOutcome {
 /// Per-command-kind issue counters.
 // bh-exhaustive: `accumulate` destructures every field; bh_analyze rule X1
 // rejects any `..` at a `DramStats { .. }` use site.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// ACT commands issued.
     pub activates: u64,
@@ -100,7 +99,7 @@ impl DramStats {
 }
 
 /// Configuration knobs of the device model that are not timing parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// How many of the hottest aggressor rows the in-DRAM logic preventively
     /// refreshes per RFM (or PRAC back-off) window.
@@ -209,11 +208,6 @@ impl DramChannel {
         self.rowhammer.as_ref()
     }
 
-    /// Mutable access to the RowHammer tracker, if one is attached.
-    pub fn rowhammer_mut(&mut self) -> Option<&mut RowHammerTracker> {
-        self.rowhammer.as_mut()
-    }
-
     /// The row currently open in `bank`, if any.
     pub fn open_row(&self, bank: BankAddr) -> Option<usize> {
         self.banks[self.geometry.flat_bank(bank)].open_row()
@@ -234,16 +228,6 @@ impl DramChannel {
                 as u64
         );
         self.open_per_rank[rank] == 0
-    }
-
-    /// Lifetime activation count of `bank`.
-    pub fn bank_activations(&self, bank: BankAddr) -> u64 {
-        self.banks[self.geometry.flat_bank(bank)].activation_count
-    }
-
-    /// Lifetime activation count of `rank`.
-    pub fn rank_activations(&self, rank: usize) -> u64 {
-        self.ranks[rank].activation_count
     }
 
     fn group_index(&self, bank: BankAddr) -> usize {

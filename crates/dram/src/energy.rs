@@ -10,10 +10,9 @@
 //! performed — is preserved.
 
 use crate::timing::TimingParams;
-use serde::{Deserialize, Serialize};
 
 /// Per-event energies (nanojoules) and background power (milliwatts).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyParams {
     /// Energy of one ACT + PRE pair (row cycle) in nJ.
     pub act_pre_nj: f64,
@@ -71,7 +70,7 @@ impl Default for EnergyParams {
 }
 
 /// Running counters of the energy-relevant events one channel has performed.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EnergyCounters {
     /// Row activations (each eventually paired with a precharge).
     pub activations: u64,

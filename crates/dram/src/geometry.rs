@@ -5,7 +5,6 @@
 //! per bank. [`DramGeometry`] captures that organization and provides the
 //! flattening/indexing helpers used throughout the memory subsystem.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coordinates of one DRAM bank inside a channel.
@@ -18,7 +17,7 @@ use std::fmt;
 /// let flat = geom.flat_bank(bank);
 /// assert_eq!(geom.bank_from_flat(flat), bank);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BankAddr {
     /// Rank index within the channel.
     pub rank: usize,
@@ -35,7 +34,7 @@ impl fmt::Display for BankAddr {
 }
 
 /// A fully-resolved DRAM row: a bank plus a row index within that bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowAddr {
     /// The bank containing the row.
     pub bank: BankAddr,
@@ -51,7 +50,7 @@ impl fmt::Display for RowAddr {
 
 /// A fully-decoded DRAM location (bank, row and column), the output of the
 /// memory controller's address-mapping stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramLocation {
     /// Channel index (0 on the paper's single-channel system; the
     /// channel-interleave policy of the address mapping decides it on
@@ -82,7 +81,7 @@ impl fmt::Display for DramLocation {
 ///
 /// All counts are per channel. The default used across the reproduction is
 /// [`DramGeometry::paper_ddr5`], matching Table 1 of the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DramGeometry {
     /// Number of channels in the system (the paper uses 1).
     pub channels: usize,
@@ -174,11 +173,6 @@ impl DramGeometry {
     /// Total capacity of one channel in bytes.
     pub fn channel_bytes(&self) -> u64 {
         self.rows_per_channel() as u64 * self.row_bytes() as u64
-    }
-
-    /// Total capacity of the whole memory system in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.channel_bytes() * self.channels as u64
     }
 
     /// Flattens a [`BankAddr`] to a dense index in `0..banks_per_channel()`.

@@ -7,10 +7,9 @@
 //! drives every result in the paper — are faithful.
 
 use crate::types::{Cycle, CycleDelta};
-use serde::{Deserialize, Serialize};
 
 /// Complete set of timing constraints used by the device model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingParams {
     /// DRAM command-clock frequency in MHz (data rate is twice this).
     pub clock_mhz: f64,
@@ -242,7 +241,7 @@ impl Default for TimingParams {
 /// Additive timing adjustment supplied by a mitigation mechanism (used by
 /// REGA, which lengthens the row cycle so refresh-generating activations can
 /// run in parallel with normal accesses).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimingAdjustment {
     /// Extra cycles added to tRP.
     pub extra_t_rp: CycleDelta,

@@ -1,10 +1,9 @@
 //! Memory-controller configuration (Table 1 of the paper).
 
 use crate::mapping::AddressMapping;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the memory request scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemControllerConfig {
     /// Read request queue capacity (64 in Table 1).
     pub read_queue_capacity: usize,

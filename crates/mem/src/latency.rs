@@ -1,7 +1,6 @@
 //! Compact memory-latency histograms used for Figs. 11 and 17.
 
 use bh_dram::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Width of one histogram bucket in DRAM cycles.
 const BUCKET_WIDTH: u64 = 4;
@@ -10,7 +9,7 @@ const BUCKET_WIDTH: u64 = 4;
 const BUCKETS: usize = 4096;
 
 /// A fixed-bucket histogram of read latencies (in DRAM cycles).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     overflow: u64,

@@ -14,10 +14,9 @@
 //! the identity, so single-channel decode/encode behaviour is unchanged.
 
 use bh_dram::{BankAddr, DramGeometry, DramLocation, PhysAddr};
-use serde::{Deserialize, Serialize};
 
 /// The per-channel bank/row/column mapping scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MappingScheme {
     /// Minimalist Open Page: `row | col_high | rank | bank | bank-group |
     /// col_low(MOP burst) | line-offset` from MSB to LSB.
@@ -36,7 +35,7 @@ pub enum MappingScheme {
 /// Every policy is the identity when the geometry has a single channel, so
 /// the default system behaves exactly like the paper's single-channel
 /// configuration regardless of the policy chosen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ChannelInterleave {
     /// Consecutive cache lines alternate channels (the common
     /// bandwidth-maximising default: every stream spreads over all channels).
@@ -109,12 +108,11 @@ impl ChannelInterleave {
 
 /// Address-mapping configuration: the per-channel [`MappingScheme`] plus the
 /// [`ChannelInterleave`] policy distributing lines over channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
     /// The per-channel bank/row/column scheme.
     pub scheme: MappingScheme,
     /// The channel-interleave policy (irrelevant on single-channel systems).
-    #[serde(default)]
     pub interleave: ChannelInterleave,
 }
 

@@ -2,11 +2,10 @@
 //! the memory controller.
 
 use bh_dram::{AccessKind, Cycle, PhysAddr, ThreadId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A demand request (LLC miss or writeback) sent to the memory controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Caller-assigned identifier (e.g. the MSHR index); echoed in the
     /// response.
@@ -40,7 +39,7 @@ impl fmt::Display for MemRequest {
 }
 
 /// Completion notification for a previously-enqueued request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemResponse {
     /// The identifier the requester supplied.
     pub id: u64,

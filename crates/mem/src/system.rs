@@ -35,14 +35,13 @@ use crate::request::{MemRequest, MemResponse};
 use bh_core::BreakHammer;
 use bh_dram::{Cycle, DramChannel, DramGeometry, PhysAddr, ThreadId};
 use bh_mitigation::TriggerMechanism;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Counters describing epoch-parallel channel stepping (see
 /// [`MemorySystem::advance_epoch`]). All zeros under serial stepping.
 // bh-exhaustive: `accumulate` destructures every field; bh_analyze rule X1
 // rejects any `..` at a `SteppingStats { .. }` use site.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SteppingStats {
     /// Epochs executed (inline or pooled).
     pub epochs: u64,

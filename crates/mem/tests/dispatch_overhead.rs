@@ -3,7 +3,7 @@
 //! Introducing the multi-channel [`MemorySystem`] facade put channel routing
 //! (address-mapping channel bits, per-channel collections, response merging)
 //! between the simulation loop and the sole controller of a single-channel
-//! system, and the `simulator_throughput` bench regressed measurably. The
+//! system, and end-to-end simulator throughput regressed measurably. The
 //! facade now has a dedicated single-channel fast path that forwards every
 //! hot entry point straight to `controllers[0]`; this suite pins it two
 //! ways:
@@ -19,8 +19,8 @@
 //!    flake on scheduler noise — min-of-N interleaved rounds already sheds
 //!    most of that.
 //!
-//! The absolute numbers are tracked over time by the `memory_dispatch/*`
-//! entries `bench_hotpath` records in `BENCH_hotpath.json`.
+//! The absolute number is the benchmark's `mem.ns_per_request` metric
+//! (`benchmark/`, `--trace 1`).
 
 // Wall-clock reads are the point of this regression pin: it times the
 // facade dispatch overhead.

@@ -2,12 +2,11 @@
 //! mechanism, and the preventive actions a mechanism can request.
 
 use bh_dram::{BankAddr, Cycle, RowAddr, ThreadId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A row activation observed by the memory controller, annotated with the
 /// hardware thread on whose behalf it was performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivationEvent {
     /// The activated row.
     pub row: RowAddr,
@@ -23,7 +22,7 @@ pub struct ActivationEvent {
 /// they consume DRAM bandwidth and interfere with demand requests exactly as
 /// described in the paper — which is what makes both the performance overhead
 /// (§3) and the memory performance attack (§8.1) possible.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PreventiveAction {
     /// Preventively refresh the given victim rows (PARA, Graphene, Hydra,
     /// TWiCe). Each row costs one full row cycle in its bank.
@@ -240,7 +239,7 @@ impl From<ActionView<'_>> for PreventiveAction {
 
 /// How BreakHammer should attribute RowHammer-preventive scores for a given
 /// mechanism (§4.1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScoreAttribution {
     /// When a preventive action is performed, attribute a score of 1 split
     /// across threads proportionally to the activations each performed since

@@ -86,10 +86,6 @@ impl Aqua {
 }
 
 impl TriggerMechanism for Aqua {
-    fn name(&self) -> &'static str {
-        "AQUA"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Aqua
     }

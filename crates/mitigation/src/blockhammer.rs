@@ -104,10 +104,6 @@ impl BlockHammer {
 }
 
 impl TriggerMechanism for BlockHammer {
-    fn name(&self) -> &'static str {
-        "BlockHammer"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::BlockHammer
     }

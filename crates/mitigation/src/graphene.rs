@@ -89,10 +89,6 @@ impl Graphene {
 }
 
 impl TriggerMechanism for Graphene {
-    fn name(&self) -> &'static str {
-        "Graphene"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Graphene
     }

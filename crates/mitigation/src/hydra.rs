@@ -149,10 +149,6 @@ impl Hydra {
 }
 
 impl TriggerMechanism for Hydra {
-    fn name(&self) -> &'static str {
-        "Hydra"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Hydra
     }

@@ -8,7 +8,6 @@ use crate::{
     rega::Rega, rfm::Rfm, twice::Twice,
 };
 use bh_dram::{Cycle, DramGeometry, RowAddr, TimingAdjustment, TimingParams};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A RowHammer mitigation mechanism's trigger algorithm.
@@ -21,8 +20,10 @@ use std::fmt;
 /// requests to blacklisted rows via [`TriggerMechanism::is_blocked`], and
 /// REGA adjusts DRAM timing via [`TriggerMechanism::timing_adjustment`].
 pub trait TriggerMechanism: fmt::Debug + Send {
-    /// Human-readable mechanism name (e.g. `"Graphene"`).
-    fn name(&self) -> &'static str;
+    /// Human-readable mechanism name (e.g. `"Graphene"`): its kind's label.
+    fn name(&self) -> &'static str {
+        self.kind().label()
+    }
 
     /// The mechanism's kind tag.
     fn kind(&self) -> MechanismKind;
@@ -98,7 +99,7 @@ pub trait TriggerMechanism: fmt::Debug + Send {
 
 /// Identifier of a mitigation mechanism, used by configuration files and the
 /// experiment harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MechanismKind {
     /// No RowHammer mitigation (the "no defense" baseline).
     None,
@@ -124,6 +125,21 @@ pub enum MechanismKind {
 }
 
 impl MechanismKind {
+    /// Every mechanism, in declaration order — the one full enumeration;
+    /// every other list is a subset that states its reason.
+    pub const ALL: [MechanismKind; 10] = [
+        MechanismKind::None,
+        MechanismKind::Para,
+        MechanismKind::Graphene,
+        MechanismKind::Hydra,
+        MechanismKind::Twice,
+        MechanismKind::Aqua,
+        MechanismKind::Rega,
+        MechanismKind::Rfm,
+        MechanismKind::Prac,
+        MechanismKind::BlockHammer,
+    ];
+
     /// The eight mechanisms the paper pairs BreakHammer with (Figs. 6–17).
     pub fn paper_mechanisms() -> [MechanismKind; 8] {
         [
@@ -230,10 +246,6 @@ impl NoMitigation {
 }
 
 impl TriggerMechanism for NoMitigation {
-    fn name(&self) -> &'static str {
-        "NoDefense"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::None
     }
@@ -249,6 +261,7 @@ impl TriggerMechanism for NoMitigation {
 mod tests {
     use super::*;
     use bh_dram::{BankAddr, ThreadId};
+    use proptest::prelude::*;
 
     #[test]
     fn no_mitigation_never_acts() {
@@ -274,22 +287,33 @@ mod tests {
 
     #[test]
     fn kind_parsing_roundtrips() {
-        for kind in [
-            MechanismKind::None,
-            MechanismKind::Para,
-            MechanismKind::Graphene,
-            MechanismKind::Hydra,
-            MechanismKind::Twice,
-            MechanismKind::Aqua,
-            MechanismKind::Rega,
-            MechanismKind::Rfm,
-            MechanismKind::Prac,
-            MechanismKind::BlockHammer,
-        ] {
+        for (i, kind) in MechanismKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL must list {kind} once, in declaration order");
             assert_eq!(MechanismKind::parse(kind.label()), Some(kind), "{kind}");
             assert_eq!(MechanismKind::parse(&kind.label().to_lowercase()), Some(kind));
         }
         assert_eq!(MechanismKind::parse("not-a-mechanism"), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Mechanism names arrive from the command line and from store
+        /// lines: arbitrary text — alone or glued to a real label — parses to
+        /// a kind or to `None` without panicking, whatever its ASCII case.
+        #[test]
+        fn parse_never_panics_on_arbitrary_text(
+            code_points in proptest::collection::vec(any::<u32>(), 0..24),
+            pick in 0usize..MechanismKind::ALL.len(),
+        ) {
+            let text: String =
+                code_points.iter().filter_map(|&c| char::from_u32(c % 0x11_0000)).collect();
+            let label = MechanismKind::ALL[pick].label();
+            for name in [text.clone(), format!("{label}{text}"), format!("{text}{label}")] {
+                let parsed = MechanismKind::parse(&name);
+                prop_assert_eq!(parsed, MechanismKind::parse(&name.to_ascii_uppercase()));
+            }
+        }
     }
 
     #[test]
@@ -298,6 +322,12 @@ mod tests {
         assert_eq!(m.len(), 8);
         assert!(!m.contains(&MechanismKind::BlockHammer));
         assert!(!m.contains(&MechanismKind::None));
+        // Exactly `ALL` minus the two comparison points, in `ALL`'s order.
+        let expected: Vec<_> = MechanismKind::ALL
+            .into_iter()
+            .filter(|k| !matches!(k, MechanismKind::None | MechanismKind::BlockHammer))
+            .collect();
+        assert_eq!(m.as_slice(), expected);
         assert_eq!(MechanismKind::motivation_mechanisms().len(), 4);
     }
 
@@ -305,21 +335,10 @@ mod tests {
     fn factory_builds_every_mechanism() {
         let geom = DramGeometry::tiny();
         let timing = TimingParams::fast_test();
-        for kind in [
-            MechanismKind::None,
-            MechanismKind::Para,
-            MechanismKind::Graphene,
-            MechanismKind::Hydra,
-            MechanismKind::Twice,
-            MechanismKind::Aqua,
-            MechanismKind::Rega,
-            MechanismKind::Rfm,
-            MechanismKind::Prac,
-            MechanismKind::BlockHammer,
-        ] {
+        for kind in MechanismKind::ALL {
             let mech = kind.build(&geom, &timing, 1024, 7);
             assert_eq!(mech.kind(), kind);
-            assert!(!mech.name().is_empty());
+            assert_eq!(mech.name(), kind.label());
         }
     }
 }

@@ -61,10 +61,6 @@ impl Para {
 }
 
 impl TriggerMechanism for Para {
-    fn name(&self) -> &'static str {
-        "PARA"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Para
     }

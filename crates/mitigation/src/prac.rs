@@ -70,10 +70,6 @@ impl Prac {
 }
 
 impl TriggerMechanism for Prac {
-    fn name(&self) -> &'static str {
-        "PRAC"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Prac
     }

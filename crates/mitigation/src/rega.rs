@@ -60,10 +60,6 @@ impl Rega {
 }
 
 impl TriggerMechanism for Rega {
-    fn name(&self) -> &'static str {
-        "REGA"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Rega
     }

@@ -55,10 +55,6 @@ impl Rfm {
 }
 
 impl TriggerMechanism for Rfm {
-    fn name(&self) -> &'static str {
-        "RFM"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Rfm
     }

@@ -140,10 +140,6 @@ impl Twice {
 }
 
 impl TriggerMechanism for Twice {
-    fn name(&self) -> &'static str {
-        "TWiCe"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Twice
     }

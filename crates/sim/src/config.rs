@@ -5,7 +5,6 @@ use bh_cpu::{CacheConfig, CoreConfig};
 use bh_dram::{DeviceConfig, DramGeometry, EnergyParams, FaultConfig, TimingParams};
 use bh_mem::MemControllerConfig;
 use bh_mitigation::MechanismKind;
-use serde::{Deserialize, Serialize};
 
 /// Which kernel drives the simulation clock in [`crate::System::run`].
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// per-cycle kernel is retained as the executable reference model for
 /// differential testing of the event-driven one (see
 /// `tests/scheduler_differential.rs` at the workspace root).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Reference kernel: tick every layer at every DRAM command-clock cycle.
     PerCycle,
@@ -34,7 +33,7 @@ pub enum SchedulerKind {
 /// testing of the data-oriented engine (see
 /// `tests/front_end_differential.rs` at the workspace root and the
 /// differential proptest in `bh_cpu::engine`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FrontEndKind {
     /// Reference model: one heap-allocated `Core` object per hardware
     /// thread, ticked through its own `VecDeque` instruction window.
@@ -67,7 +66,7 @@ pub enum FrontEndKind {
 /// exact order the serial schedule produces — before the next full step at
 /// `h`. Worker count and dispatch heuristics can therefore never change the
 /// simulated behaviour, only the wall-clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ChannelStepping {
     /// Reference: every channel controller is ticked at every stepped cycle.
     #[default]
@@ -96,7 +95,7 @@ pub enum ChannelStepping {
 /// Optional deterministic budgets (max epochs, max preventive actions) yield
 /// [`TerminationReason::BudgetExceeded`](crate::TerminationReason::BudgetExceeded)
 /// instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Master switch. When off, runs keep the historical behaviour (burn to
     /// `max_dram_cycles` on no progress).
@@ -144,7 +143,7 @@ impl WatchdogConfig {
 /// force pathological behaviour without touching any non-deterministic
 /// machinery. All fields default to "off", leaving behaviour (and the golden
 /// digests) bit-for-bit unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// From this DRAM cycle on, completed memory responses are dropped
     /// instead of filling the LLC: every core eventually hard-stalls behind
@@ -155,7 +154,7 @@ pub struct ChaosConfig {
 }
 
 /// Configuration of one simulated system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of cores / hardware threads (4 in Table 1).
     pub cores: usize,
@@ -193,29 +192,23 @@ pub struct SystemConfig {
     pub seed: u64,
     /// The simulation kernel driving the clock (results are identical for
     /// both; see [`SchedulerKind`]).
-    #[serde(default)]
     pub scheduler: SchedulerKind,
     /// The CPU front-end replaying the traces (results are identical for
     /// both; see [`FrontEndKind`]).
-    #[serde(default)]
     pub front_end: FrontEndKind,
     /// How the event-driven kernel steps the per-channel memory controllers
     /// (results are identical for both; see [`ChannelStepping`]).
-    #[serde(default)]
     pub stepping: ChannelStepping,
     /// Fault-injection model: how disturbance-threshold crossings turn into
     /// bit-flips, and the ECC scheme classifying them. The default (hard
     /// threshold, no ECC) is bit-identical to the pre-fault-model simulator.
-    #[serde(default)]
     pub fault: FaultConfig,
     /// Forward-progress watchdog: livelock detection and deterministic run
     /// budgets (see [`WatchdogConfig`]). Never fires on healthy runs, so the
     /// default-enabled watchdog leaves all results bit-identical.
-    #[serde(default)]
     pub watchdog: WatchdogConfig,
     /// Deterministic chaos injection for robustness tests (all off by
     /// default; see [`ChaosConfig`]).
-    #[serde(default)]
     pub chaos: ChaosConfig,
 }
 
@@ -403,18 +396,7 @@ mod tests {
 
     #[test]
     fn fast_test_configuration_is_valid_for_all_mechanisms() {
-        for kind in [
-            MechanismKind::None,
-            MechanismKind::Para,
-            MechanismKind::Graphene,
-            MechanismKind::Hydra,
-            MechanismKind::Twice,
-            MechanismKind::Aqua,
-            MechanismKind::Rega,
-            MechanismKind::Rfm,
-            MechanismKind::Prac,
-            MechanismKind::BlockHammer,
-        ] {
+        for kind in MechanismKind::ALL {
             let c = SystemConfig::fast_test(kind, 256, true);
             assert_eq!(c.validate(), Ok(()), "{kind}");
         }

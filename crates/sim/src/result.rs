@@ -4,10 +4,9 @@ use bh_core::BreakHammerStats;
 use bh_cpu::CacheStats;
 use bh_dram::{Cycle, DramStats, RowAddr, ThreadId};
 use bh_mem::{ControllerStats, LatencyHistogram, SteppingStats};
-use serde::{Deserialize, Serialize};
 
 /// Performance of one core over the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorePerformance {
     /// The hardware thread.
     pub thread: ThreadId,
@@ -24,7 +23,7 @@ pub struct CorePerformance {
 /// Per-memory-channel slice of a simulation's statistics (one entry per
 /// channel, in channel order). On the paper's single-channel system this is
 /// one entry equal to the aggregate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelBreakdown {
     /// This channel's memory-controller statistics.
     pub controller: ControllerStats,
@@ -36,7 +35,6 @@ pub struct ChannelBreakdown {
     pub bitflips: usize,
     /// Machine-check events raised on this channel by the ECC model (one per
     /// detected-but-uncorrectable row under SEC-DED; always 0 without ECC).
-    #[serde(default)]
     pub machine_checks: u64,
 }
 
@@ -44,7 +42,7 @@ pub struct ChannelBreakdown {
 /// scheme ([`bh_dram::FaultConfig`]): the raw flip count broken down by what
 /// ECC did with each flip, plus the verdict against the workload's victim
 /// layout. All zeros (with `attack_success: false`) when no flip occurred.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttackOutcome {
     /// Raw bit-flips before ECC, summed over all channels.
     pub flips_raw: u64,
@@ -72,7 +70,7 @@ pub struct AttackOutcome {
 /// deterministic DRAM-cycle epoch boundaries from step-invariant state only,
 /// so it is bit-identical across both scheduler kernels, both stepping modes
 /// and both front-ends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TerminationReason {
     /// Every required core retired its instruction budget.
     #[default]
@@ -103,7 +101,7 @@ impl TerminationReason {
 }
 
 /// One core's lane state at the moment a livelock was diagnosed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreLaneState {
     /// The hardware thread.
     pub thread: ThreadId,
@@ -117,7 +115,7 @@ pub struct CoreLaneState {
 }
 
 /// One memory channel's queue state at the moment a livelock was diagnosed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelLaneState {
     /// The channel index.
     pub channel: usize,
@@ -140,7 +138,7 @@ pub struct ChannelLaneState {
 /// Built exclusively from step-invariant state at a deterministic epoch
 /// boundary, so the report — like the verdict — is bit-identical across
 /// kernels, stepping modes and front-ends.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LivelockReport {
     /// DRAM cycle of the epoch boundary where the verdict fired.
     pub detected_at: Cycle,
@@ -221,7 +219,7 @@ impl std::fmt::Display for LivelockReport {
 /// Disturbance accumulated by one watched victim row over the run (declared
 /// by the workload's `VictimLayout` and registered via
 /// [`System::watch_victims`](crate::System::watch_victims)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VictimReport {
     /// The channel whose tracker watched the row.
     pub channel: usize,
@@ -238,7 +236,7 @@ pub struct VictimReport {
 ///
 /// Implements `PartialEq` so the differential test suite can assert that the
 /// per-cycle and event-driven kernels produce bit-identical results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Per-core performance.
     pub cores: Vec<CorePerformance>,
@@ -264,31 +262,25 @@ pub struct SimulationResult {
     /// Per-thread read-latency histograms (merged over all channels).
     pub latency: Vec<LatencyHistogram>,
     /// Per-memory-channel statistics breakdown (one entry per channel).
-    #[serde(default)]
     pub per_channel: Vec<ChannelBreakdown>,
     /// End-of-run disturbance of every watched victim row (empty when the
     /// workload declared no victims). Not part of the digest-pinned surface.
-    #[serde(default)]
     pub victims: Vec<VictimReport>,
     /// The security outcome under the configured fault model and ECC scheme
     /// (all zeros under the default hard-threshold model with no flips).
-    #[serde(default)]
     pub outcome: AttackOutcome,
     /// Epoch-stepping counters (all zeros under serial stepping). *Not* part
     /// of the behavioural surface: serial-vs-parallel differential tests
     /// normalize this field to its default before comparing, since it
     /// describes how the run was scheduled, not what it computed.
-    #[serde(default)]
     pub stepping: SteppingStats,
     /// Why the run stopped. Part of the behavioural surface (bit-identical
     /// across kernels/stepping/front-ends) but *not* of the digest-pinned
     /// field list: the watchdog never fires on healthy runs, so pinned
     /// goldens stay byte-identical.
-    #[serde(default)]
     pub termination: TerminationReason,
     /// Diagnostic snapshot accompanying a [`TerminationReason::Livelock`]
     /// verdict (`None` otherwise).
-    #[serde(default)]
     pub livelock: Option<LivelockReport>,
 }
 

@@ -5,8 +5,8 @@
 //! * **Weighted speedup** (system performance, Figs. 2, 6, 8, 13, 15, 18, 19),
 //! * **Maximum slowdown** (unfairness, Figs. 7, 9, 14, 16),
 //! * **Percentiles** (memory-latency distributions, Figs. 11 and 17),
-//! * **Geometric means, confidence intervals and box plots** used for the
-//!   aggregate columns, error bands and sensitivity plots,
+//! * **Geometric means and box plots** used for the aggregate columns and
+//!   sensitivity plots,
 //! * plain-text / CSV table rendering for the experiment binaries.
 //!
 //! ## Example
@@ -36,5 +36,5 @@ pub mod table;
 pub use metrics::{
     geometric_mean, harmonic_speedup, max_slowdown, mean, normalize_to, weighted_speedup, AppPerf,
 };
-pub use summary::{percentile, percentile_of_sorted, BoxPlot, Summary};
+pub use summary::{percentile, percentile_of_sorted, BoxPlot};
 pub use table::{fmt3, fmt_pct, Table};

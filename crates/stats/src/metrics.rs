@@ -6,10 +6,8 @@
 //! application's instructions-per-cycle when running *shared* (in the
 //! multi-programmed mix) versus *alone* (single-core on the same system).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-application performance sample: IPC alone and IPC in the shared mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppPerf {
     /// Instructions per cycle when the application runs alone.
     pub ipc_alone: f64,

@@ -1,8 +1,5 @@
-//! Descriptive statistics: percentiles, quartiles/IQR (for the box-and-whisker
-//! plot of Fig. 19), standard deviation and confidence intervals (the error
-//! bars / bands of Figs. 2 and 10).
-
-use serde::{Deserialize, Serialize};
+//! Descriptive statistics: percentiles and quartiles/IQR (for the latency
+//! percentiles of Figs. 11 and 17 and the box-and-whisker plot of Fig. 19).
 
 /// Percentile of a sample set using linear interpolation between order
 /// statistics (the same convention as common plotting libraries).
@@ -48,7 +45,7 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 /// Five-number summary plus IQR whiskers, matching the paper's
 /// box-and-whisker description (footnote 12): box is Q1..Q3, whiskers mark
 /// the central 1.5·IQR range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxPlot {
     /// Smallest sample.
     pub min: f64,
@@ -95,55 +92,6 @@ impl BoxPlot {
     /// The interquartile range (Q3 − Q1).
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
-    }
-}
-
-/// Mean, standard deviation and a confidence interval of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (n − 1 denominator; 0 for a single sample).
-    pub std_dev: f64,
-    /// Half-width of the confidence interval around the mean.
-    pub ci_half_width: f64,
-}
-
-impl Summary {
-    /// Summarises `samples` with a normal-approximation confidence interval at
-    /// the given z-score (1.96 ≈ 95%, 2.576 ≈ 99%).
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty.
-    pub fn with_z(samples: &[f64], z: f64) -> Self {
-        assert!(!samples.is_empty(), "summary of an empty sample set is undefined");
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = if n > 1 {
-            samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64
-        } else {
-            0.0
-        };
-        let std_dev = var.sqrt();
-        let ci_half_width = z * std_dev / (n as f64).sqrt();
-        Summary { n, mean, std_dev, ci_half_width }
-    }
-
-    /// 95%-confidence summary.
-    pub fn ci95(samples: &[f64]) -> Self {
-        Summary::with_z(samples, 1.96)
-    }
-
-    /// Lower edge of the confidence interval.
-    pub fn ci_low(&self) -> f64 {
-        self.mean - self.ci_half_width
-    }
-
-    /// Upper edge of the confidence interval.
-    pub fn ci_high(&self) -> f64 {
-        self.mean + self.ci_half_width
     }
 }
 
@@ -203,33 +151,5 @@ mod tests {
         let b = BoxPlot::from_samples(&xs);
         assert!(b.whisker_hi < 1000.0);
         assert_eq!(b.max, 1000.0);
-    }
-
-    #[test]
-    fn summary_of_constant_samples_has_zero_spread() {
-        let s = Summary::ci95(&[3.0, 3.0, 3.0, 3.0]);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.ci_half_width, 0.0);
-        assert_eq!(s.ci_low(), 3.0);
-        assert_eq!(s.ci_high(), 3.0);
-    }
-
-    #[test]
-    fn summary_interval_shrinks_with_more_samples() {
-        let few = vec![1.0, 2.0, 3.0, 4.0];
-        let many: Vec<f64> = few.iter().cycle().take(64).copied().collect();
-        let s_few = Summary::ci95(&few);
-        let s_many = Summary::ci95(&many);
-        assert!((s_few.mean - s_many.mean).abs() < 1e-9);
-        assert!(s_many.ci_half_width < s_few.ci_half_width);
-    }
-
-    #[test]
-    fn summary_single_sample() {
-        let s = Summary::ci95(&[7.0]);
-        assert_eq!(s.n, 1);
-        assert_eq!(s.mean, 7.0);
-        assert_eq!(s.std_dev, 0.0);
     }
 }

@@ -20,7 +20,6 @@ use crate::placement::{AggressorPlacement, NeighborPlacement};
 use bh_cpu::Trace;
 use bh_dram::{BankAddr, DramGeometry};
 use bh_mem::AddressMapping;
-use serde::{Deserialize, Serialize};
 
 /// The shape of the hammering pattern.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// so match with a wildcard arm and construct through the ctor fns
 /// ([`AttackerKind::double_sided`], [`AttackerKind::many_sided`],
 /// [`AttackerKind::multi_bank`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AttackerKind {
     /// Classic double-sided hammering: alternate between the two aggressor
@@ -72,7 +71,7 @@ impl AttackerKind {
 ///
 /// Marked `#[non_exhaustive]`: construct through [`ChannelTarget::pinned`] /
 /// [`ChannelTarget::interleave`] and match with a wildcard arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ChannelTarget {
     /// All hammering traffic concentrates on one channel — the adversarial
@@ -111,7 +110,7 @@ impl Default for ChannelTarget {
 /// [`AccessPattern`](crate::pattern::AccessPattern) with an
 /// [`AggressorPlacement`] directly; this profile covers the classic shapes
 /// and lowers onto those traits via [`AttackerProfile::compose`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttackerProfile {
     /// The hammering pattern.
     pub kind: AttackerKind,

@@ -10,11 +10,10 @@
 use bh_cpu::Trace;
 use bh_dram::DramGeometry;
 use bh_mem::AddressMapping;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Characterisation of one workload over one observation window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadCharacteristics {
     /// Workload name.
     pub name: String,

@@ -12,7 +12,6 @@ use bh_dram::{BankAddr, DramGeometry, DramLocation};
 use bh_mem::AddressMapping;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// First row index used for a profile's hot-row set.
 const HOT_ROW_BASE: usize = 1_000;
@@ -20,7 +19,7 @@ const HOT_ROW_BASE: usize = 1_000;
 const FOOTPRINT_BASE: usize = 4_000;
 
 /// Generates synthetic traces for a given DRAM geometry and address mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceGenerator {
     geometry: DramGeometry,
     mapping: AddressMapping,

@@ -16,13 +16,12 @@ use bh_cpu::CompiledTrace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One slot of a four-core mix.
 ///
 /// Marked `#[non_exhaustive]`: construct through [`SlotClass::benign`] /
 /// [`SlotClass::attacker`] and match with a wildcard arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SlotClass {
     /// A benign application of the given intensity class.
@@ -52,7 +51,7 @@ impl SlotClass {
 }
 
 /// A mix class: the intensity composition of the four cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MixClass {
     /// The four slots.
     pub slots: [SlotClass; 4],

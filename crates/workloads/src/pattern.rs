@@ -210,12 +210,6 @@ impl FuzzedPattern {
         self
     }
 
-    /// Overrides the largest burst length the fuzzer may assign.
-    pub fn with_max_amplitude(mut self, amplitude: usize) -> Self {
-        self.max_amplitude = amplitude.max(1);
-        self
-    }
-
     /// The fuzzed aggressor-step schedule for one period: for every
     /// aggressor, `frequency` bursts of `amplitude` consecutive slots start
     /// at its `phase`, and the bursts of all aggressors are merged in time
@@ -414,13 +408,6 @@ impl DecoyPattern {
             decoy_rows: 8,
             bubbles: 0,
         }
-    }
-
-    /// Overrides the fraction of accesses spent on decoy traffic (clamped to
-    /// `[0, 0.95]` — a pure-decoy "attacker" would not hammer at all).
-    pub fn with_decoy_fraction(mut self, fraction: f64) -> Self {
-        self.decoy_fraction = fraction.clamp(0.0, 0.95);
-        self
     }
 }
 

@@ -237,12 +237,6 @@ impl SpreadPlacement {
         self.channels = channels;
         self
     }
-
-    /// Overrides the row offset between consecutive banks' aggressor regions.
-    pub fn with_bank_row_stride(mut self, stride: usize) -> Self {
-        self.bank_row_stride = stride.max(2);
-        self
-    }
 }
 
 impl Default for SpreadPlacement {

@@ -12,7 +12,6 @@
 //!    or 512+ activations per 64 ms window), which determines how often a
 //!    *benign* thread triggers RowHammer-preventive actions at low `N_RH`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A benign-profile lookup failed: the requested name is not in the library.
@@ -42,7 +41,7 @@ impl fmt::Display for UnknownProfileError {
 impl std::error::Error for UnknownProfileError {}
 
 /// Memory-intensity class of an application (Table 3 / §7 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntensityClass {
     /// RBMPKI ≥ 20.
     High,
@@ -64,7 +63,7 @@ impl IntensityClass {
 }
 
 /// A synthetic benign-application profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenignProfile {
     /// Workload name (named after the benchmark it is modelled on).
     pub name: &'static str,

@@ -9,12 +9,11 @@
 
 use crate::placement::{AggressorGrid, AGGRESSOR_BASE};
 use bh_dram::{DramGeometry, RowAddr, SuccessCriterion};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// One watched victim row: a physical row on a specific channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VictimRow {
     /// The channel whose RowHammer tracker watches this row.
     pub channel: usize,

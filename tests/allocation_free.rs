@@ -140,18 +140,7 @@ fn activation_hot_path_is_allocation_free_after_warmup() {
     let geometry = DramGeometry::tiny();
     let timing = TimingParams::fast_test();
 
-    for kind in [
-        MechanismKind::None,
-        MechanismKind::Para,
-        MechanismKind::Graphene,
-        MechanismKind::Hydra,
-        MechanismKind::Twice,
-        MechanismKind::Aqua,
-        MechanismKind::Rega,
-        MechanismKind::Rfm,
-        MechanismKind::Prac,
-        MechanismKind::BlockHammer,
-    ] {
+    for kind in MechanismKind::ALL {
         let mut mechanism = kind.build(&geometry, &timing, 64, 7);
         let mut sink = ActionSink::default();
         let mut total_actions = 0usize;

@@ -139,19 +139,6 @@ fn digest(result: &SimulationResult) -> u64 {
     d.0
 }
 
-const MECHANISMS: [MechanismKind; 10] = [
-    MechanismKind::None,
-    MechanismKind::Para,
-    MechanismKind::Graphene,
-    MechanismKind::Hydra,
-    MechanismKind::Twice,
-    MechanismKind::Aqua,
-    MechanismKind::Rega,
-    MechanismKind::Rfm,
-    MechanismKind::Prac,
-    MechanismKind::BlockHammer,
-];
-
 fn config_for(mechanism: MechanismKind, breakhammer: bool, kernel: SchedulerKind) -> SystemConfig {
     let mut config = SystemConfig::fast_test(mechanism, 128, breakhammer);
     config.instructions_per_core = 6_000;
@@ -168,7 +155,7 @@ fn kernel_name(kernel: SchedulerKind) -> &'static str {
 
 fn run_matrix(stepping: ChannelStepping) -> Vec<(String, u64)> {
     let mut out = Vec::with_capacity(40);
-    for mechanism in MECHANISMS {
+    for mechanism in MechanismKind::ALL {
         for breakhammer in [false, true] {
             for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
                 let mut config = config_for(mechanism, breakhammer, kernel);

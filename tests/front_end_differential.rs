@@ -46,18 +46,7 @@ fn assert_identical(config: SystemConfig, traces: &[Trace], required: Vec<usize>
 /// engine must be bit-identical to the per-object cores.
 #[test]
 fn all_mechanisms_under_attack_are_identical_across_front_ends() {
-    for mechanism in [
-        MechanismKind::None,
-        MechanismKind::Para,
-        MechanismKind::Graphene,
-        MechanismKind::Hydra,
-        MechanismKind::Twice,
-        MechanismKind::Aqua,
-        MechanismKind::Rega,
-        MechanismKind::Rfm,
-        MechanismKind::Prac,
-        MechanismKind::BlockHammer,
-    ] {
+    for mechanism in MechanismKind::ALL {
         for breakhammer in [false, true] {
             if mechanism == MechanismKind::None && breakhammer {
                 continue;

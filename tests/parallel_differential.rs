@@ -87,18 +87,7 @@ fn assert_parallel_identical(config: SystemConfig, traces: &[Trace], required: V
 /// stepping modes.
 #[test]
 fn all_mechanisms_under_attack_are_identical_across_stepping() {
-    for mechanism in [
-        MechanismKind::None,
-        MechanismKind::Para,
-        MechanismKind::Graphene,
-        MechanismKind::Hydra,
-        MechanismKind::Twice,
-        MechanismKind::Aqua,
-        MechanismKind::Rega,
-        MechanismKind::Rfm,
-        MechanismKind::Prac,
-        MechanismKind::BlockHammer,
-    ] {
+    for mechanism in MechanismKind::ALL {
         for breakhammer in [false, true] {
             if mechanism == MechanismKind::None && breakhammer {
                 continue;

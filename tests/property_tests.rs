@@ -71,8 +71,26 @@ proptest! {
                 })
                 .collect(),
         );
-        let back = Trace::from_bytes(trace.to_bytes()).unwrap();
+        let back = Trace::from_bytes(&trace.to_bytes()).unwrap();
         prop_assert_eq!(trace, back);
+    }
+
+    /// Arbitrary bytes — raw, or behind a header claiming a small or an
+    /// absurd record count — parse to `Err` or to exactly the records the
+    /// header counts, but never panic or allocate for records that are absent.
+    #[test]
+    fn trace_parser_never_panics_on_arbitrary_bytes(
+        body in proptest::collection::vec(any::<u8>(), 0..120),
+        count in prop_oneof![0u64..10, u64::MAX / 13 - 2..u64::MAX / 13 + 3, u64::MAX - 4..u64::MAX],
+    ) {
+        let _ = Trace::from_bytes(&body);
+        let framed = [&count.to_be_bytes()[..], &body[..]].concat();
+        let parsed = Trace::from_bytes(&framed);
+        let fits = count != 0 && count.saturating_mul(13) <= body.len() as u64;
+        prop_assert_eq!(parsed.is_ok(), fits);
+        if let Ok(trace) = parsed {
+            prop_assert_eq!(trace.len() as u64, count);
+        }
     }
 
     /// Weighted speedup of an n-application mix is bounded by n, and the

@@ -42,18 +42,7 @@ fn assert_identical(config: SystemConfig, traces: &[Trace], required: Vec<usize>
 /// BreakHammer, under attack, must be bit-identical across the kernels.
 #[test]
 fn all_mechanisms_under_attack_are_identical_across_kernels() {
-    for mechanism in [
-        MechanismKind::None,
-        MechanismKind::Para,
-        MechanismKind::Graphene,
-        MechanismKind::Hydra,
-        MechanismKind::Twice,
-        MechanismKind::Aqua,
-        MechanismKind::Rega,
-        MechanismKind::Rfm,
-        MechanismKind::Prac,
-        MechanismKind::BlockHammer,
-    ] {
+    for mechanism in MechanismKind::ALL {
         for breakhammer in [false, true] {
             if mechanism == MechanismKind::None && breakhammer {
                 continue;
