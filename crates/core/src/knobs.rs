@@ -55,8 +55,8 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "BH_EPOCH_WORKERS",
-        summary: "participant count of the epoch-parallel channel pool",
-        default: "one per channel",
+        summary: "no effect: epochs run inline; still refused by `bh-benchmark run`",
+        default: "unset",
     },
     Knob {
         name: "BH_FAULT_MODEL",

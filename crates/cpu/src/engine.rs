@@ -528,11 +528,11 @@ impl CoreEngine {
     ///
     /// The common case on a throughput-bound system — some core's window
     /// head is a `Done` run or a hit whose data cycle has arrived — is
-    /// answered by one pass over the gathered 8-byte head entries (AVX2 when
-    /// the CPU has it, a scalar loop otherwise) without touching the LLC: a
-    /// retire-ready head makes its core `Active` regardless of the dispatch
-    /// stage. Only when no head is retire-ready does the per-core analysis
-    /// (MSHR probes, reject-memo validation) run.
+    /// answered by one pass over the 8-byte head entries without touching
+    /// the LLC: a retire-ready head makes its core `Active` regardless of
+    /// the dispatch stage (`Pending` heads need an MSHR probe and never
+    /// count here). Only when no head is retire-ready does the per-core
+    /// analysis (MSHR probes, reject-memo validation) run.
     pub fn progress_batch(
         &self,
         llc: &LastLevelCache,
@@ -540,24 +540,22 @@ impl CoreEngine {
         out: &mut Vec<CoreProgress>,
     ) -> bool {
         out.clear();
-        let n = self.num_cores();
         let ws = self.config.window_size;
-        let mut base = 0;
-        while base < n {
-            let chunk = (n - base).min(HEAD_CHUNK);
-            let mut heads = [HEAD_IDLE; HEAD_CHUNK];
-            for (slot, head) in heads.iter_mut().enumerate().take(chunk) {
-                let lane = &self.lanes[base + slot];
-                if !lane.finished && lane.win_entries > 0 {
-                    *head = self.window[ws * (base + slot) + lane.win_head as usize];
-                }
+        let head_retires = |(core, lane): (usize, &Lane)| {
+            if lane.finished || lane.win_entries == 0 {
+                return false;
             }
-            if head_retire_ready_mask(&heads, next_cycle) != 0 {
-                return true;
+            let head = self.window[ws * core + lane.win_head as usize];
+            match tag(head) {
+                TAG_DONE => true,
+                TAG_READY => payload(head) <= next_cycle,
+                _ => false,
             }
-            base += chunk;
+        };
+        if self.lanes.iter().enumerate().any(head_retires) {
+            return true;
         }
-        for core in 0..n {
+        for core in 0..self.num_cores() {
             let p = self.progress(core, llc, next_cycle);
             if matches!(p, CoreProgress::Active) {
                 out.clear();
@@ -567,75 +565,6 @@ impl CoreEngine {
         }
         false
     }
-}
-
-/// Chunk width of the batched window-head scan: four packed 8-byte entries,
-/// exactly one AVX2 vector.
-const HEAD_CHUNK: usize = 4;
-
-/// Sentinel head for finished or empty-window lanes. Its tag bits are `0b11`
-/// — no valid entry tag — so the sentinel never reads as retire-ready.
-const HEAD_IDLE: u64 = u64::MAX;
-
-/// Bitmask (bit `i` = `heads[i]`) of gathered head entries that retire on a
-/// tick at `next_cycle`: `Done` runs, and `ReadyAt` entries whose data cycle
-/// has arrived. `Pending` heads need an MSHR probe and are never set here.
-#[inline]
-fn head_retire_ready_mask(heads: &[u64; HEAD_CHUNK], next_cycle: Cycle) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // The AVX2 arm compares payloads as signed 64-bit lanes; payloads are
-        // `entry >> 2 < 2^62`, so the clock must fit the same range (it
-        // always does in practice — this is a defensive gate, not a limit).
-        if next_cycle <= (i64::MAX >> 2) as u64 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 availability was verified at runtime on the line
-            // above.
-            return unsafe { head_retire_ready_mask_avx2(heads, next_cycle) };
-        }
-    }
-    head_retire_ready_mask_scalar(heads, next_cycle)
-}
-
-fn head_retire_ready_mask_scalar(heads: &[u64; HEAD_CHUNK], next_cycle: Cycle) -> u32 {
-    let mut mask = 0u32;
-    for (i, &e) in heads.iter().enumerate() {
-        let ready = match tag(e) {
-            TAG_DONE => true,
-            TAG_READY => payload(e) <= next_cycle,
-            _ => false,
-        };
-        mask |= (ready as u32) << i;
-    }
-    mask
-}
-
-/// AVX2 arm of [`head_retire_ready_mask`]: tag extraction, both tag
-/// compares and the payload-vs-clock compare run on all four packed heads at
-/// once; the per-lane verdicts come back through the four `f64` sign bits.
-///
-/// # Safety
-///
-/// The caller must verify AVX2 support at runtime
-/// (`is_x86_feature_detected!("avx2")`) before calling, and must pass
-/// `next_cycle <= i64::MAX >> 2` so the signed 64-bit lane compare cannot
-/// misread the payload-vs-clock ordering — both are checked by the sole
-/// caller, [`head_retire_ready_mask`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn head_retire_ready_mask_avx2(heads: &[u64; HEAD_CHUNK], next_cycle: Cycle) -> u32 {
-    use std::arch::x86_64::*;
-    // SAFETY: `heads` is four contiguous `u64`s and `loadu` has no alignment
-    // requirement.
-    let entries = unsafe { _mm256_loadu_si256(heads.as_ptr() as *const __m256i) };
-    let tags = _mm256_and_si256(entries, _mm256_set1_epi64x(0b11));
-    let payloads = _mm256_srli_epi64::<2>(entries);
-    let done = _mm256_cmpeq_epi64(tags, _mm256_set1_epi64x(TAG_DONE as i64));
-    let ready_tag = _mm256_cmpeq_epi64(tags, _mm256_set1_epi64x(TAG_READY as i64));
-    // `payload <= next_cycle` as `next_cycle + 1 > payload`; the caller
-    // guarantees both sides are non-negative as signed 64-bit lanes.
-    let arrived = _mm256_cmpgt_epi64(_mm256_set1_epi64x(next_cycle as i64 + 1), payloads);
-    let retire = _mm256_or_si256(done, _mm256_and_si256(ready_tag, arrived));
-    _mm256_movemask_pd(_mm256_castsi256_pd(retire)) as u32
 }
 
 /// Advances the lane to its next trace record (cyclic). `position` stays
@@ -782,8 +711,8 @@ mod tests {
             }
             assert_eq!(llc_a.stats(), llc_b.stats(), "LLC stats diverged at cycle {cycle}");
             // The batched horizon scan must agree with the per-core scalar
-            // classification at every epoch boundary (this covers the SIMD
-            // head prefilter against live mid-run window states).
+            // classification at every epoch boundary (this covers the head
+            // prefilter against live mid-run window states).
             let mut batch = Vec::new();
             let batch_active = engine.progress_batch(&llc_b, end, &mut batch);
             let mut scalar = Vec::new();
@@ -835,41 +764,6 @@ mod tests {
             );
             assert_eq!(legacy.cores[i].ipc(), engine.ipc(i));
             assert_eq!(legacy.cores[i].retired_instructions(), engine.retired_instructions(i));
-        }
-    }
-
-    /// The SIMD and scalar arms of the head-ready mask agree on every tag ×
-    /// payload shape, including the `HEAD_IDLE` sentinel and payloads right
-    /// at the clock boundary. (On machines without AVX2 both calls take the
-    /// scalar arm and the test degenerates to a tautology — the x86 CI
-    /// runners exercise the interesting half.)
-    #[test]
-    fn head_mask_arms_agree() {
-        let interesting = [
-            HEAD_IDLE,
-            pack(TAG_DONE, 0),
-            pack(TAG_DONE, 7),
-            pack(TAG_READY, 99),
-            pack(TAG_READY, 100),
-            pack(TAG_READY, 101),
-            pack(TAG_PENDING, 5),
-            pack(TAG_PENDING, 1 << 40),
-        ];
-        for &a in &interesting {
-            for &b in &interesting {
-                for &c in &interesting {
-                    for &d in &interesting {
-                        let heads = [a, b, c, d];
-                        for next_cycle in [0u64, 99, 100, 1 << 40] {
-                            assert_eq!(
-                                head_retire_ready_mask(&heads, next_cycle),
-                                head_retire_ready_mask_scalar(&heads, next_cycle),
-                                "mask arms diverged for {heads:?} at {next_cycle}"
-                            );
-                        }
-                    }
-                }
-            }
         }
     }
 

@@ -153,9 +153,10 @@ pub enum BhEventKind {
 /// Destination for the BreakHammer-observable events of one controller tick.
 ///
 /// Serial stepping passes the live shared observer ([`BhSink::Live`]);
-/// epoch-parallel stepping runs each channel on its own thread where the
-/// shared observer cannot be borrowed, so events are recorded per channel
-/// ([`BhSink::Record`]) and replayed into the observer at the epoch merge.
+/// epoch stepping advances one channel through a whole epoch before the
+/// next, so the observer would see events out of cycle order: they are
+/// recorded per channel ([`BhSink::Record`]) and replayed into the observer
+/// in (cycle, channel) order at the epoch merge.
 /// The recorded stream preserves the exact per-tick event order (the
 /// activation, then its preventive actions in sink order), so replay is
 /// bit-identical to live observation.
@@ -165,7 +166,7 @@ pub enum BhSink<'a> {
     None,
     /// The live system-wide observer (serial stepping).
     Live(&'a mut BreakHammer),
-    /// Record events for deferred replay (epoch-parallel stepping).
+    /// Record events for deferred replay (epoch stepping).
     Record(&'a mut Vec<BhEvent>),
 }
 
@@ -577,10 +578,9 @@ impl MemoryController {
     }
 
     /// [`MemoryController::tick`] with an explicit BreakHammer event sink:
-    /// epoch-parallel stepping passes [`BhSink::Record`] so a channel can
-    /// advance without borrowing the shared observer (the recorded events
-    /// replay at the epoch merge, in the order serial stepping would have
-    /// reported them).
+    /// epoch stepping passes [`BhSink::Record`] so a channel can advance
+    /// ahead of the shared observer (the recorded events replay at the epoch
+    /// merge, in the order serial stepping would have reported them).
     pub fn tick_sink(&mut self, cycle: Cycle, mut bh_sink: BhSink<'_>) {
         if let BhSink::Live(bh) = &mut bh_sink {
             bh.advance_to(cycle);

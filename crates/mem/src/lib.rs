@@ -45,7 +45,6 @@ pub mod controller;
 mod demand_queue;
 pub mod latency;
 pub mod mapping;
-pub mod pool;
 pub mod request;
 pub mod system;
 
@@ -53,6 +52,5 @@ pub use config::MemControllerConfig;
 pub use controller::{BhEvent, BhEventKind, BhSink, ControllerStats, MemoryController};
 pub use latency::LatencyHistogram;
 pub use mapping::{AddressMapping, ChannelInterleave, MappingScheme};
-pub use pool::ChannelPool;
 pub use request::{MemRequest, MemResponse};
 pub use system::{MemorySystem, SteppingStats};

@@ -28,26 +28,24 @@
 //! bit-for-bit.
 
 use crate::config::MemControllerConfig;
-use crate::controller::{BhEvent, BhEventKind, ControllerStats, MemoryController};
+use crate::controller::{BhEvent, BhEventKind, BhSink, ControllerStats, MemoryController};
 use crate::latency::LatencyHistogram;
-use crate::pool::{advance_channel, ChannelPool, ChannelTask};
 use crate::request::{MemRequest, MemResponse};
 use bh_core::BreakHammer;
 use bh_dram::{Cycle, DramChannel, DramGeometry, PhysAddr, ThreadId};
 use bh_mitigation::TriggerMechanism;
 use std::collections::VecDeque;
 
-/// Counters describing epoch-parallel channel stepping (see
+/// Counters describing epoch-decoupled channel stepping (see
 /// [`MemorySystem::advance_epoch`]). All zeros under serial stepping.
 // bh-exhaustive: `accumulate` destructures every field; bh_analyze rule X1
 // rejects any `..` at a `SteppingStats { .. }` use site.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SteppingStats {
-    /// Epochs executed (inline or pooled).
+    /// Epochs executed.
     pub epochs: u64,
-    /// Epochs dispatched to the worker pool (the rest ran inline on the
-    /// simulation thread because the span was too short to amortize a
-    /// wake-up — a pure throughput heuristic, never a behavioural one).
+    /// Always 0: every epoch runs on the calling thread. The field stays
+    /// because `benchmark/expected/` hashes this struct's `Debug` text.
     pub parallel_epochs: u64,
     /// DRAM cycles covered by epochs (the merged steps the serial schedule
     /// would have executed one by one).
@@ -79,12 +77,6 @@ impl SteppingStats {
     }
 }
 
-/// Epochs shorter than this run inline on the simulation thread instead of
-/// waking the pool: the fixed cost of a generation dispatch only pays for
-/// itself when every channel has a few events' worth of work. Purely a
-/// throughput heuristic — inline and pooled execution are bit-identical.
-const POOLED_EPOCH_MIN_SPAN: u64 = 24;
-
 /// A multi-channel memory system: per-channel controllers + mitigation
 /// instances behind one request-routing facade, with one shared BreakHammer.
 pub struct MemorySystem {
@@ -105,18 +97,11 @@ pub struct MemorySystem {
     /// `controllers[0]`.
     single_channel: bool,
     /// Per-channel BreakHammer event recordings of the current epoch
-    /// (cleared at each epoch start; merged in (cycle, channel) order after
-    /// the barrier).
+    /// (cleared at each epoch start; merged in (cycle, channel) order once
+    /// every channel has reached the epoch's end).
     bh_events: Vec<Vec<BhEvent>>,
-    /// Per-channel tick-event counts of the current epoch (scratch).
-    epoch_ticks: Vec<u64>,
     /// Per-channel cursors of the epoch-merge replay (scratch).
     merge_cursors: Vec<usize>,
-    /// Reusable task list handed to the pool each epoch.
-    task_buf: Vec<ChannelTask>,
-    /// The persistent epoch worker pool, spawned lazily on the first epoch
-    /// wide enough to use it.
-    pool: Option<ChannelPool>,
     /// Epoch-stepping counters.
     stepping: SteppingStats,
 }
@@ -167,7 +152,6 @@ impl MemorySystem {
         let pending_enqueue: Vec<VecDeque<MemRequest>> =
             controllers.iter().map(|_| VecDeque::new()).collect();
         let bh_events = controllers.iter().map(|_| Vec::new()).collect();
-        let epoch_ticks = vec![0; channels_len];
         let single_channel = channels_len == 1;
         MemorySystem {
             controllers,
@@ -176,10 +160,7 @@ impl MemorySystem {
             pending_total: 0,
             single_channel,
             bh_events,
-            epoch_ticks,
             merge_cursors: vec![0; channels_len],
-            task_buf: Vec::new(),
-            pool: None,
             stepping: SteppingStats::default(),
         }
     }
@@ -282,79 +263,38 @@ impl MemorySystem {
     }
 
     /// Advances every channel independently from `from` up to (and
-    /// excluding) `to` — one *epoch* of the parallel stepping kernel — then
-    /// replays the channels' recorded BreakHammer events into the shared
-    /// observer in (cycle, channel-index) order: exactly the order the
-    /// serial schedule reports the same events in, since the serial kernel
-    /// ticks channels in index order within each merged step. The caller
-    /// performs the step at `to` itself through the normal serial path,
-    /// which applies the remaining cross-channel effects (response draining,
-    /// retry promotion, quota propagation) under the serial ordering.
+    /// excluding) `to` — one *epoch*, run channel by channel on the calling
+    /// thread — then replays the channels' recorded BreakHammer events into
+    /// the shared observer in (cycle, channel-index) order: exactly the
+    /// order the serial schedule reports the same events in, since the
+    /// serial kernel ticks channels in index order within each merged step.
+    /// The caller performs the step at `to` itself through the normal serial
+    /// path, which applies the remaining cross-channel effects (response
+    /// draining, retry promotion, quota propagation) under the serial
+    /// ordering.
     ///
     /// The epoch contract — the caller must guarantee that `to` does not
     /// exceed the earliest cross-channel synchronization point: the shared
     /// observer's next window edge (so window rotations never fall inside an
     /// epoch) and the earliest cycle a core could unstall and issue new
     /// traffic. Within those bounds the channels are fully independent, so
-    /// pooled, inline, and serial execution are bit-identical; whether the
-    /// worker pool is used (and with how many threads) is a pure throughput
-    /// decision.
+    /// epoch and serial execution are bit-identical.
     pub fn advance_epoch(&mut self, from: Cycle, to: Cycle) {
         debug_assert!(to > from + 1, "an epoch must cover at least one interior cycle");
         let record = self.breakhammer.is_some();
-        let span = to - from;
         self.stepping.epochs += 1;
-        self.stepping.epoch_cycles += span;
-        for buf in &mut self.bh_events {
-            buf.clear();
-        }
-        self.epoch_ticks.fill(0);
-        let channels = self.controllers.len();
-        let pooled = channels > 1 && span >= POOLED_EPOCH_MIN_SPAN;
-        if pooled {
-            self.stepping.parallel_epochs += 1;
-            let pool = self.pool.get_or_insert_with(|| {
-                // `BH_EPOCH_WORKERS` pins the participant count (the main
-                // thread included); otherwise one participant per channel,
-                // capped by the machine. A pure throughput knob — epoch
-                // results are bit-identical at any worker count. A value that
-                // is not a positive integer falls back to auto-detection with
-                // a one-time warning rather than failing silently (the shared
-                // parse/warn-once helper in `bh_core::knobs`).
-                let participants =
-                    bh_core::knobs::positive_usize("BH_EPOCH_WORKERS", "one worker per channel")
-                        .unwrap_or_else(|| {
-                            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-                        })
-                        .min(channels);
-                ChannelPool::new(participants.saturating_sub(1))
-            });
-            let mut tasks = std::mem::take(&mut self.task_buf);
-            tasks.clear();
-            for (((ctrl, pending), events), ticks) in self
-                .controllers
-                .iter_mut()
-                .zip(self.pending_enqueue.iter_mut())
-                .zip(self.bh_events.iter_mut())
-                .zip(self.epoch_ticks.iter_mut())
-            {
-                tasks.push(ChannelTask::new(ctrl, pending, events, ticks, record, from, to));
-            }
-            pool.dispatch(&mut tasks);
-            self.task_buf = tasks;
-        } else {
-            for (((ctrl, pending), events), ticks) in self
-                .controllers
-                .iter_mut()
-                .zip(self.pending_enqueue.iter_mut())
-                .zip(self.bh_events.iter_mut())
-                .zip(self.epoch_ticks.iter_mut())
-            {
-                *ticks = advance_channel(ctrl, pending, record.then_some(events), from, to);
-            }
+        self.stepping.epoch_cycles += to - from;
+        for ((ctrl, pending), events) in self
+            .controllers
+            .iter_mut()
+            .zip(self.pending_enqueue.iter_mut())
+            .zip(self.bh_events.iter_mut())
+        {
+            events.clear();
+            self.stepping.channel_events +=
+                advance_channel(ctrl, pending, record.then_some(events), from, to);
         }
         self.pending_total = self.pending_enqueue.iter().map(VecDeque::len).sum();
-        self.stepping.channel_events += self.epoch_ticks.iter().sum::<u64>();
         if let Some(bh) = self.breakhammer.as_mut() {
             // K-way merge by (cycle, channel). Scanning channels in
             // ascending order with a strict `<` keeps the lowest channel on
@@ -482,6 +422,71 @@ impl MemorySystem {
     }
 }
 
+/// Advances one channel controller from `now = from` up to (excluding) `to`,
+/// visiting exactly the cycles at which this channel can make progress — the
+/// per-channel half of an epoch.
+///
+/// The protocol replays, event by event, what the serial kernel would have
+/// done for this channel at the merged steps inside `(from, to)`:
+///
+/// * At each of the channel's own event cycles `e` (its memoized `next_event`
+///   horizon), first retry the channel's deferred requests — queue space only
+///   opens when this channel issues, and a post-issue tick always schedules
+///   the `e + 1` event where the serial kernel's `retry_pending` would have
+///   promoted too — then tick the controller. The serial kernel's ticks at
+///   *other* channels' event cycles are pure no-ops here (the memo guarantees
+///   it) and are skipped entirely.
+/// * Cycles between own events with a still-blocked deferred request absorb
+///   one enqueue rejection each, exactly like the serial kernel's one failed
+///   front retry per step plus its bulk `absorb_enqueue_rejections` over dead
+///   cycles (a failed [`MemoryController::try_enqueue`] counts itself).
+///
+/// The step at `to` itself is *not* performed: the caller runs it through the
+/// normal serial path after the epoch merge, so cross-channel effects
+/// (response draining, quota propagation, BreakHammer window edges) happen
+/// under the serial schedule's ordering.
+///
+/// Returns the number of controller tick events processed.
+fn advance_channel(
+    ctrl: &mut MemoryController,
+    pending: &mut VecDeque<MemRequest>,
+    mut events: Option<&mut Vec<BhEvent>>,
+    from: Cycle,
+    to: Cycle,
+) -> u64 {
+    let mut now = from;
+    let mut ticks = 0u64;
+    loop {
+        let e = ctrl.next_event(now).max(now + 1);
+        if e >= to {
+            break;
+        }
+        if !pending.is_empty() {
+            let gap = e - now - 1;
+            if gap > 0 {
+                ctrl.absorb_enqueue_rejections(gap);
+            }
+            while let Some(req) = pending.front().copied() {
+                if ctrl.try_enqueue(req).is_ok() {
+                    pending.pop_front();
+                } else {
+                    break;
+                }
+            }
+        }
+        match events.as_deref_mut() {
+            Some(buf) => ctrl.tick_sink(e, BhSink::Record(buf)),
+            None => ctrl.tick_sink(e, BhSink::None),
+        }
+        ticks += 1;
+        now = e;
+    }
+    if !pending.is_empty() && to > now + 1 {
+        ctrl.absorb_enqueue_rejections(to - now - 1);
+    }
+    ticks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,13 +608,12 @@ mod tests {
         assert!(!mem.has_pending_enqueue(), "the deferred request must eventually enqueue");
     }
 
-    #[test]
-    fn shared_breakhammer_aggregates_actions_from_all_channels() {
+    /// A `channels`-channel Graphene system (N_RH = 64) with one shared
+    /// BreakHammer whose window is too long to rotate during a test.
+    fn system_with_breakhammer(channels: usize) -> MemorySystem {
         use bh_core::{BreakHammer, BreakHammerConfig};
-        let channels = 2usize;
         let geometry = DramGeometry::tiny().with_channels(channels);
         let timing = TimingParams::fast_test();
-        let mapping = AddressMapping::paper_default();
         let instances: Vec<_> = (0..channels)
             .map(|ch| {
                 let mechanism = MechanismKind::Graphene.build(&geometry, &timing, 64, ch as u64);
@@ -621,7 +625,13 @@ mod tests {
         let mut bh_cfg = BreakHammerConfig::fast_test(4, 16);
         bh_cfg.window_cycles = 1_000_000;
         let bh = BreakHammer::new(bh_cfg, attribution);
-        let mut mem = MemorySystem::new(small_config(mapping), instances, Some(bh));
+        MemorySystem::new(small_config(AddressMapping::paper_default()), instances, Some(bh))
+    }
+
+    #[test]
+    fn shared_breakhammer_aggregates_actions_from_all_channels() {
+        let channels = 2usize;
+        let mut mem = system_with_breakhammer(channels);
 
         // Thread 0 double-side hammers *both* channels; thread 1 stays quiet.
         let mut id = 0u64;
@@ -656,6 +666,84 @@ mod tests {
         assert_eq!(stats.actions_per_channel.iter().sum::<u64>(), stats.actions_observed);
         // The cross-channel score identified the hammering thread.
         assert!(bh.score(ThreadId(0)) > bh.score(ThreadId(1)));
+    }
+
+    /// Wide epochs (24 to 1 000 cycles) on four channels with BreakHammer
+    /// attached: `advance_epoch` must leave every channel, the
+    /// deferred-request deques and the shared observer exactly where ticking
+    /// every cycle serially leaves them.
+    #[test]
+    fn wide_epochs_on_four_channels_match_serial_ticking() {
+        let channels = 4usize;
+        let mut epoch = system_with_breakhammer(channels);
+        let mut serial = system_with_breakhammer(channels);
+        // Each step double-side hammers every channel with 24 more reads —
+        // more than the 16-entry read queues hold, so requests defer.
+        let mut id = 0u64;
+        let mut step = |mem: &mut [&mut MemorySystem; 2], cycle: Cycle, out: &mut [Vec<_>; 2]| {
+            for round in 0..24usize {
+                for channel in 0..channels {
+                    let row = if round % 2 == 0 { 50 } else { 52 };
+                    let addr = addr_on(mem[0], channel, row, round % 4);
+                    let req = MemRequest::read(id, ThreadId(channel % 2), addr, 0);
+                    id += 1;
+                    mem.iter_mut().for_each(|m| m.enqueue_or_defer(req));
+                }
+            }
+            let mut buf = Vec::new();
+            for (m, out) in mem.iter_mut().zip(out) {
+                m.retry_pending();
+                m.tick(cycle);
+                m.drain_responses_into(&mut buf);
+                out.extend(buf.iter().copied());
+            }
+        };
+        let mut responses = [Vec::new(), Vec::new()];
+        let mut now = 0;
+        step(&mut [&mut epoch, &mut serial], now, &mut responses);
+        assert!(epoch.has_pending_enqueue(), "the retry path must be exercised");
+        let spans = [24u64, 200, 64, 1_000, 25];
+        for span in spans.iter().cycle().take(20) {
+            let to = now + span;
+            epoch.advance_epoch(now, to);
+            for cycle in now + 1..to {
+                // The serial kernel's dead cycles: one failed front retry
+                // per blocked channel, then a tick.
+                serial.retry_pending();
+                serial.tick(cycle);
+            }
+            step(&mut [&mut epoch, &mut serial], to, &mut responses);
+            now = to;
+            for channel in 0..channels {
+                assert_eq!(
+                    epoch.controller(channel).stats(),
+                    serial.controller(channel).stats(),
+                    "channel {channel} diverged in the epoch ending at {to}"
+                );
+                assert_eq!(
+                    epoch.pending_enqueue_depth(channel),
+                    serial.pending_enqueue_depth(channel)
+                );
+            }
+        }
+        let [got, want] = responses;
+        assert_eq!(got, want, "responses must arrive in the same order at the same steps");
+        assert_eq!(epoch.aggregate_dram_stats(), serial.aggregate_dram_stats());
+        let (bh_epoch, bh_serial) = (epoch.breakhammer().unwrap(), serial.breakhammer().unwrap());
+        assert_eq!(bh_epoch.stats(), bh_serial.stats());
+        for thread in 0..2 {
+            assert_eq!(bh_epoch.score(ThreadId(thread)), bh_serial.score(ThreadId(thread)));
+        }
+
+        // Non-vacuous: the epochs did the work, on this thread.
+        let stepping = epoch.stepping_stats();
+        assert_eq!(stepping.epochs, 20);
+        assert_eq!(stepping.epoch_cycles, 4 * spans.iter().sum::<u64>());
+        assert_eq!(stepping.parallel_epochs, 0);
+        assert!(stepping.channel_events > 0 && stepping.bh_events_replayed > 0, "{stepping:?}");
+        assert!(got.len() > 16 * channels, "deferred requests must have been served too");
+        assert!(bh_epoch.stats().actions_observed > 0, "hammering must trigger Graphene");
+        assert_eq!(*serial.stepping_stats(), SteppingStats::default());
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use aqua::Aqua;
 pub use blockhammer::BlockHammer;
 pub use graphene::Graphene;
 pub use hydra::Hydra;
-pub use mechanism::{MechanismKind, NoMitigation, TriggerMechanism};
+pub use mechanism::{MechanismKind, NoMitigation, TriggerMechanism, MITIGATED_BLAST_RADIUS};
 pub use misra_gries::MisraGries;
 pub use para::Para;
 pub use prac::Prac;

@@ -124,21 +124,53 @@ pub enum MechanismKind {
     BlockHammer,
 }
 
+/// Victim-row distance every mechanism built by [`MechanismKind::build`]
+/// refreshes around an aggressor. A simulated device that disturbs rows
+/// farther away than this is not covered (`SystemConfig::validate` in
+/// `bh-sim` rejects it).
+pub const MITIGATED_BLAST_RADIUS: usize = 1;
+
+/// Constructor of one mechanism: `(geometry, timing, nrh, seed)`.
+type Constructor = fn(&DramGeometry, &TimingParams, u64, u64) -> Box<dyn TriggerMechanism>;
+
+/// The mechanism registry, one row per [`MechanismKind`] in declaration
+/// order: `(kind, label, extra names `parse` accepts, constructor)`. A new
+/// mechanism is one enum variant, one row here and one file.
+const REGISTRY: &[(MechanismKind, &str, &[&str], Constructor)] = {
+    use MechanismKind as K;
+    const R: usize = MITIGATED_BLAST_RADIUS;
+    &[
+        (K::None, "NoDefense", &["none", "no-defense", "baseline"], |_, _, _, _| {
+            Box::new(NoMitigation::new())
+        }),
+        (K::Para, "PARA", &[], |g, _, nrh, seed| Box::new(Para::new(g.clone(), nrh, R, seed))),
+        (K::Graphene, "Graphene", &[], |g, t, nrh, _| {
+            Box::new(Graphene::new(g.clone(), t, nrh, R))
+        }),
+        (K::Hydra, "Hydra", &[], |g, t, nrh, _| Box::new(Hydra::new(g.clone(), t, nrh, R))),
+        (K::Twice, "TWiCe", &[], |g, t, nrh, _| Box::new(Twice::new(g.clone(), t, nrh, R))),
+        (K::Aqua, "AQUA", &[], |g, t, nrh, _| Box::new(Aqua::new(g.clone(), t, nrh))),
+        (K::Rega, "REGA", &[], |_, _, nrh, _| Box::new(Rega::new(nrh))),
+        (K::Rfm, "RFM", &[], |g, _, nrh, _| Box::new(Rfm::new(g.clone(), nrh))),
+        (K::Prac, "PRAC", &[], |g, _, nrh, _| Box::new(Prac::new(g.clone(), nrh))),
+        (K::BlockHammer, "BlockHammer", &[], |g, t, nrh, _| {
+            Box::new(BlockHammer::new(g.clone(), t, nrh, R))
+        }),
+    ]
+};
+
 impl MechanismKind {
     /// Every mechanism, in declaration order — the one full enumeration;
     /// every other list is a subset that states its reason.
-    pub const ALL: [MechanismKind; 10] = [
-        MechanismKind::None,
-        MechanismKind::Para,
-        MechanismKind::Graphene,
-        MechanismKind::Hydra,
-        MechanismKind::Twice,
-        MechanismKind::Aqua,
-        MechanismKind::Rega,
-        MechanismKind::Rfm,
-        MechanismKind::Prac,
-        MechanismKind::BlockHammer,
-    ];
+    pub const ALL: [MechanismKind; REGISTRY.len()] = {
+        let mut all = [MechanismKind::None; REGISTRY.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = REGISTRY[i].0;
+            i += 1;
+        }
+        all
+    };
 
     /// The eight mechanisms the paper pairs BreakHammer with (Figs. 6–17).
     pub fn paper_mechanisms() -> [MechanismKind; 8] {
@@ -161,36 +193,17 @@ impl MechanismKind {
 
     /// Short display name matching the paper's figures.
     pub fn label(self) -> &'static str {
-        match self {
-            MechanismKind::None => "NoDefense",
-            MechanismKind::Para => "PARA",
-            MechanismKind::Graphene => "Graphene",
-            MechanismKind::Hydra => "Hydra",
-            MechanismKind::Twice => "TWiCe",
-            MechanismKind::Aqua => "AQUA",
-            MechanismKind::Rega => "REGA",
-            MechanismKind::Rfm => "RFM",
-            MechanismKind::Prac => "PRAC",
-            MechanismKind::BlockHammer => "BlockHammer",
-        }
+        REGISTRY[self as usize].1
     }
 
-    /// Parses a mechanism name (case-insensitive).
+    /// Parses a mechanism name (case-insensitive): its label, or one of the
+    /// registry's extra names.
     pub fn parse(name: &str) -> Option<MechanismKind> {
-        let lower = name.to_ascii_lowercase();
-        Some(match lower.as_str() {
-            "none" | "nodefense" | "no-defense" | "baseline" => MechanismKind::None,
-            "para" => MechanismKind::Para,
-            "graphene" => MechanismKind::Graphene,
-            "hydra" => MechanismKind::Hydra,
-            "twice" => MechanismKind::Twice,
-            "aqua" => MechanismKind::Aqua,
-            "rega" => MechanismKind::Rega,
-            "rfm" => MechanismKind::Rfm,
-            "prac" => MechanismKind::Prac,
-            "blockhammer" => MechanismKind::BlockHammer,
-            _ => return None,
-        })
+        let named = |candidate: &&str| candidate.eq_ignore_ascii_case(name);
+        REGISTRY
+            .iter()
+            .find(|(_, label, aliases, _)| named(label) || aliases.iter().any(named))
+            .map(|row| row.0)
     }
 
     /// Instantiates the mechanism for the given system configuration.
@@ -204,27 +217,7 @@ impl MechanismKind {
         nrh: u64,
         seed: u64,
     ) -> Box<dyn TriggerMechanism> {
-        let blast_radius = 1;
-        match self {
-            MechanismKind::None => Box::new(NoMitigation::new()),
-            MechanismKind::Para => Box::new(Para::new(geometry.clone(), nrh, blast_radius, seed)),
-            MechanismKind::Graphene => {
-                Box::new(Graphene::new(geometry.clone(), timing, nrh, blast_radius))
-            }
-            MechanismKind::Hydra => {
-                Box::new(Hydra::new(geometry.clone(), timing, nrh, blast_radius))
-            }
-            MechanismKind::Twice => {
-                Box::new(Twice::new(geometry.clone(), timing, nrh, blast_radius))
-            }
-            MechanismKind::Aqua => Box::new(Aqua::new(geometry.clone(), timing, nrh)),
-            MechanismKind::Rega => Box::new(Rega::new(nrh)),
-            MechanismKind::Rfm => Box::new(Rfm::new(geometry.clone(), nrh)),
-            MechanismKind::Prac => Box::new(Prac::new(geometry.clone(), nrh)),
-            MechanismKind::BlockHammer => {
-                Box::new(BlockHammer::new(geometry.clone(), timing, nrh, blast_radius))
-            }
-        }
+        (REGISTRY[self as usize].3)(geometry, timing, nrh, seed)
     }
 }
 

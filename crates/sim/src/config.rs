@@ -4,7 +4,7 @@ use bh_core::BreakHammerConfig;
 use bh_cpu::{CacheConfig, CoreConfig};
 use bh_dram::{DeviceConfig, DramGeometry, EnergyParams, FaultConfig, TimingParams};
 use bh_mem::MemControllerConfig;
-use bh_mitigation::MechanismKind;
+use bh_mitigation::{MechanismKind, MITIGATED_BLAST_RADIUS};
 
 /// Which kernel drives the simulation clock in [`crate::System::run`].
 ///
@@ -48,32 +48,32 @@ pub enum FrontEndKind {
 /// How the event-driven kernel steps the per-channel memory controllers in
 /// [`crate::System::run`].
 ///
-/// Both variants produce bit-identical [`crate::SimulationResult`]s; serial
-/// stepping is retained as the executable reference model (the golden-digest
+/// Both variants run on the calling thread and produce bit-identical
+/// [`crate::SimulationResult`]s; serial stepping is the default, and
+/// `Parallel` is kept as the channel-independence oracle (the golden-digest
 /// matrices and `tests/parallel_differential.rs` at the workspace root pin
 /// the equivalence). The per-cycle kernel ignores this knob — it has no
 /// cross-channel dead time to batch.
 ///
-/// Parallel stepping batches the controllers in *epochs*: after a step at
+/// `Parallel` stepping decouples the controllers in *epochs*: after a step at
 /// cycle `a`, the kernel derives a horizon `h` before which no cross-channel
 /// interaction can occur (no core wakes, no LLC fill completes, no
 /// BreakHammer window rotates, no quota is pending, and no in-epoch read can
 /// complete — `h ≤ a + 1 + read latency`). Each channel then advances
-/// through its own event chain to `h` independently (on the worker pool when
-/// the epoch is wide enough, inline otherwise), recording its
-/// BreakHammer-observable events; a single-threaded merge replays those
+/// through its own event chain to `h` without looking at the others,
+/// recording its BreakHammer-observable events; a merge replays those
 /// events into the shared observer in (cycle, channel-index) order — the
 /// exact order the serial schedule produces — before the next full step at
-/// `h`. Worker count and dispatch heuristics can therefore never change the
-/// simulated behaviour, only the wall-clock.
+/// `h`. A result that differs from serial stepping therefore means two
+/// channels interacted inside an epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ChannelStepping {
     /// Reference: every channel controller is ticked at every stepped cycle.
     #[default]
     Serial,
-    /// Epoch-barrier stepping: channels advance to the merged next-event
-    /// horizon independently, then cross-channel effects are merged in
-    /// channel-index order.
+    /// Epoch stepping: channels advance to the merged next-event horizon
+    /// independently (one after another), then cross-channel effects are
+    /// merged in channel-index order.
     Parallel,
 }
 
@@ -349,6 +349,17 @@ impl SystemConfig {
         if self.geometry.channels == 0 {
             return Err("the memory system needs at least one channel".to_string());
         }
+        // `MechanismKind::build` takes no radius: every mechanism refreshes
+        // victims up to its fixed distance, so a device disturbing rows
+        // farther out would flip bits the mechanism never protects.
+        if self.mechanism != MechanismKind::None
+            && self.device.blast_radius > MITIGATED_BLAST_RADIUS
+        {
+            return Err(format!(
+                "device.blast_radius = {} but {} only refreshes victims within distance {}",
+                self.device.blast_radius, self.mechanism, MITIGATED_BLAST_RADIUS
+            ));
+        }
         self.cache.validate()?;
         self.memctrl.validate()?;
         self.timing.validate()?;
@@ -415,5 +426,26 @@ mod tests {
         let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
         c.cores = 2; // memctrl still configured for 4 threads
         assert!(c.validate().is_err());
+    }
+
+    /// `MechanismKind::build` refreshes distance-1 victims only: a device
+    /// that disturbs distance-2 rows would silently void every guarantee.
+    #[test]
+    fn validation_rejects_a_blast_radius_the_mechanisms_do_not_cover() {
+        for kind in MechanismKind::ALL {
+            for base in [SystemConfig::paper_table1, SystemConfig::fast_test] {
+                let mut c = base(kind, 1024, false);
+                assert_eq!(c.device.blast_radius, MITIGATED_BLAST_RADIUS);
+                assert_eq!(c.validate(), Ok(()), "{kind}");
+                c.device.blast_radius = MITIGATED_BLAST_RADIUS + 1;
+                // Nothing to void without a mechanism: the baseline may
+                // measure flips at any radius.
+                assert_eq!(c.validate().is_err(), kind != MechanismKind::None, "{kind}");
+            }
+        }
+        let mut c = SystemConfig::fast_test(MechanismKind::Graphene, 1024, true);
+        c.device.blast_radius = 2;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("blast_radius = 2") && err.contains("Graphene"), "{err}");
     }
 }

@@ -235,7 +235,7 @@ impl FrontEnd {
     }
 }
 
-/// The epoch-parallel kernel's decision for what follows the current step
+/// The epoch kernel's decision for what follows the current step
 /// (see [`System::plan_next`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Plan {
@@ -636,12 +636,12 @@ impl System {
         self.finish(dram_cycle)
     }
 
-    /// The epoch-parallel kernel: like [`System::run_event_driven`], but
+    /// The epoch kernel: like [`System::run_event_driven`], but
     /// whenever the memory system is the only busy layer — every core is
     /// stalled, no LLC fill is due, no BreakHammer window edge or unsynced
     /// quota intervenes — the channels advance *independently* through one
-    /// epoch up to the merged horizon `h` (possibly on the worker pool, see
-    /// [`MemorySystem::advance_epoch`]), and the skipped cycles' core-side
+    /// epoch up to the merged horizon `h` (one after another on this thread,
+    /// see [`MemorySystem::advance_epoch`]), and the skipped cycles' core-side
     /// counters replay in bulk exactly as in the serial skip path. The step
     /// at `h` then runs through the ordinary serial path, applying every
     /// cross-channel effect (BreakHammer replay already happened at the
@@ -677,7 +677,7 @@ impl System {
                     let h = h.min(self.watchdog.horizon_cap());
                     self.memory.advance_epoch(dram_cycle, h);
                     // The interior cycles' core-side replay: identical to
-                    // the serial skip except that the channel workers have
+                    // the serial skip except that the channel epochs have
                     // already accounted their own enqueue-rejection retries.
                     self.skip_core_cycles(h - dram_cycle - 1, &mut clock);
                     dram_cycle = h;
@@ -876,7 +876,7 @@ impl System {
         next
     }
 
-    /// The epoch-parallel kernel's planning pass, run right after the step at
+    /// The epoch kernel's planning pass, run right after the step at
     /// `dram_cycle`: decides between an independent-channel epoch and the
     /// serial skip, leaving the per-core progress analysis either replay
     /// needs in `progress_buf`.
@@ -966,7 +966,7 @@ impl System {
     /// stalled cores' cycle/stall counters and rejected LLC probes for
     /// `dead_cycles` DRAM cycles, using the classifications `progress_buf`
     /// captured at the decision point. Epoch replay uses this half alone —
-    /// the channel workers account their own enqueue-rejection retries.
+    /// the channel epochs account their own enqueue-rejection retries.
     fn skip_core_cycles(&mut self, dead_cycles: u64, clock: &mut CpuClock) {
         let cpu_ticks = clock.advance(dead_cycles);
         if cpu_ticks > 0 {

@@ -1,7 +1,7 @@
-//! Differential testing of epoch-parallel channel stepping.
+//! Differential testing of epoch channel stepping.
 //!
 //! `ChannelStepping::Parallel` advances the per-channel memory controllers
-//! independently through barrier epochs (on worker threads when profitable)
+//! independently through epochs (one after another, on the calling thread)
 //! and must be *bit-identical* to `ChannelStepping::Serial` — same IPCs,
 //! preventive actions, suspect flags, latency histograms, energy, the whole
 //! [`SimulationResult`] — with one deliberate exception: the `stepping`
@@ -57,10 +57,12 @@ fn assert_parallel_identical(config: SystemConfig, traces: &[Trace], required: V
         traces,
         required.clone(),
     );
+    let stepping = parallel.stepping;
     assert!(
-        parallel.stepping.epochs > 0,
-        "no epoch ran for {label} — the differential lost its coverage"
+        stepping.epochs > 0 && stepping.epoch_cycles > 0,
+        "no epoch ran for {label} — the differential lost its coverage: {stepping:?}"
     );
+    assert_eq!(stepping.parallel_epochs, 0, "epochs run on the calling thread ({label})");
     let serial = run_with(
         config.clone(),
         SchedulerKind::EventDriven,
@@ -115,8 +117,8 @@ fn channel_counts_are_identical_across_stepping() {
     }
 }
 
-/// Single-channel systems take the same epoch path (inline, no pool) and
-/// must stay pinned too — this is the configuration the 40-config golden
+/// Single-channel systems take the same epoch path and must stay pinned
+/// too — this is the configuration the 40-config golden
 /// digests run at.
 #[test]
 fn single_channel_is_identical_across_stepping() {
