@@ -1,8 +1,8 @@
 //! `bh_analyze` — the workspace determinism-and-safety lint pass.
 //!
 //! The BreakHammer reproduction pins its simulation outputs with golden
-//! digests: every kernel, front-end and stepping mode must produce
-//! byte-identical `SimulationResult`s. That guarantee is easy to break with
+//! digests: every kernel and front-end must produce byte-identical
+//! `SimulationResult`s. That guarantee is easy to break with
 //! ordinary Rust — iterate a `HashMap`, read the wall clock, forget a field
 //! in a stats-merge destructure — and none of those mistakes fail to
 //! compile. `bh_analyze` makes them fail CI instead.

@@ -54,7 +54,7 @@
 use bh_bench::campaign::{
     evaluated_cells, pending_failures, report_table, verdict_cells, CampaignSpec, ResultStore,
 };
-use bh_bench::{figures, render_results, BenchEnv};
+use bh_bench::{config_matrix, figures, render_results, BenchEnv};
 use bh_mitigation::MechanismKind;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -117,6 +117,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                         })
                         .collect::<Result<_, _>>()?
                 };
+                if let Some(repeated) = first_repeat(&options.mechanisms) {
+                    return Err(format!("--mechanisms: {repeated} is listed twice"));
+                }
             }
             "--nrh" => options.nrh_values = Some(parse_list(&value()?, "--nrh")?),
             "--seeds" => options.seeds = Some(parse_list(&value()?, "--seeds")?),
@@ -170,11 +173,25 @@ fn parse_list(list: &str, flag: &str) -> Result<Vec<u64>, String> {
     if parsed.is_empty() {
         return Err(format!("{flag} selected nothing"));
     }
+    // A repeated entry would evaluate and append every one of its cells twice.
+    if let Some(repeated) = first_repeat(&parsed) {
+        return Err(format!("{flag}: {repeated} is listed twice"));
+    }
     Ok(parsed)
 }
 
-fn build_spec(options: &Options) -> CampaignSpec {
-    let env = BenchEnv::from_env();
+fn first_repeat<T: PartialEq>(list: &[T]) -> Option<&T> {
+    list.iter().enumerate().find(|(i, item)| list[..*i].contains(item)).map(|(_, item)| item)
+}
+
+/// The sweep `options` describe at `env`'s scale.
+///
+/// # Errors
+/// If the (mechanism × N_RH × ±BreakHammer) matrix is empty or holds a
+/// configuration `SystemConfig::validate` rejects: a sweep that cannot
+/// evaluate is a usage error raised before any store file is touched, not a
+/// store of `"failed"` lines every `resume` retries.
+fn build_spec(options: &Options, env: BenchEnv) -> Result<CampaignSpec, String> {
     let mut spec = CampaignSpec::from_scale(env.scale, options.mechanisms.clone(), options.attack);
     spec.cell_timeout = env.cell_timeout;
     if let Some(nrh) = &options.nrh_values {
@@ -189,7 +206,17 @@ fn build_spec(options: &Options) -> CampaignSpec {
     // configuration (watchdog path), end to end.
     spec.force_panic_mix = bh_core::knobs::raw("BH_TEST_FORCE_PANIC_MIX").filter(|s| !s.is_empty());
     spec.force_spin_mix = bh_core::knobs::raw("BH_TEST_FORCE_SPIN_MIX").filter(|s| !s.is_empty());
-    spec
+    let configs =
+        config_matrix(&spec.mechanisms, &spec.nrh_values, &spec.breakhammer_options, &spec.scale);
+    if configs.is_empty() {
+        return Err("the options select no configuration (the `none` mechanism has no \
+                    BreakHammer arm)"
+            .to_string());
+    }
+    for config in &configs {
+        config.validate()?;
+    }
+    Ok(spec)
 }
 
 fn run(args: Vec<String>) -> Result<ExitCode, String> {
@@ -205,6 +232,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         }
         "sweep" | "resume" => {
             let options = parse_options(rest)?;
+            let spec = build_spec(&options, BenchEnv::from_env())?;
             let resume = command == "resume";
             // Settled = ok + livelock + budget: a deterministic verdict reruns
             // to itself, so resume skips it; only panicked cells are retried.
@@ -219,7 +247,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 ResultStore::create(&options.store)
             }
             .map_err(|e| e.to_string())?;
-            let spec = build_spec(&options);
             let summary = spec.run(&store, &settled, options.max_cells);
             println!(
                 "{} cells: {} evaluated ({} livelock, {} budget), {} already in store, \
@@ -299,5 +326,44 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `sweep`/`resume` options through to the checked spec, at the default
+    /// scale with no `BH_*` variable set.
+    fn spec_for(args: &[&str]) -> Result<CampaignSpec, String> {
+        let mut args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        args.extend(["--store".to_string(), "unused.jsonl".to_string()]);
+        let env = BenchEnv::from_lookup_with_warnings(|_| None).0;
+        build_spec(&parse_options(&args)?, env)
+    }
+
+    #[test]
+    fn repeated_list_entries_are_rejected_by_name() {
+        assert_eq!(parse_list("256, 64", "--nrh"), Ok(vec![256, 64]));
+        assert_eq!(parse_list("256,64,256", "--nrh").unwrap_err(), "--nrh: 256 is listed twice");
+        assert_eq!(spec_for(&["--seeds", "7,7"]).unwrap_err(), "--seeds: 7 is listed twice");
+        let err = spec_for(&["--mechanisms", "graphene,para,Graphene"]).unwrap_err();
+        assert_eq!(err, "--mechanisms: Graphene is listed twice");
+    }
+
+    #[test]
+    fn an_empty_configuration_matrix_is_rejected() {
+        let err = spec_for(&["--mechanisms", "none", "--breakhammer", "on"]).unwrap_err();
+        assert!(err.contains("no configuration"), "{err}");
+        // `none` beside a real mechanism, or with its one arm, is a sweep.
+        assert!(spec_for(&["--mechanisms", "none,para", "--breakhammer", "on"]).is_ok());
+        assert!(spec_for(&["--mechanisms", "none", "--breakhammer", "off"]).is_ok());
+    }
+
+    #[test]
+    fn a_threshold_below_the_mechanisms_minimum_is_rejected() {
+        let err = spec_for(&["--mechanisms", "graphene,hydra", "--nrh", "64,4"]).unwrap_err();
+        assert!(err.contains("Hydra") && err.contains("N_RH >= 8"), "{err}");
+        assert!(spec_for(&["--mechanisms", "graphene,hydra", "--nrh", "64,8"]).is_ok());
     }
 }

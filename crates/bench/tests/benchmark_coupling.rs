@@ -48,8 +48,9 @@ fn system_config_debug_text_is_pinned() {
 
 #[test]
 fn simulation_result_debug_text_is_pinned() {
-    // A tiny two-channel attack run under epoch stepping, so the stepping
-    // counters are non-zero before the reset the benchmark also applies.
+    // A tiny two-channel attack run with the inert `Parallel` name set: the
+    // hash below was computed from serial-equivalent output, so it also pins
+    // that `Parallel` yields the serial result.
     let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, true).with_channels(2);
     config.instructions_per_core = 3_000;
     config.stepping = ChannelStepping::Parallel;
@@ -68,7 +69,6 @@ fn simulation_result_debug_text_is_pinned() {
     traces.push(attacker.trace(&config.geometry, config.memctrl.mapping, 1_000, 1_000));
 
     let mut result = System::new(config, &traces, vec![0, 1, 2]).run();
-    assert!(result.stepping.epoch_cycles > 0, "the reset below must have something to reset");
     result.stepping = SteppingStats::default();
     let text = format!("{result:?}");
     assert_eq!(fnv1a64(&text), 0xa747_4dd6_0deb_3190, "{REMEDY}\n{result:#?}");

@@ -128,11 +128,6 @@ impl BreakHammer {
         self.threads[thread.index()].suspect_now
     }
 
-    /// True if `thread` was a suspect in the previous throttling window.
-    pub fn was_recent_suspect(&self, thread: ThreadId) -> bool {
-        self.threads[thread.index()].recent_suspect
-    }
-
     /// Number of windows in which `thread` has been identified as a suspect.
     pub fn suspect_windows(&self, thread: ThreadId) -> u64 {
         self.threads[thread.index()].suspect_windows
@@ -404,7 +399,6 @@ mod tests {
             round(&mut b, window + i, 100, 1);
         }
         assert_eq!(b.quota(ThreadId(0)), 5);
-        assert!(b.was_recent_suspect(ThreadId(0)));
         // Window 2: keep attacking -> 4.
         for i in 0..10u64 {
             round(&mut b, 2 * window + i, 100, 1);

@@ -6,14 +6,9 @@
 //! rule **E1** (`cargo run -p bh_analyze -- --deny`), so a knob can neither
 //! be added silently nor drift out of the documentation.
 //!
-//! The module also owns the *parse/warn-once* helper every scattered read
-//! site shares: a set-but-unusable value (garbage where a number is needed,
-//! `0` where a positive count is needed) falls back to its default with a
-//! one-time stderr warning naming the variable, the rejected value and the
-//! fallback used — one implementation instead of one `static Once` per site.
-
-use std::collections::BTreeSet;
-use std::sync::Mutex;
+//! [`raw`] is the one read of the process environment; parsing, and the
+//! `warning:` line for a set-but-unusable value, belong to the caller
+//! (`bh_bench::scale::BenchEnv`).
 
 /// One registered `BH_*` environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,54 +161,6 @@ pub fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// Emits `warning: {message}` on stderr at most once per knob name for the
-/// lifetime of the process — the shared warn-once guard behind every parse
-/// helper (one implementation instead of one `static Once` per read site).
-fn warn_once(name: &str, message: &str) {
-    static WARNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut warned = WARNED.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    // Leak-free interning is not worth it for a bounded registry: look the
-    // name up in the static table so the set holds `&'static str` only.
-    let Some(knob) = find(name) else { return };
-    if warned.insert(knob.name) {
-        eprintln!("warning: {message}");
-    }
-}
-
-/// Reads and parses a registered knob with a caller-supplied parser.
-///
-/// Returns `None` when the variable is unset. When it is set but `parse`
-/// rejects it, warns once on stderr — naming the variable, the rejected
-/// value (`problem` describes what was expected) and `fallback_desc` — and
-/// returns `None` so the caller applies its default. This is the one
-/// parse/warn-once implementation every knob read site shares.
-pub fn parse_or_warn<T>(
-    name: &str,
-    parse: impl Fn(&str) -> Option<T>,
-    problem: &str,
-    fallback_desc: &str,
-) -> Option<T> {
-    let raw = raw(name)?;
-    match parse(raw.trim()) {
-        Some(value) => Some(value),
-        None => {
-            warn_once(name, &format!("{name}={raw:?} {problem}; falling back to {fallback_desc}"));
-            None
-        }
-    }
-}
-
-/// Parses a knob as a positive count, warning once and returning `None` on
-/// garbage or `0`.
-pub fn positive_usize(name: &str, fallback_desc: &str) -> Option<usize> {
-    parse_or_warn(
-        name,
-        |raw| raw.parse::<usize>().ok().filter(|&n| n > 0),
-        "is not a positive integer",
-        fallback_desc,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +198,5 @@ mod tests {
     fn unset_knob_reads_none() {
         // BH_TEST_FORCE_PANIC_MIX is never set in the test environment.
         assert_eq!(raw("BH_TEST_FORCE_PANIC_MIX"), None);
-        assert_eq!(positive_usize("BH_TEST_FORCE_PANIC_MIX", "default"), None);
     }
 }

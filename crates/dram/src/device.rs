@@ -340,15 +340,9 @@ impl DramChannel {
     /// Earliest cycle at which a demand-class command (`Read`, `Write`,
     /// `Activate` or `Precharge`) may issue to the bank with flat index
     /// `flat` — equivalent to [`DramChannel::earliest_issue`] for those
-    /// kinds, but takes the cached flat index instead of re-deriving it and
-    /// needs no `DramCommand`.
-    pub fn demand_ready_at(&self, flat: usize, bank_addr: BankAddr, kind: CommandKind) -> Cycle {
-        self.demand_ready_at_cached(flat, self.group_index(bank_addr), bank_addr.rank, kind)
-    }
-
-    /// Like [`DramChannel::demand_ready_at`], but with the bank-group and
-    /// rank indices also pre-resolved by the caller (the hottest scheduler
-    /// path: pure loads and maxes).
+    /// kinds, but needs no `DramCommand`: the flat bank, bank-group and rank
+    /// indices are pre-resolved by the caller (the hottest scheduler path:
+    /// pure loads and maxes).
     ///
     /// # Panics
     /// Panics (debug) or computes a precharge horizon (release) for

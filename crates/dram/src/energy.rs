@@ -122,13 +122,6 @@ impl EnergyCounters {
             + self.victim_refreshes as f64 * params.victim_refresh_nj
     }
 
-    /// Energy attributable to RowHammer-preventive work only (victim
-    /// refreshes and RFM windows), in nanojoules.
-    pub fn preventive_nj(&self, params: &EnergyParams) -> f64 {
-        self.victim_refreshes as f64 * params.victim_refresh_nj
-            + self.rfm_commands as f64 * params.rfm_nj
-    }
-
     /// Adds another set of counters into this one.
     pub fn merge(&mut self, other: &EnergyCounters) {
         self.activations += other.activations;
@@ -174,7 +167,6 @@ mod tests {
             + 2.0 * p.rfm_nj
             + 4.0 * p.victim_refresh_nj;
         assert!((c.dynamic_nj(&p) - expected).abs() < 1e-9);
-        assert!((c.preventive_nj(&p) - (2.0 * p.rfm_nj + 4.0 * p.victim_refresh_nj)).abs() < 1e-9);
     }
 
     #[test]

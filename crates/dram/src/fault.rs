@@ -46,13 +46,6 @@ pub enum FaultModel {
     },
 }
 
-impl FaultModel {
-    /// True for the probabilistic variant.
-    pub fn is_probabilistic(&self) -> bool {
-        matches!(self, FaultModel::Probabilistic { .. })
-    }
-}
-
 /// The ECC scheme layered over the raw flips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EccMode {
@@ -205,7 +198,6 @@ mod tests {
         let config = FaultConfig::default();
         assert_eq!(config.model, FaultModel::Threshold);
         assert_eq!(config.ecc, EccMode::None);
-        assert!(!config.model.is_probabilistic());
         assert_eq!(config.validate(), Ok(()));
     }
 

@@ -199,20 +199,6 @@ impl DramGeometry {
         BankAddr { rank, bank_group, bank }
     }
 
-    /// Flattens a row (bank + row index) to a dense index in
-    /// `0..rows_per_channel()`, useful as a key for per-row tracking tables.
-    pub fn flat_row(&self, row: RowAddr) -> usize {
-        assert!(row.row < self.rows_per_bank, "row {} out of range", row.row);
-        self.flat_bank(row.bank) * self.rows_per_bank + row.row
-    }
-
-    /// Inverse of [`DramGeometry::flat_row`].
-    pub fn row_from_flat(&self, flat: usize) -> RowAddr {
-        assert!(flat < self.rows_per_channel(), "flat row index {flat} out of range");
-        let bank = self.bank_from_flat(flat / self.rows_per_bank);
-        RowAddr { bank, row: flat % self.rows_per_bank }
-    }
-
     /// Iterates over every bank address of one channel in flat order.
     pub fn iter_banks(&self) -> impl Iterator<Item = BankAddr> + '_ {
         (0..self.banks_per_channel()).map(|i| self.bank_from_flat(i))
@@ -330,15 +316,6 @@ mod tests {
             }
         }
         assert!(seen.into_iter().all(|s| s));
-    }
-
-    #[test]
-    fn flat_row_roundtrip() {
-        let g = DramGeometry::tiny();
-        for flat in (0..g.rows_per_channel()).step_by(7) {
-            let row = g.row_from_flat(flat);
-            assert_eq!(g.flat_row(row), flat);
-        }
     }
 
     #[test]

@@ -362,11 +362,6 @@ impl RowHammerTracker {
         &self.geometry
     }
 
-    /// The fault model in use.
-    pub fn fault_model(&self) -> &FaultModel {
-        &self.model
-    }
-
     /// The sampled threshold of a specific row: `nrh` under the hard
     /// threshold model, the per-row sample under the probabilistic one
     /// (`None` for a row whose sample exceeds the countable range).
@@ -600,7 +595,6 @@ mod tests {
     #[test]
     fn default_constructor_keeps_the_hard_threshold_model() {
         let t = tracker(8);
-        assert_eq!(*t.fault_model(), FaultModel::Threshold);
         assert_eq!(t.row_threshold(row(0, 5)), Some(8));
     }
 }

@@ -126,50 +126,6 @@ impl ControllerStats {
     }
 }
 
-/// One BreakHammer-observable event of a controller tick, recorded by
-/// [`BhSink::Record`] for deferred replay. The channel is implicit: each
-/// channel records into its own buffer, and the multi-channel merge replays
-/// buffers in (cycle, channel-index) order — the order the serial schedule
-/// reports the same events in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BhEvent {
-    /// DRAM cycle at which the event occurred.
-    pub cycle: Cycle,
-    /// What happened.
-    pub kind: BhEventKind,
-}
-
-/// The kind of a recorded [`BhEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BhEventKind {
-    /// A demand row activation by `ThreadId` (BreakHammer's per-thread
-    /// activation attribution, §5 of the paper).
-    Activation(ThreadId),
-    /// A preventive action requested by this channel's mitigation mechanism
-    /// (BreakHammer's score attribution input).
-    PreventiveAction,
-}
-
-/// Destination for the BreakHammer-observable events of one controller tick.
-///
-/// Serial stepping passes the live shared observer ([`BhSink::Live`]);
-/// epoch stepping advances one channel through a whole epoch before the
-/// next, so the observer would see events out of cycle order: they are
-/// recorded per channel ([`BhSink::Record`]) and replayed into the observer
-/// in (cycle, channel) order at the epoch merge.
-/// The recorded stream preserves the exact per-tick event order (the
-/// activation, then its preventive actions in sink order), so replay is
-/// bit-identical to live observation.
-#[derive(Debug)]
-pub enum BhSink<'a> {
-    /// BreakHammer is disabled; events are dropped.
-    None,
-    /// The live system-wide observer (serial stepping).
-    Live(&'a mut BreakHammer),
-    /// Record events for deferred replay (epoch stepping).
-    Record(&'a mut Vec<BhEvent>),
-}
-
 /// Maximum consecutive ticks the head of the preventive queue may be
 /// deferred in favour of pending demand row-hits — enough for several column
 /// accesses (tCCD apart) to drain, small enough that a sustained hit stream
@@ -570,19 +526,8 @@ impl MemoryController {
     /// `breakhammer` is the shared memory-system-wide observer (or `None`
     /// when BreakHammer is disabled): demand activations and preventive
     /// actions performed during this tick are reported to it.
-    pub fn tick(&mut self, cycle: Cycle, breakhammer: Option<&mut BreakHammer>) {
-        match breakhammer {
-            Some(bh) => self.tick_sink(cycle, BhSink::Live(bh)),
-            None => self.tick_sink(cycle, BhSink::None),
-        }
-    }
-
-    /// [`MemoryController::tick`] with an explicit BreakHammer event sink:
-    /// epoch stepping passes [`BhSink::Record`] so a channel can advance
-    /// ahead of the shared observer (the recorded events replay at the epoch
-    /// merge, in the order serial stepping would have reported them).
-    pub fn tick_sink(&mut self, cycle: Cycle, mut bh_sink: BhSink<'_>) {
-        if let BhSink::Live(bh) = &mut bh_sink {
+    pub fn tick(&mut self, cycle: Cycle, mut breakhammer: Option<&mut BreakHammer>) {
+        if let Some(bh) = breakhammer.as_deref_mut() {
             bh.advance_to(cycle);
         }
         // Fast path: a previous tick proved nothing can happen before
@@ -606,7 +551,7 @@ impl MemoryController {
         // pass would choose now.
         if let Some(Plan { use_writes, slot, step, at }) = self.plan.take() {
             if at == cycle {
-                self.service(use_writes, slot, step, cycle, bh_sink);
+                self.service(use_writes, slot, step, cycle, breakhammer);
                 self.idle_until = 0;
                 return;
             }
@@ -646,7 +591,7 @@ impl MemoryController {
                 continue;
             };
             if at <= cycle {
-                self.service(use_writes, slot, step, cycle, bh_sink);
+                self.service(use_writes, slot, step, cycle, breakhammer);
                 // A command was issued: timing and queue state changed, so
                 // the next tick must re-derive its decisions from scratch.
                 self.idle_until = 0;
@@ -969,7 +914,7 @@ impl MemoryController {
         slot: usize,
         step: ServiceStep,
         cycle: Cycle,
-        bh_sink: BhSink<'_>,
+        breakhammer: Option<&mut BreakHammer>,
     ) {
         #[cfg(test)]
         tests::DEMAND_COMMANDS.set(tests::DEMAND_COMMANDS.get() + 1);
@@ -1015,7 +960,7 @@ impl MemoryController {
                 if !self.mark_classified(use_writes, slot) {
                     self.stats.row_misses += 1;
                 }
-                self.on_demand_activation(entry.loc, entry.req.thread, cycle, bh_sink);
+                self.on_demand_activation(entry.loc, entry.req.thread, cycle, breakhammer);
             }
         }
     }
@@ -1037,15 +982,11 @@ impl MemoryController {
         loc: DramLocation,
         thread: ThreadId,
         cycle: Cycle,
-        mut bh_sink: BhSink<'_>,
+        mut breakhammer: Option<&mut BreakHammer>,
     ) {
         self.stats.demand_activations += 1;
-        match &mut bh_sink {
-            BhSink::Live(bh) => bh.on_activation(thread, cycle),
-            BhSink::Record(buf) => {
-                buf.push(BhEvent { cycle, kind: BhEventKind::Activation(thread) })
-            }
-            BhSink::None => {}
+        if let Some(bh) = breakhammer.as_deref_mut() {
+            bh.on_activation(thread, cycle);
         }
         let event = ActivationEvent { row: loc.row_addr(), thread, cycle };
         // Move the sink out so its borrow does not alias `self` while the
@@ -1056,12 +997,8 @@ impl MemoryController {
         self.mechanism.on_activation(&event, &mut sink);
         for action in sink.iter() {
             self.expand_action(action);
-            match &mut bh_sink {
-                BhSink::Live(bh) => bh.on_preventive_action_from(self.channel_index, cycle),
-                BhSink::Record(buf) => {
-                    buf.push(BhEvent { cycle, kind: BhEventKind::PreventiveAction });
-                }
-                BhSink::None => {}
+            if let Some(bh) = breakhammer.as_deref_mut() {
+                bh.on_preventive_action_from(self.channel_index, cycle);
             }
         }
         self.sink = sink;

@@ -49,7 +49,7 @@ pub mod request;
 pub mod system;
 
 pub use config::MemControllerConfig;
-pub use controller::{BhEvent, BhEventKind, BhSink, ControllerStats, MemoryController};
+pub use controller::{ControllerStats, MemoryController};
 pub use latency::LatencyHistogram;
 pub use mapping::{AddressMapping, ChannelInterleave, MappingScheme};
 pub use request::{MemRequest, MemResponse};

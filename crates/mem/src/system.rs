@@ -28,7 +28,7 @@
 //! bit-for-bit.
 
 use crate::config::MemControllerConfig;
-use crate::controller::{BhEvent, BhEventKind, BhSink, ControllerStats, MemoryController};
+use crate::controller::{ControllerStats, MemoryController};
 use crate::latency::LatencyHistogram;
 use crate::request::{MemRequest, MemResponse};
 use bh_core::BreakHammer;
@@ -36,45 +36,23 @@ use bh_dram::{Cycle, DramChannel, DramGeometry, PhysAddr, ThreadId};
 use bh_mitigation::TriggerMechanism;
 use std::collections::VecDeque;
 
-/// Counters describing epoch-decoupled channel stepping (see
-/// [`MemorySystem::advance_epoch`]). All zeros under serial stepping.
-// bh-exhaustive: `accumulate` destructures every field; bh_analyze rule X1
-// rejects any `..` at a `SteppingStats { .. }` use site.
+/// The counters of the deleted epoch channel stepping. Nothing writes them:
+/// `bh_sim::SimulationResult::stepping` is always all zeros. The struct
+/// stays, with these five field names, only because `benchmark/expected/`
+/// hashes its `Debug` text and `benchmark/src/layers.rs` reads
+/// `epoch_cycles`; it goes with `bh_sim::ChannelStepping` (ROADMAP item 2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SteppingStats {
-    /// Epochs executed.
+    /// Always 0.
     pub epochs: u64,
-    /// Always 0: every epoch runs on the calling thread. The field stays
-    /// because `benchmark/expected/` hashes this struct's `Debug` text.
+    /// Always 0.
     pub parallel_epochs: u64,
-    /// DRAM cycles covered by epochs (the merged steps the serial schedule
-    /// would have executed one by one).
+    /// Always 0.
     pub epoch_cycles: u64,
-    /// Controller tick events processed inside epochs, across channels.
+    /// Always 0.
     pub channel_events: u64,
-    /// Recorded BreakHammer events replayed at epoch merges.
+    /// Always 0.
     pub bh_events_replayed: u64,
-}
-
-impl SteppingStats {
-    /// Adds another run's counters into this one (campaign aggregation).
-    pub fn accumulate(&mut self, other: &SteppingStats) {
-        // Exhaustive destructuring (no `..`): adding a counter without
-        // aggregating it here is a compile error, not a silent zero in
-        // campaign-level summaries.
-        let SteppingStats {
-            epochs,
-            parallel_epochs,
-            epoch_cycles,
-            channel_events,
-            bh_events_replayed,
-        } = other;
-        self.epochs += epochs;
-        self.parallel_epochs += parallel_epochs;
-        self.epoch_cycles += epoch_cycles;
-        self.channel_events += channel_events;
-        self.bh_events_replayed += bh_events_replayed;
-    }
 }
 
 /// A multi-channel memory system: per-channel controllers + mitigation
@@ -96,14 +74,6 @@ pub struct MemorySystem {
     /// routing and per-channel iteration and forward straight to
     /// `controllers[0]`.
     single_channel: bool,
-    /// Per-channel BreakHammer event recordings of the current epoch
-    /// (cleared at each epoch start; merged in (cycle, channel) order once
-    /// every channel has reached the epoch's end).
-    bh_events: Vec<Vec<BhEvent>>,
-    /// Per-channel cursors of the epoch-merge replay (scratch).
-    merge_cursors: Vec<usize>,
-    /// Epoch-stepping counters.
-    stepping: SteppingStats,
 }
 
 impl std::fmt::Debug for MemorySystem {
@@ -148,21 +118,10 @@ impl MemorySystem {
         if let Some(bh) = breakhammer.as_mut() {
             bh.declare_channels(controllers.len());
         }
-        let channels_len = controllers.len();
         let pending_enqueue: Vec<VecDeque<MemRequest>> =
             controllers.iter().map(|_| VecDeque::new()).collect();
-        let bh_events = controllers.iter().map(|_| Vec::new()).collect();
-        let single_channel = channels_len == 1;
-        MemorySystem {
-            controllers,
-            breakhammer,
-            pending_enqueue,
-            pending_total: 0,
-            single_channel,
-            bh_events,
-            merge_cursors: vec![0; channels_len],
-            stepping: SteppingStats::default(),
-        }
+        let single_channel = controllers.len() == 1;
+        MemorySystem { controllers, breakhammer, pending_enqueue, pending_total: 0, single_channel }
     }
 
     /// Number of memory channels.
@@ -262,80 +221,6 @@ impl MemorySystem {
         }
     }
 
-    /// Advances every channel independently from `from` up to (and
-    /// excluding) `to` — one *epoch*, run channel by channel on the calling
-    /// thread — then replays the channels' recorded BreakHammer events into
-    /// the shared observer in (cycle, channel-index) order: exactly the
-    /// order the serial schedule reports the same events in, since the
-    /// serial kernel ticks channels in index order within each merged step.
-    /// The caller performs the step at `to` itself through the normal serial
-    /// path, which applies the remaining cross-channel effects (response
-    /// draining, retry promotion, quota propagation) under the serial
-    /// ordering.
-    ///
-    /// The epoch contract — the caller must guarantee that `to` does not
-    /// exceed the earliest cross-channel synchronization point: the shared
-    /// observer's next window edge (so window rotations never fall inside an
-    /// epoch) and the earliest cycle a core could unstall and issue new
-    /// traffic. Within those bounds the channels are fully independent, so
-    /// epoch and serial execution are bit-identical.
-    pub fn advance_epoch(&mut self, from: Cycle, to: Cycle) {
-        debug_assert!(to > from + 1, "an epoch must cover at least one interior cycle");
-        let record = self.breakhammer.is_some();
-        self.stepping.epochs += 1;
-        self.stepping.epoch_cycles += to - from;
-        for ((ctrl, pending), events) in self
-            .controllers
-            .iter_mut()
-            .zip(self.pending_enqueue.iter_mut())
-            .zip(self.bh_events.iter_mut())
-        {
-            events.clear();
-            self.stepping.channel_events +=
-                advance_channel(ctrl, pending, record.then_some(events), from, to);
-        }
-        self.pending_total = self.pending_enqueue.iter().map(VecDeque::len).sum();
-        if let Some(bh) = self.breakhammer.as_mut() {
-            // K-way merge by (cycle, channel). Scanning channels in
-            // ascending order with a strict `<` keeps the lowest channel on
-            // cycle ties, and within one (cycle, channel) the buffer order
-            // (activation first, then its preventive actions) is preserved —
-            // both exactly as the live serial schedule observes them.
-            let mut replayed = 0u64;
-            self.merge_cursors.fill(0);
-            loop {
-                let mut best: Option<(Cycle, usize)> = None;
-                for (channel, buf) in self.bh_events.iter().enumerate() {
-                    if let Some(ev) = buf.get(self.merge_cursors[channel]) {
-                        if best.is_none_or(|(cycle, _)| ev.cycle < cycle) {
-                            best = Some((ev.cycle, channel));
-                        }
-                    }
-                }
-                let Some((_, channel)) = best else { break };
-                let ev = self.bh_events[channel][self.merge_cursors[channel]];
-                self.merge_cursors[channel] += 1;
-                // Window rotations are pure no-ops inside an epoch (the
-                // caller capped `to` at the window edge), so skipping the
-                // live schedule's `advance_to` calls is behaviour-neutral.
-                debug_assert!(ev.cycle < bh.next_window_end());
-                match ev.kind {
-                    BhEventKind::Activation(thread) => bh.on_activation(thread, ev.cycle),
-                    BhEventKind::PreventiveAction => {
-                        bh.on_preventive_action_from(channel, ev.cycle);
-                    }
-                }
-                replayed += 1;
-            }
-            self.stepping.bh_events_replayed += replayed;
-        }
-    }
-
-    /// Epoch-stepping counters (all zeros under serial stepping).
-    pub fn stepping_stats(&self) -> &SteppingStats {
-        &self.stepping
-    }
-
     /// Advances every channel controller by one DRAM cycle. The shared
     /// BreakHammer instance observes all of them.
     pub fn tick(&mut self, cycle: Cycle) {
@@ -420,71 +305,6 @@ impl MemorySystem {
         }
         merged
     }
-}
-
-/// Advances one channel controller from `now = from` up to (excluding) `to`,
-/// visiting exactly the cycles at which this channel can make progress — the
-/// per-channel half of an epoch.
-///
-/// The protocol replays, event by event, what the serial kernel would have
-/// done for this channel at the merged steps inside `(from, to)`:
-///
-/// * At each of the channel's own event cycles `e` (its memoized `next_event`
-///   horizon), first retry the channel's deferred requests — queue space only
-///   opens when this channel issues, and a post-issue tick always schedules
-///   the `e + 1` event where the serial kernel's `retry_pending` would have
-///   promoted too — then tick the controller. The serial kernel's ticks at
-///   *other* channels' event cycles are pure no-ops here (the memo guarantees
-///   it) and are skipped entirely.
-/// * Cycles between own events with a still-blocked deferred request absorb
-///   one enqueue rejection each, exactly like the serial kernel's one failed
-///   front retry per step plus its bulk `absorb_enqueue_rejections` over dead
-///   cycles (a failed [`MemoryController::try_enqueue`] counts itself).
-///
-/// The step at `to` itself is *not* performed: the caller runs it through the
-/// normal serial path after the epoch merge, so cross-channel effects
-/// (response draining, quota propagation, BreakHammer window edges) happen
-/// under the serial schedule's ordering.
-///
-/// Returns the number of controller tick events processed.
-fn advance_channel(
-    ctrl: &mut MemoryController,
-    pending: &mut VecDeque<MemRequest>,
-    mut events: Option<&mut Vec<BhEvent>>,
-    from: Cycle,
-    to: Cycle,
-) -> u64 {
-    let mut now = from;
-    let mut ticks = 0u64;
-    loop {
-        let e = ctrl.next_event(now).max(now + 1);
-        if e >= to {
-            break;
-        }
-        if !pending.is_empty() {
-            let gap = e - now - 1;
-            if gap > 0 {
-                ctrl.absorb_enqueue_rejections(gap);
-            }
-            while let Some(req) = pending.front().copied() {
-                if ctrl.try_enqueue(req).is_ok() {
-                    pending.pop_front();
-                } else {
-                    break;
-                }
-            }
-        }
-        match events.as_deref_mut() {
-            Some(buf) => ctrl.tick_sink(e, BhSink::Record(buf)),
-            None => ctrl.tick_sink(e, BhSink::None),
-        }
-        ticks += 1;
-        now = e;
-    }
-    if !pending.is_empty() && to > now + 1 {
-        ctrl.absorb_enqueue_rejections(to - now - 1);
-    }
-    ticks
 }
 
 #[cfg(test)]
@@ -666,84 +486,6 @@ mod tests {
         assert_eq!(stats.actions_per_channel.iter().sum::<u64>(), stats.actions_observed);
         // The cross-channel score identified the hammering thread.
         assert!(bh.score(ThreadId(0)) > bh.score(ThreadId(1)));
-    }
-
-    /// Wide epochs (24 to 1 000 cycles) on four channels with BreakHammer
-    /// attached: `advance_epoch` must leave every channel, the
-    /// deferred-request deques and the shared observer exactly where ticking
-    /// every cycle serially leaves them.
-    #[test]
-    fn wide_epochs_on_four_channels_match_serial_ticking() {
-        let channels = 4usize;
-        let mut epoch = system_with_breakhammer(channels);
-        let mut serial = system_with_breakhammer(channels);
-        // Each step double-side hammers every channel with 24 more reads —
-        // more than the 16-entry read queues hold, so requests defer.
-        let mut id = 0u64;
-        let mut step = |mem: &mut [&mut MemorySystem; 2], cycle: Cycle, out: &mut [Vec<_>; 2]| {
-            for round in 0..24usize {
-                for channel in 0..channels {
-                    let row = if round % 2 == 0 { 50 } else { 52 };
-                    let addr = addr_on(mem[0], channel, row, round % 4);
-                    let req = MemRequest::read(id, ThreadId(channel % 2), addr, 0);
-                    id += 1;
-                    mem.iter_mut().for_each(|m| m.enqueue_or_defer(req));
-                }
-            }
-            let mut buf = Vec::new();
-            for (m, out) in mem.iter_mut().zip(out) {
-                m.retry_pending();
-                m.tick(cycle);
-                m.drain_responses_into(&mut buf);
-                out.extend(buf.iter().copied());
-            }
-        };
-        let mut responses = [Vec::new(), Vec::new()];
-        let mut now = 0;
-        step(&mut [&mut epoch, &mut serial], now, &mut responses);
-        assert!(epoch.has_pending_enqueue(), "the retry path must be exercised");
-        let spans = [24u64, 200, 64, 1_000, 25];
-        for span in spans.iter().cycle().take(20) {
-            let to = now + span;
-            epoch.advance_epoch(now, to);
-            for cycle in now + 1..to {
-                // The serial kernel's dead cycles: one failed front retry
-                // per blocked channel, then a tick.
-                serial.retry_pending();
-                serial.tick(cycle);
-            }
-            step(&mut [&mut epoch, &mut serial], to, &mut responses);
-            now = to;
-            for channel in 0..channels {
-                assert_eq!(
-                    epoch.controller(channel).stats(),
-                    serial.controller(channel).stats(),
-                    "channel {channel} diverged in the epoch ending at {to}"
-                );
-                assert_eq!(
-                    epoch.pending_enqueue_depth(channel),
-                    serial.pending_enqueue_depth(channel)
-                );
-            }
-        }
-        let [got, want] = responses;
-        assert_eq!(got, want, "responses must arrive in the same order at the same steps");
-        assert_eq!(epoch.aggregate_dram_stats(), serial.aggregate_dram_stats());
-        let (bh_epoch, bh_serial) = (epoch.breakhammer().unwrap(), serial.breakhammer().unwrap());
-        assert_eq!(bh_epoch.stats(), bh_serial.stats());
-        for thread in 0..2 {
-            assert_eq!(bh_epoch.score(ThreadId(thread)), bh_serial.score(ThreadId(thread)));
-        }
-
-        // Non-vacuous: the epochs did the work, on this thread.
-        let stepping = epoch.stepping_stats();
-        assert_eq!(stepping.epochs, 20);
-        assert_eq!(stepping.epoch_cycles, 4 * spans.iter().sum::<u64>());
-        assert_eq!(stepping.parallel_epochs, 0);
-        assert!(stepping.channel_events > 0 && stepping.bh_events_replayed > 0, "{stepping:?}");
-        assert!(got.len() > 16 * channels, "deferred requests must have been served too");
-        assert!(bh_epoch.stats().actions_observed > 0, "hammering must trigger Graphene");
-        assert_eq!(*serial.stepping_stats(), SteppingStats::default());
     }
 
     #[test]

@@ -35,9 +35,9 @@ impl Aqua {
     /// Creates AQUA for the given system and RowHammer threshold `nrh`.
     ///
     /// # Panics
-    /// Panics if `nrh < 4`.
+    /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
     pub fn new(geometry: DramGeometry, timing: &TimingParams, nrh: u64) -> Self {
-        assert!(nrh >= 4, "N_RH must be at least 4");
+        assert!(nrh >= MechanismKind::Aqua.min_nrh(), "N_RH below the registry's minimum");
         let threshold = (nrh / 4).max(1);
         let window_cycles = timing.t_refw;
         let max_acts_per_window = (window_cycles / timing.t_rc).max(1);

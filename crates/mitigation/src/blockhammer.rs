@@ -45,14 +45,14 @@ impl BlockHammer {
     /// Creates BlockHammer for the given system and RowHammer threshold `nrh`.
     ///
     /// # Panics
-    /// Panics if `nrh < 4` or `blast_radius` is zero.
+    /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
     pub fn new(
         geometry: DramGeometry,
         timing: &TimingParams,
         nrh: u64,
         blast_radius: usize,
     ) -> Self {
-        assert!(nrh >= 4, "N_RH must be at least 4");
+        assert!(nrh >= MechanismKind::BlockHammer.min_nrh(), "N_RH below the registry's minimum");
         assert!(blast_radius > 0, "blast radius must be positive");
         // A victim can be disturbed by two aggressors, each spreading its
         // activations over the two windows that precede the victim's periodic

@@ -52,14 +52,14 @@ impl Hydra {
     /// Creates Hydra for the given system and RowHammer threshold `nrh`.
     ///
     /// # Panics
-    /// Panics if `nrh < 8` or `blast_radius` is zero.
+    /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
     pub fn new(
         geometry: DramGeometry,
         timing: &TimingParams,
         nrh: u64,
         blast_radius: usize,
     ) -> Self {
-        assert!(nrh >= 8, "N_RH must be at least 8");
+        assert!(nrh >= MechanismKind::Hydra.min_nrh(), "N_RH below the registry's minimum");
         assert!(blast_radius > 0, "blast radius must be positive");
         let refresh_threshold = (nrh / 4).max(2);
         let group_threshold = (refresh_threshold / 2).max(1);

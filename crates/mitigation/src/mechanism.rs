@@ -134,26 +134,29 @@ pub const MITIGATED_BLAST_RADIUS: usize = 1;
 type Constructor = fn(&DramGeometry, &TimingParams, u64, u64) -> Box<dyn TriggerMechanism>;
 
 /// The mechanism registry, one row per [`MechanismKind`] in declaration
-/// order: `(kind, label, extra names `parse` accepts, constructor)`. A new
-/// mechanism is one enum variant, one row here and one file.
-const REGISTRY: &[(MechanismKind, &str, &[&str], Constructor)] = {
+/// order: `(kind, label, extra names `parse` accepts, smallest N_RH the
+/// constructor accepts, constructor)`. A new mechanism is one enum variant,
+/// one row here and one file.
+const REGISTRY: &[(MechanismKind, &str, &[&str], u64, Constructor)] = {
     use MechanismKind as K;
     const R: usize = MITIGATED_BLAST_RADIUS;
     &[
-        (K::None, "NoDefense", &["none", "no-defense", "baseline"], |_, _, _, _| {
+        // No constructor to satisfy, but the device's disturbance tracker
+        // needs a positive threshold.
+        (K::None, "NoDefense", &["none", "no-defense", "baseline"], 1, |_, _, _, _| {
             Box::new(NoMitigation::new())
         }),
-        (K::Para, "PARA", &[], |g, _, nrh, seed| Box::new(Para::new(g.clone(), nrh, R, seed))),
-        (K::Graphene, "Graphene", &[], |g, t, nrh, _| {
+        (K::Para, "PARA", &[], 1, |g, _, nrh, seed| Box::new(Para::new(g.clone(), nrh, R, seed))),
+        (K::Graphene, "Graphene", &[], 4, |g, t, nrh, _| {
             Box::new(Graphene::new(g.clone(), t, nrh, R))
         }),
-        (K::Hydra, "Hydra", &[], |g, t, nrh, _| Box::new(Hydra::new(g.clone(), t, nrh, R))),
-        (K::Twice, "TWiCe", &[], |g, t, nrh, _| Box::new(Twice::new(g.clone(), t, nrh, R))),
-        (K::Aqua, "AQUA", &[], |g, t, nrh, _| Box::new(Aqua::new(g.clone(), t, nrh))),
-        (K::Rega, "REGA", &[], |_, _, nrh, _| Box::new(Rega::new(nrh))),
-        (K::Rfm, "RFM", &[], |g, _, nrh, _| Box::new(Rfm::new(g.clone(), nrh))),
-        (K::Prac, "PRAC", &[], |g, _, nrh, _| Box::new(Prac::new(g.clone(), nrh))),
-        (K::BlockHammer, "BlockHammer", &[], |g, t, nrh, _| {
+        (K::Hydra, "Hydra", &[], 8, |g, t, nrh, _| Box::new(Hydra::new(g.clone(), t, nrh, R))),
+        (K::Twice, "TWiCe", &[], 4, |g, t, nrh, _| Box::new(Twice::new(g.clone(), t, nrh, R))),
+        (K::Aqua, "AQUA", &[], 4, |g, t, nrh, _| Box::new(Aqua::new(g.clone(), t, nrh))),
+        (K::Rega, "REGA", &[], 4, |_, _, nrh, _| Box::new(Rega::new(nrh))),
+        (K::Rfm, "RFM", &[], 8, |g, _, nrh, _| Box::new(Rfm::new(g.clone(), nrh))),
+        (K::Prac, "PRAC", &[], 4, |g, _, nrh, _| Box::new(Prac::new(g.clone(), nrh))),
+        (K::BlockHammer, "BlockHammer", &[], 4, |g, t, nrh, _| {
             Box::new(BlockHammer::new(g.clone(), t, nrh, R))
         }),
     ]
@@ -202,14 +205,24 @@ impl MechanismKind {
         let named = |candidate: &&str| candidate.eq_ignore_ascii_case(name);
         REGISTRY
             .iter()
-            .find(|(_, label, aliases, _)| named(label) || aliases.iter().any(named))
+            .find(|(_, label, aliases, ..)| named(label) || aliases.iter().any(named))
             .map(|row| row.0)
+    }
+
+    /// The smallest RowHammer threshold the mechanism can be built for
+    /// (its constructor asserts it; `SystemConfig::validate` in `bh-sim`
+    /// reports a smaller one as an error).
+    pub const fn min_nrh(self) -> u64 {
+        REGISTRY[self as usize].3
     }
 
     /// Instantiates the mechanism for the given system configuration.
     ///
     /// `nrh` is the RowHammer threshold the mechanism must protect against and
     /// `seed` feeds the probabilistic mechanisms (PARA).
+    ///
+    /// # Panics
+    /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
     pub fn build(
         self,
         geometry: &DramGeometry,
@@ -217,7 +230,7 @@ impl MechanismKind {
         nrh: u64,
         seed: u64,
     ) -> Box<dyn TriggerMechanism> {
-        (REGISTRY[self as usize].3)(geometry, timing, nrh, seed)
+        (REGISTRY[self as usize].4)(geometry, timing, nrh, seed)
     }
 }
 
@@ -329,9 +342,18 @@ mod tests {
         let geom = DramGeometry::tiny();
         let timing = TimingParams::fast_test();
         for kind in MechanismKind::ALL {
-            let mech = kind.build(&geom, &timing, 1024, 7);
-            assert_eq!(mech.kind(), kind);
-            assert_eq!(mech.name(), kind.label());
+            for nrh in [kind.min_nrh(), 1024] {
+                let mech = kind.build(&geom, &timing, nrh, 7);
+                assert_eq!(mech.kind(), kind);
+                assert_eq!(mech.name(), kind.label());
+            }
+            // The registry's minimum is the constructor's own: one below it
+            // is refused (the baseline has no constructor argument to check).
+            if kind != MechanismKind::None {
+                let below = kind.min_nrh() - 1;
+                let built = std::panic::catch_unwind(|| kind.build(&geom, &timing, below, 7));
+                assert!(built.is_err(), "{kind} accepted N_RH = {below}");
+            }
         }
     }
 }

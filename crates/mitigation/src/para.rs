@@ -34,9 +34,9 @@ impl Para {
     /// Creates PARA configured to protect RowHammer threshold `nrh`.
     ///
     /// # Panics
-    /// Panics if `nrh` or `blast_radius` is zero.
+    /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
     pub fn new(geometry: DramGeometry, nrh: u64, blast_radius: usize, seed: u64) -> Self {
-        assert!(nrh > 0, "N_RH must be positive");
+        assert!(nrh >= MechanismKind::Para.min_nrh(), "N_RH below the registry's minimum");
         assert!(blast_radius > 0, "blast radius must be positive");
         let probability = (PROTECTION_CONSTANT / nrh as f64).min(1.0);
         Para {

@@ -31,9 +31,9 @@ impl Prac {
     /// Creates PRAC for RowHammer threshold `nrh`.
     ///
     /// # Panics
-    /// Panics if `nrh < 4`.
+    /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
     pub fn new(geometry: DramGeometry, nrh: u64) -> Self {
-        assert!(nrh >= 4, "N_RH must be at least 4");
+        assert!(nrh >= MechanismKind::Prac.min_nrh(), "N_RH below the registry's minimum");
         // Back-off asserted at half the threshold, leaving the chip time to
         // refresh the victims before bitflips become possible.
         let backoff_threshold = (nrh / 2).max(2);

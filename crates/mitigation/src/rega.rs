@@ -34,9 +34,9 @@ impl Rega {
     /// capturing the V=1..4 configurations of the REGA paper.
     ///
     /// # Panics
-    /// Panics if `nrh < 4`.
+    /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
     pub fn new(nrh: u64) -> Self {
-        assert!(nrh >= 4, "N_RH must be at least 4");
+        assert!(nrh >= MechanismKind::Rega.min_nrh(), "N_RH below the registry's minimum");
         let rega_t = (nrh / 4).max(1);
         // Timing inflation model: protecting lower thresholds requires more
         // refresh-generating activations per row cycle, which lengthens the

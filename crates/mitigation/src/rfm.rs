@@ -27,9 +27,9 @@ impl Rfm {
     /// Creates the RFM mechanism for RowHammer threshold `nrh`.
     ///
     /// # Panics
-    /// Panics if `nrh < 8`.
+    /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
     pub fn new(geometry: DramGeometry, nrh: u64) -> Self {
-        assert!(nrh >= 8, "N_RH must be at least 8");
+        assert!(nrh >= MechanismKind::Rfm.min_nrh(), "N_RH below the registry's minimum");
         // RAAIMT scaled so that in-DRAM TRR can keep up: one RFM window per
         // N_RH/8 activations of a bank (≈80 at N_RH = 640, matching the
         // JEDEC-suggested default cadence).

@@ -49,14 +49,14 @@ impl Twice {
     /// Creates TWiCe for the given system and RowHammer threshold `nrh`.
     ///
     /// # Panics
-    /// Panics if `nrh < 4` or `blast_radius` is zero.
+    /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
     pub fn new(
         geometry: DramGeometry,
         timing: &TimingParams,
         nrh: u64,
         blast_radius: usize,
     ) -> Self {
-        assert!(nrh >= 4, "N_RH must be at least 4");
+        assert!(nrh >= MechanismKind::Twice.min_nrh(), "N_RH below the registry's minimum");
         assert!(blast_radius > 0, "blast radius must be positive");
         let refresh_threshold = (nrh / 4).max(1);
         let window_cycles = timing.t_refw;

@@ -45,35 +45,15 @@ pub enum FrontEndKind {
     Engine,
 }
 
-/// How the event-driven kernel steps the per-channel memory controllers in
-/// [`crate::System::run`].
-///
-/// Both variants run on the calling thread and produce bit-identical
-/// [`crate::SimulationResult`]s; serial stepping is the default, and
-/// `Parallel` is kept as the channel-independence oracle (the golden-digest
-/// matrices and `tests/parallel_differential.rs` at the workspace root pin
-/// the equivalence). The per-cycle kernel ignores this knob — it has no
-/// cross-channel dead time to batch.
-///
-/// `Parallel` stepping decouples the controllers in *epochs*: after a step at
-/// cycle `a`, the kernel derives a horizon `h` before which no cross-channel
-/// interaction can occur (no core wakes, no LLC fill completes, no
-/// BreakHammer window rotates, no quota is pending, and no in-epoch read can
-/// complete — `h ≤ a + 1 + read latency`). Each channel then advances
-/// through its own event chain to `h` without looking at the others,
-/// recording its BreakHammer-observable events; a merge replays those
-/// events into the shared observer in (cycle, channel-index) order — the
-/// exact order the serial schedule produces — before the next full step at
-/// `h`. A result that differs from serial stepping therefore means two
-/// channels interacted inside an epoch.
+/// An inert name: `Parallel` is accepted and runs exactly as `Serial`. It is
+/// kept only until the `benchmark` PR of ROADMAP item 2 removes the name.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ChannelStepping {
-    /// Reference: every channel controller is ticked at every stepped cycle.
+    /// Every channel controller is ticked, in index order, at every stepped
+    /// cycle: the one way the channels are stepped.
     #[default]
     Serial,
-    /// Epoch stepping: channels advance to the merged next-event horizon
-    /// independently (one after another), then cross-channel effects are
-    /// merged in channel-index order.
+    /// Identical to `Serial`.
     Parallel,
 }
 
@@ -81,12 +61,12 @@ pub enum ChannelStepping {
 /// simulated time only (no wall clock anywhere in the sim crates).
 ///
 /// The watchdog samples global progress — instructions retired plus DRAM
-/// demand requests served — at fixed DRAM-cycle epoch boundaries. Every
-/// kernel (per-cycle, event-driven serial, event-driven parallel) steps at
-/// each boundary (event horizons are clamped there; undershooting a horizon
-/// is always behaviour-neutral), so the samples, the verdict and the
+/// demand requests served — at fixed DRAM-cycle epoch boundaries. Both
+/// kernels (per-cycle, event-driven) step at each boundary (event horizons
+/// are clamped there; undershooting a horizon is always
+/// behaviour-neutral), so the samples, the verdict and the
 /// [`LivelockReport`](crate::LivelockReport) are bit-identical across
-/// kernels, stepping modes and front-ends.
+/// kernels and front-ends.
 ///
 /// [`WatchdogConfig::stall_epochs`] consecutive epochs with zero progress —
 /// or the same number of consecutive identical state digests (queue depths,
@@ -196,8 +176,8 @@ pub struct SystemConfig {
     /// The CPU front-end replaying the traces (results are identical for
     /// both; see [`FrontEndKind`]).
     pub front_end: FrontEndKind,
-    /// How the event-driven kernel steps the per-channel memory controllers
-    /// (results are identical for both; see [`ChannelStepping`]).
+    /// Read by nothing; part of this struct's pinned `Debug` text (see
+    /// [`ChannelStepping`]).
     pub stepping: ChannelStepping,
     /// Fault-injection model: how disturbance-threshold crossings turn into
     /// bit-flips, and the ECC scheme classifying them. The default (hard
@@ -349,6 +329,14 @@ impl SystemConfig {
         if self.geometry.channels == 0 {
             return Err("the memory system needs at least one channel".to_string());
         }
+        if self.nrh < self.mechanism.min_nrh() {
+            return Err(format!(
+                "nrh = {} but {} needs N_RH >= {}",
+                self.nrh,
+                self.mechanism,
+                self.mechanism.min_nrh()
+            ));
+        }
         // `MechanismKind::build` takes no radius: every mechanism refreshes
         // victims up to its fixed distance, so a device disturbing rows
         // farther out would flip bits the mechanism never protects.
@@ -426,6 +414,23 @@ mod tests {
         let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
         c.cores = 2; // memctrl still configured for 4 threads
         assert!(c.validate().is_err());
+    }
+
+    /// A threshold below the mechanism's minimum is a configuration error
+    /// here, not a constructor panic inside a campaign worker.
+    #[test]
+    fn validation_rejects_a_threshold_below_the_mechanisms_minimum() {
+        for kind in MechanismKind::ALL {
+            for base in [SystemConfig::paper_table1, SystemConfig::fast_test] {
+                let min = kind.min_nrh();
+                assert_eq!(base(kind, min, false).validate(), Ok(()), "{kind} at {min}");
+                let err = base(kind, min - 1, false).validate().unwrap_err();
+                assert!(
+                    err.contains(kind.label()) && err.contains(&format!("N_RH >= {min}")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     /// `MechanismKind::build` refreshes distance-1 victims only: a device

@@ -68,8 +68,7 @@ pub struct AttackOutcome {
 /// are produced by the forward-progress watchdog
 /// ([`WatchdogConfig`](crate::WatchdogConfig)). The verdict is computed at
 /// deterministic DRAM-cycle epoch boundaries from step-invariant state only,
-/// so it is bit-identical across both scheduler kernels, both stepping modes
-/// and both front-ends.
+/// so it is bit-identical across both scheduler kernels and both front-ends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TerminationReason {
     /// Every required core retired its instruction budget.
@@ -137,7 +136,7 @@ pub struct ChannelLaneState {
 ///
 /// Built exclusively from step-invariant state at a deterministic epoch
 /// boundary, so the report — like the verdict — is bit-identical across
-/// kernels, stepping modes and front-ends.
+/// kernels and front-ends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LivelockReport {
     /// DRAM cycle of the epoch boundary where the verdict fired.
@@ -269,13 +268,12 @@ pub struct SimulationResult {
     /// The security outcome under the configured fault model and ECC scheme
     /// (all zeros under the default hard-threshold model with no flips).
     pub outcome: AttackOutcome,
-    /// Epoch-stepping counters (all zeros under serial stepping). *Not* part
-    /// of the behavioural surface: serial-vs-parallel differential tests
-    /// normalize this field to its default before comparing, since it
-    /// describes how the run was scheduled, not what it computed.
+    /// Always [`SteppingStats::default()`]: the counters of the deleted epoch
+    /// stepping. Kept because `benchmark/expected/` hashes this struct's
+    /// `Debug` text, field included (ROADMAP item 2).
     pub stepping: SteppingStats,
     /// Why the run stopped. Part of the behavioural surface (bit-identical
-    /// across kernels/stepping/front-ends) but *not* of the digest-pinned
+    /// across kernels/front-ends) but *not* of the digest-pinned
     /// field list: the watchdog never fires on healthy runs, so pinned
     /// goldens stay byte-identical.
     pub termination: TerminationReason,
@@ -285,11 +283,6 @@ pub struct SimulationResult {
 }
 
 impl SimulationResult {
-    /// IPC of a specific thread.
-    pub fn ipc_of(&self, thread: ThreadId) -> f64 {
-        self.cores[thread.index()].ipc
-    }
-
     /// Sum of IPCs over the given threads (a raw throughput measure).
     pub fn total_ipc(&self, threads: &[usize]) -> f64 {
         threads.iter().map(|t| self.cores[*t].ipc).sum()
@@ -356,7 +349,6 @@ mod tests {
     #[test]
     fn accessors_work() {
         let r = result();
-        assert_eq!(r.ipc_of(ThreadId(0)), 2.0);
         assert!((r.total_ipc(&[0, 1]) - 3.0).abs() < 1e-12);
         assert!(r.all_finished(&[0, 1, 2]));
         assert!(!r.all_finished(&[0, 3]));

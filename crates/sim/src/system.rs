@@ -16,7 +16,7 @@
 //! bit-identical [`SimulationResult`]s; `tests/scheduler_differential.rs`
 //! enforces this differentially.
 
-use crate::config::{ChannelStepping, FrontEndKind, SchedulerKind, SystemConfig};
+use crate::config::{FrontEndKind, SchedulerKind, SystemConfig};
 use crate::result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,
@@ -30,7 +30,7 @@ use bh_cpu::{
 use bh_dram::{
     classify_flips, Cycle, DramChannel, RowAddr, RowHammerTracker, SuccessCriterion, ThreadId,
 };
-use bh_mem::{MemRequest, MemorySystem};
+use bh_mem::{MemRequest, MemorySystem, SteppingStats};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -233,18 +233,6 @@ impl FrontEnd {
             finished: self.finished(core),
         }
     }
-}
-
-/// The epoch kernel's decision for what follows the current step
-/// (see [`System::plan_next`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Plan {
-    /// Advance the channels independently up to (excluding) `h`, then step
-    /// at `h` through the serial path.
-    Epoch(Cycle),
-    /// No epoch is possible or profitable: jump to this cycle through the
-    /// serial skip path (clamped to `[dram_cycle + 1, max]` by the caller).
-    Skip(Cycle),
 }
 
 /// A fully-wired simulated system.
@@ -465,8 +453,7 @@ impl System {
     /// horizons are clamped to [`Watchdog::horizon_cap`]; undershooting a
     /// horizon is behaviour-neutral by the kernels' equivalence contract),
     /// and the sample reads step-invariant state only, so the verdict and
-    /// snapshot are bit-identical across kernels, stepping modes and
-    /// front-ends.
+    /// snapshot are bit-identical across kernels and front-ends.
     fn watchdog_fires(&mut self, dram_cycle: Cycle) -> bool {
         if !self.watchdog.due(dram_cycle) {
             return false;
@@ -583,12 +570,9 @@ impl System {
     /// [`SystemConfig::scheduler`](crate::SystemConfig); both kernels produce
     /// bit-identical results.
     pub fn run(self) -> SimulationResult {
-        match (self.config.scheduler, self.config.stepping) {
-            (SchedulerKind::PerCycle, _) => self.run_per_cycle(),
-            (SchedulerKind::EventDriven, ChannelStepping::Serial) => self.run_event_driven(),
-            (SchedulerKind::EventDriven, ChannelStepping::Parallel) => {
-                self.run_event_driven_parallel()
-            }
+        match self.config.scheduler {
+            SchedulerKind::PerCycle => self.run_per_cycle(),
+            SchedulerKind::EventDriven => self.run_event_driven(),
         }
     }
 
@@ -632,70 +616,6 @@ impl System {
                 self.skip_dead_cycles(next - dram_cycle - 1, &mut clock);
             }
             dram_cycle = next;
-        }
-        self.finish(dram_cycle)
-    }
-
-    /// The epoch kernel: like [`System::run_event_driven`], but
-    /// whenever the memory system is the only busy layer — every core is
-    /// stalled, no LLC fill is due, no BreakHammer window edge or unsynced
-    /// quota intervenes — the channels advance *independently* through one
-    /// epoch up to the merged horizon `h` (one after another on this thread,
-    /// see [`MemorySystem::advance_epoch`]), and the skipped cycles' core-side
-    /// counters replay in bulk exactly as in the serial skip path. The step
-    /// at `h` then runs through the ordinary serial path, applying every
-    /// cross-channel effect (BreakHammer replay already happened at the
-    /// epoch merge; response draining, retry promotion and quota propagation
-    /// happen here) in the serial order. Results are bit-identical to the
-    /// serial kernels; `tests/parallel_differential.rs` and the golden
-    /// digests enforce it.
-    fn run_event_driven_parallel(mut self) -> SimulationResult {
-        let mut clock = CpuClock::new(self.config.cpu_cycles_per_dram_cycle());
-        let max = self.config.max_dram_cycles;
-        // Epochs must end before the earliest cycle an in-epoch response
-        // could complete an LLC fill (and thereby unstall a core): reads
-        // issued at `a + 1` or later complete no earlier than
-        // `a + 1 + read_latency` (the controllers run REGA-adjusted timing,
-        // hence the query goes to the built channel, not the raw config).
-        let read_latency = self.memory.controllers()[0].channel().timing().read_latency();
-        let mut dram_cycle: Cycle = 0;
-        while !self.required_finished() && dram_cycle < max {
-            if self.watchdog_fires(dram_cycle) {
-                break;
-            }
-            self.step(dram_cycle, &mut clock);
-            if self.required_finished() {
-                dram_cycle += 1;
-                break;
-            }
-            match self.plan_next(dram_cycle, &clock, read_latency, max) {
-                // Epochs, like serial skips, never cross a watchdog epoch
-                // boundary: the step at the boundary is where the sample is
-                // taken, and a shortened channel epoch is always sound (the
-                // horizon contract permits undershooting).
-                Plan::Epoch(h) if h.min(self.watchdog.horizon_cap()) > dram_cycle + 1 => {
-                    let h = h.min(self.watchdog.horizon_cap());
-                    self.memory.advance_epoch(dram_cycle, h);
-                    // The interior cycles' core-side replay: identical to
-                    // the serial skip except that the channel epochs have
-                    // already accounted their own enqueue-rejection retries.
-                    self.skip_core_cycles(h - dram_cycle - 1, &mut clock);
-                    dram_cycle = h;
-                }
-                Plan::Epoch(_) => {
-                    // The boundary clamp collapsed the epoch to a single
-                    // cycle: advance serially, exactly like `Plan::Skip` to
-                    // the very next cycle.
-                    dram_cycle += 1;
-                }
-                Plan::Skip(next) => {
-                    let next = next.clamp(dram_cycle + 1, max).min(self.watchdog.horizon_cap());
-                    if next > dram_cycle + 1 {
-                        self.skip_dead_cycles(next - dram_cycle - 1, &mut clock);
-                    }
-                    dram_cycle = next;
-                }
-            }
         }
         self.finish(dram_cycle)
     }
@@ -876,98 +796,14 @@ impl System {
         next
     }
 
-    /// The epoch kernel's planning pass, run right after the step at
-    /// `dram_cycle`: decides between an independent-channel epoch and the
-    /// serial skip, leaving the per-core progress analysis either replay
-    /// needs in `progress_buf`.
-    ///
-    /// An epoch up to `h` is sound iff nothing outside the memory system can
-    /// act before `h` and nothing inside it can influence anything outside
-    /// before the step at `h`:
-    ///
-    /// * every core is stalled or finished, and no stalled core's timed
-    ///   wake-up precedes `h` (an `Active` core, or a BreakHammer quota the
-    ///   LLC has not mirrored yet — which could *raise* a quota and unstall
-    ///   a core — forces the very next cycle instead, exactly like the
-    ///   serial `next_event`);
-    /// * no already-pending LLC fill is due before `h`, and
-    ///   `h <= dram_cycle + 1 + read_latency` so no fill *issued inside* the
-    ///   epoch can become due before it ends;
-    /// * `h` does not exceed BreakHammer's next window edge, so the window
-    ///   rotations skipped by the recording channels are provably no-ops and
-    ///   the epoch merge may replay their events directly.
-    ///
-    /// In-epoch quota *decreases* (suspects marked during the merge replay)
-    /// need no special handling: a lowered quota cannot change any stalled
-    /// core's classification or reject reason (the LLC probes quota last,
-    /// and MSHR occupancy and fills are frozen during the epoch), and the
-    /// step at `h` propagates the new quotas before ticking the cores —
-    /// state-identical to the serial schedule, which propagates them one
-    /// step earlier but ticks only cores whose behaviour the propagation
-    /// cannot alter.
-    fn plan_next(
-        &mut self,
-        dram_cycle: Cycle,
-        clock: &CpuClock,
-        read_latency: u64,
-        max: Cycle,
-    ) -> Plan {
-        self.progress_buf.clear();
-        let mem_next = self.memory.next_event(dram_cycle);
-        if let Some(bh) = self.memory.breakhammer() {
-            if self.synced_quota_version != Some(bh.quota_version()) {
-                let mshrs = self.llc.config().mshrs;
-                for t in 0..self.config.cores {
-                    if self.llc.quota(ThreadId(t)) != bh.quota(ThreadId(t)).min(mshrs) {
-                        return Plan::Skip(dram_cycle + 1);
-                    }
-                }
-            }
-        }
-        let next_cpu = clock.next_cpu_cycle();
-        if self.front.progress_batch(&self.llc, next_cpu, &mut self.progress_buf) {
-            return Plan::Skip(dram_cycle + 1);
-        }
-        // The serial horizon: the earliest cycle anything *outside* the
-        // memory system must run at.
-        let mut h_serial = Cycle::MAX;
-        for p in &self.progress_buf {
-            if let CoreProgress::Stalled(StallInfo { wake_at: Some(t), .. }) = p {
-                h_serial = h_serial.min(dram_cycle + clock.dram_cycles_until(*t));
-            }
-        }
-        if self.pending_fills_min != Cycle::MAX {
-            h_serial = h_serial.min(self.pending_fills_min);
-        }
-        if let Some(bh) = self.memory.breakhammer() {
-            h_serial = h_serial.min(bh.next_window_end());
-        }
-        let h_epoch = h_serial.min(dram_cycle + 1 + read_latency).min(max);
-        if mem_next < h_epoch && h_epoch > dram_cycle + 1 {
-            Plan::Epoch(h_epoch)
-        } else {
-            Plan::Skip(mem_next.min(h_serial))
-        }
-    }
-
     /// Fast-forwards across `dead_cycles` DRAM cycles in which, by
     /// construction of [`System::next_event`], every layer is quiescent:
     /// replays exactly the counter increments the per-cycle kernel would
     /// have accrued (stalled-core cycle/stall counters, rejected LLC access
-    /// probes, failed enqueue retries) without touching any other state.
+    /// probes, failed enqueue retries) without touching any other state. The
+    /// core side replays the classifications `progress_buf` captured at the
+    /// decision point.
     fn skip_dead_cycles(&mut self, dead_cycles: u64, clock: &mut CpuClock) {
-        self.skip_core_cycles(dead_cycles, clock);
-        if self.memory.has_pending_enqueue() {
-            self.memory.absorb_enqueue_rejections(dead_cycles);
-        }
-    }
-
-    /// The core-side half of [`System::skip_dead_cycles`]: replays the
-    /// stalled cores' cycle/stall counters and rejected LLC probes for
-    /// `dead_cycles` DRAM cycles, using the classifications `progress_buf`
-    /// captured at the decision point. Epoch replay uses this half alone —
-    /// the channel epochs account their own enqueue-rejection retries.
-    fn skip_core_cycles(&mut self, dead_cycles: u64, clock: &mut CpuClock) {
         let cpu_ticks = clock.advance(dead_cycles);
         if cpu_ticks > 0 {
             for (core, p) in self.progress_buf.iter().enumerate() {
@@ -978,6 +814,9 @@ impl System {
                     }
                 }
             }
+        }
+        if self.memory.has_pending_enqueue() {
+            self.memory.absorb_enqueue_rejections(dead_cycles);
         }
     }
 
@@ -1099,7 +938,7 @@ impl System {
             per_channel,
             victims,
             outcome,
-            stepping: *self.memory.stepping_stats(),
+            stepping: SteppingStats::default(),
             termination,
             livelock,
         }
@@ -1257,6 +1096,25 @@ mod tests {
         let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
         assert!(result.all_finished(&[0, 1, 2, 3]));
         assert_eq!(result.preventive_actions, 0, "REGA performs no controller-visible actions");
+    }
+
+    /// `ChannelStepping::Parallel` is an inert name: accepted, and the whole
+    /// result — counters included — is the serial one.
+    #[test]
+    fn parallel_stepping_config_runs_exactly_as_serial() {
+        use crate::config::ChannelStepping;
+        let mut serial =
+            SystemConfig::fast_test(MechanismKind::Graphene, 128, true).with_channels(2);
+        serial.instructions_per_core = 6_000;
+        let mut parallel = serial.clone();
+        parallel.stepping = ChannelStepping::Parallel;
+        assert_eq!(parallel.validate(), Ok(()));
+        let traces = attack_traces(&serial, 2_000);
+        let want = System::new(serial, &traces, vec![0, 1, 2]).run();
+        let got = System::new(parallel, &traces, vec![0, 1, 2]).run();
+        assert!(want.preventive_actions > 0, "the run must exercise the BreakHammer hooks");
+        assert_eq!(got, want);
+        assert_eq!(got.stepping, SteppingStats::default());
     }
 
     #[test]

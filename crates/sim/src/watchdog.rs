@@ -6,7 +6,7 @@
 //! is provably stuck or over budget. No wall clock is involved anywhere —
 //! the bh_analyze D2 rule (no `Instant`/`SystemTime` in sim crates) holds —
 //! so the verdict is a deterministic function of the simulated schedule and
-//! is bit-identical across kernels, stepping modes and front-ends.
+//! is bit-identical across kernels and front-ends.
 //!
 //! Two detectors run side by side:
 //!

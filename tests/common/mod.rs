@@ -10,6 +10,7 @@
 #![allow(dead_code)] // each test binary uses the subset it needs
 
 use breakhammer_suite::cpu::Trace;
+use breakhammer_suite::dram::{EccMode, FaultConfig, FaultModel};
 use breakhammer_suite::sim::SystemConfig;
 use breakhammer_suite::workloads::{
     AttackerProfile, BenignProfile, ComposedAttacker, TraceGenerator,
@@ -65,4 +66,14 @@ pub fn attack_traces_composed(
     let mut traces = benign_traces(config, entries, seed);
     traces[3] = attacker.trace(&config.geometry, config.memctrl.mapping, entries, seed + 900);
     traces
+}
+
+/// The fault configuration of every probabilistic-model case: flips drawn
+/// with probability 0.7 around per-row thresholds varied by ±20 %, classified
+/// by SEC-DED.
+pub fn probabilistic_secded_fault() -> FaultConfig {
+    FaultConfig {
+        model: FaultModel::Probabilistic { flip_probability: 0.7, nrh_variation: 0.2 },
+        ecc: EccMode::SecDed,
+    }
 }

@@ -18,12 +18,10 @@
 //! explanation of why the behaviour moved.
 
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{
-    ChannelStepping, FrontEndKind, SchedulerKind, SimulationResult, System, SystemConfig,
-};
+use breakhammer_suite::sim::{FrontEndKind, SchedulerKind, SimulationResult, System, SystemConfig};
 
 mod common;
-use common::{attack_traces, attack_traces_composed};
+use common::{attack_traces, attack_traces_composed, probabilistic_secded_fault};
 
 /// FNV-1a, the digest accumulator. Stable across platforms and releases.
 struct Digest(u64);
@@ -153,13 +151,12 @@ fn kernel_name(kernel: SchedulerKind) -> &'static str {
     }
 }
 
-fn run_matrix(stepping: ChannelStepping) -> Vec<(String, u64)> {
+fn run_matrix() -> Vec<(String, u64)> {
     let mut out = Vec::with_capacity(40);
     for mechanism in MechanismKind::ALL {
         for breakhammer in [false, true] {
             for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-                let mut config = config_for(mechanism, breakhammer, kernel);
-                config.stepping = stepping;
+                let config = config_for(mechanism, breakhammer, kernel);
                 let traces = attack_traces(&config, 2_000, 100);
                 let result = System::new(config, &traces, vec![0, 1, 2]).run();
                 let label = format!(
@@ -254,15 +251,14 @@ fn digest_with_victims(result: &SimulationResult) -> u64 {
 /// Runs every catalog scenario (pattern × placement) under Graphene ±BH on
 /// both scheduler kernels, asserting cross-kernel digest equality and
 /// returning the per-kernel digest rows for the scenario golden file.
-fn run_scenario_matrix(stepping: ChannelStepping) -> Vec<(String, u64)> {
+fn run_scenario_matrix() -> Vec<(String, u64)> {
     use breakhammer_suite::workloads::scenario_catalog;
     let mut out = Vec::new();
     for scenario in scenario_catalog() {
         for breakhammer in [false, true] {
             let mut digests = Vec::new();
             for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-                let mut config = config_for(MechanismKind::Graphene, breakhammer, kernel);
-                config.stepping = stepping;
+                let config = config_for(MechanismKind::Graphene, breakhammer, kernel);
                 let traces = attack_traces_composed(&config, &scenario.attacker, 2_000, 100);
                 let victims = scenario.attacker.victim_rows(&config.geometry);
                 let result = System::new(config, &traces, vec![0, 1, 2])
@@ -312,10 +308,9 @@ fn digest_with_outcome(result: &SimulationResult) -> u64 {
 /// probabilistic fault model with SEC-DED ECC, asserting cross-kernel digest
 /// equality and returning the rows for the fault golden file. The fold
 /// includes the raw/corrected/detected/silent flip counters, so this matrix
-/// pins the *probabilistic* behaviour bit-exactly — across kernels, stepping
-/// modes, and sessions.
-fn run_fault_matrix(stepping: ChannelStepping) -> Vec<(String, u64)> {
-    use breakhammer_suite::dram::{EccMode, FaultConfig, FaultModel};
+/// pins the *probabilistic* behaviour bit-exactly — across kernels and
+/// sessions.
+fn run_fault_matrix() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for mechanism in [MechanismKind::None, MechanismKind::Para, MechanismKind::Graphene] {
         for breakhammer in [false, true] {
@@ -327,11 +322,7 @@ fn run_fault_matrix(stepping: ChannelStepping) -> Vec<(String, u64)> {
                 let mut config = SystemConfig::fast_test(mechanism, 64, breakhammer);
                 config.instructions_per_core = 6_000;
                 config.scheduler = kernel;
-                config.stepping = stepping;
-                config.fault = FaultConfig {
-                    model: FaultModel::Probabilistic { flip_probability: 0.7, nrh_variation: 0.2 },
-                    ecc: EccMode::SecDed,
-                };
+                config.fault = probabilistic_secded_fault();
                 let traces = attack_traces(&config, 2_000, 100);
                 let result = System::new(config, &traces, vec![0, 1, 2]).run();
                 if mechanism == MechanismKind::None {
@@ -413,36 +404,13 @@ fn check_golden(path: &std::path::Path, digests: &[(String, u64)]) {
 /// agree with each other (asserted inside [`run_scenario_matrix`]).
 #[test]
 fn scenario_digests_match_golden_file() {
-    check_golden(&scenario_golden_path(), &run_scenario_matrix(ChannelStepping::Serial));
+    check_golden(&scenario_golden_path(), &run_scenario_matrix());
 }
 
 /// The 40-config digest matrix must match the committed golden file exactly.
 #[test]
 fn simulation_digests_match_golden_file() {
-    check_golden(&golden_path(), &run_matrix(ChannelStepping::Serial));
-}
-
-/// The 40-config matrix with epoch-parallel stepping forced must match the
-/// *same* golden file: parallel stepping is a pure scheduling change, byte-
-/// identical on the digest-pinned behavioural surface. (Recording with
-/// `BH_DIGEST_RECORD=1` is driven by the serial tests above; this test only
-/// ever compares.)
-#[test]
-fn simulation_digests_match_golden_file_with_parallel_stepping() {
-    if std::env::var_os("BH_DIGEST_RECORD").is_some() {
-        return;
-    }
-    check_golden(&golden_path(), &run_matrix(ChannelStepping::Parallel));
-}
-
-/// The scenario matrix with epoch-parallel stepping forced must match the
-/// same scenario golden file too.
-#[test]
-fn scenario_digests_match_golden_file_with_parallel_stepping() {
-    if std::env::var_os("BH_DIGEST_RECORD").is_some() {
-        return;
-    }
-    check_golden(&scenario_golden_path(), &run_scenario_matrix(ChannelStepping::Parallel));
+    check_golden(&golden_path(), &run_matrix());
 }
 
 /// The probabilistic fault-model matrix must match its committed golden file
@@ -450,16 +418,5 @@ fn scenario_digests_match_golden_file_with_parallel_stepping() {
 /// bit-exactly across sessions.
 #[test]
 fn fault_digests_match_golden_file() {
-    check_golden(&fault_golden_path(), &run_fault_matrix(ChannelStepping::Serial));
-}
-
-/// The fault matrix with epoch-parallel stepping forced must match the same
-/// golden file: the flip draws key on cumulative per-row crossing counts, not
-/// on event order, so stepping cannot move them.
-#[test]
-fn fault_digests_match_golden_file_with_parallel_stepping() {
-    if std::env::var_os("BH_DIGEST_RECORD").is_some() {
-        return;
-    }
-    check_golden(&fault_golden_path(), &run_fault_matrix(ChannelStepping::Parallel));
+    check_golden(&fault_golden_path(), &run_fault_matrix());
 }

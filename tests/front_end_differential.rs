@@ -20,7 +20,7 @@ use breakhammer_suite::sim::{
 };
 
 mod common;
-use common::{attack_traces, benign_traces};
+use common::{attack_traces, benign_traces, probabilistic_secded_fault};
 
 /// Runs `config` under both front-ends and returns (legacy, engine).
 fn run_both(
@@ -126,6 +126,22 @@ fn quota_starved_attacker_is_identical_across_front_ends() {
     let (legacy, engine) = run_both(config, &traces, vec![0, 1, 2]);
     assert_eq!(legacy, engine, "front-ends diverged under quota starvation");
     assert!(engine.cache.quota_rejections > 0, "the scenario must actually quota-starve");
+}
+
+/// Both front-ends agree on the probabilistic fault model's outcome on two
+/// channels (SEC-DED classification included), under both kernels.
+#[test]
+fn probabilistic_fault_model_is_identical_across_front_ends() {
+    for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
+        let mut config = SystemConfig::fast_test(MechanismKind::None, 64, false).with_channels(2);
+        config.instructions_per_core = 6_000;
+        config.scheduler = kernel;
+        config.fault = probabilistic_secded_fault();
+        let traces = attack_traces(&config, 2_000, 100);
+        let (legacy, engine) = run_both(config, &traces, vec![0, 1, 2]);
+        assert!(legacy.outcome.flips_raw > 0, "no flips — coverage lost [{kernel:?}]");
+        assert_eq!(legacy, engine, "front-ends diverged on the fault model [{kernel:?}]");
+    }
 }
 
 /// The watchdog samples progress through the front-end trait (retired

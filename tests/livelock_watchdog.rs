@@ -1,11 +1,10 @@
 //! The forward-progress watchdog, end to end: an injected no-progress run is
 //! classified [`TerminationReason::Livelock`] — not a hang, not a panic, not
 //! an `ok`-looking cutoff — with a [`LivelockReport`] snapshot, and the
-//! verdict is bit-identical across both scheduler kernels, both channel
-//! stepping modes and both CPU front-ends. Healthy runs keep their
-//! historical outcomes (`Completed` / `CycleCutoff`) untouched, and the
-//! deterministic budgets cut runs with `BudgetExceeded` at exact epoch
-//! boundaries.
+//! verdict is bit-identical across both scheduler kernels and both CPU
+//! front-ends. Healthy runs keep their historical outcomes (`Completed` /
+//! `CycleCutoff`) untouched, and the deterministic budgets cut runs with
+//! `BudgetExceeded` at exact epoch boundaries.
 //!
 //! The injected livelock is `ChaosConfig::drop_fills_after`: from a given
 //! DRAM cycle, completed memory responses stop filling the LLC, so every
@@ -14,8 +13,7 @@
 
 use breakhammer_suite::mitigation::MechanismKind;
 use breakhammer_suite::sim::{
-    ChannelStepping, FrontEndKind, SchedulerKind, SimulationResult, System, SystemConfig,
-    TerminationReason,
+    FrontEndKind, SchedulerKind, System, SystemConfig, TerminationReason,
 };
 
 mod common;
@@ -32,30 +30,18 @@ fn livelock_config() -> SystemConfig {
     config
 }
 
-/// `stepping` describes how the run was scheduled, not what it computed;
-/// zero it before comparing across kernels/stepping modes.
-fn normalized(mut result: SimulationResult) -> SimulationResult {
-    result.stepping = Default::default();
-    result
-}
-
 #[test]
 fn injected_no_progress_run_is_classified_livelock_across_the_whole_matrix() {
     let base = livelock_config();
     let traces = benign_traces(&base, 2_000, 7);
     let mut results = Vec::new();
-    for (scheduler, stepping) in [
-        (SchedulerKind::PerCycle, ChannelStepping::Serial),
-        (SchedulerKind::EventDriven, ChannelStepping::Serial),
-        (SchedulerKind::EventDriven, ChannelStepping::Parallel),
-    ] {
+    for scheduler in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
         for front_end in [FrontEndKind::Legacy, FrontEndKind::Engine] {
             let mut config = base.clone();
             config.scheduler = scheduler;
-            config.stepping = stepping;
             config.front_end = front_end;
-            let label = format!("{scheduler:?}/{stepping:?}/{front_end:?}");
-            let result = normalized(System::new(config, &traces, vec![0, 1, 2, 3]).run());
+            let label = format!("{scheduler:?}/{front_end:?}");
+            let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
             assert_eq!(
                 result.termination,
                 TerminationReason::Livelock,
@@ -67,7 +53,7 @@ fn injected_no_progress_run_is_classified_livelock_across_the_whole_matrix() {
     }
 
     // The verdict, the report and the whole result are bit-identical across
-    // the kernel × stepping × front-end matrix.
+    // the kernel × front-end matrix.
     let (reference_label, reference) = &results[0];
     for (label, result) in &results[1..] {
         assert_eq!(result, reference, "{label} diverged from {reference_label}");

@@ -17,7 +17,7 @@ use breakhammer_suite::sim::{
 use proptest::prelude::*;
 
 mod common;
-use common::{attack_traces, attack_traces_composed, benign_traces};
+use common::{attack_traces, attack_traces_composed, benign_traces, probabilistic_secded_fault};
 
 /// Runs `config` under both kernels and returns (per_cycle, event_driven).
 fn run_both(
@@ -180,6 +180,26 @@ fn multi_channel_systems_are_identical_across_kernels() {
         let traces = attack_traces(&config, 2_000, 100);
         let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
         assert_eq!(reference, event_driven, "kernels diverged at {channels} channels");
+    }
+}
+
+/// The probabilistic fault model draws every bit-flip from a pure hash of
+/// `(seed, channel, bank, row, crossing index)`, so on two channels its
+/// output must be bit-identical across the kernels too — and the run must
+/// actually produce flips, or the assertion is vacuous.
+#[test]
+fn probabilistic_fault_model_is_identical_across_kernels() {
+    for nrh in [64u64, 128] {
+        let mut config = SystemConfig::fast_test(MechanismKind::None, nrh, false).with_channels(2);
+        config.instructions_per_core = 6_000;
+        config.fault = probabilistic_secded_fault();
+        let traces = attack_traces(&config, 2_000, 100);
+        let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
+        assert!(
+            reference.outcome.flips_raw > 0,
+            "no probabilistic flips at nrh {nrh} — the differential lost its coverage"
+        );
+        assert_eq!(reference, event_driven, "kernels diverged on the fault model at nrh {nrh}");
     }
 }
 
