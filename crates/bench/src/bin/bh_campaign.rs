@@ -227,6 +227,11 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         "fig" => {
             let (figure, print_config) = parse_fig(rest)?;
             let env = BenchEnv { print_config, ..BenchEnv::from_env() };
+            if let Err(message) = figures::check(figure, &env) {
+                // The environment is wrong, not the arguments: no usage banner.
+                eprintln!("bh_campaign: {message}");
+                return Ok(ExitCode::FAILURE);
+            }
             print!("{}", figures::render(figure, &env));
             Ok(ExitCode::SUCCESS)
         }

@@ -63,8 +63,8 @@ impl CellOverseer {
 
     /// Marks a cell as in flight (called when a worker claims it).
     // The overseer is the one deliberate wall-clock consumer outside the
-    // tests: it only warns, never feeds results (bh_analyze D2 exempts
-    // bh-bench for exactly this kind of harness machinery).
+    // tests: it only warns, never feeds results, which is why it may read
+    // the clock `clippy.toml` disallows.
     #[allow(clippy::disallowed_methods)]
     pub fn begin(&self, cell: &str) {
         let mut state = self.shared.lock_state();

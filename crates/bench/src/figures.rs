@@ -275,6 +275,20 @@ pub fn find(id: &str) -> Result<&'static Figure, String> {
     })
 }
 
+/// Refuses a `BH_FIG_NRH` below the minimum of one of the figure's
+/// mechanisms before any cell runs (every cell would panic building it).
+pub fn check(figure: &Figure, env: &BenchEnv) -> Result<(), String> {
+    let (Body::Sweep(Sweep { thresholds: Thresholds::Fixed(_), mechanisms, .. }), Some(nrh)) =
+        (&figure.body, env.fig_nrh)
+    else {
+        return Ok(());
+    };
+    match mechanisms().into_iter().find(|m| nrh < m.min_nrh()) {
+        Some(m) => Err(format!("BH_FIG_NRH = {nrh} but {m} needs N_RH >= {}", m.min_nrh())),
+        None => Ok(()),
+    }
+}
+
 /// Renders one figure: exactly the text its former binary printed.
 pub fn render(figure: &Figure, env: &BenchEnv) -> String {
     match &figure.body {
@@ -741,4 +755,21 @@ fn storage_overheads(env: &BenchEnv) -> String {
         ]);
     }
     render_results("Mechanism storage overheads vs. N_RH (processor-die state, KiB)", &table)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_fixed_threshold_below_a_mechanisms_minimum_is_refused() {
+        let env = |fig_nrh| BenchEnv { fig_nrh, ..BenchEnv::from_lookup_with_warnings(|_| None).0 };
+        let fig6 = find("6").unwrap();
+        let err = check(fig6, &env(Some(2))).unwrap_err();
+        assert_eq!(err, "BH_FIG_NRH = 2 but Graphene needs N_RH >= 4");
+        assert_eq!(check(fig6, &env(Some(8))), Ok(()));
+        assert_eq!(check(fig6, &env(None)), Ok(()));
+        // Only the fixed-threshold figures take BH_FIG_NRH.
+        assert_eq!(check(find("13").unwrap(), &env(Some(2))), Ok(()));
+    }
 }

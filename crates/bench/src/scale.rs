@@ -123,7 +123,10 @@ impl Scale {
         if let Some(v) = reader.count("BH_MIXES_PER_CLASS", scale.mixes_per_class as u64) {
             scale.mixes_per_class = v as usize;
         }
-        if let Some(v) = reader.count("BH_TRACE_ENTRIES", scale.benign_entries as u64) {
+        // Table 3 reads the same variable with its own default, so the one
+        // warning names both fallbacks.
+        let fallback = format!("{} ({TABLE3_ENTRIES} in Table 3)", scale.benign_entries);
+        if let Some(v) = reader.count("BH_TRACE_ENTRIES", fallback) {
             scale.benign_entries = (v as usize).max(100);
         }
         if let Some(v) = reader.count("BH_ATTACKER_ENTRIES", scale.attacker_entries as u64) {
@@ -255,6 +258,9 @@ impl<F: Fn(&str) -> Option<String>> Reader<F> {
     }
 }
 
+/// [`BenchEnv::table3_entries`] when `BH_TRACE_ENTRIES` is unset or unusable.
+const TABLE3_ENTRIES: usize = 50_000;
+
 /// Everything `bh-bench` takes from outside the program: the [`Scale`] plus
 /// the knobs that are not part of it. Built once at the binary edge by
 /// [`BenchEnv::from_env`] (tests build it from a lookup map), so no figure,
@@ -272,8 +278,9 @@ pub struct BenchEnv {
     /// (2 M by default, scaled down from the paper's 64 ms).
     pub table3_window: u64,
     /// `BH_TRACE_ENTRIES` as Table 3 takes it — unclamped, and 50 000 when
-    /// unset: the table characterises the generated traces themselves, so it
-    /// wants longer ones than a sweep's [`Scale::benign_entries`].
+    /// unset or unusable: the table characterises the generated traces
+    /// themselves, so it wants longer ones than a sweep's
+    /// [`Scale::benign_entries`].
     pub table3_entries: usize,
     /// `BH_CELL_TIMEOUT_SECS`: the wall-clock budget past which a sweep's
     /// [`CellOverseer`](crate::campaign::CellOverseer) warns about a cell
@@ -306,12 +313,13 @@ impl BenchEnv {
         let mut reader = Reader { lookup, warnings: Vec::new() };
         let env = BenchEnv {
             scale: Scale::read(&mut reader),
-            fig_nrh: reader.number("BH_FIG_NRH", "each figure's own threshold"),
-            table3_window: reader.number("BH_TABLE3_WINDOW", 2_000_000).unwrap_or(2_000_000),
+            fig_nrh: reader.count("BH_FIG_NRH", "each figure's own threshold"),
+            table3_window: reader.count("BH_TABLE3_WINDOW", 2_000_000).unwrap_or(2_000_000),
             // The scale has already warned about an unusable value.
             table3_entries: (reader.lookup)("BH_TRACE_ENTRIES")
                 .and_then(|raw| raw.trim().parse::<usize>().ok())
-                .unwrap_or(50_000),
+                .filter(|&entries| entries > 0)
+                .unwrap_or(TABLE3_ENTRIES),
             cell_timeout: reader
                 .count("BH_CELL_TIMEOUT_SECS", "no overseer")
                 .map(Duration::from_secs),
@@ -489,5 +497,19 @@ mod tests {
         assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(warnings.iter().any(|w| w.contains("BH_FIG_NRH") && w.contains("1K")));
         assert!(warnings.iter().any(|w| w.contains("BH_CELL_TIMEOUT_SECS=0")));
+
+        // 0 is not a threshold, a window or a trace length: each falls back
+        // to its default with one warning naming the value used.
+        let (zeros, warnings) = BenchEnv::from_lookup_with_warnings(|name| match name {
+            "BH_FIG_NRH" | "BH_TABLE3_WINDOW" | "BH_TRACE_ENTRIES" => Some("0".to_string()),
+            _ => None,
+        });
+        assert_eq!(zeros, unset);
+        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        assert!(warnings.iter().any(|w| w.contains("BH_FIG_NRH=0")));
+        assert!(warnings.iter().any(|w| w.contains("BH_TABLE3_WINDOW=0") && w.contains("2000000")));
+        assert!(warnings
+            .iter()
+            .any(|w| w.contains("BH_TRACE_ENTRIES=0") && w.contains("20000 (50000 in Table 3)")));
     }
 }

@@ -57,7 +57,7 @@ fn every_figure_prints_what_its_binary_printed() {
         .map(|(id, text)| format!("{id} {} {:016x}\n", text.lines().count(), fnv1a64(text)))
         .collect();
     let path = golden_path();
-    if std::env::var_os("BH_DIGEST_RECORD").is_some() {
+    if bh_core::knobs::raw("BH_DIGEST_RECORD").is_some() {
         std::fs::write(&path, summary).expect("write golden file");
         return;
     }

@@ -1,14 +1,14 @@
 //! Central registry of the workspace's `BH_*` environment knobs.
 //!
-//! Every `BH_*` environment variable read anywhere in the workspace must be
-//! registered in [`KNOBS`], and every registered knob must appear in the
-//! README's knob table. Both halves are enforced statically by `bh_analyze`
-//! rule **E1** (`cargo run -p bh_analyze -- --deny`), so a knob can neither
+//! [`raw`] is the one read of the process environment: `clippy.toml`
+//! disallows every other `std::env::var` / `var_os` call, and `raw` asserts
+//! (in debug builds) that the name it reads is registered in [`KNOBS`]. The
+//! README's knob table lists exactly the registered names, in registry order,
+//! which a unit test below checks in both directions — so a knob can neither
 //! be added silently nor drift out of the documentation.
 //!
-//! [`raw`] is the one read of the process environment; parsing, and the
-//! `warning:` line for a set-but-unusable value, belong to the caller
-//! (`bh_bench::scale::BenchEnv`).
+//! Parsing, and the `warning:` line for a set-but-unusable value, belong to
+//! the caller (`bh_bench::scale::BenchEnv`).
 
 /// One registered `BH_*` environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,10 +22,6 @@ pub struct Knob {
 }
 
 /// Every `BH_*` environment variable the workspace reads, sorted by name.
-///
-/// `bh_analyze` parses this table (rule E1): an `env::var("BH_…")` read of an
-/// unregistered name is a lint error, and so is a registered name missing
-/// from the README knob table.
 pub const KNOBS: &[Knob] = &[
     Knob {
         name: "BH_ATTACKER_ENTRIES",
@@ -141,23 +137,16 @@ pub const KNOBS: &[Knob] = &[
     },
 ];
 
-/// True if `name` is a registered knob.
-pub fn is_registered(name: &str) -> bool {
-    KNOBS.iter().any(|k| k.name == name)
-}
-
-/// The registered knob named `name`, if any.
-pub fn find(name: &str) -> Option<&'static Knob> {
-    KNOBS.iter().find(|k| k.name == name)
-}
-
 /// Reads a registered knob's raw value from the environment.
 ///
 /// The debug assertion keeps runtime reads honest with the registry; release
-/// binaries read the variable either way (the static E1 pass is the real
-/// gate).
+/// binaries read the variable either way.
+#[allow(clippy::disallowed_methods)] // the one environment read (see the module docs)
 pub fn raw(name: &str) -> Option<String> {
-    debug_assert!(is_registered(name), "`{name}` is not registered in bh_core::knobs::KNOBS");
+    debug_assert!(
+        KNOBS.iter().any(|k| k.name == name),
+        "`{name}` is not registered in bh_core::knobs::KNOBS"
+    );
     std::env::var(name).ok()
 }
 
@@ -188,15 +177,29 @@ mod tests {
 
     #[test]
     fn lookup_finds_registered_names_only() {
-        assert!(is_registered("BH_WORKERS"));
-        assert!(!is_registered("BH_NOT_A_KNOB"));
-        assert_eq!(find("BH_SEED").unwrap().default, "42");
-        assert!(find("BH_NOT_A_KNOB").is_none());
+        // Debug builds refuse to read an unregistered name.
+        let unregistered = std::panic::catch_unwind(|| raw("BH_NOT_A_KNOB"));
+        assert_eq!(unregistered.is_err(), cfg!(debug_assertions));
     }
 
     #[test]
     fn unset_knob_reads_none() {
         // BH_TEST_FORCE_PANIC_MIX is never set in the test environment.
         assert_eq!(raw("BH_TEST_FORCE_PANIC_MIX"), None);
+    }
+
+    /// The README knob table's rows are exactly the registry, in order: a
+    /// knob added without a row, a row without a knob and a reordered table
+    /// all fail here.
+    #[test]
+    fn readme_knob_table_matches_the_registry() {
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<&str> = readme
+            .lines()
+            .filter(|line| line.starts_with("| `BH_"))
+            .filter_map(|line| line.split('`').nth(1))
+            .collect();
+        let registered: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
+        assert_eq!(rows, registered);
     }
 }

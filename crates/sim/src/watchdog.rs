@@ -4,9 +4,9 @@
 //! [`crate::System::run`] feed it one [`ProgressSample`] per epoch boundary
 //! (a fixed DRAM-cycle grid), and it answers with a [`Verdict`] when the run
 //! is provably stuck or over budget. No wall clock is involved anywhere —
-//! the bh_analyze D2 rule (no `Instant`/`SystemTime` in sim crates) holds —
-//! so the verdict is a deterministic function of the simulated schedule and
-//! is bit-identical across kernels and front-ends.
+//! `clippy.toml` disallows `Instant::now`/`SystemTime::now` — so the verdict
+//! is a deterministic function of the simulated schedule and is bit-identical
+//! across kernels and front-ends.
 //!
 //! Two detectors run side by side:
 //!

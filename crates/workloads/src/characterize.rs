@@ -45,7 +45,7 @@ pub fn characterize(
 ) -> WorkloadCharacteristics {
     assert!(window_instructions > 0, "the observation window must be non-empty");
     // BTreeMaps, not HashMaps: characterisation feeds table output, and the
-    // digest-pinned crates ban hash iteration order outright (bh_analyze D1).
+    // workspace bans hash iteration order outright (clippy.toml).
     let mut open_rows: BTreeMap<usize, usize> = BTreeMap::new();
     let mut row_activations: BTreeMap<(usize, usize), u64> = BTreeMap::new();
     let mut instructions = 0u64;

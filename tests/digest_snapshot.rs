@@ -363,7 +363,7 @@ fn scenario_golden_path() -> std::path::PathBuf {
 /// Compares `digests` to the golden file at `path`, recording instead when
 /// `BH_DIGEST_RECORD` is set. Shared by the classic and scenario matrices.
 fn check_golden(path: &std::path::Path, digests: &[(String, u64)]) {
-    if std::env::var_os("BH_DIGEST_RECORD").is_some() {
+    if breakhammer_suite::breakhammer::knobs::raw("BH_DIGEST_RECORD").is_some() {
         let mut contents = String::new();
         for (label, d) in digests {
             contents.push_str(&format!("{label} {d:016x}\n"));
