@@ -41,9 +41,7 @@
 //! `BH_WATCHDOG_MAX_*` budget) are recorded as `"livelock"` / `"budget"`
 //! lines with their diagnostic snapshot; they are *settled* — a deterministic
 //! verdict reruns to itself — so `resume` skips and reports them instead of
-//! retrying. `BH_CELL_TIMEOUT_SECS=<secs>` arms a last-resort wall-clock
-//! overseer that warns about cells running past the budget (never affecting
-//! results). `BH_TEST_FORCE_PANIC_MIX=<substring>` and
+//! retrying. `BH_TEST_FORCE_PANIC_MIX=<substring>` and
 //! `BH_TEST_FORCE_SPIN_MIX=<substring>` are test hooks forcing matching cells
 //! to panic or livelock, exercising both fault paths end to end.
 
@@ -54,6 +52,7 @@
 use bh_bench::campaign::{
     evaluated_cells, pending_failures, report_table, verdict_cells, CampaignSpec, ResultStore,
 };
+use bh_bench::scale::{first_repeat, parse_list};
 use bh_bench::{config_matrix, figures, render_results, BenchEnv};
 use bh_mitigation::MechanismKind;
 use std::collections::HashSet;
@@ -163,27 +162,6 @@ fn parse_fig(args: &[String]) -> Result<(&'static figures::Figure, bool), String
     }
 }
 
-fn parse_list(list: &str, flag: &str) -> Result<Vec<u64>, String> {
-    let parsed: Vec<u64> = list
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse::<u64>().map_err(|_| format!("{flag}: {s:?} is not a number")))
-        .collect::<Result<_, _>>()?;
-    if parsed.is_empty() {
-        return Err(format!("{flag} selected nothing"));
-    }
-    // A repeated entry would evaluate and append every one of its cells twice.
-    if let Some(repeated) = first_repeat(&parsed) {
-        return Err(format!("{flag}: {repeated} is listed twice"));
-    }
-    Ok(parsed)
-}
-
-fn first_repeat<T: PartialEq>(list: &[T]) -> Option<&T> {
-    list.iter().enumerate().find(|(i, item)| list[..*i].contains(item)).map(|(_, item)| item)
-}
-
 /// The sweep `options` describe at `env`'s scale.
 ///
 /// # Errors
@@ -193,7 +171,6 @@ fn first_repeat<T: PartialEq>(list: &[T]) -> Option<&T> {
 /// store of `"failed"` lines every `resume` retries.
 fn build_spec(options: &Options, env: BenchEnv) -> Result<CampaignSpec, String> {
     let mut spec = CampaignSpec::from_scale(env.scale, options.mechanisms.clone(), options.attack);
-    spec.cell_timeout = env.cell_timeout;
     if let Some(nrh) = &options.nrh_values {
         spec.nrh_values = nrh.clone();
     }

@@ -13,14 +13,15 @@
 //! configuration change (mechanism, threshold, timing, scale) changes the
 //! digest, so a store can never silently mix results from different sweeps.
 //!
-//! Three modules, one concern each: [`store`] owns the file and its format
-//! (over a private JSON-subset reader/writer), [`sweep`] schedules cells into
-//! a store, [`report`] aggregates what a store holds.
+//! Three private modules, one concern each: `store` owns the file and its
+//! format ([`ResultStore`], [`CellRecord`], over a JSON-subset
+//! reader/writer), `sweep` schedules cells into a store ([`CampaignSpec`]),
+//! `report` aggregates what a store holds ([`report_table`]).
 
 mod json;
-pub mod report;
-pub mod store;
-pub mod sweep;
+mod report;
+mod store;
+mod sweep;
 
 pub use report::report_table;
 pub use store::{
@@ -28,4 +29,4 @@ pub use store::{
     termination_status, verdict_cells, CellRecord, FailedCell, ResultStore, StoreEntry,
     SCHEMA_VERSION,
 };
-pub use sweep::{CampaignSpec, CellOverseer, SweepSummary};
+pub use sweep::{CampaignSpec, SweepSummary};

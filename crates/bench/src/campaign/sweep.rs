@@ -1,9 +1,7 @@
 //! The sweep engine: a [`CampaignSpec`] run into a
-//! [`ResultStore`], one checkpointed cell at a time, with an
-//! optional wall-clock [`CellOverseer`] around the cells in flight.
+//! [`ResultStore`], one checkpointed cell at a time.
 
-// Hash collections are deliberate here: the settled-cell set and the
-// overseer's in-flight map are membership state, never iterated for results.
+// The settled-cell set is membership state, never iterated for results.
 #![allow(clippy::disallowed_types)]
 
 use super::store::{config_digest, failed_line, record_line, ResultStore};
@@ -12,135 +10,7 @@ use crate::scale::Scale;
 use crate::Campaign;
 use bh_mitigation::MechanismKind;
 use bh_sim::TerminationReason;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-// --- wall-clock overseer ----------------------------------------------------
-
-/// Last-resort wall-clock watchdog over in-flight campaign cells.
-///
-/// The simulator's own forward-progress watchdog is deterministic and lives
-/// inside the sim crates; this overseer is the safety net *around* it — if a
-/// cell somehow runs past a wall-clock budget (a sim bug the deterministic
-/// watchdog misses, a pathological configuration with the watchdog disabled),
-/// it warns on stderr, once per cell, and keeps the sweep running. It never
-/// influences results, so keeping it (and the only wall-clock reads of the
-/// workspace outside tests) confined to the campaign layer preserves the
-/// sim crates' determinism lint.
-#[derive(Debug)]
-pub struct CellOverseer {
-    shared: Arc<OverseerShared>,
-    watcher: Option<std::thread::JoinHandle<()>>,
-}
-
-#[derive(Debug)]
-struct OverseerShared {
-    timeout: Duration,
-    state: Mutex<OverseerState>,
-    wakeup: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct OverseerState {
-    running: HashMap<String, Instant>,
-    overdue: Vec<String>,
-    stop: bool,
-}
-
-impl CellOverseer {
-    /// Starts an overseer with an explicit per-cell wall-clock budget.
-    pub fn new(timeout: Duration) -> Self {
-        let shared = Arc::new(OverseerShared {
-            timeout,
-            state: Mutex::new(OverseerState::default()),
-            wakeup: Condvar::new(),
-        });
-        let watcher_shared = Arc::clone(&shared);
-        let watcher = std::thread::spawn(move || watcher_shared.watch());
-        CellOverseer { shared, watcher: Some(watcher) }
-    }
-
-    /// Marks a cell as in flight (called when a worker claims it).
-    // The overseer is the one deliberate wall-clock consumer outside the
-    // tests: it only warns, never feeds results, which is why it may read
-    // the clock `clippy.toml` disallows.
-    #[allow(clippy::disallowed_methods)]
-    pub fn begin(&self, cell: &str) {
-        let mut state = self.shared.lock_state();
-        state.running.insert(cell.to_string(), Instant::now());
-    }
-
-    /// Marks a cell as finished (completed or panicked) — it is no longer
-    /// watched.
-    pub fn finish(&self, cell: &str) {
-        let mut state = self.shared.lock_state();
-        state.running.remove(cell);
-    }
-
-    /// The cells that exceeded the wall-clock budget so far, in detection
-    /// order (each warned once on stderr).
-    pub fn overdue_cells(&self) -> Vec<String> {
-        self.shared.lock_state().overdue.clone()
-    }
-}
-
-impl Drop for CellOverseer {
-    fn drop(&mut self) {
-        self.shared.lock_state().stop = true;
-        self.shared.wakeup.notify_all();
-        if let Some(watcher) = self.watcher.take() {
-            // The watcher only sleeps and prints; a panic there must not
-            // cascade into the sweep's teardown.
-            let _ = watcher.join();
-        }
-    }
-}
-
-impl OverseerShared {
-    /// Locks the state, recovering from poison: the state is a plain map of
-    /// start times, valid after any panic.
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, OverseerState> {
-        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    // Wall clock is this thread's whole job: measuring how long cells have
-    // been in flight. Warn-only — results never depend on it.
-    #[allow(clippy::disallowed_methods)]
-    fn watch(&self) {
-        let mut state = self.lock_state();
-        loop {
-            if state.stop {
-                return;
-            }
-            let now = Instant::now();
-            let over: Vec<String> = state
-                .running
-                .iter()
-                .filter(|(_, started)| now.duration_since(**started) >= self.timeout)
-                .map(|(cell, _)| cell.clone())
-                .collect();
-            for cell in over {
-                state.running.remove(&cell);
-                state.overdue.push(cell.clone());
-                eprintln!(
-                    "warning: campaign cell {cell} has been running for over {:?} of wall \
-                     clock; the sweep continues — check the deterministic watchdog \
-                     configuration (BH_WATCHDOG_*) if this cell never settles",
-                    self.timeout
-                );
-            }
-            // Poll at a fraction of the budget so detection latency stays
-            // proportionate, bounded for very small test budgets.
-            let poll = (self.timeout / 4).clamp(Duration::from_millis(5), Duration::from_secs(1));
-            let (next, _) = self
-                .wakeup
-                .wait_timeout(state, poll)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            state = next;
-        }
-    }
-}
+use std::collections::HashSet;
 
 // --- the sweep engine -------------------------------------------------------
 
@@ -173,12 +43,6 @@ pub struct CampaignSpec {
     /// deterministically. Cell identity stays that of the base
     /// configuration. `None` in production.
     pub force_spin_mix: Option<String>,
-    /// Wall-clock budget per cell (the CLI passes `BH_CELL_TIMEOUT_SECS`
-    /// here): a [`CellOverseer`] watches the in-flight cells and warns about
-    /// any that exceed it — a last resort confined to this campaign layer;
-    /// the deterministic in-simulator watchdog is the real defense. `None`
-    /// (the default) reads no wall clock at all.
-    pub cell_timeout: Option<Duration>,
 }
 
 impl CampaignSpec {
@@ -194,7 +58,6 @@ impl CampaignSpec {
             scale,
             force_panic_mix: None,
             force_spin_mix: None,
-            cell_timeout: None,
         }
     }
 
@@ -210,7 +73,6 @@ impl CampaignSpec {
         completed: &HashSet<String>,
         cell_limit: Option<usize>,
     ) -> SweepSummary {
-        let overseer = self.cell_timeout.map(CellOverseer::new);
         let mut summary = SweepSummary::default();
         let mut budget = cell_limit.unwrap_or(usize::MAX);
         for &seed in &self.seeds {
@@ -249,24 +111,14 @@ impl CampaignSpec {
                 continue;
             }
             let cache = campaign.warmed_alone_cache().clone();
-            let on_claim = |i: usize| {
-                if let Some(overseer) = &overseer {
-                    overseer.begin(&cells[i]);
-                }
-            };
-            let on_cell = |i: usize, outcome: Result<&RunRecord, &str>| {
-                if let Some(overseer) = &overseer {
-                    overseer.finish(&cells[i]);
-                }
-                match outcome {
-                    Ok(record) => store.append(&record_line(&cells[i], seed, self.attack, record)),
-                    Err(error) => store.append(&failed_line(&cells[i], seed, self.attack, error)),
-                }
+            let on_cell = |i: usize, outcome: Result<&RunRecord, &str>| match outcome {
+                Ok(record) => store.append(&record_line(&cells[i], seed, self.attack, record)),
+                Err(error) => store.append(&failed_line(&cells[i], seed, self.attack, error)),
             };
             let hooks = EvalHooks {
                 force_panic_mix: self.force_panic_mix.as_deref(),
                 force_spin_mix: self.force_spin_mix.as_deref(),
-                on_claim: &on_claim,
+                on_claim: &|_| {},
                 on_record: &on_cell,
             };
             let results =
@@ -316,28 +168,5 @@ impl SweepSummary {
     /// True when the store now covers the whole grid.
     pub fn complete(&self) -> bool {
         self.skipped_cells + self.evaluated_cells == self.total_cells
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    // Wall clock is what the overseer measures; the test must read it too.
-    #[allow(clippy::disallowed_methods)]
-    fn overseer_flags_overdue_cells_once_and_forgets_finished_ones() {
-        let overseer = CellOverseer::new(Duration::from_millis(20));
-        overseer.begin("fast/m/1");
-        overseer.finish("fast/m/1");
-        overseer.begin("slow/m/1");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while overseer.overdue_cells().is_empty() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(overseer.overdue_cells(), vec!["slow/m/1".to_string()]);
-        // Finished before its budget ran out: never flagged, even later.
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(overseer.overdue_cells(), vec!["slow/m/1".to_string()]);
     }
 }

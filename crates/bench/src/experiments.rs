@@ -308,8 +308,8 @@ impl Campaign {
 /// The two `force_*` patterns are the test hooks behind the campaign CLI's
 /// `BH_TEST_FORCE_PANIC_MIX` / `BH_TEST_FORCE_SPIN_MIX` environment knobs;
 /// the two callbacks fire on the worker threads (claiming a job, finishing a
-/// cell) and are how the campaign engine streams checkpoints and feeds its
-/// wall-clock overseer. Plain sweeps use [`EvalHooks::none`].
+/// cell) and are how the campaign engine streams checkpoints. Plain sweeps
+/// use [`EvalHooks::none`].
 pub struct EvalHooks<'a> {
     /// Cells whose mix name contains this pattern panic before evaluating,
     /// exercising the sweep's panic-isolation path end to end.

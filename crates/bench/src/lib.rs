@@ -6,24 +6,23 @@
 //! <id>` — which also drives checkpointed sweeps (`sweep` / `resume` /
 //! `report`, the [`campaign`] engine). The shared machinery — workload-mix
 //! campaigns, parallel evaluation, aggregation and table/CSV output — lives
-//! in [`experiments`]; [`scale`] turns the `BH_*` environment variables into
-//! typed values once, at the binary edge.
+//! in `experiments` ([`Campaign`], [`evaluate_jobs`]); [`scale`] turns the
+//! `BH_*` environment variables into typed values once, at the binary edge.
 //!
 //! Host-time measurement is not this crate's job: the repository's one
 //! performance harness is the standalone `benchmark/` package, which drives
-//! [`campaign`] and [`experiments`] through their public items.
+//! [`campaign`] and the `experiments` items re-exported here.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod campaign;
-pub mod experiments;
+mod experiments;
 pub mod figures;
 pub mod scale;
 
 pub use campaign::{
-    termination_status, CampaignSpec, CellOverseer, CellRecord, FailedCell, ResultStore,
-    StoreEntry, SweepSummary,
+    termination_status, CampaignSpec, CellRecord, FailedCell, ResultStore, StoreEntry, SweepSummary,
 };
 pub use experiments::{
     config_label, config_matrix, evaluate_jobs, geomean_speedup, mean_of, paper_config,

@@ -10,39 +10,18 @@
 //!
 //! The scale (instruction budget, number of mixes per class, the `N_RH`
 //! sweep) defaults to a laptop-friendly "quick" configuration and can be
-//! grown towards the paper's scale:
-//!
-//! | Variable | Meaning | Quick default |
-//! |---|---|---|
-//! | `BH_INSTRUCTIONS` | instructions each benign core retires | 60 000 |
-//! | `BH_MIXES_PER_CLASS` | workloads per mix class (paper: 15) | 1 |
-//! | `BH_TRACE_ENTRIES` | trace records per benign application | 20 000 |
-//! | `BH_ATTACKER_ENTRIES` | trace records for the attacker | 8 000 |
-//! | `BH_NRH_LIST` | comma-separated `N_RH` sweep | `4096,1024,256,64` |
-//! | `BH_SEED` | workload-generation seed | 42 |
-//! | `BH_WORKERS` | worker threads for parallel runs | all cores |
-//! | `BH_CHANNELS` | memory channels (sharded memory system) | 1 |
-//! | `BH_SCENARIOS` | comma-separated attack scenarios (`all` = catalog) | none |
-//! | `BH_FAULT_MODEL` | `threshold` or `probabilistic` bit-flip model | `threshold` |
-//! | `BH_FLIP_PROBABILITY` | per-crossing flip probability (probabilistic model) | 0.5 |
-//! | `BH_NRH_VARIATION` | per-row `N_RH` variation half-width (probabilistic model) | 0.1 |
-//! | `BH_ECC` | ECC scheme classifying flips: `none` or `secded` | `none` |
-//! | `BH_WATCHDOG_EPOCH_CYCLES` | watchdog epoch length (0 = auto-derive) | 0 |
-//! | `BH_WATCHDOG_STALL_EPOCHS` | zero-progress epochs before a livelock verdict | 8 |
-//! | `BH_WATCHDOG_MAX_EPOCHS` | per-run epoch budget (0 = unlimited) | 0 |
-//! | `BH_WATCHDOG_MAX_PREVENTIVE` | per-run preventive-action budget (0 = unlimited) | 0 |
-//! | `BH_FIG_NRH` | threshold of the fixed-threshold figures (6, 7, 14) | 1024 |
-//! | `BH_TABLE3_WINDOW` | Table 3 observation window (instructions) | 2 000 000 |
-//! | `BH_CELL_TIMEOUT_SECS` | wall-clock budget the sweep overseer warns past | off |
+//! grown towards the paper's scale. The README's knob table lists every
+//! variable with its meaning and default; a unit test keeps that table equal
+//! to the registry `bh_core::knobs::KNOBS`.
 //!
 //! Set-but-unparseable variables (garbage, `0` where a positive count is
-//! required) fall back to their defaults with a one-time warning on stderr
-//! naming the variable and the fallback used.
+//! required, a repeated `BH_NRH_LIST` entry) fall back to their defaults
+//! with a one-time warning on stderr naming the variable and the fallback
+//! used.
 
 use bh_dram::{EccMode, FaultConfig, FaultModel};
 use bh_sim::WatchdogConfig;
 use bh_workloads::scenario_catalog;
-use std::time::Duration;
 
 /// Experiment scale knobs (see the module documentation for the environment
 /// variables that override them).
@@ -159,15 +138,9 @@ impl Scale {
         }
         let Reader { lookup, warnings } = reader;
         if let Some(list) = lookup("BH_NRH_LIST") {
-            let parsed: Vec<u64> =
-                list.split(',').filter_map(|s| s.trim().parse::<u64>().ok()).collect();
-            if parsed.is_empty() {
-                warnings.push(format!(
-                    "BH_NRH_LIST={list:?} has no parseable thresholds; using {:?}",
-                    scale.nrh_values
-                ));
-            } else {
-                scale.nrh_values = parsed;
+            match parse_list(&list, &format!("BH_NRH_LIST={list:?}")) {
+                Ok(parsed) => scale.nrh_values = parsed,
+                Err(error) => warnings.push(format!("{error}; using {:?}", scale.nrh_values)),
             }
         }
         if let Some(list) = lookup("BH_SCENARIOS") {
@@ -258,6 +231,35 @@ impl<F: Fn(&str) -> Option<String>> Reader<F> {
     }
 }
 
+/// Parses a comma-separated list of numbers: `BH_NRH_LIST`, and the
+/// command line's `--nrh` and `--seeds`. Blank entries are skipped; an
+/// unparseable entry, an empty list or a repeated entry is an error naming
+/// `what`.
+///
+/// # Errors
+/// One message, starting with `what`, for the first problem found.
+pub fn parse_list(list: &str, what: &str) -> Result<Vec<u64>, String> {
+    let parsed: Vec<u64> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|s| s.parse::<u64>().map_err(|_| format!("{what}: {s:?} is not a number")))
+        .collect::<Result<_, _>>()?;
+    if parsed.is_empty() {
+        return Err(format!("{what} selected nothing"));
+    }
+    // A repeated entry would evaluate and append every one of its cells twice.
+    if let Some(repeated) = first_repeat(&parsed) {
+        return Err(format!("{what}: {repeated} is listed twice"));
+    }
+    Ok(parsed)
+}
+
+/// The first item of `list` that an earlier item equals.
+pub fn first_repeat<T: PartialEq>(list: &[T]) -> Option<&T> {
+    list.iter().enumerate().find(|(i, item)| list[..*i].contains(item)).map(|(_, item)| item)
+}
+
 /// [`BenchEnv::table3_entries`] when `BH_TRACE_ENTRIES` is unset or unusable.
 const TABLE3_ENTRIES: usize = 50_000;
 
@@ -282,10 +284,6 @@ pub struct BenchEnv {
     /// themselves, so it wants longer ones than a sweep's
     /// [`Scale::benign_entries`].
     pub table3_entries: usize,
-    /// `BH_CELL_TIMEOUT_SECS`: the wall-clock budget past which a sweep's
-    /// [`CellOverseer`](crate::campaign::CellOverseer) warns about a cell
-    /// (`None`, the default, reads no wall clock at all).
-    pub cell_timeout: Option<Duration>,
     /// `--print-config` on the command line: figures that simulate print the
     /// Table 1 / Table 2 configuration summary before their results.
     pub print_config: bool,
@@ -320,9 +318,6 @@ impl BenchEnv {
                 .and_then(|raw| raw.trim().parse::<usize>().ok())
                 .filter(|&entries| entries > 0)
                 .unwrap_or(TABLE3_ENTRIES),
-            cell_timeout: reader
-                .count("BH_CELL_TIMEOUT_SECS", "no overseer")
-                .map(Duration::from_secs),
             print_config: false,
         };
         (env, reader.warnings)
@@ -407,6 +402,18 @@ mod tests {
     }
 
     #[test]
+    fn an_nrh_list_with_a_repeat_or_a_bad_entry_falls_back_with_a_warning() {
+        for list in ["64,64", "64,1O24"] {
+            let (scale, warnings) = Scale::from_lookup_with_warnings(|name| {
+                (name == "BH_NRH_LIST").then(|| list.to_string())
+            });
+            assert_eq!(scale.nrh_values, Scale::quick().nrh_values, "{list}");
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert!(warnings[0].starts_with(&format!("BH_NRH_LIST={list:?}")), "{warnings:?}");
+        }
+    }
+
+    #[test]
     fn watchdog_env_knobs_are_parsed() {
         let (scale, warnings) = Scale::from_lookup_with_warnings(|name| match name {
             "BH_WATCHDOG_EPOCH_CYCLES" => Some("25000".to_string()),
@@ -469,7 +476,6 @@ mod tests {
             "BH_FIG_NRH" => Some("64".to_string()),
             "BH_TABLE3_WINDOW" => Some("500000".to_string()),
             "BH_TRACE_ENTRIES" => Some("50".to_string()),
-            "BH_CELL_TIMEOUT_SECS" => Some("30".to_string()),
             "BH_SEED" => Some("7".to_string()),
             _ => None,
         });
@@ -477,7 +483,6 @@ mod tests {
         assert_eq!(env.scale.seed, 7, "the scale comes from the same lookup");
         assert_eq!(env.fig_nrh, Some(64));
         assert_eq!(env.table3_window, 500_000);
-        assert_eq!(env.cell_timeout, Some(Duration::from_secs(30)));
         // Sweeps clamp tiny traces to 100 records; Table 3 takes the value as given.
         assert_eq!((env.scale.benign_entries, env.table3_entries), (100, 50));
         assert!(!env.print_config, "only the command line sets it");
@@ -485,18 +490,15 @@ mod tests {
         let (unset, warnings) = BenchEnv::from_lookup_with_warnings(|_| None);
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(unset.scale, Scale::quick());
-        assert_eq!((unset.fig_nrh, unset.cell_timeout), (None, None));
+        assert_eq!(unset.fig_nrh, None);
         assert_eq!((unset.table3_window, unset.table3_entries), (2_000_000, 50_000));
 
-        let (bad, warnings) = BenchEnv::from_lookup_with_warnings(|name| match name {
-            "BH_FIG_NRH" => Some("1K".to_string()),
-            "BH_CELL_TIMEOUT_SECS" => Some("0".to_string()),
-            _ => None,
+        let (bad, warnings) = BenchEnv::from_lookup_with_warnings(|name| {
+            (name == "BH_FIG_NRH").then(|| "1K".to_string())
         });
-        assert_eq!((bad.fig_nrh, bad.cell_timeout), (None, None));
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert!(warnings.iter().any(|w| w.contains("BH_FIG_NRH") && w.contains("1K")));
-        assert!(warnings.iter().any(|w| w.contains("BH_CELL_TIMEOUT_SECS=0")));
+        assert_eq!(bad.fig_nrh, None);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("BH_FIG_NRH") && warnings[0].contains("1K"));
 
         // 0 is not a threshold, a window or a trace length: each falls back
         // to its default with one warning naming the value used.

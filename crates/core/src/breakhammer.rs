@@ -107,11 +107,6 @@ impl BreakHammer {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &BreakHammerConfig {
-        &self.config
-    }
-
     /// Running statistics.
     pub fn stats(&self) -> &BreakHammerStats {
         &self.stats
@@ -495,7 +490,7 @@ mod tests {
             b2.on_preventive_action(i * 10);
         }
         let mean: f64 = b2.scores().iter().sum::<f64>() / 4.0;
-        let bound = (1.0 + b2.config().outlier_threshold) * mean;
+        let bound = (1.0 + b2.config.outlier_threshold) * mean;
         for t in 0..3 {
             if !b2.is_suspect(ThreadId(t)) {
                 assert!(b2.score(ThreadId(t)) <= bound + 1.0);

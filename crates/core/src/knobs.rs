@@ -28,11 +28,6 @@ pub const KNOBS: &[Knob] = &[
         summary: "trace records generated for the attacker",
         default: "8000",
     },
-    Knob {
-        name: "BH_CELL_TIMEOUT_SECS",
-        summary: "campaign overseer: warn when a cell runs longer (wall clock)",
-        default: "unset (off)",
-    },
     Knob { name: "BH_CHANNELS", summary: "memory channels (sharded memory system)", default: "1" },
     Knob {
         name: "BH_DIGEST_RECORD",

@@ -44,15 +44,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod breakhammer;
-pub mod config;
+mod breakhammer;
+mod config;
 pub mod hw_cost;
 pub mod knobs;
-pub mod scores;
+mod scores;
 pub mod security;
 
 pub use breakhammer::{BreakHammer, BreakHammerStats};
 pub use config::BreakHammerConfig;
 pub use hw_cost::HardwareCost;
-pub use scores::InterleavedScores;
 pub use security::{figure5_series, max_attacker_score_ratio, SecurityPoint};

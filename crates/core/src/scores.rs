@@ -11,7 +11,7 @@ use bh_dram::ThreadId;
 
 /// Two time-interleaved sets of per-thread score counters.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InterleavedScores {
+pub(crate) struct InterleavedScores {
     sets: [Vec<f64>; 2],
     active: usize,
 }
@@ -21,21 +21,16 @@ impl InterleavedScores {
     ///
     /// # Panics
     /// Panics if `num_threads` is zero.
-    pub fn new(num_threads: usize) -> Self {
+    pub(crate) fn new(num_threads: usize) -> Self {
         assert!(num_threads > 0, "need at least one hardware thread");
         InterleavedScores { sets: [vec![0.0; num_threads], vec![0.0; num_threads]], active: 0 }
-    }
-
-    /// Number of tracked threads.
-    pub fn num_threads(&self) -> usize {
-        self.sets[0].len()
     }
 
     /// Adds `amount` to `thread`'s score in **both** sets (both sets train).
     ///
     /// # Panics
     /// Panics if `thread` is out of range.
-    pub fn add(&mut self, thread: ThreadId, amount: f64) {
+    pub(crate) fn add(&mut self, thread: ThreadId, amount: f64) {
         let idx = thread.index();
         self.sets[0][idx] += amount;
         self.sets[1][idx] += amount;
@@ -43,34 +38,24 @@ impl InterleavedScores {
 
     /// The active-set score of `thread` (the value used for suspect
     /// identification).
-    pub fn score(&self, thread: ThreadId) -> f64 {
+    pub(crate) fn score(&self, thread: ThreadId) -> f64 {
         self.sets[self.active][thread.index()]
     }
 
     /// The active-set scores of all threads.
-    pub fn active_scores(&self) -> &[f64] {
+    pub(crate) fn active_scores(&self) -> &[f64] {
         &self.sets[self.active]
     }
 
-    /// The training-only (inactive) set scores of all threads.
-    pub fn inactive_scores(&self) -> &[f64] {
-        &self.sets[1 - self.active]
-    }
-
     /// Mean of the active-set scores.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let s = &self.sets[self.active];
         s.iter().sum::<f64>() / s.len() as f64
     }
 
-    /// Index of the currently active set (0 or 1), exposed for statistics.
-    pub fn active_set_index(&self) -> usize {
-        self.active
-    }
-
     /// End-of-window rotation: resets the active set and makes the other set
     /// (already trained during the elapsed window) the new active set.
-    pub fn rotate(&mut self) {
+    pub(crate) fn rotate(&mut self) {
         for v in &mut self.sets[self.active] {
             *v = 0.0;
         }
@@ -88,7 +73,7 @@ mod tests {
         s.add(ThreadId(0), 3.0);
         s.add(ThreadId(1), 1.0);
         assert_eq!(s.score(ThreadId(0)), 3.0);
-        assert_eq!(s.inactive_scores(), &[3.0, 1.0]);
+        assert_eq!(s.sets[1 - s.active], [3.0, 1.0]);
         assert_eq!(s.mean(), 2.0);
     }
 
@@ -96,13 +81,13 @@ mod tests {
     fn rotation_keeps_trained_values_available() {
         let mut s = InterleavedScores::new(2);
         s.add(ThreadId(0), 4.0);
-        let before_active = s.active_set_index();
+        let before_active = s.active;
         s.rotate();
-        assert_ne!(s.active_set_index(), before_active);
+        assert_ne!(s.active, before_active);
         // The new active set retained the training from the previous window…
         assert_eq!(s.score(ThreadId(0)), 4.0);
         // …while the reset set starts from zero and keeps training.
-        assert_eq!(s.inactive_scores(), &[0.0, 0.0]);
+        assert_eq!(s.sets[1 - s.active], [0.0, 0.0]);
         s.add(ThreadId(0), 1.0);
         assert_eq!(s.score(ThreadId(0)), 5.0);
         s.rotate();
@@ -134,6 +119,7 @@ mod tests {
 
     #[test]
     fn num_threads_reported() {
-        assert_eq!(InterleavedScores::new(4).num_threads(), 4);
+        let s = InterleavedScores::new(4);
+        assert_eq!((s.sets[0].len(), s.sets[1].len()), (4, 4));
     }
 }

@@ -52,7 +52,7 @@ impl CacheConfig {
     }
 
     /// Number of sets implied by the configuration.
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         self.capacity_bytes / (self.ways * self.line_bytes)
     }
 
@@ -303,11 +303,6 @@ impl LastLevelCache {
         self.quotas[thread.index()]
     }
 
-    /// Number of MSHRs currently allocated by `thread`.
-    pub fn mshrs_in_use(&self, thread: ThreadId) -> usize {
-        self.per_thread_mshrs[thread.index()]
-    }
-
     /// Stamp to store alongside a memoized rejection of reason `reason` for
     /// `thread`; see [`LastLevelCache::reject_memo_valid`].
     pub fn reject_stamp(&self, thread: ThreadId, reason: RejectReason) -> u64 {
@@ -347,7 +342,7 @@ impl LastLevelCache {
 
     /// True if the miss identified by `token` has completed (its MSHR has been
     /// released). O(1): the token's low bits name its slot.
-    pub fn is_completed(&self, token: MissToken) -> bool {
+    pub(crate) fn is_completed(&self, token: MissToken) -> bool {
         self.slot_tokens[(token & ((1 << TOKEN_SLOT_BITS) - 1)) as usize] != token
     }
 
@@ -386,7 +381,7 @@ impl LastLevelCache {
     }
 
     /// Performs a demand access on behalf of `thread`.
-    pub fn access(
+    pub(crate) fn access(
         &mut self,
         thread: ThreadId,
         addr: PhysAddr,
@@ -418,7 +413,7 @@ impl LastLevelCache {
     /// in the cache. MSHR allocation — and therefore BreakHammer's per-thread
     /// quota — still applies, which is exactly how BreakHammer throttles an
     /// attacker built around uncached accesses.
-    pub fn access_bypass(
+    pub(crate) fn access_bypass(
         &mut self,
         thread: ThreadId,
         addr: PhysAddr,
@@ -439,7 +434,7 @@ impl LastLevelCache {
     /// it would hit, merge, or allocate. The event-driven simulation kernel
     /// uses this to classify a dispatch-stalled core without perturbing the
     /// cache state.
-    pub fn probe_reject(
+    pub(crate) fn probe_reject(
         &self,
         thread: ThreadId,
         addr: PhysAddr,
@@ -683,7 +678,7 @@ mod tests {
         let second = c.access(ThreadId(0), PhysAddr(0x20000), false, 1);
         assert_eq!(second, AccessOutcome::Rejected { reason: RejectReason::QuotaExceeded });
         assert_eq!(c.stats().quota_rejections, 1);
-        assert_eq!(c.mshrs_in_use(ThreadId(0)), 1);
+        assert_eq!(c.per_thread_mshrs[ThreadId(0).index()], 1);
         // The other thread is unaffected.
         let other = c.access(ThreadId(1), PhysAddr(0x30000), false, 2);
         assert!(matches!(other, AccessOutcome::Miss { allocated: true, .. }));
@@ -695,7 +690,7 @@ mod tests {
         for t in tokens {
             c.complete_miss(t);
         }
-        assert_eq!(c.mshrs_in_use(ThreadId(0)), 0);
+        assert_eq!(c.per_thread_mshrs[ThreadId(0).index()], 0);
         let retry = c.access(ThreadId(0), PhysAddr(0x20000), false, 10);
         assert!(matches!(retry, AccessOutcome::Miss { allocated: true, .. }));
     }
@@ -767,7 +762,7 @@ mod tests {
         };
         c.complete_miss(tok);
         c.complete_miss(tok);
-        assert_eq!(c.mshrs_in_use(ThreadId(0)), 0);
+        assert_eq!(c.per_thread_mshrs[ThreadId(0).index()], 0);
     }
 }
 

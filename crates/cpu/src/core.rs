@@ -177,11 +177,6 @@ impl Core {
         }
     }
 
-    /// The hardware thread this core runs.
-    pub fn thread(&self) -> ThreadId {
-        self.thread
-    }
-
     /// Core statistics.
     pub fn stats(&self) -> &CoreStats {
         &self.stats
@@ -214,7 +209,7 @@ impl Core {
     /// stall (no dispatch can run, no self-state can change), so the
     /// simulator may skip ticking it and replay the cycles in bulk via
     /// [`Core::absorb_hard_stall`]. The caller checks the token's completion.
-    pub fn window_full_on(&self) -> Option<MissToken> {
+    pub(crate) fn window_full_on(&self) -> Option<MissToken> {
         if self.window_len < self.config.window_size {
             return None;
         }
@@ -227,7 +222,7 @@ impl Core {
     /// Replays `ticks` hard-stalled cycles (see [`Core::window_full_on`]):
     /// the per-cycle kernel would have counted each as one core cycle and one
     /// retire-stall cycle.
-    pub fn absorb_hard_stall(&mut self, ticks: u64) {
+    pub(crate) fn absorb_hard_stall(&mut self, ticks: u64) {
         self.stats.cycles += ticks;
         self.stats.retire_stall_cycles += ticks;
     }
@@ -445,7 +440,7 @@ impl Core {
 /// cores are ticked in index order within each cycle, and a hard-stalled
 /// core (window full behind an incomplete miss, `stalled_on[i]` set) is not
 /// ticked — its cycles accrue as debt in `stall_debt[i]` and replay via
-/// [`Core::absorb_hard_stall`] when the miss completes.
+/// `Core::absorb_hard_stall` when the miss completes.
 ///
 /// This is *the* legacy epoch contract: the simulator's `FrontEndKind::
 /// Legacy` path and the engine's differential tests both call it, so the
@@ -479,7 +474,7 @@ pub fn tick_epoch_legacy(
 
 /// Folds outstanding hard-stall debt into the legacy cores' counters (the
 /// end-of-run counterpart of [`tick_epoch_legacy`]; see
-/// [`Core::absorb_hard_stall`]).
+/// `Core::absorb_hard_stall`).
 pub fn settle_legacy(cores: &mut [Core], stall_debt: &mut [u64]) {
     for (i, core) in cores.iter_mut().enumerate() {
         let debt = std::mem::take(&mut stall_debt[i]);
@@ -629,7 +624,7 @@ mod tests {
         run_with_memory_latency(&mut core, &mut cache, 50);
         let ipc = core.ipc();
         assert!(ipc > 0.0 && ipc <= 4.0, "ipc {ipc}");
-        assert_eq!(core.thread(), ThreadId(0));
+        assert_eq!(core.thread, ThreadId(0));
     }
 
     #[test]

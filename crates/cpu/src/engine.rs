@@ -201,7 +201,7 @@ impl CoreEngine {
     }
 
     /// Number of cores.
-    pub fn num_cores(&self) -> usize {
+    pub(crate) fn num_cores(&self) -> usize {
         self.traces.len()
     }
 
@@ -226,16 +226,6 @@ impl CoreEngine {
             stores: lane.stores,
             dispatch_stall_cycles: lane.dispatch_stall_cycles,
             retire_stall_cycles: lane.retire_stall_cycles,
-        }
-    }
-
-    /// Instructions per cycle achieved by core `core` so far.
-    pub fn ipc(&self, core: usize) -> f64 {
-        let lane = &self.lanes[core];
-        if lane.cycles == 0 {
-            0.0
-        } else {
-            lane.retired_instructions as f64 / lane.cycles as f64
         }
     }
 
@@ -453,7 +443,12 @@ impl CoreEngine {
     /// [`Core::progress`](crate::Core::progress), used by the event-driven
     /// kernel to find stall horizons. A hard-stalled core reports the same
     /// retire-stall classification the deferred ticks will replay.
-    pub fn progress(&self, core: usize, llc: &LastLevelCache, next_cycle: Cycle) -> CoreProgress {
+    pub(crate) fn progress(
+        &self,
+        core: usize,
+        llc: &LastLevelCache,
+        next_cycle: Cycle,
+    ) -> CoreProgress {
         let lane = &self.lanes[core];
         if lane.finished {
             return CoreProgress::Finished;
@@ -524,7 +519,7 @@ impl CoreEngine {
     /// core would be [`CoreProgress::Active`] (leaving `out` empty; the
     /// kernel steps the very next cycle and never reads the buffer in that
     /// case), otherwise fills `out` with every core's classification —
-    /// bit-identical to calling [`CoreEngine::progress`] core by core.
+    /// bit-identical to calling `CoreEngine::progress` core by core.
     ///
     /// The common case on a throughput-bound system — some core's window
     /// head is a `Done` run or a hit whose data cycle has arrived — is
@@ -641,7 +636,7 @@ mod tests {
                     match kind {
                         0 => TraceEntry::load(bubbles, addr),
                         1 => TraceEntry::store(bubbles, addr),
-                        2 => TraceEntry::uncached_load(bubbles, addr),
+                        2 => TraceEntry { uncached: true, ..TraceEntry::load(bubbles, addr) },
                         _ => TraceEntry::load(bubbles * 3, addr),
                     }
                 })
@@ -762,7 +757,7 @@ mod tests {
                 &engine.stats(i),
                 "final stats diverged for core {i}"
             );
-            assert_eq!(legacy.cores[i].ipc(), engine.ipc(i));
+            assert_eq!(legacy.cores[i].ipc(), engine.stats(i).ipc());
             assert_eq!(legacy.cores[i].retired_instructions(), engine.retired_instructions(i));
         }
     }

@@ -48,10 +48,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
-pub mod core;
-pub mod engine;
-pub mod trace;
+mod cache;
+mod core;
+mod engine;
+mod trace;
 
 pub use cache::{
     AccessOutcome, CacheConfig, CacheStats, LastLevelCache, MissToken, OutgoingRequest,

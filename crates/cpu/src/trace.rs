@@ -35,12 +35,6 @@ impl TraceEntry {
         TraceEntry { bubbles, addr, is_write: true, uncached: false }
     }
 
-    /// Creates an uncached (cache-bypassing) load record, as used by
-    /// RowHammer attack loops built around `clflush`.
-    pub fn uncached_load(bubbles: u32, addr: PhysAddr) -> Self {
-        TraceEntry { bubbles, addr, is_write: false, uncached: true }
-    }
-
     /// Instructions represented by this record (bubbles plus the access).
     pub fn instructions(&self) -> u64 {
         self.bubbles as u64 + 1
@@ -85,7 +79,7 @@ impl Trace {
     }
 
     /// Total instructions represented by one pass over the trace.
-    pub fn instructions_per_pass(&self) -> u64 {
+    pub(crate) fn instructions_per_pass(&self) -> u64 {
         self.entries.iter().map(TraceEntry::instructions).sum()
     }
 
@@ -173,15 +167,6 @@ impl From<&Trace> for CompiledTrace {
 }
 
 impl CompiledTrace {
-    /// Compiles raw records directly (without an intermediate [`Trace`]).
-    ///
-    /// # Panics
-    /// Panics if `entries` is empty (a core cannot replay an empty trace).
-    pub fn new(entries: Vec<TraceEntry>) -> Self {
-        assert!(!entries.is_empty(), "a trace must contain at least one record");
-        CompiledTrace { entries: entries.into() }
-    }
-
     /// The trace records.
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
@@ -201,14 +186,8 @@ impl CompiledTrace {
     /// The record at `index` modulo the trace length (cyclic replay, same
     /// contract as [`Trace::entry`]).
     #[inline]
-    pub fn entry(&self, index: usize) -> TraceEntry {
+    pub(crate) fn entry(&self, index: usize) -> TraceEntry {
         self.entries[index % self.entries.len()]
-    }
-
-    /// True if `other` shares this trace's storage (compiled once, shared
-    /// everywhere — the property the campaign-level trace cache relies on).
-    pub fn shares_storage_with(&self, other: &CompiledTrace) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
     }
 
     /// Reconstructs an owned [`Trace`] (for serialisation or mutation).
@@ -225,7 +204,7 @@ mod tests {
         Trace::new(vec![
             TraceEntry::load(3, PhysAddr(0x1000)),
             TraceEntry::store(0, PhysAddr(0x2000)),
-            TraceEntry::uncached_load(10, PhysAddr(0x3000)),
+            TraceEntry { uncached: true, ..TraceEntry::load(10, PhysAddr(0x3000)) },
         ])
     }
 
@@ -263,7 +242,7 @@ mod tests {
         let t = Trace::new(vec![
             TraceEntry::load(0x0102_0304, PhysAddr(0x1122_3344_5566_7788)),
             TraceEntry::store(0, PhysAddr(0x2000)),
-            TraceEntry::uncached_load(10, PhysAddr(0x3000)),
+            TraceEntry { uncached: true, ..TraceEntry::load(10, PhysAddr(0x3000)) },
         ]);
         #[rustfmt::skip]
         let wire: [u8; 47] = [
@@ -314,18 +293,20 @@ mod tests {
             assert_eq!(compiled.entry(i), t.entry(i), "cyclic indexing must match at {i}");
         }
         let shared = compiled.clone();
-        assert!(shared.shares_storage_with(&compiled), "clone must be a refcount bump");
+        assert!(Arc::ptr_eq(&shared.entries, &compiled.entries), "clone must be a refcount bump");
         assert_eq!(shared, compiled);
         // A recompile of the same trace is equal but not shared.
         let recompiled = t.compile();
         assert_eq!(recompiled, compiled);
-        assert!(!recompiled.shares_storage_with(&compiled));
+        assert!(!Arc::ptr_eq(&recompiled.entries, &compiled.entries));
         assert_eq!(compiled.to_trace(), t);
     }
 
     #[test]
     #[should_panic(expected = "at least one record")]
     fn empty_compiled_trace_rejected() {
-        let _ = CompiledTrace::new(vec![]);
+        // A compiled trace is only ever built from a `Trace`, which rejects
+        // an empty record list.
+        let _ = Trace::new(vec![]).compile();
     }
 }

@@ -27,7 +27,7 @@ pub enum RowState {
 
 impl RowState {
     /// The open row, if any.
-    pub fn open_row(&self) -> Option<usize> {
+    pub(crate) fn open_row(&self) -> Option<usize> {
         match self {
             RowState::Open { row, .. } => Some(*row),
             RowState::Closed => None,
@@ -54,7 +54,7 @@ pub struct BankState {
 
 impl BankState {
     /// A freshly powered-up, precharged bank.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BankState {
             row: RowState::Closed,
             next_act: 0,
@@ -66,12 +66,12 @@ impl BankState {
     }
 
     /// The currently open row, if any.
-    pub fn open_row(&self) -> Option<usize> {
+    pub(crate) fn open_row(&self) -> Option<usize> {
         self.row.open_row()
     }
 
     /// True if the bank is precharged (no open row).
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         matches!(self.row, RowState::Closed)
     }
 
@@ -80,7 +80,7 @@ impl BankState {
     /// the device). This is the per-bank "ready horizon" the event-driven
     /// scheduler uses to jump the clock instead of polling `can_issue` at
     /// every cycle.
-    pub fn earliest(&self, kind: CommandKind) -> Cycle {
+    pub(crate) fn earliest(&self, kind: CommandKind) -> Cycle {
         match kind {
             CommandKind::Activate | CommandKind::VictimRefresh => self.next_act,
             CommandKind::Precharge | CommandKind::PrechargeAll => self.next_pre,
@@ -133,7 +133,7 @@ pub struct RankState {
 
 impl RankState {
     /// Records an activation for the four-activation-window (tFAW) check.
-    pub fn record_activation(&mut self, cycle: Cycle, faw_depth: usize) {
+    pub(crate) fn record_activation(&mut self, cycle: Cycle, faw_depth: usize) {
         self.act_times.push_back(cycle);
         while self.act_times.len() > faw_depth {
             self.act_times.pop_front();
@@ -142,7 +142,7 @@ impl RankState {
     }
 
     /// Earliest cycle at which a new ACT satisfies the tFAW constraint.
-    pub fn faw_earliest(&self, faw_depth: usize, t_faw: Cycle) -> Cycle {
+    pub(crate) fn faw_earliest(&self, faw_depth: usize, t_faw: Cycle) -> Cycle {
         if self.act_times.len() < faw_depth {
             0
         } else {

@@ -39,13 +39,13 @@ pub enum CommandKind {
 
 impl CommandKind {
     /// True for commands that transfer data over the channel (RD/WR).
-    pub fn is_column(self) -> bool {
+    pub(crate) fn is_column(self) -> bool {
         matches!(self, CommandKind::Read | CommandKind::Write)
     }
 
     /// True for commands that open or implicitly cycle a row
     /// (ACT and victim refresh).
-    pub fn opens_row(self) -> bool {
+    pub(crate) fn opens_row(self) -> bool {
         matches!(self, CommandKind::Activate | CommandKind::VictimRefresh)
     }
 
@@ -61,7 +61,7 @@ impl CommandKind {
     }
 
     /// Short mnemonic used in traces and debug output.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CommandKind::Activate => "ACT",
             CommandKind::Precharge => "PRE",
@@ -146,20 +146,6 @@ impl DramCommand {
     pub fn victim_refresh(row: RowAddr) -> Self {
         DramCommand { kind: CommandKind::VictimRefresh, bank: row.bank, row: row.row, column: 0 }
     }
-
-    /// The row address targeted by this command, when it has one.
-    pub fn row_addr(&self) -> Option<RowAddr> {
-        if self.kind.opens_row() {
-            Some(RowAddr { bank: self.bank, row: self.row })
-        } else {
-            None
-        }
-    }
-
-    /// Rank targeted by the command.
-    pub fn rank(&self) -> usize {
-        self.bank.rank
-    }
 }
 
 impl fmt::Display for DramCommand {
@@ -205,11 +191,11 @@ mod tests {
         let act = DramCommand::activate(bank(), 17);
         assert_eq!(act.kind, CommandKind::Activate);
         assert_eq!(act.row, 17);
-        assert_eq!(act.row_addr(), Some(RowAddr { bank: bank(), row: 17 }));
+        assert_eq!((act.bank, act.row), (bank(), 17));
 
         let pre = DramCommand::precharge(bank());
         assert_eq!(pre.kind, CommandKind::Precharge);
-        assert_eq!(pre.row_addr(), None);
+        assert!(!pre.kind.opens_row());
 
         let loc = DramLocation { channel: 0, bank: bank(), row: 5, column: 9 };
         let rd = DramCommand::read(loc);
@@ -218,11 +204,11 @@ mod tests {
         assert_eq!(wr.kind, CommandKind::Write);
 
         let reff = DramCommand::refresh(1);
-        assert_eq!(reff.rank(), 1);
+        assert_eq!(reff.bank.rank, 1);
 
         let vrr = DramCommand::victim_refresh(RowAddr { bank: bank(), row: 33 });
         assert_eq!(vrr.kind, CommandKind::VictimRefresh);
-        assert_eq!(vrr.row_addr().unwrap().row, 33);
+        assert_eq!(vrr.row, 33);
     }
 
     #[test]

@@ -83,19 +83,6 @@ impl DramStats {
         self.rfm_commands += rfm_commands;
         self.victim_refreshes += victim_refreshes;
     }
-
-    /// Total commands issued.
-    pub fn total(&self) -> u64 {
-        self.activates
-            + self.precharges
-            + self.precharge_alls
-            + self.reads
-            + self.writes
-            + self.refreshes
-            + self.refreshes_same_bank
-            + self.rfm_commands
-            + self.victim_refreshes
-    }
 }
 
 /// Configuration knobs of the device model that are not timing parameters.
@@ -635,7 +622,7 @@ impl DramChannel {
     }
 
     /// Number of rows per bank refreshed by one periodic REF command.
-    pub fn rows_per_periodic_refresh(&self) -> usize {
+    pub(crate) fn rows_per_periodic_refresh(&self) -> usize {
         let refs = self.timing.refreshes_per_window().max(1) as usize;
         self.geometry.rows_per_bank.div_ceil(refs).max(1)
     }
@@ -746,7 +733,11 @@ mod tests {
         let mut ch = channel();
         let t = ch.timing().clone();
         // Activate four different banks back to back at the tRRD_S rate.
-        let banks: Vec<BankAddr> = ch.geometry().iter_banks().filter(|b| b.rank == 0).collect();
+        let g = ch.geometry();
+        let banks: Vec<BankAddr> = (0..g.banks_per_channel())
+            .map(|i| g.bank_from_flat(i))
+            .filter(|b| b.rank == 0)
+            .collect();
         let mut cycle = 0;
         for b in banks.iter().take(4) {
             let cmd = DramCommand::activate(*b, 1);
@@ -917,6 +908,6 @@ mod tests {
         ch.issue(&DramCommand::activate(bank(), 1), 0).unwrap();
         let pre = DramCommand::precharge(bank());
         ch.issue(&pre, ch.earliest_issue(&pre)).unwrap();
-        assert_eq!(ch.stats().total(), 2);
+        assert_eq!(*ch.stats(), DramStats { activates: 1, precharges: 1, ..DramStats::default() });
     }
 }

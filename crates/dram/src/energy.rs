@@ -47,20 +47,6 @@ impl EnergyParams {
             background_mw_per_rank: 120.0,
         }
     }
-
-    /// DDR4-class per-event energies.
-    pub fn ddr4() -> Self {
-        EnergyParams {
-            act_pre_nj: 2.8,
-            read_nj: 1.8,
-            write_nj: 1.9,
-            refresh_nj: 190.0,
-            refresh_sb_nj: 45.0,
-            rfm_nj: 95.0,
-            victim_refresh_nj: 2.8,
-            background_mw_per_rank: 150.0,
-        }
-    }
 }
 
 impl Default for EnergyParams {
@@ -92,7 +78,7 @@ pub struct EnergyCounters {
 
 impl EnergyCounters {
     /// Creates zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EnergyCounters::default()
     }
 
@@ -112,7 +98,7 @@ impl EnergyCounters {
     }
 
     /// Dynamic (event) energy only, in nanojoules.
-    pub fn dynamic_nj(&self, params: &EnergyParams) -> f64 {
+    pub(crate) fn dynamic_nj(&self, params: &EnergyParams) -> f64 {
         self.activations as f64 * params.act_pre_nj
             + self.reads as f64 * params.read_nj
             + self.writes as f64 * params.write_nj
@@ -120,18 +106,6 @@ impl EnergyCounters {
             + self.refreshes_same_bank as f64 * params.refresh_sb_nj
             + self.rfm_commands as f64 * params.rfm_nj
             + self.victim_refreshes as f64 * params.victim_refresh_nj
-    }
-
-    /// Adds another set of counters into this one.
-    pub fn merge(&mut self, other: &EnergyCounters) {
-        self.activations += other.activations;
-        self.precharges += other.precharges;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.refreshes += other.refreshes;
-        self.refreshes_same_bank += other.refreshes_same_bank;
-        self.rfm_commands += other.rfm_commands;
-        self.victim_refreshes += other.victim_refreshes;
     }
 }
 
@@ -167,17 +141,6 @@ mod tests {
             + 2.0 * p.rfm_nj
             + 4.0 * p.victim_refresh_nj;
         assert!((c.dynamic_nj(&p) - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = EnergyCounters { activations: 1, reads: 2, ..Default::default() };
-        let b = EnergyCounters { activations: 3, writes: 4, rfm_commands: 5, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.activations, 4);
-        assert_eq!(a.reads, 2);
-        assert_eq!(a.writes, 4);
-        assert_eq!(a.rfm_commands, 5);
     }
 
     #[test]

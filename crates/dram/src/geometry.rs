@@ -115,19 +115,6 @@ impl DramGeometry {
         }
     }
 
-    /// A DDR4-like geometry (1 channel, 2 ranks, 4 bank groups × 4 banks).
-    pub fn ddr4() -> Self {
-        DramGeometry {
-            channels: 1,
-            ranks: 2,
-            bank_groups: 4,
-            banks_per_group: 4,
-            rows_per_bank: 64 * 1024,
-            columns_per_row: 128,
-            column_bytes: 64,
-        }
-    }
-
     /// A deliberately tiny geometry used by unit tests so exhaustive checks
     /// stay fast (2 ranks × 2 bank groups × 2 banks × 128 rows).
     pub fn tiny() -> Self {
@@ -151,7 +138,7 @@ impl DramGeometry {
     }
 
     /// Banks per rank.
-    pub fn banks_per_rank(&self) -> usize {
+    pub(crate) fn banks_per_rank(&self) -> usize {
         self.bank_groups * self.banks_per_group
     }
 
@@ -199,11 +186,6 @@ impl DramGeometry {
         BankAddr { rank, bank_group, bank }
     }
 
-    /// Iterates over every bank address of one channel in flat order.
-    pub fn iter_banks(&self) -> impl Iterator<Item = BankAddr> + '_ {
-        (0..self.banks_per_channel()).map(|i| self.bank_from_flat(i))
-    }
-
     /// The contiguous range of flat bank indices belonging to `rank` (flat
     /// order is rank-major, so a rank's banks are adjacent).
     pub fn rank_flat_range(&self, rank: usize) -> std::ops::Range<usize> {
@@ -212,19 +194,9 @@ impl DramGeometry {
         rank * banks..(rank + 1) * banks
     }
 
-    /// Returns the physical neighbours of `row` within the same bank at
-    /// distance up to `blast_radius` (the rows a RowHammer aggressor disturbs).
-    ///
-    /// Allocates; the per-activation hot paths use the allocation-free
-    /// [`DramGeometry::neighbors`] iterator instead.
-    pub fn neighbor_rows(&self, row: RowAddr, blast_radius: usize) -> Vec<RowAddr> {
-        self.neighbors(row, blast_radius).collect()
-    }
-
-    /// Iterates over the physical neighbours of `row` (same order as
-    /// [`DramGeometry::neighbor_rows`]: distance 1 below, 1 above, 2 below,
-    /// 2 above, …) without allocating. The iterator owns the few scalars it
-    /// needs, so it does not borrow the geometry.
+    /// Iterates over the physical neighbours of `row` (distance 1 below,
+    /// 1 above, 2 below, 2 above, …) without allocating. The iterator owns
+    /// the few scalars it needs, so it does not borrow the geometry.
     pub fn neighbors(&self, row: RowAddr, blast_radius: usize) -> NeighborRows {
         NeighborRows {
             bank: row.bank,
@@ -329,14 +301,16 @@ mod tests {
     fn neighbor_rows_respect_bank_edges() {
         let g = DramGeometry::tiny();
         let bank = BankAddr { rank: 0, bank_group: 0, bank: 0 };
-        let first = g.neighbor_rows(RowAddr { bank, row: 0 }, 2);
+        let neighbor_rows =
+            |row, radius| g.neighbors(RowAddr { bank, row }, radius).collect::<Vec<_>>();
+        let first = neighbor_rows(0, 2);
         assert_eq!(first.len(), 2);
         assert!(first.iter().all(|r| r.row == 1 || r.row == 2));
 
-        let last = g.neighbor_rows(RowAddr { bank, row: g.rows_per_bank - 1 }, 2);
+        let last = neighbor_rows(g.rows_per_bank - 1, 2);
         assert_eq!(last.len(), 2);
 
-        let mid = g.neighbor_rows(RowAddr { bank, row: 64 }, 1);
+        let mid = neighbor_rows(64, 1);
         assert_eq!(mid.len(), 2);
         assert!(mid.iter().any(|r| r.row == 63));
         assert!(mid.iter().any(|r| r.row == 65));
@@ -344,8 +318,11 @@ mod tests {
 
     #[test]
     fn iter_banks_covers_all() {
+        // Flat bank indices enumerate every bank of a channel exactly once.
         let g = DramGeometry::tiny();
-        assert_eq!(g.iter_banks().count(), g.banks_per_channel());
+        for flat in 0..g.banks_per_channel() {
+            assert_eq!(g.flat_bank(g.bank_from_flat(flat)), flat);
+        }
     }
 
     #[test]

@@ -42,17 +42,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bank;
-pub mod command;
-pub mod device;
-pub mod energy;
-pub mod error;
-pub mod fault;
-pub mod flat;
-pub mod geometry;
-pub mod rowhammer;
-pub mod timing;
-pub mod types;
+mod bank;
+mod command;
+mod device;
+mod energy;
+mod error;
+mod fault;
+mod flat;
+mod geometry;
+mod rowhammer;
+mod timing;
+mod types;
 
 pub use bank::{BankGroupState, BankState, RankState, RowState};
 pub use command::{CommandKind, DramCommand};

@@ -169,16 +169,6 @@ impl RowHammerTracker {
         }
     }
 
-    /// The configured RowHammer threshold.
-    pub fn nrh(&self) -> u64 {
-        self.nrh
-    }
-
-    /// The configured blast radius.
-    pub fn blast_radius(&self) -> usize {
-        self.blast_radius
-    }
-
     /// Records an activation of `row` at `cycle`: the row's neighbours gain
     /// one unit of disturbance each, and the row's aggressor count grows.
     pub fn on_activate(&mut self, row: RowAddr, cycle: Cycle) {
@@ -331,12 +321,6 @@ impl RowHammerTracker {
         u64::from(self.disturbance[flat * self.geometry.rows_per_bank + row.row])
     }
 
-    /// Activation count of an aggressor row since its last RFM service.
-    pub fn aggressor_activations(&self, row: RowAddr) -> u64 {
-        let flat = self.geometry.flat_bank(row.bank);
-        self.aggressor_acts[flat].get(row.row as u64).unwrap_or(0)
-    }
-
     /// The largest disturbance currently accumulated by any row.
     pub fn max_disturbance(&self) -> u64 {
         u64::from(self.disturbance.iter().copied().max().unwrap_or(0))
@@ -356,27 +340,6 @@ impl RowHammerTracker {
     pub fn total_activations(&self) -> u64 {
         self.total_activations
     }
-
-    /// Geometry the tracker was built for.
-    pub fn geometry(&self) -> &DramGeometry {
-        &self.geometry
-    }
-
-    /// The sampled threshold of a specific row: `nrh` under the hard
-    /// threshold model, the per-row sample under the probabilistic one
-    /// (`None` for a row whose sample exceeds the countable range).
-    pub fn row_threshold(&self, row: RowAddr) -> Option<u64> {
-        match &self.row_nrh {
-            None => Some(self.nrh),
-            Some(samples) => {
-                let flat = self.geometry.flat_bank(row.bank);
-                match samples[flat * self.geometry.rows_per_bank + row.row] {
-                    0 => None,
-                    t => Some(u64::from(t)),
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -392,6 +355,25 @@ mod tests {
         RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank }, row: r }
     }
 
+    /// Activation count of an aggressor row since its last RFM service.
+    fn aggressor_activations(t: &RowHammerTracker, row: RowAddr) -> u64 {
+        t.aggressor_acts[t.geometry.flat_bank(row.bank)].get(row.row as u64).unwrap_or(0)
+    }
+
+    /// The sampled threshold of a row (`None` beyond the countable range).
+    fn row_threshold(t: &RowHammerTracker, row: RowAddr) -> Option<u64> {
+        match &t.row_nrh {
+            None => Some(t.nrh),
+            Some(samples) => {
+                let flat = t.geometry.flat_bank(row.bank);
+                match samples[flat * t.geometry.rows_per_bank + row.row] {
+                    0 => None,
+                    threshold => Some(u64::from(threshold)),
+                }
+            }
+        }
+    }
+
     #[test]
     fn activations_disturb_neighbors() {
         let mut t = tracker(100);
@@ -399,7 +381,7 @@ mod tests {
         assert_eq!(t.disturbance_of(row(0, 9)), 1);
         assert_eq!(t.disturbance_of(row(0, 11)), 1);
         assert_eq!(t.disturbance_of(row(0, 10)), 0);
-        assert_eq!(t.aggressor_activations(row(0, 10)), 1);
+        assert_eq!(aggressor_activations(&t, row(0, 10)), 1);
         assert_eq!(t.total_activations(), 1);
     }
 
@@ -466,11 +448,11 @@ mod tests {
             t.on_activate(row(0, 31), 9);
             t.on_activate(row(0, 32), 9);
             t.on_periodic_refresh(0, 0, 32);
-            assert_eq!(t.aggressor_activations(row(0, 20)), 0);
-            assert_eq!(t.aggressor_activations(row(0, 31)), 0);
-            assert_eq!(t.aggressor_activations(row(0, 32)), 1);
+            assert_eq!(aggressor_activations(&t, row(0, 20)), 0);
+            assert_eq!(aggressor_activations(&t, row(0, 31)), 0);
+            assert_eq!(aggressor_activations(&t, row(0, 32)), 1);
             for r in 0..other_aggressors {
-                assert_eq!(t.aggressor_activations(row(0, 100 + r)), 1);
+                assert_eq!(aggressor_activations(&t, row(0, 100 + r)), 1);
             }
         }
     }
@@ -490,10 +472,10 @@ mod tests {
         assert_eq!(refreshed.len(), 2);
         assert!(refreshed.iter().all(|r| r.row == 39 || r.row == 41));
         assert_eq!(t.disturbance_of(row(0, 39)), 0);
-        assert_eq!(t.aggressor_activations(row(0, 40)), 0);
+        assert_eq!(aggressor_activations(&t, row(0, 40)), 0);
         // The cooler aggressor is untouched.
         assert_eq!(t.disturbance_of(row(0, 79)), 10);
-        assert_eq!(t.aggressor_activations(row(0, 80)), 10);
+        assert_eq!(aggressor_activations(&t, row(0, 80)), 10);
     }
 
     #[test]
@@ -544,7 +526,7 @@ mod tests {
     #[test]
     fn probability_one_flips_at_every_crossing() {
         let mut t = probabilistic(8, 1.0, 0.0, 42, 0);
-        assert_eq!(t.row_threshold(row(0, 19)), Some(8));
+        assert_eq!(row_threshold(&t, row(0, 19)), Some(8));
         for c in 0..16 {
             t.on_activate(row(0, 20), c);
         }
@@ -584,17 +566,17 @@ mod tests {
     fn nrh_variation_spreads_per_row_thresholds() {
         let t = probabilistic(100, 1.0, 0.3, 42, 0);
         let thresholds: std::collections::BTreeSet<u64> =
-            (0..64).map(|r| t.row_threshold(row(0, r)).expect("in range")).collect();
+            (0..64).map(|r| row_threshold(&t, row(0, r)).expect("in range")).collect();
         assert!(thresholds.len() > 4, "variation must spread the samples: {thresholds:?}");
         assert!(thresholds.iter().all(|&v| (70..=130).contains(&v)), "{thresholds:?}");
         // Without variation every row sits exactly at N_RH.
         let flat = probabilistic(100, 1.0, 0.0, 42, 0);
-        assert!((0..64).all(|r| flat.row_threshold(row(0, r)) == Some(100)));
+        assert!((0..64).all(|r| row_threshold(&flat, row(0, r)) == Some(100)));
     }
 
     #[test]
     fn default_constructor_keeps_the_hard_threshold_model() {
         let t = tracker(8);
-        assert_eq!(t.row_threshold(row(0, 5)), Some(8));
+        assert_eq!(row_threshold(&t, row(0, 5)), Some(8));
     }
 }

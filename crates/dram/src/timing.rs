@@ -159,7 +159,7 @@ impl TimingParams {
     }
 
     /// Picoseconds per command-clock cycle.
-    pub fn tck_ps(&self) -> f64 {
+    pub(crate) fn tck_ps(&self) -> f64 {
         1_000_000.0 / self.clock_mhz
     }
 
@@ -169,7 +169,7 @@ impl TimingParams {
     }
 
     /// Converts nanoseconds to command-clock cycles, rounding up.
-    pub fn ns_to_cycles(&self, ns: f64) -> CycleDelta {
+    pub(crate) fn ns_to_cycles(&self, ns: f64) -> CycleDelta {
         (ns * self.clock_mhz / 1000.0).ceil() as CycleDelta
     }
 
@@ -179,7 +179,7 @@ impl TimingParams {
     }
 
     /// Number of data-bus cycles occupied by one burst (BL/2).
-    pub fn burst_cycles(&self) -> CycleDelta {
+    pub(crate) fn burst_cycles(&self) -> CycleDelta {
         self.burst_length / 2
     }
 
@@ -189,12 +189,12 @@ impl TimingParams {
     }
 
     /// Write latency from command issue to the last data beat.
-    pub fn write_latency(&self) -> CycleDelta {
+    pub(crate) fn write_latency(&self) -> CycleDelta {
         self.cwl + self.burst_cycles()
     }
 
     /// Number of all-bank REF commands needed per refresh window.
-    pub fn refreshes_per_window(&self) -> u64 {
+    pub(crate) fn refreshes_per_window(&self) -> u64 {
         (self.t_refw / self.t_refi).max(1)
     }
 

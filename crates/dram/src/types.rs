@@ -87,11 +87,6 @@ impl PhysAddr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         PhysAddr(self.0 & !(align - 1))
     }
-
-    /// Returns the raw 64-bit value.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for PhysAddr {
@@ -119,11 +114,6 @@ impl AccessKind {
     /// True if this access reads data from DRAM.
     pub fn is_read(self) -> bool {
         matches!(self, AccessKind::Read)
-    }
-
-    /// True if this access writes data to DRAM.
-    pub fn is_write(self) -> bool {
-        matches!(self, AccessKind::Write)
     }
 }
 
@@ -172,8 +162,6 @@ mod tests {
     #[test]
     fn access_kind_predicates() {
         assert!(AccessKind::Read.is_read());
-        assert!(!AccessKind::Read.is_write());
-        assert!(AccessKind::Write.is_write());
         assert!(!AccessKind::Write.is_read());
         assert_eq!(AccessKind::Read.to_string(), "read");
         assert_eq!(AccessKind::Write.to_string(), "write");

@@ -75,7 +75,7 @@ mod tests {
         assert_eq!(c.read_queue_capacity, 64);
         assert_eq!(c.write_queue_capacity, 64);
         assert_eq!(c.frfcfs_cap, 4);
-        assert_eq!(c.mapping, AddressMapping::mop(4));
+        assert_eq!(c.mapping.scheme, crate::mapping::MappingScheme::Mop { burst_lines: 4 });
         assert_eq!(c.validate(), Ok(()));
         assert_eq!(MemControllerConfig::default(), c);
     }

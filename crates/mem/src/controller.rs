@@ -91,7 +91,7 @@ impl ControllerStats {
 
     /// Adds another controller's counters into this one (used by
     /// multi-channel systems to aggregate per-channel statistics).
-    pub fn accumulate(&mut self, other: &ControllerStats) {
+    pub(crate) fn accumulate(&mut self, other: &ControllerStats) {
         // Exhaustive destructuring (no `..`): adding a stat field without
         // aggregating it here is a compile error, not a silent zero in
         // multi-channel results.
@@ -352,18 +352,13 @@ impl MemoryController {
 
     /// The same controller tagged with its channel index in a multi-channel
     /// memory system (reported to BreakHammer with every preventive action).
-    pub fn with_channel_index(mut self, channel_index: usize) -> Self {
+    pub(crate) fn with_channel_index(mut self, channel_index: usize) -> Self {
         self.channel_index = channel_index;
         self
     }
 
-    /// This controller's channel index in the memory system.
-    pub fn channel_index(&self) -> usize {
-        self.channel_index
-    }
-
     /// The controller configuration.
-    pub fn config(&self) -> &MemControllerConfig {
+    pub(crate) fn config(&self) -> &MemControllerConfig {
         &self.config
     }
 
@@ -383,7 +378,7 @@ impl MemoryController {
     }
 
     /// Per-thread read-latency histogram.
-    pub fn latency_of(&self, thread: ThreadId) -> &LatencyHistogram {
+    pub(crate) fn latency_of(&self, thread: ThreadId) -> &LatencyHistogram {
         &self.per_thread_latency[thread.index()]
     }
 
@@ -461,7 +456,7 @@ impl MemoryController {
     }
 
     /// True if at least one response is waiting to be drained.
-    pub fn has_responses(&self) -> bool {
+    pub(crate) fn has_responses(&self) -> bool {
         !self.responses.is_empty()
     }
 
@@ -483,7 +478,7 @@ impl MemoryController {
     /// leaving this controller's response buffer empty but warm — used by the
     /// multi-channel [`MemorySystem`](crate::MemorySystem) to drain every
     /// channel into one merged buffer each step.
-    pub fn append_responses_into(&mut self, buf: &mut Vec<MemResponse>) {
+    pub(crate) fn append_responses_into(&mut self, buf: &mut Vec<MemResponse>) {
         buf.append(&mut self.responses);
     }
 
@@ -517,7 +512,7 @@ impl MemoryController {
     /// The per-cycle kernel retries a rejected request once per cycle, and
     /// every failed retry counts as an enqueue rejection; the event-driven
     /// kernel skips those dead cycles and replays the counter here.
-    pub fn absorb_enqueue_rejections(&mut self, n: u64) {
+    pub(crate) fn absorb_enqueue_rejections(&mut self, n: u64) {
         self.stats.enqueue_rejections += n;
     }
 

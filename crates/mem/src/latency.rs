@@ -25,7 +25,7 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample.
-    pub fn record(&mut self, latency: Cycle) {
+    pub(crate) fn record(&mut self, latency: Cycle) {
         let idx = (latency / BUCKET_WIDTH) as usize;
         if idx < BUCKETS {
             self.buckets[idx] += 1;

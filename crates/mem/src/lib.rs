@@ -40,13 +40,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod config;
-pub mod controller;
+mod config;
+mod controller;
 mod demand_queue;
-pub mod latency;
-pub mod mapping;
-pub mod request;
-pub mod system;
+mod latency;
+mod mapping;
+mod request;
+mod system;
 
 pub use config::MemControllerConfig;
 pub use controller::{ControllerStats, MemoryController};

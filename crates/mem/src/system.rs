@@ -2,8 +2,9 @@
 //!
 //! [`MemorySystem`] owns one [`MemoryController`] (and therefore one DRAM
 //! channel and one mitigation-mechanism instance) per memory channel, routes
-//! demand requests to their channel via the address mapping's
-//! [`ChannelInterleave`](crate::ChannelInterleave) policy, and exposes the
+//! demand requests to their channel via
+//! [`AddressMapping::channel_of`](crate::AddressMapping::channel_of) (consecutive
+//! cache lines alternate channels), and exposes the
 //! merged next-event horizon (the minimum across the per-channel controllers)
 //! so the event-driven simulation kernel can drive N channels exactly like
 //! one.
@@ -32,7 +33,7 @@ use crate::controller::{ControllerStats, MemoryController};
 use crate::latency::LatencyHistogram;
 use crate::request::{MemRequest, MemResponse};
 use bh_core::BreakHammer;
-use bh_dram::{Cycle, DramChannel, DramGeometry, PhysAddr, ThreadId};
+use bh_dram::{Cycle, DramChannel, PhysAddr, ThreadId};
 use bh_mitigation::TriggerMechanism;
 use std::collections::VecDeque;
 
@@ -124,11 +125,6 @@ impl MemorySystem {
         MemorySystem { controllers, breakhammer, pending_enqueue, pending_total: 0, single_channel }
     }
 
-    /// Number of memory channels.
-    pub fn channel_count(&self) -> usize {
-        self.controllers.len()
-    }
-
     /// The per-channel controllers, in channel order.
     pub fn controllers(&self) -> &[MemoryController] {
         &self.controllers
@@ -144,16 +140,11 @@ impl MemorySystem {
         self.breakhammer.as_ref()
     }
 
-    /// The geometry shared by every channel.
-    pub fn geometry(&self) -> &DramGeometry {
-        self.controllers[0].channel().geometry()
-    }
-
     /// The channel a physical address routes to.
-    pub fn channel_of(&self, addr: PhysAddr) -> usize {
+    pub(crate) fn channel_of(&self, addr: PhysAddr) -> usize {
         if self.single_channel {
-            // Every interleave policy is the identity at one channel; skip
-            // the mapping's channel-bit extraction on the per-request path.
+            // One channel owns every line; skip the mapping's channel split
+            // on the per-request path.
             return 0;
         }
         let ctrl = &self.controllers[0];
@@ -269,16 +260,6 @@ impl MemorySystem {
         }
     }
 
-    /// Demand requests currently queued across all channels.
-    pub fn queued_requests(&self) -> usize {
-        self.controllers.iter().map(|c| c.queued_requests()).sum()
-    }
-
-    /// Pending preventive DRAM commands across all channels.
-    pub fn pending_preventive_commands(&self) -> usize {
-        self.controllers.iter().map(|c| c.pending_preventive_commands()).sum()
-    }
-
     /// Controller statistics aggregated over all channels.
     pub fn aggregate_stats(&self) -> ControllerStats {
         let mut total = ControllerStats::default();
@@ -310,8 +291,8 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{AddressMapping, ChannelInterleave};
-    use bh_dram::{AccessKind, BankAddr, DramLocation, TimingParams};
+    use crate::mapping::AddressMapping;
+    use bh_dram::{AccessKind, BankAddr, DramGeometry, DramLocation, TimingParams};
     use bh_mitigation::MechanismKind;
 
     fn small_config(mapping: AddressMapping) -> MemControllerConfig {
@@ -324,10 +305,10 @@ mod tests {
         c
     }
 
-    fn system(channels: usize, interleave: ChannelInterleave) -> MemorySystem {
+    fn system(channels: usize) -> MemorySystem {
         let geometry = DramGeometry::tiny().with_channels(channels);
         let timing = TimingParams::fast_test();
-        let mapping = AddressMapping::paper_default().with_interleave(interleave);
+        let mapping = AddressMapping::paper_default();
         let instances = (0..channels)
             .map(|ch| {
                 let mechanism = MechanismKind::Graphene.build(&geometry, &timing, 128, ch as u64);
@@ -352,7 +333,7 @@ mod tests {
 
     #[test]
     fn requests_route_to_their_mapped_channel() {
-        let mut mem = system(2, ChannelInterleave::CacheLine);
+        let mut mem = system(2);
         for channel in 0..2 {
             let addr = addr_on(&mem, channel, 5, 0);
             assert_eq!(mem.channel_of(addr), channel);
@@ -360,12 +341,11 @@ mod tests {
         }
         assert_eq!(mem.controller(0).queued_requests(), 1);
         assert_eq!(mem.controller(1).queued_requests(), 1);
-        assert_eq!(mem.queued_requests(), 2);
     }
 
     #[test]
     fn responses_merge_across_channels() {
-        let mut mem = system(2, ChannelInterleave::CacheLine);
+        let mut mem = system(2);
         for channel in 0..2u64 {
             let addr = addr_on(&mem, channel as usize, 7, 0);
             mem.try_enqueue(MemRequest::read(channel, ThreadId(0), addr, 0)).unwrap();
@@ -389,7 +369,7 @@ mod tests {
 
     #[test]
     fn merged_next_event_is_the_minimum_over_channels() {
-        let mut mem = system(2, ChannelInterleave::CacheLine);
+        let mut mem = system(2);
         // Load only channel 1; channel 0 idles until its refresh deadline.
         let addr = addr_on(&mem, 1, 3, 0);
         mem.try_enqueue(MemRequest::read(1, ThreadId(0), addr, 0)).unwrap();
@@ -402,7 +382,7 @@ mod tests {
 
     #[test]
     fn deferred_requests_retry_on_their_own_channel() {
-        let mut mem = system(2, ChannelInterleave::CacheLine);
+        let mut mem = system(2);
         // Fill channel 0's read queue, then defer one more to it.
         let mut id = 0u64;
         while mem.controller(0).can_accept(AccessKind::Read) {

@@ -53,28 +53,6 @@ pub enum PreventiveAction {
     },
 }
 
-impl PreventiveAction {
-    /// Number of row-cycle-equivalent DRAM operations this action costs, used
-    /// for quick cost accounting and in tests. The memory controller models
-    /// the precise command sequence.
-    pub fn row_cycle_cost(&self) -> u64 {
-        match self {
-            PreventiveAction::RefreshRows(rows) => rows.len() as u64,
-            // A migration reads and writes a full row: roughly two row cycles
-            // plus the column traffic.
-            PreventiveAction::MigrateRow { .. } => 2,
-            PreventiveAction::IssueRfm { .. } => 1,
-            PreventiveAction::TableAccess { write_back, .. } => 1 + u64::from(*write_back),
-        }
-    }
-
-    /// True if this action interferes with demand requests by occupying a bank
-    /// (every action currently does; kept explicit for future extensions).
-    pub fn interferes(&self) -> bool {
-        true
-    }
-}
-
 impl fmt::Display for PreventiveAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -178,7 +156,7 @@ impl ActionSink {
     /// Queues a victim-refresh action covering `rows` (may be empty: an
     /// empty refresh still counts as one preventive action, matching the old
     /// `RefreshRows(vec![])` behaviour at bank edges).
-    pub fn push_refresh_rows(&mut self, rows: impl IntoIterator<Item = RowAddr>) {
+    pub(crate) fn push_refresh_rows(&mut self, rows: impl IntoIterator<Item = RowAddr>) {
         let start = self.rows.len();
         self.rows.extend(rows);
         self.entries.push(SinkEntry::Refresh {
@@ -188,17 +166,17 @@ impl ActionSink {
     }
 
     /// Queues an AQUA row migration.
-    pub fn push_migrate(&mut self, source: RowAddr, dest: RowAddr) {
+    pub(crate) fn push_migrate(&mut self, source: RowAddr, dest: RowAddr) {
         self.entries.push(SinkEntry::Migrate { source, dest });
     }
 
     /// Queues an RFM command to `bank`.
-    pub fn push_rfm(&mut self, bank: BankAddr) {
+    pub(crate) fn push_rfm(&mut self, bank: BankAddr) {
         self.entries.push(SinkEntry::Rfm { bank });
     }
 
     /// Queues a tracking-table access (Hydra).
-    pub fn push_table_access(&mut self, row: RowAddr, write_back: bool) {
+    pub(crate) fn push_table_access(&mut self, row: RowAddr, write_back: bool) {
         self.entries.push(SinkEntry::Table { row, write_back });
     }
 
@@ -217,7 +195,7 @@ impl ActionSink {
     /// Materializes the queued actions as owned [`PreventiveAction`]s
     /// (allocates; meant for tests, examples and statistics, not the hot
     /// path).
-    pub fn to_actions(&self) -> Vec<PreventiveAction> {
+    pub(crate) fn to_actions(&self) -> Vec<PreventiveAction> {
         self.iter().map(PreventiveAction::from).collect()
     }
 }
@@ -263,21 +241,6 @@ mod tests {
 
     fn row(r: usize) -> RowAddr {
         RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank: 0 }, row: r }
-    }
-
-    #[test]
-    fn action_costs() {
-        assert_eq!(PreventiveAction::RefreshRows(vec![row(1), row(2)]).row_cycle_cost(), 2);
-        assert_eq!(
-            PreventiveAction::MigrateRow { source: row(1), dest: row(9) }.row_cycle_cost(),
-            2
-        );
-        assert_eq!(PreventiveAction::IssueRfm { bank: row(0).bank }.row_cycle_cost(), 1);
-        assert_eq!(
-            PreventiveAction::TableAccess { row: row(3), write_back: true }.row_cycle_cost(),
-            2
-        );
-        assert!(PreventiveAction::RefreshRows(vec![]).interferes());
     }
 
     #[test]

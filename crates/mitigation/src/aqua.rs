@@ -36,7 +36,7 @@ impl Aqua {
     ///
     /// # Panics
     /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
-    pub fn new(geometry: DramGeometry, timing: &TimingParams, nrh: u64) -> Self {
+    pub(crate) fn new(geometry: DramGeometry, timing: &TimingParams, nrh: u64) -> Self {
         assert!(nrh >= MechanismKind::Aqua.min_nrh(), "N_RH below the registry's minimum");
         let threshold = (nrh / 4).max(1);
         let window_cycles = timing.t_refw;
@@ -57,19 +57,9 @@ impl Aqua {
         }
     }
 
-    /// The migration threshold in use.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Number of row migrations performed so far.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
     /// First row index of the quarantine area (rows at or above this index are
     /// reserved).
-    pub fn quarantine_base(&self) -> usize {
+    pub(crate) fn quarantine_base(&self) -> usize {
         self.geometry.rows_per_bank - self.quarantine_rows
     }
 
@@ -158,7 +148,7 @@ mod tests {
             }
             other => panic!("expected a migration, got {other:?}"),
         }
-        assert_eq!(a.migrations(), 1);
+        assert_eq!(a.migrations, 1);
     }
 
     #[test]
@@ -187,7 +177,7 @@ mod tests {
         for i in 0..200u64 {
             assert!(a.on_activation_vec(&event(qrow, i)).is_empty());
         }
-        assert_eq!(a.migrations(), 0);
+        assert_eq!(a.migrations, 0);
     }
 
     #[test]
@@ -217,7 +207,7 @@ mod tests {
         for i in 0..15u64 {
             assert!(a.on_activation_vec(&event(10, far + i)).is_empty());
         }
-        assert_eq!(a.migrations(), 0);
+        assert_eq!(a.migrations, 0);
     }
 
     #[test]

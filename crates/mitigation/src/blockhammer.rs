@@ -46,7 +46,7 @@ impl BlockHammer {
     ///
     /// # Panics
     /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
-    pub fn new(
+    pub(crate) fn new(
         geometry: DramGeometry,
         timing: &TimingParams,
         nrh: u64,
@@ -72,18 +72,8 @@ impl BlockHammer {
         }
     }
 
-    /// The blacklisting threshold (N_BL) in use.
-    pub fn blacklist_threshold(&self) -> u64 {
-        self.blacklist_threshold
-    }
-
-    /// Number of rows that have been blacklisted so far (cumulative).
-    pub fn blacklisted_total(&self) -> u64 {
-        self.blacklisted_total
-    }
-
     /// Number of currently-blacklisted rows.
-    pub fn blacklisted_now(&self) -> usize {
+    pub(crate) fn blacklisted_now(&self) -> usize {
         self.next_allowed.len()
     }
 
@@ -207,11 +197,11 @@ mod tests {
     #[test]
     fn hot_row_gets_blacklisted_and_delayed() {
         let mut b = mech(64); // per-window allowance 8, blacklist threshold 4
-        assert_eq!(b.blacklist_threshold(), 4);
+        assert_eq!(b.blacklist_threshold, 4);
         for i in 0..16u64 {
             b.on_activation_vec(&event(7, i));
         }
-        assert_eq!(b.blacklisted_total(), 1);
+        assert_eq!(b.blacklisted_total, 1);
         assert!(b.is_blocked(event(7, 0).row, 17));
         // Another row in the same bank is unaffected.
         assert!(!b.is_blocked(event(8, 0).row, 17));
@@ -286,7 +276,7 @@ mod tests {
         for i in 0..4u64 {
             b.on_activation_vec(&event(7, window - 6 + i));
         }
-        assert_eq!(b.blacklisted_total(), 1);
+        assert_eq!(b.blacklisted_total, 1);
         // The last activation happened at `window - 3`; with the zero-spread
         // hole the row's next activation was allowed at that same cycle,
         // i.e. it was never blocked at all. The one-cycle floor pushes the
@@ -310,8 +300,7 @@ mod tests {
             b.on_activation_vec(&event(7, window + 2 + i));
         }
         assert_eq!(
-            b.blacklisted_total(),
-            2,
+            b.blacklisted_total, 2,
             "a re-blacklisted row must be counted once per window, not deduped forever"
         );
         assert!(b.is_blocked(row, window + 5));

@@ -36,7 +36,7 @@ impl Graphene {
     ///
     /// # Panics
     /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
-    pub fn new(
+    pub(crate) fn new(
         geometry: DramGeometry,
         timing: &TimingParams,
         nrh: u64,
@@ -59,21 +59,6 @@ impl Graphene {
             window_end: window_cycles,
             triggers: 0,
         }
-    }
-
-    /// The refresh threshold in use.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Misra–Gries entries per bank.
-    pub fn entries_per_bank(&self) -> usize {
-        self.entries_per_bank
-    }
-
-    /// Number of preventive refreshes triggered so far.
-    pub fn triggers(&self) -> u64 {
-        self.triggers
     }
 
     fn maybe_reset_window(&mut self, cycle: Cycle) {
@@ -133,7 +118,7 @@ mod tests {
     #[test]
     fn refreshes_exactly_at_threshold() {
         let mut g = mech(64); // threshold 16
-        assert_eq!(g.threshold(), 16);
+        assert_eq!(g.threshold, 16);
         let mut actions = Vec::new();
         for i in 0..16 {
             actions = g.on_activation_vec(&event(30, i));
@@ -150,7 +135,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(g.triggers(), 1);
+        assert_eq!(g.triggers, 1);
     }
 
     #[test]
@@ -176,7 +161,7 @@ mod tests {
             let ev = ActivationEvent { row: other_bank, thread: ThreadId(1), cycle: i };
             assert!(g.on_activation_vec(&ev).is_empty());
         }
-        assert_eq!(g.triggers(), 0);
+        assert_eq!(g.triggers, 0);
     }
 
     #[test]
@@ -200,7 +185,7 @@ mod tests {
     fn table_size_grows_as_nrh_decreases() {
         let big = mech(4096);
         let small = mech(64);
-        assert!(small.entries_per_bank() > big.entries_per_bank());
+        assert!(small.entries_per_bank > big.entries_per_bank);
         assert!(small.storage_bits() > big.storage_bits());
     }
 
@@ -227,7 +212,7 @@ mod tests {
         assert!(worst > 0, "the hot row must have triggered refreshes");
         // The hot row is never hammered more than threshold + spillover slack
         // between consecutive preventive refreshes; allow 2x margin.
-        assert!(worst <= 2 * g.threshold(), "worst gap {worst}");
+        assert!(worst <= 2 * g.threshold, "worst gap {worst}");
     }
 
     #[test]

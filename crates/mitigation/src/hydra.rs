@@ -53,7 +53,7 @@ impl Hydra {
     ///
     /// # Panics
     /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
-    pub fn new(
+    pub(crate) fn new(
         geometry: DramGeometry,
         timing: &TimingParams,
         nrh: u64,
@@ -82,26 +82,6 @@ impl Hydra {
             refresh_triggers: 0,
             rcc_misses: 0,
         }
-    }
-
-    /// The per-row refresh threshold in use.
-    pub fn refresh_threshold(&self) -> u64 {
-        self.refresh_threshold
-    }
-
-    /// The group-escalation threshold in use.
-    pub fn group_threshold(&self) -> u64 {
-        self.group_threshold
-    }
-
-    /// Preventive refreshes triggered so far.
-    pub fn refresh_triggers(&self) -> u64 {
-        self.refresh_triggers
-    }
-
-    /// Row Count Cache misses so far (each costs DRAM traffic).
-    pub fn rcc_misses(&self) -> u64 {
-        self.rcc_misses
     }
 
     fn maybe_reset_window(&mut self, cycle: Cycle) {
@@ -209,15 +189,15 @@ mod tests {
     #[test]
     fn group_tracking_is_silent_until_escalation() {
         let mut h = mech(256); // refresh threshold 64, group threshold 32
-        assert_eq!(h.refresh_threshold(), 64);
-        assert_eq!(h.group_threshold(), 32);
+        assert_eq!(h.refresh_threshold, 64);
+        assert_eq!(h.group_threshold, 32);
         for i in 0..32u64 {
             assert!(h.on_activation_vec(&event(10, i)).is_empty(), "i={i}");
         }
         // The next activation of the escalated group touches the RCT.
         let actions = h.on_activation_vec(&event(10, 32));
         assert!(actions.iter().any(|a| matches!(a, PreventiveAction::TableAccess { .. })));
-        assert_eq!(h.rcc_misses(), 1);
+        assert_eq!(h.rcc_misses, 1);
     }
 
     #[test]
@@ -233,7 +213,7 @@ mod tests {
             }
         }
         assert!(refreshed);
-        assert!(h.refresh_triggers() >= 1);
+        assert!(h.refresh_triggers >= 1);
     }
 
     #[test]
@@ -257,7 +237,7 @@ mod tests {
         }
         let first = h.on_activation_vec(&event(10, 8));
         assert!(first.iter().any(|a| matches!(a, PreventiveAction::TableAccess { .. })));
-        let misses_after_first = h.rcc_misses();
+        let misses_after_first = h.rcc_misses;
         // Subsequent activations of the same row hit the RCC.
         let mut extra_misses = 0;
         for i in 9..14u64 {
@@ -267,7 +247,7 @@ mod tests {
             }
         }
         assert_eq!(extra_misses, 0);
-        assert_eq!(h.rcc_misses(), misses_after_first);
+        assert_eq!(h.rcc_misses, misses_after_first);
     }
 
     #[test]
@@ -277,7 +257,7 @@ mod tests {
         for i in 0..12u64 {
             h.on_activation_vec(&event(10, i));
         }
-        assert!(h.rcc_misses() >= 1);
+        assert!(h.rcc_misses >= 1);
         let far = timing.t_refw + 5;
         // After the reset the group starts cold again: no table access.
         assert!(h.on_activation_vec(&event(10, far)).is_empty());

@@ -4,17 +4,17 @@
 //! mitigation mechanisms the BreakHammer paper pairs its throttling support
 //! with, plus the BlockHammer comparison point and a no-defense baseline:
 //!
-//! | Mechanism | Preventive action | Module |
+//! | Mechanism | Preventive action | Type |
 //! |---|---|---|
-//! | PARA | probabilistic victim refresh | [`para`] |
-//! | Graphene | Misra–Gries tracking + victim refresh | [`graphene`] |
-//! | Hydra | hybrid group/per-row tracking (table in DRAM) + victim refresh | [`hydra`] |
-//! | TWiCe | pruned time-window counters + victim refresh | [`twice`] |
-//! | AQUA | aggressor row migration to a quarantine area | [`aqua`] |
-//! | REGA | in-DRAM refresh-generating activations (timing inflation) | [`rega`] |
-//! | RFM | periodic refresh-management commands | [`rfm`] |
-//! | PRAC | per-row activation counting + back-off RFMs | [`prac`] |
-//! | BlockHammer | row blacklisting + access delay (comparison point) | [`blockhammer`] |
+//! | PARA | probabilistic victim refresh | [`Para`] |
+//! | Graphene | Misra–Gries tracking + victim refresh | [`Graphene`] |
+//! | Hydra | hybrid group/per-row tracking (table in DRAM) + victim refresh | [`Hydra`] |
+//! | TWiCe | pruned time-window counters + victim refresh | [`Twice`] |
+//! | AQUA | aggressor row migration to a quarantine area | [`Aqua`] |
+//! | REGA | in-DRAM refresh-generating activations (timing inflation) | [`Rega`] |
+//! | RFM | periodic refresh-management commands | [`Rfm`] |
+//! | PRAC | per-row activation counting + back-off RFMs | [`Prac`] |
+//! | BlockHammer | row blacklisting + access delay (comparison point) | [`BlockHammer`] |
 //!
 //! Every mechanism implements the [`TriggerMechanism`] trait: the memory
 //! controller reports each row activation (annotated with the hardware thread
@@ -53,18 +53,18 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod action;
-pub mod aqua;
-pub mod blockhammer;
-pub mod graphene;
-pub mod hydra;
-pub mod mechanism;
-pub mod misra_gries;
-pub mod para;
-pub mod prac;
-pub mod rega;
-pub mod rfm;
-pub mod twice;
+mod action;
+mod aqua;
+mod blockhammer;
+mod graphene;
+mod hydra;
+mod mechanism;
+mod misra_gries;
+mod para;
+mod prac;
+mod rega;
+mod rfm;
+mod twice;
 
 pub use action::{ActionSink, ActionView, ActivationEvent, PreventiveAction, ScoreAttribution};
 pub use aqua::Aqua;

@@ -246,7 +246,7 @@ pub struct NoMitigation;
 
 impl NoMitigation {
     /// Creates the no-op mechanism.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NoMitigation
     }
 }

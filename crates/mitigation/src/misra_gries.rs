@@ -126,7 +126,7 @@ impl MisraGries {
 
     /// Resets the counter of `row` to the current spillover level, as Graphene
     /// does after issuing a preventive refresh for the row.
-    pub fn reset_row(&mut self, row: usize) {
+    pub(crate) fn reset_row(&mut self, row: usize) {
         if let Some((count, in_heap)) = self.entries.get_mut(row as u64) {
             *count = self.spillover;
             if !std::mem::replace(in_heap, true) {
@@ -137,41 +137,21 @@ impl MisraGries {
 
     /// Removes `row` from the table entirely (AQUA does this after migrating
     /// the row away, because the quarantined copy starts cold).
-    pub fn remove_row(&mut self, row: usize) {
+    pub(crate) fn remove_row(&mut self, row: usize) {
         // A heap copy may survive as a ghost; pop discards it.
         self.entries.remove(row as u64);
     }
 
     /// Clears the whole summary (done at every reset window).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.spillover = 0;
         self.decayed.clear();
     }
 
-    /// Number of tracked rows.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no row is currently tracked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The current spillover counter.
     pub fn spillover(&self) -> u64 {
         self.spillover
-    }
-
-    /// Iterates over `(row, estimated_count)` pairs of tracked rows.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.entries.iter().map(|(row, (count, _))| (row as usize, count))
     }
 }
 
@@ -194,12 +174,12 @@ pub(crate) mod reference {
     }
 
     impl HashMisraGries {
-        pub fn new(capacity: usize) -> Self {
+        pub(crate) fn new(capacity: usize) -> Self {
             assert!(capacity > 0, "Misra-Gries capacity must be positive");
             HashMisraGries { capacity, counts: HashMap::with_capacity(capacity), spillover: 0 }
         }
 
-        pub fn record(&mut self, row: usize) -> u64 {
+        pub(crate) fn record(&mut self, row: usize) -> u64 {
             if let Some(c) = self.counts.get_mut(&row) {
                 *c += 1;
                 return *c;
@@ -222,34 +202,34 @@ pub(crate) mod reference {
             }
         }
 
-        pub fn estimate(&self, row: usize) -> u64 {
+        pub(crate) fn estimate(&self, row: usize) -> u64 {
             self.counts.get(&row).copied().unwrap_or(self.spillover)
         }
 
-        pub fn reset_row(&mut self, row: usize) {
+        pub(crate) fn reset_row(&mut self, row: usize) {
             if let Some(c) = self.counts.get_mut(&row) {
                 *c = self.spillover;
             }
         }
 
-        pub fn remove_row(&mut self, row: usize) {
+        pub(crate) fn remove_row(&mut self, row: usize) {
             self.counts.remove(&row);
         }
 
-        pub fn clear(&mut self) {
+        pub(crate) fn clear(&mut self) {
             self.counts.clear();
             self.spillover = 0;
         }
 
-        pub fn len(&self) -> usize {
+        pub(crate) fn len(&self) -> usize {
             self.counts.len()
         }
 
-        pub fn spillover(&self) -> u64 {
+        pub(crate) fn spillover(&self) -> u64 {
             self.spillover
         }
 
-        pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
             self.counts.iter().map(|(r, c)| (*r, *c))
         }
     }
@@ -262,6 +242,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The tracked `(row, estimated_count)` pairs, sorted by row.
+    fn tracked(mg: &MisraGries) -> Vec<(usize, u64)> {
+        let mut entries: Vec<(usize, u64)> =
+            mg.entries.iter().map(|(row, (count, _))| (row as usize, count)).collect();
+        entries.sort_unstable();
+        entries
+    }
+
     #[test]
     fn tracks_up_to_capacity_exactly() {
         let mut mg = MisraGries::new(4);
@@ -270,7 +258,7 @@ mod tests {
                 mg.record(row);
             }
         }
-        assert_eq!(mg.len(), 4);
+        assert_eq!(mg.entries.len(), 4);
         for row in 0..4usize {
             assert_eq!(mg.estimate(row), row as u64 + 1);
         }
@@ -308,7 +296,7 @@ mod tests {
         // The heavy row must be tracked and its estimate must cover at least
         // the true count minus the spillover (Misra-Gries guarantee).
         assert!(mg.estimate(9999) + mg.spillover() >= 1000);
-        assert!(mg.iter().any(|(r, _)| r == 9999));
+        assert!(tracked(&mg).iter().any(|&(r, _)| r == 9999));
     }
 
     #[test]
@@ -321,14 +309,14 @@ mod tests {
         mg.reset_row(5);
         assert_eq!(mg.estimate(5), mg.spillover());
         mg.remove_row(5);
-        assert!(mg.is_empty());
+        assert!(mg.entries.is_empty());
         for _ in 0..3 {
             mg.record(1);
         }
         mg.clear();
-        assert!(mg.is_empty());
+        assert!(mg.entries.is_empty());
         assert_eq!(mg.spillover(), 0);
-        assert_eq!(mg.capacity(), 2);
+        assert_eq!(mg.capacity, 2);
     }
 
     #[test]
@@ -341,14 +329,11 @@ mod tests {
             mg.reset_row(row);
         }
         mg.record(40); // evicts 10
-        let mut tracked: Vec<usize> = mg.iter().map(|(r, _)| r).collect();
-        tracked.sort_unstable();
-        assert_eq!(tracked, vec![20, 30, 40]);
+        let rows = |mg: &MisraGries| tracked(mg).into_iter().map(|(r, _)| r).collect::<Vec<_>>();
+        assert_eq!(rows(&mg), vec![20, 30, 40]);
         mg.reset_row(40);
         mg.record(50); // evicts 20 (40 was reset after the others)
-        let mut tracked: Vec<usize> = mg.iter().map(|(r, _)| r).collect();
-        tracked.sort_unstable();
-        assert_eq!(tracked, vec![30, 40, 50]);
+        assert_eq!(rows(&mg), vec![30, 40, 50]);
     }
 
     #[test]
@@ -360,13 +345,11 @@ mod tests {
     /// Asserts every observable of the flat and reference implementations
     /// matches.
     fn assert_same_state(flat: &MisraGries, reference: &HashMisraGries, context: &str) {
-        assert_eq!(flat.len(), reference.len(), "len after {context}");
+        assert_eq!(flat.entries.len(), reference.len(), "len after {context}");
         assert_eq!(flat.spillover(), reference.spillover(), "spillover after {context}");
-        let mut flat_entries: Vec<(usize, u64)> = flat.iter().collect();
-        flat_entries.sort_unstable();
         let mut ref_entries: Vec<(usize, u64)> = reference.iter().collect();
         ref_entries.sort_unstable();
-        assert_eq!(flat_entries, ref_entries, "tracked entries after {context}");
+        assert_eq!(tracked(flat), ref_entries, "tracked entries after {context}");
     }
 
     proptest! {

@@ -35,7 +35,7 @@ impl Para {
     ///
     /// # Panics
     /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
-    pub fn new(geometry: DramGeometry, nrh: u64, blast_radius: usize, seed: u64) -> Self {
+    pub(crate) fn new(geometry: DramGeometry, nrh: u64, blast_radius: usize, seed: u64) -> Self {
         assert!(nrh >= MechanismKind::Para.min_nrh(), "N_RH below the registry's minimum");
         assert!(blast_radius > 0, "blast radius must be positive");
         let probability = (PROTECTION_CONSTANT / nrh as f64).min(1.0);
@@ -47,16 +47,6 @@ impl Para {
             triggers: 0,
             activations: 0,
         }
-    }
-
-    /// The per-activation refresh probability in use.
-    pub fn probability(&self) -> f64 {
-        self.probability
-    }
-
-    /// Number of preventive refreshes triggered so far.
-    pub fn triggers(&self) -> u64 {
-        self.triggers
     }
 }
 
@@ -105,18 +95,18 @@ mod tests {
         let g = DramGeometry::tiny();
         let hi = Para::new(g.clone(), 4096, 1, 1);
         let lo = Para::new(g.clone(), 64, 1, 1);
-        assert!(hi.probability() < lo.probability());
-        assert!(lo.probability() <= 1.0);
-        assert!((hi.probability() - 69.0 / 4096.0).abs() < 1e-12);
+        assert!(hi.probability < lo.probability);
+        assert!(lo.probability <= 1.0);
+        assert!((hi.probability - 69.0 / 4096.0).abs() < 1e-12);
         // At N_RH = 64 the scaled probability saturates at 1.
-        assert_eq!(lo.probability(), 1.0);
+        assert_eq!(lo.probability, 1.0);
     }
 
     #[test]
     fn trigger_rate_matches_probability_statistically() {
         let g = DramGeometry::tiny();
         let mut para = Para::new(g, 1024, 1, 42);
-        let p = para.probability();
+        let p = para.probability;
         let n = 40_000u64;
         let mut triggered = 0u64;
         for i in 0..n {
@@ -126,7 +116,7 @@ mod tests {
         }
         let rate = triggered as f64 / n as f64;
         assert!((rate - p).abs() < 0.015, "rate {rate} vs p {p}");
-        assert_eq!(para.triggers(), triggered);
+        assert_eq!(para.triggers, triggered);
     }
 
     #[test]

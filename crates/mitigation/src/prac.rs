@@ -32,7 +32,7 @@ impl Prac {
     ///
     /// # Panics
     /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
-    pub fn new(geometry: DramGeometry, nrh: u64) -> Self {
+    pub(crate) fn new(geometry: DramGeometry, nrh: u64) -> Self {
         assert!(nrh >= MechanismKind::Prac.min_nrh(), "N_RH below the registry's minimum");
         // Back-off asserted at half the threshold, leaving the chip time to
         // refresh the victims before bitflips become possible.
@@ -46,26 +46,6 @@ impl Prac {
             row_counts: vec![0; rows].into_boxed_slice(),
             alerts: 0,
         }
-    }
-
-    /// The back-off threshold in use.
-    pub fn backoff_threshold(&self) -> u64 {
-        self.backoff_threshold
-    }
-
-    /// Number of back-off (alert_n) events so far.
-    pub fn alerts(&self) -> u64 {
-        self.alerts
-    }
-
-    /// Number of RFM commands requested per back-off event.
-    pub fn rfms_per_alert(&self) -> usize {
-        self.rfms_per_alert
-    }
-
-    /// In-DRAM activation count of a row (for tests and statistics).
-    pub fn row_count(&self, flat_bank: usize, row: usize) -> u64 {
-        u64::from(self.row_counts[flat_bank * self.geometry.rows_per_bank + row])
     }
 }
 
@@ -111,20 +91,20 @@ mod tests {
     #[test]
     fn backoff_fires_only_for_genuinely_hot_rows() {
         let mut p = Prac::new(DramGeometry::tiny(), 1024);
-        assert_eq!(p.backoff_threshold(), 512);
+        assert_eq!(p.backoff_threshold, 512);
         // A benign pattern cycling over many rows never trips the per-row
         // counter even after many total activations.
         for i in 0..5000u64 {
             assert!(p.on_activation_vec(&event((i % 64) as usize, i)).is_empty());
         }
-        assert_eq!(p.alerts(), 0);
+        assert_eq!(p.alerts, 0);
         // A hot row does.
         let mut fired = 0;
         for i in 0..512u64 {
             fired += p.on_activation_vec(&event(7, 10_000 + i)).len();
         }
         assert!(fired >= 1);
-        assert_eq!(p.alerts() as usize, fired);
+        assert_eq!(p.alerts as usize, fired);
     }
 
     #[test]
@@ -135,13 +115,13 @@ mod tests {
             alerts += p.on_activation_vec(&event(3, i)).len();
         }
         assert_eq!(alerts, 4);
-        assert_eq!(p.row_count(0, 3), 0);
+        assert_eq!(p.row_counts[3], 0, "bank 0, row 3");
     }
 
     #[test]
     fn alert_requests_configured_number_of_rfms() {
         let mut p = Prac::new(DramGeometry::tiny(), 64);
-        assert_eq!(p.rfms_per_alert(), 1);
+        assert_eq!(p.rfms_per_alert, 1);
         let mut last = Vec::new();
         for i in 0..32u64 {
             let acts = p.on_activation_vec(&event(5, i));

@@ -35,7 +35,7 @@ impl Rega {
     ///
     /// # Panics
     /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
-    pub fn new(nrh: u64) -> Self {
+    pub(crate) fn new(nrh: u64) -> Self {
         assert!(nrh >= MechanismKind::Rega.min_nrh(), "N_RH below the registry's minimum");
         let rega_t = (nrh / 4).max(1);
         // Timing inflation model: protecting lower thresholds requires more
@@ -46,16 +46,6 @@ impl Rega {
         let adjustment =
             TimingAdjustment { extra_t_rp: extra, extra_t_ras: extra / 2, extra_t_rfc: 0 };
         Rega { rega_t, adjustment, activations: 0 }
-    }
-
-    /// The `REGA_T` parameter (activations per protective refresh).
-    pub fn rega_t(&self) -> u64 {
-        self.rega_t
-    }
-
-    /// Total activations observed (for statistics).
-    pub fn activations(&self) -> u64 {
-        self.activations
     }
 }
 
@@ -103,7 +93,7 @@ mod tests {
         for i in 0..1000 {
             assert!(r.on_activation_vec(&event(i)).is_empty());
         }
-        assert_eq!(r.activations(), 1000);
+        assert_eq!(r.activations, 1000);
     }
 
     #[test]
@@ -121,7 +111,7 @@ mod tests {
     #[test]
     fn attribution_uses_rega_t_quota() {
         let r = Rega::new(1024);
-        assert_eq!(r.rega_t(), 256);
+        assert_eq!(r.rega_t, 256);
         assert_eq!(r.attribution(), ScoreAttribution::PerActivationQuota { quota: 256 });
     }
 

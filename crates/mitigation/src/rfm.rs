@@ -28,7 +28,7 @@ impl Rfm {
     ///
     /// # Panics
     /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
-    pub fn new(geometry: DramGeometry, nrh: u64) -> Self {
+    pub(crate) fn new(geometry: DramGeometry, nrh: u64) -> Self {
         assert!(nrh >= MechanismKind::Rfm.min_nrh(), "N_RH below the registry's minimum");
         // RAAIMT scaled so that in-DRAM TRR can keep up: one RFM window per
         // N_RH/8 activations of a bank (≈80 at N_RH = 640, matching the
@@ -36,21 +36,6 @@ impl Rfm {
         let raaimt = (nrh / 8).max(4);
         let banks = geometry.banks_per_channel();
         Rfm { geometry, raaimt, counters: vec![0; banks], rfms_issued: 0 }
-    }
-
-    /// The RAAIMT threshold in use.
-    pub fn raaimt(&self) -> u64 {
-        self.raaimt
-    }
-
-    /// RFM commands requested so far.
-    pub fn rfms_issued(&self) -> u64 {
-        self.rfms_issued
-    }
-
-    /// Current RAA counter of a bank (for tests and statistics).
-    pub fn raa_counter(&self, flat_bank: usize) -> u64 {
-        self.counters[flat_bank]
     }
 }
 
@@ -92,7 +77,7 @@ mod tests {
     #[test]
     fn rfm_issued_every_raaimt_activations() {
         let mut r = Rfm::new(DramGeometry::tiny(), 1024);
-        assert_eq!(r.raaimt(), 128);
+        assert_eq!(r.raaimt, 128);
         let mut rfms = 0;
         for i in 0..1280u64 {
             // Spread over distinct rows: RFM counts bank activations, not
@@ -104,7 +89,7 @@ mod tests {
             }
         }
         assert_eq!(rfms, 10);
-        assert_eq!(r.rfms_issued(), 10);
+        assert_eq!(r.rfms_issued, 10);
     }
 
     #[test]
@@ -114,18 +99,16 @@ mod tests {
             assert!(r.on_activation_vec(&event(0, 1, i)).is_empty());
             assert!(r.on_activation_vec(&event(1, 1, i)).is_empty());
         }
-        assert_eq!(r.raa_counter(0), 100);
-        assert_eq!(r.raa_counter(1), 100);
-        assert_eq!(r.rfms_issued(), 0);
+        assert_eq!(r.counters[..2], [100, 100]);
+        assert_eq!(r.rfms_issued, 0);
     }
 
     #[test]
     fn threshold_scales_with_nrh() {
         assert!(
-            Rfm::new(DramGeometry::tiny(), 4096).raaimt()
-                > Rfm::new(DramGeometry::tiny(), 64).raaimt()
+            Rfm::new(DramGeometry::tiny(), 4096).raaimt > Rfm::new(DramGeometry::tiny(), 64).raaimt
         );
-        assert_eq!(Rfm::new(DramGeometry::tiny(), 64).raaimt(), 8);
+        assert_eq!(Rfm::new(DramGeometry::tiny(), 64).raaimt, 8);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Twice {
     ///
     /// # Panics
     /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
-    pub fn new(
+    pub(crate) fn new(
         geometry: DramGeometry,
         timing: &TimingParams,
         nrh: u64,
@@ -80,26 +80,6 @@ impl Twice {
             pruned_entries: 0,
             peak_entries: 0,
         }
-    }
-
-    /// The refresh threshold in use.
-    pub fn refresh_threshold(&self) -> u64 {
-        self.refresh_threshold
-    }
-
-    /// Preventive refreshes triggered so far.
-    pub fn triggers(&self) -> u64 {
-        self.triggers
-    }
-
-    /// Entries pruned so far.
-    pub fn pruned_entries(&self) -> u64 {
-        self.pruned_entries
-    }
-
-    /// Largest number of simultaneously live table entries observed.
-    pub fn peak_entries(&self) -> usize {
-        self.peak_entries
     }
 
     fn maybe_prune_and_reset(&mut self, cycle: Cycle) {
@@ -196,7 +176,7 @@ mod tests {
     #[test]
     fn hot_row_triggers_at_threshold() {
         let mut t = mech(64); // threshold 16
-        assert_eq!(t.refresh_threshold(), 16);
+        assert_eq!(t.refresh_threshold, 16);
         let mut triggered_at = None;
         for i in 0..16u64 {
             // Keep the activations dense so pruning cannot interfere.
@@ -212,7 +192,7 @@ mod tests {
             }
         }
         assert_eq!(triggered_at, Some(15));
-        assert_eq!(t.triggers(), 1);
+        assert_eq!(t.triggers, 1);
     }
 
     #[test]
@@ -223,14 +203,14 @@ mod tests {
         for r in 0..50usize {
             t.on_activation_vec(&event(r, r as u64));
         }
-        assert!(t.peak_entries() >= 50);
+        assert!(t.peak_entries >= 50);
         // Advance several pruning intervals with a single (hot-ish) row.
         let mut cycle = 0;
         for i in 0..20u64 {
             cycle = i * timing.t_refi + 200;
             t.on_activation_vec(&event(100, cycle));
         }
-        assert!(t.pruned_entries() >= 40, "pruned {}", t.pruned_entries());
+        assert!(t.pruned_entries >= 40, "pruned {}", t.pruned_entries);
         let live: usize = t.tables.iter().map(FlatMap::len).sum();
         assert!(live < 50, "live entries {live}");
         let _ = cycle;

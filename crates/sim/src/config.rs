@@ -111,7 +111,7 @@ impl Default for WatchdogConfig {
 
 impl WatchdogConfig {
     /// Validates the watchdog configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.enabled && self.stall_epochs == 0 {
             return Err("the watchdog needs at least one stall epoch (stall_epochs > 0)".into());
         }
@@ -193,14 +193,6 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Number of memory channels in the simulated system (1 in Table 1).
-    ///
-    /// The geometry's channel count is the single source of truth; this is a
-    /// convenience accessor paired with [`SystemConfig::with_channels`].
-    pub fn channels(&self) -> usize {
-        self.geometry.channels
-    }
-
     /// The same configuration sharded over `channels` memory channels: one
     /// memory controller and one mitigation-mechanism instance per channel,
     /// with requests distributed by the address mapping's channel-interleave

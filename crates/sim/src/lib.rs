@@ -36,11 +36,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod config;
-pub mod result;
-pub mod runner;
-pub mod system;
-pub mod watchdog;
+mod config;
+mod result;
+mod runner;
+mod system;
+mod watchdog;
 
 pub use config::{
     ChannelStepping, ChaosConfig, FrontEndKind, SchedulerKind, SystemConfig, WatchdogConfig,

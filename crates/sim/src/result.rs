@@ -284,7 +284,8 @@ pub struct SimulationResult {
 
 impl SimulationResult {
     /// Sum of IPCs over the given threads (a raw throughput measure).
-    pub fn total_ipc(&self, threads: &[usize]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_ipc(&self, threads: &[usize]) -> f64 {
         threads.iter().map(|t| self.cores[*t].ipc).sum()
     }
 

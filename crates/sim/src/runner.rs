@@ -59,11 +59,6 @@ impl Evaluator {
         Evaluator { config, alone_cache: BTreeMap::new() }
     }
 
-    /// The configuration being evaluated.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
     /// Switches the evaluator to a different configuration, keeping the
     /// alone-IPC cache: alone baselines are measured on the unprotected
     /// system (no mechanism, no BreakHammer), so every configuration of a
@@ -106,7 +101,7 @@ impl Evaluator {
     /// IPC of `trace` when running alone on the unprotected system, cached by
     /// application name. The compiled trace is shared with the run, not
     /// copied.
-    pub fn alone_ipc(&mut self, app_name: &str, trace: &CompiledTrace) -> f64 {
+    pub(crate) fn alone_ipc(&mut self, app_name: &str, trace: &CompiledTrace) -> f64 {
         if let Some(ipc) = self.alone_cache.get(app_name) {
             return *ipc;
         }

@@ -429,16 +429,6 @@ impl System {
         self
     }
 
-    /// The memory system (for inspection in tests).
-    pub fn memory(&self) -> &MemorySystem {
-        &self.memory
-    }
-
-    /// The LLC (for inspection in tests).
-    pub fn llc(&self) -> &LastLevelCache {
-        &self.llc
-    }
-
     fn required_finished(&self) -> bool {
         self.required.iter().all(|i| self.front.finished(*i))
     }

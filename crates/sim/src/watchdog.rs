@@ -43,12 +43,12 @@ pub struct StateDigest(u64);
 
 impl StateDigest {
     /// Fresh digest at the FNV offset basis.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StateDigest(0xcbf2_9ce4_8422_2325)
     }
 
     /// Folds one word into the digest.
-    pub fn write_u64(&mut self, value: u64) {
+    pub(crate) fn write_u64(&mut self, value: u64) {
         for byte in value.to_le_bytes() {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
@@ -56,17 +56,17 @@ impl StateDigest {
     }
 
     /// Folds one machine-word count into the digest.
-    pub fn write_usize(&mut self, value: usize) {
+    pub(crate) fn write_usize(&mut self, value: usize) {
         self.write_u64(value as u64);
     }
 
     /// Folds one flag into the digest.
-    pub fn write_bool(&mut self, value: bool) {
+    pub(crate) fn write_bool(&mut self, value: bool) {
         self.write_u64(u64::from(value));
     }
 
     /// The digest value.
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -130,7 +130,7 @@ impl Watchdog {
     /// no-progress horizon (`stall_epochs × epoch`) spans at least two full
     /// windows, so a quota-starved thread legitimately waiting out a window
     /// rotation for its quota refill is never misclassified as livelocked.
-    pub fn new(config: &WatchdogConfig, breakhammer_window: Option<u64>) -> Self {
+    pub(crate) fn new(config: &WatchdogConfig, breakhammer_window: Option<u64>) -> Self {
         let stall_epochs = config.stall_epochs.max(1);
         let epoch_cycles = if config.epoch_cycles > 0 {
             config.epoch_cycles
@@ -156,27 +156,21 @@ impl Watchdog {
         }
     }
 
-    /// The epoch length in DRAM cycles actually in use (after auto
-    /// derivation).
-    pub fn epoch_cycles(&self) -> u64 {
-        self.epoch_cycles
-    }
-
     /// The next epoch boundary: event horizons must not jump past it
     /// (`Cycle::MAX` when the watchdog is disabled, i.e. no clamping).
-    pub fn horizon_cap(&self) -> Cycle {
+    pub(crate) fn horizon_cap(&self) -> Cycle {
         self.next_boundary
     }
 
     /// True when `cycle` is an epoch boundary the watchdog must observe —
     /// one integer compare, cheap enough for the per-cycle kernel's loop.
-    pub fn due(&self, cycle: Cycle) -> bool {
+    pub(crate) fn due(&self, cycle: Cycle) -> bool {
         cycle == self.next_boundary
     }
 
     /// Consumes the boundary sample and advances to the next epoch.
     /// `Some(verdict)` means the run must stop now.
-    pub fn observe(&mut self, cycle: Cycle, sample: &ProgressSample) -> Option<Verdict> {
+    pub(crate) fn observe(&mut self, cycle: Cycle, sample: &ProgressSample) -> Option<Verdict> {
         if !self.enabled || cycle != self.next_boundary {
             return None;
         }
@@ -353,11 +347,11 @@ mod tests {
         let config = WatchdogConfig::default(); // epoch_cycles = 0 → auto
         let wd = Watchdog::new(&config, Some(500_000));
         // stall_epochs × epoch ≥ 2 × window.
-        assert!(u64::from(config.stall_epochs) * wd.epoch_cycles() >= 1_000_000);
+        assert!(u64::from(config.stall_epochs) * wd.epoch_cycles >= 1_000_000);
         let small = Watchdog::new(&config, Some(1_000));
-        assert_eq!(small.epoch_cycles(), BASE_EPOCH_CYCLES);
+        assert_eq!(small.epoch_cycles, BASE_EPOCH_CYCLES);
         let none = Watchdog::new(&config, None);
-        assert_eq!(none.epoch_cycles(), BASE_EPOCH_CYCLES);
+        assert_eq!(none.epoch_cycles, BASE_EPOCH_CYCLES);
     }
 
     #[test]

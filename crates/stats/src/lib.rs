@@ -29,12 +29,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod metrics;
-pub mod summary;
-pub mod table;
+mod metrics;
+mod summary;
+mod table;
 
-pub use metrics::{
-    geometric_mean, harmonic_speedup, max_slowdown, mean, normalize_to, weighted_speedup, AppPerf,
-};
-pub use summary::{percentile, percentile_of_sorted, BoxPlot};
+pub use metrics::{geometric_mean, max_slowdown, weighted_speedup, AppPerf};
+pub use summary::{percentile, BoxPlot};
 pub use table::{fmt3, fmt_pct, Table};

@@ -28,12 +28,12 @@ impl AppPerf {
 
     /// The application's normalized progress (shared / alone), i.e. its
     /// individual speedup contribution. At most ~1.0 in a well-behaved system.
-    pub fn normalized_progress(&self) -> f64 {
+    pub(crate) fn normalized_progress(&self) -> f64 {
         self.ipc_shared / self.ipc_alone
     }
 
     /// The application's slowdown (alone / shared), ≥ 1.0 when sharing hurts.
-    pub fn slowdown(&self) -> f64 {
+    pub(crate) fn slowdown(&self) -> f64 {
         self.ipc_alone / self.ipc_shared
     }
 }
@@ -52,16 +52,6 @@ impl AppPerf {
 pub fn weighted_speedup(apps: &[AppPerf]) -> f64 {
     assert!(!apps.is_empty(), "weighted speedup of an empty mix is undefined");
     apps.iter().map(AppPerf::normalized_progress).sum()
-}
-
-/// Harmonic mean of per-application speedups — an alternative
-/// fairness-sensitive system metric.
-///
-/// # Panics
-/// Panics if `apps` is empty.
-pub fn harmonic_speedup(apps: &[AppPerf]) -> f64 {
-    assert!(!apps.is_empty(), "harmonic speedup of an empty mix is undefined");
-    apps.len() as f64 / apps.iter().map(|a| 1.0 / a.normalized_progress()).sum::<f64>()
 }
 
 /// Unfairness metric used by the paper: the maximum slowdown experienced by
@@ -89,24 +79,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
         })
         .sum();
     (log_sum / values.len() as f64).exp()
-}
-
-/// Arithmetic mean.
-///
-/// # Panics
-/// Panics if `values` is empty.
-pub fn mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "mean of an empty set is undefined");
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Normalizes every value in `values` to `baseline` (value / baseline).
-///
-/// # Panics
-/// Panics if `baseline` is zero or non-finite.
-pub fn normalize_to(values: &[f64], baseline: f64) -> Vec<f64> {
-    assert!(baseline.is_finite() && baseline != 0.0, "baseline must be finite and non-zero");
-    values.iter().map(|v| v / baseline).collect()
 }
 
 #[cfg(test)]
@@ -141,16 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn harmonic_speedup_is_bounded_by_worst_app() {
-        let apps = [AppPerf::new(1.0, 1.0), AppPerf::new(1.0, 0.1)];
-        let hs = harmonic_speedup(&apps);
-        assert!(hs > 0.1 && hs < 1.0);
-        // Harmonic mean is below the arithmetic mean for unequal values.
-        let ws_avg = weighted_speedup(&apps) / 2.0;
-        assert!(hs < ws_avg);
-    }
-
-    #[test]
     fn max_slowdown_picks_the_most_hurt_app() {
         let apps = [
             AppPerf::new(1.0, 0.9),
@@ -171,11 +133,5 @@ mod tests {
     #[should_panic(expected = "positive finite")]
     fn geometric_mean_rejects_non_positive() {
         let _ = geometric_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn normalization_helpers() {
-        assert_eq!(normalize_to(&[2.0, 4.0], 2.0), vec![1.0, 2.0]);
-        assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
     }
 }

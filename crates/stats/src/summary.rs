@@ -29,7 +29,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 ///
 /// # Panics
 /// Panics if `sorted` is empty or `p` is outside `[0, 100]`.
-pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of an empty sample set is undefined");
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     if sorted.len() == 1 {
@@ -88,11 +88,6 @@ impl BoxPlot {
             max,
         }
     }
-
-    /// The interquartile range (Q3 − Q1).
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +131,6 @@ mod tests {
         assert_eq!(b.median, 5.0);
         assert_eq!(b.q1, 3.0);
         assert_eq!(b.q3, 7.0);
-        assert_eq!(b.iqr(), 4.0);
         assert_eq!(b.min, 1.0);
         assert_eq!(b.max, 9.0);
         // Whiskers clamp to the observed range.

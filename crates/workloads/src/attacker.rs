@@ -16,17 +16,15 @@
 
 use crate::compose::ComposedAttacker;
 use crate::pattern::ClassicPattern;
-use crate::placement::{AggressorPlacement, NeighborPlacement};
+use crate::placement::NeighborPlacement;
 use bh_cpu::Trace;
-use bh_dram::{BankAddr, DramGeometry};
+use bh_dram::DramGeometry;
 use bh_mem::AddressMapping;
 
 /// The shape of the hammering pattern.
 ///
 /// Marked `#[non_exhaustive]`: new kinds may appear without a semver break,
-/// so match with a wildcard arm and construct through the ctor fns
-/// ([`AttackerKind::double_sided`], [`AttackerKind::many_sided`],
-/// [`AttackerKind::multi_bank`]).
+/// so match with a wildcard arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AttackerKind {
@@ -49,28 +47,10 @@ pub enum AttackerKind {
     },
 }
 
-impl AttackerKind {
-    /// Classic double-sided hammering.
-    pub fn double_sided() -> Self {
-        AttackerKind::DoubleSided
-    }
-
-    /// Many-sided hammering over `aggressors` rows of one bank.
-    pub fn many_sided(aggressors: usize) -> Self {
-        AttackerKind::ManySided { aggressors }
-    }
-
-    /// Hammering `aggressors` rows in each of `banks` banks.
-    pub fn multi_bank(banks: usize, aggressors: usize) -> Self {
-        AttackerKind::MultiBank { banks, aggressors }
-    }
-}
-
 /// Which memory channels an attacker hammers (irrelevant on single-channel
 /// systems, where every variant degenerates to channel 0).
 ///
-/// Marked `#[non_exhaustive]`: construct through [`ChannelTarget::pinned`] /
-/// [`ChannelTarget::interleave`] and match with a wildcard arm.
+/// Marked `#[non_exhaustive]`: match with a wildcard arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ChannelTarget {
@@ -88,12 +68,12 @@ pub enum ChannelTarget {
 
 impl ChannelTarget {
     /// All traffic pinned to one channel (taken modulo the channel count).
-    pub fn pinned(channel: usize) -> Self {
+    pub(crate) fn pinned(channel: usize) -> Self {
         ChannelTarget::Pinned(channel)
     }
 
     /// The pattern replicated over every channel in turn.
-    pub fn interleave() -> Self {
+    pub(crate) fn interleave() -> Self {
         ChannelTarget::Interleave
     }
 }
@@ -106,10 +86,10 @@ impl Default for ChannelTarget {
 
 /// An attacker configuration (legacy API).
 ///
-/// New code should compose an
-/// [`AccessPattern`](crate::pattern::AccessPattern) with an
-/// [`AggressorPlacement`] directly; this profile covers the classic shapes
-/// and lowers onto those traits via [`AttackerProfile::compose`].
+/// New code should compose an [`AccessPattern`](crate::AccessPattern) with
+/// an [`AggressorPlacement`](crate::AggressorPlacement) directly; this
+/// profile covers the classic shapes and lowers onto those traits via
+/// [`AttackerProfile::compose`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttackerProfile {
     /// The hammering pattern.
@@ -184,20 +164,14 @@ impl AttackerProfile {
     ) -> Trace {
         self.compose().trace(geometry, mapping, entries, seed)
     }
-
-    /// The aggressor rows this profile hammers (useful for analyses/tests).
-    pub fn aggressor_rows(&self, geometry: &DramGeometry) -> Vec<(BankAddr, usize)> {
-        // The legacy method never asserted on degenerate parameters, so
-        // bypass the pattern's checked request.
-        let request = ClassicPattern::request_unchecked(self.kind);
-        NeighborPlacement::with_channels(self.channels).place(&request, geometry).aggressor_rows()
-    }
 }
 
 #[cfg(test)]
 #[allow(clippy::disallowed_types)] // test-only hash collections: assertion sets and reference models, never digest-bearing
 mod tests {
     use super::*;
+    use crate::placement::AggressorPlacement;
+    use bh_dram::BankAddr;
     use std::collections::HashSet;
 
     fn geometry() -> DramGeometry {
@@ -234,6 +208,12 @@ mod tests {
         assert_eq!(banks.len(), 1);
     }
 
+    /// The aggressor rows `p` hammers, bank-major.
+    fn aggressor_rows(p: &AttackerProfile, geometry: &DramGeometry) -> Vec<(BankAddr, usize)> {
+        let request = ClassicPattern::request_unchecked(p.kind);
+        NeighborPlacement::with_channels(p.channels).place(&request, geometry).aggressor_rows()
+    }
+
     fn rows_banks(t: &Trace, g: &DramGeometry, m: AddressMapping) -> HashSet<BankAddr> {
         t.entries().iter().map(|e| m.decode(e.addr, g).bank).collect()
     }
@@ -241,7 +221,7 @@ mod tests {
     #[test]
     fn many_sided_attack_cycles_the_requested_number_of_aggressors() {
         let p = AttackerProfile {
-            kind: AttackerKind::many_sided(16),
+            kind: AttackerKind::ManySided { aggressors: 16 },
             bubbles: 0,
             channels: ChannelTarget::default(),
         };
@@ -251,13 +231,13 @@ mod tests {
         let rows: HashSet<usize> =
             t.entries().iter().map(|e| mapping.decode(e.addr, &g).row).collect();
         assert_eq!(rows.len(), 16);
-        assert_eq!(p.aggressor_rows(&g).len(), 16);
+        assert_eq!(aggressor_rows(&p, &g).len(), 16);
     }
 
     #[test]
     fn multi_bank_attack_spreads_over_banks() {
         let p = AttackerProfile {
-            kind: AttackerKind::multi_bank(8, 4),
+            kind: AttackerKind::MultiBank { banks: 8, aggressors: 4 },
             bubbles: 0,
             channels: ChannelTarget::default(),
         };
@@ -266,7 +246,7 @@ mod tests {
         let t = p.trace(&g, mapping, 4_000, 4);
         let banks = rows_banks(&t, &g, mapping);
         assert_eq!(banks.len(), 8);
-        assert_eq!(p.aggressor_rows(&g).len(), 32);
+        assert_eq!(aggressor_rows(&p, &g).len(), 32);
     }
 
     #[test]
@@ -328,7 +308,7 @@ mod tests {
         for channel in 0..2 {
             let rows: HashSet<(BankAddr, usize)> =
                 locs.iter().filter(|l| l.channel == channel).map(|l| (l.bank, l.row)).collect();
-            assert_eq!(rows.len(), p.aggressor_rows(&g).len(), "channel {channel}");
+            assert_eq!(rows.len(), aggressor_rows(&p, &g).len(), "channel {channel}");
         }
     }
 
@@ -353,7 +333,7 @@ mod byte_identity {
 
     use super::*;
     use bh_cpu::TraceEntry;
-    use bh_dram::DramLocation;
+    use bh_dram::{BankAddr, DramLocation};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -425,9 +405,9 @@ mod byte_identity {
             tiny in any::<bool>(),
         ) {
             let kind = match kind_sel {
-                0 => AttackerKind::double_sided(),
-                1 => AttackerKind::many_sided(aggressors),
-                _ => AttackerKind::multi_bank(banks, aggressors),
+                0 => AttackerKind::DoubleSided,
+                1 => AttackerKind::ManySided { aggressors },
+                _ => AttackerKind::MultiBank { banks, aggressors },
             };
             let target = if interleave {
                 ChannelTarget::interleave()

@@ -11,7 +11,7 @@ use crate::pattern::AccessPattern;
 use crate::placement::AggressorPlacement;
 use crate::victim::{SandwichedVictims, VictimLayout, VictimRow};
 use bh_cpu::Trace;
-use bh_dram::{BankAddr, DramGeometry};
+use bh_dram::DramGeometry;
 use bh_mem::AddressMapping;
 use std::sync::Arc;
 
@@ -59,22 +59,10 @@ impl ComposedAttacker {
         }
     }
 
-    /// Replaces the victim layout.
-    pub fn with_victims(mut self, victims: impl VictimLayout + 'static) -> Self {
-        self.victims = Arc::new(victims);
-        self
-    }
-
-    /// Overrides the scenario tag (used as the mix-name suffix).
-    pub fn with_tag(mut self, tag: impl Into<String>) -> Self {
-        self.tag = Some(tag.into());
-        self
-    }
-
     /// Drops the scenario tag. Mixes built from an untagged attacker keep
     /// their plain names — the compat facade uses this so pre-redesign mix
     /// names (and thus golden digests) stay unchanged.
-    pub fn untagged(mut self) -> Self {
+    pub(crate) fn untagged(mut self) -> Self {
         self.tag = None;
         self
     }
@@ -85,7 +73,7 @@ impl ComposedAttacker {
     }
 
     /// The placed aggressor grid for this attacker on `geometry`.
-    pub fn grid(&self, geometry: &DramGeometry) -> crate::placement::AggressorGrid {
+    pub(crate) fn grid(&self, geometry: &DramGeometry) -> crate::placement::AggressorGrid {
         self.placement.place(&self.pattern.request(), geometry)
     }
 
@@ -116,11 +104,6 @@ impl ComposedAttacker {
     pub fn success_criterion(&self) -> bh_dram::SuccessCriterion {
         self.victims.success_criterion()
     }
-
-    /// The aggressor rows this attacker hammers, bank-major.
-    pub fn aggressor_rows(&self, geometry: &DramGeometry) -> Vec<(BankAddr, usize)> {
-        self.grid(geometry).aggressor_rows()
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +118,7 @@ mod tests {
     fn composition_tags_follow_the_axis_labels() {
         let a = ComposedAttacker::new(FuzzedPattern::new(2, 4), NeighborPlacement::new());
         assert_eq!(a.tag(), Some("fuzz-nbr"));
-        let b = a.clone().with_tag("custom");
+        let b = ComposedAttacker { tag: Some("custom".to_string()), ..a.clone() };
         assert_eq!(b.tag(), Some("custom"));
         assert_eq!(b.untagged().tag(), None);
     }
@@ -144,13 +127,15 @@ mod tests {
     fn traces_are_deterministic_and_victims_nonempty() {
         let geometry = DramGeometry::paper_ddr5();
         let mapping = AddressMapping::paper_default();
-        let a = ComposedAttacker::new(DecoyPattern::new(2, 2), SpreadPlacement::new())
-            .with_victims(KeyTableVictims::new(2));
+        let a = ComposedAttacker {
+            victims: Arc::new(KeyTableVictims::new(2)),
+            ..ComposedAttacker::new(DecoyPattern::new(2, 2), SpreadPlacement::new())
+        };
         let t1 = a.trace(&geometry, mapping, 1_000, 7);
         let t2 = a.trace(&geometry, mapping, 1_000, 7);
         assert_eq!(t1, t2);
         assert!(!a.victim_rows(&geometry).is_empty());
-        assert!(!a.aggressor_rows(&geometry).is_empty());
+        assert!(!a.grid(&geometry).aggressor_rows().is_empty());
     }
 
     #[test]

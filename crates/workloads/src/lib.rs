@@ -39,16 +39,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod attacker;
-pub mod characterize;
-pub mod compose;
-pub mod generator;
-pub mod mix;
-pub mod pattern;
-pub mod placement;
-pub mod profile;
-pub mod scenario;
-pub mod victim;
+mod attacker;
+mod characterize;
+mod compose;
+mod generator;
+mod mix;
+mod pattern;
+mod placement;
+mod profile;
+mod scenario;
+mod victim;
 
 pub use attacker::{AttackerKind, AttackerProfile, ChannelTarget};
 pub use characterize::{characterize, WorkloadCharacteristics};

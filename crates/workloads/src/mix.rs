@@ -19,8 +19,7 @@ use rand::SeedableRng;
 
 /// One slot of a four-core mix.
 ///
-/// Marked `#[non_exhaustive]`: construct through [`SlotClass::benign`] /
-/// [`SlotClass::attacker`] and match with a wildcard arm.
+/// Marked `#[non_exhaustive]`: match with a wildcard arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SlotClass {
@@ -31,18 +30,8 @@ pub enum SlotClass {
 }
 
 impl SlotClass {
-    /// A benign slot of the given intensity class.
-    pub fn benign(class: IntensityClass) -> Self {
-        SlotClass::Benign(class)
-    }
-
-    /// The attacker slot.
-    pub fn attacker() -> Self {
-        SlotClass::Attacker
-    }
-
     /// Single-letter label (H/M/L/A).
-    pub fn letter(self) -> char {
+    pub(crate) fn letter(self) -> char {
         match self {
             SlotClass::Benign(c) => c.letter(),
             SlotClass::Attacker => 'A',
@@ -61,11 +50,6 @@ impl MixClass {
     /// Label such as `"HHMM"` or `"HHHA"`.
     pub fn label(&self) -> String {
         self.slots.iter().map(|s| s.letter()).collect()
-    }
-
-    /// True if one of the slots is the attacker.
-    pub fn has_attacker(&self) -> bool {
-        self.slots.iter().any(|s| matches!(s, SlotClass::Attacker))
     }
 
     /// The six all-benign mix classes of §7 (HHHH, HHMM, MMMM, HHLL, MMLL,
@@ -186,7 +170,7 @@ impl MixBuilder {
 
     /// Overrides the attacker with a composed pattern × placement × victims.
     /// The attacker's tag (if any) becomes the mix-name suffix.
-    pub fn with_composed_attacker(mut self, attacker: ComposedAttacker) -> Self {
+    pub(crate) fn with_composed_attacker(mut self, attacker: ComposedAttacker) -> Self {
         self.attacker = attacker;
         self
     }
@@ -301,8 +285,9 @@ mod tests {
         assert_eq!(benign, vec!["HHHH", "HHMM", "MMMM", "HHLL", "MMLL", "LLLL"]);
         let attack: Vec<String> = MixClass::attack_classes().iter().map(MixClass::label).collect();
         assert_eq!(attack, vec!["HHHA", "HHMA", "MMMA", "HLLA", "MMLA", "LLLA"]);
-        assert!(MixClass::attack_classes().iter().all(MixClass::has_attacker));
-        assert!(!MixClass::benign_classes().iter().any(|c| c.has_attacker()));
+        let has_attacker = |c: &MixClass| c.slots.iter().any(|s| matches!(s, SlotClass::Attacker));
+        assert!(MixClass::attack_classes().iter().all(has_attacker));
+        assert!(!MixClass::benign_classes().iter().any(has_attacker));
     }
 
     #[test]

@@ -85,19 +85,14 @@ pub struct ClassicPattern {
 
 impl ClassicPattern {
     /// A classic pattern of the given kind with a tight loop (no bubbles).
-    pub fn new(kind: AttackerKind) -> Self {
+    pub(crate) fn new(kind: AttackerKind) -> Self {
         ClassicPattern { kind, bubbles: 0 }
     }
 
     /// Overrides the non-memory instructions between hammering accesses.
-    pub fn with_bubbles(mut self, bubbles: u32) -> Self {
+    pub(crate) fn with_bubbles(mut self, bubbles: u32) -> Self {
         self.bubbles = bubbles;
         self
-    }
-
-    /// The hammering kind.
-    pub fn kind(&self) -> AttackerKind {
-        self.kind
     }
 
     /// The request this kind denotes, *without* the degeneracy asserts
@@ -204,12 +199,6 @@ impl FuzzedPattern {
         }
     }
 
-    /// Overrides the non-memory instructions between hammering accesses.
-    pub fn with_bubbles(mut self, bubbles: u32) -> Self {
-        self.bubbles = bubbles;
-        self
-    }
-
     /// The fuzzed aggressor-step schedule for one period: for every
     /// aggressor, `frequency` bursts of `amplitude` consecutive slots start
     /// at its `phase`, and the bursts of all aggressors are merged in time
@@ -310,17 +299,6 @@ impl RowPressPattern {
         assert!(dwell >= 1, "rowpress dwell must be at least one access");
         RowPressPattern { banks, aggressors_per_bank: aggressors, dwell, bubbles: 0 }
     }
-
-    /// Overrides the non-memory instructions between hammering accesses.
-    pub fn with_bubbles(mut self, bubbles: u32) -> Self {
-        self.bubbles = bubbles;
-        self
-    }
-
-    /// The dwell length (column reads per row visit).
-    pub fn dwell(&self) -> usize {
-        self.dwell
-    }
 }
 
 impl AccessPattern for RowPressPattern {
@@ -398,7 +376,7 @@ impl DecoyPattern {
     ///
     /// # Panics
     /// Panics if `banks` is zero or `aggressors` is below two.
-    pub fn new(banks: usize, aggressors: usize) -> Self {
+    pub(crate) fn new(banks: usize, aggressors: usize) -> Self {
         assert!(banks >= 1, "decoy pattern needs at least one bank");
         assert!(aggressors >= 2, "decoy pattern needs at least two aggressors");
         DecoyPattern {
@@ -489,6 +467,7 @@ impl AccessPattern for DecoyPattern {
 mod tests {
     use super::*;
     use crate::placement::{AggressorPlacement, NeighborPlacement};
+    use crate::ChannelTarget;
     use std::collections::HashSet;
 
     fn geometry() -> DramGeometry {
@@ -568,7 +547,8 @@ mod tests {
             Box::new(RowPressPattern::new(2, 2, 4)),
             Box::new(DecoyPattern::new(2, 2)),
         ] {
-            let grid = NeighborPlacement::interleaved().place(&pattern.request(), &g);
+            let grid = NeighborPlacement::with_channels(ChannelTarget::interleave())
+                .place(&pattern.request(), &g);
             let t = pattern.generate(&grid, &g, mapping(), 3_000, 9);
             let channels: HashSet<usize> =
                 t.entries().iter().map(|e| mapping().decode(e.addr, &g).channel).collect();

@@ -59,7 +59,7 @@ impl AggressorGrid {
     /// # Panics
     /// Panics if any dimension is empty or `rows` does not hold exactly
     /// `aggressors_per_bank` rows per bank.
-    pub fn new(
+    pub(crate) fn new(
         channels: Vec<usize>,
         banks: Vec<BankAddr>,
         rows: Vec<usize>,
@@ -77,7 +77,7 @@ impl AggressorGrid {
     }
 
     /// Number of channel steps in the walk.
-    pub fn channel_steps(&self) -> usize {
+    pub(crate) fn channel_steps(&self) -> usize {
         self.channels.len()
     }
 
@@ -92,17 +92,17 @@ impl AggressorGrid {
     }
 
     /// The channels of the walk, in sweep order.
-    pub fn channels(&self) -> &[usize] {
+    pub(crate) fn channels(&self) -> &[usize] {
         &self.channels
     }
 
     /// Channel of the given sweep step (wraps around the walk).
-    pub fn channel(&self, step: usize) -> usize {
+    pub(crate) fn channel(&self, step: usize) -> usize {
         self.channels[step % self.channels.len()]
     }
 
     /// Bank of the given bank step (wraps around the bank set).
-    pub fn bank(&self, step: usize) -> BankAddr {
+    pub(crate) fn bank(&self, step: usize) -> BankAddr {
         self.banks[step % self.banks.len()]
     }
 
@@ -113,9 +113,7 @@ impl AggressorGrid {
         self.rows[b * self.aggressors_per_bank + a]
     }
 
-    /// Every placed aggressor as `(bank, raw_row)`, bank-major (the order
-    /// [`AttackerProfile::aggressor_rows`](crate::AttackerProfile::aggressor_rows)
-    /// has always reported).
+    /// Every placed aggressor as `(bank, raw_row)`, bank-major.
     pub fn aggressor_rows(&self) -> Vec<(BankAddr, usize)> {
         let mut out = Vec::with_capacity(self.banks.len() * self.aggressors_per_bank);
         for (b, bank) in self.banks.iter().enumerate() {
@@ -170,18 +168,8 @@ impl NeighborPlacement {
     }
 
     /// Neighbor targeting with an explicit channel target.
-    pub fn with_channels(channels: ChannelTarget) -> Self {
+    pub(crate) fn with_channels(channels: ChannelTarget) -> Self {
         NeighborPlacement { channels }
-    }
-
-    /// Neighbor targeting pinned to one channel.
-    pub fn pinned(channel: usize) -> Self {
-        NeighborPlacement::with_channels(ChannelTarget::pinned(channel))
-    }
-
-    /// Neighbor targeting replicated over every channel.
-    pub fn interleaved() -> Self {
-        NeighborPlacement::with_channels(ChannelTarget::interleave())
     }
 }
 
@@ -230,12 +218,6 @@ impl SpreadPlacement {
     /// Spreading over every channel with the default per-bank row stride.
     pub fn new() -> Self {
         SpreadPlacement { channels: ChannelTarget::interleave(), bank_row_stride: 64 }
-    }
-
-    /// Spreading with an explicit channel target.
-    pub fn with_channels(mut self, channels: ChannelTarget) -> Self {
-        self.channels = channels;
-        self
     }
 }
 
@@ -309,9 +291,10 @@ mod tests {
     fn channel_walks_match_the_channel_target() {
         let g = geometry().with_channels(4);
         let request = PlacementRequest { banks: 1, aggressors_per_bank: 2 };
-        let pinned = NeighborPlacement::pinned(6).place(&request, &g);
+        let pinned = NeighborPlacement::with_channels(ChannelTarget::pinned(6)).place(&request, &g);
         assert_eq!(pinned.channels(), &[2], "pinned channel wraps modulo the channel count");
-        let interleaved = NeighborPlacement::interleaved().place(&request, &g);
+        let interleaved =
+            NeighborPlacement::with_channels(ChannelTarget::interleave()).place(&request, &g);
         assert_eq!(interleaved.channels(), &[0, 1, 2, 3]);
     }
 

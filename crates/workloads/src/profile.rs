@@ -92,7 +92,7 @@ impl BenignProfile {
     /// selection: the eight most memory-intensive workloads of Table 3 plus
     /// medium- and low-intensity applications from SPEC / TPC / MediaBench /
     /// YCSB.
-    pub fn library() -> Vec<BenignProfile> {
+    pub(crate) fn library() -> Vec<BenignProfile> {
         use IntensityClass::*;
         vec![
             // --- High intensity (Table 3) -----------------------------------
@@ -262,7 +262,7 @@ impl BenignProfile {
     }
 
     /// Profiles of a given intensity class.
-    pub fn of_class(class: IntensityClass) -> Vec<BenignProfile> {
+    pub(crate) fn of_class(class: IntensityClass) -> Vec<BenignProfile> {
         BenignProfile::library().into_iter().filter(|p| p.class == class).collect()
     }
 
@@ -291,7 +291,7 @@ impl BenignProfile {
     }
 
     /// Validates that the profile's parameters are internally consistent.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let unit = |v: f64, what: &str| {
             if (0.0..=1.0).contains(&v) {
                 Ok(())

@@ -116,7 +116,7 @@ pub struct KeyTableVictims {
 
 impl KeyTableVictims {
     /// A key table of `entries` rows (at least one).
-    pub fn new(entries: usize) -> Self {
+    pub(crate) fn new(entries: usize) -> Self {
         KeyTableVictims { entries: entries.max(1) }
     }
 }
@@ -156,6 +156,7 @@ mod tests {
     use crate::attacker::AttackerKind;
     use crate::pattern::{AccessPattern, ClassicPattern};
     use crate::placement::{AggressorPlacement, NeighborPlacement, SpreadPlacement};
+    use crate::ChannelTarget;
 
     #[test]
     fn sandwiched_victims_are_adjacent_and_not_aggressors() {
@@ -182,7 +183,8 @@ mod tests {
     fn sandwiched_victims_cover_every_grid_channel() {
         let geometry = DramGeometry::paper_ddr5().with_channels(4);
         let pattern = ClassicPattern::new(AttackerKind::DoubleSided);
-        let grid = NeighborPlacement::interleaved().place(&pattern.request(), &geometry);
+        let grid = NeighborPlacement::with_channels(ChannelTarget::interleave())
+            .place(&pattern.request(), &geometry);
         let victims = SandwichedVictims::new().victim_rows(&grid, &geometry);
         let channels: BTreeSet<usize> = victims.iter().map(|v| v.channel).collect();
         assert_eq!(channels, (0..4).collect());

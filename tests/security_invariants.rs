@@ -35,7 +35,11 @@ fn run(
 fn deterministic_mechanisms_prevent_bitflips_with_and_without_breakhammer() {
     // PARA is probabilistic and REGA's protection happens inside the DRAM
     // chip (not modelled by the victim tracker), so the deterministic
-    // controller-visible mechanisms are checked here.
+    // controller-visible mechanisms are checked here. N_RH = 64 is the
+    // threshold of ROADMAP item 1's findings, but this miniature harness (one
+    // double-sided attacker, 8 000 instructions, seed 13) does not reproduce
+    // them: every mechanism below reads 0 flips there. It pins only that
+    // this scale stays clean.
     let deterministic = [
         MechanismKind::Graphene,
         MechanismKind::Hydra,
@@ -44,17 +48,19 @@ fn deterministic_mechanisms_prevent_bitflips_with_and_without_breakhammer() {
         MechanismKind::Prac,
         MechanismKind::BlockHammer,
     ];
-    for mechanism in deterministic {
-        for breakhammer in [false, true] {
-            if mechanism == MechanismKind::BlockHammer && breakhammer {
-                // The paper compares against BlockHammer; it does not pair it.
-                continue;
+    for nrh in [128, 64] {
+        for mechanism in deterministic {
+            for breakhammer in [false, true] {
+                if mechanism == MechanismKind::BlockHammer && breakhammer {
+                    // The paper compares against BlockHammer; it does not pair it.
+                    continue;
+                }
+                let result = run(mechanism, breakhammer, nrh);
+                assert_eq!(
+                    result.bitflips, 0,
+                    "{mechanism} (BreakHammer: {breakhammer}) allowed bitflips at N_RH = {nrh}"
+                );
             }
-            let result = run(mechanism, breakhammer, 128);
-            assert_eq!(
-                result.bitflips, 0,
-                "{mechanism} (BreakHammer: {breakhammer}) allowed bitflips"
-            );
         }
     }
 }
