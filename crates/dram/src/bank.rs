@@ -19,9 +19,6 @@ pub enum RowState {
     Open {
         /// The currently open row.
         row: usize,
-        /// Cycle at which the row was activated (used for row-open residency
-        /// statistics and RowPress-style analyses).
-        since: Cycle,
     },
 }
 
@@ -29,7 +26,7 @@ impl RowState {
     /// The open row, if any.
     pub(crate) fn open_row(&self) -> Option<usize> {
         match self {
-            RowState::Open { row, .. } => Some(*row),
+            RowState::Open { row } => Some(*row),
             RowState::Closed => None,
         }
     }
@@ -48,21 +45,12 @@ pub struct BankState {
     pub next_rd: Cycle,
     /// Earliest cycle a WR may be issued to this bank.
     pub next_wr: Cycle,
-    /// Number of activations this bank has seen (lifetime).
-    pub activation_count: u64,
 }
 
 impl BankState {
     /// A freshly powered-up, precharged bank.
     pub(crate) fn new() -> Self {
-        BankState {
-            row: RowState::Closed,
-            next_act: 0,
-            next_pre: 0,
-            next_rd: 0,
-            next_wr: 0,
-            activation_count: 0,
-        }
+        BankState { row: RowState::Closed, next_act: 0, next_pre: 0, next_rd: 0, next_wr: 0 }
     }
 
     /// The currently open row, if any.
@@ -124,8 +112,6 @@ pub struct RankState {
     pub next_ref: Cycle,
     /// Issue cycles of the most recent activations (bounded by the FAW depth).
     pub act_times: VecDeque<Cycle>,
-    /// Lifetime activation count for this rank.
-    pub activation_count: u64,
     /// Cursor of the rolling per-rank periodic-refresh sweep (which row block
     /// the next REF will refresh).
     pub refresh_cursor: usize,
@@ -138,7 +124,6 @@ impl RankState {
         while self.act_times.len() > faw_depth {
             self.act_times.pop_front();
         }
-        self.activation_count += 1;
     }
 
     /// Earliest cycle at which a new ACT satisfies the tFAW constraint.
@@ -162,13 +147,12 @@ mod tests {
         assert!(b.is_closed());
         assert_eq!(b.open_row(), None);
         assert_eq!(b.next_act, 0);
-        assert_eq!(b.activation_count, 0);
         assert_eq!(BankState::default().next_pre, 0);
     }
 
     #[test]
     fn row_state_open_row() {
-        let open = RowState::Open { row: 12, since: 100 };
+        let open = RowState::Open { row: 12 };
         assert_eq!(open.open_row(), Some(12));
         assert_eq!(RowState::Closed.open_row(), None);
     }
@@ -179,7 +163,8 @@ mod tests {
         assert_eq!(r.faw_earliest(4, 32), 0);
         for (i, c) in [10u64, 20, 30, 40].iter().enumerate() {
             r.record_activation(*c, 4);
-            assert_eq!(r.activation_count, i as u64 + 1);
+            assert_eq!(r.act_times.len(), i + 1);
+            assert_eq!(r.act_times.back(), Some(c));
         }
         // With four ACTs recorded the next one must wait tFAW after the oldest.
         assert_eq!(r.faw_earliest(4, 32), 10 + 32);

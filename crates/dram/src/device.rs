@@ -258,8 +258,8 @@ impl DramChannel {
                 }
             }
             CommandKind::Read | CommandKind::Write => match bank.row {
-                RowState::Open { row, .. } if row == cmd.row => {}
-                RowState::Open { row, .. } => {
+                RowState::Open { row } if row == cmd.row => {}
+                RowState::Open { row } => {
                     return violation(&format!("open row {row} does not match command row"));
                 }
                 RowState::Closed => return violation("bank is precharged"),
@@ -475,8 +475,7 @@ impl DramChannel {
                 let bank = &mut self.banks[flat];
                 debug_assert!(bank.is_closed(), "ACT on open bank");
                 self.open_per_rank[cmd.bank.rank] += 1;
-                bank.row = RowState::Open { row: cmd.row, since: cycle };
-                bank.activation_count += 1;
+                bank.row = RowState::Open { row: cmd.row };
                 bank.next_pre = bank.next_pre.max(cycle + t.t_ras);
                 bank.next_rd = bank.next_rd.max(cycle + t.t_rcd);
                 bank.next_wr = bank.next_wr.max(cycle + t.t_rcd);
@@ -497,7 +496,6 @@ impl DramChannel {
                 // Modelled as an ACT+PRE pair on the victim row that restores
                 // its charge; it occupies the bank for one full row cycle.
                 let bank = &mut self.banks[flat];
-                bank.activation_count += 1;
                 bank.next_act = bank.next_act.max(cycle + t.t_rc);
                 bank.next_pre = bank.next_pre.max(cycle + t.t_rc);
                 bank.next_rd = bank.next_rd.max(cycle + t.t_rc);

@@ -292,7 +292,7 @@ pub struct MemoryController {
 impl std::fmt::Debug for MemoryController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryController")
-            .field("mechanism", &self.mechanism.name())
+            .field("mechanism", &self.mechanism.kind())
             .field("read_queue", &self.read_queue.len())
             .field("write_queue", &self.write_queue.len())
             .field("preventive_queue", &self.preventive_queue.len())

@@ -2,7 +2,6 @@
 //! mechanism, and the preventive actions a mechanism can request.
 
 use bh_dram::{BankAddr, Cycle, RowAddr, ThreadId};
-use std::fmt;
 
 /// A row activation observed by the memory controller, annotated with the
 /// hardware thread on whose behalf it was performed.
@@ -16,66 +15,12 @@ pub struct ActivationEvent {
     pub cycle: Cycle,
 }
 
-/// A RowHammer-preventive action requested by a mitigation mechanism.
-///
-/// The memory controller executes these as real DRAM command sequences, so
-/// they consume DRAM bandwidth and interfere with demand requests exactly as
-/// described in the paper — which is what makes both the performance overhead
-/// (§3) and the memory performance attack (§8.1) possible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PreventiveAction {
-    /// Preventively refresh the given victim rows (PARA, Graphene, Hydra,
-    /// TWiCe). Each row costs one full row cycle in its bank.
-    RefreshRows(Vec<RowAddr>),
-    /// Migrate the contents of `source` to `dest` in a quarantine area
-    /// (AQUA). Costs reading the whole source row and writing it back to the
-    /// destination row.
-    MigrateRow {
-        /// The aggressor row being quarantined.
-        source: RowAddr,
-        /// The quarantine destination row.
-        dest: RowAddr,
-    },
-    /// Issue a refresh-management command to `bank`, giving the DRAM chip a
-    /// time window for in-DRAM preventive refreshes (RFM, PRAC back-off).
-    IssueRfm {
-        /// The bank to which the RFM command is directed.
-        bank: BankAddr,
-    },
-    /// Perform an auxiliary memory access on behalf of the mechanism itself
-    /// (Hydra's per-row tracking table in DRAM: cache misses and evictions
-    /// cost one column access each).
-    TableAccess {
-        /// The DRAM row holding the accessed table entry.
-        row: RowAddr,
-        /// True if the access also writes back a dirty entry.
-        write_back: bool,
-    },
-}
-
-impl fmt::Display for PreventiveAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PreventiveAction::RefreshRows(rows) => {
-                write!(f, "refresh {} victim row(s)", rows.len())
-            }
-            PreventiveAction::MigrateRow { source, dest } => {
-                write!(f, "migrate {source} -> {dest}")
-            }
-            PreventiveAction::IssueRfm { bank } => write!(f, "RFM to {bank}"),
-            PreventiveAction::TableAccess { row, write_back } => {
-                write!(f, "table access at {row}{}", if *write_back { " (writeback)" } else { "" })
-            }
-        }
-    }
-}
-
 /// A caller-owned, reusable buffer that [`TriggerMechanism::on_activation`]
 /// pushes preventive actions into.
 ///
 /// The activation hot path runs once per DRAM row activation, so mechanisms
-/// must not allocate per call. Instead of returning a `Vec<PreventiveAction>`
-/// (whose row lists allocate again), mechanisms append into this sink: action
+/// must not allocate per call. Instead of returning owned actions (whose row
+/// lists would allocate again), mechanisms append into this sink: action
 /// headers and victim rows live in two flat `Vec`s whose capacity is reused
 /// across calls, so a warmed-up sink never touches the allocator.
 ///
@@ -84,7 +29,7 @@ impl fmt::Display for PreventiveAction {
 /// * The **caller** (the memory controller) owns the sink, clears it before
 ///   each `on_activation` call, and drains it via [`ActionSink::iter`]
 ///   afterwards. One action header counts as one preventive action for
-///   BreakHammer score attribution, exactly like one `Vec` element did.
+///   BreakHammer score attribution.
 /// * The **mechanism** only appends (`push_*`); it never reads, clears or
 ///   holds on to the sink, and must not assume the sink is empty on entry —
 ///   a caller is free to batch several events into one sink before draining.
@@ -109,25 +54,34 @@ enum SinkEntry {
     Table { row: RowAddr, write_back: bool },
 }
 
-/// A borrowed view of one action in an [`ActionSink`] — the non-owning
-/// counterpart of [`PreventiveAction`].
+/// One RowHammer-preventive action queued in an [`ActionSink`], borrowed
+/// from it.
+///
+/// The memory controller executes these as real DRAM command sequences, so
+/// they consume DRAM bandwidth and interfere with demand requests exactly as
+/// described in the paper — which is what makes both the performance overhead
+/// (§3) and the memory performance attack (§8.1) possible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionView<'a> {
-    /// Preventively refresh the given victim rows.
+    /// Preventively refresh the given victim rows (PARA, Graphene, Hydra,
+    /// TWiCe). Each row costs one full row cycle in its bank.
     RefreshRows(&'a [RowAddr]),
-    /// Migrate `source` to the quarantine row `dest` (AQUA).
+    /// Migrate `source` to the quarantine row `dest` (AQUA): the whole source
+    /// row is read out and written back to the destination.
     MigrateRow {
         /// The aggressor row being quarantined.
         source: RowAddr,
         /// The quarantine destination row.
         dest: RowAddr,
     },
-    /// Issue a refresh-management command to `bank`.
+    /// Issue a refresh-management command to `bank`, giving the DRAM chip a
+    /// time window for in-DRAM preventive refreshes (RFM, PRAC back-off).
     IssueRfm {
         /// The bank to which the RFM command is directed.
         bank: BankAddr,
     },
-    /// Auxiliary table access on behalf of the mechanism (Hydra's RCT).
+    /// Auxiliary table access on behalf of the mechanism (Hydra's RCT: cache
+    /// misses and evictions cost one column access each).
     TableAccess {
         /// The DRAM row holding the accessed table entry.
         row: RowAddr,
@@ -154,8 +108,7 @@ impl ActionSink {
     }
 
     /// Queues a victim-refresh action covering `rows` (may be empty: an
-    /// empty refresh still counts as one preventive action, matching the old
-    /// `RefreshRows(vec![])` behaviour at bank edges).
+    /// empty refresh at a bank edge still counts as one preventive action).
     pub(crate) fn push_refresh_rows(&mut self, rows: impl IntoIterator<Item = RowAddr>) {
         let start = self.rows.len();
         self.rows.extend(rows);
@@ -191,28 +144,6 @@ impl ActionSink {
             SinkEntry::Table { row, write_back } => ActionView::TableAccess { row, write_back },
         })
     }
-
-    /// Materializes the queued actions as owned [`PreventiveAction`]s
-    /// (allocates; meant for tests, examples and statistics, not the hot
-    /// path).
-    pub(crate) fn to_actions(&self) -> Vec<PreventiveAction> {
-        self.iter().map(PreventiveAction::from).collect()
-    }
-}
-
-impl From<ActionView<'_>> for PreventiveAction {
-    fn from(view: ActionView<'_>) -> PreventiveAction {
-        match view {
-            ActionView::RefreshRows(rows) => PreventiveAction::RefreshRows(rows.to_vec()),
-            ActionView::MigrateRow { source, dest } => {
-                PreventiveAction::MigrateRow { source, dest }
-            }
-            ActionView::IssueRfm { bank } => PreventiveAction::IssueRfm { bank },
-            ActionView::TableAccess { row, write_back } => {
-                PreventiveAction::TableAccess { row, write_back }
-            }
-        }
-    }
 }
 
 /// How BreakHammer should attribute RowHammer-preventive scores for a given
@@ -244,16 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn action_display() {
-        let a = PreventiveAction::RefreshRows(vec![row(1)]);
-        assert_eq!(a.to_string(), "refresh 1 victim row(s)");
-        let m = PreventiveAction::MigrateRow { source: row(1), dest: row(2) };
-        assert!(m.to_string().contains("migrate"));
-        let t = PreventiveAction::TableAccess { row: row(1), write_back: true };
-        assert!(t.to_string().contains("writeback"));
-    }
-
-    #[test]
     fn sink_roundtrips_every_action_kind() {
         let mut sink = ActionSink::default();
         assert!(sink.is_empty());
@@ -264,21 +185,18 @@ mod tests {
         sink.push_table_access(row(5), true);
         assert_eq!(sink.len(), 5);
         let views: Vec<ActionView<'_>> = sink.iter().collect();
-        assert_eq!(views[0], ActionView::RefreshRows(&[row(1), row(2)]));
-        assert_eq!(views[1], ActionView::RefreshRows(&[]));
         assert_eq!(
-            sink.to_actions(),
-            vec![
-                PreventiveAction::RefreshRows(vec![row(1), row(2)]),
-                PreventiveAction::RefreshRows(vec![]),
-                PreventiveAction::MigrateRow { source: row(3), dest: row(4) },
-                PreventiveAction::IssueRfm { bank: row(0).bank },
-                PreventiveAction::TableAccess { row: row(5), write_back: true },
+            views,
+            [
+                ActionView::RefreshRows(&[row(1), row(2)]),
+                ActionView::RefreshRows(&[]),
+                ActionView::MigrateRow { source: row(3), dest: row(4) },
+                ActionView::IssueRfm { bank: row(0).bank },
+                ActionView::TableAccess { row: row(5), write_back: true },
             ]
         );
         sink.clear();
         assert!(sink.is_empty());
-        assert_eq!(sink.to_actions(), vec![]);
     }
 
     #[test]

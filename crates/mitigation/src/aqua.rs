@@ -9,16 +9,16 @@
 //! preventive-action cost and the worst scaling at low `N_RH` (§8.1).
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, TriggerMechanism};
+use crate::mechanism::{MechanismKind, ResetWindow, TriggerMechanism};
 use crate::misra_gries::MisraGries;
-use bh_dram::{Cycle, DramGeometry, RowAddr, TimingParams};
+use bh_dram::{DramGeometry, RowAddr, TimingParams};
 
 /// Fraction of each bank's rows reserved as the quarantine area (1/16).
 const QUARANTINE_FRACTION: usize = 16;
 
 /// The AQUA mechanism.
 #[derive(Debug)]
-pub struct Aqua {
+pub(crate) struct Aqua {
     geometry: DramGeometry,
     threshold: u64,
     entries_per_bank: usize,
@@ -26,21 +26,14 @@ pub struct Aqua {
     /// Per bank: next quarantine slot to use (round-robin within the area).
     quarantine_next: Vec<usize>,
     quarantine_rows: usize,
-    window_cycles: Cycle,
-    window_end: Cycle,
-    migrations: u64,
+    window: ResetWindow,
 }
 
 impl Aqua {
     /// Creates AQUA for the given system and RowHammer threshold `nrh`.
-    ///
-    /// # Panics
-    /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
     pub(crate) fn new(geometry: DramGeometry, timing: &TimingParams, nrh: u64) -> Self {
-        assert!(nrh >= MechanismKind::Aqua.min_nrh(), "N_RH below the registry's minimum");
         let threshold = (nrh / 4).max(1);
-        let window_cycles = timing.t_refw;
-        let max_acts_per_window = (window_cycles / timing.t_rc).max(1);
+        let max_acts_per_window = (timing.t_refw / timing.t_rc).max(1);
         let entries_per_bank = (max_acts_per_window / threshold + 1) as usize;
         let banks = geometry.banks_per_channel();
         let quarantine_rows = (geometry.rows_per_bank / QUARANTINE_FRACTION).max(1);
@@ -51,9 +44,7 @@ impl Aqua {
             tables: (0..banks).map(|_| MisraGries::new(entries_per_bank)).collect(),
             quarantine_next: vec![0; banks],
             quarantine_rows,
-            window_cycles,
-            window_end: window_cycles,
-            migrations: 0,
+            window: ResetWindow::new(timing.t_refw),
         }
     }
 
@@ -61,17 +52,6 @@ impl Aqua {
     /// reserved).
     pub(crate) fn quarantine_base(&self) -> usize {
         self.geometry.rows_per_bank - self.quarantine_rows
-    }
-
-    fn maybe_reset_window(&mut self, cycle: Cycle) {
-        if cycle >= self.window_end {
-            for t in &mut self.tables {
-                t.clear();
-            }
-            while cycle >= self.window_end {
-                self.window_end += self.window_cycles;
-            }
-        }
     }
 }
 
@@ -81,7 +61,9 @@ impl TriggerMechanism for Aqua {
     }
 
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
-        self.maybe_reset_window(event.cycle);
+        if self.window.roll(event.cycle) {
+            self.tables.iter_mut().for_each(MisraGries::clear);
+        }
         let bank = self.geometry.flat_bank(event.row.bank);
         // Activations inside the quarantine area are not re-quarantined.
         if event.row.row >= self.quarantine_base() {
@@ -93,7 +75,6 @@ impl TriggerMechanism for Aqua {
             let slot = self.quarantine_next[bank];
             self.quarantine_next[bank] = (slot + 1) % self.quarantine_rows;
             let dest = RowAddr { bank: event.row.bank, row: self.quarantine_base() + slot };
-            self.migrations += 1;
             sink.push_migrate(event.row, dest);
         }
     }
@@ -115,56 +96,48 @@ impl TriggerMechanism for Aqua {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::PreventiveAction;
-    use bh_dram::{BankAddr, ThreadId};
+    use crate::action::ActionView;
+    use crate::mechanism::testing::event;
 
     fn mech(nrh: u64) -> Aqua {
         Aqua::new(DramGeometry::tiny(), &TimingParams::fast_test(), nrh)
     }
 
-    fn event(row: usize, cycle: u64) -> ActivationEvent {
-        ActivationEvent {
-            row: RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank: 0 }, row },
-            thread: ThreadId(0),
-            cycle,
-        }
+    /// The `(source, dest)` row migrations queued in `sink`.
+    fn migrations(sink: &ActionSink) -> Vec<(RowAddr, RowAddr)> {
+        sink.iter()
+            .map(|action| match action {
+                ActionView::MigrateRow { source, dest } => (source, dest),
+                other => panic!("AQUA only migrates, got {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
     fn hammering_triggers_a_migration_to_quarantine() {
         let mut a = mech(64); // threshold 16
-        let mut migration = None;
+        let mut sink = ActionSink::default();
         for i in 0..16u64 {
-            let acts = a.on_activation_vec(&event(10, i));
-            if !acts.is_empty() {
-                migration = Some(acts[0].clone());
-            }
+            a.on_activation(&event(10, i), &mut sink);
         }
-        match migration {
-            Some(PreventiveAction::MigrateRow { source, dest }) => {
-                assert_eq!(source.row, 10);
-                assert!(dest.row >= a.quarantine_base());
-                assert_eq!(dest.bank, source.bank);
-            }
-            other => panic!("expected a migration, got {other:?}"),
-        }
-        assert_eq!(a.migrations, 1);
+        let [(source, dest)] = migrations(&sink)[..] else {
+            panic!("expected one migration, got {:?}", migrations(&sink));
+        };
+        assert_eq!(source.row, 10);
+        assert!(dest.row >= a.quarantine_base());
+        assert_eq!(dest.bank, source.bank);
     }
 
     #[test]
     fn quarantine_slots_rotate() {
         let mut a = mech(64);
-        let mut dests = Vec::new();
+        let mut sink = ActionSink::default();
         for round in 0..3u64 {
             for i in 0..16u64 {
-                let acts = a.on_activation_vec(&event(10 + round as usize, round * 100 + i));
-                for act in acts {
-                    if let PreventiveAction::MigrateRow { dest, .. } = act {
-                        dests.push(dest.row);
-                    }
-                }
+                a.on_activation(&event(10 + round as usize, round * 100 + i), &mut sink);
             }
         }
+        let dests: Vec<usize> = migrations(&sink).iter().map(|(_, dest)| dest.row).collect();
         assert_eq!(dests.len(), 3);
         assert_eq!(dests[1], dests[0] + 1);
         assert_eq!(dests[2], dests[0] + 2);
@@ -174,47 +147,43 @@ mod tests {
     fn quarantined_rows_are_not_requarantined() {
         let mut a = mech(64);
         let qrow = a.quarantine_base() + 1;
+        let mut sink = ActionSink::default();
         for i in 0..200u64 {
-            assert!(a.on_activation_vec(&event(qrow, i)).is_empty());
+            a.on_activation(&event(qrow, i), &mut sink);
         }
-        assert_eq!(a.migrations, 0);
+        assert!(sink.is_empty());
     }
 
     #[test]
     fn migration_resets_tracking_for_the_source_row() {
         let mut a = mech(64);
-        let mut migrations = 0;
+        let mut sink = ActionSink::default();
         for i in 0..64u64 {
-            for act in a.on_activation_vec(&event(10, i)) {
-                if matches!(act, PreventiveAction::MigrateRow { .. }) {
-                    migrations += 1;
-                }
-            }
+            a.on_activation(&event(10, i), &mut sink);
         }
         // 64 activations at threshold 16 => 4 migrations (counter restarts
         // after each migration).
-        assert_eq!(migrations, 4);
+        assert_eq!(migrations(&sink).len(), 4);
     }
 
     #[test]
     fn window_reset_clears_tracking() {
         let timing = TimingParams::fast_test();
         let mut a = Aqua::new(DramGeometry::tiny(), &timing, 64);
+        let mut sink = ActionSink::default();
         for i in 0..15u64 {
-            assert!(a.on_activation_vec(&event(10, i)).is_empty());
+            a.on_activation(&event(10, i), &mut sink);
         }
         let far = timing.t_refw + 1;
         for i in 0..15u64 {
-            assert!(a.on_activation_vec(&event(10, far + i)).is_empty());
+            a.on_activation(&event(10, far + i), &mut sink);
         }
-        assert_eq!(a.migrations, 0);
+        assert!(sink.is_empty());
     }
 
     #[test]
     fn metadata() {
         let a = mech(1024);
-        assert_eq!(a.name(), "AQUA");
-        assert_eq!(a.kind(), MechanismKind::Aqua);
         assert!(a.storage_bits() > 0);
         assert!(a.quarantine_base() < DramGeometry::tiny().rows_per_bank);
     }

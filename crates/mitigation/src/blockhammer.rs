@@ -14,20 +14,19 @@
 //! ends up delaying benign accesses and its performance collapses (Fig. 18).
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, TriggerMechanism};
+use crate::mechanism::{MechanismKind, ResetWindow, TriggerMechanism};
 use bh_dram::{Cycle, DramGeometry, FlatMap, RowAddr, TimingParams};
 
 /// The BlockHammer mechanism.
 #[derive(Debug)]
-pub struct BlockHammer {
+pub(crate) struct BlockHammer {
     geometry: DramGeometry,
     blacklist_threshold: u64,
     /// Maximum activations a single row may receive within one window; sized
     /// so that two aggressors straddling a window boundary (the worst case
     /// before the victim's periodic refresh) stay safely below `N_RH`.
     allowed_per_window: u64,
-    window_cycles: Cycle,
-    window_end: Cycle,
+    window: ResetWindow,
     /// Dense per-row activation counters for the current window, indexed by
     /// `flat_bank * rows_per_bank + row` (the software stand-in for the
     /// hardware's counting Bloom filters — exact, flat, and cleared once per
@@ -36,24 +35,13 @@ pub struct BlockHammer {
     /// Blacklisted rows, keyed by `flat_bank << 32 | row` -> earliest cycle
     /// the next activation is allowed. Only rows past the blacklisting
     /// threshold appear, so the table stays small and the per-request
-    /// `is_blocked` probe stays O(1).
+    /// `blocked_until` probe stays O(1).
     next_allowed: FlatMap<Cycle>,
-    blacklisted_total: u64,
 }
 
 impl BlockHammer {
     /// Creates BlockHammer for the given system and RowHammer threshold `nrh`.
-    ///
-    /// # Panics
-    /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
-    pub(crate) fn new(
-        geometry: DramGeometry,
-        timing: &TimingParams,
-        nrh: u64,
-        blast_radius: usize,
-    ) -> Self {
-        assert!(nrh >= MechanismKind::BlockHammer.min_nrh(), "N_RH below the registry's minimum");
-        assert!(blast_radius > 0, "blast radius must be positive");
+    pub(crate) fn new(geometry: DramGeometry, timing: &TimingParams, nrh: u64) -> Self {
         // A victim can be disturbed by two aggressors, each spreading its
         // activations over the two windows that precede the victim's periodic
         // refresh, so each row's per-window budget is N_RH / 8 (with margin).
@@ -64,26 +52,9 @@ impl BlockHammer {
             geometry,
             blacklist_threshold,
             allowed_per_window,
-            window_cycles: timing.t_refw,
-            window_end: timing.t_refw,
+            window: ResetWindow::new(timing.t_refw),
             counts: vec![0; rows].into_boxed_slice(),
             next_allowed: FlatMap::with_capacity(64),
-            blacklisted_total: 0,
-        }
-    }
-
-    /// Number of currently-blacklisted rows.
-    pub(crate) fn blacklisted_now(&self) -> usize {
-        self.next_allowed.len()
-    }
-
-    fn maybe_reset_window(&mut self, cycle: Cycle) {
-        if cycle >= self.window_end {
-            self.counts.fill(0);
-            self.next_allowed.clear();
-            while cycle >= self.window_end {
-                self.window_end += self.window_cycles;
-            }
         }
     }
 
@@ -99,7 +70,10 @@ impl TriggerMechanism for BlockHammer {
     }
 
     fn on_activation(&mut self, event: &ActivationEvent, _sink: &mut ActionSink) {
-        self.maybe_reset_window(event.cycle);
+        if self.window.roll(event.cycle) {
+            self.counts.fill(0);
+            self.next_allowed.clear();
+        }
         let bank = self.geometry.flat_bank(event.row.bank);
         let count = &mut self.counts[bank * self.geometry.rows_per_bank + event.row.row];
         *count += 1;
@@ -116,24 +90,12 @@ impl TriggerMechanism for BlockHammer {
             // the window edge itself, where the reset re-admits it with fresh
             // counters.
             let remaining_budget = self.allowed_per_window.saturating_sub(count).max(1);
-            let time_left = self.window_end.saturating_sub(event.cycle).max(1);
+            let time_left = self.window.end.saturating_sub(event.cycle).max(1);
             let delay = (time_left / remaining_budget).max(1);
-            let key = self.key(bank, event.row.row);
-            if !self.next_allowed.contains_key(key) {
-                self.blacklisted_total += 1;
-            }
-            self.next_allowed.insert(key, event.cycle + delay);
+            self.next_allowed.insert(self.key(bank, event.row.row), event.cycle + delay);
         }
         // BlockHammer's preventive action is the delay itself; it never issues
         // extra DRAM commands.
-    }
-
-    fn is_blocked(&self, row: RowAddr, cycle: Cycle) -> bool {
-        let bank = self.geometry.flat_bank(row.bank);
-        match self.next_allowed.get(self.key(bank, row.row)) {
-            Some(allowed) => cycle < allowed,
-            None => false,
-        }
     }
 
     fn may_block(&self) -> bool {
@@ -141,7 +103,7 @@ impl TriggerMechanism for BlockHammer {
     }
 
     fn blocked_rows(&self) -> usize {
-        self.blacklisted_now()
+        self.next_allowed.len()
     }
 
     fn blocked_until(&self, row: RowAddr, cycle: Cycle) -> Cycle {
@@ -158,10 +120,10 @@ impl TriggerMechanism for BlockHammer {
         // activations per window, plus the row-activation history buffer whose
         // capacity grows as N_RH shrinks (the growth the paper highlights in
         // §8.3).
-        let acts_per_window = (self.window_cycles / 50).max(1); // ~tRC at DDR5 speeds
+        let acts_per_window = (self.window.len / 50).max(1); // ~tRC at DDR5 speeds
         let cbf_counters = (acts_per_window / self.blacklist_threshold).max(1024);
         let cbf_bits = 2 * cbf_counters * 16;
-        let history_entries = (self.window_cycles / (8 * self.allowed_per_window).max(1)).max(64);
+        let history_entries = (self.window.len / (8 * self.allowed_per_window).max(1)).max(64);
         let history_bits = history_entries * 48;
         cbf_bits + history_bits
     }
@@ -170,28 +132,25 @@ impl TriggerMechanism for BlockHammer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bh_dram::{BankAddr, ThreadId};
+    use crate::mechanism::testing::{actions, event};
 
     fn mech(nrh: u64) -> BlockHammer {
-        BlockHammer::new(DramGeometry::tiny(), &TimingParams::fast_test(), nrh, 1)
+        BlockHammer::new(DramGeometry::tiny(), &TimingParams::fast_test(), nrh)
     }
 
-    fn event(row: usize, cycle: u64) -> ActivationEvent {
-        ActivationEvent {
-            row: RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank: 0 }, row },
-            thread: ThreadId(0),
-            cycle,
-        }
+    /// True if an activation of bank 0's `row` may not be scheduled at `cycle`.
+    fn blocked(b: &BlockHammer, row: usize, cycle: Cycle) -> bool {
+        b.blocked_until(event(row, 0).row, cycle) > cycle
     }
 
     #[test]
     fn cold_rows_are_never_blocked() {
         let mut b = mech(1024);
         for i in 0..100u64 {
-            b.on_activation_vec(&event(i as usize, i));
+            actions(&mut b, &event(i as usize, i));
         }
-        assert_eq!(b.blacklisted_now(), 0);
-        assert!(!b.is_blocked(event(5, 0).row, 101));
+        assert_eq!(b.blocked_rows(), 0);
+        assert!(!blocked(&b, 5, 101));
     }
 
     #[test]
@@ -199,41 +158,40 @@ mod tests {
         let mut b = mech(64); // per-window allowance 8, blacklist threshold 4
         assert_eq!(b.blacklist_threshold, 4);
         for i in 0..16u64 {
-            b.on_activation_vec(&event(7, i));
+            actions(&mut b, &event(7, i));
         }
-        assert_eq!(b.blacklisted_total, 1);
-        assert!(b.is_blocked(event(7, 0).row, 17));
+        assert_eq!(b.blocked_rows(), 1);
+        assert!(blocked(&b, 7, 17));
         // Another row in the same bank is unaffected.
-        assert!(!b.is_blocked(event(8, 0).row, 17));
+        assert!(!blocked(&b, 8, 17));
     }
 
     #[test]
     fn delay_expires_eventually() {
         let mut b = mech(64);
         for i in 0..16u64 {
-            b.on_activation_vec(&event(7, i));
+            actions(&mut b, &event(7, i));
         }
-        let row = event(7, 0).row;
-        assert!(b.is_blocked(row, 20));
+        assert!(blocked(&b, 7, 20));
         // The delay is bounded by the remaining window; far in the future the
         // row is allowed again (and the window itself resets).
         let timing = TimingParams::fast_test();
-        assert!(!b.is_blocked(row, timing.t_refw * 2));
+        assert!(!blocked(&b, 7, timing.t_refw * 2));
     }
 
     #[test]
     fn blocking_rate_limits_row_below_nrh_within_window() {
         let timing = TimingParams::fast_test();
         let nrh = 64u64;
-        let mut b = BlockHammer::new(DramGeometry::tiny(), &timing, nrh, 1);
-        let row = event(3, 0).row;
-        // Simulate a controller that respects is_blocked: it only activates
-        // when the row is not blocked, as fast as one activation per cycle.
+        let mut b = BlockHammer::new(DramGeometry::tiny(), &timing, nrh);
+        // Simulate a controller that respects `blocked_until`: it only
+        // activates when the row is not blocked, as fast as one activation
+        // per cycle.
         let mut activations_in_window = 0u64;
         let mut cycle = 0u64;
         while cycle < timing.t_refw {
-            if !b.is_blocked(row, cycle) {
-                b.on_activation_vec(&event(3, cycle));
+            if !blocked(&b, 3, cycle) {
+                actions(&mut b, &event(3, cycle));
                 activations_in_window += 1;
             }
             cycle += 1;
@@ -247,63 +205,59 @@ mod tests {
     #[test]
     fn window_reset_clears_blacklist() {
         let timing = TimingParams::fast_test();
-        let mut b = BlockHammer::new(DramGeometry::tiny(), &timing, 64, 1);
+        let mut b = BlockHammer::new(DramGeometry::tiny(), &timing, 64);
         for i in 0..16u64 {
-            b.on_activation_vec(&event(7, i));
+            actions(&mut b, &event(7, i));
         }
-        assert_eq!(b.blacklisted_now(), 1);
-        b.on_activation_vec(&event(1, timing.t_refw + 1));
-        assert_eq!(b.blacklisted_now(), 0);
+        assert_eq!(b.blocked_rows(), 1);
+        actions(&mut b, &event(1, timing.t_refw + 1));
+        assert_eq!(b.blocked_rows(), 0);
     }
 
     /// Window-edge regression: a row blacklisted at the very end of one
     /// window must (a) still be delayed by at least one cycle there (the
     /// integer spread `time_left / remaining_budget` used to truncate to a
     /// zero delay, leaving the row unthrottled for the window's tail), and
-    /// (b) carry neither its stale delay nor its `blacklisted_total` dedup
-    /// key into the next window — after the reset the row starts clean and a
-    /// re-blacklisting is counted again.
+    /// (b) carry neither its stale delay nor its blacklist key into the next
+    /// window — after the reset the row starts clean and is blacklisted
+    /// afresh once it crosses the threshold again.
     #[test]
     fn window_edge_carries_no_stale_delay_or_dedup_key() {
         let timing = TimingParams::fast_test();
-        let mut b = BlockHammer::new(DramGeometry::tiny(), &timing, 64, 1);
+        let mut b = BlockHammer::new(DramGeometry::tiny(), &timing, 64);
         let window = timing.t_refw;
-        let row = event(7, 0).row;
 
         // Cross the blacklist threshold (4) right at the window's edge, with
         // plenty of per-window budget left (allowance is 8), so
         // time_left (2) < remaining_budget and the old spread truncated to 0.
         for i in 0..4u64 {
-            b.on_activation_vec(&event(7, window - 6 + i));
+            actions(&mut b, &event(7, window - 6 + i));
         }
-        assert_eq!(b.blacklisted_total, 1);
+        assert_eq!(b.blocked_rows(), 1);
         // The last activation happened at `window - 3`; with the zero-spread
         // hole the row's next activation was allowed at that same cycle,
         // i.e. it was never blocked at all. The one-cycle floor pushes the
         // next allowed cycle strictly past the blacklisting activation.
         assert!(
-            b.is_blocked(row, window - 3),
+            blocked(&b, 7, window - 3),
             "a row blacklisted at the window edge must not get a zero-spread delay"
         );
-        assert!(b.blocked_until(row, window - 3) > window - 3);
 
         // First activation of the next window resets the window state: the
         // stale delay is dropped and the per-row counters restart.
-        b.on_activation_vec(&event(7, window + 1));
-        assert_eq!(b.blacklisted_now(), 0, "the old window's blacklist must be cleared");
-        assert!(!b.is_blocked(row, window + 2), "no stale delay may leak into the new window");
+        actions(&mut b, &event(7, window + 1));
+        assert_eq!(b.blocked_rows(), 0, "the old window's blacklist must be cleared");
+        assert!(!blocked(&b, 7, window + 2), "no stale delay may leak into the new window");
 
-        // The dedup key was cleared too: re-blacklisting the row in the new
-        // window increments the cumulative counter again (the activation
-        // above already counted 1 toward the new window's threshold).
-        for i in 0..3u64 {
-            b.on_activation_vec(&event(7, window + 2 + i));
+        // Re-blacklisting the row in the new window takes the threshold's
+        // full count again (the activation above already counted 1).
+        for i in 0..2u64 {
+            actions(&mut b, &event(7, window + 2 + i));
         }
-        assert_eq!(
-            b.blacklisted_total, 2,
-            "a re-blacklisted row must be counted once per window, not deduped forever"
-        );
-        assert!(b.is_blocked(row, window + 5));
+        assert_eq!(b.blocked_rows(), 0, "three activations stay below the threshold");
+        actions(&mut b, &event(7, window + 4));
+        assert_eq!(b.blocked_rows(), 1, "the fourth re-blacklists the row");
+        assert!(blocked(&b, 7, window + 5));
     }
 
     #[test]
@@ -315,15 +269,14 @@ mod tests {
     fn never_issues_dram_commands() {
         let mut b = mech(64);
         for i in 0..200u64 {
-            assert!(b.on_activation_vec(&event(7, i)).is_empty());
+            assert!(actions(&mut b, &event(7, i)).is_empty());
         }
     }
 
     #[test]
     fn metadata() {
         let b = mech(512);
-        assert_eq!(b.name(), "BlockHammer");
-        assert_eq!(b.kind(), MechanismKind::BlockHammer);
+        assert_eq!((b.allowed_per_window, b.blacklist_threshold), (64, 32));
         assert!(b.storage_bits() > 0);
     }
 }

@@ -7,23 +7,20 @@
 //! the counter. Tables are cleared every reset window (tREFW).
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, TriggerMechanism};
+use crate::mechanism::{MechanismKind, ResetWindow, TriggerMechanism, MITIGATED_BLAST_RADIUS};
 use crate::misra_gries::MisraGries;
-use bh_dram::{Cycle, DramGeometry, TimingParams};
+use bh_dram::{DramGeometry, TimingParams};
 
 /// The Graphene mechanism.
 #[derive(Debug)]
-pub struct Graphene {
+pub(crate) struct Graphene {
     geometry: DramGeometry,
-    blast_radius: usize,
     /// Activation count at which a tracked aggressor's victims are refreshed.
     threshold: u64,
     /// Misra–Gries table entries per bank.
     entries_per_bank: usize,
     tables: Vec<MisraGries>,
-    window_cycles: Cycle,
-    window_end: Cycle,
-    triggers: u64,
+    window: ResetWindow,
 }
 
 impl Graphene {
@@ -33,42 +30,17 @@ impl Graphene {
     /// neighbours and for disturbance carried across one window boundary; the
     /// table size is derived from the maximum number of activations a bank can
     /// receive within one reset window.
-    ///
-    /// # Panics
-    /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
-    pub(crate) fn new(
-        geometry: DramGeometry,
-        timing: &TimingParams,
-        nrh: u64,
-        blast_radius: usize,
-    ) -> Self {
-        assert!(nrh >= MechanismKind::Graphene.min_nrh(), "N_RH below the registry's minimum");
-        assert!(blast_radius > 0, "blast radius must be positive");
+    pub(crate) fn new(geometry: DramGeometry, timing: &TimingParams, nrh: u64) -> Self {
         let threshold = (nrh / 4).max(1);
-        let window_cycles = timing.t_refw;
-        let max_acts_per_window = (window_cycles / timing.t_rc).max(1);
+        let max_acts_per_window = (timing.t_refw / timing.t_rc).max(1);
         let entries_per_bank = (max_acts_per_window / threshold + 1) as usize;
         let banks = geometry.banks_per_channel();
         Graphene {
             geometry,
-            blast_radius,
             threshold,
             entries_per_bank,
             tables: (0..banks).map(|_| MisraGries::new(entries_per_bank)).collect(),
-            window_cycles,
-            window_end: window_cycles,
-            triggers: 0,
-        }
-    }
-
-    fn maybe_reset_window(&mut self, cycle: Cycle) {
-        if cycle >= self.window_end {
-            for table in &mut self.tables {
-                table.clear();
-            }
-            while cycle >= self.window_end {
-                self.window_end += self.window_cycles;
-            }
+            window: ResetWindow::new(timing.t_refw),
         }
     }
 }
@@ -79,13 +51,14 @@ impl TriggerMechanism for Graphene {
     }
 
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
-        self.maybe_reset_window(event.cycle);
+        if self.window.roll(event.cycle) {
+            self.tables.iter_mut().for_each(MisraGries::clear);
+        }
         let bank = self.geometry.flat_bank(event.row.bank);
         let count = self.tables[bank].record(event.row.row);
         if count >= self.threshold {
             self.tables[bank].reset_row(event.row.row);
-            self.triggers += 1;
-            sink.push_refresh_rows(self.geometry.neighbors(event.row, self.blast_radius));
+            sink.push_refresh_rows(self.geometry.neighbors(event.row, MITIGATED_BLAST_RADIUS));
         }
     }
 
@@ -100,55 +73,41 @@ impl TriggerMechanism for Graphene {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::PreventiveAction;
+    use crate::action::ActionView;
+    use crate::mechanism::testing::{actions, event};
     use bh_dram::{BankAddr, RowAddr, ThreadId};
 
     fn mech(nrh: u64) -> Graphene {
-        Graphene::new(DramGeometry::tiny(), &TimingParams::fast_test(), nrh, 1)
-    }
-
-    fn event(row: usize, cycle: u64) -> ActivationEvent {
-        ActivationEvent {
-            row: RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank: 0 }, row },
-            thread: ThreadId(0),
-            cycle,
-        }
+        Graphene::new(DramGeometry::tiny(), &TimingParams::fast_test(), nrh)
     }
 
     #[test]
     fn refreshes_exactly_at_threshold() {
         let mut g = mech(64); // threshold 16
         assert_eq!(g.threshold, 16);
-        let mut actions = Vec::new();
-        for i in 0..16 {
-            actions = g.on_activation_vec(&event(30, i));
-            if i < 15 {
-                assert!(actions.is_empty(), "no trigger before threshold (i={i})");
-            }
+        for i in 0..15 {
+            assert!(
+                actions(&mut g, &event(30, i)).is_empty(),
+                "no trigger before threshold (i={i})"
+            );
         }
-        assert_eq!(actions.len(), 1);
-        match &actions[0] {
-            PreventiveAction::RefreshRows(rows) => {
-                assert_eq!(rows.len(), 2);
-                assert!(rows.iter().any(|r| r.row == 29));
-                assert!(rows.iter().any(|r| r.row == 31));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(g.triggers, 1);
+        let sink = actions(&mut g, &event(30, 15));
+        let views: Vec<_> = sink.iter().collect();
+        let [ActionView::RefreshRows([below, above])] = views[..] else {
+            panic!("expected one two-row refresh, got {views:?}");
+        };
+        assert_eq!((below.row, above.row), (29, 31));
     }
 
     #[test]
     fn counter_resets_after_trigger_so_attack_needs_threshold_again() {
         let mut g = mech(64);
-        let mut trigger_count = 0;
+        let mut sink = ActionSink::default();
         for i in 0..64u64 {
-            if !g.on_activation_vec(&event(30, i)).is_empty() {
-                trigger_count += 1;
-            }
+            g.on_activation(&event(30, i), &mut sink);
         }
         // 64 activations at threshold 16 => 4 triggers.
-        assert_eq!(trigger_count, 4);
+        assert_eq!(sink.len(), 4);
     }
 
     #[test]
@@ -157,28 +116,27 @@ mod tests {
         let other_bank = RowAddr { bank: BankAddr { rank: 1, bank_group: 1, bank: 1 }, row: 30 };
         // 15 activations in bank A, 15 in bank B: no trigger in either.
         for i in 0..15u64 {
-            assert!(g.on_activation_vec(&event(30, i)).is_empty());
+            assert!(actions(&mut g, &event(30, i)).is_empty());
             let ev = ActivationEvent { row: other_bank, thread: ThreadId(1), cycle: i };
-            assert!(g.on_activation_vec(&ev).is_empty());
+            assert!(actions(&mut g, &ev).is_empty());
         }
-        assert_eq!(g.triggers, 0);
     }
 
     #[test]
     fn window_reset_clears_counters() {
         let timing = TimingParams::fast_test();
-        let mut g = Graphene::new(DramGeometry::tiny(), &timing, 64, 1);
+        let mut g = Graphene::new(DramGeometry::tiny(), &timing, 64);
         for i in 0..15u64 {
-            assert!(g.on_activation_vec(&event(30, i)).is_empty());
+            assert!(actions(&mut g, &event(30, i)).is_empty());
         }
         // Jump past the reset window: the accumulated count is gone.
         let far = timing.t_refw + 10;
-        assert!(g.on_activation_vec(&event(30, far)).is_empty());
+        assert!(actions(&mut g, &event(30, far)).is_empty());
         for i in 1..15u64 {
-            assert!(g.on_activation_vec(&event(30, far + i)).is_empty(), "i={i}");
+            assert!(actions(&mut g, &event(30, far + i)).is_empty(), "i={i}");
         }
         // The 16th activation after the reset triggers again.
-        assert!(!g.on_activation_vec(&event(30, far + 20)).is_empty());
+        assert!(!actions(&mut g, &event(30, far + 20)).is_empty());
     }
 
     #[test]
@@ -200,11 +158,10 @@ mod tests {
         for i in 0..30_000u64 {
             // Background noise over many rows.
             let noise_row = 2 + (i as usize % 100);
-            g.on_activation_vec(&event(noise_row, i));
+            actions(&mut g, &event(noise_row, i));
             // Hot aggressor row 1 every other activation.
             hot_since_refresh += 1;
-            let acts = g.on_activation_vec(&event(1, i));
-            if !acts.is_empty() {
+            if !actions(&mut g, &event(1, i)).is_empty() {
                 worst = worst.max(hot_since_refresh);
                 hot_since_refresh = 0;
             }
@@ -218,8 +175,7 @@ mod tests {
     #[test]
     fn metadata() {
         let g = mech(1024);
-        assert_eq!(g.name(), "Graphene");
-        assert_eq!(g.kind(), MechanismKind::Graphene);
+        assert_eq!(g.threshold, 256);
         assert!(g.storage_bits() > 0);
     }
 }

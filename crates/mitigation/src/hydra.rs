@@ -14,8 +14,8 @@
 //! actions for score attribution (§4.1).
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, TriggerMechanism};
-use bh_dram::{Cycle, DramGeometry, FlatMap, RowAddr, TimingParams};
+use crate::mechanism::{MechanismKind, ResetWindow, TriggerMechanism, MITIGATED_BLAST_RADIUS};
+use bh_dram::{DramGeometry, FlatMap, RowAddr, TimingParams};
 
 /// Rows per tracking group (Hydra uses 128 in the paper's configuration).
 const GROUP_SIZE: usize = 128;
@@ -24,9 +24,8 @@ const RCC_ENTRIES: usize = 4096;
 
 /// The Hydra mechanism.
 #[derive(Debug)]
-pub struct Hydra {
+pub(crate) struct Hydra {
     geometry: DramGeometry,
-    blast_radius: usize,
     group_threshold: u64,
     refresh_threshold: u64,
     /// Dense per-group activation counters (the on-chip GCT), indexed by
@@ -42,32 +41,18 @@ pub struct Hydra {
     rcc_fifo: Box<[u64]>,
     rcc_head: usize,
     rcc_len: usize,
-    window_cycles: Cycle,
-    window_end: Cycle,
-    refresh_triggers: u64,
-    rcc_misses: u64,
+    window: ResetWindow,
 }
 
 impl Hydra {
     /// Creates Hydra for the given system and RowHammer threshold `nrh`.
-    ///
-    /// # Panics
-    /// Panics if `nrh` is below [`MechanismKind::min_nrh`] or `blast_radius` is zero.
-    pub(crate) fn new(
-        geometry: DramGeometry,
-        timing: &TimingParams,
-        nrh: u64,
-        blast_radius: usize,
-    ) -> Self {
-        assert!(nrh >= MechanismKind::Hydra.min_nrh(), "N_RH below the registry's minimum");
-        assert!(blast_radius > 0, "blast radius must be positive");
+    pub(crate) fn new(geometry: DramGeometry, timing: &TimingParams, nrh: u64) -> Self {
         let refresh_threshold = (nrh / 4).max(2);
         let group_threshold = (refresh_threshold / 2).max(1);
         let banks = geometry.banks_per_channel();
         let groups_per_bank = geometry.rows_per_bank.div_ceil(GROUP_SIZE);
         Hydra {
             geometry,
-            blast_radius,
             group_threshold,
             refresh_threshold,
             group_counts: vec![0; banks * groups_per_bank].into_boxed_slice(),
@@ -77,25 +62,7 @@ impl Hydra {
             rcc_fifo: vec![0; RCC_ENTRIES].into_boxed_slice(),
             rcc_head: 0,
             rcc_len: 0,
-            window_cycles: timing.t_refw,
-            window_end: timing.t_refw,
-            refresh_triggers: 0,
-            rcc_misses: 0,
-        }
-    }
-
-    fn maybe_reset_window(&mut self, cycle: Cycle) {
-        if cycle >= self.window_end {
-            self.group_counts.fill(0);
-            for m in &mut self.row_counts {
-                m.clear();
-            }
-            self.rcc.clear();
-            self.rcc_head = 0;
-            self.rcc_len = 0;
-            while cycle >= self.window_end {
-                self.window_end += self.window_cycles;
-            }
+            window: ResetWindow::new(timing.t_refw),
         }
     }
 
@@ -107,7 +74,6 @@ impl Hydra {
         if self.rcc.contains_key(key) {
             return;
         }
-        self.rcc_misses += 1;
         let evicting = self.rcc_len >= RCC_ENTRIES;
         if evicting {
             let old = self.rcc_fifo[self.rcc_head];
@@ -134,7 +100,13 @@ impl TriggerMechanism for Hydra {
     }
 
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
-        self.maybe_reset_window(event.cycle);
+        if self.window.roll(event.cycle) {
+            self.group_counts.fill(0);
+            self.row_counts.iter_mut().for_each(FlatMap::clear);
+            self.rcc.clear();
+            self.rcc_head = 0;
+            self.rcc_len = 0;
+        }
         let bank = self.geometry.flat_bank(event.row.bank);
         let group = event.row.row / GROUP_SIZE;
 
@@ -151,8 +123,7 @@ impl TriggerMechanism for Hydra {
         *count += 1;
         if *count >= self.refresh_threshold {
             *count = 0;
-            self.refresh_triggers += 1;
-            sink.push_refresh_rows(self.geometry.neighbors(event.row, self.blast_radius));
+            sink.push_refresh_rows(self.geometry.neighbors(event.row, MITIGATED_BLAST_RADIUS));
         }
     }
 
@@ -171,19 +142,16 @@ impl TriggerMechanism for Hydra {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::PreventiveAction;
-    use bh_dram::{BankAddr, ThreadId};
+    use crate::action::ActionView;
+    use crate::mechanism::testing::{actions, event};
 
     fn mech(nrh: u64) -> Hydra {
-        Hydra::new(DramGeometry::tiny(), &TimingParams::fast_test(), nrh, 1)
+        Hydra::new(DramGeometry::tiny(), &TimingParams::fast_test(), nrh)
     }
 
-    fn event(row: usize, cycle: u64) -> ActivationEvent {
-        ActivationEvent {
-            row: RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank: 0 }, row },
-            thread: ThreadId(0),
-            cycle,
-        }
+    /// Number of RCT accesses (RCC misses) among `sink`'s actions.
+    fn table_accesses(sink: &ActionSink) -> usize {
+        sink.iter().filter(|a| matches!(a, ActionView::TableAccess { .. })).count()
     }
 
     #[test]
@@ -192,12 +160,10 @@ mod tests {
         assert_eq!(h.refresh_threshold, 64);
         assert_eq!(h.group_threshold, 32);
         for i in 0..32u64 {
-            assert!(h.on_activation_vec(&event(10, i)).is_empty(), "i={i}");
+            assert!(actions(&mut h, &event(10, i)).is_empty(), "i={i}");
         }
-        // The next activation of the escalated group touches the RCT.
-        let actions = h.on_activation_vec(&event(10, 32));
-        assert!(actions.iter().any(|a| matches!(a, PreventiveAction::TableAccess { .. })));
-        assert_eq!(h.rcc_misses, 1);
+        // The next activation of the escalated group misses the RCC once.
+        assert_eq!(table_accesses(&actions(&mut h, &event(10, 32))), 1);
     }
 
     #[test]
@@ -205,15 +171,14 @@ mod tests {
         let mut h = mech(64); // refresh threshold 16, group threshold 8
         let mut refreshed = false;
         for i in 0..40u64 {
-            for a in h.on_activation_vec(&event(10, i)) {
-                if let PreventiveAction::RefreshRows(rows) = a {
+            for a in actions(&mut h, &event(10, i)).iter() {
+                if let ActionView::RefreshRows(rows) = a {
                     refreshed = true;
                     assert!(rows.iter().all(|r| r.row == 9 || r.row == 11));
                 }
             }
         }
         assert!(refreshed);
-        assert!(h.refresh_triggers >= 1);
     }
 
     #[test]
@@ -222,10 +187,9 @@ mod tests {
         // 32 activations spread over the group escalate it even though no
         // single row is hot.
         for i in 0..32u64 {
-            assert!(h.on_activation_vec(&event((i % 8) as usize, i)).is_empty());
+            assert!(actions(&mut h, &event((i % 8) as usize, i)).is_empty());
         }
-        let actions = h.on_activation_vec(&event(3, 33));
-        assert!(!actions.is_empty(), "escalated group must touch the RCT");
+        assert!(!actions(&mut h, &event(3, 33)).is_empty(), "escalated group must touch the RCT");
     }
 
     #[test]
@@ -233,34 +197,29 @@ mod tests {
         let mut h = mech(64);
         // Escalate the group.
         for i in 0..8u64 {
-            h.on_activation_vec(&event(10, i));
+            actions(&mut h, &event(10, i));
         }
-        let first = h.on_activation_vec(&event(10, 8));
-        assert!(first.iter().any(|a| matches!(a, PreventiveAction::TableAccess { .. })));
-        let misses_after_first = h.rcc_misses;
+        assert_eq!(table_accesses(&actions(&mut h, &event(10, 8))), 1);
         // Subsequent activations of the same row hit the RCC.
-        let mut extra_misses = 0;
+        let mut sink = ActionSink::default();
         for i in 9..14u64 {
-            let acts = h.on_activation_vec(&event(10, i));
-            if acts.iter().any(|a| matches!(a, PreventiveAction::TableAccess { .. })) {
-                extra_misses += 1;
-            }
+            h.on_activation(&event(10, i), &mut sink);
         }
-        assert_eq!(extra_misses, 0);
-        assert_eq!(h.rcc_misses, misses_after_first);
+        assert_eq!(table_accesses(&sink), 0);
     }
 
     #[test]
     fn window_reset_clears_all_tracking() {
         let timing = TimingParams::fast_test();
-        let mut h = Hydra::new(DramGeometry::tiny(), &timing, 64, 1);
+        let mut h = Hydra::new(DramGeometry::tiny(), &timing, 64);
+        let mut sink = ActionSink::default();
         for i in 0..12u64 {
-            h.on_activation_vec(&event(10, i));
+            h.on_activation(&event(10, i), &mut sink);
         }
-        assert!(h.rcc_misses >= 1);
+        assert!(table_accesses(&sink) >= 1);
         let far = timing.t_refw + 5;
         // After the reset the group starts cold again: no table access.
-        assert!(h.on_activation_vec(&event(10, far)).is_empty());
+        assert!(actions(&mut h, &event(10, far)).is_empty());
     }
 
     #[test]
@@ -277,7 +236,7 @@ mod tests {
     #[test]
     fn metadata() {
         let h = mech(1024);
-        assert_eq!(h.name(), "Hydra");
-        assert_eq!(h.kind(), MechanismKind::Hydra);
+        assert_eq!((h.refresh_threshold, h.group_threshold), (256, 128));
+        assert_eq!(h.groups_per_bank, DramGeometry::tiny().rows_per_bank.div_ceil(GROUP_SIZE));
     }
 }

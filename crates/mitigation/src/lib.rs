@@ -4,23 +4,24 @@
 //! mitigation mechanisms the BreakHammer paper pairs its throttling support
 //! with, plus the BlockHammer comparison point and a no-defense baseline:
 //!
-//! | Mechanism | Preventive action | Type |
+//! | Mechanism | Preventive action | Kind |
 //! |---|---|---|
-//! | PARA | probabilistic victim refresh | [`Para`] |
-//! | Graphene | Misra–Gries tracking + victim refresh | [`Graphene`] |
-//! | Hydra | hybrid group/per-row tracking (table in DRAM) + victim refresh | [`Hydra`] |
-//! | TWiCe | pruned time-window counters + victim refresh | [`Twice`] |
-//! | AQUA | aggressor row migration to a quarantine area | [`Aqua`] |
-//! | REGA | in-DRAM refresh-generating activations (timing inflation) | [`Rega`] |
-//! | RFM | periodic refresh-management commands | [`Rfm`] |
-//! | PRAC | per-row activation counting + back-off RFMs | [`Prac`] |
-//! | BlockHammer | row blacklisting + access delay (comparison point) | [`BlockHammer`] |
+//! | PARA | probabilistic victim refresh | [`MechanismKind::Para`] |
+//! | Graphene | Misra–Gries tracking + victim refresh | [`MechanismKind::Graphene`] |
+//! | Hydra | hybrid group/per-row tracking (table in DRAM) + victim refresh | [`MechanismKind::Hydra`] |
+//! | TWiCe | pruned time-window counters + victim refresh | [`MechanismKind::Twice`] |
+//! | AQUA | aggressor row migration to a quarantine area | [`MechanismKind::Aqua`] |
+//! | REGA | in-DRAM refresh-generating activations (timing inflation) | [`MechanismKind::Rega`] |
+//! | RFM | periodic refresh-management commands | [`MechanismKind::Rfm`] |
+//! | PRAC | per-row activation counting + back-off RFMs | [`MechanismKind::Prac`] |
+//! | BlockHammer | row blacklisting + access delay (comparison point) | [`MechanismKind::BlockHammer`] |
 //!
-//! Every mechanism implements the [`TriggerMechanism`] trait: the memory
-//! controller reports each row activation (annotated with the hardware thread
-//! that caused it), and the mechanism pushes the preventive actions to
-//! perform into a caller-owned, reusable [`ActionSink`] — the activation path
-//! is the simulator's hot loop, so it is allocation-free in the steady state.
+//! [`MechanismKind::build`] instantiates them. Every mechanism implements the
+//! [`TriggerMechanism`] trait: the memory controller reports each row
+//! activation (annotated with the hardware thread that caused it), and the
+//! mechanism pushes the preventive actions to perform into a caller-owned,
+//! reusable [`ActionSink`] — the activation path is the simulator's hot loop,
+//! so it is allocation-free in the steady state.
 //! BreakHammer (in `bh-core`) observes those actions and attributes
 //! per-thread scores according to the mechanism's [`ScoreAttribution`].
 //!
@@ -66,15 +67,6 @@ mod rega;
 mod rfm;
 mod twice;
 
-pub use action::{ActionSink, ActionView, ActivationEvent, PreventiveAction, ScoreAttribution};
-pub use aqua::Aqua;
-pub use blockhammer::BlockHammer;
-pub use graphene::Graphene;
-pub use hydra::Hydra;
-pub use mechanism::{MechanismKind, NoMitigation, TriggerMechanism, MITIGATED_BLAST_RADIUS};
+pub use action::{ActionSink, ActionView, ActivationEvent, ScoreAttribution};
+pub use mechanism::{MechanismKind, TriggerMechanism, MITIGATED_BLAST_RADIUS};
 pub use misra_gries::MisraGries;
-pub use para::Para;
-pub use prac::Prac;
-pub use rega::Rega;
-pub use rfm::Rfm;
-pub use twice::Twice;

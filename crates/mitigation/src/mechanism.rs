@@ -1,8 +1,9 @@
 //! The [`TriggerMechanism`] trait implemented by every RowHammer mitigation
-//! mechanism, and the [`MechanismKind`] factory used by the experiment
-//! harness to instantiate mechanisms by name.
+//! mechanism, the [`MechanismKind`] factory used by the experiment harness to
+//! instantiate mechanisms by name, and what the mechanisms share: the victim
+//! distance they protect and their tREFW [`ResetWindow`].
 
-use crate::action::{ActionSink, ActivationEvent, PreventiveAction, ScoreAttribution};
+use crate::action::{ActionSink, ActivationEvent, ScoreAttribution};
 use crate::{
     aqua::Aqua, blockhammer::BlockHammer, graphene::Graphene, hydra::Hydra, para::Para, prac::Prac,
     rega::Rega, rfm::Rfm, twice::Twice,
@@ -16,15 +17,10 @@ use std::fmt;
 /// [`TriggerMechanism::on_activation`]; the mechanism pushes the
 /// RowHammer-preventive actions it wants performed into the caller-owned
 /// [`ActionSink`] (see the sink's documentation for the ownership and
-/// reentrancy contract). BlockHammer additionally blocks scheduling of
-/// requests to blacklisted rows via [`TriggerMechanism::is_blocked`], and
-/// REGA adjusts DRAM timing via [`TriggerMechanism::timing_adjustment`].
+/// reentrancy contract). BlockHammer additionally delays requests to
+/// blacklisted rows via [`TriggerMechanism::blocked_until`], and REGA adjusts
+/// DRAM timing via [`TriggerMechanism::timing_adjustment`].
 pub trait TriggerMechanism: fmt::Debug + Send {
-    /// Human-readable mechanism name (e.g. `"Graphene"`): its kind's label.
-    fn name(&self) -> &'static str {
-        self.kind().label()
-    }
-
     /// The mechanism's kind tag.
     fn kind(&self) -> MechanismKind;
 
@@ -34,38 +30,19 @@ pub trait TriggerMechanism: fmt::Debug + Send {
     /// reuses its buffers; trackers must not rehash or grow after warm-up).
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink);
 
-    /// Convenience wrapper around [`TriggerMechanism::on_activation`] that
-    /// collects the actions into a fresh `Vec`. Allocates per call — meant
-    /// for tests, examples and offline analysis, never for the simulation
-    /// loop.
-    fn on_activation_vec(&mut self, event: &ActivationEvent) -> Vec<PreventiveAction> {
-        let mut sink = ActionSink::default();
-        self.on_activation(event, &mut sink);
-        sink.to_actions()
-    }
-
-    /// True if a request that would activate `row` must not be scheduled at
-    /// `cycle` (BlockHammer's blacklisting throttle). The default never blocks.
-    fn is_blocked(&self, row: RowAddr, cycle: Cycle) -> bool {
-        let _ = (row, cycle);
-        false
-    }
-
-    /// True if this mechanism can ever block activations (i.e.
-    /// [`TriggerMechanism::is_blocked`] can return true). Schedulers use this
-    /// to skip per-request blacklist queries for the mechanisms that never
-    /// block. The default is false.
+    /// True if [`TriggerMechanism::blocked_until`] can ever return a cycle
+    /// past its argument. Schedulers use this to skip per-request blacklist
+    /// queries for the mechanisms that never block. The default is false.
     fn may_block(&self) -> bool {
         false
     }
 
-    /// Earliest cycle at or after `cycle` at which an activation of `row` is
-    /// no longer blocked — i.e. the first `c >= cycle` with
-    /// `!is_blocked(row, c)`, assuming no further activations are observed in
-    /// between. The event-driven scheduler uses this horizon to jump the
-    /// clock across a blocking delay instead of re-polling
-    /// [`TriggerMechanism::is_blocked`] every cycle. The default (no
-    /// blocking) returns `cycle`.
+    /// Earliest cycle at or after `cycle` at which an activation of `row` may
+    /// be scheduled, assuming no further activations are observed in between
+    /// (BlockHammer's blacklisting throttle; `row` is blocked at `cycle` iff
+    /// the answer is past `cycle`). The event-driven scheduler uses this
+    /// horizon to jump the clock across a blocking delay instead of
+    /// re-polling every cycle. The default (no blocking) returns `cycle`.
     fn blocked_until(&self, row: RowAddr, cycle: Cycle) -> Cycle {
         let _ = row;
         cycle
@@ -130,34 +107,63 @@ pub enum MechanismKind {
 /// `bh-sim` rejects it).
 pub const MITIGATED_BLAST_RADIUS: usize = 1;
 
-/// Constructor of one mechanism: `(geometry, timing, nrh, seed)`.
+/// The reset window of a tracker that forgets its counts once per refresh
+/// window (tREFW): Graphene, Hydra, TWiCe, AQUA and BlockHammer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ResetWindow {
+    /// Window length in cycles.
+    pub(crate) len: Cycle,
+    /// First cycle past the current window.
+    pub(crate) end: Cycle,
+}
+
+impl ResetWindow {
+    /// The window `[0, len)`.
+    pub(crate) fn new(len: Cycle) -> Self {
+        ResetWindow { len, end: len }
+    }
+
+    /// Advances to the window holding `cycle`, skipping whole windows in
+    /// which nothing happened. True if the window moved: the caller clears
+    /// its per-window state once, however many windows were skipped.
+    #[inline]
+    pub(crate) fn roll(&mut self, cycle: Cycle) -> bool {
+        if cycle < self.end {
+            return false;
+        }
+        self.end += (cycle - self.end) / self.len * self.len + self.len;
+        true
+    }
+}
+
+/// Constructor of one mechanism: `(geometry, timing, nrh, seed)`, with `nrh`
+/// at least the registry's minimum.
 type Constructor = fn(&DramGeometry, &TimingParams, u64, u64) -> Box<dyn TriggerMechanism>;
 
 /// The mechanism registry, one row per [`MechanismKind`] in declaration
-/// order: `(kind, label, extra names `parse` accepts, smallest N_RH the
-/// constructor accepts, constructor)`. A new mechanism is one enum variant,
-/// one row here and one file.
+/// order: `(kind, label, extra names `parse` accepts, smallest N_RH
+/// [`MechanismKind::build`] accepts, constructor)`. A new mechanism is one
+/// enum variant, one row here and one file.
 const REGISTRY: &[(MechanismKind, &str, &[&str], u64, Constructor)] = {
     use MechanismKind as K;
-    const R: usize = MITIGATED_BLAST_RADIUS;
     &[
         // No constructor to satisfy, but the device's disturbance tracker
         // needs a positive threshold.
         (K::None, "NoDefense", &["none", "no-defense", "baseline"], 1, |_, _, _, _| {
-            Box::new(NoMitigation::new())
+            Box::new(NoMitigation)
         }),
-        (K::Para, "PARA", &[], 1, |g, _, nrh, seed| Box::new(Para::new(g.clone(), nrh, R, seed))),
+        (K::Para, "PARA", &[], 1, |g, _, nrh, seed| Box::new(Para::new(g.clone(), nrh, seed))),
         (K::Graphene, "Graphene", &[], 4, |g, t, nrh, _| {
-            Box::new(Graphene::new(g.clone(), t, nrh, R))
+            Box::new(Graphene::new(g.clone(), t, nrh))
         }),
-        (K::Hydra, "Hydra", &[], 8, |g, t, nrh, _| Box::new(Hydra::new(g.clone(), t, nrh, R))),
-        (K::Twice, "TWiCe", &[], 4, |g, t, nrh, _| Box::new(Twice::new(g.clone(), t, nrh, R))),
+        (K::Hydra, "Hydra", &[], 8, |g, t, nrh, _| Box::new(Hydra::new(g.clone(), t, nrh))),
+        (K::Twice, "TWiCe", &[], 4, |g, t, nrh, _| Box::new(Twice::new(g.clone(), t, nrh))),
         (K::Aqua, "AQUA", &[], 4, |g, t, nrh, _| Box::new(Aqua::new(g.clone(), t, nrh))),
         (K::Rega, "REGA", &[], 4, |_, _, nrh, _| Box::new(Rega::new(nrh))),
         (K::Rfm, "RFM", &[], 8, |g, _, nrh, _| Box::new(Rfm::new(g.clone(), nrh))),
         (K::Prac, "PRAC", &[], 4, |g, _, nrh, _| Box::new(Prac::new(g.clone(), nrh))),
         (K::BlockHammer, "BlockHammer", &[], 4, |g, t, nrh, _| {
-            Box::new(BlockHammer::new(g.clone(), t, nrh, R))
+            Box::new(BlockHammer::new(g.clone(), t, nrh))
         }),
     ]
 };
@@ -210,8 +216,8 @@ impl MechanismKind {
     }
 
     /// The smallest RowHammer threshold the mechanism can be built for
-    /// (its constructor asserts it; `SystemConfig::validate` in `bh-sim`
-    /// reports a smaller one as an error).
+    /// ([`MechanismKind::build`] asserts it; `SystemConfig::validate` in
+    /// `bh-sim` reports a smaller one as an error).
     pub const fn min_nrh(self) -> u64 {
         REGISTRY[self as usize].3
     }
@@ -230,6 +236,8 @@ impl MechanismKind {
         nrh: u64,
         seed: u64,
     ) -> Box<dyn TriggerMechanism> {
+        let min = self.min_nrh();
+        assert!(nrh >= min, "{self}: N_RH {nrh} is below the registry's minimum {min}");
         (REGISTRY[self as usize].4)(geometry, timing, nrh, seed)
     }
 }
@@ -241,15 +249,8 @@ impl fmt::Display for MechanismKind {
 }
 
 /// The "no defense" baseline: never triggers any preventive action.
-#[derive(Debug, Clone, Default)]
-pub struct NoMitigation;
-
-impl NoMitigation {
-    /// Creates the no-op mechanism.
-    pub(crate) fn new() -> Self {
-        NoMitigation
-    }
-}
+#[derive(Debug)]
+pub(crate) struct NoMitigation;
 
 impl TriggerMechanism for NoMitigation {
     fn kind(&self) -> MechanismKind {
@@ -264,31 +265,107 @@ impl TriggerMechanism for NoMitigation {
 }
 
 #[cfg(test)]
+/// What the mechanisms' unit tests share.
+pub(crate) mod testing {
+    use super::TriggerMechanism;
+    use crate::action::{ActionSink, ActivationEvent};
+    use bh_dram::{BankAddr, RowAddr, ThreadId};
+
+    /// Thread 0 activating `row` of bank 0 at `cycle`.
+    pub(crate) fn event(row: usize, cycle: u64) -> ActivationEvent {
+        ActivationEvent {
+            row: RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank: 0 }, row },
+            thread: ThreadId(0),
+            cycle,
+        }
+    }
+
+    /// The actions `mechanism` queues for `event`.
+    pub(crate) fn actions(
+        mechanism: &mut dyn TriggerMechanism,
+        event: &ActivationEvent,
+    ) -> ActionSink {
+        let mut sink = ActionSink::default();
+        mechanism.on_activation(event, &mut sink);
+        sink
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::testing::{actions, event};
     use super::*;
-    use bh_dram::{BankAddr, ThreadId};
     use proptest::prelude::*;
 
     #[test]
     fn no_mitigation_never_acts() {
-        let mut m = NoMitigation::new();
-        let ev = ActivationEvent {
-            row: RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank: 0 }, row: 1 },
-            thread: ThreadId(0),
-            cycle: 0,
-        };
-        let mut sink = ActionSink::default();
-        for _ in 0..10_000 {
-            m.on_activation(&ev, &mut sink);
-            assert!(sink.is_empty());
+        let mut m = NoMitigation;
+        for cycle in 0..10_000 {
+            assert!(actions(&mut m, &event(1, cycle)).is_empty());
         }
-        assert!(m.on_activation_vec(&ev).is_empty());
         assert_eq!(m.storage_bits(), 0);
-        assert_eq!(m.kind(), MechanismKind::None);
-        assert_eq!(m.name(), "NoDefense");
-        assert!(!m.is_blocked(ev.row, 0));
-        assert!(m.timing_adjustment().is_none());
-        assert_eq!(m.attribution(), ScoreAttribution::ProportionalToActivations);
+    }
+
+    /// Every kind, built at its minimum N_RH and at 1024, keeps the contract
+    /// the controller relies on: its kind round-trips through its label; only
+    /// BlockHammer may block (the controller caches `may_block` once per run)
+    /// and does block a hammered row, while every other kind answers
+    /// `blocked_until(row, c) == c`; only REGA adjusts timing and attributes
+    /// scores per activation quota; a fresh instance blocks no row.
+    #[test]
+    fn every_kind_honours_the_registry_contract() {
+        let geom = DramGeometry::tiny();
+        let timing = TimingParams::fast_test();
+        for kind in MechanismKind::ALL {
+            for nrh in [kind.min_nrh(), 1024] {
+                let mut mech = kind.build(&geom, &timing, nrh, 7);
+                assert_eq!(mech.kind(), kind);
+                assert_eq!(MechanismKind::parse(&mech.kind().to_string()), Some(kind));
+                assert_eq!(mech.blocked_rows(), 0, "{kind} @ {nrh}");
+                let blockhammer = kind == MechanismKind::BlockHammer;
+                assert_eq!(mech.may_block(), blockhammer, "{kind}");
+                let rega = kind == MechanismKind::Rega;
+                assert_eq!(mech.timing_adjustment().is_none(), !rega, "{kind} @ {nrh}");
+                let proportional =
+                    mech.attribution() == ScoreAttribution::ProportionalToActivations;
+                assert_eq!(proportional, !rega, "{kind} @ {nrh}");
+
+                let mut sink = ActionSink::default();
+                let mut blocked = false;
+                for cycle in 0..2 * nrh {
+                    let ev = event(7, cycle);
+                    mech.on_activation(&ev, &mut sink);
+                    sink.clear();
+                    let until = mech.blocked_until(ev.row, cycle);
+                    assert!(until >= cycle, "{kind} @ {nrh}");
+                    blocked |= until > cycle;
+                }
+                assert_eq!(blocked, blockhammer, "{kind} @ {nrh}");
+                assert_eq!(mech.blocked_rows() > 0, blockhammer, "{kind} @ {nrh}");
+            }
+        }
+    }
+
+    /// One `roll` across any number of idle windows moves `end` by whole
+    /// windows to the first boundary past the cycle, exactly as stepping it
+    /// one window at a time would, and reports a single roll.
+    #[test]
+    fn reset_window_rolls_by_whole_windows_once() {
+        for len in [1u64, 7, 64, 1000] {
+            let mut window = ResetWindow::new(len);
+            assert!(!window.roll(len - 1));
+            assert_eq!(window.end, len);
+            for cycle in [len, len + 1, 5 * len + 3, 40 * len] {
+                let mut expected = window.end;
+                while cycle >= expected {
+                    expected += len;
+                }
+                let moves = cycle >= window.end;
+                assert_eq!(window.roll(cycle), moves, "len {len}, cycle {cycle}");
+                assert_eq!(window.end, expected, "len {len}, cycle {cycle}");
+                assert!(!window.roll(cycle), "a second roll in the same window is a no-op");
+            }
+        }
     }
 
     #[test]
@@ -343,17 +420,12 @@ mod tests {
         let timing = TimingParams::fast_test();
         for kind in MechanismKind::ALL {
             for nrh in [kind.min_nrh(), 1024] {
-                let mech = kind.build(&geom, &timing, nrh, 7);
-                assert_eq!(mech.kind(), kind);
-                assert_eq!(mech.name(), kind.label());
+                assert_eq!(kind.build(&geom, &timing, nrh, 7).kind(), kind);
             }
-            // The registry's minimum is the constructor's own: one below it
-            // is refused (the baseline has no constructor argument to check).
-            if kind != MechanismKind::None {
-                let below = kind.min_nrh() - 1;
-                let built = std::panic::catch_unwind(|| kind.build(&geom, &timing, below, 7));
-                assert!(built.is_err(), "{kind} accepted N_RH = {below}");
-            }
+            // `build` refuses one below the registry's minimum, for every kind.
+            let below = kind.min_nrh() - 1;
+            let built = std::panic::catch_unwind(|| kind.build(&geom, &timing, below, 7));
+            assert!(built.is_err(), "{kind} accepted N_RH = {below}");
         }
     }
 }

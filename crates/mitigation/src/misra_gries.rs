@@ -167,7 +167,7 @@ pub(crate) mod reference {
     /// Reference Misra–Gries summary (see the module docs of
     /// [`super::MisraGries`] for semantics).
     #[derive(Debug, Clone)]
-    pub struct HashMisraGries {
+    pub(crate) struct HashMisraGries {
         capacity: usize,
         counts: HashMap<usize, u64>,
         spillover: u64,

@@ -13,39 +13,33 @@ use crate::action::{ActionSink, ActivationEvent};
 use crate::mechanism::{MechanismKind, TriggerMechanism};
 use bh_dram::DramGeometry;
 
+/// RFM commands the controller issues in response to one alert.
+const RFMS_PER_ALERT: usize = 1;
+
 /// The PRAC mechanism.
 #[derive(Debug)]
-pub struct Prac {
+pub(crate) struct Prac {
     geometry: DramGeometry,
     backoff_threshold: u64,
-    rfms_per_alert: usize,
     /// Dense per-row in-DRAM activation counters, indexed by
     /// `flat_bank * rows_per_bank + row` — mirroring PRAC's actual storage
     /// (one counter per DRAM row) and keeping the per-activation update a
     /// single array increment.
     row_counts: Box<[u32]>,
-    alerts: u64,
 }
 
 impl Prac {
     /// Creates PRAC for RowHammer threshold `nrh`.
     ///
     /// # Panics
-    /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
+    /// Panics if the back-off threshold `nrh / 2` does not fit a `u32` counter.
     pub(crate) fn new(geometry: DramGeometry, nrh: u64) -> Self {
-        assert!(nrh >= MechanismKind::Prac.min_nrh(), "N_RH below the registry's minimum");
         // Back-off asserted at half the threshold, leaving the chip time to
         // refresh the victims before bitflips become possible.
         let backoff_threshold = (nrh / 2).max(2);
         assert!(backoff_threshold < u64::from(u32::MAX), "back-off threshold must fit in a u32");
         let rows = geometry.rows_per_channel();
-        Prac {
-            geometry,
-            backoff_threshold,
-            rfms_per_alert: 1,
-            row_counts: vec![0; rows].into_boxed_slice(),
-            alerts: 0,
-        }
+        Prac { geometry, backoff_threshold, row_counts: vec![0; rows].into_boxed_slice() }
     }
 }
 
@@ -60,8 +54,7 @@ impl TriggerMechanism for Prac {
         *count += 1;
         if u64::from(*count) >= self.backoff_threshold {
             *count = 0;
-            self.alerts += 1;
-            for _ in 0..self.rfms_per_alert {
+            for _ in 0..RFMS_PER_ALERT {
                 sink.push_rfm(event.row.bank);
             }
         }
@@ -77,16 +70,8 @@ impl TriggerMechanism for Prac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::PreventiveAction;
-    use bh_dram::{BankAddr, RowAddr, ThreadId};
-
-    fn event(row: usize, cycle: u64) -> ActivationEvent {
-        ActivationEvent {
-            row: RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank: 0 }, row },
-            thread: ThreadId(0),
-            cycle,
-        }
-    }
+    use crate::action::ActionView;
+    use crate::mechanism::testing::{actions, event};
 
     #[test]
     fn backoff_fires_only_for_genuinely_hot_rows() {
@@ -95,49 +80,43 @@ mod tests {
         // A benign pattern cycling over many rows never trips the per-row
         // counter even after many total activations.
         for i in 0..5000u64 {
-            assert!(p.on_activation_vec(&event((i % 64) as usize, i)).is_empty());
+            assert!(actions(&mut p, &event((i % 64) as usize, i)).is_empty());
         }
-        assert_eq!(p.alerts, 0);
         // A hot row does.
-        let mut fired = 0;
+        let mut sink = ActionSink::default();
         for i in 0..512u64 {
-            fired += p.on_activation_vec(&event(7, 10_000 + i)).len();
+            p.on_activation(&event(7, 10_000 + i), &mut sink);
         }
-        assert!(fired >= 1);
-        assert_eq!(p.alerts as usize, fired);
+        assert!(!sink.is_empty());
     }
 
     #[test]
     fn counter_resets_after_backoff() {
         let mut p = Prac::new(DramGeometry::tiny(), 64); // threshold 32
-        let mut alerts = 0;
+        let mut sink = ActionSink::default();
         for i in 0..128u64 {
-            alerts += p.on_activation_vec(&event(3, i)).len();
+            p.on_activation(&event(3, i), &mut sink);
         }
-        assert_eq!(alerts, 4);
+        assert_eq!(sink.len(), 4);
         assert_eq!(p.row_counts[3], 0, "bank 0, row 3");
     }
 
     #[test]
     fn alert_requests_configured_number_of_rfms() {
         let mut p = Prac::new(DramGeometry::tiny(), 64);
-        assert_eq!(p.rfms_per_alert, 1);
-        let mut last = Vec::new();
-        for i in 0..32u64 {
-            let acts = p.on_activation_vec(&event(5, i));
-            if !acts.is_empty() {
-                last = acts;
-            }
+        for i in 0..31u64 {
+            assert!(actions(&mut p, &event(5, i)).is_empty());
         }
-        assert_eq!(last.len(), 1);
-        assert!(matches!(last[0], PreventiveAction::IssueRfm { .. }));
+        // The 32nd activation alerts: exactly the configured RFMs, to the bank.
+        let sink = actions(&mut p, &event(5, 31));
+        assert_eq!(sink.len(), RFMS_PER_ALERT);
+        let bank = event(5, 31).row.bank;
+        assert!(sink.iter().all(|a| a == ActionView::IssueRfm { bank }));
     }
 
     #[test]
     fn metadata() {
         let p = Prac::new(DramGeometry::tiny(), 256);
-        assert_eq!(p.name(), "PRAC");
-        assert_eq!(p.kind(), MechanismKind::Prac);
         assert_eq!(p.storage_bits(), 0);
     }
 }

@@ -20,10 +20,9 @@ use bh_dram::TimingAdjustment;
 
 /// The REGA mechanism.
 #[derive(Debug)]
-pub struct Rega {
+pub(crate) struct Rega {
     rega_t: u64,
     adjustment: TimingAdjustment,
-    activations: u64,
 }
 
 impl Rega {
@@ -32,11 +31,7 @@ impl Rega {
     /// `REGA_T` (activations per refresh-generating activation) is set to
     /// `N_RH / 4`; the timing inflation grows inversely with `N_RH`,
     /// capturing the V=1..4 configurations of the REGA paper.
-    ///
-    /// # Panics
-    /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
     pub(crate) fn new(nrh: u64) -> Self {
-        assert!(nrh >= MechanismKind::Rega.min_nrh(), "N_RH below the registry's minimum");
         let rega_t = (nrh / 4).max(1);
         // Timing inflation model: protecting lower thresholds requires more
         // refresh-generating activations per row cycle, which lengthens the
@@ -45,7 +40,7 @@ impl Rega {
         let extra = (2048 / nrh).min(32);
         let adjustment =
             TimingAdjustment { extra_t_rp: extra, extra_t_ras: extra / 2, extra_t_rfc: 0 };
-        Rega { rega_t, adjustment, activations: 0 }
+        Rega { rega_t, adjustment }
     }
 }
 
@@ -57,7 +52,6 @@ impl TriggerMechanism for Rega {
     fn on_activation(&mut self, _event: &ActivationEvent, _sink: &mut ActionSink) {
         // Refreshes happen inside the DRAM chip, in parallel with the
         // activation; no controller-visible action is generated.
-        self.activations += 1;
     }
 
     fn timing_adjustment(&self) -> TimingAdjustment {
@@ -77,23 +71,16 @@ impl TriggerMechanism for Rega {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bh_dram::{BankAddr, RowAddr, ThreadId};
-
-    fn event(cycle: u64) -> ActivationEvent {
-        ActivationEvent {
-            row: RowAddr { bank: BankAddr { rank: 0, bank_group: 0, bank: 0 }, row: 1 },
-            thread: ThreadId(0),
-            cycle,
-        }
-    }
+    use crate::mechanism::testing::event;
 
     #[test]
     fn never_emits_controller_visible_actions() {
         let mut r = Rega::new(64);
+        let mut sink = ActionSink::default();
         for i in 0..1000 {
-            assert!(r.on_activation_vec(&event(i)).is_empty());
+            r.on_activation(&event(1, i), &mut sink);
         }
-        assert_eq!(r.activations, 1000);
+        assert!(sink.is_empty());
     }
 
     #[test]
@@ -118,8 +105,6 @@ mod tests {
     #[test]
     fn metadata() {
         let r = Rega::new(128);
-        assert_eq!(r.name(), "REGA");
-        assert_eq!(r.kind(), MechanismKind::Rega);
         assert_eq!(r.storage_bits(), 0);
         assert!(!r.timing_adjustment().is_none());
     }

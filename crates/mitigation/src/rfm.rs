@@ -15,27 +15,22 @@ use bh_dram::DramGeometry;
 
 /// The periodic-RFM mechanism.
 #[derive(Debug)]
-pub struct Rfm {
+pub(crate) struct Rfm {
     geometry: DramGeometry,
     raaimt: u64,
     /// Per flat bank: rolling accumulated activation counter.
     counters: Vec<u64>,
-    rfms_issued: u64,
 }
 
 impl Rfm {
     /// Creates the RFM mechanism for RowHammer threshold `nrh`.
-    ///
-    /// # Panics
-    /// Panics if `nrh` is below [`MechanismKind::min_nrh`].
     pub(crate) fn new(geometry: DramGeometry, nrh: u64) -> Self {
-        assert!(nrh >= MechanismKind::Rfm.min_nrh(), "N_RH below the registry's minimum");
         // RAAIMT scaled so that in-DRAM TRR can keep up: one RFM window per
         // N_RH/8 activations of a bank (≈80 at N_RH = 640, matching the
         // JEDEC-suggested default cadence).
         let raaimt = (nrh / 8).max(4);
         let banks = geometry.banks_per_channel();
-        Rfm { geometry, raaimt, counters: vec![0; banks], rfms_issued: 0 }
+        Rfm { geometry, raaimt, counters: vec![0; banks] }
     }
 }
 
@@ -49,7 +44,6 @@ impl TriggerMechanism for Rfm {
         self.counters[bank] += 1;
         if self.counters[bank] >= self.raaimt {
             self.counters[bank] = 0;
-            self.rfms_issued += 1;
             sink.push_rfm(event.row.bank);
         }
     }
@@ -63,7 +57,8 @@ impl TriggerMechanism for Rfm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::PreventiveAction;
+    use crate::action::ActionView;
+    use crate::mechanism::testing::actions;
     use bh_dram::{BankAddr, RowAddr, ThreadId};
 
     fn event(bank: usize, row: usize, cycle: u64) -> ActivationEvent {
@@ -78,29 +73,24 @@ mod tests {
     fn rfm_issued_every_raaimt_activations() {
         let mut r = Rfm::new(DramGeometry::tiny(), 1024);
         assert_eq!(r.raaimt, 128);
-        let mut rfms = 0;
+        let mut sink = ActionSink::default();
         for i in 0..1280u64 {
             // Spread over distinct rows: RFM counts bank activations, not
             // per-row activations.
-            let acts = r.on_activation_vec(&event(0, (i % 50) as usize, i));
-            rfms += acts.len();
-            for a in acts {
-                assert!(matches!(a, PreventiveAction::IssueRfm { bank } if bank.bank == 0));
-            }
+            r.on_activation(&event(0, (i % 50) as usize, i), &mut sink);
         }
-        assert_eq!(rfms, 10);
-        assert_eq!(r.rfms_issued, 10);
+        assert_eq!(sink.len(), 10);
+        assert!(sink.iter().all(|a| matches!(a, ActionView::IssueRfm { bank } if bank.bank == 0)));
     }
 
     #[test]
     fn counters_are_per_bank() {
         let mut r = Rfm::new(DramGeometry::tiny(), 1024);
         for i in 0..100u64 {
-            assert!(r.on_activation_vec(&event(0, 1, i)).is_empty());
-            assert!(r.on_activation_vec(&event(1, 1, i)).is_empty());
+            assert!(actions(&mut r, &event(0, 1, i)).is_empty());
+            assert!(actions(&mut r, &event(1, 1, i)).is_empty());
         }
         assert_eq!(r.counters[..2], [100, 100]);
-        assert_eq!(r.rfms_issued, 0);
     }
 
     #[test]
@@ -114,8 +104,6 @@ mod tests {
     #[test]
     fn metadata() {
         let r = Rfm::new(DramGeometry::tiny(), 512);
-        assert_eq!(r.name(), "RFM");
-        assert_eq!(r.kind(), MechanismKind::Rfm);
         assert_eq!(r.storage_bits(), DramGeometry::tiny().banks_per_channel() as u64 * 16);
     }
 }

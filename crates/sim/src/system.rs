@@ -173,9 +173,9 @@ impl FrontEnd {
     /// Classifies every core for the horizon scan: returns `true` as soon as
     /// any core is `Active` (leaving `buf` empty — the kernel steps the very
     /// next cycle and never reads it), otherwise fills `buf` with each
-    /// core's classification. The engine arm batches the window-head scan
-    /// (SIMD where the CPU supports it); the legacy arm is the per-core loop
-    /// the kernels historically ran.
+    /// core's classification. The engine arm first answers from one pass
+    /// over the window heads; the legacy arm is the per-core loop the
+    /// kernels historically ran.
     fn progress_batch(
         &self,
         llc: &LastLevelCache,
@@ -321,12 +321,33 @@ impl System {
         );
         assert!(required.iter().all(|r| *r < config.cores), "required core index out of range");
 
+        // The large arrays first, the LLC's lines and each channel's
+        // disturbance counters: they have the same sizes in every system of
+        // a sweep, so each new system finds them room where the last one
+        // freed them. The mechanisms' tables differ per kind; allocated in
+        // between (Hydra's group counters are 128 KiB on the paper geometry),
+        // they would shift the second array past that room and grow the
+        // heap (3.6 MB more peak RSS under glibc malloc on the benchmark's
+        // `attack_paper` workload).
+        let llc = LastLevelCache::new(config.cache.clone(), config.cores);
+        let channels = config.geometry.channels.max(1);
+        let trackers: Vec<_> = (0..channels)
+            .map(|ch| {
+                RowHammerTracker::with_fault(
+                    config.geometry.clone(),
+                    config.nrh,
+                    config.device.blast_radius,
+                    config.fault.model,
+                    config.seed,
+                    ch,
+                )
+            })
+            .collect();
         // Build one mitigation instance per memory channel (the paper — and
         // BlockHammer before it — provisions per-channel trackers). Channel 0
         // uses the configured seed unchanged so single-channel systems are
         // bit-identical to the pre-multichannel simulator; further channels
         // derive their probabilistic seeds by offset.
-        let channels = config.geometry.channels.max(1);
         let mechanisms: Vec<_> = (0..channels)
             .map(|ch| {
                 config.mechanism.build(
@@ -347,18 +368,10 @@ impl System {
         } else {
             None
         };
-        let instances = mechanisms
+        let instances = trackers
             .into_iter()
-            .enumerate()
-            .map(|(ch, mechanism)| {
-                let tracker = RowHammerTracker::with_fault(
-                    config.geometry.clone(),
-                    config.nrh,
-                    config.device.blast_radius,
-                    config.fault.model,
-                    config.seed,
-                    ch,
-                );
+            .zip(mechanisms)
+            .map(|(tracker, mechanism)| {
                 let channel = DramChannel::with_config(
                     config.geometry.clone(),
                     timing.clone(),
@@ -371,7 +384,6 @@ impl System {
             .collect();
         let memory = MemorySystem::new(config.memctrl.clone(), instances, breakhammer);
 
-        let llc = LastLevelCache::new(config.cache.clone(), config.cores);
         let front =
             FrontEnd::new(config.front_end, config.core, traces, config.instructions_per_core);
 

@@ -39,7 +39,7 @@ const BASE_EPOCH_CYCLES: u64 = 50_000;
 /// 64-bit FNV-1a over a stream of `u64` words — the workspace's standard
 /// deterministic digest, here used for the structural state fixpoint.
 #[derive(Debug, Clone, Copy)]
-pub struct StateDigest(u64);
+pub(crate) struct StateDigest(u64);
 
 impl StateDigest {
     /// Fresh digest at the FNV offset basis.
@@ -80,7 +80,7 @@ impl Default for StateDigest {
 /// One epoch boundary's view of global progress, assembled by the system
 /// from step-invariant state only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressSample {
+pub(crate) struct ProgressSample {
     /// Total instructions retired across all cores.
     pub instructions_retired: u64,
     /// Demand reads served across all channels.
@@ -96,7 +96,7 @@ pub struct ProgressSample {
 
 /// The watchdog's answer at an epoch boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Verdict {
+pub(crate) struct Verdict {
     /// `Livelock` or `BudgetExceeded`.
     pub reason: TerminationReason,
     /// Consecutive zero-progress epochs at the verdict (0 when the fixpoint
@@ -108,7 +108,7 @@ pub struct Verdict {
 
 /// The forward-progress watchdog state machine (see the module docs).
 #[derive(Debug, Clone)]
-pub struct Watchdog {
+pub(crate) struct Watchdog {
     enabled: bool,
     epoch_cycles: u64,
     stall_epochs: u32,

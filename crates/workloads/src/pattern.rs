@@ -33,6 +33,27 @@ use std::fmt;
 /// region, so decoys neither hammer victims nor alias benign data).
 const DECOY_BASE: usize = 12_000;
 
+/// Non-memory instructions between two hammering accesses of
+/// [`FuzzedPattern`], [`RowPressPattern`] and [`DecoyPattern`]: a tight loop.
+const HAMMER_BUBBLES: u32 = 0;
+
+/// Non-memory instructions before each of [`DecoyPattern`]'s decoy accesses.
+const DECOY_BUBBLES: u32 = HAMMER_BUBBLES + 2;
+
+/// Fraction of [`DecoyPattern`]'s accesses that are decoys (cached,
+/// non-hammering).
+const DECOY_FRACTION: f64 = 0.5;
+
+/// Size of [`DecoyPattern`]'s decoy hot-row set.
+const DECOY_ROWS: usize = 8;
+
+/// Largest burst length [`FuzzedPattern`] assigns to an aggressor.
+const FUZZ_MAX_AMPLITUDE: usize = 3;
+
+/// Abstract schedule period [`FuzzedPattern`]'s frequencies and phases
+/// quantise to.
+const FUZZ_PERIOD: usize = 64;
+
 /// The hammerer axis: a temporal access schedule over a placed
 /// [`AggressorGrid`].
 ///
@@ -175,11 +196,6 @@ impl AccessPattern for ClassicPattern {
 pub struct FuzzedPattern {
     banks: usize,
     aggressors_per_bank: usize,
-    bubbles: u32,
-    /// Largest burst length the fuzzer may assign to an aggressor.
-    max_amplitude: usize,
-    /// Abstract schedule period the fuzzed frequencies/phases quantise to.
-    period: usize,
 }
 
 impl FuzzedPattern {
@@ -190,13 +206,7 @@ impl FuzzedPattern {
     pub fn new(banks: usize, aggressors: usize) -> Self {
         assert!(banks >= 1, "fuzzed pattern needs at least one bank");
         assert!(aggressors >= 2, "fuzzed pattern needs at least two aggressors");
-        FuzzedPattern {
-            banks,
-            aggressors_per_bank: aggressors,
-            bubbles: 0,
-            max_amplitude: 3,
-            period: 64,
-        }
+        FuzzedPattern { banks, aggressors_per_bank: aggressors }
     }
 
     /// The fuzzed aggressor-step schedule for one period: for every
@@ -208,10 +218,10 @@ impl FuzzedPattern {
         let mut events: Vec<(usize, usize, usize)> = Vec::new();
         for a in 0..aggs {
             let frequency = rng.gen_range(1..=4usize);
-            let amplitude = rng.gen_range(1..=self.max_amplitude);
-            let phase = rng.gen_range(0..self.period);
+            let amplitude = rng.gen_range(1..=FUZZ_MAX_AMPLITUDE);
+            let phase = rng.gen_range(0..FUZZ_PERIOD);
             for k in 0..frequency {
-                let t = (phase + k * self.period / frequency) % self.period;
+                let t = (phase + k * FUZZ_PERIOD / frequency) % FUZZ_PERIOD;
                 events.push((t, a, amplitude));
             }
         }
@@ -263,7 +273,7 @@ impl AccessPattern for FuzzedPattern {
                 column,
             };
             records.push(TraceEntry {
-                bubbles: self.bubbles,
+                bubbles: HAMMER_BUBBLES,
                 addr: mapping.encode(&loc, geometry),
                 is_write: false,
                 uncached: true,
@@ -283,7 +293,6 @@ pub struct RowPressPattern {
     banks: usize,
     aggressors_per_bank: usize,
     dwell: usize,
-    bubbles: u32,
 }
 
 impl RowPressPattern {
@@ -297,7 +306,7 @@ impl RowPressPattern {
         assert!(banks >= 1, "rowpress pattern needs at least one bank");
         assert!(aggressors >= 2, "rowpress pattern needs at least two aggressors");
         assert!(dwell >= 1, "rowpress dwell must be at least one access");
-        RowPressPattern { banks, aggressors_per_bank: aggressors, dwell, bubbles: 0 }
+        RowPressPattern { banks, aggressors_per_bank: aggressors, dwell }
     }
 }
 
@@ -344,7 +353,7 @@ impl AccessPattern for RowPressPattern {
                 column,
             };
             records.push(TraceEntry {
-                bubbles: self.bubbles,
+                bubbles: HAMMER_BUBBLES,
                 addr: mapping.encode(&loc, geometry),
                 is_write: false,
                 uncached: true,
@@ -363,11 +372,6 @@ impl AccessPattern for RowPressPattern {
 pub struct DecoyPattern {
     banks: usize,
     aggressors_per_bank: usize,
-    /// Fraction of accesses that are decoys (cached, non-hammering).
-    decoy_fraction: f64,
-    /// Size of the decoy hot-row set.
-    decoy_rows: usize,
-    bubbles: u32,
 }
 
 impl DecoyPattern {
@@ -379,13 +383,7 @@ impl DecoyPattern {
     pub(crate) fn new(banks: usize, aggressors: usize) -> Self {
         assert!(banks >= 1, "decoy pattern needs at least one bank");
         assert!(aggressors >= 2, "decoy pattern needs at least two aggressors");
-        DecoyPattern {
-            banks,
-            aggressors_per_bank: aggressors,
-            decoy_fraction: 0.5,
-            decoy_rows: 8,
-            bubbles: 0,
-        }
+        DecoyPattern { banks, aggressors_per_bank: aggressors }
     }
 }
 
@@ -413,12 +411,12 @@ impl AccessPattern for DecoyPattern {
         let mut column = 0usize;
         let mut hammer_step = 0usize;
         for _ in 0..entries {
-            if rng.gen::<f64>() < self.decoy_fraction {
+            if rng.gen::<f64>() < DECOY_FRACTION {
                 // Organic-looking traffic: cached reads over a skewed decoy
                 // hot-row set in the banks/channels the attack already
                 // touches (so the decoys blend into the same controller).
                 let skew: f64 = rng.gen::<f64>().powi(2);
-                let hot = (skew * self.decoy_rows as f64) as usize % self.decoy_rows;
+                let hot = (skew * DECOY_ROWS as f64) as usize % DECOY_ROWS;
                 let channel = grid.channel(rng.gen_range(0..grid.channel_steps()));
                 let bank_step = rng.gen_range(0..banks);
                 let loc = DramLocation {
@@ -428,7 +426,7 @@ impl AccessPattern for DecoyPattern {
                     column: rng.gen_range(0..cols),
                 };
                 records.push(TraceEntry {
-                    bubbles: self.bubbles + 2,
+                    bubbles: DECOY_BUBBLES,
                     addr: mapping.encode(&loc, geometry),
                     is_write: false,
                     uncached: false,
@@ -451,7 +449,7 @@ impl AccessPattern for DecoyPattern {
                     column,
                 };
                 records.push(TraceEntry {
-                    bubbles: self.bubbles,
+                    bubbles: HAMMER_BUBBLES,
                     addr: mapping.encode(&loc, geometry),
                     is_write: false,
                     uncached: true,
