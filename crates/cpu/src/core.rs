@@ -8,24 +8,31 @@
 //! stalls the core — which is how DRAM contention (and BreakHammer's MSHR
 //! throttling) translates into reduced instructions-per-cycle.
 //!
-//! [`Core`] is the per-object **reference model** of this behaviour: the
-//! simulator's default replay path is the data-oriented
-//! [`CoreEngine`](crate::CoreEngine), whose `tick_core` mirrors
-//! [`Core::tick`] statement by statement and is differentially tested
-//! against it (a proptest in `crate::engine` and the front-end differential
-//! suite at the workspace root). Behavioural changes must be made to *both*
-//! models — the differentials will catch a one-sided edit.
+//! The simulator replays every core through the data-oriented
+//! [`CoreEngine`](crate::CoreEngine); this module holds the configuration
+//! and statistics it shares with its callers. The test-only `Core` below is
+//! the per-object **reference model** of the same behaviour: the engine's
+//! `tick_core` mirrors `Core::tick` statement by statement, and a
+//! differential proptest in `crate::engine` drives both. Behavioural
+//! changes must be made to *both* models — the differential will catch a
+//! one-sided edit.
 
-use crate::cache::{AccessOutcome, LastLevelCache, MissToken, RejectReason};
-use crate::trace::Trace;
-use bh_dram::{Cycle, ThreadId};
-use std::collections::VecDeque;
+use crate::cache::RejectReason;
+use bh_dram::Cycle;
+#[cfg(test)]
+use {
+    crate::cache::{AccessOutcome, LastLevelCache, MissToken},
+    crate::trace::Trace,
+    bh_dram::ThreadId,
+    std::collections::VecDeque,
+};
 
 /// Description of a core that cannot make architectural progress, produced by
-/// [`Core::progress`]. While a core is stalled, each [`Core::tick`] is a pure
-/// counter increment; the event-driven simulation kernel uses this analysis
-/// to skip those dead cycles and replay the counters in bulk via
-/// [`Core::absorb_stall_ticks`].
+/// [`CoreEngine::progress_batch`](crate::CoreEngine::progress_batch). While a
+/// core is stalled, each of its ticks is a pure counter increment; the
+/// event-driven simulation kernel uses this analysis to skip those dead
+/// cycles and replay the counters in bulk via
+/// [`CoreEngine::absorb_stall_ticks`](crate::CoreEngine::absorb_stall_ticks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallInfo {
     /// Earliest CPU cycle at which the core can make progress on its own
@@ -42,7 +49,8 @@ pub struct StallInfo {
     pub reject: Option<RejectReason>,
 }
 
-/// Whether a core can make progress at its next tick (see [`Core::progress`]).
+/// Whether a core can make progress at its next tick (see
+/// [`CoreEngine::progress_batch`](crate::CoreEngine::progress_batch)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreProgress {
     /// The instruction budget has been retired; the core no longer ticks.
@@ -108,6 +116,7 @@ impl CoreStats {
     }
 }
 
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WindowEntry {
     /// A run of `n` consecutive already-complete instructions (non-memory
@@ -121,9 +130,11 @@ enum WindowEntry {
     Pending(MissToken),
 }
 
-/// A trace-driven core for one hardware thread.
+/// The per-object reference model of one trace-driven core (see the module
+/// docs).
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct Core {
+pub(crate) struct Core {
     thread: ThreadId,
     config: CoreConfig,
     trace: Trace,
@@ -143,17 +154,18 @@ pub struct Core {
     /// unchanged and the pending access is the same, a retry is guaranteed to
     /// be rejected for the same reason, so the retry's counter effects are
     /// replayed without re-walking the cache.
-    last_reject: Option<(bh_dram::PhysAddr, bool, u64, crate::cache::RejectReason)>,
+    last_reject: Option<(bh_dram::PhysAddr, bool, u64, RejectReason)>,
     stats: CoreStats,
 }
 
+#[cfg(test)]
 impl Core {
     /// Creates a core for `thread` replaying `trace` until
     /// `target_instructions` have retired.
     ///
     /// # Panics
     /// Panics if `target_instructions` is zero.
-    pub fn new(
+    pub(crate) fn new(
         thread: ThreadId,
         config: CoreConfig,
         trace: Trace,
@@ -178,23 +190,13 @@ impl Core {
     }
 
     /// Core statistics.
-    pub fn stats(&self) -> &CoreStats {
+    pub(crate) fn stats(&self) -> &CoreStats {
         &self.stats
     }
 
     /// True once the instruction budget has been retired.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.finished
-    }
-
-    /// Instructions retired so far.
-    pub fn retired_instructions(&self) -> u64 {
-        self.stats.retired_instructions
-    }
-
-    /// Instructions per cycle achieved so far.
-    pub fn ipc(&self) -> f64 {
-        self.stats.ipc()
     }
 
     fn advance_trace(&mut self) {
@@ -244,7 +246,7 @@ impl Core {
     /// [`Core::tick`] exactly and stays valid until an external event (an LLC
     /// fill completion or a quota change) occurs, because a stalled core
     /// cannot change its own inputs.
-    pub fn progress(&self, llc: &LastLevelCache, next_cycle: Cycle) -> CoreProgress {
+    pub(crate) fn progress(&self, llc: &LastLevelCache, next_cycle: Cycle) -> CoreProgress {
         if self.finished {
             return CoreProgress::Finished;
         }
@@ -282,23 +284,8 @@ impl Core {
         CoreProgress::Stalled(StallInfo { wake_at, retire_stalled, reject })
     }
 
-    /// Replays `ticks` stalled cycles' counter increments in bulk (the
-    /// event-driven kernel's counterpart of calling [`Core::tick`] that many
-    /// times while [`Core::progress`] reports [`CoreProgress::Stalled`]).
-    /// The caller accounts for the rejected LLC probes separately via
-    /// [`LastLevelCache::absorb_rejected_probes`].
-    pub fn absorb_stall_ticks(&mut self, ticks: u64, stall: &StallInfo) {
-        self.stats.cycles += ticks;
-        if stall.retire_stalled {
-            self.stats.retire_stall_cycles += ticks;
-        }
-        if stall.reject.is_some() {
-            self.stats.dispatch_stall_cycles += ticks;
-        }
-    }
-
     /// Advances the core by one cycle, retiring and dispatching instructions.
-    pub fn tick(&mut self, cycle: Cycle, llc: &mut LastLevelCache) {
+    pub(crate) fn tick(&mut self, cycle: Cycle, llc: &mut LastLevelCache) {
         if self.finished {
             return;
         }
@@ -435,18 +422,14 @@ impl Core {
     }
 }
 
-/// Drives legacy per-object cores through the CPU cycles of one event
-/// epoch, exactly as the simulation kernel drives its reference front-end:
-/// cores are ticked in index order within each cycle, and a hard-stalled
-/// core (window full behind an incomplete miss, `stalled_on[i]` set) is not
-/// ticked — its cycles accrue as debt in `stall_debt[i]` and replay via
-/// `Core::absorb_hard_stall` when the miss completes.
-///
-/// This is *the* legacy epoch contract: the simulator's `FrontEndKind::
-/// Legacy` path and the engine's differential tests both call it, so the
-/// reference behaviour the differentials validate cannot drift from the
-/// reference behaviour the simulator runs.
-pub fn tick_epoch_legacy(
+/// Drives reference cores through the CPU cycles of one event epoch, exactly
+/// as [`CoreEngine::tick_epoch`](crate::CoreEngine::tick_epoch) drives its
+/// lanes: cores are ticked in index order within each cycle, and a
+/// hard-stalled core (window full behind an incomplete miss, `stalled_on[i]`
+/// set) is not ticked — its cycles accrue as debt in `stall_debt[i]` and
+/// replay via `Core::absorb_hard_stall` when the miss completes.
+#[cfg(test)]
+pub(crate) fn tick_epoch_legacy(
     cores: &mut [Core],
     stalled_on: &mut [Option<MissToken>],
     stall_debt: &mut [u64],
@@ -472,10 +455,11 @@ pub fn tick_epoch_legacy(
     }
 }
 
-/// Folds outstanding hard-stall debt into the legacy cores' counters (the
+/// Folds outstanding hard-stall debt into the reference cores' counters (the
 /// end-of-run counterpart of [`tick_epoch_legacy`]; see
 /// `Core::absorb_hard_stall`).
-pub fn settle_legacy(cores: &mut [Core], stall_debt: &mut [u64]) {
+#[cfg(test)]
+pub(crate) fn settle_legacy(cores: &mut [Core], stall_debt: &mut [u64]) {
     for (i, core) in cores.iter_mut().enumerate() {
         let debt = std::mem::take(&mut stall_debt[i]);
         if debt > 0 {
@@ -484,10 +468,13 @@ pub fn settle_legacy(cores: &mut [Core], stall_debt: &mut [u64]) {
     }
 }
 
+/// Behavioural tests of the core model, run on the engine the simulator
+/// uses.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
+    use crate::engine::CoreEngine;
     use crate::trace::TraceEntry;
     use bh_dram::PhysAddr;
 
@@ -501,6 +488,11 @@ mod tests {
         Trace::new((0..64).map(|i| TraceEntry::load(3, PhysAddr(i * 0x10000))).collect())
     }
 
+    /// A one-core engine on the paper's core replaying `trace`.
+    fn engine(trace: Trace, target: u64) -> CoreEngine {
+        CoreEngine::new(CoreConfig::paper_table1(), vec![trace.compile()], target)
+    }
+
     fn llc() -> LastLevelCache {
         LastLevelCache::new(CacheConfig::tiny_test(), 2)
     }
@@ -508,14 +500,14 @@ mod tests {
     /// Runs the core, completing every outstanding miss after `miss_latency`
     /// cycles, and returns the cycle count needed to finish.
     fn run_with_memory_latency(
-        core: &mut Core,
+        engine: &mut CoreEngine,
         llc: &mut LastLevelCache,
         miss_latency: u64,
     ) -> u64 {
         let mut pending: Vec<(u64, MissToken)> = Vec::new();
         let mut cycle = 0u64;
-        while !core.finished() && cycle < 2_000_000 {
-            core.tick(cycle, llc);
+        while !engine.finished(0) && cycle < 2_000_000 {
+            engine.tick_epoch(cycle..cycle + 1, llc);
             for out in llc.take_outgoing() {
                 if let Some(token) = out.token {
                     pending.push((cycle + miss_latency, token));
@@ -531,35 +523,31 @@ mod tests {
             });
             cycle += 1;
         }
-        assert!(core.finished(), "core did not finish");
+        assert!(engine.finished(0), "core did not finish");
+        engine.settle();
         cycle
     }
 
     #[test]
     fn compute_bound_core_approaches_full_width_ipc() {
-        let mut core = Core::new(ThreadId(0), CoreConfig::paper_table1(), compute_trace(), 50_000);
-        let mut llc = llc();
-        run_with_memory_latency(&mut core, &mut llc, 10);
-        let ipc = core.ipc();
+        let mut core = engine(compute_trace(), 50_000);
+        run_with_memory_latency(&mut core, &mut llc(), 10);
+        let ipc = core.stats(0).ipc();
         assert!(ipc > 3.0, "compute-bound IPC should approach the 4-wide limit, got {ipc}");
-        assert_eq!(core.retired_instructions(), 50_000);
+        assert_eq!(core.retired_instructions(0), 50_000);
     }
 
     #[test]
     fn memory_bound_core_is_sensitive_to_memory_latency() {
-        let trace = memory_trace();
-        let mut fast_core =
-            Core::new(ThreadId(0), CoreConfig::paper_table1(), trace.clone(), 20_000);
-        let mut slow_core = Core::new(ThreadId(0), CoreConfig::paper_table1(), trace, 20_000);
-        let mut llc_fast = llc();
-        let mut llc_slow = llc();
-        let fast_cycles = run_with_memory_latency(&mut fast_core, &mut llc_fast, 20);
-        let slow_cycles = run_with_memory_latency(&mut slow_core, &mut llc_slow, 400);
+        let mut fast_core = engine(memory_trace(), 20_000);
+        let mut slow_core = engine(memory_trace(), 20_000);
+        let fast_cycles = run_with_memory_latency(&mut fast_core, &mut llc(), 20);
+        let slow_cycles = run_with_memory_latency(&mut slow_core, &mut llc(), 400);
         assert!(
             slow_cycles > fast_cycles * 2,
             "400-cycle memory ({slow_cycles}) should be much slower than 20-cycle ({fast_cycles})"
         );
-        assert!(slow_core.ipc() < fast_core.ipc());
+        assert!(slow_core.stats(0).ipc() < fast_core.stats(0).ipc());
     }
 
     #[test]
@@ -567,23 +555,20 @@ mod tests {
         // With a 128-entry window and 4 bubbles per load, at most ~32 loads
         // can be in flight; with never-completing misses the core must stall
         // rather than run ahead.
-        let mut core = Core::new(ThreadId(0), CoreConfig::paper_table1(), memory_trace(), 10_000);
+        let mut core = engine(memory_trace(), 10_000);
         let mut cache =
             LastLevelCache::new(CacheConfig { mshrs: 64, ..CacheConfig::tiny_test() }, 1);
-        for cycle in 0..10_000u64 {
-            core.tick(cycle, &mut cache);
-        }
-        assert!(!core.finished());
-        assert!(core.retired_instructions() < 200);
-        assert!(core.stats().retire_stall_cycles > 5_000);
+        core.tick_epoch(0..10_000, &mut cache);
+        core.settle();
+        assert!(!core.finished(0));
+        assert!(core.retired_instructions(0) < 200);
+        assert!(core.stats(0).retire_stall_cycles > 5_000);
     }
 
     #[test]
     fn quota_throttling_slows_a_memory_bound_core() {
-        let trace = memory_trace();
-        let mut free_core =
-            Core::new(ThreadId(0), CoreConfig::paper_table1(), trace.clone(), 8_000);
-        let mut throttled_core = Core::new(ThreadId(0), CoreConfig::paper_table1(), trace, 8_000);
+        let mut free_core = engine(memory_trace(), 8_000);
+        let mut throttled_core = engine(memory_trace(), 8_000);
         let config = CacheConfig { mshrs: 16, ..CacheConfig::tiny_test() };
         let mut free_llc = LastLevelCache::new(config.clone(), 1);
         let mut throttled_llc = LastLevelCache::new(config, 1);
@@ -597,39 +582,37 @@ mod tests {
         );
         assert!(throttled_llc.stats().quota_rejections > 0);
         assert!(
-            throttled_core.stats().dispatch_stall_cycles > free_core.stats().dispatch_stall_cycles
+            throttled_core.stats(0).dispatch_stall_cycles
+                > free_core.stats(0).dispatch_stall_cycles
         );
     }
 
     #[test]
     fn stores_do_not_block_retirement() {
-        let trace = Trace::new(vec![TraceEntry::store(1, PhysAddr(0x5000))]);
-        let mut core = Core::new(ThreadId(0), CoreConfig::paper_table1(), trace, 5_000);
+        let mut core = engine(Trace::new(vec![TraceEntry::store(1, PhysAddr(0x5000))]), 5_000);
         let mut cache = llc();
         // Never complete any miss: stores must still retire.
         let mut cycle = 0;
-        while !core.finished() && cycle < 200_000 {
-            core.tick(cycle, &mut cache);
+        while !core.finished(0) && cycle < 200_000 {
+            core.tick_epoch(cycle..cycle + 1, &mut cache);
             let _ = cache.take_outgoing();
             cycle += 1;
         }
-        assert!(core.finished(), "store-only trace must finish without memory responses");
-        assert!(core.stats().stores > 0);
+        assert!(core.finished(0), "store-only trace must finish without memory responses");
+        assert!(core.stats(0).stores > 0);
     }
 
     #[test]
     fn ipc_is_between_zero_and_width() {
-        let mut core = Core::new(ThreadId(0), CoreConfig::paper_table1(), memory_trace(), 5_000);
-        let mut cache = llc();
-        run_with_memory_latency(&mut core, &mut cache, 50);
-        let ipc = core.ipc();
+        let mut core = engine(memory_trace(), 5_000);
+        run_with_memory_latency(&mut core, &mut llc(), 50);
+        let ipc = core.stats(0).ipc();
         assert!(ipc > 0.0 && ipc <= 4.0, "ipc {ipc}");
-        assert_eq!(core.thread, ThreadId(0));
     }
 
     #[test]
     #[should_panic(expected = "instruction budget")]
     fn zero_budget_rejected() {
-        let _ = Core::new(ThreadId(0), CoreConfig::default(), compute_trace(), 0);
+        let _ = engine(compute_trace(), 0);
     }
 }

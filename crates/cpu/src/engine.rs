@@ -1,8 +1,8 @@
 //! The data-oriented CPU front-end: every core's hot replay state in flat
 //! contiguous storage, stepped in one pass per event epoch.
 //!
-//! [`CoreEngine`] replaces N per-object [`Core`](crate::Core)`::tick` calls
-//! with a single [`CoreEngine::tick_epoch`] sweep over two flat vectors:
+//! [`CoreEngine`] steps every core with a single [`CoreEngine::tick_epoch`]
+//! sweep over two flat vectors:
 //!
 //! * one fixed-size `Lane` row per core, holding every scalar the
 //!   per-cycle loop touches — trace cursor, bubble countdown, window
@@ -21,11 +21,10 @@
 //! deterministically ordered batch: core *i*'s accesses observe exactly the
 //! cache state left by cores *0..i* of the same cycle, like the per-object
 //! loop they replace. This ordering is the engine's replay contract — the
-//! differential suites pin that [`CoreEngine`] and the legacy
-//! [`Core`](crate::Core) model produce bit-identical statistics for any
-//! trace, stall pattern and cutoff.
+//! differential tests below pin that [`CoreEngine`] and the test-only
+//! per-object reference `Core` (in `crate::core`) produce bit-identical
+//! statistics for any trace, stall pattern and cutoff.
 //!
-//! The legacy [`Core`](crate::Core) stays as the executable reference model:
 //! `tick_core` below mirrors `Core::tick` statement by statement (and
 //! `progress` mirrors `Core::progress`), and a differential proptest in this
 //! module drives both over randomized traces, miss-completion schedules and
@@ -112,9 +111,8 @@ struct Lane {
 ///
 /// Indexing is by core: core `i` runs hardware thread `ThreadId(i)` and
 /// replays `traces[i]` until `target_instructions` have retired, exactly
-/// like a [`Core`](crate::Core) built per thread. Hard-stall bookkeeping
-/// (the window-full-behind-a-miss fast path that the simulation kernel used
-/// to track beside its `Vec<Core>`) is owned by the engine itself.
+/// like the reference `Core` built per thread. Hard-stall bookkeeping (the
+/// window-full-behind-a-miss fast path) is owned by the engine itself.
 #[derive(Debug)]
 pub struct CoreEngine {
     config: CoreConfig,
@@ -293,9 +291,9 @@ impl CoreEngine {
         }
     }
 
-    /// Advances one core by one cycle — the lane-based mirror of
-    /// [`Core::tick`](crate::Core::tick), kept in lockstep with it statement
-    /// by statement (the differential proptest below enforces this).
+    /// Advances one core by one cycle — the lane-based mirror of the
+    /// reference `Core::tick`, kept in lockstep with it statement by
+    /// statement (the differential proptest below enforces this).
     fn tick_core(&mut self, core: usize, cycle: Cycle, llc: &mut LastLevelCache) {
         let CoreEngine { config, traces, target_instructions, lanes, window } = self;
         let ws = config.window_size as u32;
@@ -439,8 +437,8 @@ impl CoreEngine {
     }
 
     /// Classifies what core `core`'s next tick (at CPU cycle `next_cycle`)
-    /// would do, without mutating anything — the engine-side mirror of
-    /// [`Core::progress`](crate::Core::progress), used by the event-driven
+    /// would do, without mutating anything — the engine-side mirror of the
+    /// reference `Core::progress`, used by the event-driven
     /// kernel to find stall horizons. A hard-stalled core reports the same
     /// retire-stall classification the deferred ticks will replay.
     pub(crate) fn progress(
@@ -497,12 +495,12 @@ impl CoreEngine {
     }
 
     /// Replays `ticks` stalled cycles' counter increments for core `core` in
-    /// bulk (the event-driven kernel's dead-cycle skip; see
-    /// [`Core::absorb_stall_ticks`](crate::Core::absorb_stall_ticks)).
+    /// bulk (the event-driven kernel's dead-cycle skip): each skipped tick
+    /// counts as the pure counter increment `stall` classifies it as.
     ///
     /// Skipped cycles go straight into the counters — only *stepped* cycles
-    /// of a hard-stalled core accrue as debt — exactly like the legacy
-    /// front-end, so the two models agree cycle for cycle, not just in sum.
+    /// of a hard-stalled core accrue as debt — so a skipped run and a
+    /// stepped one agree cycle for cycle, not just in sum.
     pub fn absorb_stall_ticks(&mut self, core: usize, ticks: u64, stall: &StallInfo) {
         let lane = &mut self.lanes[core];
         lane.cycles += ticks;
@@ -579,14 +577,12 @@ fn advance_trace(lane: &mut Lane, trace: &CompiledTrace) {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::core::Core;
+    use crate::core::{settle_legacy, tick_epoch_legacy, Core};
     use crate::trace::{Trace, TraceEntry};
     use proptest::prelude::*;
 
-    /// The legacy per-object front-end, driven through the *shared*
-    /// `tick_epoch_legacy`/`settle_legacy` drivers — the same code the
-    /// simulator's `FrontEndKind::Legacy` path runs, so the contract this
-    /// differential validates is the contract the simulator executes.
+    /// The reference per-object front-end: one `Core` per thread plus the
+    /// hard-stall bookkeeping `tick_epoch_legacy`/`settle_legacy` drive.
     struct LegacyFrontEnd {
         cores: Vec<Core>,
         stalled_on: Vec<Option<MissToken>>,
@@ -605,7 +601,7 @@ mod tests {
         }
 
         fn tick_epoch(&mut self, cycles: Range<Cycle>, llc: &mut LastLevelCache) {
-            crate::core::tick_epoch_legacy(
+            tick_epoch_legacy(
                 &mut self.cores,
                 &mut self.stalled_on,
                 &mut self.stall_debt,
@@ -615,7 +611,7 @@ mod tests {
         }
 
         fn settle(&mut self) {
-            crate::core::settle_legacy(&mut self.cores, &mut self.stall_debt);
+            settle_legacy(&mut self.cores, &mut self.stall_debt);
         }
     }
 
@@ -741,6 +737,11 @@ mod tests {
                     engine.is_hard_stalled(i),
                     "hard-stall state diverged for core {i} at cycle {cycle}"
                 );
+                assert_eq!(
+                    legacy.cores[i].progress(&llc_a, end),
+                    engine.progress(i, &llc_b, end),
+                    "progress classification diverged for core {i} at cycle {cycle}"
+                );
             }
             if (0..traces.len()).all(|i| engine.finished(i)) {
                 break;
@@ -757,8 +758,10 @@ mod tests {
                 &engine.stats(i),
                 "final stats diverged for core {i}"
             );
-            assert_eq!(legacy.cores[i].ipc(), engine.stats(i).ipc());
-            assert_eq!(legacy.cores[i].retired_instructions(), engine.retired_instructions(i));
+            assert_eq!(
+                legacy.cores[i].stats().retired_instructions,
+                engine.retired_instructions(i)
+            );
         }
     }
 

@@ -6,13 +6,11 @@
 //!   non-memory instructions followed by one memory access), replayed
 //!   cyclically; [`CompiledTrace`] is its frozen, `Arc`-shared replay form
 //!   (compile once per (mix, seed, geometry), share across every run);
-//! * [`CoreEngine`] — the data-oriented front-end: all cores' hot replay
-//!   state in flat structure-of-arrays vectors, stepped in one pass per
-//!   event epoch;
-//! * [`Core`] — the per-object reference model of one 4-wide,
-//!   128-entry-window trace-driven core (Table 1) whose in-order retirement
-//!   makes DRAM latency visible as lost IPC; `CoreEngine` is differentially
-//!   tested against it;
+//! * [`CoreEngine`] — the trace-driven cores: 4-wide, 128-entry-window cores
+//!   (Table 1) whose in-order retirement makes DRAM latency visible as lost
+//!   IPC, with all cores' hot replay state in flat structure-of-arrays
+//!   vectors stepped in one pass per event epoch (differentially tested
+//!   against a test-only per-object reference model);
 //! * [`LastLevelCache`] — the shared 8 MiB LLC with MSHRs (cache-miss
 //!   buffers) and **per-thread MSHR quotas**, the actuator BreakHammer uses to
 //!   throttle suspect threads.
@@ -23,16 +21,17 @@
 //! ## Example
 //!
 //! ```
-//! use bh_cpu::{CacheConfig, Core, CoreConfig, LastLevelCache, Trace, TraceEntry};
-//! use bh_dram::{PhysAddr, ThreadId};
+//! use bh_cpu::{CacheConfig, CoreConfig, CoreEngine, LastLevelCache, Trace, TraceEntry};
+//! use bh_dram::PhysAddr;
 //!
-//! let trace = Trace::new(vec![TraceEntry::load(7, PhysAddr(0x1000))]);
-//! let mut core = Core::new(ThreadId(0), CoreConfig::paper_table1(), trace, 1_000);
-//! let mut llc = LastLevelCache::new(CacheConfig::paper_table1(), 4);
+//! // One core (thread 0) replaying one compiled trace.
+//! let trace = Trace::new(vec![TraceEntry::load(7, PhysAddr(0x1000))]).compile();
+//! let mut cores = CoreEngine::new(CoreConfig::paper_table1(), vec![trace], 1_000);
+//! let mut llc = LastLevelCache::new(CacheConfig::paper_table1(), 1);
 //!
 //! let mut cycle = 0;
-//! while !core.finished() && cycle < 100_000 {
-//!     core.tick(cycle, &mut llc);
+//! while !cores.finished(0) && cycle < 100_000 {
+//!     cores.tick_epoch(cycle..cycle + 1, &mut llc);
 //!     // Instantly satisfy every LLC miss (a perfect memory system).
 //!     for request in llc.take_outgoing() {
 //!         if let Some(token) = request.token {
@@ -41,8 +40,9 @@
 //!     }
 //!     cycle += 1;
 //! }
-//! assert!(core.finished());
-//! assert!(core.ipc() > 0.0);
+//! cores.settle();
+//! assert!(cores.finished(0));
+//! assert!(cores.stats(0).ipc() > 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -57,8 +57,6 @@ pub use cache::{
     AccessOutcome, CacheConfig, CacheStats, LastLevelCache, MissToken, OutgoingRequest,
     RejectReason,
 };
-pub use core::{
-    settle_legacy, tick_epoch_legacy, Core, CoreConfig, CoreProgress, CoreStats, StallInfo,
-};
+pub use core::{CoreConfig, CoreProgress, CoreStats, StallInfo};
 pub use engine::CoreEngine;
 pub use trace::{CompiledTrace, Trace, TraceEntry};

@@ -324,56 +324,15 @@ impl DramChannel {
         }
     }
 
-    /// Earliest cycle at which a demand-class command (`Read`, `Write`,
-    /// `Activate` or `Precharge`) may issue to the bank with flat index
-    /// `flat` — equivalent to [`DramChannel::earliest_issue`] for those
-    /// kinds, but needs no `DramCommand`: the flat bank, bank-group and rank
-    /// indices are pre-resolved by the caller (the hottest scheduler path:
-    /// pure loads and maxes).
-    ///
-    /// # Panics
-    /// Panics (debug) or computes a precharge horizon (release) for
-    /// refresh-class kinds; use [`DramChannel::earliest_issue`] for those.
-    pub fn demand_ready_at_cached(
-        &self,
-        flat: usize,
-        group: usize,
-        rank: usize,
-        kind: CommandKind,
-    ) -> Cycle {
-        debug_assert!(matches!(
-            kind,
-            CommandKind::Read | CommandKind::Write | CommandKind::Activate | CommandKind::Precharge
-        ));
-        let bank = &self.banks[flat];
-        match kind {
-            CommandKind::Read => {
-                let group = &self.groups[group];
-                let rank = &self.ranks[rank];
-                bank.next_rd.max(group.next_rd).max(rank.next_rd).max(self.next_column_bus)
-            }
-            CommandKind::Write => {
-                let group = &self.groups[group];
-                let rank = &self.ranks[rank];
-                bank.next_wr.max(group.next_wr).max(rank.next_wr).max(self.next_column_bus)
-            }
-            CommandKind::Activate => {
-                let group = &self.groups[group];
-                let rank = &self.ranks[rank];
-                bank.next_act
-                    .max(group.next_act)
-                    .max(rank.next_act)
-                    .max(rank.faw_earliest(FAW_DEPTH, self.timing.t_faw))
-            }
-            _ => bank.next_pre,
-        }
-    }
-
-    /// The bank-local component of [`DramChannel::demand_ready_at_cached`]:
-    /// a single load from the bank's timing state. Split out so a scheduler
-    /// scanning many banks of the same (group, rank) can combine it with one
-    /// shared [`DramChannel::demand_ready_shared_component`] per tick
-    /// instead of re-deriving the full four-way max per bank.
+    /// The bank-local component of the earliest cycle at which a
+    /// demand-class command (`Read`, `Write`, `Activate` or `Precharge`) may
+    /// issue to the bank with flat index `flat`: a single load from the
+    /// bank's timing state. Its max with
+    /// [`DramChannel::demand_ready_shared_component`] equals
+    /// [`DramChannel::earliest_issue`] for those kinds, with no
+    /// `DramCommand` to build; split so a scheduler scanning many banks of
+    /// the same (group, rank) derives the shared part once per tick instead
+    /// of the full four-way max per bank.
     #[inline]
     pub fn demand_ready_bank_component(&self, flat: usize, kind: CommandKind) -> Cycle {
         let bank = &self.banks[flat];
@@ -385,12 +344,10 @@ impl DramChannel {
         }
     }
 
-    /// The bank-independent component of
-    /// [`DramChannel::demand_ready_at_cached`]: the group/rank/column-bus
-    /// constraints shared by every bank of the same (group, rank).
-    /// `demand_ready_at_cached(flat, group, rank, kind)` equals
-    /// `demand_ready_bank_component(flat, kind)
-    ///  .max(demand_ready_shared_component(group, rank, kind))`.
+    /// The bank-independent component of a demand-class command's earliest
+    /// issue cycle (see [`DramChannel::demand_ready_bank_component`]): the
+    /// group/rank/column-bus constraints shared by every bank of the same
+    /// (group, rank).
     #[inline]
     pub fn demand_ready_shared_component(
         &self,

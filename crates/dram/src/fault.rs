@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 pub enum FaultModel {
     /// The legacy hard cliff: exactly one would-be flip event when a row's
     /// disturbance reaches `N_RH`. This is the default and is bit-identical
-    /// to the pre-fault-model tracker (the 40-config goldens pin it).
+    /// to the pre-fault-model tracker (the classic goldens pin it).
     #[default]
     Threshold,
     /// Per-row probabilistic flips: each row's threshold is sampled once at

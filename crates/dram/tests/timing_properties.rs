@@ -54,6 +54,34 @@ proptest! {
         prop_assert_eq!(channel.stats().precharges, activations);
     }
 
+    /// The scheduler's split demand-readiness (a bank-local load, maxed with
+    /// one component shared per bank group and rank) is `earliest_issue`
+    /// for every demand-class command on every bank.
+    #[test]
+    fn demand_ready_components_compose_to_earliest_issue(
+        seed in any::<u64>(),
+        steps in 1usize..40,
+    ) {
+        let (channel, _) = drive_random_row_cycles(seed, steps, 1_000_000);
+        let geometry = DramGeometry::tiny();
+        for flat in 0..geometry.banks_per_channel() {
+            let bank = geometry.bank_from_flat(flat);
+            let group = bank.rank * geometry.bank_groups + bank.bank_group;
+            let loc = DramLocation { channel: 0, bank, row: 0, column: 0 };
+            for cmd in [
+                DramCommand::read(loc),
+                DramCommand::write(loc),
+                DramCommand::activate(bank, 0),
+                DramCommand::precharge(bank),
+            ] {
+                let split = channel
+                    .demand_ready_bank_component(flat, cmd.kind)
+                    .max(channel.demand_ready_shared_component(group, bank.rank, cmd.kind));
+                prop_assert_eq!(split, channel.earliest_issue(&cmd), "{:?}", cmd.kind);
+            }
+        }
+    }
+
     /// Issuing one cycle before `earliest_issue` is always rejected (when the
     /// bound is in the future), i.e. the bound is tight from below.
     #[test]

@@ -444,12 +444,11 @@ impl MemoryController {
                 Some(_) => CommandKind::Precharge,
                 None => CommandKind::Activate,
             };
-            self.idle_until = self.idle_until.min(self.channel.demand_ready_at_cached(
-                flat,
-                group,
-                loc.bank.rank,
-                kind,
-            ));
+            let ready = self
+                .channel
+                .demand_ready_bank_component(flat, kind)
+                .max(self.channel.demand_ready_shared_component(group, loc.bank.rank, kind));
+            self.idle_until = self.idle_until.min(ready);
         }
         self.queue_mut(req.kind == AccessKind::Write).push(entry);
         Ok(())

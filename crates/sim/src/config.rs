@@ -6,41 +6,28 @@ use bh_dram::{DeviceConfig, DramGeometry, EnergyParams, FaultConfig, TimingParam
 use bh_mem::MemControllerConfig;
 use bh_mitigation::{MechanismKind, MITIGATED_BLAST_RADIUS};
 
-/// Which kernel drives the simulation clock in [`crate::System::run`].
-///
-/// Both kernels produce bit-identical [`crate::SimulationResult`]s; the
-/// per-cycle kernel is retained as the executable reference model for
-/// differential testing of the event-driven one (see
-/// `tests/scheduler_differential.rs` at the workspace root).
+/// An inert name: `PerCycle` is accepted and runs exactly as `EventDriven`.
+/// It is kept only until the `benchmark` PR of ROADMAP item 2 removes the
+/// name.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Reference kernel: tick every layer at every DRAM command-clock cycle.
+    /// Identical to `EventDriven`.
     PerCycle,
-    /// Event-driven kernel: jump the clock to the next cycle at which any
-    /// layer can make progress (a queued DRAM command becoming issuable, a
-    /// refresh deadline, an LLC fill completing, a core's window head
-    /// becoming ready, a BreakHammer window edge), replaying the skipped
-    /// cycles' counter increments in bulk.
+    /// The clock jumps to the next cycle at which any layer can make
+    /// progress, replaying the skipped cycles' counter increments in bulk:
+    /// the one kernel of [`crate::System::run`].
     #[default]
     EventDriven,
 }
 
-/// Which CPU front-end replays the instruction traces in
-/// [`crate::System::run`].
-///
-/// Both front-ends produce bit-identical [`crate::SimulationResult`]s; the
-/// per-object model is retained as the executable reference for differential
-/// testing of the data-oriented engine (see
-/// `tests/front_end_differential.rs` at the workspace root and the
-/// differential proptest in `bh_cpu::engine`).
+/// An inert name: `Legacy` is accepted and runs exactly as `Engine`. It is
+/// kept only until the `benchmark` PR of ROADMAP item 2 removes the name.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FrontEndKind {
-    /// Reference model: one heap-allocated `Core` object per hardware
-    /// thread, ticked through its own `VecDeque` instruction window.
+    /// Identical to `Engine`.
     Legacy,
-    /// Data-oriented engine (`bh_cpu::CoreEngine`): every core's hot replay
-    /// state in flat structure-of-arrays vectors, stepped in one pass per
-    /// event epoch with the cores' LLC accesses drained in core-index order.
+    /// Every core replayed by one `bh_cpu::CoreEngine`: the one CPU
+    /// front-end of [`crate::System::run`].
     #[default]
     Engine,
 }
@@ -61,12 +48,11 @@ pub enum ChannelStepping {
 /// simulated time only (no wall clock anywhere in the sim crates).
 ///
 /// The watchdog samples global progress — instructions retired plus DRAM
-/// demand requests served — at fixed DRAM-cycle epoch boundaries. Both
-/// kernels (per-cycle, event-driven) step at each boundary (event horizons
-/// are clamped there; undershooting a horizon is always
-/// behaviour-neutral), so the samples, the verdict and the
-/// [`LivelockReport`](crate::LivelockReport) are bit-identical across
-/// kernels and front-ends.
+/// demand requests served — at fixed DRAM-cycle epoch boundaries. The
+/// event-driven kernel steps at each boundary (event horizons are clamped
+/// there; undershooting a horizon is always behaviour-neutral), so the
+/// samples, the verdict and the [`LivelockReport`](crate::LivelockReport)
+/// are bit-identical to its per-cycle reference kernel's.
 ///
 /// [`WatchdogConfig::stall_epochs`] consecutive epochs with zero progress —
 /// or the same number of consecutive identical state digests (queue depths,
@@ -170,11 +156,11 @@ pub struct SystemConfig {
     pub max_dram_cycles: u64,
     /// Seed for the probabilistic mechanisms (PARA).
     pub seed: u64,
-    /// The simulation kernel driving the clock (results are identical for
-    /// both; see [`SchedulerKind`]).
+    /// Read by nothing; part of this struct's pinned `Debug` text (see
+    /// [`SchedulerKind`]).
     pub scheduler: SchedulerKind,
-    /// The CPU front-end replaying the traces (results are identical for
-    /// both; see [`FrontEndKind`]).
+    /// Read by nothing; part of this struct's pinned `Debug` text (see
+    /// [`FrontEndKind`]).
     pub front_end: FrontEndKind,
     /// Read by nothing; part of this struct's pinned `Debug` text (see
     /// [`ChannelStepping`]).

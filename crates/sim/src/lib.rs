@@ -37,6 +37,8 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+#[cfg(test)]
+mod differential;
 mod result;
 mod runner;
 mod system;

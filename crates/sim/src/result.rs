@@ -68,7 +68,7 @@ pub struct AttackOutcome {
 /// are produced by the forward-progress watchdog
 /// ([`WatchdogConfig`](crate::WatchdogConfig)). The verdict is computed at
 /// deterministic DRAM-cycle epoch boundaries from step-invariant state only,
-/// so it is bit-identical across both scheduler kernels and both front-ends.
+/// so it is bit-identical to the per-cycle reference kernel's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TerminationReason {
     /// Every required core retired its instruction budget.
@@ -135,8 +135,8 @@ pub struct ChannelLaneState {
 /// throttling machinery looked like at the detection boundary.
 ///
 /// Built exclusively from step-invariant state at a deterministic epoch
-/// boundary, so the report — like the verdict — is bit-identical across
-/// kernels and front-ends.
+/// boundary, so the report — like the verdict — is bit-identical to the
+/// per-cycle reference kernel's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LivelockReport {
     /// DRAM cycle of the epoch boundary where the verdict fired.
@@ -233,8 +233,9 @@ pub struct VictimReport {
 
 /// Everything measured during one simulation run.
 ///
-/// Implements `PartialEq` so the differential test suite can assert that the
-/// per-cycle and event-driven kernels produce bit-identical results.
+/// Implements `PartialEq` so the differential tests can assert that the
+/// event-driven kernel and its per-cycle reference produce bit-identical
+/// results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Per-core performance.
@@ -273,7 +274,7 @@ pub struct SimulationResult {
     /// `Debug` text, field included (ROADMAP item 2).
     pub stepping: SteppingStats,
     /// Why the run stopped. Part of the behavioural surface (bit-identical
-    /// across kernels/front-ends) but *not* of the digest-pinned
+    /// to the reference kernel's) but *not* of the digest-pinned
     /// field list: the watchdog never fires on healthy runs, so pinned
     /// goldens stay byte-identical.
     pub termination: TerminationReason,

@@ -6,27 +6,22 @@
 //! and are ticked `cpu_freq / dram_freq` times per memory cycle using a
 //! fractional accumulator, matching Table 1's 4.2 GHz cores over DDR5-4800.
 //!
-//! Two interchangeable kernels drive the clock (selected by
-//! [`SchedulerKind`]): the reference per-cycle kernel executes the loop body
-//! at every DRAM cycle, while the event-driven kernel asks each layer for its
-//! next-event horizon — the memory controller's earliest issuable command,
-//! the earliest pending LLC fill, each core's stall wake-up, BreakHammer's
-//! next window edge — and jumps the clock straight to the minimum, replaying
-//! the skipped cycles' counter increments in bulk. The two kernels produce
-//! bit-identical [`SimulationResult`]s; `tests/scheduler_differential.rs`
-//! enforces this differentially.
+//! The kernel is event-driven: it asks each layer for its next-event
+//! horizon — the memory controller's earliest issuable command, the earliest
+//! pending LLC fill, each core's stall wake-up, BreakHammer's next window
+//! edge — and jumps the clock straight to the minimum, replaying the skipped
+//! cycles' counter increments in bulk. A test-only per-cycle kernel, which
+//! executes the loop body at every DRAM cycle, is its reference model: the
+//! crate's `differential` tests pin the two bit-identical.
 
-use crate::config::{FrontEndKind, SchedulerKind, SystemConfig};
+use crate::config::SystemConfig;
 use crate::result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,
 };
 use crate::watchdog::{ProgressSample, StateDigest, Watchdog};
 use bh_core::BreakHammer;
-use bh_cpu::{
-    CompiledTrace, Core, CoreConfig, CoreEngine, CoreProgress, CoreStats, LastLevelCache,
-    MissToken, StallInfo, Trace,
-};
+use bh_cpu::{CompiledTrace, CoreEngine, CoreProgress, LastLevelCache, StallInfo, Trace};
 use bh_dram::{
     classify_flips, Cycle, DramChannel, RowAddr, RowHammerTracker, SuccessCriterion, ThreadId,
 };
@@ -35,9 +30,9 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 /// The CPU/DRAM clock-domain crossing: a fractional accumulator that hands
-/// out the CPU-cycle values to tick for each DRAM cycle. Both kernels drive
-/// the same accumulator arithmetic, so their clock-domain behaviour is
-/// identical by construction.
+/// out the CPU-cycle values to tick for each DRAM cycle. The kernel and its
+/// per-cycle reference drive the same accumulator arithmetic, so their
+/// clock-domain behaviour is identical by construction.
 #[derive(Debug, Clone)]
 struct CpuClock {
     /// CPU cycles per DRAM command-clock cycle.
@@ -95,151 +90,12 @@ impl CpuClock {
     }
 }
 
-/// The CPU front-end of a [`System`]: either the per-object reference model
-/// (one [`Core`] per thread, plus the kernel-side hard-stall bookkeeping it
-/// needs) or the data-oriented [`CoreEngine`], selected by
-/// [`FrontEndKind`]. Both expose the same epoch/progress/absorb surface to
-/// the simulation loop and produce bit-identical results
-/// (`tests/front_end_differential.rs`).
-#[derive(Debug)]
-enum FrontEnd {
-    /// Reference model, driven exactly as the pre-engine kernel drove its
-    /// `Vec<Core>`: hard-stalled cores (window full behind an incomplete
-    /// miss) are not ticked — their cycles accrue as debt and replay in bulk
-    /// when the miss completes.
-    Legacy { cores: Vec<Core>, stalled_on: Vec<Option<MissToken>>, stall_debt: Vec<u64> },
-    /// The SoA engine (owns its hard-stall bookkeeping internally; boxed so
-    /// the enum's two variants are size-balanced).
-    Engine(Box<CoreEngine>),
-}
-
-impl FrontEnd {
-    fn new(kind: FrontEndKind, config: CoreConfig, traces: &[CompiledTrace], target: u64) -> Self {
-        match kind {
-            FrontEndKind::Legacy => {
-                let cores: Vec<Core> = traces
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| Core::new(ThreadId(i), config, t.to_trace(), target))
-                    .collect();
-                let n = cores.len();
-                FrontEnd::Legacy { cores, stalled_on: vec![None; n], stall_debt: vec![0; n] }
-            }
-            FrontEndKind::Engine => {
-                FrontEnd::Engine(Box::new(CoreEngine::new(config, traces.to_vec(), target)))
-            }
-        }
-    }
-
-    fn finished(&self, core: usize) -> bool {
-        match self {
-            FrontEnd::Legacy { cores, .. } => cores[core].finished(),
-            FrontEnd::Engine(engine) => engine.finished(core),
-        }
-    }
-
-    fn retired_instructions(&self, core: usize) -> u64 {
-        match self {
-            FrontEnd::Legacy { cores, .. } => cores[core].retired_instructions(),
-            FrontEnd::Engine(engine) => engine.retired_instructions(core),
-        }
-    }
-
-    /// True while `core` is hard-stalled on an incomplete miss. The two arms
-    /// are pinned equal by the engine's differential proptest
-    /// (`legacy.stalled_on[i].is_some() == engine.is_hard_stalled(i)`), so
-    /// the watchdog state digest built from this flag is front-end-invariant.
-    fn is_hard_stalled(&self, core: usize) -> bool {
-        match self {
-            FrontEnd::Legacy { stalled_on, .. } => stalled_on[core].is_some(),
-            FrontEnd::Engine(engine) => engine.is_hard_stalled(core),
-        }
-    }
-
-    /// Steps every core through the CPU cycles of one epoch, in core-index
-    /// order within each cycle (see `CoreEngine::tick_epoch` for the batch
-    /// contract; the legacy arm is the shared `bh_cpu::tick_epoch_legacy`
-    /// driver that contract mirrors — the same driver the engine's
-    /// differential tests run against).
-    fn tick_epoch(&mut self, cycles: Range<Cycle>, llc: &mut LastLevelCache) {
-        match self {
-            FrontEnd::Legacy { cores, stalled_on, stall_debt } => {
-                bh_cpu::tick_epoch_legacy(cores, stalled_on, stall_debt, cycles, llc);
-            }
-            FrontEnd::Engine(engine) => engine.tick_epoch(cycles, llc),
-        }
-    }
-
-    /// Classifies every core for the horizon scan: returns `true` as soon as
-    /// any core is `Active` (leaving `buf` empty — the kernel steps the very
-    /// next cycle and never reads it), otherwise fills `buf` with each
-    /// core's classification. The engine arm first answers from one pass
-    /// over the window heads; the legacy arm is the per-core loop the
-    /// kernels historically ran.
-    fn progress_batch(
-        &self,
-        llc: &LastLevelCache,
-        next_cycle: Cycle,
-        buf: &mut Vec<CoreProgress>,
-    ) -> bool {
-        match self {
-            FrontEnd::Legacy { cores, .. } => {
-                buf.clear();
-                for core in cores {
-                    let p = core.progress(llc, next_cycle);
-                    if matches!(p, CoreProgress::Active) {
-                        buf.clear();
-                        return true;
-                    }
-                    buf.push(p);
-                }
-                false
-            }
-            FrontEnd::Engine(engine) => engine.progress_batch(llc, next_cycle, buf),
-        }
-    }
-
-    fn absorb_stall_ticks(&mut self, core: usize, ticks: u64, stall: &StallInfo) {
-        match self {
-            FrontEnd::Legacy { cores, .. } => cores[core].absorb_stall_ticks(ticks, stall),
-            FrontEnd::Engine(engine) => engine.absorb_stall_ticks(core, ticks, stall),
-        }
-    }
-
-    /// Folds outstanding hard-stall debt into the counters (end of run).
-    fn settle(&mut self) {
-        match self {
-            FrontEnd::Legacy { cores, stall_debt, .. } => {
-                bh_cpu::settle_legacy(cores, stall_debt);
-            }
-            FrontEnd::Engine(engine) => engine.settle(),
-        }
-    }
-
-    fn stats(&self, core: usize) -> CoreStats {
-        match self {
-            FrontEnd::Legacy { cores, .. } => cores[core].stats().clone(),
-            FrontEnd::Engine(engine) => engine.stats(core),
-        }
-    }
-
-    fn perf(&self, core: usize) -> CorePerformance {
-        let stats = self.stats(core);
-        CorePerformance {
-            thread: ThreadId(core),
-            instructions: stats.retired_instructions,
-            cycles: stats.cycles,
-            ipc: stats.ipc(),
-            finished: self.finished(core),
-        }
-    }
-}
-
 /// A fully-wired simulated system.
 #[derive(Debug)]
 pub struct System {
     config: SystemConfig,
-    front: FrontEnd,
+    /// Every core's trace replay; core `i` runs `ThreadId(i)`.
+    cores: CoreEngine,
     llc: LastLevelCache,
     /// The sharded memory system: one controller + mitigation instance per
     /// channel, one shared BreakHammer observer.
@@ -384,8 +240,7 @@ impl System {
             .collect();
         let memory = MemorySystem::new(config.memctrl.clone(), instances, breakhammer);
 
-        let front =
-            FrontEnd::new(config.front_end, config.core, traces, config.instructions_per_core);
+        let cores = CoreEngine::new(config.core, traces.to_vec(), config.instructions_per_core);
 
         // The auto-derived watchdog epoch must span BreakHammer's window (a
         // quota-starved thread legitimately waits out a rotation for its
@@ -396,7 +251,7 @@ impl System {
 
         System {
             config,
-            front,
+            cores,
             llc,
             memory,
             required,
@@ -442,20 +297,20 @@ impl System {
     }
 
     fn required_finished(&self) -> bool {
-        self.required.iter().all(|i| self.front.finished(*i))
+        self.required.iter().all(|i| self.cores.finished(*i))
     }
 
     /// Watchdog observation at the top of every kernel iteration. Returns
     /// `true` — after recording the verdict and, for livelocks, the
     /// diagnostic snapshot — when the run must stop now. A no-op (one integer
-    /// compare) away from epoch boundaries, so the per-cycle kernel can
-    /// afford to call it every cycle.
+    /// compare) away from epoch boundaries, so the per-cycle reference kernel
+    /// can afford to call it every cycle.
     ///
-    /// Every kernel reaches each boundary cycle as a step cycle (event
+    /// The kernel reaches each boundary cycle as a step cycle (event
     /// horizons are clamped to [`Watchdog::horizon_cap`]; undershooting a
-    /// horizon is behaviour-neutral by the kernels' equivalence contract),
-    /// and the sample reads step-invariant state only, so the verdict and
-    /// snapshot are bit-identical across kernels and front-ends.
+    /// horizon is behaviour-neutral), and the sample reads step-invariant
+    /// state only, so the verdict and snapshot are bit-identical to the
+    /// per-cycle reference kernel's.
     fn watchdog_fires(&mut self, dram_cycle: Cycle) -> bool {
         if !self.watchdog.due(dram_cycle) {
             return false;
@@ -483,11 +338,11 @@ impl System {
         let mut digest = StateDigest::new();
         let mut instructions_retired = 0u64;
         for core in 0..self.config.cores {
-            let retired = self.front.retired_instructions(core);
+            let retired = self.cores.retired_instructions(core);
             instructions_retired += retired;
             digest.write_u64(retired);
-            digest.write_bool(self.front.finished(core));
-            digest.write_bool(self.front.is_hard_stalled(core));
+            digest.write_bool(self.cores.finished(core));
+            digest.write_bool(self.cores.is_hard_stalled(core));
         }
         let mut reads_served = 0u64;
         let mut writes_served = 0u64;
@@ -529,9 +384,9 @@ impl System {
         let cores = (0..self.config.cores)
             .map(|core| CoreLaneState {
                 thread: ThreadId(core),
-                retired: self.front.retired_instructions(core),
-                finished: self.front.finished(core),
-                hard_stalled: self.front.is_hard_stalled(core),
+                retired: self.cores.retired_instructions(core),
+                finished: self.cores.finished(core),
+                hard_stalled: self.cores.is_hard_stalled(core),
             })
             .collect();
         let channels = self
@@ -568,35 +423,11 @@ impl System {
 
     /// Runs the simulation to completion and returns the measured results.
     ///
-    /// Dispatches to the kernel selected by
-    /// [`SystemConfig::scheduler`](crate::SystemConfig); both kernels produce
-    /// bit-identical results.
-    pub fn run(self) -> SimulationResult {
-        match self.config.scheduler {
-            SchedulerKind::PerCycle => self.run_per_cycle(),
-            SchedulerKind::EventDriven => self.run_event_driven(),
-        }
-    }
-
-    /// The reference kernel: executes [`System::step`] at every DRAM cycle.
-    fn run_per_cycle(mut self) -> SimulationResult {
-        let mut clock = CpuClock::new(self.config.cpu_cycles_per_dram_cycle());
-        let mut dram_cycle: Cycle = 0;
-        while !self.required_finished() && dram_cycle < self.config.max_dram_cycles {
-            if self.watchdog_fires(dram_cycle) {
-                break;
-            }
-            self.step(dram_cycle, &mut clock);
-            dram_cycle += 1;
-        }
-        self.finish(dram_cycle)
-    }
-
-    /// The event-driven kernel: executes [`System::step`] only at cycles
-    /// where some layer can make progress, and fast-forwards across the dead
-    /// cycles in between, replaying their counter increments in bulk so the
-    /// results stay bit-identical to [`System::run_per_cycle`].
-    fn run_event_driven(mut self) -> SimulationResult {
+    /// Steps the system only at cycles where some layer can make progress,
+    /// and fast-forwards across the dead cycles in between, replaying their
+    /// counter increments in bulk so the results stay bit-identical to the
+    /// test-only per-cycle reference kernel.
+    pub fn run(mut self) -> SimulationResult {
         let mut clock = CpuClock::new(self.config.cpu_cycles_per_dram_cycle());
         let max = self.config.max_dram_cycles;
         let mut dram_cycle: Cycle = 0;
@@ -610,14 +441,29 @@ impl System {
                 break;
             }
             let next = self.next_event(dram_cycle, &clock);
-            // Clamp to the next watchdog epoch boundary so this kernel steps
-            // there too (undershooting a horizon is only wasted work, never a
-            // behaviour change — the per-cycle kernel steps every cycle).
+            // Clamp to the next watchdog epoch boundary so the kernel steps
+            // there (undershooting a horizon is only wasted work, never a
+            // behaviour change — the reference kernel steps every cycle).
             let next = next.clamp(dram_cycle + 1, max).min(self.watchdog.horizon_cap());
             if next > dram_cycle + 1 {
                 self.skip_dead_cycles(next - dram_cycle - 1, &mut clock);
             }
             dram_cycle = next;
+        }
+        self.finish(dram_cycle)
+    }
+
+    /// The reference kernel: executes [`System::step`] at every DRAM cycle.
+    #[cfg(test)]
+    pub(crate) fn run_per_cycle(mut self) -> SimulationResult {
+        let mut clock = CpuClock::new(self.config.cpu_cycles_per_dram_cycle());
+        let mut dram_cycle: Cycle = 0;
+        while !self.required_finished() && dram_cycle < self.config.max_dram_cycles {
+            if self.watchdog_fires(dram_cycle) {
+                break;
+            }
+            self.step(dram_cycle, &mut clock);
+            dram_cycle += 1;
         }
         self.finish(dram_cycle)
     }
@@ -699,15 +545,15 @@ impl System {
     }
 
     fn step_inner_core(&mut self, clock: &mut CpuClock) {
-        // 4. Tick the cores in the CPU clock domain, one front-end epoch per
+        // 4. Tick the cores in the CPU clock domain, one engine epoch per
         // step: cores are stepped in core-index order within each CPU cycle,
         // so their LLC accesses drain as a deterministically ordered batch.
         // Hard-stalled cores (window full behind an incomplete miss) are not
-        // ticked: their cycles accumulate as debt (inside the front-end) and
-        // are replayed in bulk when their miss completes, which is the only
-        // event that can change their state — completions happen in the fill
-        // phase, strictly before this one.
-        self.front.tick_epoch(clock.tick_range(), &mut self.llc);
+        // ticked: their cycles accumulate as debt (inside the engine) and are
+        // replayed in bulk when their miss completes, which is the only event
+        // that can change their state — completions happen in the fill phase,
+        // strictly before this one.
+        self.cores.tick_epoch(clock.tick_range(), &mut self.llc);
     }
 
     fn step_inner_out(&mut self, dram_cycle: Cycle) {
@@ -781,7 +627,7 @@ impl System {
         }
 
         let next_cpu = clock.next_cpu_cycle();
-        if self.front.progress_batch(&self.llc, next_cpu, &mut self.progress_buf) {
+        if self.cores.progress_batch(&self.llc, next_cpu, &mut self.progress_buf) {
             return dram_cycle + 1;
         }
         for p in &self.progress_buf {
@@ -800,7 +646,7 @@ impl System {
 
     /// Fast-forwards across `dead_cycles` DRAM cycles in which, by
     /// construction of [`System::next_event`], every layer is quiescent:
-    /// replays exactly the counter increments the per-cycle kernel would
+    /// replays exactly the counter increments the per-cycle reference would
     /// have accrued (stalled-core cycle/stall counters, rejected LLC access
     /// probes, failed enqueue retries) without touching any other state. The
     /// core side replays the classifications `progress_buf` captured at the
@@ -810,7 +656,7 @@ impl System {
         if cpu_ticks > 0 {
             for (core, p) in self.progress_buf.iter().enumerate() {
                 if let CoreProgress::Stalled(stall) = p {
-                    self.front.absorb_stall_ticks(core, cpu_ticks, stall);
+                    self.cores.absorb_stall_ticks(core, cpu_ticks, stall);
                     if let Some(reason) = stall.reject {
                         self.llc.absorb_rejected_probes(cpu_ticks, reason);
                     }
@@ -833,9 +679,19 @@ impl System {
         });
         let livelock = self.livelock.take();
         // Settle any deferred hard-stall cycles before reading core stats.
-        self.front.settle();
-        let cores: Vec<CorePerformance> =
-            (0..self.config.cores).map(|i| self.front.perf(i)).collect();
+        self.cores.settle();
+        let cores: Vec<CorePerformance> = (0..self.config.cores)
+            .map(|core| {
+                let stats = self.cores.stats(core);
+                CorePerformance {
+                    thread: ThreadId(core),
+                    instructions: stats.retired_instructions,
+                    cycles: stats.cycles,
+                    ipc: stats.ipc(),
+                    finished: self.cores.finished(core),
+                }
+            })
+            .collect();
 
         let ever_suspect: Vec<bool> = (0..self.config.cores)
             .map(|t| {
@@ -947,19 +803,19 @@ impl System {
     }
 }
 
+/// The system's unit tests, and the trace recipe the crate's differential
+/// tests share with them.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use bh_mem::AddressMapping;
     use bh_mitigation::MechanismKind;
-    use bh_workloads::{AttackerProfile, BenignProfile, TraceGenerator};
+    use bh_workloads::{AttackerProfile, BenignProfile, ComposedAttacker, TraceGenerator};
 
-    fn generator(config: &SystemConfig) -> TraceGenerator {
-        TraceGenerator::new(config.geometry.clone(), AddressMapping::paper_default())
-    }
-
-    fn benign_traces(config: &SystemConfig, entries: usize) -> Vec<Trace> {
-        let gen = generator(config);
+    /// Four benign cores (core `i` seeded `seed + i`), generated for the
+    /// configuration's geometry and address mapping so multi-channel configs
+    /// spread them over every channel.
+    pub(crate) fn benign_traces(config: &SystemConfig, entries: usize, seed: u64) -> Vec<Trace> {
+        let gen = TraceGenerator::new(config.geometry.clone(), config.memctrl.mapping);
         // Streaming-dominated profiles: benign applications that rarely hammer
         // a row enough to trigger preventive actions at moderate N_RH, so the
         // attacker's contribution stands out (the paper's premise in §8.1).
@@ -975,27 +831,33 @@ mod tests {
                 // Shrink footprints to the tiny test geometry.
                 p.footprint_rows = p.footprint_rows.min(2_000);
                 p.hot_rows = p.hot_rows.min(16).max(if p.hot_row_fraction > 0.0 { 1 } else { 0 });
-                gen.benign(&p, entries, 100 + i as u64)
+                gen.benign(&p, entries, seed + i as u64)
             })
             .collect()
     }
 
-    fn attack_traces(config: &SystemConfig, entries: usize) -> Vec<Trace> {
-        let mut traces = benign_traces(config, entries);
-        traces[3] = AttackerProfile::paper_default().trace(
-            &config.geometry,
-            AddressMapping::paper_default(),
-            entries,
-            999,
-        );
+    /// The benign quartet with `attacker` (seeded `seed + 900`) on core 3.
+    pub(crate) fn attack_traces_composed(
+        config: &SystemConfig,
+        attacker: &ComposedAttacker,
+        entries: usize,
+        seed: u64,
+    ) -> Vec<Trace> {
+        let mut traces = benign_traces(config, entries, seed);
+        traces[3] = attacker.trace(&config.geometry, config.memctrl.mapping, entries, seed + 900);
         traces
+    }
+
+    /// The benign quartet with the paper-default attacker on core 3.
+    pub(crate) fn attack_traces(config: &SystemConfig, entries: usize, seed: u64) -> Vec<Trace> {
+        attack_traces_composed(config, &AttackerProfile::paper_default().compose(), entries, seed)
     }
 
     #[test]
     fn benign_system_without_mitigation_completes() {
         let mut config = SystemConfig::fast_test(MechanismKind::None, 1024, false);
         config.instructions_per_core = 20_000;
-        let traces = benign_traces(&config, 4_000);
+        let traces = benign_traces(&config, 4_000, 100);
         let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
         assert!(result.all_finished(&[0, 1, 2, 3]), "cores did not finish: {:?}", result.cores);
         for core in &result.cores {
@@ -1013,7 +875,7 @@ mod tests {
         let mut base = SystemConfig::fast_test(MechanismKind::Graphene, 128, false);
         base.instructions_per_core = 15_000;
 
-        let traces = attack_traces(&base, 4_000);
+        let traces = attack_traces(&base, 4_000, 100);
         let without = System::new(base.clone(), &traces, vec![0, 1, 2]).run();
         assert!(without.preventive_actions > 0, "the attacker must trigger Graphene");
         assert_eq!(without.bitflips, 0, "Graphene must prevent bitflips");
@@ -1049,7 +911,7 @@ mod tests {
     fn breakhammer_is_neutral_for_all_benign_workloads() {
         let mut base = SystemConfig::fast_test(MechanismKind::Graphene, 256, false);
         base.instructions_per_core = 15_000;
-        let traces = benign_traces(&base, 4_000);
+        let traces = benign_traces(&base, 4_000, 100);
         let without = System::new(base.clone(), &traces, vec![0, 1, 2, 3]).run();
         let mut with_cfg = base;
         with_cfg.breakhammer = true;
@@ -1067,8 +929,7 @@ mod tests {
         let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, false);
         config.instructions_per_core = 15_000;
         let attacker = AttackerProfile::paper_default().compose();
-        let mut traces = benign_traces(&config, 4_000);
-        traces[3] = attacker.trace(&config.geometry, AddressMapping::paper_default(), 4_000, 999);
+        let traces = attack_traces_composed(&config, &attacker, 4_000, 100);
         let victims = attacker.victim_rows(&config.geometry);
         assert!(!victims.is_empty());
         let result = System::new(config.clone(), &traces, vec![0, 1, 2])
@@ -1094,36 +955,44 @@ mod tests {
     fn rega_runs_with_inflated_timing_and_no_discrete_actions() {
         let mut config = SystemConfig::fast_test(MechanismKind::Rega, 64, true);
         config.instructions_per_core = 10_000;
-        let traces = benign_traces(&config, 3_000);
+        let traces = benign_traces(&config, 3_000, 100);
         let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
         assert!(result.all_finished(&[0, 1, 2, 3]));
         assert_eq!(result.preventive_actions, 0, "REGA performs no controller-visible actions");
     }
 
-    /// `ChannelStepping::Parallel` is an inert name: accepted, and the whole
-    /// result — counters included — is the serial one.
+    /// `ChannelStepping::Parallel`, `SchedulerKind::PerCycle` and
+    /// `FrontEndKind::Legacy` are inert names: accepted, and the whole
+    /// result — counters included — is the default configuration's.
     #[test]
     fn parallel_stepping_config_runs_exactly_as_serial() {
-        use crate::config::ChannelStepping;
-        let mut serial =
+        use crate::config::{ChannelStepping, FrontEndKind, SchedulerKind};
+        let mut default =
             SystemConfig::fast_test(MechanismKind::Graphene, 128, true).with_channels(2);
-        serial.instructions_per_core = 6_000;
-        let mut parallel = serial.clone();
-        parallel.stepping = ChannelStepping::Parallel;
-        assert_eq!(parallel.validate(), Ok(()));
-        let traces = attack_traces(&serial, 2_000);
-        let want = System::new(serial, &traces, vec![0, 1, 2]).run();
-        let got = System::new(parallel, &traces, vec![0, 1, 2]).run();
+        default.instructions_per_core = 6_000;
+        let traces = attack_traces(&default, 2_000, 100);
+        let want = System::new(default.clone(), &traces, vec![0, 1, 2]).run();
         assert!(want.preventive_actions > 0, "the run must exercise the BreakHammer hooks");
-        assert_eq!(got, want);
-        assert_eq!(got.stepping, SteppingStats::default());
+        assert_eq!(want.stepping, SteppingStats::default());
+        let inert: [fn(&mut SystemConfig); 3] = [
+            |c| c.stepping = ChannelStepping::Parallel,
+            |c| c.scheduler = SchedulerKind::PerCycle,
+            |c| c.front_end = FrontEndKind::Legacy,
+        ];
+        for set in inert {
+            let mut config = default.clone();
+            set(&mut config);
+            assert_ne!(config, default);
+            assert_eq!(config.validate(), Ok(()));
+            assert_eq!(System::new(config, &traces, vec![0, 1, 2]).run(), want);
+        }
     }
 
     #[test]
     #[should_panic(expected = "one trace per core")]
     fn trace_count_mismatch_is_rejected() {
         let config = SystemConfig::fast_test(MechanismKind::None, 1024, false);
-        let traces = benign_traces(&config, 100);
+        let traces = benign_traces(&config, 100, 100);
         let _ = System::new(config, &traces[0..2], vec![0]);
     }
 }

@@ -1,12 +1,12 @@
 //! Deterministic forward-progress watchdog.
 //!
-//! [`Watchdog`] is a pure state machine over *simulated* time: the kernels in
-//! [`crate::System::run`] feed it one [`ProgressSample`] per epoch boundary
+//! [`Watchdog`] is a pure state machine over *simulated* time: the kernel of
+//! [`crate::System::run`] (and its per-cycle reference) feed it one [`ProgressSample`] per epoch boundary
 //! (a fixed DRAM-cycle grid), and it answers with a [`Verdict`] when the run
 //! is provably stuck or over budget. No wall clock is involved anywhere —
 //! `clippy.toml` disallows `Instant::now`/`SystemTime::now` — so the verdict
 //! is a deterministic function of the simulated schedule and is bit-identical
-//! across kernels and front-ends.
+//! across the kernel and its reference.
 //!
 //! Two detectors run side by side:
 //!
@@ -163,7 +163,7 @@ impl Watchdog {
     }
 
     /// True when `cycle` is an epoch boundary the watchdog must observe —
-    /// one integer compare, cheap enough for the per-cycle kernel's loop.
+    /// one integer compare, cheap enough for the per-cycle reference loop.
     pub(crate) fn due(&self, cycle: Cycle) -> bool {
         cycle == self.next_boundary
     }

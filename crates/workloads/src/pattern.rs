@@ -97,7 +97,7 @@ pub trait AccessPattern: fmt::Debug + Send + Sync {
 
 /// The pre-framework hammering loops (double-sided, many-sided, multi-bank),
 /// kept bit-identical to the old `AttackerProfile` trace generator — the
-/// 40-config golden digests pin this.
+/// classic golden digests pin this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassicPattern {
     kind: AttackerKind,

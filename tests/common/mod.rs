@@ -1,11 +1,13 @@
 //! Shared workload recipe for the cross-checking integration suites.
 //!
-//! The scheduler-differential, digest-snapshot and multichannel suites all
-//! exercise *the same* canonical workload: four benign streaming-dominated
-//! cores shrunk onto the test geometry, with the paper-default attacker on
-//! core 3. Keeping the recipe in one place guarantees "the same workload"
-//! stays the same across the suites — a divergence here would otherwise be
-//! hunted in the simulator instead of the test setup.
+//! The digest-snapshot, multichannel and watchdog suites all exercise *the
+//! same* canonical workload: four benign streaming-dominated cores shrunk
+//! onto the test geometry, with the paper-default attacker on core 3.
+//! Keeping the recipe in one place guarantees "the same workload" stays the
+//! same across the suites — a divergence here would otherwise be hunted in
+//! the simulator instead of the test setup. `bh_sim`'s differential tests
+//! build the same traces from the test helpers in `crates/sim/src/system.rs`
+//! (test-only code of another crate cannot be shared with this directory).
 
 #![allow(dead_code)] // each test binary uses the subset it needs
 

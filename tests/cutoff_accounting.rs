@@ -3,17 +3,14 @@
 //! A core that is hard-stalled (instruction window full behind an incomplete
 //! miss) accrues its cycles as *debt* that is only replayed into the core
 //! when the miss completes — or, if the simulation is cut off mid-stall, by
-//! the final flush before the [`SimulationResult`] snapshot. If that flush
+//! the final flush before the `SimulationResult` snapshot. If that flush
 //! were missing, a core cut off mid-stall would under-report its cycles and
 //! per-core cycle totals would no longer sum to the simulated horizon.
-//! These tests force a cutoff in the middle of a hard stall and pin the
-//! invariant on both kernels.
+//! This test forces a cutoff in the middle of a hard stall and pins the
+//! invariant.
 
-use breakhammer_suite::cpu::Trace;
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{
-    SchedulerKind, SimulationResult, System, SystemConfig, TerminationReason,
-};
+use breakhammer_suite::sim::{System, SystemConfig, TerminationReason};
 use breakhammer_suite::workloads::AttackerProfile;
 
 /// CPU ticks the simulator's clock-domain crossing performs over
@@ -32,62 +29,41 @@ fn cpu_ticks(dram_cycles: u64, ratio: f64) -> u64 {
     ticks
 }
 
-/// Four copies of the tight uncached hammering loop: every core's window
-/// fills up behind outstanding misses almost immediately and stays full, so
-/// the `max_dram_cycles` cutoff is guaranteed to land mid-hard-stall.
-fn stall_heavy_config(kernel: SchedulerKind) -> (SystemConfig, Vec<Trace>) {
-    let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, false);
-    config.instructions_per_core = 500_000; // far more than the cutoff allows
-    config.max_dram_cycles = 25_000;
-    config.cache.mshrs = 4; // tiny MSHR pool: misses back up into hard stalls
-    config.scheduler = kernel;
-    let attacker = AttackerProfile::paper_default();
-    let traces = (0..4)
-        .map(|i| attacker.trace(&config.geometry, config.memctrl.mapping, 2_000, 900 + i as u64))
-        .collect();
-    (config, traces)
-}
-
-fn run(kernel: SchedulerKind) -> (SimulationResult, f64) {
-    let (config, traces) = stall_heavy_config(kernel);
-    let ratio = config.cpu_cycles_per_dram_cycle();
-    (System::new(config, &traces, vec![0, 1, 2, 3]).run(), ratio)
-}
-
 /// The invariant: at the cutoff, every unfinished core's cycle counter must
 /// equal the CPU ticks elapsed over the simulated horizon — stall debt
 /// included. An unflushed final-step debt would leave the hard-stalled cores
 /// short.
 #[test]
 fn cutoff_mid_stall_flushes_all_stall_debt_into_the_cores() {
-    for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-        let (result, ratio) = run(kernel);
-        assert_eq!(result.dram_cycles, 25_000, "{kernel:?}: the run must hit the cutoff");
-        // The default-on watchdog must see the reads trickling through and
-        // leave the cutoff classified as a cutoff, not a livelock.
-        assert_eq!(result.termination, TerminationReason::CycleCutoff, "{kernel:?}");
-        let expected = cpu_ticks(result.dram_cycles, ratio);
-        for core in &result.cores {
-            assert!(!core.finished, "{kernel:?}: the cutoff must land before completion");
-            assert_eq!(
-                core.cycles, expected,
-                "{kernel:?}: core {:?} cycles must cover the whole horizon (stall debt flushed)",
-                core.thread
-            );
-        }
-        // The scenario really did cut off inside memory stalls, not idling.
-        let stalled: u64 = result.cores.iter().map(|c| c.instructions).sum();
-        assert!(stalled < 4 * 500_000, "no core may complete its budget");
-        assert!(result.cache.mshr_full_rejections > 0, "{kernel:?}: misses must have backed up");
-    }
-}
+    // Four copies of the tight uncached hammering loop: every core's window
+    // fills up behind outstanding misses almost immediately and stays full,
+    // so the `max_dram_cycles` cutoff is guaranteed to land mid-hard-stall.
+    let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, false);
+    config.instructions_per_core = 500_000; // far more than the cutoff allows
+    config.max_dram_cycles = 25_000;
+    config.cache.mshrs = 4; // tiny MSHR pool: misses back up into hard stalls
+    let attacker = AttackerProfile::paper_default();
+    let traces: Vec<_> = (0..4)
+        .map(|i| attacker.trace(&config.geometry, config.memctrl.mapping, 2_000, 900 + i as u64))
+        .collect();
+    let ratio = config.cpu_cycles_per_dram_cycle();
+    let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
 
-/// Both kernels must agree on the cut-off state bit for bit (the event-driven
-/// kernel fast-forwards through the stalled tail, the per-cycle kernel grinds
-/// through it — the flushed totals must be identical).
-#[test]
-fn cutoff_mid_stall_is_identical_across_kernels() {
-    let (reference, _) = run(SchedulerKind::PerCycle);
-    let (event_driven, _) = run(SchedulerKind::EventDriven);
-    assert_eq!(reference, event_driven);
+    assert_eq!(result.dram_cycles, 25_000, "the run must hit the cutoff");
+    // The default-on watchdog must see the reads trickling through and leave
+    // the cutoff classified as a cutoff, not a livelock.
+    assert_eq!(result.termination, TerminationReason::CycleCutoff);
+    let expected = cpu_ticks(result.dram_cycles, ratio);
+    for core in &result.cores {
+        assert!(!core.finished, "the cutoff must land before completion");
+        assert_eq!(
+            core.cycles, expected,
+            "core {:?} cycles must cover the whole horizon (stall debt flushed)",
+            core.thread
+        );
+    }
+    // The scenario really did cut off inside memory stalls, not idling.
+    let stalled: u64 = result.cores.iter().map(|c| c.instructions).sum();
+    assert!(stalled < 4 * 500_000, "no core may complete its budget");
+    assert!(result.cache.mshr_full_rejections > 0, "misses must have backed up");
 }

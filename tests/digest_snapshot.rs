@@ -1,12 +1,15 @@
 //! Golden-digest harness for [`SimulationResult`]s.
 //!
-//! Runs the canonical 40-configuration matrix (10 mechanisms × ±BreakHammer ×
-//! both kernels, through the default data-oriented `CoreEngine` front-end)
+//! Runs the canonical 20-configuration matrix (10 mechanisms × ±BreakHammer)
 //! on the standard attack workload and folds every field that existed in the
-//! result as of the digest capture into a stable FNV-1a fingerprint. The digests are compared against `tests/digests.golden.txt`,
-//! which pins the simulator's observable behaviour across refactors: any
-//! change to scheduling, mitigation, throttling or accounting shows up as a
-//! digest mismatch even if both kernels still agree with each other.
+//! result as of the digest capture into a stable FNV-1a fingerprint. The
+//! digests are compared against `tests/digests.golden.txt`, which pins the
+//! simulator's observable behaviour across refactors: any change to
+//! scheduling, mitigation, throttling or accounting shows up as a digest
+//! mismatch. (Each row keeps its `event_driven` label from when the goldens
+//! also held a per-cycle-kernel row; that kernel is now a test-only reference
+//! whose equality with the default is pinned by `bh_sim`'s differential
+//! tests.)
 //!
 //! To regenerate the golden file after an *intentional* behaviour change:
 //!
@@ -18,7 +21,7 @@
 //! explanation of why the behaviour moved.
 
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{FrontEndKind, SchedulerKind, SimulationResult, System, SystemConfig};
+use breakhammer_suite::sim::{SimulationResult, System, SystemConfig};
 
 mod common;
 use common::{attack_traces, attack_traces_composed, probabilistic_secded_fault};
@@ -57,8 +60,7 @@ impl Digest {
 
 /// Folds the pre-multichannel field set of a [`SimulationResult`] into one
 /// digest. New fields added after the golden capture (per-channel breakdowns,
-/// per-channel BreakHammer counters) are deliberately not digested here; they
-/// are covered by the full-equality differential suite instead.
+/// per-channel BreakHammer counters) are deliberately not digested here.
 fn digest(result: &SimulationResult) -> u64 {
     let mut d = Digest::new();
     d.usize(result.cores.len());
@@ -137,101 +139,34 @@ fn digest(result: &SimulationResult) -> u64 {
     d.0
 }
 
-fn config_for(mechanism: MechanismKind, breakhammer: bool, kernel: SchedulerKind) -> SystemConfig {
+fn config_for(mechanism: MechanismKind, breakhammer: bool) -> SystemConfig {
     let mut config = SystemConfig::fast_test(mechanism, 128, breakhammer);
     config.instructions_per_core = 6_000;
-    config.scheduler = kernel;
     config
 }
 
-fn kernel_name(kernel: SchedulerKind) -> &'static str {
-    match kernel {
-        SchedulerKind::PerCycle => "per_cycle",
-        SchedulerKind::EventDriven => "event_driven",
-    }
+/// The golden row label of one configuration.
+fn label(prefix: &str, breakhammer: bool) -> String {
+    format!("{prefix} {} event_driven", if breakhammer { "bh" } else { "nobh" })
 }
 
 fn run_matrix() -> Vec<(String, u64)> {
-    let mut out = Vec::with_capacity(40);
+    let mut out = Vec::with_capacity(20);
     for mechanism in MechanismKind::ALL {
         for breakhammer in [false, true] {
-            for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-                let config = config_for(mechanism, breakhammer, kernel);
-                let traces = attack_traces(&config, 2_000, 100);
-                let result = System::new(config, &traces, vec![0, 1, 2]).run();
-                let label = format!(
-                    "{mechanism} {} {}",
-                    if breakhammer { "bh" } else { "nobh" },
-                    kernel_name(kernel)
-                );
-                out.push((label, digest(&result)));
-            }
+            let config = config_for(mechanism, breakhammer);
+            let traces = attack_traces(&config, 2_000, 100);
+            let result = System::new(config, &traces, vec![0, 1, 2]).run();
+            out.push((label(&mechanism.to_string(), breakhammer), digest(&result)));
         }
     }
     out
 }
 
-/// The channels axis of the digest harness: per config and channel count,
-/// both kernels must produce the same digest. (The golden file itself pins
-/// channels = 1 — multi-channel goldens would churn with every intentional
-/// routing change, while cross-kernel equality is the invariant that must
-/// never move.)
-#[test]
-fn multichannel_digests_agree_across_kernels() {
-    for channels in [1usize, 2, 4] {
-        for (mechanism, breakhammer) in
-            [(MechanismKind::Graphene, true), (MechanismKind::Hydra, false)]
-        {
-            let mut digests = Vec::new();
-            for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-                let mut config = config_for(mechanism, breakhammer, kernel);
-                config.geometry = config.geometry.with_channels(channels);
-                let traces = attack_traces(&config, 2_000, 100);
-                let result = System::new(config, &traces, vec![0, 1, 2]).run();
-                digests.push(digest(&result));
-            }
-            assert_eq!(
-                digests[0], digests[1],
-                "kernel digests diverged for {mechanism} bh={breakhammer} x{channels}ch"
-            );
-        }
-    }
-}
-
-/// The front-end axis of the digest harness: per config and scheduler
-/// kernel, the data-oriented `CoreEngine` and the per-object legacy cores
-/// must produce the same digest. (The golden file itself is produced with
-/// the default front-end — the engine — so the golden test *is* the "goldens
-/// run through `CoreEngine` unchanged" check; this test pins the legacy
-/// reference model to the same behaviour.)
-#[test]
-fn front_end_digests_agree() {
-    for (mechanism, breakhammer) in
-        [(MechanismKind::Graphene, true), (MechanismKind::BlockHammer, false)]
-    {
-        for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-            let mut digests = Vec::new();
-            for front_end in [FrontEndKind::Legacy, FrontEndKind::Engine] {
-                let mut config = config_for(mechanism, breakhammer, kernel);
-                config.front_end = front_end;
-                let traces = attack_traces(&config, 2_000, 100);
-                let result = System::new(config, &traces, vec![0, 1, 2]).run();
-                digests.push(digest(&result));
-            }
-            assert_eq!(
-                digests[0],
-                digests[1],
-                "front-end digests diverged for {mechanism} bh={breakhammer} {}",
-                kernel_name(kernel)
-            );
-        }
-    }
-}
-
 /// Extends [`digest`] with the per-victim disturbance reports — the field the
 /// composable-attacker scenarios add to [`SimulationResult`]. Used only by
 /// the scenario goldens, which were captured *with* victim tracking; the
-/// classic 40-config goldens predate the field and keep the original fold.
+/// classic goldens predate the field and keep the original fold.
 fn digest_with_victims(result: &SimulationResult) -> u64 {
     let mut d = Digest::new();
     d.u64(digest(result));
@@ -248,36 +183,20 @@ fn digest_with_victims(result: &SimulationResult) -> u64 {
     d.0
 }
 
-/// Runs every catalog scenario (pattern × placement) under Graphene ±BH on
-/// both scheduler kernels, asserting cross-kernel digest equality and
-/// returning the per-kernel digest rows for the scenario golden file.
+/// Runs every catalog scenario (pattern × placement) under Graphene ±BH and
+/// returns the digest rows for the scenario golden file.
 fn run_scenario_matrix() -> Vec<(String, u64)> {
     use breakhammer_suite::workloads::scenario_catalog;
     let mut out = Vec::new();
     for scenario in scenario_catalog() {
         for breakhammer in [false, true] {
-            let mut digests = Vec::new();
-            for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-                let config = config_for(MechanismKind::Graphene, breakhammer, kernel);
-                let traces = attack_traces_composed(&config, &scenario.attacker, 2_000, 100);
-                let victims = scenario.attacker.victim_rows(&config.geometry);
-                let result = System::new(config, &traces, vec![0, 1, 2])
-                    .watch_victims(victims.iter().map(|v| (v.channel, v.row)))
-                    .run();
-                let label = format!(
-                    "{} {} {}",
-                    scenario.name,
-                    if breakhammer { "bh" } else { "nobh" },
-                    kernel_name(kernel)
-                );
-                digests.push((label, digest_with_victims(&result)));
-            }
-            assert_eq!(
-                digests[0].1, digests[1].1,
-                "kernel digests diverged for scenario {} bh={breakhammer}",
-                scenario.name
-            );
-            out.extend(digests);
+            let config = config_for(MechanismKind::Graphene, breakhammer);
+            let traces = attack_traces_composed(&config, &scenario.attacker, 2_000, 100);
+            let victims = scenario.attacker.victim_rows(&config.geometry);
+            let result = System::new(config, &traces, vec![0, 1, 2])
+                .watch_victims(victims.iter().map(|v| (v.channel, v.row)))
+                .run();
+            out.push((label(scenario.name, breakhammer), digest_with_victims(&result)));
         }
     }
     out
@@ -304,12 +223,10 @@ fn digest_with_outcome(result: &SimulationResult) -> u64 {
     d.0
 }
 
-/// Runs a mechanism subset ±BreakHammer on both kernels under the
-/// probabilistic fault model with SEC-DED ECC, asserting cross-kernel digest
-/// equality and returning the rows for the fault golden file. The fold
+/// Runs a mechanism subset ±BreakHammer under the probabilistic fault model
+/// with SEC-DED ECC and returns the rows for the fault golden file. The fold
 /// includes the raw/corrected/detected/silent flip counters, so this matrix
-/// pins the *probabilistic* behaviour bit-exactly — across kernels and
-/// sessions.
+/// pins the *probabilistic* behaviour bit-exactly across sessions.
 fn run_fault_matrix() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for mechanism in [MechanismKind::None, MechanismKind::Para, MechanismKind::Graphene] {
@@ -317,32 +234,21 @@ fn run_fault_matrix() -> Vec<(String, u64)> {
             if mechanism == MechanismKind::None && breakhammer {
                 continue;
             }
-            let mut digests = Vec::new();
-            for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-                let mut config = SystemConfig::fast_test(mechanism, 64, breakhammer);
-                config.instructions_per_core = 6_000;
-                config.scheduler = kernel;
-                config.fault = probabilistic_secded_fault();
-                let traces = attack_traces(&config, 2_000, 100);
-                let result = System::new(config, &traces, vec![0, 1, 2]).run();
-                if mechanism == MechanismKind::None {
-                    assert!(
-                        result.outcome.flips_raw > 0,
-                        "undefended fault-matrix run produced no flips — coverage lost"
-                    );
-                }
-                let label = format!(
-                    "fault {mechanism} {} {}",
-                    if breakhammer { "bh" } else { "nobh" },
-                    kernel_name(kernel)
+            let mut config = SystemConfig::fast_test(mechanism, 64, breakhammer);
+            config.instructions_per_core = 6_000;
+            config.fault = probabilistic_secded_fault();
+            let traces = attack_traces(&config, 2_000, 100);
+            let result = System::new(config, &traces, vec![0, 1, 2]).run();
+            if mechanism == MechanismKind::None {
+                assert!(
+                    result.outcome.flips_raw > 0,
+                    "undefended fault-matrix run produced no flips — coverage lost"
                 );
-                digests.push((label, digest_with_outcome(&result)));
             }
-            assert_eq!(
-                digests[0].1, digests[1].1,
-                "kernel digests diverged for fault matrix {mechanism} bh={breakhammer}"
-            );
-            out.extend(digests);
+            out.push((
+                label(&format!("fault {mechanism}"), breakhammer),
+                digest_with_outcome(&result),
+            ));
         }
     }
     out
@@ -400,22 +306,21 @@ fn check_golden(path: &std::path::Path, digests: &[(String, u64)]) {
 }
 
 /// Every (pattern × placement) catalog scenario ±BreakHammer must match the
-/// committed scenario golden file on both kernels — and the kernels must
-/// agree with each other (asserted inside [`run_scenario_matrix`]).
+/// committed scenario golden file.
 #[test]
 fn scenario_digests_match_golden_file() {
     check_golden(&scenario_golden_path(), &run_scenario_matrix());
 }
 
-/// The 40-config digest matrix must match the committed golden file exactly.
+/// The 20-config digest matrix must match the committed golden file exactly.
 #[test]
 fn simulation_digests_match_golden_file() {
     check_golden(&golden_path(), &run_matrix());
 }
 
-/// The probabilistic fault-model matrix must match its committed golden file
-/// on both kernels — pinning the flip draws and the SEC-DED classification
-/// bit-exactly across sessions.
+/// The probabilistic fault-model matrix must match its committed golden file,
+/// pinning the flip draws and the SEC-DED classification bit-exactly across
+/// sessions.
 #[test]
 fn fault_digests_match_golden_file() {
     check_golden(&fault_golden_path(), &run_fault_matrix());

@@ -1,20 +1,18 @@
 //! The forward-progress watchdog, end to end: an injected no-progress run is
 //! classified [`TerminationReason::Livelock`] — not a hang, not a panic, not
-//! an `ok`-looking cutoff — with a [`LivelockReport`] snapshot, and the
-//! verdict is bit-identical across both scheduler kernels and both CPU
-//! front-ends. Healthy runs keep their historical outcomes (`Completed` /
-//! `CycleCutoff`) untouched, and the deterministic budgets cut runs with
-//! `BudgetExceeded` at exact epoch boundaries.
+//! an `ok`-looking cutoff — with a [`LivelockReport`] snapshot. Healthy runs
+//! keep their historical outcomes (`Completed` / `CycleCutoff`) untouched,
+//! and the deterministic budgets cut runs with `BudgetExceeded` at exact
+//! epoch boundaries. (That the verdicts are bit-identical to the per-cycle
+//! reference kernel's is pinned by `bh_sim`'s differential tests.)
 //!
 //! The injected livelock is `ChaosConfig::drop_fills_after`: from a given
 //! DRAM cycle, completed memory responses stop filling the LLC, so every
-//! core hard-stalls behind a miss that never returns — deterministic and
-//! kernel-invariant by construction.
+//! core hard-stalls behind a miss that never returns — deterministic by
+//! construction.
 
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{
-    FrontEndKind, SchedulerKind, System, SystemConfig, TerminationReason,
-};
+use breakhammer_suite::sim::{System, SystemConfig, TerminationReason};
 
 mod common;
 use common::{attack_traces, benign_traces};
@@ -31,37 +29,15 @@ fn livelock_config() -> SystemConfig {
 }
 
 #[test]
-fn injected_no_progress_run_is_classified_livelock_across_the_whole_matrix() {
-    let base = livelock_config();
-    let traces = benign_traces(&base, 2_000, 7);
-    let mut results = Vec::new();
-    for scheduler in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-        for front_end in [FrontEndKind::Legacy, FrontEndKind::Engine] {
-            let mut config = base.clone();
-            config.scheduler = scheduler;
-            config.front_end = front_end;
-            let label = format!("{scheduler:?}/{front_end:?}");
-            let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
-            assert_eq!(
-                result.termination,
-                TerminationReason::Livelock,
-                "{label}: {:?}",
-                result.termination
-            );
-            results.push((label, result));
-        }
-    }
-
-    // The verdict, the report and the whole result are bit-identical across
-    // the kernel × front-end matrix.
-    let (reference_label, reference) = &results[0];
-    for (label, result) in &results[1..] {
-        assert_eq!(result, reference, "{label} diverged from {reference_label}");
-    }
+fn injected_no_progress_run_is_classified_livelock() {
+    let config = livelock_config();
+    let traces = benign_traces(&config, 2_000, 7);
+    let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
+    assert_eq!(result.termination, TerminationReason::Livelock);
 
     // The report is a faithful snapshot of the stuck machine.
-    let report = reference.livelock.as_ref().expect("livelock verdicts carry a report");
-    assert_eq!(report.detected_at, reference.dram_cycles, "run stops at the verdict boundary");
+    let report = result.livelock.as_ref().expect("livelock verdicts carry a report");
+    assert_eq!(report.detected_at, result.dram_cycles, "run stops at the verdict boundary");
     assert_eq!(report.detected_at % 5_000, 0, "verdicts land on epoch boundaries");
     assert_eq!(report.zero_progress_epochs, 4);
     assert!(!report.fixpoint, "the zero-progress detector fires first on a frozen machine");
@@ -71,7 +47,7 @@ fn injected_no_progress_run_is_classified_livelock_across_the_whole_matrix() {
         "every core is hard-stalled behind a dropped fill: {report:?}"
     );
     assert!(report.instructions_retired > 0, "the run made progress before the injection");
-    assert!(reference.cores.iter().all(|c| !c.finished));
+    assert!(result.cores.iter().all(|c| !c.finished));
     let rendered = report.to_string();
     assert!(rendered.contains("livelock at cycle"), "{rendered}");
     assert!(rendered.contains("hard-stalled"), "{rendered}");
@@ -126,16 +102,11 @@ fn epoch_budget_cuts_the_run_at_an_exact_boundary() {
     config.watchdog.epoch_cycles = 1_000;
     config.watchdog.max_epochs = 2;
     let traces = benign_traces(&config, 2_000, 7);
-    for scheduler in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-        let mut config = config.clone();
-        config.scheduler = scheduler;
-        let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
-        assert_eq!(result.termination, TerminationReason::BudgetExceeded, "{scheduler:?}");
-        assert!(result.livelock.is_none(), "budget verdicts carry no livelock report");
-        // Epochs 1 and 2 pass; the third boundary (cycle 3000) is over
-        // budget — on both kernels.
-        assert_eq!(result.dram_cycles, 3_000, "{scheduler:?}");
-    }
+    let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
+    assert_eq!(result.termination, TerminationReason::BudgetExceeded);
+    assert!(result.livelock.is_none(), "budget verdicts carry no livelock report");
+    // Epochs 1 and 2 pass; the third boundary (cycle 3000) is over budget.
+    assert_eq!(result.dram_cycles, 3_000);
 }
 
 #[test]

@@ -1,67 +1,15 @@
-//! Multi-channel memory-system tests: the event-driven and per-cycle kernels
-//! must stay bit-identical at every channel count, request routing must
-//! follow the channel-interleave policy, and BreakHammer's cross-channel
-//! scoring must identify an attacker no matter how it places its traffic
-//! over the channels.
+//! Multi-channel memory-system tests: the per-channel breakdown must sum to
+//! the aggregate, and BreakHammer's cross-channel scoring must identify an
+//! attacker no matter how it places its traffic over the channels. (That the
+//! event-driven kernel stays bit-identical to its per-cycle reference at
+//! every channel count is pinned by `bh_sim`'s differential tests.)
 
-use breakhammer_suite::cpu::Trace;
-use breakhammer_suite::mem::{AddressMapping, ChannelInterleave};
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{
-    SchedulerKind, SimulationResult, System, SystemConfig, TerminationReason,
-};
+use breakhammer_suite::sim::{System, SystemConfig};
 use breakhammer_suite::workloads::AttackerProfile;
 
 mod common;
-use common::{attack_traces_with as attack_traces, benign_traces};
-
-fn run_both(
-    mut config: SystemConfig,
-    traces: &[Trace],
-    required: Vec<usize>,
-) -> (SimulationResult, SimulationResult) {
-    config.scheduler = SchedulerKind::PerCycle;
-    let reference = System::new(config.clone(), traces, required.clone()).run();
-    config.scheduler = SchedulerKind::EventDriven;
-    let event_driven = System::new(config, traces, required).run();
-    (reference, event_driven)
-}
-
-/// The core acceptance matrix: channels ∈ {1, 2, 4}, several mechanisms,
-/// with and without BreakHammer — both kernels bit-identical per config.
-#[test]
-fn kernels_are_identical_across_channel_counts() {
-    for channels in [1usize, 2, 4] {
-        for (mechanism, breakhammer) in [
-            (MechanismKind::Graphene, true),
-            (MechanismKind::Para, false),
-            (MechanismKind::BlockHammer, true),
-        ] {
-            let mut config =
-                SystemConfig::fast_test(mechanism, 128, breakhammer).with_channels(channels);
-            config.instructions_per_core = 6_000;
-            let traces = attack_traces(&config, AttackerProfile::paper_default(), 2_000, 100);
-            let label = format!("{} x{channels}ch", config.summary());
-            let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
-            assert_eq!(reference, event_driven, "kernels diverged for {label}");
-            assert_eq!(reference.per_channel.len(), channels, "{label}");
-        }
-    }
-}
-
-/// The interleave policy (cache-line, the only one) must also route
-/// identically across kernels at a channel count that is not a power of two
-/// (3, which the matrix above does not cover).
-#[test]
-fn kernels_are_identical_across_interleave_policies() {
-    let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, true).with_channels(3);
-    assert_eq!(config.memctrl.mapping, AddressMapping::paper_default());
-    assert_eq!(config.memctrl.mapping.interleave, ChannelInterleave::CacheLine);
-    config.instructions_per_core = 5_000;
-    let traces = attack_traces(&config, AttackerProfile::paper_default(), 2_000, 7);
-    let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
-    assert_eq!(reference, event_driven, "kernels diverged at x3ch");
-}
+use common::attack_traces_with as attack_traces;
 
 /// The aggregate statistics must equal the sum of the per-channel
 /// breakdowns, and with more than one channel the traffic must actually be
@@ -165,25 +113,4 @@ fn breakhammer_still_reduces_actions_on_two_channels() {
         without.preventive_actions
     );
     assert_eq!(with.bitflips, 0);
-}
-
-/// The forward-progress watchdog's verdict is part of the kernel contract:
-/// a starvation livelock (chaos fault dropping every LLC fill) must yield
-/// the same `Livelock` verdict and report at every channel count, on both
-/// kernels.
-#[test]
-fn watchdog_livelock_verdict_is_identical_across_channel_counts() {
-    for channels in [1usize, 2, 4] {
-        let mut config =
-            SystemConfig::fast_test(MechanismKind::Graphene, 128, false).with_channels(channels);
-        config.instructions_per_core = 50_000;
-        config.chaos.drop_fills_after = Some(1_000);
-        config.watchdog.epoch_cycles = 5_000;
-        config.watchdog.stall_epochs = 4;
-        let traces = benign_traces(&config, 2_000, 7);
-        let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2, 3]);
-        assert_eq!(reference.termination, TerminationReason::Livelock, "x{channels}ch");
-        assert!(reference.livelock.is_some(), "x{channels}ch verdict carries a report");
-        assert_eq!(reference, event_driven, "watchdog verdict diverged at x{channels}ch");
-    }
 }

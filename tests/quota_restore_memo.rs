@@ -7,12 +7,13 @@
 //! that nothing relevant changed. When a window edge restores the thread's
 //! quota, the propagation into the LLC bumps the thread's event stamp — and
 //! the stalled core must re-dispatch on that same cycle, not one event
-//! later. The scheduler-differential quota-starved-tail matrix caught this
+//! later. The kernel differential's quota-starved-tail matrix caught this
 //! class of bug once already; these tests pin the memo-invalidation contract
 //! directly.
 
 use breakhammer_suite::cpu::{
-    CacheConfig, Core, CoreConfig, CoreProgress, LastLevelCache, RejectReason, Trace, TraceEntry,
+    CacheConfig, CoreConfig, CoreEngine, CoreProgress, LastLevelCache, RejectReason, Trace,
+    TraceEntry,
 };
 use breakhammer_suite::dram::{PhysAddr, ThreadId};
 
@@ -22,10 +23,11 @@ fn load_trace() -> Trace {
     Trace::new((0..64).map(|i| TraceEntry::load(0, PhysAddr(i * 0x10000))).collect())
 }
 
-fn quota_starved() -> (Core, LastLevelCache) {
+/// One core (thread 0) whose LLC quota is zero.
+fn quota_starved() -> (CoreEngine, LastLevelCache) {
     let mut llc = LastLevelCache::new(CacheConfig::tiny_test(), 2);
     llc.set_quota(ThreadId(0), 0);
-    let core = Core::new(ThreadId(0), CoreConfig::paper_table1(), load_trace(), 1_000);
+    let core = CoreEngine::new(CoreConfig::paper_table1(), vec![load_trace().compile()], 1_000);
     (core, llc)
 }
 
@@ -64,17 +66,17 @@ fn quota_change_invalidates_the_rejection_memo_stamp() {
 fn quota_stalled_core_redispatches_the_cycle_the_quota_returns() {
     let (mut core, mut llc) = quota_starved();
     // Spin long enough that the rejection is memoized and replayed.
-    for cycle in 0..10u64 {
-        core.tick(cycle, &mut llc);
-    }
-    assert_eq!(core.stats().loads, 0, "no load can dispatch with a zero quota");
+    core.tick_epoch(0..10, &mut llc);
+    assert_eq!(core.stats(0).loads, 0, "no load can dispatch with a zero quota");
     assert!(llc.stats().quota_rejections >= 10, "every spin cycle must count a rejection");
-    match core.progress(&llc, 10) {
-        CoreProgress::Stalled(stall) => {
+    let mut progress = Vec::new();
+    assert!(!core.progress_batch(&llc, 10, &mut progress), "a zero quota must stall the core");
+    match progress[..] {
+        [CoreProgress::Stalled(stall)] => {
             assert_eq!(stall.reject, Some(RejectReason::QuotaExceeded));
             assert_eq!(stall.wake_at, None, "only an external event can wake the core");
         }
-        other => panic!("expected a quota stall, got {other:?}"),
+        ref other => panic!("expected a quota stall, got {other:?}"),
     }
 
     // The window-edge restore: the system propagates the new quota into the
@@ -82,15 +84,14 @@ fn quota_stalled_core_redispatches_the_cycle_the_quota_returns() {
     // reported Stalled, the event-driven kernel would skip the core past the
     // restore cycle and it would wake a whole event (up to a window) late.
     llc.set_quota(ThreadId(0), 4);
-    assert_eq!(
-        core.progress(&llc, 10),
-        CoreProgress::Active,
+    assert!(
+        core.progress_batch(&llc, 10, &mut progress),
         "the stalled core must be re-dispatchable on the restore cycle itself"
     );
-    let loads_before = core.stats().loads;
-    core.tick(10, &mut llc);
+    let loads_before = core.stats(0).loads;
+    core.tick_epoch(10..11, &mut llc);
     assert!(
-        core.stats().loads > loads_before,
+        core.stats(0).loads > loads_before,
         "the first tick after the restore must dispatch the memoized access"
     );
 }
