@@ -172,6 +172,18 @@ pub struct Campaign {
     alone_cache: BTreeMap<String, f64>,
 }
 
+/// The mix builder of a campaign at `scale`.
+fn mix_builder(scale: &Scale) -> MixBuilder {
+    let generator = TraceGenerator::new(
+        bh_dram::DramGeometry::paper_ddr5().with_channels(scale.channels),
+        bh_mem::AddressMapping::paper_default(),
+    );
+    let mut builder = MixBuilder::new(generator);
+    builder.benign_entries = scale.benign_entries;
+    builder.attacker_entries = scale.attacker_entries;
+    builder
+}
+
 impl Campaign {
     /// Generates the attack, benign and scenario mix suites for `scale`.
     ///
@@ -179,17 +191,14 @@ impl Campaign {
     /// Panics (listing the catalog) if `scale.scenarios` names an unknown
     /// attack scenario.
     pub fn new(scale: Scale) -> Self {
-        let generator = TraceGenerator::new(
-            bh_dram::DramGeometry::paper_ddr5().with_channels(scale.channels),
-            bh_mem::AddressMapping::paper_default(),
-        );
-        let mut builder = MixBuilder::new(generator);
-        builder.benign_entries = scale.benign_entries;
-        builder.attacker_entries = scale.attacker_entries;
-        let attack_mixes =
-            builder.build_suite(&MixClass::attack_classes(), scale.mixes_per_class, scale.seed);
-        let benign_mixes =
-            builder.build_suite(&MixClass::benign_classes(), scale.mixes_per_class, scale.seed);
+        let builder = mix_builder(&scale);
+        // One suite over both class lists, so attack and benign mixes share
+        // the traces they have in common.
+        let attack_classes = MixClass::attack_classes();
+        let classes: Vec<MixClass> =
+            attack_classes.iter().copied().chain(MixClass::benign_classes()).collect();
+        let mut attack_mixes = builder.build_suite(&classes, scale.mixes_per_class, scale.seed);
+        let benign_mixes = attack_mixes.split_off(attack_classes.len() * scale.mixes_per_class);
         // Scenario sweeps hold the benign company fixed (the HHHA class) so
         // differences between scenarios isolate the attacker's shape.
         let scenario_class = MixClass::attack_classes()[0];
@@ -531,6 +540,31 @@ mod tests {
         assert!(campaign.attack_mixes.iter().all(|m| m.attacker_thread.is_some()));
         assert!(campaign.benign_mixes.iter().all(|m| m.attacker_thread.is_none()));
         assert!(campaign.scenario_mixes.is_empty(), "no scenarios requested");
+    }
+
+    #[test]
+    fn campaign_suites_equal_separate_attack_and_benign_suites() {
+        let mut scale = Scale::quick();
+        scale.mixes_per_class = 2;
+        scale.benign_entries = 500;
+        scale.attacker_entries = 500;
+        let campaign = Campaign::new(scale.clone());
+        let builder = mix_builder(&scale);
+        for (mixes, classes) in [
+            (&campaign.attack_mixes, MixClass::attack_classes()),
+            (&campaign.benign_mixes, MixClass::benign_classes()),
+        ] {
+            let separate = builder.build_suite(&classes, scale.mixes_per_class, scale.seed);
+            assert_eq!(mixes.len(), separate.len());
+            for (joint, alone) in mixes.iter().zip(&separate) {
+                assert_eq!(joint.name, alone.name);
+                assert_eq!(joint.app_names, alone.app_names, "{}", alone.name);
+                assert_eq!(joint.traces, alone.traces, "{}", alone.name);
+                assert_eq!(joint.attacker_thread, alone.attacker_thread, "{}", alone.name);
+                assert_eq!(joint.victim_rows, alone.victim_rows, "{}", alone.name);
+                assert_eq!(joint.success_criterion, alone.success_criterion, "{}", alone.name);
+            }
+        }
     }
 
     #[test]

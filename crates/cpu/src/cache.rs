@@ -154,14 +154,8 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_use: u64,
-    owner: ThreadId,
-}
+/// The dirty bit of a line's `meta` word (the owner sits above it).
+const DIRTY: u32 = 1;
 
 #[derive(Debug, Clone)]
 struct Mshr {
@@ -178,10 +172,17 @@ struct Mshr {
 #[derive(Debug, Clone)]
 pub struct LastLevelCache {
     config: CacheConfig,
-    /// All cache lines in one flat array, set-major (`set * ways + way`):
-    /// a set's ways are contiguous, so the per-access tag walk touches one
-    /// or two cache lines instead of chasing a per-set heap pointer.
-    lines: Vec<Line>,
+    /// The cache lines, one field per array, each set-major
+    /// (`set * ways + way`). The tag walk every access makes reads `tags`
+    /// alone, where an 8-way set is 64 bytes; the other fields are touched
+    /// on a hit and on a fill.
+    ///
+    /// `tag + 1` of each line; 0 marks an invalid way.
+    tags: Vec<u64>,
+    /// Use-counter stamp of each line's latest access (the LRU order).
+    last_use: Vec<u64>,
+    /// `owner << 1 | DIRTY` of each line.
+    meta: Vec<u32>,
     /// MSHR slots, one per miss buffer. A slot with `token == 0` is free.
     /// Tokens encode their slot in the low [`TOKEN_SLOT_BITS`] bits, so
     /// completion checks are a single slot comparison.
@@ -236,15 +237,13 @@ impl LastLevelCache {
     /// with a quota equal to the full MSHR count.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid or `num_threads` is zero.
+    /// Panics if the configuration is invalid, `num_threads` is zero, or a
+    /// thread index does not fit the 31 owner bits of a line.
     pub fn new(config: CacheConfig, num_threads: usize) -> Self {
         config.validate().expect("invalid cache configuration");
         assert!(num_threads > 0, "need at least one hardware thread");
-        let lines =
-            vec![
-                Line { tag: 0, valid: false, dirty: false, last_use: 0, owner: ThreadId(0) };
-                config.sets() * config.ways
-            ];
+        assert!(num_threads - 1 <= (u32::MAX >> 1) as usize, "line owners are stored in 31 bits");
+        let lines = config.sets() * config.ways;
         let mshrs = config.mshrs;
         let line_shift = config.line_bytes.trailing_zeros();
         let set_mask = config.sets() as u64 - 1;
@@ -255,7 +254,9 @@ impl LastLevelCache {
         }
         LastLevelCache {
             config,
-            lines,
+            tags: vec![0; lines],
+            last_use: vec![0; lines],
+            meta: vec![0; lines],
             slots: vec![
                 Mshr { token: 0, line_addr: 0, thread: ThreadId(0), install: false };
                 mshrs
@@ -380,6 +381,14 @@ impl LastLevelCache {
         line_addr >> self.set_bits
     }
 
+    /// The flat index of the way of `line_addr`'s set holding it, if any.
+    fn find_line(&self, line_addr: u64) -> Option<usize> {
+        let base = self.set_index(line_addr) * self.config.ways;
+        let stored = self.tag(line_addr) + 1;
+        let way = self.tags[base..base + self.config.ways].iter().position(|&t| t == stored)?;
+        Some(base + way)
+    }
+
     /// Performs a demand access on behalf of `thread`.
     pub(crate) fn access(
         &mut self,
@@ -390,17 +399,10 @@ impl LastLevelCache {
     ) -> AccessOutcome {
         self.use_counter += 1;
         let line_addr = self.line_addr(addr);
-        let set_idx = self.set_index(line_addr);
-        let tag = self.tag(line_addr);
-        let use_counter = self.use_counter;
-
-        // Hit path: the set's ways are contiguous in the flat line array.
-        let ways = self.config.ways;
-        let set = &mut self.lines[set_idx * ways..set_idx * ways + ways];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = use_counter;
+        if let Some(line) = self.find_line(line_addr) {
+            self.last_use[line] = self.use_counter;
             if is_write {
-                line.dirty = true;
+                self.meta[line] |= DIRTY;
             }
             self.stats.hits += 1;
             return AccessOutcome::Hit { ready_at: cycle + self.config.hit_latency };
@@ -441,14 +443,8 @@ impl LastLevelCache {
         uncached: bool,
     ) -> Option<RejectReason> {
         let line_addr = self.line_addr(addr);
-        if !uncached {
-            let set_idx = self.set_index(line_addr);
-            let tag = self.tag(line_addr);
-            let ways = self.config.ways;
-            let set = &self.lines[set_idx * ways..set_idx * ways + ways];
-            if set.iter().any(|l| l.valid && l.tag == tag) {
-                return None;
-            }
+        if !uncached && self.find_line(line_addr).is_some() {
+            return None;
         }
         if self.line_to_slot.contains_key(line_addr) {
             return None;
@@ -554,35 +550,245 @@ impl LastLevelCache {
         }
 
         let set_idx = self.set_index(mshr.line_addr);
-        let tag = self.tag(mshr.line_addr);
         self.use_counter += 1;
-        let use_counter = self.use_counter;
-        let sets = self.config.sets() as u64;
-        let line_bytes = self.config.line_bytes as u64;
 
-        // Choose a victim: an invalid way if available, else the LRU way.
+        // Choose a victim: the first invalid way if any, else the first
+        // least recently used one.
         let ways = self.config.ways;
-        let set = &mut self.lines[set_idx * ways..set_idx * ways + ways];
-        let victim_idx = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
-            set.iter()
+        let base = set_idx * ways;
+        let set = base..base + ways;
+        let way = self.tags[set.clone()].iter().position(|&t| t == 0).unwrap_or_else(|| {
+            self.last_use[set]
+                .iter()
                 .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
+                .min_by_key(|&(_, &last_use)| last_use)
+                .map(|(way, _)| way)
                 .expect("cache sets are never empty")
         });
-        let victim = set[victim_idx];
-        if victim.valid && victim.dirty {
-            let victim_line_addr = victim.tag * sets + set_idx as u64;
+        let victim = base + way;
+        if self.tags[victim] != 0 && self.meta[victim] & DIRTY != 0 {
+            let victim_line_addr =
+                (self.tags[victim] - 1) * self.config.sets() as u64 + set_idx as u64;
             self.stats.writebacks += 1;
             self.outgoing.push(OutgoingRequest {
                 token: None,
-                thread: victim.owner,
-                addr: PhysAddr(victim_line_addr * line_bytes),
+                thread: ThreadId((self.meta[victim] >> 1) as usize),
+                addr: PhysAddr(victim_line_addr * self.config.line_bytes as u64),
                 is_writeback: true,
             });
         }
-        set[victim_idx] =
-            Line { tag, valid: true, dirty: false, last_use: use_counter, owner: mshr.thread };
+        self.tags[victim] = self.tag(mshr.line_addr) + 1;
+        self.last_use[victim] = self.use_counter;
+        self.meta[victim] = (mshr.thread.index() as u32) << 1;
+    }
+}
+
+/// The LLC with one `Line` record per way and linearly scanned MSHRs, kept
+/// as the executable reference model: the `reference_equivalence` proptest
+/// drives it in lockstep with [`LastLevelCache`] and asserts identical
+/// outcomes, statistics, outgoing requests and completion states.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone, Copy)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        last_use: u64,
+        owner: ThreadId,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Mshr {
+        /// 0 = slot free.
+        token: MissToken,
+        line_addr: u64,
+        thread: ThreadId,
+        install: bool,
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct LineArrayLlc {
+        config: CacheConfig,
+        /// Set-major (`set * ways + way`).
+        lines: Vec<Line>,
+        slots: Vec<Mshr>,
+        next_serial: MissToken,
+        per_thread_mshrs: Vec<usize>,
+        quotas: Vec<usize>,
+        pub(super) outgoing: Vec<OutgoingRequest>,
+        pub(super) use_counter: u64,
+        pub(super) stats: CacheStats,
+    }
+
+    impl LineArrayLlc {
+        pub(super) fn new(config: CacheConfig, num_threads: usize) -> Self {
+            let invalid =
+                Line { tag: 0, valid: false, dirty: false, last_use: 0, owner: ThreadId(0) };
+            let free = Mshr { token: 0, line_addr: 0, thread: ThreadId(0), install: false };
+            LineArrayLlc {
+                lines: vec![invalid; config.sets() * config.ways],
+                slots: vec![free; config.mshrs],
+                next_serial: 1,
+                per_thread_mshrs: vec![0; num_threads],
+                quotas: vec![config.mshrs; num_threads],
+                outgoing: Vec::new(),
+                use_counter: 0,
+                stats: CacheStats::default(),
+                config,
+            }
+        }
+
+        fn split(&self, addr: PhysAddr) -> (u64, usize, u64) {
+            let line_addr = addr.0 / self.config.line_bytes as u64;
+            let sets = self.config.sets() as u64;
+            (line_addr, (line_addr % sets) as usize, line_addr / sets)
+        }
+
+        fn set(&self, set_idx: usize) -> std::ops::Range<usize> {
+            set_idx * self.config.ways..(set_idx + 1) * self.config.ways
+        }
+
+        pub(super) fn set_quota(&mut self, thread: ThreadId, quota: usize) {
+            self.quotas[thread.index()] = quota.min(self.config.mshrs);
+        }
+
+        pub(super) fn is_completed(&self, token: MissToken) -> bool {
+            self.slots[(token & ((1 << TOKEN_SLOT_BITS) - 1)) as usize].token != token
+        }
+
+        pub(super) fn access(
+            &mut self,
+            thread: ThreadId,
+            addr: PhysAddr,
+            is_write: bool,
+            cycle: Cycle,
+        ) -> AccessOutcome {
+            self.use_counter += 1;
+            let use_counter = self.use_counter;
+            let (line_addr, set_idx, tag) = self.split(addr);
+            let set = self.set(set_idx);
+            if let Some(line) = self.lines[set].iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.last_use = use_counter;
+                if is_write {
+                    line.dirty = true;
+                }
+                self.stats.hits += 1;
+                return AccessOutcome::Hit { ready_at: cycle + self.config.hit_latency };
+            }
+            self.miss_path(thread, line_addr, true)
+        }
+
+        pub(super) fn access_bypass(&mut self, thread: ThreadId, addr: PhysAddr) -> AccessOutcome {
+            self.use_counter += 1;
+            let (line_addr, _, _) = self.split(addr);
+            self.miss_path(thread, line_addr, false)
+        }
+
+        fn active_slot(&self, line_addr: u64) -> Option<&Mshr> {
+            self.slots.iter().find(|m| m.token != 0 && m.line_addr == line_addr)
+        }
+
+        pub(super) fn probe_reject(
+            &self,
+            thread: ThreadId,
+            addr: PhysAddr,
+            uncached: bool,
+        ) -> Option<RejectReason> {
+            let (line_addr, set_idx, tag) = self.split(addr);
+            if !uncached && self.lines[self.set(set_idx)].iter().any(|l| l.valid && l.tag == tag) {
+                return None;
+            }
+            if self.active_slot(line_addr).is_some() {
+                return None;
+            }
+            if self.slots.iter().all(|m| m.token != 0) {
+                return Some(RejectReason::MshrsFull);
+            }
+            if self.per_thread_mshrs[thread.index()] >= self.quotas[thread.index()] {
+                return Some(RejectReason::QuotaExceeded);
+            }
+            None
+        }
+
+        pub(super) fn absorb_rejected_probes(&mut self, n: u64, reason: RejectReason) {
+            self.use_counter += n;
+            match reason {
+                RejectReason::MshrsFull => self.stats.mshr_full_rejections += n,
+                RejectReason::QuotaExceeded => self.stats.quota_rejections += n,
+            }
+        }
+
+        fn miss_path(&mut self, thread: ThreadId, line_addr: u64, install: bool) -> AccessOutcome {
+            if let Some(mshr) = self.active_slot(line_addr) {
+                let token = mshr.token;
+                self.stats.mshr_merges += 1;
+                return AccessOutcome::Miss { token, allocated: false };
+            }
+            let Some(slot) = self.slots.iter().position(|m| m.token == 0) else {
+                self.stats.mshr_full_rejections += 1;
+                return AccessOutcome::Rejected { reason: RejectReason::MshrsFull };
+            };
+            if self.per_thread_mshrs[thread.index()] >= self.quotas[thread.index()] {
+                self.stats.quota_rejections += 1;
+                return AccessOutcome::Rejected { reason: RejectReason::QuotaExceeded };
+            }
+            let token = (self.next_serial << TOKEN_SLOT_BITS) | slot as MissToken;
+            self.next_serial += 1;
+            self.slots[slot] = Mshr { token, line_addr, thread, install };
+            self.per_thread_mshrs[thread.index()] += 1;
+            self.stats.misses += 1;
+            self.outgoing.push(OutgoingRequest {
+                token: Some(token),
+                thread,
+                addr: PhysAddr(line_addr * self.config.line_bytes as u64),
+                is_writeback: false,
+            });
+            AccessOutcome::Miss { token, allocated: true }
+        }
+
+        pub(super) fn complete_miss(&mut self, token: MissToken) {
+            let slot = (token & ((1 << TOKEN_SLOT_BITS) - 1)) as usize;
+            if slot >= self.slots.len() || self.slots[slot].token != token {
+                return;
+            }
+            let mshr = self.slots[slot];
+            self.slots[slot].token = 0;
+            let idx = mshr.thread.index();
+            self.per_thread_mshrs[idx] = self.per_thread_mshrs[idx].saturating_sub(1);
+            if !mshr.install {
+                return;
+            }
+            let sets = self.config.sets() as u64;
+            let set_idx = (mshr.line_addr % sets) as usize;
+            let tag = mshr.line_addr / sets;
+            self.use_counter += 1;
+            let use_counter = self.use_counter;
+            let line_bytes = self.config.line_bytes as u64;
+            let range = self.set(set_idx);
+            let set = &mut self.lines[range];
+            let victim_idx = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
+                set.iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.last_use)
+                    .map(|(i, _)| i)
+                    .expect("cache sets are never empty")
+            });
+            let victim = set[victim_idx];
+            set[victim_idx] =
+                Line { tag, valid: true, dirty: false, last_use: use_counter, owner: mshr.thread };
+            if victim.valid && victim.dirty {
+                self.stats.writebacks += 1;
+                self.outgoing.push(OutgoingRequest {
+                    token: None,
+                    thread: victim.owner,
+                    addr: PhysAddr((victim.tag * sets + set_idx as u64) * line_bytes),
+                    is_writeback: true,
+                });
+            }
+        }
     }
 }
 
@@ -763,6 +969,98 @@ mod tests {
         c.complete_miss(tok);
         c.complete_miss(tok);
         assert_eq!(c.per_thread_mshrs[ThreadId(0).index()], 0);
+    }
+
+    use super::reference::LineArrayLlc;
+    use proptest::prelude::*;
+
+    /// A 4-way cache of 4 sets with 6 MSHRs: evictions and a full pool are
+    /// both frequent.
+    fn four_way_few_sets() -> CacheConfig {
+        CacheConfig { capacity_bytes: 1024, ways: 4, line_bytes: 64, hit_latency: 3, mshrs: 6 }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The split-array cache and the `Line`-array reference agree on
+        /// every outcome, probe, statistic, outgoing batch, use-counter value
+        /// and completion state across random operation streams. Addresses
+        /// fall in 4 sets with 5 tags each (plus an offset inside the line),
+        /// so sets fill, evict dirty and clean lines, and merge misses.
+        #[test]
+        fn reference_equivalence(
+            four_way in any::<bool>(),
+            ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..20, 0u64..64), 1..400),
+        ) {
+            let config = if four_way { four_way_few_sets() } else { CacheConfig::tiny_test() };
+            let threads = 3;
+            let sets = config.sets() as u64;
+            let line_bytes = config.line_bytes as u64;
+            let mut llc = LastLevelCache::new(config.clone(), threads);
+            let mut reference = LineArrayLlc::new(config, threads);
+            let mut tokens: Vec<MissToken> = Vec::new();
+            for (i, &(op, thread, line, arg)) in ops.iter().enumerate() {
+                let context = format!("op {i} ({op}, thread {thread}, line {line}, arg {arg})");
+                let t = ThreadId(thread);
+                let addr = PhysAddr(((line / 4) * sets + line % 4) * line_bytes + arg % line_bytes);
+                let outcomes = match op {
+                    0..=2 => {
+                        let is_write = arg % 2 == 1;
+                        Some((llc.access(t, addr, is_write, arg), reference.access(t, addr, is_write, arg)))
+                    }
+                    3 => Some((llc.access_bypass(t, addr, false, arg), reference.access_bypass(t, addr))),
+                    4..=6 => {
+                        let token = tokens.get(arg as usize % tokens.len().max(1)).copied();
+                        if let Some(token) = token {
+                            llc.complete_miss(token);
+                            reference.complete_miss(token);
+                        }
+                        None
+                    }
+                    7 => {
+                        llc.set_quota(t, arg as usize % 8);
+                        reference.set_quota(t, arg as usize % 8);
+                        None
+                    }
+                    8 => {
+                        let uncached = arg % 2 == 1;
+                        prop_assert_eq!(
+                            llc.probe_reject(t, addr, uncached),
+                            reference.probe_reject(t, addr, uncached),
+                            "probe at {}", context
+                        );
+                        None
+                    }
+                    _ => {
+                        let reason = if arg % 2 == 1 { RejectReason::QuotaExceeded } else { RejectReason::MshrsFull };
+                        llc.absorb_rejected_probes(arg % 5, reason);
+                        reference.absorb_rejected_probes(arg % 5, reason);
+                        None
+                    }
+                };
+                if let Some((outcome, expected)) = outcomes {
+                    prop_assert_eq!(outcome, expected, "outcome at {}", context);
+                    if let AccessOutcome::Miss { token, allocated: true } = outcome {
+                        tokens.push(token);
+                    }
+                }
+                prop_assert_eq!(llc.stats(), &reference.stats, "stats after {}", context);
+                prop_assert_eq!(llc.use_counter, reference.use_counter, "use counter after {}", context);
+                prop_assert_eq!(
+                    llc.take_outgoing(),
+                    std::mem::take(&mut reference.outgoing),
+                    "outgoing after {}", context
+                );
+                for &token in &tokens {
+                    prop_assert_eq!(
+                        llc.is_completed(token),
+                        reference.is_completed(token),
+                        "completion of {} after {}", token, context
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -103,7 +103,7 @@ impl Trace {
     }
 
     /// Compiles the trace into its shareable replay representation (see
-    /// [`CompiledTrace`]). Compile once per (mix, seed, geometry); every
+    /// [`CompiledTrace`]). Compile once per generated trace; every
     /// subsequent share is a reference-count bump.
     pub fn compile(&self) -> CompiledTrace {
         CompiledTrace::from(self)
@@ -147,11 +147,11 @@ impl Trace {
 /// immutable, atomically reference-counted slice.
 ///
 /// Compilation is the split between workload *generation* and workload
-/// *replay*: a [`Trace`] is built (or parsed) once per (mix, seed, geometry)
-/// and compiled once, and the resulting `CompiledTrace` is shared by every
-/// simulated system that replays it — across the configurations of a
-/// campaign matrix, across repeated runs of the same mix, and across worker
-/// threads. Cloning is a reference-count bump; no per-run deep copy of the
+/// *replay*: a [`Trace`] is built (or parsed) once and compiled once, and the
+/// resulting `CompiledTrace` is shared by every simulated system that replays
+/// it — across the mixes of a suite that run the same application with the
+/// same trace seed, across the configurations of a campaign matrix, across
+/// repeated runs of the same mix, and across worker threads. Cloning is a reference-count bump; no per-run deep copy of the
 /// record vector ever happens. The record layout (and the 13-byte on-disk
 /// format via [`Trace::to_bytes`] / [`Trace::from_bytes`]) is unchanged from
 /// `Trace` — compilation freezes, it does not re-encode.

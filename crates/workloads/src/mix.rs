@@ -16,6 +16,7 @@ use bh_cpu::CompiledTrace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 /// One slot of a four-core mix.
 ///
@@ -93,8 +94,9 @@ impl MixClass {
 
 /// A concrete four-core workload: one compiled trace per hardware thread.
 ///
-/// Traces are compiled once at build time (per mix, seed and geometry) and
-/// shared by reference from then on: cloning a `WorkloadMix` — e.g. to hand
+/// Traces are compiled once at build time (per distinct application and trace
+/// seed of a [`MixBuilder::build_suite`] call) and shared by reference from
+/// then on: cloning a `WorkloadMix` — e.g. to hand
 /// it to every worker of a campaign matrix — bumps reference counts instead
 /// of deep-copying tens of thousands of trace records per configuration.
 #[derive(Debug, Clone)]
@@ -185,6 +187,19 @@ impl MixBuilder {
     /// Builds the `index`-th workload of `class`, deterministically from
     /// `seed`.
     pub fn build(&self, class: MixClass, index: usize, seed: u64) -> WorkloadMix {
+        // No two slots of one mix share a trace seed, so this memo never hits.
+        self.build_memoized(class, index, seed, &mut TraceMemo::new())
+    }
+
+    /// [`MixBuilder::build`], taking each slot's trace from `memo` when an
+    /// earlier build of the same call generated it.
+    fn build_memoized(
+        &self,
+        class: MixClass,
+        index: usize,
+        seed: u64,
+        memo: &mut TraceMemo,
+    ) -> WorkloadMix {
         let mut rng =
             StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(index as u64));
         let mut traces = Vec::with_capacity(4);
@@ -194,20 +209,19 @@ impl MixBuilder {
             match spec {
                 SlotClass::Benign(intensity) => {
                     let candidates = BenignProfile::of_class(*intensity);
-                    let profile = candidates
-                        .choose(&mut rng)
-                        .expect("profile library covers every class")
-                        .clone();
+                    let profile =
+                        candidates.choose(&mut rng).expect("profile library covers every class");
                     let trace_seed = seed ^ ((index as u64) << 16) ^ ((slot as u64) << 32);
-                    traces.push(
-                        self.generator.benign(&profile, self.benign_entries, trace_seed).compile(),
-                    );
+                    let trace = memo.entry((Some(profile.name), trace_seed)).or_insert_with(|| {
+                        self.generator.benign(profile, self.benign_entries, trace_seed).compile()
+                    });
+                    traces.push(trace.clone());
                     app_names.push(profile.name.to_string());
                 }
                 SlotClass::Attacker => {
                     attacker_thread = Some(slot);
                     let trace_seed = seed ^ ((index as u64) << 16) ^ 0xdead;
-                    traces.push(
+                    let trace = memo.entry((None, trace_seed)).or_insert_with(|| {
                         self.attacker
                             .trace(
                                 self.generator.geometry(),
@@ -215,8 +229,9 @@ impl MixBuilder {
                                 self.attacker_entries,
                                 trace_seed,
                             )
-                            .compile(),
-                    );
+                            .compile()
+                    });
+                    traces.push(trace.clone());
                     app_names.push("attacker".to_string());
                 }
             }
@@ -250,22 +265,36 @@ impl MixBuilder {
     }
 
     /// Builds `per_class` workloads for each of the given classes (the paper
-    /// uses 15 per class, 90 in total).
+    /// uses 15 per class, 90 in total); mix for mix equal to
+    /// [`MixBuilder::build`].
+    ///
+    /// Each distinct trace is generated once per call. Neither the random
+    /// stream of the application draw nor the trace seed depends on the
+    /// class, so at one index every class with the same application in a
+    /// slot has the same trace there, and every attack class has the same
+    /// attacker trace; those mixes share the trace's storage.
     pub fn build_suite(
         &self,
         classes: &[MixClass],
         per_class: usize,
         seed: u64,
     ) -> Vec<WorkloadMix> {
+        let mut memo = TraceMemo::new();
         let mut out = Vec::with_capacity(classes.len() * per_class);
         for class in classes {
             for index in 0..per_class {
-                out.push(self.build(*class, index, seed));
+                out.push(self.build_memoized(*class, index, seed, &mut memo));
             }
         }
         out
     }
 }
+
+/// The traces one [`MixBuilder::build_suite`] call has generated, keyed by
+/// (benign application, trace seed); the attacker's key has no application.
+/// The builder fixes the generator, both entry counts and the attacker for
+/// the whole call, so the key determines the trace.
+type TraceMemo = BTreeMap<(Option<&'static str>, u64), CompiledTrace>;
 
 #[cfg(test)]
 #[allow(clippy::disallowed_types)] // test-only hash collections: assertion sets and reference models, never digest-bearing
@@ -321,6 +350,73 @@ mod tests {
         // Names are unique.
         let names: std::collections::HashSet<_> = suite.iter().map(|m| m.name.clone()).collect();
         assert_eq!(names.len(), 12);
+    }
+
+    /// Attack classes followed by benign classes, as a campaign builds them.
+    fn all_classes() -> Vec<MixClass> {
+        MixClass::attack_classes().into_iter().chain(MixClass::benign_classes()).collect()
+    }
+
+    #[test]
+    fn suite_equals_mix_by_mix_builds() {
+        let b = builder();
+        let classes = all_classes();
+        for per_class in [1, 3] {
+            for seed in [42, 7] {
+                let suite = b.build_suite(&classes, per_class, seed);
+                assert_eq!(suite.len(), classes.len() * per_class);
+                let singles = classes
+                    .iter()
+                    .flat_map(|&class| (0..per_class).map(move |index| (class, index)))
+                    .map(|(class, index)| b.build(class, index, seed));
+                for (memoized, single) in suite.iter().zip(singles) {
+                    let context = format!("{} (per_class {per_class}, seed {seed})", single.name);
+                    assert_eq!(memoized.name, single.name, "{context}");
+                    assert_eq!(memoized.class, single.class, "{context}");
+                    assert_eq!(memoized.app_names, single.app_names, "{context}");
+                    assert_eq!(memoized.traces, single.traces, "{context}");
+                    assert_eq!(memoized.attacker_thread, single.attacker_thread, "{context}");
+                    assert_eq!(memoized.victim_rows, single.victim_rows, "{context}");
+                    assert_eq!(memoized.scenario, single.scenario, "{context}");
+                    assert_eq!(memoized.success_criterion, single.success_criterion, "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn suite_mixes_share_the_storage_of_equal_traces() {
+        let per_class = 3;
+        let suite = builder().build_suite(&all_classes(), per_class, 42);
+        let storage = |mix: &WorkloadMix, slot: usize| mix.traces[slot].entries().as_ptr();
+        let mut shared_benign = 0;
+        for (i, a) in suite.iter().enumerate() {
+            let index_a = i % per_class;
+            for (j, b) in suite.iter().enumerate().skip(i + 1) {
+                let index_b = j % per_class;
+                for slot in 0..4 {
+                    let attacker = [a, b].map(|m| m.attacker_thread == Some(slot));
+                    let same_key = if index_a != index_b {
+                        false
+                    } else if attacker[0] || attacker[1] {
+                        attacker[0] && attacker[1]
+                    } else {
+                        a.app_names[slot] == b.app_names[slot]
+                    };
+                    let shared = storage(a, slot) == storage(b, slot);
+                    assert_eq!(shared, same_key, "{} / {} slot {slot}", a.name, b.name);
+                    if shared && !attacker[0] {
+                        shared_benign += 1;
+                    }
+                }
+            }
+        }
+        assert!(shared_benign > 0, "classes at one index share benign traces");
+        // Every attack class at one index replays one attacker trace.
+        let attacker_traces: Vec<_> =
+            suite.iter().filter(|m| m.attacker_thread.is_some()).map(|m| storage(m, 3)).collect();
+        let distinct: std::collections::HashSet<_> = attacker_traces.iter().collect();
+        assert_eq!(distinct.len(), per_class);
     }
 
     #[test]
