@@ -15,9 +15,9 @@
 //! to the registry `bh_core::knobs::KNOBS`.
 //!
 //! Set-but-unparseable variables (garbage, `0` where a positive count is
-//! required, a repeated `BH_NRH_LIST` entry) fall back to their defaults
-//! with a one-time warning on stderr naming the variable and the fallback
-//! used.
+//! required, a repeated `BH_NRH_LIST` entry, an unknown or repeated
+//! `BH_SCENARIOS` name) fall back to their defaults with a one-time warning
+//! on stderr naming the variable and the fallback used.
 
 use bh_dram::{EccMode, FaultConfig, FaultModel};
 use bh_sim::WatchdogConfig;
@@ -144,20 +144,28 @@ impl Scale {
             }
         }
         if let Some(list) = lookup("BH_SCENARIOS") {
-            if list.trim() == "all" {
-                scale.scenarios = scenario_catalog().iter().map(|s| s.name.to_string()).collect();
+            let catalog: Vec<String> =
+                scenario_catalog().iter().map(|s| s.name.to_string()).collect();
+            let names: Vec<String> = if list.trim() == "all" {
+                catalog.clone()
             } else {
-                scale.scenarios = list
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if scale.scenarios.is_empty() {
-                    warnings.push(format!(
-                        "BH_SCENARIOS={list:?} names no scenarios; sweeping the classic \
-                         attacker only"
-                    ));
-                }
+                list.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect()
+            };
+            // An unknown name would stop the sweep inside `Campaign::new`, and
+            // a repeated one would evaluate and store every one of its cells
+            // twice.
+            let problem = if names.is_empty() {
+                Some("names no scenarios".to_string())
+            } else if let Some(unknown) = names.iter().find(|name| !catalog.contains(name)) {
+                Some(format!("names {unknown:?}, not a catalog scenario ({})", catalog.join(", ")))
+            } else {
+                first_repeat(&names).map(|repeated| format!("lists {repeated} twice"))
+            };
+            match problem {
+                None => scale.scenarios = names,
+                Some(problem) => warnings.push(format!(
+                    "BH_SCENARIOS={list:?} {problem}; sweeping the classic attacker only"
+                )),
             }
         }
         // The fault-model axis. Probabilities parse independently of the
@@ -399,6 +407,17 @@ mod tests {
         assert!(warnings.iter().any(|w| w.contains("BH_FAULT_MODEL")));
         let (_, clean) = Scale::from_lookup_with_warnings(|_| None);
         assert!(clean.is_empty(), "unset variables must not warn");
+
+        // An unknown or repeated scenario falls back to the classic attacker
+        // with one warning, before any campaign is built.
+        for list in ["nope", "fuzz-nbr,fuzz-nbr"] {
+            let (scale, warnings) = Scale::from_lookup_with_warnings(|name| {
+                (name == "BH_SCENARIOS").then(|| list.to_string())
+            });
+            assert!(scale.scenarios.is_empty(), "{list}");
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert!(warnings[0].starts_with(&format!("BH_SCENARIOS={list:?}")), "{warnings:?}");
+        }
     }
 
     #[test]

@@ -216,7 +216,7 @@ impl std::fmt::Display for LivelockReport {
 }
 
 /// Disturbance accumulated by one watched victim row over the run (declared
-/// by the workload's `VictimLayout` and registered via
+/// by the workload's attacker, `ComposedAttacker::victim_rows`, and registered via
 /// [`System::watch_victims`](crate::System::watch_victims)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VictimReport {

@@ -290,7 +290,7 @@ impl System {
     }
 
     /// Sets what counts as a successful attack against the watched victim
-    /// rows (usually the workload's `VictimLayout::success_criterion`).
+    /// rows (usually the workload's `WorkloadMix::success_criterion`).
     pub fn with_success_criterion(mut self, criterion: SuccessCriterion) -> Self {
         self.success_criterion = criterion;
         self

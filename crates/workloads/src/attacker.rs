@@ -1,22 +1,21 @@
-//! RowHammer / memory-performance-attack trace generators — the legacy
-//! profile API, kept as a thin compat facade over the composable framework.
+//! RowHammer / memory-performance-attack trace generators — the classic
+//! attacker profile.
 //!
 //! The paper's attacker is "a malicious application that mounts a memory
 //! performance attack by triggering many RowHammer-preventive actions"
 //! (§8.1). [`AttackerProfile`] describes the canonical attack loops —
 //! uncached (`clflush`-style) reads that repeatedly activate a small set of
 //! aggressor rows, double-sided or many-sided in one bank, or spread over
-//! several banks — and lowers onto the pattern × placement traits via
-//! [`AttackerProfile::compose`]: the profile's [`AttackerKind`] becomes a
-//! [`ClassicPattern`] and its
-//! [`ChannelTarget`] a
-//! [`NeighborPlacement`]. Trace
-//! generation through the facade is bit-identical to the pre-framework
-//! generator (pinned by the golden digests and a byte-identity proptest).
+//! several banks — and lowers onto a [`ComposedAttacker`] via
+//! [`AttackerProfile::compose`]: the classic pattern of its [`AttackerKind`]
+//! over the neighbor placement on its [`ChannelTarget`], at its bubbles.
+//! Trace generation through the profile is bit-identical to the
+//! pre-framework generator (pinned by the golden digests and a byte-identity
+//! proptest).
 
 use crate::compose::ComposedAttacker;
-use crate::pattern::ClassicPattern;
-use crate::placement::NeighborPlacement;
+use crate::pattern::Pattern;
+use crate::placement::Placement;
 use bh_cpu::Trace;
 use bh_dram::DramGeometry;
 use bh_mem::AddressMapping;
@@ -66,30 +65,14 @@ pub enum ChannelTarget {
     Interleave,
 }
 
-impl ChannelTarget {
-    /// All traffic pinned to one channel (taken modulo the channel count).
-    pub(crate) fn pinned(channel: usize) -> Self {
-        ChannelTarget::Pinned(channel)
-    }
-
-    /// The pattern replicated over every channel in turn.
-    pub(crate) fn interleave() -> Self {
-        ChannelTarget::Interleave
-    }
-}
-
 impl Default for ChannelTarget {
     fn default() -> Self {
         ChannelTarget::Pinned(0)
     }
 }
 
-/// An attacker configuration (legacy API).
-///
-/// New code should compose an [`AccessPattern`](crate::AccessPattern) with
-/// an [`AggressorPlacement`](crate::AggressorPlacement) directly; this
-/// profile covers the classic shapes and lowers onto those traits via
-/// [`AttackerProfile::compose`].
+/// A classic attacker configuration; [`AttackerProfile::compose`] lowers it
+/// onto the [`ComposedAttacker`] every mix runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttackerProfile {
     /// The hammering pattern.
@@ -128,26 +111,24 @@ impl AttackerProfile {
 
     /// The same attacker with all hammering pinned to one memory channel.
     pub fn pinned_to_channel(mut self, channel: usize) -> Self {
-        self.channels = ChannelTarget::pinned(channel);
+        self.channels = ChannelTarget::Pinned(channel);
         self
     }
 
     /// The same attacker replicating its pattern over every memory channel.
     pub fn interleaved_channels(mut self) -> Self {
-        self.channels = ChannelTarget::interleave();
+        self.channels = ChannelTarget::Interleave;
         self
     }
 
-    /// Lowers the profile onto the composable framework: a
-    /// [`ClassicPattern`] over a [`NeighborPlacement`] honouring the
-    /// profile's [`ChannelTarget`]. The result is untagged so mixes built
-    /// from it keep their pre-framework names (and golden digests).
+    /// Lowers the profile onto a [`ComposedAttacker`]: the classic pattern
+    /// of its kind over the neighbor placement on its channel target.
     pub fn compose(&self) -> ComposedAttacker {
-        ComposedAttacker::new(
-            ClassicPattern::new(self.kind).with_bubbles(self.bubbles),
-            NeighborPlacement::with_channels(self.channels),
-        )
-        .untagged()
+        ComposedAttacker {
+            pattern: Pattern::Classic(self.kind),
+            placement: Placement::Neighbor(self.channels),
+            bubbles: self.bubbles,
+        }
     }
 
     /// Generates the attack trace.
@@ -170,7 +151,6 @@ impl AttackerProfile {
 #[allow(clippy::disallowed_types)] // test-only hash collections: assertion sets and reference models, never digest-bearing
 mod tests {
     use super::*;
-    use crate::placement::AggressorPlacement;
     use bh_dram::BankAddr;
     use std::collections::HashSet;
 
@@ -210,8 +190,7 @@ mod tests {
 
     /// The aggressor rows `p` hammers, bank-major.
     fn aggressor_rows(p: &AttackerProfile, geometry: &DramGeometry) -> Vec<(BankAddr, usize)> {
-        let request = ClassicPattern::request_unchecked(p.kind);
-        NeighborPlacement::with_channels(p.channels).place(&request, geometry).aggressor_rows()
+        p.compose().grid(geometry).aggressor_rows()
     }
 
     fn rows_banks(t: &Trace, g: &DramGeometry, m: AddressMapping) -> HashSet<BankAddr> {
@@ -326,8 +305,8 @@ mod tests {
 
 #[cfg(test)]
 mod byte_identity {
-    //! The compat facade's contract: `AttackerProfile::trace` through the
-    //! composable framework is *byte-identical* to the pre-redesign
+    //! The profile's contract: `AttackerProfile::trace` through the
+    //! composed attacker is *byte-identical* to the pre-redesign
     //! generator, for every kind × channel target × seed. The reference
     //! implementation below is the old generator loop, kept verbatim.
 
@@ -388,7 +367,7 @@ mod byte_identity {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The facade lowers onto ClassicPattern × NeighborPlacement with no
+        /// The profile lowers onto the classic pattern × neighbor placement with no
         /// byte of trace difference, for every kind × channel target, on both
         /// geometries and any channel count.
         #[test]
@@ -410,9 +389,9 @@ mod byte_identity {
                 _ => AttackerKind::MultiBank { banks, aggressors },
             };
             let target = if interleave {
-                ChannelTarget::interleave()
+                ChannelTarget::Interleave
             } else {
-                ChannelTarget::pinned(pinned_channel)
+                ChannelTarget::Pinned(pinned_channel)
             };
             let base = if tiny { DramGeometry::tiny() } else { DramGeometry::paper_ddr5() };
             let geometry = base.with_channels(channels);

@@ -1,87 +1,58 @@
-//! Composition of the three attacker axes into one trace-producing unit.
+//! One attacker: a [`Pattern`] (the hammerer) over a [`Placement`] (the
+//! allocator), with one `bubbles` intensity knob.
 //!
-//! A [`ComposedAttacker`] glues an [`AccessPattern`] (the hammerer), an
-//! [`AggressorPlacement`] (the allocator) and a [`VictimLayout`] (the data
-//! at risk) into the object `MixBuilder` consumes: the pattern asks the
-//! placement for an [`AggressorGrid`](crate::placement::AggressorGrid),
-//! generates its schedule over it, and the victim layout declares which rows
-//! the simulator should watch.
+//! The set of attackers is closed, like the mechanism registry: the
+//! [`scenario_catalog()`](crate::scenario_catalog) and the
+//! [`AttackerProfile`](crate::AttackerProfile) facade build every
+//! `ComposedAttacker` there is. Adding a pattern is one [`Pattern`] variant,
+//! one arm in [`Pattern::generate`] (its footprint joins
+//! [`Pattern::footprint`]) and one catalog row.
 
-use crate::pattern::AccessPattern;
-use crate::placement::AggressorPlacement;
-use crate::victim::{SandwichedVictims, VictimLayout, VictimRow};
+use crate::pattern::Pattern;
+use crate::placement::{AggressorGrid, Placement};
+use crate::victim::{sandwiched_victims, VictimRow};
 use bh_cpu::Trace;
-use bh_dram::DramGeometry;
+use bh_dram::{DramGeometry, SuccessCriterion};
 use bh_mem::AddressMapping;
-use std::sync::Arc;
 
-/// One attacker: pattern × placement × victims.
+/// One attacker: pattern × placement, at a fixed intensity.
 ///
-/// Cloning is cheap (the axes are shared behind [`Arc`]s), so a campaign can
-/// stamp one composed attacker into many mixes.
+/// Its victims are the rows its aggressors sandwich (the tracker's own
+/// neighbour rule).
 ///
 /// # Example
 ///
 /// ```
 /// use bh_dram::DramGeometry;
 /// use bh_mem::AddressMapping;
-/// use bh_workloads::{ComposedAttacker, RowPressPattern, SpreadPlacement};
+/// use bh_workloads::scenario_by_name;
 ///
-/// let attacker = ComposedAttacker::new(RowPressPattern::new(2, 2, 16), SpreadPlacement::new());
-/// assert_eq!(attacker.tag(), Some("press-spr"));
+/// let attacker = scenario_by_name("fuzz-spr").unwrap().attacker;
 /// let geometry = DramGeometry::paper_ddr5();
 /// let trace = attacker.trace(&geometry, AddressMapping::paper_default(), 2_000, 42);
 /// assert_eq!(trace.len(), 2_000);
 /// assert!(!attacker.victim_rows(&geometry).is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComposedAttacker {
-    pattern: Arc<dyn AccessPattern>,
-    placement: Arc<dyn AggressorPlacement>,
-    victims: Arc<dyn VictimLayout>,
-    tag: Option<String>,
+    pub(crate) pattern: Pattern,
+    pub(crate) placement: Placement,
+    /// Non-memory instructions between consecutive hammering accesses.
+    pub(crate) bubbles: u32,
 }
 
 impl ComposedAttacker {
-    /// Composes a pattern with a placement, watching the sandwiched
-    /// neighbors of every aggressor by default. The scenario tag defaults to
-    /// `"<pattern>-<placement>"`.
-    pub fn new(
-        pattern: impl AccessPattern + 'static,
-        placement: impl AggressorPlacement + 'static,
-    ) -> Self {
-        let tag = format!("{}-{}", pattern.label(), placement.label());
-        ComposedAttacker {
-            pattern: Arc::new(pattern),
-            placement: Arc::new(placement),
-            victims: Arc::new(SandwichedVictims::new()),
-            tag: Some(tag),
-        }
-    }
-
-    /// Drops the scenario tag. Mixes built from an untagged attacker keep
-    /// their plain names — the compat facade uses this so pre-redesign mix
-    /// names (and thus golden digests) stay unchanged.
-    pub(crate) fn untagged(mut self) -> Self {
-        self.tag = None;
-        self
-    }
-
-    /// The scenario tag, if any.
-    pub fn tag(&self) -> Option<&str> {
-        self.tag.as_deref()
-    }
-
     /// The placed aggressor grid for this attacker on `geometry`.
-    pub(crate) fn grid(&self, geometry: &DramGeometry) -> crate::placement::AggressorGrid {
-        self.placement.place(&self.pattern.request(), geometry)
+    pub(crate) fn grid(&self, geometry: &DramGeometry) -> AggressorGrid {
+        let (banks, aggressors) = self.pattern.footprint();
+        self.placement.place(banks, aggressors, geometry)
     }
 
     /// Generates the attacker's access trace.
     ///
     /// # Panics
     /// Panics if `entries` is zero or the pattern's parameters are
-    /// degenerate for the geometry.
+    /// degenerate.
     pub fn trace(
         &self,
         geometry: &DramGeometry,
@@ -90,46 +61,34 @@ impl ComposedAttacker {
         seed: u64,
     ) -> Trace {
         assert!(entries > 0, "a trace needs at least one record");
-        let grid = self.grid(geometry);
-        self.pattern.generate(&grid, geometry, mapping, entries, seed)
+        self.pattern.generate(self.grid(geometry), geometry, mapping, self.bubbles, entries, seed)
     }
 
     /// The rows holding victim data for this attacker on `geometry`.
     pub fn victim_rows(&self, geometry: &DramGeometry) -> Vec<VictimRow> {
-        let grid = self.grid(geometry);
-        self.victims.victim_rows(&grid, geometry)
+        sandwiched_victims(&self.grid(geometry), geometry)
     }
 
-    /// What counts as a successful attack on this attacker's victim layout.
-    pub fn success_criterion(&self) -> bh_dram::SuccessCriterion {
-        self.victims.success_criterion()
+    /// What counts as a successful attack on the victim rows: at least one
+    /// flip that escaped ECC silently.
+    pub fn success_criterion(&self) -> SuccessCriterion {
+        SuccessCriterion::AnySilentFlip
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacker::AttackerKind;
-    use crate::pattern::{ClassicPattern, DecoyPattern, FuzzedPattern};
-    use crate::placement::{NeighborPlacement, SpreadPlacement};
-    use crate::victim::KeyTableVictims;
-
-    #[test]
-    fn composition_tags_follow_the_axis_labels() {
-        let a = ComposedAttacker::new(FuzzedPattern::new(2, 4), NeighborPlacement::new());
-        assert_eq!(a.tag(), Some("fuzz-nbr"));
-        let b = ComposedAttacker { tag: Some("custom".to_string()), ..a.clone() };
-        assert_eq!(b.tag(), Some("custom"));
-        assert_eq!(b.untagged().tag(), None);
-    }
+    use crate::attacker::{AttackerKind, ChannelTarget};
 
     #[test]
     fn traces_are_deterministic_and_victims_nonempty() {
         let geometry = DramGeometry::paper_ddr5();
         let mapping = AddressMapping::paper_default();
         let a = ComposedAttacker {
-            victims: Arc::new(KeyTableVictims::new(2)),
-            ..ComposedAttacker::new(DecoyPattern::new(2, 2), SpreadPlacement::new())
+            pattern: Pattern::Decoy { banks: 2, aggressors: 2 },
+            placement: Placement::Spread,
+            bubbles: 0,
         };
         let t1 = a.trace(&geometry, mapping, 1_000, 7);
         let t2 = a.trace(&geometry, mapping, 1_000, 7);
@@ -142,10 +101,29 @@ mod tests {
     #[should_panic(expected = "at least one record")]
     fn empty_traces_are_rejected_before_pattern_checks() {
         let geometry = DramGeometry::paper_ddr5();
-        let a = ComposedAttacker::new(
-            ClassicPattern::new(AttackerKind::DoubleSided),
-            NeighborPlacement::new(),
-        );
+        let a = ComposedAttacker {
+            pattern: Pattern::Classic(AttackerKind::ManySided { aggressors: 1 }),
+            placement: Placement::Neighbor(ChannelTarget::default()),
+            bubbles: 0,
+        };
         let _ = a.trace(&geometry, AddressMapping::paper_default(), 0, 1);
+    }
+
+    #[test]
+    fn bubbles_move_only_the_bubble_fields() {
+        // Raising the attacker's bubbles leaves every address (and every
+        // cached/uncached choice) where it was; decoys stay at bubbles + 2.
+        let geometry = DramGeometry::tiny().with_channels(2);
+        let mapping = AddressMapping::paper_default();
+        for scenario in crate::scenario_catalog() {
+            let base = scenario.attacker.trace(&geometry, mapping, 1_000, 7);
+            let slowed = ComposedAttacker { bubbles: 3, ..scenario.attacker };
+            let slowed = slowed.trace(&geometry, mapping, 1_000, 7);
+            for (x, y) in base.entries().iter().zip(slowed.entries()) {
+                assert_eq!((x.addr, x.is_write, x.uncached), (y.addr, y.is_write, y.uncached));
+                let decoy = if x.uncached { 0 } else { 2 };
+                assert_eq!((x.bubbles, y.bubbles), (decoy, 3 + decoy), "{}", scenario.name);
+            }
+        }
     }
 }

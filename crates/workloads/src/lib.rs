@@ -9,16 +9,15 @@
 //! * [`BenignProfile`] / [`TraceGenerator`] — benign applications grouped into
 //!   the paper's High / Medium / Low memory-intensity classes, with organic
 //!   hot rows matching Table 3;
-//! * the composable attacker framework — an [`AccessPattern`] (the
-//!   hammerer: [`ClassicPattern`], Blacksmith-style [`FuzzedPattern`],
-//!   RowPress-style [`RowPressPattern`], benign-mimicry [`DecoyPattern`])
-//!   × an [`AggressorPlacement`] (the allocator: [`NeighborPlacement`],
-//!   [`SpreadPlacement`]) × a [`VictimLayout`] (the data at risk:
-//!   [`SandwichedVictims`], [`KeyTableVictims`]), glued by
-//!   [`ComposedAttacker`] and named by the [`scenario_catalog()`];
-//! * [`AttackerProfile`] — the legacy `clflush`-style hammering loops
-//!   (double-sided, many-sided, multi-bank), kept as a bit-identical compat
-//!   facade that lowers onto the framework;
+//! * [`ComposedAttacker`] — one attacker: a closed set of patterns (the
+//!   classic loop, Blacksmith-style fuzzing, RowPress-style dwell,
+//!   benign-mimicry decoys) × a closed set of placements (neighbor, spread),
+//!   walked by one generator at one `bubbles` intensity; its victims are the
+//!   rows its aggressors sandwich. The [`scenario_catalog()`] names the
+//!   non-classic combinations;
+//! * [`AttackerProfile`] — the classic `clflush`-style hammering loops
+//!   (double-sided, many-sided, multi-bank), which lower onto a
+//!   [`ComposedAttacker`] bit-identically to the pre-framework generator;
 //! * [`MixClass`] / [`MixBuilder`] — the four-core workload mixes of §7 and
 //!   §8.1 (HHHH…LLLL and HHHA…LLLA);
 //! * [`characterize()`] — the Table 3 characterisation (RBMPKI and rows with
@@ -55,10 +54,6 @@ pub use characterize::{characterize, WorkloadCharacteristics};
 pub use compose::ComposedAttacker;
 pub use generator::TraceGenerator;
 pub use mix::{MixBuilder, MixClass, SlotClass, WorkloadMix};
-pub use pattern::{AccessPattern, ClassicPattern, DecoyPattern, FuzzedPattern, RowPressPattern};
-pub use placement::{
-    AggressorGrid, AggressorPlacement, NeighborPlacement, PlacementRequest, SpreadPlacement,
-};
 pub use profile::{BenignProfile, IntensityClass, UnknownProfileError};
 pub use scenario::{scenario_by_name, scenario_catalog, AttackScenario, UnknownScenarioError};
-pub use victim::{KeyTableVictims, SandwichedVictims, VictimLayout, VictimRow};
+pub use victim::VictimRow;

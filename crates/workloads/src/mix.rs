@@ -112,14 +112,15 @@ pub struct WorkloadMix {
     /// Index of the attacker core, if any.
     pub attacker_thread: Option<usize>,
     /// The rows holding victim data (declared by the attacker's
-    /// [`VictimLayout`](crate::victim::VictimLayout)); empty for all-benign
-    /// mixes. The simulator watches these and reports per-victim disturbance.
+    /// [`ComposedAttacker::victim_rows`]); empty for all-benign mixes. The
+    /// simulator watches these and reports per-victim disturbance.
     pub victim_rows: Vec<VictimRow>,
-    /// The attack-scenario tag this mix was built under, if any (matches the
+    /// The catalog scenario this mix was built under, if any (matches the
     /// suffix in [`WorkloadMix::name`]).
     pub scenario: Option<String>,
-    /// What counts as a successful attack on the victim rows (declared by the
-    /// attacker's victim layout; the default for all-benign mixes).
+    /// What counts as a successful attack on the victim rows (declared by
+    /// [`ComposedAttacker::success_criterion`]; the default for all-benign
+    /// mixes).
     pub success_criterion: bh_dram::SuccessCriterion,
 }
 
@@ -144,11 +145,10 @@ pub struct MixBuilder {
     pub benign_entries: usize,
     /// Trace records generated for the attacker core.
     pub attacker_entries: usize,
-    /// Optional scenario tag appended to mix names (e.g. `"fuzz-nbr"` for a
-    /// catalog scenario), so scenario variants of the same class and index
-    /// stay distinguishable in result tables. Defaults to the composed
-    /// attacker's tag (`None` for compat-lowered attackers).
-    scenario_suffix: Option<String>,
+    /// The catalog scenario whose name is appended to mix names (e.g.
+    /// `"fuzz-nbr"`), so scenario variants of the same class and index stay
+    /// distinguishable in result tables; `None` for a profile attacker.
+    scenario: Option<&'static str>,
 }
 
 impl MixBuilder {
@@ -159,29 +159,24 @@ impl MixBuilder {
             attacker: AttackerProfile::paper_default().compose(),
             benign_entries: 20_000,
             attacker_entries: 8_000,
-            scenario_suffix: None,
+            scenario: None,
         }
     }
 
-    /// Overrides the attacker with a legacy profile (lowered onto the
-    /// composable framework; mix names stay untagged).
+    /// Overrides the attacker with a classic profile; mix names carry no
+    /// scenario suffix.
     pub fn with_attacker(mut self, attacker: AttackerProfile) -> Self {
         self.attacker = attacker.compose();
-        self
-    }
-
-    /// Overrides the attacker with a composed pattern × placement × victims.
-    /// The attacker's tag (if any) becomes the mix-name suffix.
-    pub(crate) fn with_composed_attacker(mut self, attacker: ComposedAttacker) -> Self {
-        self.attacker = attacker;
+        self.scenario = None;
         self
     }
 
     /// Configures the builder for a catalog scenario: its composed attacker,
     /// with the scenario name as the mix-name suffix.
     pub fn with_scenario(mut self, scenario: &AttackScenario) -> Self {
-        self.scenario_suffix = Some(scenario.name.to_string());
-        self.with_composed_attacker(scenario.attacker.clone())
+        self.attacker = scenario.attacker;
+        self.scenario = Some(scenario.name);
+        self
     }
 
     /// Builds the `index`-th workload of `class`, deterministically from
@@ -236,8 +231,7 @@ impl MixBuilder {
                 }
             }
         }
-        let scenario =
-            self.scenario_suffix.clone().or_else(|| self.attacker.tag().map(String::from));
+        let scenario = self.scenario.map(String::from);
         let name = match &scenario {
             Some(suffix) => format!("{}-{suffix}-{index:02}", class.label()),
             None => format!("{}-{index:02}", class.label()),
@@ -424,7 +418,7 @@ mod tests {
         let b = builder();
         let attack = b.build(MixClass::attack_classes()[0], 0, 42);
         assert!(!attack.victim_rows.is_empty());
-        assert_eq!(attack.scenario, None, "compat attacker keeps untagged names");
+        assert_eq!(attack.scenario, None, "profile attackers keep untagged names");
         let benign = b.build(MixClass::benign_classes()[0], 0, 42);
         assert!(benign.victim_rows.is_empty());
     }
@@ -450,16 +444,17 @@ mod tests {
 
     #[test]
     fn composed_attackers_without_tags_keep_plain_names() {
-        use crate::compose::ComposedAttacker;
-        use crate::pattern::FuzzedPattern;
-        use crate::placement::NeighborPlacement;
-
-        let attacker =
-            ComposedAttacker::new(FuzzedPattern::new(1, 4), NeighborPlacement::new()).untagged();
-        let mix =
-            builder().with_composed_attacker(attacker).build(MixClass::attack_classes()[0], 1, 7);
+        // A profile attacker set after a scenario replaces its name suffix
+        // along with its attacker.
+        let scenario = crate::scenario::scenario_catalog().remove(0);
+        let mix = builder()
+            .with_scenario(&scenario)
+            .with_attacker(AttackerProfile::double_sided())
+            .build(MixClass::attack_classes()[0], 1, 7);
         assert_eq!(mix.name, "HHHA-01");
         assert_eq!(mix.scenario, None);
+        let plain = builder().with_attacker(AttackerProfile::double_sided());
+        assert_eq!(mix.traces, plain.build(MixClass::attack_classes()[0], 1, 7).traces);
     }
 
     #[test]

@@ -1,462 +1,250 @@
-//! Access patterns — the *hammerer* axis of the composable attacker
-//! framework.
+//! Access patterns — *what* an attacker hammers: in what order, how densely
+//! and with what row-buffer behaviour the placed aggressor rows are
+//! activated. The spatial side (which banks, rows and channels those
+//! aggressors occupy) comes from a [`Placement`](crate::placement::Placement);
+//! the two meet in [`ComposedAttacker`](crate::ComposedAttacker).
 //!
-//! An [`AccessPattern`] owns the temporal schedule of a hammering campaign:
-//! in what order, how densely and with what row-buffer behaviour the placed
-//! aggressor rows are activated. The spatial side (which banks, rows and
-//! channels those aggressors occupy) comes from an
-//! [`AggressorPlacement`](crate::placement::AggressorPlacement); the two
-//! compose through [`ComposedAttacker`](crate::compose::ComposedAttacker).
-//!
-//! Four hammerers ship with the framework:
-//!
-//! * [`ClassicPattern`] — the pre-framework double-/many-sided/multi-bank
-//!   loops, bit-identical to the old `AttackerProfile` generator;
-//! * [`FuzzedPattern`] — Blacksmith-style seeded non-uniform schedules with
-//!   per-aggressor frequency, phase and amplitude;
-//! * [`RowPressPattern`] — RowPress-style long-open-row dwell via run-length
-//!   column bursts;
-//! * [`DecoyPattern`] — benign-mimicry hammering laced with organic-looking
-//!   cached hot-row traffic.
+//! Every pattern walks the placed grid through one generator,
+//! [`Pattern::generate`]; a pattern adds only its aggressor schedule, its
+//! column rule and (for [`Pattern::Decoy`]) the decoy interleave.
 
 use crate::attacker::AttackerKind;
-use crate::placement::{AggressorGrid, PlacementRequest};
+use crate::placement::AggressorGrid;
 use bh_cpu::{Trace, TraceEntry};
 use bh_dram::{DramGeometry, DramLocation};
 use bh_mem::AddressMapping;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt;
 
-/// First row index used by [`DecoyPattern`]'s organic-looking decoy traffic
-/// (clear of the benign generators' hot rows/footprints and of the aggressor
-/// region, so decoys neither hammer victims nor alias benign data).
+/// First row index used by [`Pattern::Decoy`]'s organic-looking decoy
+/// traffic (clear of the benign generators' hot rows/footprints and of the
+/// aggressor region, so decoys neither hammer victims nor alias benign data).
 const DECOY_BASE: usize = 12_000;
 
-/// Non-memory instructions between two hammering accesses of
-/// [`FuzzedPattern`], [`RowPressPattern`] and [`DecoyPattern`]: a tight loop.
-const HAMMER_BUBBLES: u32 = 0;
+/// Extra non-memory instructions before each of [`Pattern::Decoy`]'s decoy
+/// accesses, on top of the attacker's bubbles.
+const DECOY_EXTRA_BUBBLES: u32 = 2;
 
-/// Non-memory instructions before each of [`DecoyPattern`]'s decoy accesses.
-const DECOY_BUBBLES: u32 = HAMMER_BUBBLES + 2;
-
-/// Fraction of [`DecoyPattern`]'s accesses that are decoys (cached,
+/// Fraction of [`Pattern::Decoy`]'s accesses that are decoys (cached,
 /// non-hammering).
 const DECOY_FRACTION: f64 = 0.5;
 
-/// Size of [`DecoyPattern`]'s decoy hot-row set.
+/// Size of [`Pattern::Decoy`]'s decoy hot-row set.
 const DECOY_ROWS: usize = 8;
 
-/// Largest burst length [`FuzzedPattern`] assigns to an aggressor.
+/// Largest burst length [`Pattern::Fuzzed`] assigns to an aggressor.
 const FUZZ_MAX_AMPLITUDE: usize = 3;
 
-/// Abstract schedule period [`FuzzedPattern`]'s frequencies and phases
+/// Abstract schedule period [`Pattern::Fuzzed`]'s frequencies and phases
 /// quantise to.
 const FUZZ_PERIOD: usize = 64;
 
-/// The hammerer axis: a temporal access schedule over a placed
-/// [`AggressorGrid`].
-///
-/// # Example
-///
-/// ```
-/// use bh_dram::DramGeometry;
-/// use bh_mem::AddressMapping;
-/// use bh_workloads::{AccessPattern, AggressorPlacement, FuzzedPattern, NeighborPlacement};
-///
-/// let geometry = DramGeometry::paper_ddr5();
-/// let pattern = FuzzedPattern::new(2, 8);
-/// let grid = NeighborPlacement::new().place(&pattern.request(), &geometry);
-/// let trace = pattern.generate(&grid, &geometry, AddressMapping::paper_default(), 1_000, 7);
-/// assert_eq!(trace.len(), 1_000);
-/// assert!(trace.entries().iter().all(|e| e.uncached));
-/// ```
-pub trait AccessPattern: fmt::Debug + Send + Sync {
-    /// Short label used in scenario names (e.g. `"fuzz"`, `"press"`).
-    fn label(&self) -> &'static str;
+/// The four hammerers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pattern {
+    /// The pre-framework double-/many-sided/multi-bank loops, bit-identical
+    /// to the old `AttackerProfile` generator (the classic golden digests pin
+    /// this).
+    Classic(AttackerKind),
+    /// Blacksmith-style seeded fuzzed non-uniform hammering over `aggressors`
+    /// rows in each of `banks` banks: every aggressor gets a fuzzed
+    /// *frequency* (bursts per period), *phase* (offset of its first burst)
+    /// and *amplitude* (consecutive activations per burst). The non-uniform
+    /// schedule defeats mitigations that assume uniformly interleaved
+    /// aggressors (TRR-style samplers, BlockHammer's blacklisting cadence).
+    Fuzzed { banks: usize, aggressors: usize },
+    /// RowPress-style long-open-row hammering: every visit to an aggressor
+    /// keeps its row open for `dwell` consecutive column reads. Far fewer
+    /// *activations* reach the mitigation's counters per unit of disturbance
+    /// than under classic hammering — the RowPress amplification that
+    /// activation-counting defenses under-estimate.
+    RowPress { banks: usize, aggressors: usize, dwell: usize },
+    /// Decoy-laced benign mimicry: classic hammering interleaved with
+    /// organic-looking *cached* hot-row traffic over a small decoy row set
+    /// with skewed popularity, so the per-access profile resembles a benign
+    /// hot-row application (mcf-style) and the attacker's share of
+    /// preventive actions per retired instruction is diluted.
+    Decoy { banks: usize, aggressors: usize },
+}
 
-    /// The bank/aggressor footprint this pattern's schedule cycles through
-    /// (what it asks the placement layer to allocate).
+impl Pattern {
+    /// The bank/aggressor footprint the schedule cycles through: `(banks,
+    /// aggressors per bank)`.
     ///
     /// # Panics
-    /// Panics if the pattern's parameters are degenerate (e.g. fewer than
-    /// two aggressor rows for a sided pattern).
-    fn request(&self) -> PlacementRequest;
-
-    /// Generates `entries` trace records over the placed grid,
-    /// deterministically from `seed`.
-    fn generate(
-        &self,
-        grid: &AggressorGrid,
-        geometry: &DramGeometry,
-        mapping: AddressMapping,
-        entries: usize,
-        seed: u64,
-    ) -> Trace;
-}
-
-/// The pre-framework hammering loops (double-sided, many-sided, multi-bank),
-/// kept bit-identical to the old `AttackerProfile` trace generator — the
-/// classic golden digests pin this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassicPattern {
-    kind: AttackerKind,
-    bubbles: u32,
-}
-
-impl ClassicPattern {
-    /// A classic pattern of the given kind with a tight loop (no bubbles).
-    pub(crate) fn new(kind: AttackerKind) -> Self {
-        ClassicPattern { kind, bubbles: 0 }
-    }
-
-    /// Overrides the non-memory instructions between hammering accesses.
-    pub(crate) fn with_bubbles(mut self, bubbles: u32) -> Self {
-        self.bubbles = bubbles;
-        self
-    }
-
-    /// The request this kind denotes, *without* the degeneracy asserts
-    /// (used by the compat facade's `aggressor_rows`, which never asserted).
-    pub(crate) fn request_unchecked(kind: AttackerKind) -> PlacementRequest {
-        let (banks, aggressors_per_bank) = match kind {
-            AttackerKind::DoubleSided => (1usize, 2usize),
-            AttackerKind::ManySided { aggressors } => (1, aggressors),
-            AttackerKind::MultiBank { banks, aggressors } => (banks, aggressors),
+    /// Panics if the parameters are degenerate (no bank, fewer than two
+    /// aggressors, or a zero RowPress dwell).
+    pub(crate) fn footprint(self) -> (usize, usize) {
+        let (banks, aggressors) = match self {
+            Pattern::Classic(AttackerKind::DoubleSided) => (1, 2),
+            Pattern::Classic(AttackerKind::ManySided { aggressors }) => (1, aggressors),
+            Pattern::Classic(AttackerKind::MultiBank { banks, aggressors })
+            | Pattern::Fuzzed { banks, aggressors }
+            | Pattern::Decoy { banks, aggressors } => (banks, aggressors),
+            Pattern::RowPress { banks, aggressors, dwell } => {
+                assert!(dwell >= 1, "rowpress dwell must be at least one access");
+                (banks, aggressors)
+            }
         };
-        PlacementRequest { banks, aggressors_per_bank }
-    }
-}
-
-impl AccessPattern for ClassicPattern {
-    fn label(&self) -> &'static str {
-        "classic"
+        assert!(banks >= 1, "an attack needs at least one bank");
+        assert!(aggressors >= 2, "an attack needs at least two aggressors per bank");
+        (banks, aggressors)
     }
 
-    fn request(&self) -> PlacementRequest {
-        match self.kind {
-            AttackerKind::DoubleSided => {}
-            AttackerKind::ManySided { aggressors } => {
-                assert!(aggressors >= 2, "many-sided attack needs at least two aggressors");
-            }
-            AttackerKind::MultiBank { banks, aggressors } => {
-                assert!(banks >= 1 && aggressors >= 2, "degenerate multi-bank attack");
-            }
-        }
-        ClassicPattern::request_unchecked(self.kind)
-    }
-
-    fn generate(
-        &self,
-        grid: &AggressorGrid,
+    /// Generates `entries` records over the placed `grid`, deterministically
+    /// from `seed`. Hammering records carry `bubbles` non-memory
+    /// instructions, decoys `bubbles + 2`. Each arm seeds the walk with its
+    /// own constant and adds only what differs: its aggressor schedule, its
+    /// column rule and the decoy interleave.
+    pub(crate) fn generate(
+        self,
+        grid: AggressorGrid,
         geometry: &DramGeometry,
         mapping: AddressMapping,
+        bubbles: u32,
         entries: usize,
         seed: u64,
     ) -> Trace {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xa77a_c4e5);
-        let mut records = Vec::with_capacity(entries);
-        let mut column = 0usize;
-        let banks = grid.bank_steps();
-        for i in 0..entries {
-            let bank_step = i % banks;
-            // The channel progression nests between the bank and aggressor
-            // strides: the pattern sweeps every bank of one channel, moves to
-            // the next channel, and only then advances the aggressor index —
-            // so an interleaved attacker keeps every channel's tracker warm.
-            let sweep = i / banks;
-            let channel = grid.channel(sweep);
-            let aggressor_step = sweep / grid.channel_steps();
-            let row = grid.row(bank_step, aggressor_step);
-            column = (column + 1 + rng.gen_range(0..3usize)) % geometry.columns_per_row;
-            let loc = DramLocation {
-                channel,
-                bank: grid.bank(bank_step),
-                row: row % geometry.rows_per_bank,
-                column,
-            };
-            records.push(TraceEntry {
-                bubbles: self.bubbles,
-                addr: mapping.encode(&loc, geometry),
-                is_write: false,
-                uncached: true,
-            });
-        }
+        let (_, aggressors) = self.footprint();
+        let walk = |salt: u64| Walk {
+            grid,
+            schedule: (0..aggressors).collect(),
+            geometry,
+            mapping,
+            bubbles,
+            rng: StdRng::seed_from_u64(seed ^ salt),
+            column: 0,
+        };
+        let records: Vec<TraceEntry> = match self {
+            Pattern::Classic(_) => {
+                let mut walk = walk(0xa77a_c4e5);
+                (0..entries).map(|i| walk.strided(i)).collect()
+            }
+            Pattern::Fuzzed { .. } => {
+                let mut walk = walk(0xb1ac_6417);
+                walk.schedule = fuzz_schedule(aggressors, &mut walk.rng);
+                (0..entries).map(|i| walk.strided(i)).collect()
+            }
+            Pattern::RowPress { dwell, .. } => {
+                // Each visit reads `dwell` consecutive columns of one open
+                // row from a base drawn per visit: row hits that extend the
+                // aggressor's open time without further activations.
+                let mut walk = walk(0x70e5_5a11);
+                let cols = geometry.columns_per_row;
+                (0..entries)
+                    .map(|i| {
+                        if i % dwell == 0 {
+                            walk.column = walk.rng.gen_range(0..cols);
+                        }
+                        walk.hammer(i / dwell, (walk.column + i % dwell) % cols)
+                    })
+                    .collect()
+            }
+            Pattern::Decoy { .. } => {
+                // The hammering advances its own schedule independently of
+                // how many decoys were interleaved.
+                let mut walk = walk(0xdec0_7a11);
+                let mut step = 0;
+                (0..entries)
+                    .map(|_| {
+                        if walk.rng.gen::<f64>() < DECOY_FRACTION {
+                            walk.decoy()
+                        } else {
+                            step += 1;
+                            walk.strided(step - 1)
+                        }
+                    })
+                    .collect()
+            }
+        };
         Trace::new(records)
     }
 }
 
-/// Blacksmith-style seeded fuzzed non-uniform hammering: every aggressor is
-/// assigned a fuzzed *frequency* (bursts per period), *phase* (offset of its
-/// first burst) and *amplitude* (consecutive activations per burst), and the
-/// resulting non-uniform schedule is what defeats mitigations that assume
-/// uniformly interleaved aggressors (TRR-style samplers, BlockHammer's
-/// blacklisting cadence).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuzzedPattern {
-    banks: usize,
-    aggressors_per_bank: usize,
-}
-
-impl FuzzedPattern {
-    /// A fuzzed pattern over `aggressors` rows in each of `banks` banks.
-    ///
-    /// # Panics
-    /// Panics if `banks` is zero or `aggressors` is below two.
-    pub fn new(banks: usize, aggressors: usize) -> Self {
-        assert!(banks >= 1, "fuzzed pattern needs at least one bank");
-        assert!(aggressors >= 2, "fuzzed pattern needs at least two aggressors");
-        FuzzedPattern { banks, aggressors_per_bank: aggressors }
-    }
-
-    /// The fuzzed aggressor-step schedule for one period: for every
-    /// aggressor, `frequency` bursts of `amplitude` consecutive slots start
-    /// at its `phase`, and the bursts of all aggressors are merged in time
-    /// order. Deterministic per seed.
-    fn schedule(&self, rng: &mut StdRng) -> Vec<usize> {
-        let aggs = self.aggressors_per_bank;
-        let mut events: Vec<(usize, usize, usize)> = Vec::new();
-        for a in 0..aggs {
-            let frequency = rng.gen_range(1..=4usize);
-            let amplitude = rng.gen_range(1..=FUZZ_MAX_AMPLITUDE);
-            let phase = rng.gen_range(0..FUZZ_PERIOD);
-            for k in 0..frequency {
-                let t = (phase + k * FUZZ_PERIOD / frequency) % FUZZ_PERIOD;
-                events.push((t, a, amplitude));
-            }
+/// The fuzzed aggressor schedule for one period: for every aggressor,
+/// `frequency` bursts of `amplitude` consecutive slots start at its `phase`,
+/// and the bursts of all aggressors are merged in time order.
+fn fuzz_schedule(aggressors: usize, rng: &mut StdRng) -> Vec<usize> {
+    let mut events: Vec<(usize, usize, usize)> = Vec::new();
+    for a in 0..aggressors {
+        let frequency = rng.gen_range(1..=4usize);
+        let amplitude = rng.gen_range(1..=FUZZ_MAX_AMPLITUDE);
+        let phase = rng.gen_range(0..FUZZ_PERIOD);
+        for k in 0..frequency {
+            let t = (phase + k * FUZZ_PERIOD / frequency) % FUZZ_PERIOD;
+            events.push((t, a, amplitude));
         }
-        events.sort_unstable();
-        let mut schedule = Vec::new();
-        for (_, a, amplitude) in events {
-            for _ in 0..amplitude {
-                schedule.push(a);
-            }
+    }
+    events.sort_unstable();
+    events.into_iter().flat_map(|(_, a, amplitude)| std::iter::repeat_n(a, amplitude)).collect()
+}
+
+/// One trace's walk over the placed grid.
+struct Walk<'a> {
+    grid: AggressorGrid,
+    /// The aggressor step of each schedule slot (in order unless fuzzed).
+    schedule: Vec<usize>,
+    geometry: &'a DramGeometry,
+    mapping: AddressMapping,
+    bubbles: u32,
+    rng: StdRng,
+    /// The column rule's state: the last strided column, or RowPress's base
+    /// column of the current visit.
+    column: usize,
+}
+
+impl Walk<'_> {
+    /// The hammering record of walk step `step` at `column`. The channel
+    /// progression nests between the bank and aggressor strides: the walk
+    /// sweeps every bank of one channel, moves to the next channel, and only
+    /// then advances the aggressor schedule — so an interleaved attacker
+    /// keeps every channel's tracker warm.
+    fn hammer(&self, step: usize, column: usize) -> TraceEntry {
+        let bank_step = step % self.grid.bank_steps();
+        let sweep = step / self.grid.bank_steps();
+        let slot = sweep / self.grid.channel_steps();
+        let row = self.grid.row(bank_step, self.schedule[slot % self.schedule.len()]);
+        let loc = DramLocation {
+            channel: self.grid.channel(sweep),
+            bank: self.grid.bank(bank_step),
+            row: row % self.geometry.rows_per_bank,
+            column,
+        };
+        self.record(&loc, self.bubbles, true)
+    }
+
+    /// [`Walk::hammer`] under the classic column rule: a small random
+    /// stride along the row.
+    fn strided(&mut self, step: usize) -> TraceEntry {
+        self.column =
+            (self.column + 1 + self.rng.gen_range(0..3usize)) % self.geometry.columns_per_row;
+        self.hammer(step, self.column)
+    }
+
+    /// An organic-looking decoy: a cached read over a skewed decoy hot-row
+    /// set in the banks/channels the attack already touches (so the decoys
+    /// blend into the same controller).
+    fn decoy(&mut self) -> TraceEntry {
+        let skew: f64 = self.rng.gen::<f64>().powi(2);
+        let hot = (skew * DECOY_ROWS as f64) as usize % DECOY_ROWS;
+        let channel = self.grid.channel(self.rng.gen_range(0..self.grid.channel_steps()));
+        let bank = self.grid.bank(self.rng.gen_range(0..self.grid.bank_steps()));
+        let loc = DramLocation {
+            channel,
+            bank,
+            row: (DECOY_BASE + hot) % self.geometry.rows_per_bank,
+            column: self.rng.gen_range(0..self.geometry.columns_per_row),
+        };
+        self.record(&loc, self.bubbles + DECOY_EXTRA_BUBBLES, false)
+    }
+
+    fn record(&self, loc: &DramLocation, bubbles: u32, uncached: bool) -> TraceEntry {
+        TraceEntry {
+            bubbles,
+            addr: self.mapping.encode(loc, self.geometry),
+            is_write: false,
+            uncached,
         }
-        schedule
-    }
-}
-
-impl AccessPattern for FuzzedPattern {
-    fn label(&self) -> &'static str {
-        "fuzz"
-    }
-
-    fn request(&self) -> PlacementRequest {
-        PlacementRequest { banks: self.banks, aggressors_per_bank: self.aggressors_per_bank }
-    }
-
-    fn generate(
-        &self,
-        grid: &AggressorGrid,
-        geometry: &DramGeometry,
-        mapping: AddressMapping,
-        entries: usize,
-        seed: u64,
-    ) -> Trace {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xb1ac_6417);
-        let schedule = self.schedule(&mut rng);
-        let mut records = Vec::with_capacity(entries);
-        let mut column = 0usize;
-        let banks = grid.bank_steps();
-        for i in 0..entries {
-            let bank_step = i % banks;
-            let sweep = i / banks;
-            let channel = grid.channel(sweep);
-            let slot = sweep / grid.channel_steps();
-            let aggressor_step = schedule[slot % schedule.len()];
-            let row = grid.row(bank_step, aggressor_step);
-            column = (column + 1 + rng.gen_range(0..3usize)) % geometry.columns_per_row;
-            let loc = DramLocation {
-                channel,
-                bank: grid.bank(bank_step),
-                row: row % geometry.rows_per_bank,
-                column,
-            };
-            records.push(TraceEntry {
-                bubbles: HAMMER_BUBBLES,
-                addr: mapping.encode(&loc, geometry),
-                is_write: false,
-                uncached: true,
-            });
-        }
-        Trace::new(records)
-    }
-}
-
-/// RowPress-style long-open-row hammering: every visit to an aggressor keeps
-/// its row open for a run of `dwell` consecutive column reads before moving
-/// on. Far fewer *activations* reach the mitigation's counters per unit of
-/// disturbance than under classic hammering — the RowPress amplification
-/// that activation-counting defenses under-estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowPressPattern {
-    banks: usize,
-    aggressors_per_bank: usize,
-    dwell: usize,
-}
-
-impl RowPressPattern {
-    /// A long-open-row pattern over `aggressors` rows in each of `banks`
-    /// banks, holding each row open for `dwell` consecutive column reads.
-    ///
-    /// # Panics
-    /// Panics if `banks` is zero, `aggressors` is below two or `dwell` is
-    /// zero.
-    pub fn new(banks: usize, aggressors: usize, dwell: usize) -> Self {
-        assert!(banks >= 1, "rowpress pattern needs at least one bank");
-        assert!(aggressors >= 2, "rowpress pattern needs at least two aggressors");
-        assert!(dwell >= 1, "rowpress dwell must be at least one access");
-        RowPressPattern { banks, aggressors_per_bank: aggressors, dwell }
-    }
-}
-
-impl AccessPattern for RowPressPattern {
-    fn label(&self) -> &'static str {
-        "press"
-    }
-
-    fn request(&self) -> PlacementRequest {
-        PlacementRequest { banks: self.banks, aggressors_per_bank: self.aggressors_per_bank }
-    }
-
-    fn generate(
-        &self,
-        grid: &AggressorGrid,
-        geometry: &DramGeometry,
-        mapping: AddressMapping,
-        entries: usize,
-        seed: u64,
-    ) -> Trace {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x70e5_5a11);
-        let mut records = Vec::with_capacity(entries);
-        let banks = grid.bank_steps();
-        let cols = geometry.columns_per_row;
-        let mut base_column = 0usize;
-        for i in 0..entries {
-            let visit = i / self.dwell;
-            let within = i % self.dwell;
-            let bank_step = visit % banks;
-            let sweep = visit / banks;
-            let channel = grid.channel(sweep);
-            let aggressor_step = sweep / grid.channel_steps();
-            let row = grid.row(bank_step, aggressor_step);
-            if within == 0 {
-                base_column = rng.gen_range(0..cols);
-            }
-            // Consecutive columns of the same open row: row hits that extend
-            // the aggressor's open time without further activations.
-            let column = (base_column + within) % cols;
-            let loc = DramLocation {
-                channel,
-                bank: grid.bank(bank_step),
-                row: row % geometry.rows_per_bank,
-                column,
-            };
-            records.push(TraceEntry {
-                bubbles: HAMMER_BUBBLES,
-                addr: mapping.encode(&loc, geometry),
-                is_write: false,
-                uncached: true,
-            });
-        }
-        Trace::new(records)
-    }
-}
-
-/// Decoy-laced benign mimicry: classic hammering interleaved with
-/// organic-looking *cached* hot-row traffic over a small decoy row set with
-/// skewed popularity — the per-access profile resembles a benign hot-row
-/// application (mcf-style), diluting the attacker's share of
-/// RowHammer-preventive actions per retired instruction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecoyPattern {
-    banks: usize,
-    aggressors_per_bank: usize,
-}
-
-impl DecoyPattern {
-    /// A decoy-laced pattern hammering `aggressors` rows in each of `banks`
-    /// banks, with half of all accesses disguised as benign hot-row traffic.
-    ///
-    /// # Panics
-    /// Panics if `banks` is zero or `aggressors` is below two.
-    pub(crate) fn new(banks: usize, aggressors: usize) -> Self {
-        assert!(banks >= 1, "decoy pattern needs at least one bank");
-        assert!(aggressors >= 2, "decoy pattern needs at least two aggressors");
-        DecoyPattern { banks, aggressors_per_bank: aggressors }
-    }
-}
-
-impl AccessPattern for DecoyPattern {
-    fn label(&self) -> &'static str {
-        "decoy"
-    }
-
-    fn request(&self) -> PlacementRequest {
-        PlacementRequest { banks: self.banks, aggressors_per_bank: self.aggressors_per_bank }
-    }
-
-    fn generate(
-        &self,
-        grid: &AggressorGrid,
-        geometry: &DramGeometry,
-        mapping: AddressMapping,
-        entries: usize,
-        seed: u64,
-    ) -> Trace {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xdec0_7a11);
-        let mut records = Vec::with_capacity(entries);
-        let banks = grid.bank_steps();
-        let cols = geometry.columns_per_row;
-        let mut column = 0usize;
-        let mut hammer_step = 0usize;
-        for _ in 0..entries {
-            if rng.gen::<f64>() < DECOY_FRACTION {
-                // Organic-looking traffic: cached reads over a skewed decoy
-                // hot-row set in the banks/channels the attack already
-                // touches (so the decoys blend into the same controller).
-                let skew: f64 = rng.gen::<f64>().powi(2);
-                let hot = (skew * DECOY_ROWS as f64) as usize % DECOY_ROWS;
-                let channel = grid.channel(rng.gen_range(0..grid.channel_steps()));
-                let bank_step = rng.gen_range(0..banks);
-                let loc = DramLocation {
-                    channel,
-                    bank: grid.bank(bank_step),
-                    row: (DECOY_BASE + hot) % geometry.rows_per_bank,
-                    column: rng.gen_range(0..cols),
-                };
-                records.push(TraceEntry {
-                    bubbles: DECOY_BUBBLES,
-                    addr: mapping.encode(&loc, geometry),
-                    is_write: false,
-                    uncached: false,
-                });
-            } else {
-                // A classic hammering access, advancing its own schedule
-                // independently of how many decoys were interleaved.
-                let i = hammer_step;
-                hammer_step += 1;
-                let bank_step = i % banks;
-                let sweep = i / banks;
-                let channel = grid.channel(sweep);
-                let aggressor_step = sweep / grid.channel_steps();
-                let row = grid.row(bank_step, aggressor_step);
-                column = (column + 1 + rng.gen_range(0..3usize)) % cols;
-                let loc = DramLocation {
-                    channel,
-                    bank: grid.bank(bank_step),
-                    row: row % geometry.rows_per_bank,
-                    column,
-                };
-                records.push(TraceEntry {
-                    bubbles: HAMMER_BUBBLES,
-                    addr: mapping.encode(&loc, geometry),
-                    is_write: false,
-                    uncached: true,
-                });
-            }
-        }
-        Trace::new(records)
     }
 }
 
@@ -464,7 +252,7 @@ impl AccessPattern for DecoyPattern {
 #[allow(clippy::disallowed_types)] // test-only hash collections: assertion sets and reference models, never digest-bearing
 mod tests {
     use super::*;
-    use crate::placement::{AggressorPlacement, NeighborPlacement};
+    use crate::placement::Placement;
     use crate::ChannelTarget;
     use std::collections::HashSet;
 
@@ -476,17 +264,20 @@ mod tests {
         AddressMapping::paper_default()
     }
 
-    fn grid_for(pattern: &dyn AccessPattern) -> AggressorGrid {
-        NeighborPlacement::new().place(&pattern.request(), &geometry())
+    /// `pattern` over the single-channel neighbor placement.
+    fn generate(pattern: Pattern, entries: usize, seed: u64) -> Trace {
+        let (banks, aggressors) = pattern.footprint();
+        let grid =
+            Placement::Neighbor(ChannelTarget::default()).place(banks, aggressors, &geometry());
+        pattern.generate(grid, &geometry(), mapping(), 0, entries, seed)
     }
 
     #[test]
     fn fuzzed_pattern_is_non_uniform_and_deterministic() {
-        let p = FuzzedPattern::new(1, 8);
-        let grid = grid_for(&p);
-        let a = p.generate(&grid, &geometry(), mapping(), 2_000, 11);
-        assert_eq!(a, p.generate(&grid, &geometry(), mapping(), 2_000, 11));
-        assert_ne!(a, p.generate(&grid, &geometry(), mapping(), 2_000, 12));
+        let p = Pattern::Fuzzed { banks: 1, aggressors: 8 };
+        let a = generate(p, 2_000, 11);
+        assert_eq!(a, generate(p, 2_000, 11));
+        assert_ne!(a, generate(p, 2_000, 12));
         // Aggressor visit counts are skewed: the most-hammered row sees at
         // least twice the traffic of the least-hammered one.
         let mut counts: std::collections::HashMap<usize, usize> = Default::default();
@@ -502,9 +293,7 @@ mod tests {
 
     #[test]
     fn rowpress_pattern_dwells_on_open_rows() {
-        let p = RowPressPattern::new(1, 2, 8);
-        let grid = grid_for(&p);
-        let t = p.generate(&grid, &geometry(), mapping(), 1_600, 3);
+        let t = generate(Pattern::RowPress { banks: 1, aggressors: 2, dwell: 8 }, 1_600, 3);
         // Runs of `dwell` consecutive same-row accesses with consecutive
         // columns: within a run only the column changes.
         let locs: Vec<DramLocation> =
@@ -521,14 +310,14 @@ mod tests {
 
     #[test]
     fn decoy_pattern_mixes_cached_and_uncached_traffic() {
-        let p = DecoyPattern::new(2, 2);
-        let grid = grid_for(&p);
-        let t = p.generate(&grid, &geometry(), mapping(), 4_000, 5);
+        let p = Pattern::Decoy { banks: 2, aggressors: 2 };
+        let t = generate(p, 4_000, 5);
         let uncached = t.entries().iter().filter(|e| e.uncached).count();
         let cached = t.len() - uncached;
         assert!(uncached > t.len() / 3, "hammering must continue under the decoys");
         assert!(cached > t.len() / 3, "decoy traffic must be present");
         // Decoys never touch the aggressor rows.
+        let grid = Placement::Neighbor(ChannelTarget::default()).place(2, 2, &geometry());
         let aggressors: HashSet<usize> =
             grid.aggressor_rows().iter().map(|(_, r)| *r % geometry().rows_per_bank).collect();
         for e in t.entries().iter().filter(|e| !e.uncached) {
@@ -541,22 +330,22 @@ mod tests {
     fn patterns_walk_every_channel_under_an_interleaved_placement() {
         let g = geometry().with_channels(2);
         for pattern in [
-            Box::new(FuzzedPattern::new(2, 4)) as Box<dyn AccessPattern>,
-            Box::new(RowPressPattern::new(2, 2, 4)),
-            Box::new(DecoyPattern::new(2, 2)),
+            Pattern::Fuzzed { banks: 2, aggressors: 4 },
+            Pattern::RowPress { banks: 2, aggressors: 2, dwell: 4 },
+            Pattern::Decoy { banks: 2, aggressors: 2 },
         ] {
-            let grid = NeighborPlacement::with_channels(ChannelTarget::interleave())
-                .place(&pattern.request(), &g);
-            let t = pattern.generate(&grid, &g, mapping(), 3_000, 9);
+            let (banks, aggressors) = pattern.footprint();
+            let grid = Placement::Neighbor(ChannelTarget::Interleave).place(banks, aggressors, &g);
+            let t = pattern.generate(grid, &g, mapping(), 0, 3_000, 9);
             let channels: HashSet<usize> =
                 t.entries().iter().map(|e| mapping().decode(e.addr, &g).channel).collect();
-            assert_eq!(channels, HashSet::from([0, 1]), "{}", pattern.label());
+            assert_eq!(channels, HashSet::from([0, 1]), "{pattern:?}");
         }
     }
 
     #[test]
     #[should_panic(expected = "at least two aggressors")]
     fn degenerate_fuzzed_pattern_rejected() {
-        let _ = FuzzedPattern::new(1, 1);
+        let _ = Pattern::Fuzzed { banks: 1, aggressors: 1 }.footprint();
     }
 }

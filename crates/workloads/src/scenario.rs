@@ -1,27 +1,27 @@
-//! The campaign scenario catalog: named (pattern × placement) combinations
+//! The campaign scenario catalog: named pattern × placement combinations
 //! swept with BreakHammer on/off.
 //!
-//! Scenario names follow the `"<pattern>-<placement>"` convention of the
-//! composed attacker's default tag (e.g. `fuzz-nbr` is the Blacksmith-style
-//! fuzzed pattern over the mapping-aware neighbor placement). The catalog is
-//! what `Campaign::run_matrix` enumerates and what the digest-snapshot
-//! harness pins one golden per entry for.
+//! Scenario names follow the `"<pattern>-<placement>"` convention (e.g.
+//! `fuzz-nbr` is the Blacksmith-style fuzzed pattern over the mapping-aware
+//! neighbor placement). The catalog is what `Campaign::run_matrix`
+//! enumerates and what the digest-snapshot harness pins one golden per entry
+//! for.
 
-use crate::attacker::AttackerKind;
+use crate::attacker::{AttackerKind, ChannelTarget};
 use crate::compose::ComposedAttacker;
-use crate::pattern::{ClassicPattern, DecoyPattern, FuzzedPattern, RowPressPattern};
-use crate::placement::{NeighborPlacement, SpreadPlacement};
+use crate::pattern::Pattern;
+use crate::placement::Placement;
 use std::fmt;
 
 /// One named attack scenario from the catalog.
 #[derive(Debug, Clone)]
 pub struct AttackScenario {
-    /// The scenario name (also the mix-name suffix), `"<pattern>-<placement>"`.
+    /// The scenario name, `"<pattern>-<placement>"`; mixes built with
+    /// [`MixBuilder::with_scenario`](crate::MixBuilder::with_scenario) carry
+    /// it as their name suffix.
     pub name: &'static str,
     /// The composed attacker the scenario runs.
     pub attacker: ComposedAttacker,
-    /// One-line description for tables and docs.
-    pub description: &'static str,
 }
 
 /// Error returned by [`scenario_by_name`] for an unknown scenario name.
@@ -40,41 +40,29 @@ impl fmt::Display for UnknownScenarioError {
 
 impl std::error::Error for UnknownScenarioError {}
 
-/// The built-in scenario catalog: every new (pattern × placement)
-/// combination the campaign sweeps, each tagged with its name.
+/// The built-in scenario catalog: every pattern × placement combination the
+/// campaign sweeps beyond the classic attacker.
 pub fn scenario_catalog() -> Vec<AttackScenario> {
+    const NEIGHBOR: Placement = Placement::Neighbor(ChannelTarget::Pinned(0));
+    let scenario = |name, pattern, placement| AttackScenario {
+        name,
+        attacker: ComposedAttacker { pattern, placement, bubbles: 0 },
+    };
     vec![
-        AttackScenario {
-            name: "fuzz-nbr",
-            attacker: ComposedAttacker::new(FuzzedPattern::new(2, 8), NeighborPlacement::new()),
-            description: "Blacksmith-style fuzzed schedule over neighboring aggressors",
-        },
-        AttackScenario {
-            name: "press-nbr",
-            attacker: ComposedAttacker::new(
-                RowPressPattern::new(2, 2, 16),
-                NeighborPlacement::new(),
-            ),
-            description: "RowPress-style long-open-row dwell on neighboring aggressors",
-        },
-        AttackScenario {
-            name: "decoy-nbr",
-            attacker: ComposedAttacker::new(DecoyPattern::new(2, 2), NeighborPlacement::new()),
-            description: "benign-mimicry hammering laced with cached decoy traffic",
-        },
-        AttackScenario {
-            name: "classic-spr",
-            attacker: ComposedAttacker::new(
-                ClassicPattern::new(AttackerKind::MultiBank { banks: 4, aggressors: 2 }),
-                SpreadPlacement::new(),
-            ),
-            description: "classic multi-bank hammering spread across banks and channels",
-        },
-        AttackScenario {
-            name: "fuzz-spr",
-            attacker: ComposedAttacker::new(FuzzedPattern::new(2, 4), SpreadPlacement::new()),
-            description: "fuzzed schedule spread across banks and channels",
-        },
+        // Blacksmith-style fuzzed schedule over neighboring aggressors.
+        scenario("fuzz-nbr", Pattern::Fuzzed { banks: 2, aggressors: 8 }, NEIGHBOR),
+        // RowPress-style long-open-row dwell on neighboring aggressors.
+        scenario("press-nbr", Pattern::RowPress { banks: 2, aggressors: 2, dwell: 16 }, NEIGHBOR),
+        // Benign-mimicry hammering laced with cached decoy traffic.
+        scenario("decoy-nbr", Pattern::Decoy { banks: 2, aggressors: 2 }, NEIGHBOR),
+        // Classic multi-bank hammering spread across banks and channels.
+        scenario(
+            "classic-spr",
+            Pattern::Classic(AttackerKind::MultiBank { banks: 4, aggressors: 2 }),
+            Placement::Spread,
+        ),
+        // Fuzzed schedule spread across banks and channels.
+        scenario("fuzz-spr", Pattern::Fuzzed { banks: 2, aggressors: 4 }, Placement::Spread),
     ]
 }
 
@@ -97,11 +85,11 @@ mod tests {
     use bh_mem::AddressMapping;
 
     #[test]
-    fn catalog_names_match_the_attacker_tags() {
+    fn catalog_names_are_unique() {
         let catalog = scenario_catalog();
         assert!(catalog.len() >= 4, "campaign needs at least four new scenarios");
-        for s in &catalog {
-            assert_eq!(Some(s.name), s.attacker.tag(), "{}", s.name);
+        for (i, s) in catalog.iter().enumerate() {
+            assert!(catalog[..i].iter().all(|earlier| earlier.name != s.name), "{}", s.name);
         }
     }
 

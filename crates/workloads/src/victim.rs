@@ -1,16 +1,14 @@
-//! Victim layouts — the third axis of the composable attacker framework.
+//! Victim rows — the data an attack is trying to corrupt.
 //!
-//! A [`VictimLayout`] declares which DRAM rows hold the data the attack is
-//! trying to corrupt. The simulator watches exactly those rows and reports
-//! their accumulated disturbance and bitflips per victim in
-//! `SimulationResult::victims`, so a campaign can distinguish "the attacker
-//! was throttled" from "the attacker was throttled *and the victim data
-//! survived*" — the end-to-end property BreakHammer actually promises.
+//! The simulator watches exactly these rows and reports their accumulated
+//! disturbance and bitflips per victim in `SimulationResult::victims`, so a
+//! campaign can distinguish "the attacker was throttled" from "the attacker
+//! was throttled *and the victim data survived*" — the end-to-end property
+//! BreakHammer actually promises.
 
-use crate::placement::{AggressorGrid, AGGRESSOR_BASE};
-use bh_dram::{DramGeometry, RowAddr, SuccessCriterion};
+use crate::placement::AggressorGrid;
+use bh_dram::{DramGeometry, RowAddr};
 use std::collections::BTreeSet;
-use std::fmt;
 
 /// One watched victim row: a physical row on a specific channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -21,151 +19,43 @@ pub struct VictimRow {
     pub row: RowAddr,
 }
 
-/// The victim axis: given where the aggressors landed, which rows hold the
-/// data at risk.
-///
-/// # Example
-///
-/// ```
-/// use bh_dram::DramGeometry;
-/// use bh_workloads::{
-///     AccessPattern, AggressorPlacement, FuzzedPattern, NeighborPlacement, SandwichedVictims,
-///     VictimLayout,
-/// };
-///
-/// let geometry = DramGeometry::paper_ddr5();
-/// let pattern = FuzzedPattern::new(1, 4);
-/// let grid = NeighborPlacement::new().place(&pattern.request(), &geometry);
-/// let victims = SandwichedVictims::new().victim_rows(&grid, &geometry);
-/// // Every victim is directly adjacent to some aggressor row.
-/// let aggressors: Vec<usize> = grid.aggressor_rows().iter().map(|(_, r)| *r).collect();
-/// assert!(victims.iter().all(|v| {
-///     aggressors.iter().any(|a| v.row.row + 1 == *a || *a + 1 == v.row.row)
-/// }));
-/// ```
-pub trait VictimLayout: fmt::Debug + Send + Sync {
-    /// Short label used in scenario names (e.g. `"sandwich"`, `"keys"`).
-    fn label(&self) -> &'static str;
-
-    /// The rows holding victim data, given the placed aggressor grid. Row
-    /// indices must already be reduced modulo `geometry.rows_per_bank`.
-    fn victim_rows(&self, grid: &AggressorGrid, geometry: &DramGeometry) -> Vec<VictimRow>;
-
-    /// What counts as a successful attack on this layout's rows. The default
-    /// — at least one flip that escaped ECC silently — matches the
-    /// key-table/page-table threat model, where corrected or detected flips
-    /// hand the attacker nothing.
-    fn success_criterion(&self) -> SuccessCriterion {
-        SuccessCriterion::AnySilentFlip
-    }
-}
-
-/// The physically-adjacent victims of every aggressor: rows `r ± 1` for each
-/// placed aggressor row `r`, on every channel the grid touches, excluding
-/// rows that are themselves aggressors (double-sided sandwiches).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SandwichedVictims;
-
-impl SandwichedVictims {
-    /// The adjacent-row victim layout.
-    pub fn new() -> Self {
-        SandwichedVictims
-    }
-}
-
-impl VictimLayout for SandwichedVictims {
-    fn label(&self) -> &'static str {
-        "sandwich"
-    }
-
-    fn victim_rows(&self, grid: &AggressorGrid, geometry: &DramGeometry) -> Vec<VictimRow> {
-        let rows = geometry.rows_per_bank;
-        let aggressors: BTreeSet<(bh_dram::BankAddr, usize)> =
-            grid.aggressor_rows().iter().map(|(bank, row)| (*bank, row % rows)).collect();
-        let mut victims = BTreeSet::new();
-        for channel in grid.channels() {
-            for (bank, row) in &aggressors {
-                let mut neighbors = vec![(row + 1) % rows];
-                if *row > 0 {
-                    neighbors.push(row - 1);
-                } else {
-                    neighbors.push(rows - 1);
-                }
-                for neighbor in neighbors {
-                    if !aggressors.contains(&(*bank, neighbor)) {
-                        victims.insert(VictimRow {
-                            channel: *channel,
-                            row: RowAddr { bank: *bank, row: neighbor },
-                        });
-                    }
-                }
-            }
+/// The sandwiched victims of a placed grid: the physical neighbours of every
+/// aggressor row (the tracker's own rule, [`DramGeometry::neighbors`] at
+/// blast radius 1), on every channel the grid walks. Aggressor rows are even
+/// on every placement, so no neighbour is itself an aggressor. Sorted by
+/// channel, then row.
+pub(crate) fn sandwiched_victims(grid: &AggressorGrid, geometry: &DramGeometry) -> Vec<VictimRow> {
+    let mut victims = BTreeSet::new();
+    for channel in grid.channels.clone() {
+        for (bank, row) in grid.aggressor_rows() {
+            let aggressor = RowAddr { bank, row: row % geometry.rows_per_bank };
+            victims.extend(geometry.neighbors(aggressor, 1).map(|row| VictimRow { channel, row }));
         }
-        victims.into_iter().collect()
     }
-}
-
-/// A fixed key-table layout: `entries` security-critical rows interleaved
-/// with the classic aggressor region (rows `AGGRESSOR_BASE + 1 + 2i`), the
-/// textbook RSA-key/page-table victim placement — each key row sits exactly
-/// between two aggressor rows of a classic double-sided pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyTableVictims {
-    entries: usize,
-}
-
-impl KeyTableVictims {
-    /// A key table of `entries` rows (at least one).
-    pub(crate) fn new(entries: usize) -> Self {
-        KeyTableVictims { entries: entries.max(1) }
-    }
-}
-
-impl Default for KeyTableVictims {
-    fn default() -> Self {
-        KeyTableVictims::new(4)
-    }
-}
-
-impl VictimLayout for KeyTableVictims {
-    fn label(&self) -> &'static str {
-        "keys"
-    }
-
-    fn victim_rows(&self, grid: &AggressorGrid, geometry: &DramGeometry) -> Vec<VictimRow> {
-        let rows = geometry.rows_per_bank;
-        let mut victims = BTreeSet::new();
-        for channel in grid.channels() {
-            for step in 0..grid.bank_steps() {
-                let bank = grid.bank(step);
-                for i in 0..self.entries {
-                    victims.insert(VictimRow {
-                        channel: *channel,
-                        row: RowAddr { bank, row: (AGGRESSOR_BASE + 1 + 2 * i) % rows },
-                    });
-                }
-            }
-        }
-        victims.into_iter().collect()
-    }
+    victims.into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacker::AttackerKind;
-    use crate::pattern::{AccessPattern, ClassicPattern};
-    use crate::placement::{AggressorPlacement, NeighborPlacement, SpreadPlacement};
-    use crate::ChannelTarget;
+    use crate::attacker::{AttackerKind, ChannelTarget};
+    use crate::pattern::Pattern;
+    use crate::placement::Placement;
+    use bh_dram::BankAddr;
+    use proptest::prelude::*;
+
+    fn grid(kind: AttackerKind, placement: Placement, geometry: &DramGeometry) -> AggressorGrid {
+        let (banks, aggressors) = Pattern::Classic(kind).footprint();
+        placement.place(banks, aggressors, geometry)
+    }
 
     #[test]
     fn sandwiched_victims_are_adjacent_and_not_aggressors() {
         let geometry = DramGeometry::paper_ddr5();
-        let pattern = ClassicPattern::new(AttackerKind::MultiBank { banks: 2, aggressors: 2 });
-        let grid = NeighborPlacement::new().place(&pattern.request(), &geometry);
-        let victims = SandwichedVictims::new().victim_rows(&grid, &geometry);
-        let aggressors: BTreeSet<(bh_dram::BankAddr, usize)> =
-            grid.aggressor_rows().into_iter().collect();
+        let neighbor = Placement::Neighbor(ChannelTarget::default());
+        let grid = grid(AttackerKind::MultiBank { banks: 2, aggressors: 2 }, neighbor, &geometry);
+        let victims = sandwiched_victims(&grid, &geometry);
+        let aggressors: BTreeSet<(BankAddr, usize)> = grid.aggressor_rows().into_iter().collect();
         assert!(!victims.is_empty());
         for v in &victims {
             assert!(!aggressors.contains(&(v.row.bank, v.row.row)));
@@ -176,44 +66,79 @@ mod tests {
         }
         // Classic neighbor placement puts aggressors at base, base+2, … so
         // the sandwiched rows base+1, … are all victims.
-        assert!(victims.iter().any(|v| v.row.row == AGGRESSOR_BASE + 1));
+        let (_, base) = grid.aggressor_rows()[0];
+        assert!(victims.iter().any(|v| v.row.row == base + 1));
     }
 
     #[test]
     fn sandwiched_victims_cover_every_grid_channel() {
         let geometry = DramGeometry::paper_ddr5().with_channels(4);
-        let pattern = ClassicPattern::new(AttackerKind::DoubleSided);
-        let grid = NeighborPlacement::with_channels(ChannelTarget::interleave())
-            .place(&pattern.request(), &geometry);
-        let victims = SandwichedVictims::new().victim_rows(&grid, &geometry);
+        let interleave = Placement::Neighbor(ChannelTarget::Interleave);
+        let grid = grid(AttackerKind::DoubleSided, interleave, &geometry);
+        let victims = sandwiched_victims(&grid, &geometry);
         let channels: BTreeSet<usize> = victims.iter().map(|v| v.channel).collect();
         assert_eq!(channels, (0..4).collect());
     }
 
     #[test]
     fn victim_rows_are_reduced_to_the_geometry() {
-        // On the tiny test geometry (128 rows/bank) AGGRESSOR_BASE wraps;
-        // victims must stay in range so the tracker's dense index holds.
+        // On the tiny test geometry (128 rows/bank) the aggressor region
+        // wraps; victims must stay in range so the tracker's dense index
+        // holds.
         let geometry = DramGeometry::tiny();
-        let pattern = ClassicPattern::new(AttackerKind::ManySided { aggressors: 4 });
-        let grid = SpreadPlacement::new().place(&pattern.request(), &geometry);
-        for layout in [
-            Box::new(SandwichedVictims::new()) as Box<dyn VictimLayout>,
-            Box::new(KeyTableVictims::new(3)),
-        ] {
-            for v in layout.victim_rows(&grid, &geometry) {
-                assert!(v.row.row < geometry.rows_per_bank, "{}: {v:?}", layout.label());
-            }
+        let grid = grid(AttackerKind::ManySided { aggressors: 4 }, Placement::Spread, &geometry);
+        for v in sandwiched_victims(&grid, &geometry) {
+            assert!(v.row.row < geometry.rows_per_bank, "{v:?}");
         }
     }
 
-    #[test]
-    fn key_table_sits_between_classic_aggressor_pairs() {
-        let geometry = DramGeometry::paper_ddr5();
-        let pattern = ClassicPattern::new(AttackerKind::ManySided { aggressors: 3 });
-        let grid = NeighborPlacement::new().place(&pattern.request(), &geometry);
-        let victims = KeyTableVictims::new(2).victim_rows(&grid, &geometry);
-        let rows: BTreeSet<usize> = victims.iter().map(|v| v.row.row).collect();
-        assert_eq!(rows, BTreeSet::from([AGGRESSOR_BASE + 1, AGGRESSOR_BASE + 3]));
+    /// The wrap-around sandwich rule the victims used before they took the
+    /// tracker's neighbour rule: `r ± 1` modulo the rows per bank.
+    fn wrap_around_victims(grid: &AggressorGrid, geometry: &DramGeometry) -> Vec<VictimRow> {
+        let rows = geometry.rows_per_bank;
+        let aggressors: BTreeSet<(BankAddr, usize)> =
+            grid.aggressor_rows().iter().map(|(bank, row)| (*bank, row % rows)).collect();
+        let mut victims = BTreeSet::new();
+        for channel in grid.channels.clone() {
+            for (bank, row) in &aggressors {
+                for neighbor in [(row + 1) % rows, (row + rows - 1) % rows] {
+                    if !aggressors.contains(&(*bank, neighbor)) {
+                        victims.insert(VictimRow {
+                            channel,
+                            row: RowAddr { bank: *bank, row: neighbor },
+                        });
+                    }
+                }
+            }
+        }
+        victims.into_iter().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Aggressor rows are always even and a wrap to row 0 always comes
+        /// with an aggressor at `rows - 2`, so the tracker's neighbour rule
+        /// and the old wrap-around rule pick the same victims for every
+        /// shipped pattern × placement — including aggressor regions that
+        /// wrap the tiny geometry's 128 rows.
+        #[test]
+        fn neighbor_rule_matches_the_wrap_around_rule(
+            banks in 1usize..40,
+            aggressors in 2usize..160,
+            spread in any::<bool>(),
+            interleave in any::<bool>(),
+            channels in 1usize..4,
+            tiny in any::<bool>(),
+        ) {
+            let base = if tiny { DramGeometry::tiny() } else { DramGeometry::paper_ddr5() };
+            let geometry = base.with_channels(channels);
+            let target =
+                if interleave { ChannelTarget::Interleave } else { ChannelTarget::Pinned(1) };
+            let placement = if spread { Placement::Spread } else { Placement::Neighbor(target) };
+            let grid = placement.place(banks, aggressors, &geometry);
+            let victims = sandwiched_victims(&grid, &geometry);
+            prop_assert_eq!(victims, wrap_around_victims(&grid, &geometry));
+        }
     }
 }
