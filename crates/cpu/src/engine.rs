@@ -113,7 +113,8 @@ struct Lane {
 /// replays `traces[i]` until `target_instructions` have retired, exactly
 /// like the reference `Core` built per thread. Hard-stall bookkeeping (the
 /// window-full-behind-a-miss fast path) is owned by the engine itself.
-#[derive(Debug)]
+/// A clone shares the compiled traces and copies every lane.
+#[derive(Debug, Clone)]
 pub struct CoreEngine {
     config: CoreConfig,
     traces: Vec<CompiledTrace>,

@@ -46,7 +46,7 @@ use bh_core::BreakHammer;
 use bh_dram::{
     AccessKind, BankAddr, CommandKind, Cycle, DramChannel, DramCommand, DramLocation, ThreadId,
 };
-use bh_mitigation::{ActionSink, ActionView, ActivationEvent, TriggerMechanism};
+use bh_mitigation::{ActionSink, ActionView, ActivationEvent, Mechanism};
 use std::collections::VecDeque;
 
 /// Counters describing the controller's activity.
@@ -238,10 +238,11 @@ struct Plan {
 /// observer shared by every channel's controller (see
 /// [`MemorySystem`](crate::MemorySystem)), so the caller passes it into
 /// [`MemoryController::tick`] by mutable reference.
+#[derive(Clone)]
 pub struct MemoryController {
     config: MemControllerConfig,
     channel: DramChannel,
-    mechanism: Box<dyn TriggerMechanism>,
+    mechanism: Mechanism,
     /// Index of this controller's channel in the memory system (0 on
     /// single-channel systems); reported to BreakHammer with every preventive
     /// action.
@@ -268,9 +269,6 @@ pub struct MemoryController {
     /// non-issuing tick could name it (see [`Plan`]). Dropped by any enqueue
     /// and by the next tick that runs.
     plan: Option<Plan>,
-    /// Cached [`TriggerMechanism::may_block`]: lets the scheduler skip the
-    /// per-request blacklist query for the mechanisms that never block.
-    mechanism_may_block: bool,
     /// Reusable scratch sink the mechanism pushes preventive actions into on
     /// every demand activation (cleared and drained by
     /// [`MemoryController::on_demand_activation`]; never allocates in the
@@ -309,18 +307,13 @@ impl MemoryController {
     ///
     /// # Panics
     /// Panics if the configuration is invalid.
-    pub fn new(
-        config: MemControllerConfig,
-        channel: DramChannel,
-        mechanism: Box<dyn TriggerMechanism>,
-    ) -> Self {
+    pub fn new(config: MemControllerConfig, channel: DramChannel, mechanism: Mechanism) -> Self {
         config.validate().expect("invalid memory controller configuration");
         let ranks = channel.geometry().ranks;
         let banks = channel.geometry().banks_per_channel();
         let groups_total = ranks * channel.geometry().bank_groups;
         let t_refi = channel.timing().t_refi;
         let num_threads = config.num_threads;
-        let mechanism_may_block = mechanism.may_block();
         let read_queue = DemandQueue::new(config.read_queue_capacity, banks);
         let write_queue = DemandQueue::new(config.write_queue_capacity, banks);
         MemoryController {
@@ -340,7 +333,6 @@ impl MemoryController {
             preventive_deferred_ticks: 0,
             idle_until: 0,
             plan: None,
-            mechanism_may_block,
             sink: ActionSink::default(),
             shared_scan: vec![SharedScanEntry::default(); groups_total],
             scan_stamp: 0,
@@ -368,8 +360,8 @@ impl MemoryController {
     }
 
     /// The attached mitigation mechanism.
-    pub fn mechanism(&self) -> &dyn TriggerMechanism {
-        self.mechanism.as_ref()
+    pub fn mechanism(&self) -> &Mechanism {
+        &self.mechanism
     }
 
     /// Controller statistics.
@@ -603,7 +595,7 @@ impl MemoryController {
         // asked with the cycle, so its answer at `at` is not the one weighed
         // here. (A tick in `try_preventive`'s bounded-deferral branch reports
         // `cycle + 1`, below any demand horizon, so it never leaves a plan.)
-        self.plan = next.filter(|n| n.at < horizon && !self.mechanism_may_block);
+        self.plan = next.filter(|n| n.at < horizon && !self.mechanism.may_block());
         self.idle_until = next.map_or(horizon, |n| horizon.min(n.at)).max(cycle + 1);
     }
 
@@ -801,7 +793,6 @@ impl MemoryController {
             config,
             next_refresh,
             mechanism,
-            mechanism_may_block,
             scan_stamp,
             ..
         } = self;
@@ -848,7 +839,7 @@ impl MemoryController {
                 };
                 match channel.open_row_flat(flat) {
                     None if reserved => {}
-                    None if *mechanism_may_block => {
+                    None if mechanism.may_block() => {
                         // BlockHammer: a blacklisted row cannot be opened
                         // before its delay expires, so requests differ by row.
                         let shared = ready(ReadyKind::Activate);
@@ -1644,7 +1635,7 @@ mod tests {
                 }
                 let mut ready_at =
                     self.channel.earliest_issue(&self.command_for(e, step, use_writes));
-                if step == ServiceStep::Activate && self.mechanism_may_block {
+                if step == ServiceStep::Activate {
                     ready_at = ready_at.max(self.mechanism.blocked_until(e.loc.row_addr(), cycle));
                 }
                 if cycle < ready_at {
@@ -1733,7 +1724,7 @@ mod tests {
             let Some(plan) = self.plan.filter(|p| p.at == cycle && cycle >= self.idle_until) else {
                 return;
             };
-            assert!(!self.mechanism_may_block, "cycle {cycle}: plan beside a blocking mechanism");
+            assert!(!self.mechanism.may_block(), "cycle {cycle}: plan beside a blocking mechanism");
             let (refresh_pending, preventive_bank) = self.masks(cycle);
             let first_writes = self.write_drain_mode && !self.write_queue.is_empty();
             let order = if first_writes { [true, false] } else { [false, true] };

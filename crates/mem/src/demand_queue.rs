@@ -57,7 +57,7 @@ struct Slot {
 }
 
 /// See the module documentation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DemandQueue {
     /// The slab. It grows only while occupancy sets a new record (freed slots
     /// are recycled through `free` first), so it stops allocating once the

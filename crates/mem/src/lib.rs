@@ -19,11 +19,11 @@
 //! ```
 //! use bh_dram::{AccessKind, DramChannel, DramGeometry, PhysAddr, ThreadId, TimingParams};
 //! use bh_mem::{MemControllerConfig, MemRequest, MemoryController};
-//! use bh_mitigation::MechanismKind;
+//! use bh_mitigation::{Mechanism, MechanismKind};
 //!
 //! let geometry = DramGeometry::paper_ddr5();
 //! let timing = TimingParams::ddr5_4800();
-//! let mechanism = MechanismKind::Graphene.build(&geometry, &timing, 1024, 0);
+//! let mechanism: Mechanism = MechanismKind::Graphene.build(&geometry, &timing, 1024, 0);
 //! let channel = DramChannel::with_rowhammer(geometry, timing, 1024);
 //! let mut controller =
 //!     MemoryController::new(MemControllerConfig::paper_table1(4), channel, mechanism);

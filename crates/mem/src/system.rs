@@ -34,7 +34,7 @@ use crate::latency::LatencyHistogram;
 use crate::request::{MemRequest, MemResponse};
 use bh_core::BreakHammer;
 use bh_dram::{Cycle, DramChannel, PhysAddr, ThreadId};
-use bh_mitigation::TriggerMechanism;
+use bh_mitigation::Mechanism;
 use std::collections::VecDeque;
 
 /// The counters of the deleted epoch channel stepping. Nothing writes them:
@@ -58,6 +58,7 @@ pub struct SteppingStats {
 
 /// A multi-channel memory system: per-channel controllers + mitigation
 /// instances behind one request-routing facade, with one shared BreakHammer.
+#[derive(Debug, Clone)]
 pub struct MemorySystem {
     controllers: Vec<MemoryController>,
     /// The single system-wide BreakHammer observer (None when disabled).
@@ -77,16 +78,6 @@ pub struct MemorySystem {
     single_channel: bool,
 }
 
-impl std::fmt::Debug for MemorySystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemorySystem")
-            .field("channels", &self.controllers.len())
-            .field("breakhammer", &self.breakhammer.is_some())
-            .field("pending_enqueue", &self.pending_enqueue.len())
-            .finish_non_exhaustive()
-    }
-}
-
 impl MemorySystem {
     /// Builds a memory system from one `(DRAM channel, mechanism)` pair per
     /// memory channel. All controllers share `config` (queue capacities and
@@ -97,7 +88,7 @@ impl MemorySystem {
     /// geometry's channel count.
     pub fn new(
         config: MemControllerConfig,
-        channels: Vec<(DramChannel, Box<dyn TriggerMechanism>)>,
+        channels: Vec<(DramChannel, Mechanism)>,
         mut breakhammer: Option<BreakHammer>,
     ) -> Self {
         assert!(!channels.is_empty(), "a memory system needs at least one channel");
@@ -119,8 +110,7 @@ impl MemorySystem {
         if let Some(bh) = breakhammer.as_mut() {
             bh.declare_channels(controllers.len());
         }
-        let pending_enqueue: Vec<VecDeque<MemRequest>> =
-            controllers.iter().map(|_| VecDeque::new()).collect();
+        let pending_enqueue = vec![VecDeque::new(); controllers.len()];
         let single_channel = controllers.len() == 1;
         MemorySystem { controllers, breakhammer, pending_enqueue, pending_total: 0, single_channel }
     }

@@ -15,7 +15,7 @@ pub struct ActivationEvent {
     pub cycle: Cycle,
 }
 
-/// A caller-owned, reusable buffer that [`TriggerMechanism::on_activation`]
+/// A caller-owned, reusable buffer that [`Mechanism::on_activation`]
 /// pushes preventive actions into.
 ///
 /// The activation hot path runs once per DRAM row activation, so mechanisms
@@ -37,7 +37,7 @@ pub struct ActivationEvent {
 ///   borrowed [`ActionView::RefreshRows`] slices stay valid for the whole
 ///   drain.
 ///
-/// [`TriggerMechanism::on_activation`]: crate::TriggerMechanism::on_activation
+/// [`Mechanism::on_activation`]: crate::Mechanism::on_activation
 #[derive(Debug, Clone, Default)]
 pub struct ActionSink {
     entries: Vec<SinkEntry>,

@@ -9,7 +9,7 @@
 //! preventive-action cost and the worst scaling at low `N_RH` (§8.1).
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, ResetWindow, TriggerMechanism};
+use crate::mechanism::{ResetWindow, TriggerMechanism};
 use crate::misra_gries::MisraGries;
 use bh_dram::{DramGeometry, RowAddr, TimingParams};
 
@@ -17,7 +17,7 @@ use bh_dram::{DramGeometry, RowAddr, TimingParams};
 const QUARANTINE_FRACTION: usize = 16;
 
 /// The AQUA mechanism.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Aqua {
     geometry: DramGeometry,
     threshold: u64,
@@ -56,10 +56,6 @@ impl Aqua {
 }
 
 impl TriggerMechanism for Aqua {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Aqua
-    }
-
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
         if self.window.roll(event.cycle) {
             self.tables.iter_mut().for_each(MisraGries::clear);

@@ -14,11 +14,11 @@
 //! ends up delaying benign accesses and its performance collapses (Fig. 18).
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, ResetWindow, TriggerMechanism};
+use crate::mechanism::{ResetWindow, TriggerMechanism};
 use bh_dram::{Cycle, DramGeometry, FlatMap, RowAddr, TimingParams};
 
 /// The BlockHammer mechanism.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct BlockHammer {
     geometry: DramGeometry,
     blacklist_threshold: u64,
@@ -62,13 +62,23 @@ impl BlockHammer {
     fn key(&self, flat_bank: usize, row: usize) -> u64 {
         (flat_bank as u64) << 32 | row as u64
     }
+
+    /// See [`crate::Mechanism::blocked_rows`].
+    pub(crate) fn blocked_rows(&self) -> usize {
+        self.next_allowed.len()
+    }
+
+    /// See [`crate::Mechanism::blocked_until`].
+    pub(crate) fn blocked_until(&self, row: RowAddr, cycle: Cycle) -> Cycle {
+        let bank = self.geometry.flat_bank(row.bank);
+        match self.next_allowed.get(self.key(bank, row.row)) {
+            Some(allowed) => cycle.max(allowed),
+            None => cycle,
+        }
+    }
 }
 
 impl TriggerMechanism for BlockHammer {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::BlockHammer
-    }
-
     fn on_activation(&mut self, event: &ActivationEvent, _sink: &mut ActionSink) {
         if self.window.roll(event.cycle) {
             self.counts.fill(0);
@@ -96,22 +106,6 @@ impl TriggerMechanism for BlockHammer {
         }
         // BlockHammer's preventive action is the delay itself; it never issues
         // extra DRAM commands.
-    }
-
-    fn may_block(&self) -> bool {
-        true
-    }
-
-    fn blocked_rows(&self) -> usize {
-        self.next_allowed.len()
-    }
-
-    fn blocked_until(&self, row: RowAddr, cycle: Cycle) -> Cycle {
-        let bank = self.geometry.flat_bank(row.bank);
-        match self.next_allowed.get(self.key(bank, row.row)) {
-            Some(allowed) => cycle.max(allowed),
-            None => cycle,
-        }
     }
 
     fn storage_bits(&self) -> u64 {

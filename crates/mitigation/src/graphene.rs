@@ -7,12 +7,12 @@
 //! the counter. Tables are cleared every reset window (tREFW).
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, ResetWindow, TriggerMechanism, MITIGATED_BLAST_RADIUS};
+use crate::mechanism::{ResetWindow, TriggerMechanism, MITIGATED_BLAST_RADIUS};
 use crate::misra_gries::MisraGries;
 use bh_dram::{DramGeometry, TimingParams};
 
 /// The Graphene mechanism.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Graphene {
     geometry: DramGeometry,
     /// Activation count at which a tracked aggressor's victims are refreshed.
@@ -46,10 +46,6 @@ impl Graphene {
 }
 
 impl TriggerMechanism for Graphene {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Graphene
-    }
-
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
         if self.window.roll(event.cycle) {
             self.tables.iter_mut().for_each(MisraGries::clear);

@@ -14,7 +14,7 @@
 //! actions for score attribution (§4.1).
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, ResetWindow, TriggerMechanism, MITIGATED_BLAST_RADIUS};
+use crate::mechanism::{ResetWindow, TriggerMechanism, MITIGATED_BLAST_RADIUS};
 use bh_dram::{DramGeometry, FlatMap, RowAddr, TimingParams};
 
 /// Rows per tracking group (Hydra uses 128 in the paper's configuration).
@@ -23,7 +23,7 @@ const GROUP_SIZE: usize = 128;
 const RCC_ENTRIES: usize = 4096;
 
 /// The Hydra mechanism.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Hydra {
     geometry: DramGeometry,
     group_threshold: u64,
@@ -95,10 +95,6 @@ impl Hydra {
 }
 
 impl TriggerMechanism for Hydra {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Hydra
-    }
-
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
         if self.window.roll(event.cycle) {
             self.group_counts.fill(0);

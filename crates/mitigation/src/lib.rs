@@ -16,12 +16,12 @@
 //! | PRAC | per-row activation counting + back-off RFMs | [`MechanismKind::Prac`] |
 //! | BlockHammer | row blacklisting + access delay (comparison point) | [`MechanismKind::BlockHammer`] |
 //!
-//! [`MechanismKind::build`] instantiates them. Every mechanism implements the
-//! [`TriggerMechanism`] trait: the memory controller reports each row
-//! activation (annotated with the hardware thread that caused it), and the
-//! mechanism pushes the preventive actions to perform into a caller-owned,
-//! reusable [`ActionSink`] — the activation path is the simulator's hot loop,
-//! so it is allocation-free in the steady state.
+//! [`MechanismKind::build`] instantiates each as one closed, cloneable
+//! [`Mechanism`] value. The memory controller reports each row activation
+//! (annotated with the hardware thread that caused it) to
+//! [`Mechanism::on_activation`], which pushes the preventive actions to perform
+//! into a caller-owned, reusable [`ActionSink`] — the activation path is the
+//! simulator's hot loop, so it is allocation-free in the steady state.
 //! BreakHammer (in `bh-core`) observes those actions and attributes
 //! per-thread scores according to the mechanism's [`ScoreAttribution`].
 //!
@@ -68,5 +68,5 @@ mod rfm;
 mod twice;
 
 pub use action::{ActionSink, ActionView, ActivationEvent, ScoreAttribution};
-pub use mechanism::{MechanismKind, TriggerMechanism, MITIGATED_BLAST_RADIUS};
+pub use mechanism::{Mechanism, MechanismKind, MITIGATED_BLAST_RADIUS};
 pub use misra_gries::MisraGries;

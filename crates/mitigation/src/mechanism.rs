@@ -1,7 +1,7 @@
-//! The [`TriggerMechanism`] trait implemented by every RowHammer mitigation
-//! mechanism, the [`MechanismKind`] factory used by the experiment harness to
-//! instantiate mechanisms by name, and what the mechanisms share: the victim
-//! distance they protect and their tREFW [`ResetWindow`].
+//! [`Mechanism`], the one value every RowHammer mitigation mechanism is built
+//! as, the [`MechanismKind`] registry that builds it by name, and what the
+//! mechanism files share: their trait, the victim distance they protect and
+//! their tREFW [`ResetWindow`].
 
 use crate::action::{ActionSink, ActivationEvent, ScoreAttribution};
 use crate::{
@@ -11,66 +11,121 @@ use crate::{
 use bh_dram::{Cycle, DramGeometry, RowAddr, TimingAdjustment, TimingParams};
 use std::fmt;
 
-/// A RowHammer mitigation mechanism's trigger algorithm.
-///
-/// The memory controller feeds every row activation to the mechanism via
-/// [`TriggerMechanism::on_activation`]; the mechanism pushes the
-/// RowHammer-preventive actions it wants performed into the caller-owned
-/// [`ActionSink`] (see the sink's documentation for the ownership and
-/// reentrancy contract). BlockHammer additionally delays requests to
-/// blacklisted rows via [`TriggerMechanism::blocked_until`], and REGA adjusts
-/// DRAM timing via [`TriggerMechanism::timing_adjustment`].
-pub trait TriggerMechanism: fmt::Debug + Send {
-    /// The mechanism's kind tag.
-    fn kind(&self) -> MechanismKind;
-
-    /// Observes one row activation and appends any preventive actions to
-    /// perform now to `sink`. This is the simulator's per-activation hot
-    /// path: implementations must not allocate in the steady state (the sink
-    /// reuses its buffers; trackers must not rehash or grow after warm-up).
+/// What every mechanism file implements; [`Mechanism`] dispatches to it.
+pub(crate) trait TriggerMechanism {
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink);
+    fn storage_bits(&self) -> u64;
+}
 
-    /// True if [`TriggerMechanism::blocked_until`] can ever return a cycle
-    /// past its argument. Schedulers use this to skip per-request blacklist
-    /// queries for the mechanisms that never block. The default is false.
-    fn may_block(&self) -> bool {
-        false
+/// One instance of a RowHammer mitigation mechanism, built by
+/// [`MechanismKind::build`]: the memory controller reports every row
+/// activation to it, BlockHammer also delays blacklisted rows and REGA
+/// inflates DRAM timing. A closed value: a clone copies every table, counter
+/// and random number generator, and acts exactly as the original from then on.
+#[derive(Debug, Clone)]
+pub struct Mechanism {
+    kind: MechanismKind,
+    state: State,
+}
+
+/// A mechanism's trigger state: one variant per mechanism file.
+#[derive(Debug, Clone)]
+enum State {
+    None,
+    Para(Para),
+    Graphene(Graphene),
+    Hydra(Hydra),
+    Twice(Twice),
+    Aqua(Aqua),
+    Rega(Rega),
+    Rfm(Rfm),
+    Prac(Prac),
+    BlockHammer(BlockHammer),
+}
+
+impl Mechanism {
+    /// The mechanism's kind tag.
+    pub fn kind(&self) -> MechanismKind {
+        self.kind
+    }
+
+    /// Observes one row activation and appends the preventive actions to
+    /// perform now to the caller-owned `sink` (see [`ActionSink`]). The hot
+    /// path: no mechanism allocates in the steady state.
+    pub fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
+        match &mut self.state {
+            State::None => {}
+            State::Para(m) => m.on_activation(event, sink),
+            State::Graphene(m) => m.on_activation(event, sink),
+            State::Hydra(m) => m.on_activation(event, sink),
+            State::Twice(m) => m.on_activation(event, sink),
+            State::Aqua(m) => m.on_activation(event, sink),
+            State::Rega(m) => m.on_activation(event, sink),
+            State::Rfm(m) => m.on_activation(event, sink),
+            State::Prac(m) => m.on_activation(event, sink),
+            State::BlockHammer(m) => m.on_activation(event, sink),
+        }
+    }
+
+    /// Processor/memory-controller die storage the mechanism requires, in
+    /// bits (the area comparisons of §3 and §8.3).
+    pub fn storage_bits(&self) -> u64 {
+        match &self.state {
+            State::None => 0,
+            State::Para(m) => m.storage_bits(),
+            State::Graphene(m) => m.storage_bits(),
+            State::Hydra(m) => m.storage_bits(),
+            State::Twice(m) => m.storage_bits(),
+            State::Aqua(m) => m.storage_bits(),
+            State::Rega(m) => m.storage_bits(),
+            State::Rfm(m) => m.storage_bits(),
+            State::Prac(m) => m.storage_bits(),
+            State::BlockHammer(m) => m.storage_bits(),
+        }
+    }
+
+    /// True if [`Mechanism::blocked_until`] can ever return a cycle past its
+    /// argument (BlockHammer): schedulers skip the per-request query otherwise.
+    #[inline]
+    pub fn may_block(&self) -> bool {
+        matches!(self.state, State::BlockHammer(_))
     }
 
     /// Earliest cycle at or after `cycle` at which an activation of `row` may
-    /// be scheduled, assuming no further activations are observed in between
-    /// (BlockHammer's blacklisting throttle; `row` is blocked at `cycle` iff
-    /// the answer is past `cycle`). The event-driven scheduler uses this
-    /// horizon to jump the clock across a blocking delay instead of
-    /// re-polling every cycle. The default (no blocking) returns `cycle`.
-    fn blocked_until(&self, row: RowAddr, cycle: Cycle) -> Cycle {
-        let _ = row;
-        cycle
+    /// be scheduled if nothing else is activated first: BlockHammer's
+    /// blacklist delay, `cycle` itself for every other mechanism.
+    #[inline]
+    pub fn blocked_until(&self, row: RowAddr, cycle: Cycle) -> Cycle {
+        match &self.state {
+            State::BlockHammer(m) => m.blocked_until(row, cycle),
+            _ => cycle,
+        }
     }
 
-    /// Number of rows the mechanism is currently blocking (BlockHammer's
-    /// live blacklist size). Diagnostic only: feeds the forward-progress
-    /// watchdog's livelock snapshot, where "how many rows does the mechanism
-    /// hold blocked right now" is exactly the state a throttling livelock
-    /// hides in. The default (mechanisms that never block) is 0.
-    fn blocked_rows(&self) -> usize {
-        0
+    /// Rows currently blocked (BlockHammer's live blacklist size, else 0);
+    /// the watchdog's livelock snapshot reports it.
+    pub fn blocked_rows(&self) -> usize {
+        match &self.state {
+            State::BlockHammer(m) => m.blocked_rows(),
+            _ => 0,
+        }
     }
 
-    /// DRAM timing adjustment the mechanism requires (REGA). The default is no
-    /// adjustment.
-    fn timing_adjustment(&self) -> TimingAdjustment {
-        TimingAdjustment::none()
+    /// DRAM timing adjustment the mechanism requires (REGA; none otherwise).
+    pub fn timing_adjustment(&self) -> TimingAdjustment {
+        match &self.state {
+            State::Rega(m) => m.timing_adjustment(),
+            _ => TimingAdjustment::none(),
+        }
     }
 
-    /// Processor/memory-controller die storage required by the mechanism, in
-    /// bits (used for the area comparisons of §3 and §8.3).
-    fn storage_bits(&self) -> u64;
-
-    /// How BreakHammer should attribute RowHammer-preventive scores for this
-    /// mechanism (§4.1).
-    fn attribution(&self) -> ScoreAttribution {
-        ScoreAttribution::ProportionalToActivations
+    /// How BreakHammer attributes scores for this mechanism (§4.1): per
+    /// activation quota for REGA, proportionally to activations otherwise.
+    pub fn attribution(&self) -> ScoreAttribution {
+        match &self.state {
+            State::Rega(m) => m.attribution(),
+            _ => ScoreAttribution::ProportionalToActivations,
+        }
     }
 }
 
@@ -136,34 +191,31 @@ impl ResetWindow {
     }
 }
 
-/// Constructor of one mechanism: `(geometry, timing, nrh, seed)`, with `nrh`
-/// at least the registry's minimum.
-type Constructor = fn(&DramGeometry, &TimingParams, u64, u64) -> Box<dyn TriggerMechanism>;
+/// Constructor of one mechanism's state: `(geometry, timing, nrh, seed)`,
+/// with `nrh` at least the registry's minimum.
+type Constructor = fn(&DramGeometry, &TimingParams, u64, u64) -> State;
 
 /// The mechanism registry, one row per [`MechanismKind`] in declaration
 /// order: `(kind, label, extra names `parse` accepts, smallest N_RH
 /// [`MechanismKind::build`] accepts, constructor)`. A new mechanism is one
-/// enum variant, one row here and one file.
+/// file, one row here, one variant per enum and one arm per `match`.
 const REGISTRY: &[(MechanismKind, &str, &[&str], u64, Constructor)] = {
     use MechanismKind as K;
     &[
-        // No constructor to satisfy, but the device's disturbance tracker
-        // needs a positive threshold.
-        (K::None, "NoDefense", &["none", "no-defense", "baseline"], 1, |_, _, _, _| {
-            Box::new(NoMitigation)
-        }),
-        (K::Para, "PARA", &[], 1, |g, _, nrh, seed| Box::new(Para::new(g.clone(), nrh, seed))),
+        // Stateless, but the device's disturbance tracker needs N_RH > 0.
+        (K::None, "NoDefense", &["none", "no-defense", "baseline"], 1, |_, _, _, _| State::None),
+        (K::Para, "PARA", &[], 1, |g, _, nrh, seed| State::Para(Para::new(g.clone(), nrh, seed))),
         (K::Graphene, "Graphene", &[], 4, |g, t, nrh, _| {
-            Box::new(Graphene::new(g.clone(), t, nrh))
+            State::Graphene(Graphene::new(g.clone(), t, nrh))
         }),
-        (K::Hydra, "Hydra", &[], 8, |g, t, nrh, _| Box::new(Hydra::new(g.clone(), t, nrh))),
-        (K::Twice, "TWiCe", &[], 4, |g, t, nrh, _| Box::new(Twice::new(g.clone(), t, nrh))),
-        (K::Aqua, "AQUA", &[], 4, |g, t, nrh, _| Box::new(Aqua::new(g.clone(), t, nrh))),
-        (K::Rega, "REGA", &[], 4, |_, _, nrh, _| Box::new(Rega::new(nrh))),
-        (K::Rfm, "RFM", &[], 8, |g, _, nrh, _| Box::new(Rfm::new(g.clone(), nrh))),
-        (K::Prac, "PRAC", &[], 4, |g, _, nrh, _| Box::new(Prac::new(g.clone(), nrh))),
+        (K::Hydra, "Hydra", &[], 8, |g, t, nrh, _| State::Hydra(Hydra::new(g.clone(), t, nrh))),
+        (K::Twice, "TWiCe", &[], 4, |g, t, nrh, _| State::Twice(Twice::new(g.clone(), t, nrh))),
+        (K::Aqua, "AQUA", &[], 4, |g, t, nrh, _| State::Aqua(Aqua::new(g.clone(), t, nrh))),
+        (K::Rega, "REGA", &[], 4, |_, _, nrh, _| State::Rega(Rega::new(nrh))),
+        (K::Rfm, "RFM", &[], 8, |g, _, nrh, _| State::Rfm(Rfm::new(g.clone(), nrh))),
+        (K::Prac, "PRAC", &[], 4, |g, _, nrh, _| State::Prac(Prac::new(g.clone(), nrh))),
         (K::BlockHammer, "BlockHammer", &[], 4, |g, t, nrh, _| {
-            Box::new(BlockHammer::new(g.clone(), t, nrh))
+            State::BlockHammer(BlockHammer::new(g.clone(), t, nrh))
         }),
     ]
 };
@@ -235,32 +287,16 @@ impl MechanismKind {
         timing: &TimingParams,
         nrh: u64,
         seed: u64,
-    ) -> Box<dyn TriggerMechanism> {
+    ) -> Mechanism {
         let min = self.min_nrh();
         assert!(nrh >= min, "{self}: N_RH {nrh} is below the registry's minimum {min}");
-        (REGISTRY[self as usize].4)(geometry, timing, nrh, seed)
+        Mechanism { kind: self, state: (REGISTRY[self as usize].4)(geometry, timing, nrh, seed) }
     }
 }
 
 impl fmt::Display for MechanismKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// The "no defense" baseline: never triggers any preventive action.
-#[derive(Debug)]
-pub(crate) struct NoMitigation;
-
-impl TriggerMechanism for NoMitigation {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::None
-    }
-
-    fn on_activation(&mut self, _event: &ActivationEvent, _sink: &mut ActionSink) {}
-
-    fn storage_bits(&self) -> u64 {
-        0
     }
 }
 
@@ -282,7 +318,7 @@ pub(crate) mod testing {
 
     /// The actions `mechanism` queues for `event`.
     pub(crate) fn actions(
-        mechanism: &mut dyn TriggerMechanism,
+        mechanism: &mut impl TriggerMechanism,
         event: &ActivationEvent,
     ) -> ActionSink {
         let mut sink = ActionSink::default();
@@ -293,25 +329,33 @@ pub(crate) mod testing {
 
 #[cfg(test)]
 mod tests {
-    use super::testing::{actions, event};
+    use super::testing::event;
     use super::*;
     use proptest::prelude::*;
 
     #[test]
     fn no_mitigation_never_acts() {
-        let mut m = NoMitigation;
+        let mut m =
+            MechanismKind::None.build(&DramGeometry::tiny(), &TimingParams::fast_test(), 1, 0);
+        let mut sink = ActionSink::default();
         for cycle in 0..10_000 {
-            assert!(actions(&mut m, &event(1, cycle)).is_empty());
+            m.on_activation(&event(1, cycle), &mut sink);
         }
+        assert!(sink.is_empty());
         assert_eq!(m.storage_bits(), 0);
     }
 
     /// Every kind, built at its minimum N_RH and at 1024, keeps the contract
     /// the controller relies on: its kind round-trips through its label; only
-    /// BlockHammer may block (the controller caches `may_block` once per run)
-    /// and does block a hammered row, while every other kind answers
-    /// `blocked_until(row, c) == c`; only REGA adjusts timing and attributes
-    /// scores per activation quota; a fresh instance blocks no row.
+    /// BlockHammer may block and does block a hammered row, while every other
+    /// kind answers `blocked_until(row, c) == c`; only REGA adjusts timing
+    /// and attributes scores per activation quota; a fresh instance blocks no
+    /// row. And a
+    /// clone taken after 2·N_RH activations is a checkpoint: driven with the
+    /// same next 2·N_RH events (three rows, spread over two reset windows),
+    /// it queues the same actions and blocks the same rows as the original
+    /// at every step — PARA's RNG, the Misra–Gries tables and BlockHammer's
+    /// blacklist included.
     #[test]
     fn every_kind_honours_the_registry_contract() {
         let geom = DramGeometry::tiny();
@@ -342,6 +386,20 @@ mod tests {
                 }
                 assert_eq!(blocked, blockhammer, "{kind} @ {nrh}");
                 assert_eq!(mech.blocked_rows() > 0, blockhammer, "{kind} @ {nrh}");
+
+                let mut twin = mech.clone();
+                let mut twin_sink = ActionSink::default();
+                for i in 0..2 * nrh {
+                    let ev = event(6 + (i % 3) as usize, 2 * nrh + i * (timing.t_refw / nrh));
+                    mech.on_activation(&ev, &mut sink);
+                    twin.on_activation(&ev, &mut twin_sink);
+                    assert!(sink.iter().eq(twin_sink.iter()), "{kind} @ {nrh}, event {i}");
+                    sink.clear();
+                    twin_sink.clear();
+                    let until = mech.blocked_until(ev.row, ev.cycle);
+                    assert_eq!(until, twin.blocked_until(ev.row, ev.cycle), "{kind} @ {nrh}");
+                    assert_eq!(mech.blocked_rows(), twin.blocked_rows(), "{kind} @ {nrh}");
+                }
             }
         }
     }

@@ -10,7 +10,7 @@
 //! very low thresholds even when the attacker is throttled (§8.1).
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, TriggerMechanism, MITIGATED_BLAST_RADIUS};
+use crate::mechanism::{TriggerMechanism, MITIGATED_BLAST_RADIUS};
 use bh_dram::DramGeometry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 const PROTECTION_CONSTANT: f64 = 69.0;
 
 /// The PARA mechanism.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Para {
     geometry: DramGeometry,
     probability: f64,
@@ -36,10 +36,6 @@ impl Para {
 }
 
 impl TriggerMechanism for Para {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Para
-    }
-
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
         if self.rng.gen::<f64>() >= self.probability {
             return;

@@ -10,14 +10,14 @@
 //! behaviour BreakHammer exploits to identify and throttle the attacker.
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, TriggerMechanism};
+use crate::mechanism::TriggerMechanism;
 use bh_dram::DramGeometry;
 
 /// RFM commands the controller issues in response to one alert.
 const RFMS_PER_ALERT: usize = 1;
 
 /// The PRAC mechanism.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Prac {
     geometry: DramGeometry,
     backoff_threshold: u64,
@@ -44,10 +44,6 @@ impl Prac {
 }
 
 impl TriggerMechanism for Prac {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Prac
-    }
-
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
         let bank = self.geometry.flat_bank(event.row.bank);
         let count = &mut self.row_counts[bank * self.geometry.rows_per_bank + event.row.row];

@@ -15,11 +15,11 @@
 //! activations the thread performs.
 
 use crate::action::{ActionSink, ActivationEvent, ScoreAttribution};
-use crate::mechanism::{MechanismKind, TriggerMechanism};
+use crate::mechanism::TriggerMechanism;
 use bh_dram::TimingAdjustment;
 
 /// The REGA mechanism.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Rega {
     rega_t: u64,
     adjustment: TimingAdjustment,
@@ -42,29 +42,27 @@ impl Rega {
             TimingAdjustment { extra_t_rp: extra, extra_t_ras: extra / 2, extra_t_rfc: 0 };
         Rega { rega_t, adjustment }
     }
+
+    /// The inflated DRAM timing.
+    pub(crate) fn timing_adjustment(&self) -> TimingAdjustment {
+        self.adjustment
+    }
+
+    /// One score point per `REGA_T` activations of a thread.
+    pub(crate) fn attribution(&self) -> ScoreAttribution {
+        ScoreAttribution::PerActivationQuota { quota: self.rega_t }
+    }
 }
 
 impl TriggerMechanism for Rega {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Rega
-    }
-
     fn on_activation(&mut self, _event: &ActivationEvent, _sink: &mut ActionSink) {
         // Refreshes happen inside the DRAM chip, in parallel with the
         // activation; no controller-visible action is generated.
     }
 
-    fn timing_adjustment(&self) -> TimingAdjustment {
-        self.adjustment
-    }
-
     fn storage_bits(&self) -> u64 {
         // All state lives inside the modified DRAM chip.
         0
-    }
-
-    fn attribution(&self) -> ScoreAttribution {
-        ScoreAttribution::PerActivationQuota { quota: self.rega_t }
     }
 }
 

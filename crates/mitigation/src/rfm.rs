@@ -10,11 +10,11 @@
 //! frequent RFMs and thus more bank-blocked time.
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, TriggerMechanism};
+use crate::mechanism::TriggerMechanism;
 use bh_dram::DramGeometry;
 
 /// The periodic-RFM mechanism.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Rfm {
     geometry: DramGeometry,
     raaimt: u64,
@@ -35,10 +35,6 @@ impl Rfm {
 }
 
 impl TriggerMechanism for Rfm {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Rfm
-    }
-
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
         let bank = self.geometry.flat_bank(event.row.bank);
         self.counters[bank] += 1;

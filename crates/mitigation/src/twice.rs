@@ -7,7 +7,7 @@
 //! crosses the refresh threshold have their neighbours preventively refreshed.
 
 use crate::action::{ActionSink, ActivationEvent};
-use crate::mechanism::{MechanismKind, ResetWindow, TriggerMechanism, MITIGATED_BLAST_RADIUS};
+use crate::mechanism::{ResetWindow, TriggerMechanism, MITIGATED_BLAST_RADIUS};
 use bh_dram::{Cycle, DramGeometry, FlatMap, TimingParams};
 
 /// One TWiCe table entry.
@@ -20,7 +20,7 @@ struct TwiceEntry {
 }
 
 /// The TWiCe mechanism.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Twice {
     geometry: DramGeometry,
     refresh_threshold: u64,
@@ -85,10 +85,6 @@ impl Twice {
 }
 
 impl TriggerMechanism for Twice {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Twice
-    }
-
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
         self.maybe_prune_and_reset(event.cycle);
         let bank = self.geometry.flat_bank(event.row.bank);

@@ -10,6 +10,10 @@
 //! full equality, over deterministic matrices (mechanisms, attack scenarios,
 //! channel counts, the fault model, BreakHammer window edges, cutoffs,
 //! watchdog verdicts) and proptest-randomized mixes.
+//!
+//! The checkpoint tests hold the event-driven kernel against itself: a run
+//! paused, cloned and resumed must finish, in both halves, with the
+//! uninterrupted run's full result.
 
 use crate::system::tests::{attack_traces, attack_traces_composed, benign_traces};
 use crate::{SimulationResult, System, SystemConfig, TerminationReason};
@@ -315,6 +319,102 @@ fn livelock_config(channels: usize) -> SystemConfig {
     config.watchdog.epoch_cycles = 5_000;
     config.watchdog.stall_epochs = 4;
     config
+}
+
+/// Runs `system()` uninterrupted, then again paused at each of `forks`
+/// with a clone set aside there: the paused original and every clone must
+/// finish with the uninterrupted run's full result. At least three forks
+/// must land inside the run. Returns the result.
+fn assert_checkpoints(system: impl Fn() -> System, forks: &[u64], label: &str) -> SimulationResult {
+    let want = system().run();
+    let inside = forks.iter().filter(|&&fork| fork < want.dram_cycles).count();
+    assert!(
+        inside >= 3,
+        "{label}: {inside} of the forks {forks:?} precede the end, {}",
+        want.dram_cycles
+    );
+    for (i, got) in system().run_forked(forks).into_iter().enumerate() {
+        let who =
+            if i == 0 { "the paused run".into() } else { format!("the clone at {}", forks[i - 1]) };
+        assert_eq!(got, want, "{label}: {who} diverged from the uninterrupted run");
+    }
+    want
+}
+
+/// Checkpoint fork points: mid-window, a watchdog epoch boundary and a
+/// BreakHammer window edge of [`checkpoint_config`].
+const FORKS: [u64; 3] = [777, 1_250, 2_000];
+
+/// The attack recipe with 1 000-cycle BreakHammer windows that flag the
+/// attacker (TH_threat 4) and 1 250-cycle watchdog epochs, so every fork of
+/// [`FORKS`] lands inside the run.
+fn checkpoint_config(mechanism: MechanismKind, breakhammer: bool) -> SystemConfig {
+    let mut config = SystemConfig::fast_test(mechanism, 128, breakhammer);
+    config.instructions_per_core = 6_000;
+    let mut bh = config.effective_breakhammer_config();
+    bh.threat_threshold = 4.0;
+    bh.window_cycles = 1_000;
+    config.breakhammer_config = Some(bh);
+    config.watchdog.epoch_cycles = 1_250;
+    config
+}
+
+/// A clone of a running [`System`] is a checkpoint, for every mechanism
+/// with and without BreakHammer: PARA's RNG, the trackers' tables,
+/// BlockHammer's blacklist, the suspect flags and quotas, the queues, the
+/// LLC and the core lanes all carry over.
+#[test]
+fn every_mechanism_resumes_identically_from_a_checkpoint() {
+    for mechanism in MechanismKind::ALL {
+        for breakhammer in [false, true] {
+            if mechanism == MechanismKind::None && breakhammer {
+                continue;
+            }
+            let config = checkpoint_config(mechanism, breakhammer);
+            let traces = attack_traces(&config, 2_000, 100);
+            let system = || System::new(config.clone(), &traces, vec![0, 1, 2]);
+            let result = assert_checkpoints(system, &FORKS, &config.summary());
+            if let Some(stats) = &result.breakhammer {
+                assert!(stats.windows_completed >= 2, "{}: no window edge", config.summary());
+            }
+        }
+    }
+}
+
+/// Checkpoints of a 4-channel system and of the probabilistic SEC-DED fault
+/// model, whose flips (drawn and classified) must carry over too.
+#[test]
+fn multi_channel_and_fault_model_runs_resume_identically_from_a_checkpoint() {
+    let mut four_channels = checkpoint_config(MechanismKind::Graphene, true).with_channels(4);
+    four_channels.instructions_per_core = 12_000;
+    let mut undefended = checkpoint_config(MechanismKind::None, false).with_channels(2);
+    undefended.nrh = 64;
+    undefended.fault = probabilistic_secded_fault();
+    let mut defended = checkpoint_config(MechanismKind::Para, true);
+    defended.nrh = 64;
+    defended.fault = probabilistic_secded_fault();
+    for config in [four_channels, undefended, defended] {
+        let traces = attack_traces(&config, 2_000, 100);
+        let system = || System::new(config.clone(), &traces, vec![0, 1, 2]);
+        let label = format!("{} x{}ch", config.summary(), config.geometry.channels);
+        let result = assert_checkpoints(system, &FORKS, &label);
+        if config.mechanism == MechanismKind::None {
+            assert!(result.outcome.flips_raw > 0, "{label}: no flips to carry over");
+        }
+    }
+}
+
+/// A checkpoint of the chaos-injected livelock, taken in its dead tail, at
+/// the epoch boundaries before the verdict and after it (a run that has
+/// ended stays ended): the `Livelock` verdict and its report carry over.
+#[test]
+fn livelocked_run_resumes_identically_from_a_checkpoint() {
+    let config = livelock_config(1);
+    let traces = benign_traces(&config, 2_000, 7);
+    let system = || System::new(config.clone(), &traces, vec![0, 1, 2, 3]);
+    let result = assert_checkpoints(system, &[2_500, 10_000, 20_000, 40_000], "livelock");
+    assert_eq!(result.termination, TerminationReason::Livelock);
+    assert!(result.livelock.is_some(), "livelock verdicts carry a report");
 }
 
 proptest! {

@@ -48,11 +48,6 @@ impl CpuClock {
         CpuClock { ratio, acc: 0.0, next_cpu_cycle: 0 }
     }
 
-    /// The CPU-cycle value the next tick will carry.
-    fn next_cpu_cycle(&self) -> Cycle {
-        self.next_cpu_cycle
-    }
-
     /// Advances the accumulator by one DRAM cycle and returns the range of
     /// CPU-cycle values to tick during it (possibly empty).
     fn tick_range(&mut self) -> Range<Cycle> {
@@ -90,8 +85,16 @@ impl CpuClock {
     }
 }
 
-/// A fully-wired simulated system.
-#[derive(Debug)]
+/// The loop state of a run that `System::advance` keeps outside the system.
+#[derive(Debug, Clone)]
+struct RunState {
+    dram_cycle: Cycle,
+    clock: CpuClock,
+}
+
+/// A fully-wired simulated system. A clone is a checkpoint: it shares the
+/// compiled traces, copies all other state and runs on exactly as the original.
+#[derive(Debug, Clone)]
 pub struct System {
     config: SystemConfig,
     /// Every core's trace replay; core `i` runs `ThreadId(i)`.
@@ -421,36 +424,66 @@ impl System {
         }
     }
 
-    /// Runs the simulation to completion and returns the measured results.
-    ///
-    /// Steps the system only at cycles where some layer can make progress,
-    /// and fast-forwards across the dead cycles in between, replaying their
-    /// counter increments in bulk so the results stay bit-identical to the
-    /// test-only per-cycle reference kernel.
+    /// Runs the simulation to completion, on the event-driven kernel of the
+    /// module documentation, and returns the measured results.
     pub fn run(mut self) -> SimulationResult {
-        let mut clock = CpuClock::new(self.config.cpu_cycles_per_dram_cycle());
-        let max = self.config.max_dram_cycles;
-        let mut dram_cycle: Cycle = 0;
-        while !self.required_finished() && dram_cycle < max {
-            if self.watchdog_fires(dram_cycle) {
+        let mut run = self.start();
+        self.advance(&mut run, self.config.max_dram_cycles);
+        self.finish(run.dram_cycle)
+    }
+
+    fn start(&self) -> RunState {
+        RunState { dram_cycle: 0, clock: CpuClock::new(self.config.cpu_cycles_per_dram_cycle()) }
+    }
+
+    /// The event-driven loop: steps the system only at cycles where some
+    /// layer can make progress and fast-forwards across the dead cycles in
+    /// between, replaying their counter increments in bulk. Runs until the
+    /// run ends (a watchdog verdict, the required cores finished, the cycle
+    /// cap) or its next step is at or past `stop`; stopping there and
+    /// resuming changes nothing.
+    fn advance(&mut self, run: &mut RunState, stop: Cycle) {
+        let (max, end) = (self.config.max_dram_cycles, stop.min(self.config.max_dram_cycles));
+        while self.verdict.is_none() && !self.required_finished() && run.dram_cycle < end {
+            if self.watchdog_fires(run.dram_cycle) {
                 break;
             }
-            self.step(dram_cycle, &mut clock);
+            self.step(run.dram_cycle, &mut run.clock);
             if self.required_finished() {
-                dram_cycle += 1;
+                run.dram_cycle += 1;
                 break;
             }
-            let next = self.next_event(dram_cycle, &clock);
+            let next = self.next_event(run.dram_cycle, &run.clock);
             // Clamp to the next watchdog epoch boundary so the kernel steps
             // there (undershooting a horizon is only wasted work, never a
             // behaviour change — the reference kernel steps every cycle).
-            let next = next.clamp(dram_cycle + 1, max).min(self.watchdog.horizon_cap());
-            if next > dram_cycle + 1 {
-                self.skip_dead_cycles(next - dram_cycle - 1, &mut clock);
+            let next = next.clamp(run.dram_cycle + 1, max).min(self.watchdog.horizon_cap());
+            if next > run.dram_cycle + 1 {
+                self.skip_dead_cycles(next - run.dram_cycle - 1, &mut run.clock);
             }
-            dram_cycle = next;
+            run.dram_cycle = next;
         }
-        self.finish(dram_cycle)
+    }
+
+    /// [`System::run`] paused at each of the ascending cycles in `forks` (at
+    /// the first step cycle at or past it), where a clone of the system and
+    /// its run state is set aside. Returns the original's result, then each
+    /// clone's, every one finished on its own after the original.
+    #[cfg(test)]
+    pub(crate) fn run_forked(mut self, forks: &[Cycle]) -> Vec<SimulationResult> {
+        let mut run = self.start();
+        let mut clones = Vec::new();
+        for &fork in forks {
+            self.advance(&mut run, fork);
+            clones.push((self.clone(), run.clone()));
+        }
+        self.advance(&mut run, self.config.max_dram_cycles);
+        let mut results = vec![self.finish(run.dram_cycle)];
+        for (mut system, mut run) in clones {
+            system.advance(&mut run, system.config.max_dram_cycles);
+            results.push(system.finish(run.dram_cycle));
+        }
+        results
     }
 
     /// The reference kernel: executes [`System::step`] at every DRAM cycle.
@@ -626,8 +659,7 @@ impl System {
             }
         }
 
-        let next_cpu = clock.next_cpu_cycle();
-        if self.cores.progress_batch(&self.llc, next_cpu, &mut self.progress_buf) {
+        if self.cores.progress_batch(&self.llc, clock.next_cpu_cycle, &mut self.progress_buf) {
             return dram_cycle + 1;
         }
         for p in &self.progress_buf {
