@@ -79,8 +79,8 @@ impl CampaignSpec {
             let mut scale = self.scale.clone();
             scale.seed = seed;
             // Mixes and alone baselines depend on the seed, so each seed
-            // gets its own campaign (and its own alone-IPC cache: same app
-            // name, different trace).
+            // gets its own campaign (and its own alone-IPC baselines: same
+            // app name, different trace).
             let mut campaign = Campaign::new(scale.clone());
             let mixes = campaign.sweep_mixes(self.attack);
             let configs = config_matrix(
@@ -110,7 +110,7 @@ impl CampaignSpec {
             if jobs.is_empty() {
                 continue;
             }
-            let cache = campaign.warmed_alone_cache().clone();
+            let alone = campaign.warmed_alone_cache();
             let on_cell = |i: usize, outcome: Result<&RunRecord, &str>| match outcome {
                 Ok(record) => store.append(&record_line(&cells[i], seed, self.attack, record)),
                 Err(error) => store.append(&failed_line(&cells[i], seed, self.attack, error)),
@@ -122,7 +122,7 @@ impl CampaignSpec {
                 on_record: &on_cell,
             };
             let results =
-                evaluate_jobs(&configs, &mixes, &jobs, &cache, scale.worker_threads, &hooks);
+                evaluate_jobs(&configs, &mixes, &jobs, alone, scale.worker_threads, &hooks);
             for result in &results {
                 match result {
                     Ok(record) => {

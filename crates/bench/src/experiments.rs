@@ -1,15 +1,15 @@
 //! Shared experiment machinery behind every figure, table and sweep.
 //!
-//! A [`Campaign`] holds the workload mixes plus a shared alone-IPC cache and
+//! A [`Campaign`] holds the workload mixes plus their alone-IPC baselines and
 //! evaluates configurations against them on a worker pool
-//! ([`evaluate_jobs`]); each evaluated (configuration, mix) pair comes back
-//! as a flat [`RunRecord`], which the aggregation helpers at the end of the
-//! module select from and reduce. The experiment scale lives in
+//! ([`evaluate_jobs`]); each evaluated (configuration, mix) pair — a cell —
+//! comes back as a flat [`RunRecord`], which the aggregation helpers at the
+//! end of the module select from and reduce. The experiment scale lives in
 //! [`crate::scale`].
 
 use crate::scale::Scale;
 use bh_mitigation::MechanismKind;
-use bh_sim::{Evaluator, MixEvaluation, SystemConfig, TerminationReason};
+use bh_sim::{alone_ipcs, evaluate, MixEvaluation, SystemConfig, TerminationReason};
 use bh_stats::Table;
 use bh_workloads::{scenario_by_name, MixBuilder, MixClass, TraceGenerator, WorkloadMix};
 use std::collections::BTreeMap;
@@ -159,8 +159,8 @@ pub fn config_matrix(
     configs
 }
 
-/// A campaign holds the generated workload mixes and the shared alone-IPC
-/// cache, and evaluates configurations against them (in parallel).
+/// A campaign holds the generated workload mixes and their alone-IPC
+/// baselines, and evaluates configurations against them (in parallel).
 #[derive(Debug)]
 pub struct Campaign {
     scale: Scale,
@@ -169,7 +169,8 @@ pub struct Campaign {
     /// Mixes carrying the composable-attacker scenarios of
     /// [`Scale::scenarios`] (appended to `attack_mixes` in attack sweeps).
     scenario_mixes: Vec<WorkloadMix>,
-    alone_cache: BTreeMap<String, f64>,
+    /// [`alone_ipcs`] over every suite, measured on first use.
+    alone: BTreeMap<String, f64>,
 }
 
 /// The mix builder of a campaign at `scale`.
@@ -210,7 +211,7 @@ impl Campaign {
                 scenario_mixes.push(scenario_builder.build(scenario_class, index, scale.seed));
             }
         }
-        Campaign { scale, attack_mixes, benign_mixes, scenario_mixes, alone_cache: BTreeMap::new() }
+        Campaign { scale, attack_mixes, benign_mixes, scenario_mixes, alone: BTreeMap::new() }
     }
 
     /// The experiment scale in use.
@@ -229,25 +230,16 @@ impl Campaign {
         }
     }
 
-    /// Warms (once) and returns the shared alone-IPC cache covering every
+    /// Measures (once) and returns the alone-IPC baselines of every benign
     /// application of every mix suite. Alone baselines are measured on the
-    /// unprotected system, so one cache serves every configuration of a
-    /// sweep.
+    /// unprotected system, so one map serves every configuration of a sweep.
     pub fn warmed_alone_cache(&mut self) -> &BTreeMap<String, f64> {
-        if self.alone_cache.is_empty() {
+        if self.alone.is_empty() {
             let config = paper_config(MechanismKind::None, 4096, false, &self.scale);
-            let mut evaluator = Evaluator::new(config);
-            for mix in self
-                .attack_mixes
-                .iter()
-                .chain(self.benign_mixes.iter())
-                .chain(self.scenario_mixes.iter())
-            {
-                evaluator.warm_alone_cache(mix);
-            }
-            self.alone_cache = evaluator.alone_cache().clone();
+            let suites = self.attack_mixes.iter().chain(&self.benign_mixes);
+            self.alone = alone_ipcs(&config, suites.chain(&self.scenario_mixes));
         }
-        &self.alone_cache
+        &self.alone
     }
 
     /// Evaluates one configuration against the attack or benign mix suite,
@@ -284,7 +276,7 @@ impl Campaign {
             configs,
             &mixes,
             &jobs,
-            &self.alone_cache,
+            &self.alone,
             self.scale.worker_threads,
             &EvalHooks::none(),
         );
@@ -360,119 +352,50 @@ impl std::fmt::Debug for EvalHooks<'_> {
 /// `workers` threads pulling from a shared work-stealing counter, and returns
 /// one [`RunRecord`] per job, in `jobs` order.
 ///
-/// Each worker keeps its completed records in a thread-local vector (tagged
-/// with the job index) that is stitched into the result after the scope
-/// joins — there is no shared result lock on the hot path. Workers also reuse
-/// one [`Evaluator`] across consecutive jobs, switching its configuration
-/// only when the claimed job's config index changes (the alone-IPC cache is
-/// configuration-independent, see [`Evaluator::set_config`]); since jobs are
-/// flattened configuration-major, a worker claiming consecutive indices
-/// rarely pays the switch.
+/// A cell is a pure function of its configuration, its mix and the `alone`
+/// baselines (`evaluate_cell`), so workers share nothing but the job
+/// counter: which worker runs a job, and what it ran before, cannot change
+/// the job's record. Each worker keeps its completed records in a
+/// thread-local vector (tagged with the job index) that is stitched into the
+/// result after the scope joins — there is no shared result lock on the hot
+/// path.
 ///
 /// `hooks` carries the fault-injection patterns and the per-cell callbacks
 /// (see [`EvalHooks`]).
 ///
 /// Every cell runs under [`std::panic::catch_unwind`], so one panicking
 /// (configuration, mix) pair costs exactly that cell: its slot comes back as
-/// `Err(panic message)`, the worker discards its (possibly inconsistent)
-/// evaluator and rebuilds on the next claimed job, and every other cell still
-/// completes.
+/// `Err(panic message)` and every other cell still completes.
 pub fn evaluate_jobs(
     configs: &[SystemConfig],
     mixes: &[WorkloadMix],
     jobs: &[(usize, usize)],
-    alone_cache: &BTreeMap<String, f64>,
+    alone: &BTreeMap<String, f64>,
     workers: usize,
     hooks: &EvalHooks<'_>,
 ) -> Vec<Result<RunRecord, String>> {
     let workers = workers.clamp(1, jobs.len().max(1));
     let next = std::sync::atomic::AtomicUsize::new(0);
+    let worker = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(&(c, m)) = jobs.get(i) else { return local };
+            (hooks.on_claim)(i);
+            // Asserting unwind safety is sound: a cell keeps no state past
+            // its own call, so nothing a panic interrupts is seen again.
+            let cell = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                evaluate_cell(&configs[c], &mixes[m], alone, hooks)
+            }))
+            .map_err(panic_message);
+            (hooks.on_record)(i, cell.as_ref().map_err(String::as_str));
+            local.push((i, cell));
+        }
+    };
 
     let worker_outputs: Vec<Vec<(usize, Result<RunRecord, String>)>> =
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, Result<RunRecord, String>)> = Vec::new();
-                        let mut evaluator: Option<Evaluator> = None;
-                        let mut current_config = usize::MAX;
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= jobs.len() {
-                                break;
-                            }
-                            let (c, m) = jobs[i];
-                            (hooks.on_claim)(i);
-                            let cell =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if let Some(pattern) = hooks.force_panic_mix {
-                                        assert!(
-                                            !mixes[m].name.contains(pattern),
-                                            "forced test panic for mix {}",
-                                            mixes[m].name
-                                        );
-                                    }
-                                    let spin = hooks
-                                        .force_spin_mix
-                                        .is_some_and(|p| mixes[m].name.contains(p));
-                                    if current_config != c || spin {
-                                        let mut config = configs[c].clone();
-                                        if spin {
-                                            // Injected livelock: fills stop
-                                            // completing shortly into the run
-                                            // and a tight watchdog classifies
-                                            // the cell within a few epochs.
-                                            config.chaos.drop_fills_after = Some(1_000);
-                                            config.watchdog.enabled = true;
-                                            config.watchdog.epoch_cycles = 5_000;
-                                            config.watchdog.stall_epochs = 4;
-                                        }
-                                        match &mut evaluator {
-                                            Some(ev) => ev.set_config(config),
-                                            None => {
-                                                evaluator = Some(
-                                                    Evaluator::new(config)
-                                                        .with_alone_cache(alone_cache.clone()),
-                                                )
-                                            }
-                                        }
-                                        // A spin cell leaves the evaluator on
-                                        // the mutated configuration; force the
-                                        // next claim to reset it.
-                                        current_config = if spin { usize::MAX } else { c };
-                                    }
-                                    let ev =
-                                        evaluator.as_mut().expect("evaluator initialised above");
-                                    let eval = ev.evaluate(&mixes[m]);
-                                    RunRecord::from_eval(&configs[c], &mixes[m], &eval)
-                                }));
-                            match cell {
-                                Ok(record) => {
-                                    (hooks.on_record)(i, Ok(&record));
-                                    local.push((i, Ok(record)));
-                                }
-                                Err(payload) => {
-                                    // The evaluator may hold a half-updated
-                                    // alone cache or configuration; rebuild it
-                                    // before the next cell.
-                                    evaluator = None;
-                                    current_config = usize::MAX;
-                                    let message = payload
-                                        .downcast_ref::<String>()
-                                        .cloned()
-                                        .or_else(|| {
-                                            payload.downcast_ref::<&str>().map(|s| s.to_string())
-                                        })
-                                        .unwrap_or_else(|| "unknown panic payload".to_string());
-                                    (hooks.on_record)(i, Err(&message));
-                                    local.push((i, Err(message)));
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
             handles.into_iter().map(|h| h.join().expect("evaluation worker panicked")).collect()
         });
 
@@ -481,6 +404,41 @@ pub fn evaluate_jobs(
         slots[i] = Some(outcome);
     }
     slots.into_iter().map(|slot| slot.expect("every job was evaluated")).collect()
+}
+
+/// One cell: `mix` evaluated under `config` against the `alone` baselines,
+/// with `hooks`' fault injection applied, as a record of `config`.
+fn evaluate_cell(
+    config: &SystemConfig,
+    mix: &WorkloadMix,
+    alone: &BTreeMap<String, f64>,
+    hooks: &EvalHooks<'_>,
+) -> RunRecord {
+    if let Some(pattern) = hooks.force_panic_mix {
+        assert!(!mix.name.contains(pattern), "forced test panic for mix {}", mix.name);
+    }
+    let eval = if hooks.force_spin_mix.is_some_and(|p| mix.name.contains(p)) {
+        // Injected livelock: fills stop completing shortly into the run and
+        // a tight watchdog classifies the cell within a few epochs.
+        let mut spin = config.clone();
+        spin.chaos.drop_fills_after = Some(1_000);
+        spin.watchdog.enabled = true;
+        spin.watchdog.epoch_cycles = 5_000;
+        spin.watchdog.stall_epochs = 4;
+        evaluate(&spin, mix, alone)
+    } else {
+        evaluate(config, mix, alone)
+    };
+    RunRecord::from_eval(config, mix, &eval)
+}
+
+/// The message of a panic payload caught by `catch_unwind`.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "unknown panic payload".to_string())
 }
 
 // --- aggregation helpers ----------------------------------------------------
@@ -622,6 +580,59 @@ mod tests {
             .iter()
             .filter(|r| r.scenario.is_some())
             .any(|r| r.max_victim_disturbance > 0));
+    }
+
+    /// A cell is a pure function of its configuration and mix: its record
+    /// does not depend on the worker count or on what the worker evaluated
+    /// just before it, an injected livelock or a forced panic of the same
+    /// configuration included.
+    #[test]
+    fn a_cells_record_depends_only_on_its_configuration_and_mix() {
+        let mut scale = Scale::quick();
+        scale.instructions_per_core = 4_000;
+        scale.benign_entries = 600;
+        scale.attacker_entries = 600;
+        let campaign = Campaign::new(scale.clone());
+        let mixes: Vec<WorkloadMix> = campaign.sweep_mixes(true).into_iter().take(3).collect();
+        let configs = config_matrix(&[MechanismKind::Graphene], &[64], &[false, true], &scale);
+        let alone =
+            alone_ipcs(&paper_config(MechanismKind::None, 4096, false, &scale), mixes.iter());
+        let (spinning, panicking, clean) = (0, 1, 2);
+        let render = |outcome: &Result<RunRecord, String>| format!("{outcome:?}");
+        let reference: Vec<String> = evaluate_jobs(
+            &configs,
+            &mixes,
+            &[(0, clean), (1, clean)],
+            &alone,
+            1,
+            &EvalHooks::none(),
+        )
+        .iter()
+        .map(render)
+        .collect();
+
+        let hooks = EvalHooks {
+            force_panic_mix: Some(&mixes[panicking].name),
+            force_spin_mix: Some(&mixes[spinning].name),
+            ..EvalHooks::none()
+        };
+        let jobs: Vec<(usize, usize)> = (0..configs.len())
+            .flat_map(|c| [(c, spinning), (c, clean), (c, panicking), (c, clean)])
+            .collect();
+        for workers in [1, 3] {
+            let outcomes = evaluate_jobs(&configs, &mixes, &jobs, &alone, workers, &hooks);
+            for (&(c, m), outcome) in jobs.iter().zip(&outcomes) {
+                if m == spinning {
+                    let termination = outcome.as_ref().map(|r| r.termination);
+                    assert_eq!(termination, Ok(TerminationReason::Livelock));
+                } else if m == panicking {
+                    let message = outcome.as_ref().expect_err("a forced panic fails the cell");
+                    assert!(message.contains("forced test panic"), "{message}");
+                } else {
+                    assert_eq!(render(outcome), reference[c], "config {c}, {workers} workers");
+                }
+            }
+        }
     }
 
     #[test]

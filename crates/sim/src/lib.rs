@@ -10,15 +10,16 @@
 //! * [`SystemConfig`] — the composite configuration (Table 1 / Table 2);
 //! * [`System`] — the wired system; [`System::run`] produces a
 //!   [`SimulationResult`];
-//! * [`Evaluator`] — runs workload mixes and computes the paper's metrics
-//!   (weighted speedup of benign applications, maximum slowdown, DRAM energy,
-//!   preventive-action counts).
+//! * [`alone_ipcs`] and [`evaluate`] — two plain functions that measure the
+//!   single-core baselines and run one workload mix against them, computing
+//!   the paper's metrics (weighted speedup of benign applications, maximum
+//!   slowdown, DRAM energy, preventive-action counts).
 //!
 //! ## Example
 //!
 //! ```no_run
 //! use bh_mitigation::MechanismKind;
-//! use bh_sim::{Evaluator, SystemConfig};
+//! use bh_sim::{alone_ipcs, evaluate, SystemConfig};
 //! use bh_workloads::{MixBuilder, MixClass, TraceGenerator};
 //!
 //! // Graphene + BreakHammer at N_RH = 1K on the paper's quad-core system.
@@ -28,8 +29,8 @@
 //! let builder = MixBuilder::new(TraceGenerator::paper_default());
 //! let mix = builder.build(MixClass::attack_classes()[0], 0, 42);
 //!
-//! let mut evaluator = Evaluator::new(config);
-//! let evaluation = evaluator.evaluate(&mix);
+//! let alone = alone_ipcs(&config, [&mix]);
+//! let evaluation = evaluate(&config, &mix, &alone);
 //! println!("weighted speedup of benign apps: {:.3}", evaluation.weighted_speedup);
 //! ```
 
@@ -51,5 +52,5 @@ pub use result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,
 };
-pub use runner::{evaluate_under_configs, Evaluator, MixEvaluation};
+pub use runner::{alone_ipcs, evaluate, MixEvaluation};
 pub use system::System;

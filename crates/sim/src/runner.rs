@@ -1,6 +1,11 @@
-//! Experiment runner: evaluates workload mixes, computes the paper's metrics
+//! Experiment runner: evaluates workload mixes and computes the paper's metrics
 //! (weighted speedup of benign applications, maximum slowdown, DRAM energy)
-//! and caches the single-core "alone" runs needed for the speedup baselines.
+//! against the single-core "alone" runs that are their speedup baselines.
+//!
+//! Both steps are plain functions of their arguments: [`alone_ipcs`] measures
+//! the baselines, and [`evaluate`] runs one mix against them. Nothing is kept
+//! between calls, so a cell evaluated on any thread, in any order, after any
+//! other cell (even one that panicked) is the same cell.
 
 use crate::config::SystemConfig;
 use crate::result::SimulationResult;
@@ -11,13 +16,10 @@ use bh_stats::AppPerf;
 use bh_workloads::WorkloadMix;
 use std::collections::BTreeMap;
 
-/// The evaluation of one workload mix under one system configuration.
+/// What [`evaluate`] computes for one workload mix under one system
+/// configuration.
 #[derive(Debug, Clone)]
 pub struct MixEvaluation {
-    /// Mix name (e.g. `"HHHA-03"`).
-    pub mix_name: String,
-    /// The configuration summary used for the run.
-    pub config_summary: String,
     /// Weighted speedup over the benign applications.
     pub weighted_speedup: f64,
     /// Maximum slowdown experienced by any benign application (unfairness).
@@ -28,151 +30,89 @@ pub struct MixEvaluation {
     pub result: SimulationResult,
 }
 
-impl MixEvaluation {
-    /// DRAM energy of the run in nanojoules.
-    pub fn energy_nj(&self) -> f64 {
-        self.result.energy_nj
-    }
-
-    /// Preventive actions performed during the run.
-    pub fn preventive_actions(&self) -> u64 {
-        self.result.preventive_actions
-    }
+/// IPC of `trace` running on core 0 of the `alone` system, the other cores
+/// idle. The compiled trace is shared with the run, not copied.
+fn alone_ipc(alone: &SystemConfig, trace: &CompiledTrace) -> f64 {
+    // Idle co-runners: a minimal compute-only trace that touches one line.
+    let idle = Trace::new(vec![bh_cpu::TraceEntry::load(200, bh_dram::PhysAddr(0))]).compile();
+    let mut traces = vec![idle; alone.cores];
+    traces[0] = trace.clone();
+    let result = System::with_compiled(alone.clone(), &traces, vec![0]).run();
+    result.cores[0].ipc.max(1e-6)
 }
 
-/// Evaluates workload mixes under a given system configuration, caching the
-/// single-core "alone" IPCs used as weighted-speedup baselines.
+/// The alone-IPC baselines of every benign application of `mixes`, keyed by
+/// application name: each is measured on `config`'s system without a
+/// mitigation mechanism, without BreakHammer and without co-runners, with the
+/// first trace seen for that name.
 ///
-/// Alone IPCs are measured on an unprotected single-core system (no mitigation
-/// mechanism, no BreakHammer, no co-runners). Using one common baseline for
-/// every configuration keeps the normalised comparisons between configurations
-/// exact (the baseline cancels) while avoiding a quadratic number of runs.
-#[derive(Debug)]
-pub struct Evaluator {
-    config: SystemConfig,
-    alone_cache: BTreeMap<String, f64>,
+/// One map serves every configuration of a sweep. The baseline is common to
+/// all of them, so normalised comparisons between configurations are exact
+/// (the baseline cancels) and the number of alone runs does not grow with the
+/// number of configurations.
+pub fn alone_ipcs<'a>(
+    config: &SystemConfig,
+    mixes: impl IntoIterator<Item = &'a WorkloadMix>,
+) -> BTreeMap<String, f64> {
+    let mut alone = config.clone();
+    alone.mechanism = MechanismKind::None;
+    alone.breakhammer = false;
+    let mut ipcs = BTreeMap::new();
+    for mix in mixes {
+        for t in mix.benign_threads() {
+            ipcs.entry(mix.app_names[t].clone())
+                .or_insert_with(|| alone_ipc(&alone, &mix.traces[t]));
+        }
+    }
+    ipcs
 }
 
-impl Evaluator {
-    /// Creates an evaluator for the given configuration.
-    pub fn new(config: SystemConfig) -> Self {
-        Evaluator { config, alone_cache: BTreeMap::new() }
+/// Runs `mix` on `config` and computes the paper's metrics against the
+/// `alone` baselines (see [`alone_ipcs`]).
+///
+/// # Panics
+/// Panics if `mix` does not have `config.cores` threads, or if `alone` has no
+/// baseline for one of its benign applications.
+pub fn evaluate(
+    config: &SystemConfig,
+    mix: &WorkloadMix,
+    alone: &BTreeMap<String, f64>,
+) -> MixEvaluation {
+    assert_eq!(
+        mix.cores(),
+        config.cores,
+        "mix has {} cores but the system is configured for {}",
+        mix.cores(),
+        config.cores
+    );
+    let benign_threads = mix.benign_threads();
+    let ipc_alone: Vec<f64> = benign_threads
+        .iter()
+        .map(|&t| {
+            let app = &mix.app_names[t];
+            *alone.get(app).unwrap_or_else(|| panic!("no alone-IPC baseline for {app}"))
+        })
+        .collect();
+
+    // The mix's compiled traces are shared into the run (a refcount bump
+    // per core): every configuration of a campaign matrix replays the
+    // same compiled records instead of regenerating or deep-copying them.
+    let result = System::with_compiled(config.clone(), &mix.traces, benign_threads.clone())
+        .watch_victims(mix.victim_rows.iter().map(|v| (v.channel, v.row)))
+        .with_success_criterion(mix.success_criterion)
+        .run();
+
+    let benign_perfs: Vec<AppPerf> = benign_threads
+        .iter()
+        .zip(ipc_alone)
+        .map(|(&t, ipc_alone)| AppPerf::new(ipc_alone, result.cores[t].ipc.max(1e-6)))
+        .collect();
+    MixEvaluation {
+        weighted_speedup: bh_stats::weighted_speedup(&benign_perfs),
+        max_slowdown: bh_stats::max_slowdown(&benign_perfs),
+        benign_perfs,
+        result,
     }
-
-    /// Switches the evaluator to a different configuration, keeping the
-    /// alone-IPC cache: alone baselines are measured on the unprotected
-    /// system (no mechanism, no BreakHammer), so every configuration of a
-    /// sweep shares them — the same invariant that lets campaigns seed many
-    /// evaluators from one warmed cache. Lets a sweep worker reuse one
-    /// evaluator across cells instead of rebuilding it per cell.
-    pub fn set_config(&mut self, config: SystemConfig) {
-        self.config = config;
-    }
-
-    /// Pre-seeds the alone-IPC cache (useful to share a cache across
-    /// evaluators for different mechanisms).
-    pub fn with_alone_cache(mut self, cache: BTreeMap<String, f64>) -> Self {
-        self.alone_cache = cache;
-        self
-    }
-
-    /// Returns the current alone-IPC cache.
-    pub fn alone_cache(&self) -> &BTreeMap<String, f64> {
-        &self.alone_cache
-    }
-
-    /// Single-core configuration used for alone runs.
-    fn alone_config(&self) -> SystemConfig {
-        let mut cfg = self.config.clone();
-        cfg.mechanism = MechanismKind::None;
-        cfg.breakhammer = false;
-        cfg
-    }
-
-    /// Pre-computes the alone-IPC baselines for every benign application of
-    /// `mix` without running the shared simulation (useful to warm a cache
-    /// that is then shared across parallel evaluations).
-    pub fn warm_alone_cache(&mut self, mix: &WorkloadMix) {
-        for &t in &mix.benign_threads() {
-            let _ = self.alone_ipc(&mix.app_names[t], &mix.traces[t]);
-        }
-    }
-
-    /// IPC of `trace` when running alone on the unprotected system, cached by
-    /// application name. The compiled trace is shared with the run, not
-    /// copied.
-    pub(crate) fn alone_ipc(&mut self, app_name: &str, trace: &CompiledTrace) -> f64 {
-        if let Some(ipc) = self.alone_cache.get(app_name) {
-            return *ipc;
-        }
-        let cfg = self.alone_config();
-        let cores = cfg.cores;
-        // Idle co-runners: a minimal compute-only trace that touches one line.
-        let idle = Trace::new(vec![bh_cpu::TraceEntry::load(200, bh_dram::PhysAddr(0))]).compile();
-        let mut traces = vec![idle; cores];
-        traces[0] = trace.clone();
-        let result = System::with_compiled(cfg, &traces, vec![0]).run();
-        let ipc = result.cores[0].ipc.max(1e-6);
-        self.alone_cache.insert(app_name.to_string(), ipc);
-        ipc
-    }
-
-    /// Runs `mix` on the configured system and computes the paper's metrics.
-    pub fn evaluate(&mut self, mix: &WorkloadMix) -> MixEvaluation {
-        assert_eq!(
-            mix.cores(),
-            self.config.cores,
-            "mix has {} cores but the system is configured for {}",
-            mix.cores(),
-            self.config.cores
-        );
-        let benign_threads = mix.benign_threads();
-        // Alone baselines (cached by application name).
-        let mut alone: Vec<f64> = Vec::with_capacity(benign_threads.len());
-        for &t in &benign_threads {
-            alone.push(self.alone_ipc(&mix.app_names[t], &mix.traces[t]));
-        }
-
-        // The mix's compiled traces are shared into the run (a refcount bump
-        // per core): every configuration of a campaign matrix replays the
-        // same compiled records instead of regenerating or deep-copying them.
-        let result =
-            System::with_compiled(self.config.clone(), &mix.traces, benign_threads.clone())
-                .watch_victims(mix.victim_rows.iter().map(|v| (v.channel, v.row)))
-                .with_success_criterion(mix.success_criterion)
-                .run();
-
-        let benign_perfs: Vec<AppPerf> = benign_threads
-            .iter()
-            .zip(alone.iter())
-            .map(|(&t, &ipc_alone)| AppPerf::new(ipc_alone, result.cores[t].ipc.max(1e-6)))
-            .collect();
-        let weighted_speedup = bh_stats::weighted_speedup(&benign_perfs);
-        let max_slowdown = bh_stats::max_slowdown(&benign_perfs);
-        MixEvaluation {
-            mix_name: mix.name.clone(),
-            config_summary: self.config.summary(),
-            weighted_speedup,
-            max_slowdown,
-            benign_perfs,
-            result,
-        }
-    }
-}
-
-/// Convenience wrapper: evaluates the same mix under a family of
-/// configurations, sharing the alone-IPC cache between them. Returns one
-/// evaluation per configuration, in order.
-pub fn evaluate_under_configs(mix: &WorkloadMix, configs: &[SystemConfig]) -> Vec<MixEvaluation> {
-    let mut shared_cache: BTreeMap<String, f64> = BTreeMap::new();
-    let mut out = Vec::with_capacity(configs.len());
-    for cfg in configs {
-        let mut evaluator = Evaluator::new(cfg.clone()).with_alone_cache(shared_cache.clone());
-        let eval = evaluator.evaluate(mix);
-        shared_cache = evaluator.alone_cache().clone();
-        out.push(eval);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -209,8 +149,8 @@ mod tests {
     fn benign_mix_evaluation_produces_sane_metrics() {
         let config = test_config(MechanismKind::None, 1024, false);
         let mix = test_mix(false);
-        let mut evaluator = Evaluator::new(config);
-        let eval = evaluator.evaluate(&mix);
+        let alone = alone_ipcs(&config, [&mix]);
+        let eval = evaluate(&config, &mix, &alone);
         assert!(
             eval.weighted_speedup > 0.5 && eval.weighted_speedup <= 4.2,
             "weighted speedup {}",
@@ -222,12 +162,15 @@ mod tests {
             eval.max_slowdown
         );
         assert_eq!(eval.benign_perfs.len(), 4);
-        assert!(eval.energy_nj() > 0.0);
-        // The alone cache is reused across evaluations.
-        assert!(!evaluator.alone_cache().is_empty());
-        let cached = evaluator.alone_cache().len();
-        let _ = evaluator.evaluate(&mix);
-        assert_eq!(evaluator.alone_cache().len(), cached);
+        assert!(eval.result.energy_nj > 0.0);
+        // One baseline per distinct benign application, and measuring the
+        // same mix again adds none.
+        assert!(!alone.is_empty() && alone.len() <= 4);
+        assert_eq!(alone_ipcs(&config, [&mix, &mix]), alone);
+        // Evaluation keeps no state: the same call gives the same evaluation.
+        let again = evaluate(&config, &mix, &alone);
+        assert_eq!(again.result, eval.result);
+        assert_eq!(again.weighted_speedup.to_bits(), eval.weighted_speedup.to_bits());
     }
 
     #[test]
@@ -237,21 +180,21 @@ mod tests {
         with_cfg.breakhammer = true;
 
         let mix = test_mix(true);
-        let evals = evaluate_under_configs(&mix, &[without_cfg, with_cfg]);
-        let without = &evals[0];
-        let with = &evals[1];
+        // Both runs use the same alone baselines, so normalised comparisons
+        // are exact.
+        let alone = alone_ipcs(&without_cfg, [&mix]);
+        let without = evaluate(&without_cfg, &mix, &alone);
+        let with = evaluate(&with_cfg, &mix, &alone);
         assert!(
             with.weighted_speedup > without.weighted_speedup,
             "BreakHammer must improve benign weighted speedup ({:.3} vs {:.3})",
             with.weighted_speedup,
             without.weighted_speedup
         );
-        assert!(with.preventive_actions() < without.preventive_actions());
+        assert!(with.result.preventive_actions < without.result.preventive_actions);
         assert!(with.result.ever_suspect[3]);
         assert_eq!(with.result.bitflips, 0);
         assert_eq!(without.result.bitflips, 0);
-        // Both runs used the same alone baselines, so normalised comparisons
-        // are exact.
         assert_eq!(with.benign_perfs.len(), without.benign_perfs.len());
     }
 
@@ -262,7 +205,13 @@ mod tests {
         config.cores = 2;
         config.memctrl.num_threads = 2;
         let mix = test_mix(false);
-        let mut evaluator = Evaluator::new(config);
-        let _ = evaluator.evaluate(&mix);
+        let _ = evaluate(&config, &mix, &BTreeMap::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "no alone-IPC baseline for")]
+    fn a_missing_baseline_is_rejected_before_the_run() {
+        let config = test_config(MechanismKind::None, 1024, false);
+        let _ = evaluate(&config, &test_mix(false), &BTreeMap::new());
     }
 }

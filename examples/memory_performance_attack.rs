@@ -7,7 +7,7 @@
 
 use breakhammer_suite::mem::AddressMapping;
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{Evaluator, SystemConfig};
+use breakhammer_suite::sim::{alone_ipcs, evaluate, SystemConfig};
 use breakhammer_suite::workloads::{MixBuilder, MixClass, TraceGenerator};
 
 fn config_for(mechanism: MechanismKind, nrh: u64, breakhammer: bool) -> SystemConfig {
@@ -42,15 +42,15 @@ fn main() {
         ("Hydra+BreakHammer".to_string(), config_for(MechanismKind::Hydra, nrh, true)),
     ];
 
+    let alone = alone_ipcs(&base, [&mix]);
     for (label, config) in configs {
-        let mut evaluator = Evaluator::new(config);
-        let eval = evaluator.evaluate(&mix);
+        let eval = evaluate(&config, &mix, &alone);
         println!(
             "{:<28} {:>10.3} {:>12.3} {:>12} {:>10}",
             label,
             eval.weighted_speedup,
             eval.max_slowdown,
-            eval.preventive_actions(),
+            eval.result.preventive_actions,
             eval.result.bitflips
         );
     }

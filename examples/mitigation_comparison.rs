@@ -6,7 +6,7 @@
 
 use breakhammer_suite::mem::AddressMapping;
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{Evaluator, SystemConfig};
+use breakhammer_suite::sim::{alone_ipcs, evaluate, SystemConfig};
 use breakhammer_suite::stats::Table;
 use breakhammer_suite::workloads::{MixBuilder, MixClass, TraceGenerator};
 
@@ -30,22 +30,21 @@ fn main() {
         "actions w/o BH",
         "actions w/ BH",
     ]);
+    let alone = alone_ipcs(&base, [&mix]);
     for mechanism in MechanismKind::paper_mechanisms() {
-        let mut results = Vec::new();
-        for breakhammer in [false, true] {
-            let mut config = SystemConfig::fast_test(mechanism, nrh, breakhammer);
-            config.geometry = breakhammer_suite::dram::DramGeometry::paper_ddr5();
-            config.instructions_per_core = 20_000;
-            let mut evaluator = Evaluator::new(config);
-            results.push(evaluator.evaluate(&mix));
-        }
+        let [without, with] = [false, true].map(|breakhammer| {
+            let mut config = base.clone();
+            config.mechanism = mechanism;
+            config.breakhammer = breakhammer;
+            evaluate(&config, &mix, &alone)
+        });
         table.push_row([
             mechanism.to_string(),
-            format!("{:.3}", results[0].weighted_speedup),
-            format!("{:.3}", results[1].weighted_speedup),
-            format!("{:.2}x", results[1].weighted_speedup / results[0].weighted_speedup),
-            results[0].preventive_actions().to_string(),
-            results[1].preventive_actions().to_string(),
+            format!("{:.3}", without.weighted_speedup),
+            format!("{:.3}", with.weighted_speedup),
+            format!("{:.2}x", with.weighted_speedup / without.weighted_speedup),
+            without.result.preventive_actions.to_string(),
+            with.result.preventive_actions.to_string(),
         ]);
     }
     println!("Attacked workload {} at N_RH = {nrh}\n", mix.name);

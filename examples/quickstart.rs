@@ -5,7 +5,7 @@
 
 use breakhammer_suite::mem::AddressMapping;
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{Evaluator, SystemConfig};
+use breakhammer_suite::sim::{alone_ipcs, evaluate, SystemConfig};
 use breakhammer_suite::workloads::{MixBuilder, MixClass, TraceGenerator};
 
 fn main() {
@@ -26,17 +26,18 @@ fn main() {
     let mix = builder.build(MixClass::attack_classes()[0], 0, 42);
     println!("workload {}: {:?} (attacker on core 3)", mix.name, mix.app_names);
 
-    // Evaluate the mix with and without BreakHammer attached to Graphene.
+    // Evaluate the mix with and without BreakHammer attached to Graphene,
+    // both against the same alone-run baselines.
+    let alone = alone_ipcs(&base, [&mix]);
     let mut with_bh = base.clone();
     with_bh.breakhammer = true;
     for (label, config) in [("Graphene", base), ("Graphene+BreakHammer", with_bh)] {
-        let mut evaluator = Evaluator::new(config);
-        let eval = evaluator.evaluate(&mix);
+        let eval = evaluate(&config, &mix, &alone);
         println!("\n== {label} ==");
         println!("  weighted speedup (benign apps): {:.3}", eval.weighted_speedup);
         println!("  max slowdown (benign apps):     {:.3}", eval.max_slowdown);
-        println!("  preventive actions performed:   {}", eval.preventive_actions());
-        println!("  DRAM energy:                    {:.1} uJ", eval.energy_nj() / 1000.0);
+        println!("  preventive actions performed:   {}", eval.result.preventive_actions);
+        println!("  DRAM energy:                    {:.1} uJ", eval.result.energy_nj / 1000.0);
         println!("  would-be RowHammer bitflips:    {}", eval.result.bitflips);
         if let Some(attacker) = mix.attacker_thread {
             println!("  attacker identified as suspect: {}", eval.result.ever_suspect[attacker]);
