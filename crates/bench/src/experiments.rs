@@ -9,7 +9,9 @@
 
 use crate::scale::Scale;
 use bh_mitigation::MechanismKind;
-use bh_sim::{alone_ipcs, evaluate, MixEvaluation, SystemConfig, TerminationReason};
+use bh_sim::{
+    alone_ipc, baseline_traces, evaluate, MixEvaluation, SystemConfig, TerminationReason,
+};
 use bh_stats::Table;
 use bh_workloads::{scenario_by_name, MixBuilder, MixClass, TraceGenerator, WorkloadMix};
 use std::collections::BTreeMap;
@@ -161,6 +163,10 @@ pub fn config_matrix(
 
 /// A campaign holds the generated workload mixes and their alone-IPC
 /// baselines, and evaluates configurations against them (in parallel).
+///
+/// Everything it runs goes on the worker pool of [`Scale::worker_threads`]:
+/// the suites' distinct traces when it is built, the alone baselines before
+/// its first sweep, and every sweep's cells.
 #[derive(Debug)]
 pub struct Campaign {
     scale: Scale,
@@ -169,7 +175,8 @@ pub struct Campaign {
     /// Mixes carrying the composable-attacker scenarios of
     /// [`Scale::scenarios`] (appended to `attack_mixes` in attack sweeps).
     scenario_mixes: Vec<WorkloadMix>,
-    /// [`alone_ipcs`] over every suite, measured on first use.
+    /// [`alone_ipcs`](bh_sim::alone_ipcs) over every suite, measured on
+    /// first use.
     alone: BTreeMap<String, f64>,
 }
 
@@ -188,28 +195,38 @@ fn mix_builder(scale: &Scale) -> MixBuilder {
 impl Campaign {
     /// Generates the attack, benign and scenario mix suites for `scale`.
     ///
+    /// Each suite is one [`SuitePlan`](bh_workloads::SuitePlan), so each of
+    /// its distinct traces is generated once, on the worker pool; the mixes
+    /// do not depend on the worker count.
+    ///
     /// # Panics
     /// Panics (listing the catalog) if `scale.scenarios` names an unknown
     /// attack scenario.
     pub fn new(scale: Scale) -> Self {
         let builder = mix_builder(&scale);
-        // One suite over both class lists, so attack and benign mixes share
+        let (per_class, workers) = (scale.mixes_per_class, scale.worker_threads);
+        // One plan over both class lists, so attack and benign mixes share
         // the traces they have in common.
         let attack_classes = MixClass::attack_classes();
-        let classes: Vec<MixClass> =
-            attack_classes.iter().copied().chain(MixClass::benign_classes()).collect();
-        let mut attack_mixes = builder.build_suite(&classes, scale.mixes_per_class, scale.seed);
-        let benign_mixes = attack_mixes.split_off(attack_classes.len() * scale.mixes_per_class);
+        let mut plan = builder.plan(scale.seed);
+        for class in attack_classes.iter().chain(&MixClass::benign_classes()) {
+            for index in 0..per_class {
+                plan.add(*class, index);
+            }
+        }
+        let mut attack_mixes = plan.build_with(|n, generate| on_pool(n, workers, generate));
+        let benign_mixes = attack_mixes.split_off(attack_classes.len() * per_class);
         // Scenario sweeps hold the benign company fixed (the HHHA class) so
         // differences between scenarios isolate the attacker's shape.
-        let scenario_class = MixClass::attack_classes()[0];
         let mut scenario_mixes = Vec::new();
         for name in &scale.scenarios {
             let scenario = scenario_by_name(name).unwrap_or_else(|e| panic!("{e}"));
             let scenario_builder = builder.clone().with_scenario(&scenario);
-            for index in 0..scale.mixes_per_class {
-                scenario_mixes.push(scenario_builder.build(scenario_class, index, scale.seed));
+            let mut plan = scenario_builder.plan(scale.seed);
+            for index in 0..per_class {
+                plan.add(attack_classes[0], index);
             }
+            scenario_mixes.extend(plan.build_with(|n, generate| on_pool(n, workers, generate)));
         }
         Campaign { scale, attack_mixes, benign_mixes, scenario_mixes, alone: BTreeMap::new() }
     }
@@ -233,11 +250,19 @@ impl Campaign {
     /// Measures (once) and returns the alone-IPC baselines of every benign
     /// application of every mix suite. Alone baselines are measured on the
     /// unprotected system, so one map serves every configuration of a sweep.
+    ///
+    /// The map is [`alone_ipcs`](bh_sim::alone_ipcs) over every suite, with
+    /// each baseline measured as one job on the worker pool.
     pub fn warmed_alone_cache(&mut self) -> &BTreeMap<String, f64> {
         if self.alone.is_empty() {
             let config = paper_config(MechanismKind::None, 4096, false, &self.scale);
             let suites = self.attack_mixes.iter().chain(&self.benign_mixes);
-            self.alone = alone_ipcs(&config, suites.chain(&self.scenario_mixes));
+            let traces: Vec<_> =
+                baseline_traces(suites.chain(&self.scenario_mixes)).into_iter().collect();
+            let ipcs = on_pool(traces.len(), self.scale.worker_threads, |i| {
+                alone_ipc(&config, traces[i].1)
+            });
+            self.alone = traces.iter().map(|(name, _)| name.to_string()).zip(ipcs).collect();
         }
         &self.alone
     }
@@ -348,17 +373,49 @@ impl std::fmt::Debug for EvalHooks<'_> {
     }
 }
 
-/// Evaluates a set of `(config index, mix index)` jobs with a pool of
-/// `workers` threads pulling from a shared work-stealing counter, and returns
-/// one [`RunRecord`] per job, in `jobs` order.
+/// `job(0)`, …, `job(n - 1)` on a pool of up to `workers` scoped threads
+/// that claim indices from one shared counter, returned in index order.
+///
+/// Every job the campaign runs — a trace, an alone baseline, a cell — is a
+/// pure function of its index, so which thread runs it, and what that thread
+/// ran before, cannot change the result. Each thread keeps its results in a
+/// local vector tagged with the index, stitched together after the scope
+/// joins: there is no shared result lock. A panicking job panics the caller
+/// with the job's own payload once the other threads have finished.
+fn on_pool<R: Send>(n: usize, workers: usize, job: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let worker = || {
+        let mut local = Vec::new();
+        loop {
+            // Relaxed: the counter publishes no data, only distinct indices;
+            // results reach the caller through the joins.
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if i >= n {
+                return local;
+            }
+            local.push((i, job(i)));
+        }
+    };
+    let outputs: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (0..workers.clamp(1, n.max(1))).map(|_| scope.spawn(worker)).collect();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined.into_iter().map(|h| h.unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
+    });
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, result) in outputs.into_iter().flatten() {
+        slots[i] = Some(result);
+    }
+    slots.into_iter().map(|slot| slot.expect("every job ran")).collect()
+}
+
+/// Evaluates a set of `(config index, mix index)` jobs on a pool of
+/// `workers` threads and returns one [`RunRecord`] per job, in `jobs` order.
 ///
 /// A cell is a pure function of its configuration, its mix and the `alone`
 /// baselines (`evaluate_cell`), so workers share nothing but the job
 /// counter: which worker runs a job, and what it ran before, cannot change
-/// the job's record. Each worker keeps its completed records in a
-/// thread-local vector (tagged with the job index) that is stitched into the
-/// result after the scope joins — there is no shared result lock on the hot
-/// path.
+/// the job's record.
 ///
 /// `hooks` carries the fault-injection patterns and the per-cell callbacks
 /// (see [`EvalHooks`]).
@@ -374,36 +431,18 @@ pub fn evaluate_jobs(
     workers: usize,
     hooks: &EvalHooks<'_>,
 ) -> Vec<Result<RunRecord, String>> {
-    let workers = workers.clamp(1, jobs.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let worker = || {
-        let mut local = Vec::new();
-        loop {
-            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(&(c, m)) = jobs.get(i) else { return local };
-            (hooks.on_claim)(i);
-            // Asserting unwind safety is sound: a cell keeps no state past
-            // its own call, so nothing a panic interrupts is seen again.
-            let cell = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                evaluate_cell(&configs[c], &mixes[m], alone, hooks)
-            }))
-            .map_err(panic_message);
-            (hooks.on_record)(i, cell.as_ref().map_err(String::as_str));
-            local.push((i, cell));
-        }
-    };
-
-    let worker_outputs: Vec<Vec<(usize, Result<RunRecord, String>)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            handles.into_iter().map(|h| h.join().expect("evaluation worker panicked")).collect()
-        });
-
-    let mut slots: Vec<Option<Result<RunRecord, String>>> = vec![None; jobs.len()];
-    for (i, outcome) in worker_outputs.into_iter().flatten() {
-        slots[i] = Some(outcome);
-    }
-    slots.into_iter().map(|slot| slot.expect("every job was evaluated")).collect()
+    on_pool(jobs.len(), workers, |i| {
+        let (c, m) = jobs[i];
+        (hooks.on_claim)(i);
+        // Asserting unwind safety is sound: a cell keeps no state past its
+        // own call, so nothing a panic interrupts is seen again.
+        let cell = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            evaluate_cell(&configs[c], &mixes[m], alone, hooks)
+        }))
+        .map_err(panic_message);
+        (hooks.on_record)(i, cell.as_ref().map_err(String::as_str));
+        cell
+    })
 }
 
 /// One cell: `mix` evaluated under `config` against the `alone` baselines,
@@ -512,7 +551,11 @@ mod tests {
             (&campaign.attack_mixes, MixClass::attack_classes()),
             (&campaign.benign_mixes, MixClass::benign_classes()),
         ] {
-            let separate = builder.build_suite(&classes, scale.mixes_per_class, scale.seed);
+            let separate: Vec<WorkloadMix> = classes
+                .iter()
+                .flat_map(|&class| (0..scale.mixes_per_class).map(move |index| (class, index)))
+                .map(|(class, index)| builder.build(class, index, scale.seed))
+                .collect();
             assert_eq!(mixes.len(), separate.len());
             for (joint, alone) in mixes.iter().zip(&separate) {
                 assert_eq!(joint.name, alone.name);
@@ -550,6 +593,64 @@ mod tests {
         let mut scale = Scale::quick();
         scale.scenarios = vec!["not-a-scenario".to_string()];
         let _ = Campaign::new(scale);
+    }
+
+    /// A tiny campaign with two scenario suites on `workers` threads.
+    fn tiny_campaign(workers: usize) -> Campaign {
+        let mut scale = Scale::quick();
+        scale.mixes_per_class = 2;
+        scale.instructions_per_core = 2_000;
+        scale.benign_entries = 500;
+        scale.attacker_entries = 500;
+        scale.worker_threads = workers;
+        scale.scenarios = scenario_catalog().iter().take(2).map(|s| s.name.to_string()).collect();
+        Campaign::new(scale)
+    }
+
+    fn all_mixes(campaign: &Campaign) -> Vec<&WorkloadMix> {
+        campaign
+            .attack_mixes
+            .iter()
+            .chain(&campaign.benign_mixes)
+            .chain(&campaign.scenario_mixes)
+            .collect()
+    }
+
+    /// Generating the suites and measuring the baselines on the pool gives
+    /// what one thread gives: the same mixes, and the baselines `alone_ipcs`
+    /// measures serially over every suite.
+    #[test]
+    fn suites_and_baselines_do_not_depend_on_the_worker_count() {
+        let mut serial = tiny_campaign(1);
+        let config = paper_config(MechanismKind::None, 4096, false, &serial.scale);
+        let expected = bh_sim::alone_ipcs(&config, all_mixes(&serial));
+        assert_eq!(serial.warmed_alone_cache(), &expected);
+        for workers in [2, 3] {
+            let mut pooled = tiny_campaign(workers);
+            for (a, b) in all_mixes(&serial).into_iter().zip(all_mixes(&pooled)) {
+                assert_eq!(a.name, b.name, "{workers} workers");
+                assert_eq!(a.app_names, b.app_names, "{} on {workers} workers", a.name);
+                assert_eq!(a.traces, b.traces, "{} on {workers} workers", a.name);
+                assert_eq!(a.victim_rows, b.victim_rows, "{} on {workers} workers", a.name);
+            }
+            assert_eq!(all_mixes(&serial).len(), all_mixes(&pooled).len());
+            assert_eq!(pooled.warmed_alone_cache(), &expected, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn the_pool_returns_results_in_job_order() {
+        for workers in [1, 3, 64] {
+            let squares: Vec<usize> = (0..50).map(|i| i * i).collect();
+            assert_eq!(on_pool(50, workers, |i| i * i), squares);
+        }
+        assert!(on_pool(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 3 failed")]
+    fn a_panicking_pool_job_panics_the_caller_with_its_own_message() {
+        on_pool(8, 3, |i| assert!(i != 3, "job {i} failed"));
     }
 
     #[test]
@@ -595,8 +696,10 @@ mod tests {
         let campaign = Campaign::new(scale.clone());
         let mixes: Vec<WorkloadMix> = campaign.sweep_mixes(true).into_iter().take(3).collect();
         let configs = config_matrix(&[MechanismKind::Graphene], &[64], &[false, true], &scale);
-        let alone =
-            alone_ipcs(&paper_config(MechanismKind::None, 4096, false, &scale), mixes.iter());
+        let alone = bh_sim::alone_ipcs(
+            &paper_config(MechanismKind::None, 4096, false, &scale),
+            mixes.iter(),
+        );
         let (spinning, panicking, clean) = (0, 1, 2);
         let render = |outcome: &Result<RunRecord, String>| format!("{outcome:?}");
         let reference: Vec<String> = evaluate_jobs(

@@ -13,7 +13,9 @@
 //! * [`alone_ipcs`] and [`evaluate`] — two plain functions that measure the
 //!   single-core baselines and run one workload mix against them, computing
 //!   the paper's metrics (weighted speedup of benign applications, maximum
-//!   slowdown, DRAM energy, preventive-action counts).
+//!   slowdown, DRAM energy, preventive-action counts); [`alone_ipcs`] is
+//!   [`alone_ipc`] over the [`baseline_traces`] of its mixes, so a caller
+//!   with a worker pool can measure the baselines one trace per job.
 //!
 //! ## Example
 //!
@@ -52,5 +54,5 @@ pub use result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,
 };
-pub use runner::{alone_ipcs, evaluate, MixEvaluation};
+pub use runner::{alone_ipc, alone_ipcs, baseline_traces, evaluate, MixEvaluation};
 pub use system::System;

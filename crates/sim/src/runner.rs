@@ -30,41 +30,51 @@ pub struct MixEvaluation {
     pub result: SimulationResult,
 }
 
-/// IPC of `trace` running on core 0 of the `alone` system, the other cores
-/// idle. The compiled trace is shared with the run, not copied.
-fn alone_ipc(alone: &SystemConfig, trace: &CompiledTrace) -> f64 {
+/// The alone IPC of `trace`: the IPC it reaches on core 0 of `config`'s
+/// system without a mitigation mechanism, without BreakHammer and with the
+/// other cores idle. The compiled trace is shared with the run, not copied.
+pub fn alone_ipc(config: &SystemConfig, trace: &CompiledTrace) -> f64 {
+    let mut alone = config.clone();
+    alone.mechanism = MechanismKind::None;
+    alone.breakhammer = false;
     // Idle co-runners: a minimal compute-only trace that touches one line.
     let idle = Trace::new(vec![bh_cpu::TraceEntry::load(200, bh_dram::PhysAddr(0))]).compile();
     let mut traces = vec![idle; alone.cores];
     traces[0] = trace.clone();
-    let result = System::with_compiled(alone.clone(), &traces, vec![0]).run();
+    let result = System::with_compiled(alone, &traces, vec![0]).run();
     result.cores[0].ipc.max(1e-6)
 }
 
+/// The trace each benign application of `mixes` is baselined with: the first
+/// one seen for its name, in `mixes` order.
+pub fn baseline_traces<'a>(
+    mixes: impl IntoIterator<Item = &'a WorkloadMix>,
+) -> BTreeMap<&'a str, &'a CompiledTrace> {
+    let mut traces = BTreeMap::new();
+    for mix in mixes {
+        for t in mix.benign_threads() {
+            traces.entry(mix.app_names[t].as_str()).or_insert(&mix.traces[t]);
+        }
+    }
+    traces
+}
+
 /// The alone-IPC baselines of every benign application of `mixes`, keyed by
-/// application name: each is measured on `config`'s system without a
-/// mitigation mechanism, without BreakHammer and without co-runners, with the
-/// first trace seen for that name.
+/// application name: the [`alone_ipc`] of its [`baseline_traces`] entry.
 ///
 /// One map serves every configuration of a sweep. The baseline is common to
 /// all of them, so normalised comparisons between configurations are exact
 /// (the baseline cancels) and the number of alone runs does not grow with the
-/// number of configurations.
+/// number of configurations. Each baseline is a function of `config` and one
+/// trace alone, so callers may measure them in parallel.
 pub fn alone_ipcs<'a>(
     config: &SystemConfig,
     mixes: impl IntoIterator<Item = &'a WorkloadMix>,
 ) -> BTreeMap<String, f64> {
-    let mut alone = config.clone();
-    alone.mechanism = MechanismKind::None;
-    alone.breakhammer = false;
-    let mut ipcs = BTreeMap::new();
-    for mix in mixes {
-        for t in mix.benign_threads() {
-            ipcs.entry(mix.app_names[t].clone())
-                .or_insert_with(|| alone_ipc(&alone, &mix.traces[t]));
-        }
-    }
-    ipcs
+    baseline_traces(mixes)
+        .into_iter()
+        .map(|(name, trace)| (name.to_string(), alone_ipc(config, trace)))
+        .collect()
 }
 
 /// Runs `mix` on `config` and computes the paper's metrics against the

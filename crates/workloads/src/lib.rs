@@ -19,7 +19,9 @@
 //!   (double-sided, many-sided, multi-bank), which lower onto a
 //!   [`ComposedAttacker`] bit-identically to the pre-framework generator;
 //! * [`MixClass`] / [`MixBuilder`] — the four-core workload mixes of §7 and
-//!   §8.1 (HHHH…LLLL and HHHA…LLLA);
+//!   §8.1 (HHHH…LLLL and HHHA…LLLA); a [`SuitePlan`] draws a suite's
+//!   applications first and leaves its distinct traces as independent
+//!   generation jobs;
 //! * [`characterize()`] — the Table 3 characterisation (RBMPKI and rows with
 //!   64+/128+/512+ activations per window).
 //!
@@ -53,7 +55,7 @@ pub use attacker::{AttackerKind, AttackerProfile, ChannelTarget};
 pub use characterize::{characterize, WorkloadCharacteristics};
 pub use compose::ComposedAttacker;
 pub use generator::TraceGenerator;
-pub use mix::{MixBuilder, MixClass, SlotClass, WorkloadMix};
+pub use mix::{MixBuilder, MixClass, SlotClass, SuitePlan, WorkloadMix};
 pub use profile::{BenignProfile, IntensityClass, UnknownProfileError};
 pub use scenario::{scenario_by_name, scenario_catalog, AttackScenario, UnknownScenarioError};
 pub use victim::VictimRow;

@@ -94,8 +94,8 @@ impl MixClass {
 
 /// A concrete four-core workload: one compiled trace per hardware thread.
 ///
-/// Traces are compiled once at build time (per distinct application and trace
-/// seed of a [`MixBuilder::build_suite`] call) and shared by reference from
+/// Traces are compiled once at build time (per distinct trace of a
+/// [`SuitePlan`]) and shared by reference from
 /// then on: cloning a `WorkloadMix` — e.g. to hand
 /// it to every worker of a campaign matrix — bumps reference counts instead
 /// of deep-copying tens of thousands of trace records per configuration.
@@ -182,113 +182,174 @@ impl MixBuilder {
     /// Builds the `index`-th workload of `class`, deterministically from
     /// `seed`.
     pub fn build(&self, class: MixClass, index: usize, seed: u64) -> WorkloadMix {
-        // No two slots of one mix share a trace seed, so this memo never hits.
-        self.build_memoized(class, index, seed, &mut TraceMemo::new())
+        let mut plan = self.plan(seed);
+        plan.add(class, index);
+        plan.build().pop().expect("the plan holds one mix")
     }
 
-    /// [`MixBuilder::build`], taking each slot's trace from `memo` when an
-    /// earlier build of the same call generated it.
-    fn build_memoized(
-        &self,
-        class: MixClass,
-        index: usize,
-        seed: u64,
-        memo: &mut TraceMemo,
-    ) -> WorkloadMix {
+    /// An empty suite of mixes generated from `seed`.
+    pub fn plan(&self, seed: u64) -> SuitePlan<'_> {
+        SuitePlan {
+            builder: self,
+            seed,
+            traces: Vec::new(),
+            ids: BTreeMap::new(),
+            mixes: Vec::new(),
+        }
+    }
+}
+
+/// A suite of mixes whose applications are drawn but whose traces are not
+/// generated yet.
+///
+/// The plan lists each distinct trace its mixes replay once: neither the
+/// application draw nor the trace seed depends on the mix class, so at one
+/// index every class with the same application in a slot shares that trace,
+/// and every attack class shares one attacker trace.
+/// [`SuitePlan::build_with`] generates the distinct traces with a caller's
+/// runner (one thread or a pool: each trace is a pure function of the plan
+/// and its index) and assembles the mixes, whose equal traces share one
+/// storage.
+///
+/// # Example
+///
+/// ```
+/// use bh_workloads::{MixBuilder, MixClass, TraceGenerator};
+///
+/// let mut builder = MixBuilder::new(TraceGenerator::paper_default());
+/// builder.benign_entries = 500;
+/// builder.attacker_entries = 500;
+/// let mut plan = builder.plan(42);
+/// for class in MixClass::attack_classes() {
+///     plan.add(class, 0);
+/// }
+/// // One thread per distinct trace.
+/// let mixes = plan.build_with(|n, generate| {
+///     std::thread::scope(|s| {
+///         let handles: Vec<_> = (0..n).map(|i| s.spawn(move || generate(i))).collect();
+///         handles.into_iter().map(|h| h.join().expect("trace generated")).collect()
+///     })
+/// });
+/// assert_eq!(mixes[0].traces, builder.build(MixClass::attack_classes()[0], 0, 42).traces);
+/// ```
+#[derive(Debug)]
+pub struct SuitePlan<'a> {
+    builder: &'a MixBuilder,
+    seed: u64,
+    /// Each distinct trace: the benign profile it replays (`None`: the
+    /// builder's attacker) at a trace seed. The builder fixes the generator,
+    /// both entry counts and the attacker, so this determines the trace.
+    traces: Vec<(Option<BenignProfile>, u64)>,
+    /// The index into `traces` of each (profile name, trace seed); the
+    /// attacker's key has no name.
+    ids: BTreeMap<(Option<&'static str>, u64), usize>,
+    /// Each planned mix (its `traces` still empty) and, per slot, the index
+    /// into `traces` of the trace it replays.
+    mixes: Vec<(WorkloadMix, Vec<usize>)>,
+}
+
+impl SuitePlan<'_> {
+    /// Adds the `index`-th mix of `class`, as [`MixBuilder::build`] builds it.
+    pub fn add(&mut self, class: MixClass, index: usize) {
+        let (builder, seed) = (self.builder, self.seed);
         let mut rng =
             StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(index as u64));
-        let mut traces = Vec::with_capacity(4);
+        let mut slots = Vec::with_capacity(4);
         let mut app_names = Vec::with_capacity(4);
         let mut attacker_thread = None;
         for (slot, spec) in class.slots.iter().enumerate() {
-            match spec {
+            let (profile, trace_seed) = match spec {
                 SlotClass::Benign(intensity) => {
                     let candidates = BenignProfile::of_class(*intensity);
                     let profile =
                         candidates.choose(&mut rng).expect("profile library covers every class");
-                    let trace_seed = seed ^ ((index as u64) << 16) ^ ((slot as u64) << 32);
-                    let trace = memo.entry((Some(profile.name), trace_seed)).or_insert_with(|| {
-                        self.generator.benign(profile, self.benign_entries, trace_seed).compile()
-                    });
-                    traces.push(trace.clone());
                     app_names.push(profile.name.to_string());
+                    (Some(profile.clone()), seed ^ ((index as u64) << 16) ^ ((slot as u64) << 32))
                 }
                 SlotClass::Attacker => {
                     attacker_thread = Some(slot);
-                    let trace_seed = seed ^ ((index as u64) << 16) ^ 0xdead;
-                    let trace = memo.entry((None, trace_seed)).or_insert_with(|| {
-                        self.attacker
-                            .trace(
-                                self.generator.geometry(),
-                                self.generator.mapping(),
-                                self.attacker_entries,
-                                trace_seed,
-                            )
-                            .compile()
-                    });
-                    traces.push(trace.clone());
                     app_names.push("attacker".to_string());
+                    (None, seed ^ ((index as u64) << 16) ^ 0xdead)
                 }
-            }
+            };
+            let traces = &mut self.traces;
+            let key = (profile.as_ref().map(|p| p.name), trace_seed);
+            slots.push(*self.ids.entry(key).or_insert_with(|| {
+                traces.push((profile, trace_seed));
+                traces.len() - 1
+            }));
         }
-        let scenario = self.scenario.map(String::from);
-        let name = match &scenario {
+        let name = match builder.scenario {
             Some(suffix) => format!("{}-{suffix}-{index:02}", class.label()),
             None => format!("{}-{index:02}", class.label()),
         };
-        let victim_rows = if attacker_thread.is_some() {
-            self.attacker.victim_rows(self.generator.geometry())
-        } else {
-            Vec::new()
-        };
-        let success_criterion = if attacker_thread.is_some() {
-            self.attacker.success_criterion()
-        } else {
-            bh_dram::SuccessCriterion::default()
-        };
-        WorkloadMix {
+        let attacked = attacker_thread.is_some();
+        let mix = WorkloadMix {
             name,
             class,
             app_names,
-            traces,
+            traces: Vec::new(),
             attacker_thread,
-            victim_rows,
-            scenario,
-            success_criterion,
-        }
+            victim_rows: if attacked {
+                builder.attacker.victim_rows(builder.generator.geometry())
+            } else {
+                Vec::new()
+            },
+            scenario: builder.scenario.map(String::from),
+            success_criterion: if attacked {
+                builder.attacker.success_criterion()
+            } else {
+                bh_dram::SuccessCriterion::default()
+            },
+        };
+        self.mixes.push((mix, slots));
     }
 
-    /// Builds `per_class` workloads for each of the given classes (the paper
-    /// uses 15 per class, 90 in total); mix for mix equal to
-    /// [`MixBuilder::build`].
+    /// Generates and compiles distinct trace `i`.
+    fn generate(&self, i: usize) -> CompiledTrace {
+        let builder = self.builder;
+        let generator = &builder.generator;
+        let trace = match &self.traces[i] {
+            (Some(profile), seed) => generator.benign(profile, builder.benign_entries, *seed),
+            (None, seed) => builder.attacker.trace(
+                generator.geometry(),
+                generator.mapping(),
+                builder.attacker_entries,
+                *seed,
+            ),
+        };
+        trace.compile()
+    }
+
+    /// The planned mixes, in the order they were added.
     ///
-    /// Each distinct trace is generated once per call. Neither the random
-    /// stream of the application draw nor the trace seed depends on the
-    /// class, so at one index every class with the same application in a
-    /// slot has the same trace there, and every attack class has the same
-    /// attacker trace; those mixes share the trace's storage.
-    pub fn build_suite(
-        &self,
-        classes: &[MixClass],
-        per_class: usize,
-        seed: u64,
+    /// `run(n, generate)` must return `generate(0)`, …, `generate(n - 1)` in
+    /// index order, as `(0..n).map(generate).collect()` does; it may call
+    /// them in any order and on any threads.
+    ///
+    /// # Panics
+    /// Panics if `run` returns other than `n` traces.
+    pub fn build_with(
+        self,
+        run: impl FnOnce(usize, &(dyn Fn(usize) -> CompiledTrace + Sync)) -> Vec<CompiledTrace>,
     ) -> Vec<WorkloadMix> {
-        let mut memo = TraceMemo::new();
-        let mut out = Vec::with_capacity(classes.len() * per_class);
-        for class in classes {
-            for index in 0..per_class {
-                out.push(self.build_memoized(*class, index, seed, &mut memo));
-            }
-        }
-        out
+        let n = self.traces.len();
+        let traces = run(n, &|i| self.generate(i));
+        assert_eq!(traces.len(), n, "one trace per distinct trace of the plan");
+        self.mixes
+            .into_iter()
+            .map(|(mix, slots)| WorkloadMix {
+                traces: slots.iter().map(|&i| traces[i].clone()).collect(),
+                ..mix
+            })
+            .collect()
+    }
+
+    /// [`SuitePlan::build_with`] with the traces generated one after another.
+    fn build(self) -> Vec<WorkloadMix> {
+        self.build_with(|n, generate| (0..n).map(generate).collect())
     }
 }
-
-/// The traces one [`MixBuilder::build_suite`] call has generated, keyed by
-/// (benign application, trace seed); the attacker's key has no application.
-/// The builder fixes the generator, both entry counts and the attacker for
-/// the whole call, so the key determines the trace.
-type TraceMemo = BTreeMap<(Option<&'static str>, u64), CompiledTrace>;
 
 #[cfg(test)]
 #[allow(clippy::disallowed_types)] // test-only hash collections: assertion sets and reference models, never digest-bearing
@@ -300,6 +361,22 @@ mod tests {
         b.benign_entries = 2_000;
         b.attacker_entries = 1_000;
         b
+    }
+
+    /// `per_class` mixes of each of `classes`, built as one plan.
+    fn planned_suite(
+        b: &MixBuilder,
+        classes: &[MixClass],
+        per_class: usize,
+        seed: u64,
+    ) -> Vec<WorkloadMix> {
+        let mut plan = b.plan(seed);
+        for &class in classes {
+            for index in 0..per_class {
+                plan.add(class, index);
+            }
+        }
+        plan.build()
     }
 
     #[test]
@@ -339,7 +416,7 @@ mod tests {
     #[test]
     fn suite_generation_produces_the_requested_count() {
         let b = builder();
-        let suite = b.build_suite(&MixClass::attack_classes(), 2, 1);
+        let suite = planned_suite(&b, &MixClass::attack_classes(), 2, 1);
         assert_eq!(suite.len(), 12);
         // Names are unique.
         let names: std::collections::HashSet<_> = suite.iter().map(|m| m.name.clone()).collect();
@@ -357,7 +434,7 @@ mod tests {
         let classes = all_classes();
         for per_class in [1, 3] {
             for seed in [42, 7] {
-                let suite = b.build_suite(&classes, per_class, seed);
+                let suite = planned_suite(&b, &classes, per_class, seed);
                 assert_eq!(suite.len(), classes.len() * per_class);
                 let singles = classes
                     .iter()
@@ -381,7 +458,7 @@ mod tests {
     #[test]
     fn suite_mixes_share_the_storage_of_equal_traces() {
         let per_class = 3;
-        let suite = builder().build_suite(&all_classes(), per_class, 42);
+        let suite = planned_suite(&builder(), &all_classes(), per_class, 42);
         let storage = |mix: &WorkloadMix, slot: usize| mix.traces[slot].entries().as_ptr();
         let mut shared_benign = 0;
         for (i, a) in suite.iter().enumerate() {

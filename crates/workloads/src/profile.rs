@@ -326,7 +326,7 @@ mod tests {
         for p in &lib {
             assert_eq!(p.validate(), Ok(()), "profile {}", p.name);
         }
-        // `MixBuilder::build_suite` keys its trace memo by profile name.
+        // A `SuitePlan` tells benign traces apart by profile name.
         let names: std::collections::BTreeSet<&str> = lib.iter().map(|p| p.name).collect();
         assert_eq!(names.len(), lib.len(), "profile names must be unique");
         for class in [IntensityClass::High, IntensityClass::Medium, IntensityClass::Low] {
