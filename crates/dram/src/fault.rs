@@ -32,8 +32,9 @@ pub enum FaultModel {
     /// to the pre-fault-model tracker (the classic goldens pin it).
     #[default]
     Threshold,
-    /// Per-row probabilistic flips: each row's threshold is sampled once at
-    /// init from `N_RH × [1 - nrh_variation, 1 + nrh_variation]`, and every
+    /// Per-row probabilistic flips: each row's threshold is sampled from
+    /// `N_RH × [1 - nrh_variation, 1 + nrh_variation]` (lazily, a page of
+    /// rows at a time, by a pure hash of the row's coordinates), and every
     /// crossing of that per-row threshold draws one Bernoulli flip with
     /// `flip_probability`, from an order-independent hash of
     /// `(seed, channel, bank, row, crossing_count)`.

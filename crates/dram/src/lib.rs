@@ -50,6 +50,7 @@ mod error;
 mod fault;
 mod flat;
 mod geometry;
+mod paged;
 mod rowhammer;
 mod timing;
 mod types;
@@ -64,6 +65,7 @@ pub use fault::{
 };
 pub use flat::FlatMap;
 pub use geometry::{BankAddr, DramGeometry, DramLocation, NeighborRows, RowAddr};
+pub use paged::PagedRows;
 pub use rowhammer::{BitflipEvent, RowHammerTracker};
 pub use timing::{TimingAdjustment, TimingParams};
 pub use types::{AccessKind, Cycle, CycleDelta, PhysAddr, ThreadId};

@@ -15,15 +15,17 @@
 //!
 //! Both stores sit on the simulator's per-activation hot path (every ACT
 //! command lands here), so they are flat rather than `HashMap`-backed: the
-//! disturbance store is one dense `u32` array indexed by flat row (bank-base
-//! plus row index — two adjacent array increments per activation at blast
-//! radius 1), and the aggressor store is a per-bank [`FlatMap`] because only
-//! RFM servicing ever iterates it. Steady-state activations perform no heap
-//! allocation.
+//! disturbance store is a [`PagedRows`] indexed by flat row (bank-base plus
+//! row index — a page-table load and two adjacent increments per activation
+//! at blast radius 1, with pages allocated only where rows are disturbed),
+//! and the aggressor store is a per-bank [`FlatMap`] because only RFM
+//! servicing ever iterates it. Refreshes zero pages but keep them, so
+//! steady-state activations perform no heap allocation.
 
 use crate::fault::{hash_coords, hash_unit, FaultModel};
 use crate::flat::FlatMap;
 use crate::geometry::{DramGeometry, RowAddr};
+use crate::paged::PagedRows;
 use crate::types::Cycle;
 
 /// Hash-domain tag separating per-row threshold sampling from flip draws.
@@ -46,15 +48,15 @@ pub struct BitflipEvent {
 pub struct RowHammerTracker {
     geometry: DramGeometry,
     nrh: u64,
-    /// `nrh` as `u32` for the dense-store equality check. Zero disables the
-    /// check: thresholds at or above `u32::MAX` can never be crossed before
-    /// the dense counters saturate, so they are "effectively infinite" (tests
-    /// use such thresholds to assert no bitflip is possible).
+    /// `nrh` as `u32` for the per-row counters' equality check. Zero disables
+    /// the check: thresholds at or above `u32::MAX` can never be crossed
+    /// before the counters saturate, so they are "effectively infinite"
+    /// (tests use such thresholds to assert no bitflip is possible).
     nrh_u32: u32,
     blast_radius: usize,
-    /// Dense per-row disturbance since the row's last refresh, indexed by
+    /// Per-row disturbance since the row's last refresh, indexed by
     /// `flat_bank * rows_per_bank + row`.
-    disturbance: Box<[u32]>,
+    disturbance: PagedRows,
     /// Per flat bank: aggressor row -> activations since its victims were last
     /// preventively refreshed (used to service RFM windows).
     aggressor_acts: Vec<FlatMap<u64>>,
@@ -65,10 +67,8 @@ pub struct RowHammerTracker {
     /// Channel index, a hash coordinate (per-channel trackers must draw
     /// independent flips even at the same bank/row).
     channel: u64,
-    /// Per-row thresholds sampled at init (probabilistic model only; `0`
-    /// marks a row whose sampled threshold exceeds the dense counter range
-    /// and can therefore never be crossed).
-    row_nrh: Option<Box<[u32]>>,
+    /// Per-row thresholds (probabilistic model only).
+    row_nrh: Option<RowThresholds>,
     /// Cumulative threshold crossings per flat row since init (probabilistic
     /// model only; sparse — only hammered rows ever cross).
     crossings: FlatMap<u64>,
@@ -84,6 +84,65 @@ pub struct RowHammerTracker {
     /// Reusable scratch for range removals in
     /// [`RowHammerTracker::on_periodic_refresh`].
     retain_scratch: Vec<u64>,
+}
+
+/// The probabilistic model's per-row thresholds, sampled one page at a time
+/// when a row of the page is first disturbed.
+#[derive(Debug, Clone)]
+struct RowThresholds {
+    /// Sampled thresholds by flat row; `0` marks a row whose sampled
+    /// threshold exceeds the `u32` counter range and can therefore never be
+    /// crossed.
+    samples: PagedRows,
+    landscape: ThresholdLandscape,
+}
+
+impl RowThresholds {
+    /// The threshold of flat row `flat`, sampling its page on first use.
+    #[inline]
+    fn get(&mut self, flat: usize) -> u32 {
+        let RowThresholds { samples, landscape } = self;
+        *samples.get_mut_or_init(flat, |first, page| {
+            for (i, threshold) in page.iter_mut().enumerate() {
+                *threshold = landscape.sample(first + i);
+            }
+        })
+    }
+}
+
+/// What a per-row threshold is drawn from. A sample is a pure function of
+/// (seed, channel, bank, row), so every rebuild of the same configuration
+/// sees the same per-row landscape, whatever order its pages are touched in.
+#[derive(Debug, Clone, Copy)]
+struct ThresholdLandscape {
+    nrh: u64,
+    nrh_variation: f64,
+    seed: u64,
+    channel: u64,
+    rows_per_bank: usize,
+}
+
+impl ThresholdLandscape {
+    /// The sampled threshold of flat row `flat` (`0`: never crossed).
+    fn sample(&self, flat: usize) -> u32 {
+        let (bank, row) = (flat / self.rows_per_bank, flat % self.rows_per_bank);
+        let u = hash_unit(hash_coords(
+            self.seed,
+            self.channel,
+            bank as u64,
+            row as u64,
+            NRH_SAMPLE_TAG,
+        ));
+        let factor = 1.0 - self.nrh_variation + 2.0 * self.nrh_variation * u;
+        let sampled = (self.nrh as f64 * factor).round().max(1.0);
+        // 0 disables the row, mirroring `nrh_u32`: a threshold past the
+        // counter range can never be crossed.
+        if sampled < u32::MAX as f64 {
+            sampled as u32
+        } else {
+            0
+        }
+    }
 }
 
 impl RowHammerTracker {
@@ -118,43 +177,23 @@ impl RowHammerTracker {
         let rows = geometry.rows_per_channel();
         let row_nrh = match model {
             FaultModel::Threshold => None,
-            FaultModel::Probabilistic { nrh_variation, .. } => {
-                // Per-row thresholds, sampled once at init: a pure function
-                // of (seed, channel, flat row), so every rebuild of the same
-                // configuration sees the same per-row landscape.
-                let rows_per_bank = geometry.rows_per_bank;
-                Some(
-                    (0..rows)
-                        .map(|flat| {
-                            let (bank, row) = (flat / rows_per_bank, flat % rows_per_bank);
-                            let u = hash_unit(hash_coords(
-                                seed,
-                                channel as u64,
-                                bank as u64,
-                                row as u64,
-                                NRH_SAMPLE_TAG,
-                            ));
-                            let factor = 1.0 - nrh_variation + 2.0 * nrh_variation * u;
-                            let sampled = (nrh as f64 * factor).round().max(1.0);
-                            // 0 disables the row, mirroring `nrh_u32`: a
-                            // threshold past the dense counter range can
-                            // never be crossed.
-                            if sampled < u32::MAX as f64 {
-                                sampled as u32
-                            } else {
-                                0
-                            }
-                        })
-                        .collect(),
-                )
-            }
+            FaultModel::Probabilistic { nrh_variation, .. } => Some(RowThresholds {
+                samples: PagedRows::new(rows),
+                landscape: ThresholdLandscape {
+                    nrh,
+                    nrh_variation,
+                    seed,
+                    channel: channel as u64,
+                    rows_per_bank: geometry.rows_per_bank,
+                },
+            }),
         };
         RowHammerTracker {
             geometry,
             nrh,
             nrh_u32: if nrh < u64::from(u32::MAX) { nrh as u32 } else { 0 },
             blast_radius,
-            disturbance: vec![0; rows].into_boxed_slice(),
+            disturbance: PagedRows::new(rows),
             aggressor_acts: (0..banks).map(|_| FlatMap::with_capacity(64)).collect(),
             model,
             fault_seed: seed,
@@ -197,11 +236,12 @@ impl RowHammerTracker {
         cycle: Cycle,
     ) {
         let flat = bank_base + row;
-        let entry = &mut self.disturbance[flat];
+        let entry = self.disturbance.get_mut(flat);
         *entry = entry.saturating_add(1);
-        let Some(row_nrh) = &self.row_nrh else {
+        let entry = *entry;
+        let Some(row_nrh) = &mut self.row_nrh else {
             // Hard-threshold cliff (the default): one event, exactly at N_RH.
-            if *entry == self.nrh_u32 {
+            if entry == self.nrh_u32 {
                 self.bitflips.push(BitflipEvent {
                     victim: RowAddr { bank, row },
                     cycle,
@@ -215,11 +255,11 @@ impl RowHammerTracker {
         // never re-trigger). Each crossing draws one Bernoulli flip from a
         // hash of (seed, channel, bank, row, cumulative crossing count) —
         // a pure function of coordinates, independent of simulation order.
-        let threshold = row_nrh[flat];
-        if threshold == 0 || *entry == u32::MAX || !entry.is_multiple_of(threshold) {
+        let threshold = row_nrh.get(flat);
+        if threshold == 0 || entry == u32::MAX || !entry.is_multiple_of(threshold) {
             return;
         }
-        let disturbance = u64::from(*entry);
+        let disturbance = u64::from(entry);
         let crossing = self.crossings.or_insert(flat as u64, 0);
         *crossing += 1;
         let FaultModel::Probabilistic { flip_probability, .. } = self.model else {
@@ -241,7 +281,7 @@ impl RowHammerTracker {
     /// accumulated disturbance is cleared.
     pub fn on_row_refreshed(&mut self, row: RowAddr) {
         let flat_bank = self.geometry.flat_bank(row.bank);
-        self.disturbance[flat_bank * self.geometry.rows_per_bank + row.row] = 0;
+        self.disturbance.zero(flat_bank * self.geometry.rows_per_bank + row.row);
         // Refreshing a row also clears the "pending preventive work" of the
         // aggressors for which this row was the victim only partially; we keep
         // the aggressor counters untouched so RFM servicing stays conservative.
@@ -256,7 +296,7 @@ impl RowHammerTracker {
         let end = row_end.min(rows_per_bank);
         for flat in self.geometry.rank_flat_range(rank) {
             let base = flat * rows_per_bank;
-            self.disturbance[base + start..base + end].fill(0);
+            self.disturbance.zero_range(base + start..base + end);
             if end - start <= self.aggressor_acts[flat].len() {
                 // A sweep covers a handful of rows while the map holds every
                 // row activated since its own sweep: ask for those rows.
@@ -303,11 +343,11 @@ impl RowHammerTracker {
             self.aggressor_acts[flat].remove(row as u64);
             for d in 1..=self.blast_radius {
                 if row >= d {
-                    self.disturbance[base + row - d] = 0;
+                    self.disturbance.zero(base + row - d);
                     self.refreshed_buf.push(RowAddr { bank, row: row - d });
                 }
                 if row + d < self.geometry.rows_per_bank {
-                    self.disturbance[base + row + d] = 0;
+                    self.disturbance.zero(base + row + d);
                     self.refreshed_buf.push(RowAddr { bank, row: row + d });
                 }
             }
@@ -318,12 +358,21 @@ impl RowHammerTracker {
     /// Current disturbance of a specific row.
     pub fn disturbance_of(&self, row: RowAddr) -> u64 {
         let flat = self.geometry.flat_bank(row.bank);
-        u64::from(self.disturbance[flat * self.geometry.rows_per_bank + row.row])
+        u64::from(self.disturbance.get(flat * self.geometry.rows_per_bank + row.row))
     }
 
     /// The largest disturbance currently accumulated by any row.
     pub fn max_disturbance(&self) -> u64 {
-        u64::from(self.disturbance.iter().copied().max().unwrap_or(0))
+        u64::from(self.disturbance.max())
+    }
+
+    /// Pages of per-row state allocated so far (disturbance counters plus,
+    /// under the probabilistic model, sampled thresholds). A read-only
+    /// footprint probe: a run touches a few pages per bank, far below the
+    /// geometry's full row count.
+    pub fn resident_pages(&self) -> usize {
+        self.disturbance.resident_pages()
+            + self.row_nrh.as_ref().map_or(0, |t| t.samples.resident_pages())
     }
 
     /// All recorded would-be bitflips.
@@ -346,6 +395,9 @@ impl RowHammerTracker {
 mod tests {
     use super::*;
     use crate::geometry::BankAddr;
+    use crate::paged::PAGE_ROWS;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn tracker(nrh: u64) -> RowHammerTracker {
         RowHammerTracker::new(DramGeometry::tiny(), nrh, 1)
@@ -361,12 +413,12 @@ mod tests {
     }
 
     /// The sampled threshold of a row (`None` beyond the countable range).
-    fn row_threshold(t: &RowHammerTracker, row: RowAddr) -> Option<u64> {
-        match &t.row_nrh {
+    fn row_threshold(t: &mut RowHammerTracker, row: RowAddr) -> Option<u64> {
+        match &mut t.row_nrh {
             None => Some(t.nrh),
-            Some(samples) => {
+            Some(thresholds) => {
                 let flat = t.geometry.flat_bank(row.bank);
-                match samples[flat * t.geometry.rows_per_bank + row.row] {
+                match thresholds.get(flat * t.geometry.rows_per_bank + row.row) {
                     0 => None,
                     threshold => Some(u64::from(threshold)),
                 }
@@ -526,7 +578,7 @@ mod tests {
     #[test]
     fn probability_one_flips_at_every_crossing() {
         let mut t = probabilistic(8, 1.0, 0.0, 42, 0);
-        assert_eq!(row_threshold(&t, row(0, 19)), Some(8));
+        assert_eq!(row_threshold(&mut t, row(0, 19)), Some(8));
         for c in 0..16 {
             t.on_activate(row(0, 20), c);
         }
@@ -564,19 +616,240 @@ mod tests {
 
     #[test]
     fn nrh_variation_spreads_per_row_thresholds() {
-        let t = probabilistic(100, 1.0, 0.3, 42, 0);
+        let mut t = probabilistic(100, 1.0, 0.3, 42, 0);
         let thresholds: std::collections::BTreeSet<u64> =
-            (0..64).map(|r| row_threshold(&t, row(0, r)).expect("in range")).collect();
+            (0..64).map(|r| row_threshold(&mut t, row(0, r)).expect("in range")).collect();
         assert!(thresholds.len() > 4, "variation must spread the samples: {thresholds:?}");
         assert!(thresholds.iter().all(|&v| (70..=130).contains(&v)), "{thresholds:?}");
         // Without variation every row sits exactly at N_RH.
-        let flat = probabilistic(100, 1.0, 0.0, 42, 0);
-        assert!((0..64).all(|r| row_threshold(&flat, row(0, r)) == Some(100)));
+        let mut flat = probabilistic(100, 1.0, 0.0, 42, 0);
+        assert!((0..64).all(|r| row_threshold(&mut flat, row(0, r)) == Some(100)));
     }
 
     #[test]
     fn default_constructor_keeps_the_hard_threshold_model() {
-        let t = tracker(8);
-        assert_eq!(row_threshold(&t, row(0, 5)), Some(8));
+        let mut t = tracker(8);
+        assert_eq!(row_threshold(&mut t, row(0, 5)), Some(8));
+    }
+
+    /// The tracker as it was before paging: one dense `u32` per row, every
+    /// row's threshold sampled up front, ordered maps for the aggressors. It
+    /// exists only to hold the paged tracker to it.
+    struct DenseTracker {
+        geometry: DramGeometry,
+        nrh: u64,
+        blast_radius: usize,
+        disturbance: Vec<u32>,
+        thresholds: Option<Vec<u32>>,
+        flip_probability: f64,
+        seed: u64,
+        channel: u64,
+        aggressors: Vec<BTreeMap<usize, u64>>,
+        crossings: BTreeMap<usize, u64>,
+        bitflips: Vec<BitflipEvent>,
+        /// Pages holding a row that was ever disturbed.
+        touched_pages: BTreeSet<usize>,
+    }
+
+    impl DenseTracker {
+        fn new(t: &RowHammerTracker) -> Self {
+            let rows = t.geometry.rows_per_channel();
+            let (thresholds, flip_probability) = match (&t.row_nrh, t.model) {
+                (Some(thresholds), FaultModel::Probabilistic { flip_probability, .. }) => (
+                    Some((0..rows).map(|flat| thresholds.landscape.sample(flat)).collect()),
+                    flip_probability,
+                ),
+                _ => (None, 0.0),
+            };
+            DenseTracker {
+                geometry: t.geometry.clone(),
+                nrh: t.nrh,
+                blast_radius: t.blast_radius,
+                disturbance: vec![0; rows],
+                thresholds,
+                flip_probability,
+                seed: t.fault_seed,
+                channel: t.channel,
+                aggressors: vec![BTreeMap::new(); t.geometry.banks_per_channel()],
+                crossings: BTreeMap::new(),
+                bitflips: Vec::new(),
+                touched_pages: BTreeSet::new(),
+            }
+        }
+
+        fn flat(&self, row: RowAddr) -> usize {
+            self.geometry.flat_bank(row.bank) * self.geometry.rows_per_bank + row.row
+        }
+
+        fn on_activate(&mut self, row: RowAddr, cycle: Cycle) {
+            *self.aggressors[self.geometry.flat_bank(row.bank)].entry(row.row).or_insert(0) += 1;
+            for victim in self.geometry.neighbors(row, self.blast_radius) {
+                let flat = self.flat(victim);
+                self.touched_pages.insert(flat / PAGE_ROWS);
+                let count = self.disturbance[flat].saturating_add(1);
+                self.disturbance[flat] = count;
+                let flipped = match &self.thresholds {
+                    None => count == self.nrh as u32,
+                    Some(thresholds) => {
+                        let threshold = thresholds[flat];
+                        if threshold == 0 || count == u32::MAX || !count.is_multiple_of(threshold) {
+                            continue;
+                        }
+                        let crossing = self.crossings.entry(flat).or_insert(0);
+                        *crossing += 1;
+                        let bank = (flat / self.geometry.rows_per_bank) as u64;
+                        let draw = hash_coords(
+                            self.seed,
+                            self.channel,
+                            bank,
+                            victim.row as u64,
+                            *crossing,
+                        );
+                        hash_unit(draw) < self.flip_probability
+                    }
+                };
+                if flipped {
+                    let disturbance = u64::from(count);
+                    self.bitflips.push(BitflipEvent { victim, cycle, disturbance });
+                }
+            }
+        }
+
+        fn on_periodic_refresh(&mut self, rank: usize, start: usize, end: usize) {
+            let rows_per_bank = self.geometry.rows_per_bank;
+            let (start, end) = (start.min(rows_per_bank), end.min(rows_per_bank));
+            for flat in self.geometry.rank_flat_range(rank) {
+                let base = flat * rows_per_bank;
+                self.disturbance[base + start..base + end].fill(0);
+                self.aggressors[flat].retain(|row, _| !(start..end).contains(row));
+            }
+        }
+
+        fn service_rfm(&mut self, bank: BankAddr, aggressors: usize) -> Vec<RowAddr> {
+            let flat = self.geometry.flat_bank(bank);
+            let mut hottest: Vec<(usize, u64)> =
+                self.aggressors[flat].iter().map(|(&row, &count)| (row, count)).collect();
+            hottest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            hottest.truncate(aggressors);
+            let mut refreshed = Vec::new();
+            for (row, _) in hottest {
+                self.aggressors[flat].remove(&row);
+                for victim in self.geometry.neighbors(RowAddr { bank, row }, self.blast_radius) {
+                    let victim_flat = self.flat(victim);
+                    self.disturbance[victim_flat] = 0;
+                    refreshed.push(victim);
+                }
+            }
+            refreshed
+        }
+    }
+
+    /// Two ranks of two banks, four pages per bank.
+    fn paged_geometry() -> DramGeometry {
+        DramGeometry { bank_groups: 1, rows_per_bank: 4 * PAGE_ROWS, ..DramGeometry::tiny() }
+    }
+
+    /// A row within a few rows of a page edge of its bank (or of the bank's
+    /// first or last row when the bank is smaller than a page), so that
+    /// activations repeat, cross thresholds and disturb victims on both
+    /// sides of an edge.
+    fn near_page_edge(rows_per_bank: usize, pos: usize) -> usize {
+        let anchors = rows_per_bank.div_ceil(PAGE_ROWS) + 1;
+        let anchor = ((pos % anchors) * PAGE_ROWS).min(rows_per_bank);
+        (anchor + (pos / anchors) % 8).saturating_sub(4).min(rows_per_bank - 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The paged tracker and the dense reference agree on every
+        /// disturbance, every bitflip, every RFM service and the aggressor
+        /// counters, over random streams of activations, directed refreshes,
+        /// periodic sweeps straddling page edges and RFM windows, under both
+        /// fault models, on a geometry whose channel is one page and on one
+        /// with four pages per bank. The paged store holds exactly the pages
+        /// the stream disturbed: refreshes zero pages but keep them.
+        #[test]
+        fn paged_tracker_matches_the_dense_reference(
+            paged in any::<bool>(),
+            probabilistic in any::<bool>(),
+            nrh in 3u64..24,
+            blast_radius in 1usize..3,
+            seed in 0u64..1_000,
+            ops in proptest::collection::vec(
+                (0u8..16, 0usize..64, 0usize..4_096, 0usize..48),
+                1..400,
+            ),
+        ) {
+            let geometry = if paged { paged_geometry() } else { DramGeometry::tiny() };
+            let model = if probabilistic {
+                FaultModel::Probabilistic { flip_probability: 0.5, nrh_variation: 0.3 }
+            } else {
+                FaultModel::Threshold
+            };
+            let rows_per_bank = geometry.rows_per_bank;
+            let banks = geometry.banks_per_channel();
+            let mut t = RowHammerTracker::with_fault(
+                geometry.clone(),
+                nrh,
+                blast_radius,
+                model,
+                seed,
+                (seed % 2) as usize,
+            );
+            let mut dense = DenseTracker::new(&t);
+            for (i, &(op, bank, pos, len)) in ops.iter().enumerate() {
+                let bank = geometry.bank_from_flat(bank % banks);
+                let row = RowAddr { bank, row: near_page_edge(rows_per_bank, pos) };
+                let cycle = i as Cycle;
+                match op {
+                    0..=9 => {
+                        t.on_activate(row, cycle);
+                        dense.on_activate(row, cycle);
+                    }
+                    10 => {
+                        t.on_row_refreshed(row);
+                        let flat = dense.flat(row);
+                        dense.disturbance[flat] = 0;
+                    }
+                    11 | 12 => {
+                        let (start, end) = (row.row, row.row + len);
+                        t.on_periodic_refresh(bank.rank, start, end);
+                        dense.on_periodic_refresh(bank.rank, start, end);
+                    }
+                    13 => {
+                        let refreshed = t.service_rfm(bank, len % 4).to_vec();
+                        prop_assert_eq!(refreshed, dense.service_rfm(bank, len % 4), "op {}", i);
+                    }
+                    _ => {}
+                }
+                for victim in geometry.neighbors(row, blast_radius).chain([row]) {
+                    prop_assert_eq!(
+                        t.disturbance_of(victim),
+                        u64::from(dense.disturbance[dense.flat(victim)]),
+                        "disturbance of {:?} after op {}",
+                        victim,
+                        i
+                    );
+                }
+                let dense_max = dense.disturbance.iter().copied().max().unwrap_or(0);
+                prop_assert_eq!(t.max_disturbance(), u64::from(dense_max), "op {}", i);
+                prop_assert_eq!(t.bitflips(), &dense.bitflips[..], "op {}", i);
+            }
+            for flat in 0..geometry.rows_per_channel() {
+                let row = RowAddr {
+                    bank: geometry.bank_from_flat(flat / rows_per_bank),
+                    row: flat % rows_per_bank,
+                };
+                prop_assert_eq!(t.disturbance_of(row), u64::from(dense.disturbance[flat]));
+            }
+            for (flat, rows) in dense.aggressors.iter().enumerate() {
+                prop_assert_eq!(t.aggressor_acts[flat].len(), rows.len(), "bank {}", flat);
+                for (&row, &count) in rows {
+                    prop_assert_eq!(t.aggressor_acts[flat].get(row as u64), Some(count));
+                }
+            }
+            prop_assert_eq!(t.disturbance.resident_pages(), dense.touched_pages.len());
+        }
     }
 }

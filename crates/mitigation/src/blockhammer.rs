@@ -15,7 +15,7 @@
 
 use crate::action::{ActionSink, ActivationEvent};
 use crate::mechanism::{ResetWindow, TriggerMechanism};
-use bh_dram::{Cycle, DramGeometry, FlatMap, RowAddr, TimingParams};
+use bh_dram::{Cycle, DramGeometry, FlatMap, PagedRows, RowAddr, TimingParams};
 
 /// The BlockHammer mechanism.
 #[derive(Debug, Clone)]
@@ -27,11 +27,12 @@ pub(crate) struct BlockHammer {
     /// before the victim's periodic refresh) stay safely below `N_RH`.
     allowed_per_window: u64,
     window: ResetWindow,
-    /// Dense per-row activation counters for the current window, indexed by
+    /// Per-row activation counters for the current window, indexed by
     /// `flat_bank * rows_per_bank + row` (the software stand-in for the
-    /// hardware's counting Bloom filters — exact, flat, and cleared once per
-    /// window).
-    counts: Box<[u32]>,
+    /// hardware's counting Bloom filters — exact, paged so that only pages
+    /// holding activated rows are allocated, and zeroed once per window
+    /// without freeing those pages).
+    counts: PagedRows,
     /// Blacklisted rows, keyed by `flat_bank << 32 | row` -> earliest cycle
     /// the next activation is allowed. Only rows past the blacklisting
     /// threshold appear, so the table stays small and the per-request
@@ -47,13 +48,13 @@ impl BlockHammer {
         // refresh, so each row's per-window budget is N_RH / 8 (with margin).
         let allowed_per_window = (nrh / 8).max(2);
         let blacklist_threshold = (allowed_per_window / 2).max(1);
-        let rows = geometry.rows_per_channel();
+        let counts = PagedRows::new(geometry.rows_per_channel());
         BlockHammer {
             geometry,
             blacklist_threshold,
             allowed_per_window,
             window: ResetWindow::new(timing.t_refw),
-            counts: vec![0; rows].into_boxed_slice(),
+            counts,
             next_allowed: FlatMap::with_capacity(64),
         }
     }
@@ -66,6 +67,11 @@ impl BlockHammer {
     /// See [`crate::Mechanism::blocked_rows`].
     pub(crate) fn blocked_rows(&self) -> usize {
         self.next_allowed.len()
+    }
+
+    /// See [`crate::Mechanism::resident_pages`].
+    pub(crate) fn resident_pages(&self) -> usize {
+        self.counts.resident_pages()
     }
 
     /// See [`crate::Mechanism::blocked_until`].
@@ -81,11 +87,11 @@ impl BlockHammer {
 impl TriggerMechanism for BlockHammer {
     fn on_activation(&mut self, event: &ActivationEvent, _sink: &mut ActionSink) {
         if self.window.roll(event.cycle) {
-            self.counts.fill(0);
+            self.counts.zero_all();
             self.next_allowed.clear();
         }
         let bank = self.geometry.flat_bank(event.row.bank);
-        let count = &mut self.counts[bank * self.geometry.rows_per_bank + event.row.row];
+        let count = self.counts.get_mut(bank * self.geometry.rows_per_bank + event.row.row);
         *count += 1;
         let count = u64::from(*count);
         if count >= self.blacklist_threshold {
@@ -127,6 +133,8 @@ impl TriggerMechanism for BlockHammer {
 mod tests {
     use super::*;
     use crate::mechanism::testing::{actions, event};
+    use bh_dram::ThreadId;
+    use proptest::prelude::*;
 
     fn mech(nrh: u64) -> BlockHammer {
         BlockHammer::new(DramGeometry::tiny(), &TimingParams::fast_test(), nrh)
@@ -272,5 +280,58 @@ mod tests {
         let b = mech(512);
         assert_eq!((b.allowed_per_window, b.blacklist_threshold), (64, 32));
         assert!(b.storage_bits() > 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The paged per-row counters match a dense reference (one `u32` per
+        /// row, zeroed when the window rolls) across random activation
+        /// streams whose rows sit on both sides of page edges and whose clock
+        /// jumps roll the window, on a geometry whose channel is one page and
+        /// on one with four pages per bank. A roll zeroes the pages it finds
+        /// and keeps them: the store holds exactly the pages ever activated.
+        #[test]
+        fn paged_counts_match_a_dense_reference_across_window_rolls(
+            paged in any::<bool>(),
+            ops in proptest::collection::vec((0usize..8, 0usize..64, 0u8..16), 1..400),
+        ) {
+            const PAGE: usize = 1024;
+            let mut geometry = DramGeometry::tiny();
+            if paged {
+                geometry.bank_groups = 1;
+                geometry.rows_per_bank = 4 * PAGE;
+            }
+            let timing = TimingParams::fast_test();
+            let mut b = BlockHammer::new(geometry.clone(), &timing, 64);
+            let mut window = ResetWindow::new(timing.t_refw);
+            let mut dense = vec![0u32; geometry.rows_per_channel()];
+            let mut touched_pages = std::collections::BTreeSet::new();
+            let rows = geometry.rows_per_bank;
+            let mut cycle = 0;
+            let mut sink = ActionSink::default();
+            for (i, &(bank, pos, step)) in ops.iter().enumerate() {
+                // Mostly back-to-back activations; one in sixteen jumps a
+                // third of a window.
+                cycle += if step == 0 { timing.t_refw / 3 } else { u64::from(step) };
+                let bank = geometry.bank_from_flat(bank % geometry.banks_per_channel());
+                let row = ((pos % 3) * PAGE + pos / 3 % 8).saturating_sub(4).min(rows - 1);
+                b.on_activation(
+                    &ActivationEvent { row: RowAddr { bank, row }, thread: ThreadId(0), cycle },
+                    &mut sink,
+                );
+                if window.roll(cycle) {
+                    dense.fill(0);
+                }
+                let flat = geometry.flat_bank(bank) * rows + row;
+                dense[flat] += 1;
+                touched_pages.insert(flat / PAGE);
+                prop_assert_eq!(b.counts.get(flat), dense[flat], "row {} after op {}", flat, i);
+            }
+            for (flat, &count) in dense.iter().enumerate() {
+                prop_assert_eq!(b.counts.get(flat), count, "row {}", flat);
+            }
+            prop_assert_eq!(b.resident_pages(), touched_pages.len());
+        }
     }
 }

@@ -111,6 +111,16 @@ impl Mechanism {
         }
     }
 
+    /// Pages of per-row counters allocated so far (PRAC's and BlockHammer's
+    /// [`bh_dram::PagedRows`], else 0). A read-only footprint probe.
+    pub fn resident_pages(&self) -> usize {
+        match &self.state {
+            State::Prac(m) => m.resident_pages(),
+            State::BlockHammer(m) => m.resident_pages(),
+            _ => 0,
+        }
+    }
+
     /// DRAM timing adjustment the mechanism requires (REGA; none otherwise).
     pub fn timing_adjustment(&self) -> TimingAdjustment {
         match &self.state {

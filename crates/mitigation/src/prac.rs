@@ -11,7 +11,7 @@
 
 use crate::action::{ActionSink, ActivationEvent};
 use crate::mechanism::TriggerMechanism;
-use bh_dram::DramGeometry;
+use bh_dram::{DramGeometry, PagedRows};
 
 /// RFM commands the controller issues in response to one alert.
 const RFMS_PER_ALERT: usize = 1;
@@ -21,11 +21,12 @@ const RFMS_PER_ALERT: usize = 1;
 pub(crate) struct Prac {
     geometry: DramGeometry,
     backoff_threshold: u64,
-    /// Dense per-row in-DRAM activation counters, indexed by
+    /// Per-row in-DRAM activation counters, indexed by
     /// `flat_bank * rows_per_bank + row` — mirroring PRAC's actual storage
-    /// (one counter per DRAM row) and keeping the per-activation update a
-    /// single array increment.
-    row_counts: Box<[u32]>,
+    /// (one counter per DRAM row) while the per-activation update stays a
+    /// page-table load and an increment. Only pages holding activated rows
+    /// are allocated.
+    row_counts: PagedRows,
 }
 
 impl Prac {
@@ -38,15 +39,20 @@ impl Prac {
         // refresh the victims before bitflips become possible.
         let backoff_threshold = (nrh / 2).max(2);
         assert!(backoff_threshold < u64::from(u32::MAX), "back-off threshold must fit in a u32");
-        let rows = geometry.rows_per_channel();
-        Prac { geometry, backoff_threshold, row_counts: vec![0; rows].into_boxed_slice() }
+        let row_counts = PagedRows::new(geometry.rows_per_channel());
+        Prac { geometry, backoff_threshold, row_counts }
+    }
+
+    /// See [`crate::Mechanism::resident_pages`].
+    pub(crate) fn resident_pages(&self) -> usize {
+        self.row_counts.resident_pages()
     }
 }
 
 impl TriggerMechanism for Prac {
     fn on_activation(&mut self, event: &ActivationEvent, sink: &mut ActionSink) {
         let bank = self.geometry.flat_bank(event.row.bank);
-        let count = &mut self.row_counts[bank * self.geometry.rows_per_bank + event.row.row];
+        let count = self.row_counts.get_mut(bank * self.geometry.rows_per_bank + event.row.row);
         *count += 1;
         if u64::from(*count) >= self.backoff_threshold {
             *count = 0;
@@ -94,7 +100,7 @@ mod tests {
             p.on_activation(&event(3, i), &mut sink);
         }
         assert_eq!(sink.len(), 4);
-        assert_eq!(p.row_counts[3], 0, "bank 0, row 3");
+        assert_eq!(p.row_counts.get(3), 0, "bank 0, row 3");
     }
 
     #[test]

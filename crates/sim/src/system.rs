@@ -180,14 +180,14 @@ impl System {
         );
         assert!(required.iter().all(|r| *r < config.cores), "required core index out of range");
 
-        // The large arrays first, the LLC's lines and each channel's
-        // disturbance counters: they have the same sizes in every system of
-        // a sweep, so each new system finds them room where the last one
-        // freed them. The mechanisms' tables differ per kind; allocated in
-        // between (Hydra's group counters are 128 KiB on the paper geometry),
-        // they would shift the second array past that room and grow the
-        // heap (3.6 MB more peak RSS under glibc malloc on the benchmark's
-        // `attack_paper` workload).
+        // The large array first, the LLC's lines: it has the same size in
+        // every system of a sweep, so each new system finds it room where the
+        // last one freed it. The mechanisms' tables differ per kind (Hydra's
+        // group counters are 128 KiB on the paper geometry) and come last.
+        // The disturbance trackers in between hold only a page table (16 KiB
+        // per channel on the paper geometry) and allocate their 4 KiB pages
+        // as the run disturbs rows. With this order the benchmark's
+        // `attack_paper` workload peaks at 9.0 MB under glibc malloc.
         let llc = LastLevelCache::new(config.cache.clone(), config.cores);
         let channels = config.geometry.channels.max(1);
         let trackers: Vec<_> = (0..channels)
@@ -883,6 +883,52 @@ pub(crate) mod tests {
     /// The benign quartet with the paper-default attacker on core 3.
     pub(crate) fn attack_traces(config: &SystemConfig, entries: usize, seed: u64) -> Vec<Trace> {
         attack_traces_composed(config, &AttackerProfile::paper_default().compose(), entries, seed)
+    }
+
+    /// Pages of per-row state each channel holds: the disturbance tracker's
+    /// (counters, and sampled thresholds under the probabilistic model) plus
+    /// the mechanism's (PRAC's and BlockHammer's counters).
+    fn resident_row_pages(system: &System) -> Vec<usize> {
+        system
+            .memory
+            .controllers()
+            .iter()
+            .map(|ctrl| {
+                ctrl.channel().rowhammer().map_or(0, RowHammerTracker::resident_pages)
+                    + ctrl.mechanism().resident_pages()
+            })
+            .collect()
+    }
+
+    /// A checkpoint of a paper-geometry system copies only the per-row state
+    /// the run touched. After a few thousand cycles under attack, with the
+    /// probabilistic fault model and a mechanism with per-row counters (so
+    /// three of the four per-row stores are live), each channel holds a few
+    /// of the 2 048 pages one store spans, and the clone holds exactly as
+    /// many.
+    #[test]
+    fn a_checkpoint_copies_only_the_touched_row_pages() {
+        for mechanism in [MechanismKind::Prac, MechanismKind::BlockHammer] {
+            let mut config = SystemConfig::paper_table1(mechanism, 128, true).with_channels(2);
+            config.instructions_per_core = 20_000;
+            config.fault = bh_dram::FaultConfig {
+                model: bh_dram::FaultModel::Probabilistic {
+                    flip_probability: 0.5,
+                    nrh_variation: 0.2,
+                },
+                ecc: bh_dram::EccMode::SecDed,
+            };
+            let traces = attack_traces(&config, 2_000, 100);
+            let mut system = System::new(config, &traces, vec![0, 1, 2]);
+            let mut run = system.start();
+            system.advance(&mut run, 5_000);
+            assert!(run.dram_cycle >= 5_000, "{mechanism}: the run ended early");
+            let pages = resident_row_pages(&system);
+            // Three stores per channel (disturbance, thresholds, the
+            // mechanism's counters), together under an eighth of one.
+            assert!(pages.iter().all(|&p| p > 0 && p < 2_048 / 8), "{mechanism}: {pages:?}");
+            assert_eq!(resident_row_pages(&system.clone()), pages, "{mechanism}");
+        }
     }
 
     #[test]
