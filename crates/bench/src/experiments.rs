@@ -10,7 +10,8 @@
 use crate::scale::Scale;
 use bh_mitigation::MechanismKind;
 use bh_sim::{
-    alone_ipc, baseline_traces, evaluate, MixEvaluation, SystemConfig, TerminationReason,
+    alone_ipc, baseline_traces, evaluate, evaluate_pair, MixEvaluation, SystemConfig,
+    TerminationReason,
 };
 use bh_stats::Table;
 use bh_workloads::{scenario_by_name, MixBuilder, MixClass, TraceGenerator, WorkloadMix};
@@ -334,8 +335,9 @@ impl Campaign {
 /// The two `force_*` patterns are the test hooks behind the campaign CLI's
 /// `BH_TEST_FORCE_PANIC_MIX` / `BH_TEST_FORCE_SPIN_MIX` environment knobs;
 /// the two callbacks fire on the worker threads (claiming a job, finishing a
-/// cell) and are how the campaign engine streams checkpoints. Plain sweeps
-/// use [`EvalHooks::none`].
+/// cell) and are how the campaign engine streams checkpoints. Both fire once
+/// per job, claim before record, also for the two jobs of a ±BreakHammer
+/// pair unit (see [`evaluate_jobs`]). Plain sweeps use [`EvalHooks::none`].
 pub struct EvalHooks<'a> {
     /// Cells whose mix name contains this pattern panic before evaluating,
     /// exercising the sweep's panic-isolation path end to end.
@@ -347,8 +349,12 @@ pub struct EvalHooks<'a> {
     /// base configuration.
     pub force_spin_mix: Option<&'a str>,
     /// Fires on the worker thread when it claims job `i`, before evaluation.
+    /// The arm with BreakHammer of a pair is claimed once the arm without
+    /// it is recorded, after the two were evaluated together.
     pub on_claim: &'a (dyn Fn(usize) + Sync),
-    /// Fires on the worker thread as soon as cell `i` completes or panics.
+    /// Fires on the worker thread as soon as cell `i` completes or panics
+    /// (for a pair: as soon as both arms complete, the arm without
+    /// BreakHammer first).
     pub on_record: &'a (dyn Fn(usize, Result<&RunRecord, &str>) + Sync),
 }
 
@@ -417,12 +423,22 @@ fn on_pool<R: Send>(n: usize, workers: usize, job: impl Fn(usize) -> R + Sync) -
 /// counter: which worker runs a job, and what it ran before, cannot change
 /// the job's record.
 ///
-/// `hooks` carries the fault-injection patterns and the per-cell callbacks
-/// (see [`EvalHooks`]).
+/// The pool's unit of work is a job, or a ±BreakHammer pair of jobs: the
+/// same mix under two configurations equal except `breakhammer`, both still
+/// pending here. A pair is evaluated by [`evaluate_pair`], which simulates
+/// the two arms once up to BreakHammer's first throttle, and its records are
+/// the ones the two jobs give alone. A job runs alone when its sibling is not
+/// in `jobs` (a resumed or capped sweep) or its mix is under one of `hooks`'
+/// fault-injection patterns.
+///
+/// `hooks` carries the fault-injection patterns and the per-job callbacks
+/// (see [`EvalHooks`]). They fire per job, a pair's arm without BreakHammer
+/// first: claim, record, then the other arm's claim and record.
 ///
 /// Every cell runs under [`std::panic::catch_unwind`], so one panicking
 /// (configuration, mix) pair costs exactly that cell: its slot comes back as
-/// `Err(panic message)` and every other cell still completes.
+/// `Err(panic message)` and every other cell still completes. A panicking
+/// pair evaluates each arm again on its own.
 pub fn evaluate_jobs(
     configs: &[SystemConfig],
     mixes: &[WorkloadMix],
@@ -431,18 +447,99 @@ pub fn evaluate_jobs(
     workers: usize,
     hooks: &EvalHooks<'_>,
 ) -> Vec<Result<RunRecord, String>> {
-    on_pool(jobs.len(), workers, |i| {
-        let (c, m) = jobs[i];
-        (hooks.on_claim)(i);
-        // Asserting unwind safety is sound: a cell keeps no state past its
-        // own call, so nothing a panic interrupts is seen again.
-        let cell = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate_cell(&configs[c], &mixes[m], alone, hooks)
-        }))
-        .map_err(panic_message);
+    let record = |i: usize, cell: Result<RunRecord, String>| {
         (hooks.on_record)(i, cell.as_ref().map_err(String::as_str));
-        cell
-    })
+        (i, cell)
+    };
+    let solo = |i: usize| {
+        let (c, m) = jobs[i];
+        catch_panic(|| evaluate_cell(&configs[c], &mixes[m], alone, hooks))
+    };
+    let units = pair_units(configs, mixes, jobs, hooks);
+    let outcomes = on_pool(units.len(), workers, |u| match units[u] {
+        Unit::Solo(i) => {
+            (hooks.on_claim)(i);
+            vec![record(i, solo(i))]
+        }
+        Unit::Pair { without, with } => {
+            (hooks.on_claim)(without);
+            let (first, second) = match catch_panic(|| {
+                let ((c_without, m), (c_with, _)) = (jobs[without], jobs[with]);
+                let (off, on) = evaluate_pair(&configs[c_with], &mixes[m], alone);
+                (
+                    RunRecord::from_eval(&configs[c_without], &mixes[m], &off),
+                    RunRecord::from_eval(&configs[c_with], &mixes[m], &on),
+                )
+            }) {
+                Ok((off, on)) => (Ok(off), Some(Ok(on))),
+                Err(_) => (solo(without), None),
+            };
+            let first = record(without, first);
+            (hooks.on_claim)(with);
+            vec![first, record(with, second.unwrap_or_else(|| solo(with)))]
+        }
+    });
+    let mut slots: Vec<Option<Result<RunRecord, String>>> = jobs.iter().map(|_| None).collect();
+    for (i, cell) in outcomes.into_iter().flatten() {
+        slots[i] = Some(cell);
+    }
+    slots.into_iter().map(|slot| slot.expect("every job ran")).collect()
+}
+
+/// One unit of [`evaluate_jobs`]' pool: a job alone, or the job indices of a
+/// ±BreakHammer pair.
+#[derive(Debug, Clone, Copy)]
+enum Unit {
+    Solo(usize),
+    Pair { without: usize, with: usize },
+}
+
+/// Groups `jobs` into pool units, in the order of each unit's first job.
+/// A job with BreakHammer pairs with the first unpaired job of the same mix
+/// whose configuration is its own with `breakhammer` off; mixes under a
+/// fault-injection pattern of `hooks` never pair.
+fn pair_units(
+    configs: &[SystemConfig],
+    mixes: &[WorkloadMix],
+    jobs: &[(usize, usize)],
+    hooks: &EvalHooks<'_>,
+) -> Vec<Unit> {
+    let sibling: Vec<Option<usize>> = configs
+        .iter()
+        .map(|config| {
+            let off = SystemConfig { breakhammer: false, ..config.clone() };
+            config.breakhammer.then(|| configs.iter().position(|c| *c == off)).flatten()
+        })
+        .collect();
+    let injected = |m: usize| {
+        [hooks.force_panic_mix, hooks.force_spin_mix]
+            .into_iter()
+            .flatten()
+            .any(|pattern| mixes[m].name.contains(pattern))
+    };
+    // The jobs without BreakHammer not yet paired, by (configuration, mix).
+    let mut unpaired: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+    for (i, &(c, m)) in jobs.iter().enumerate().rev() {
+        if !configs[c].breakhammer && !injected(m) {
+            unpaired.entry((c, m)).or_default().push(i);
+        }
+    }
+    let mut partner: Vec<Option<usize>> = vec![None; jobs.len()];
+    for (with, &(c, m)) in jobs.iter().enumerate() {
+        let Some(off) = sibling[c] else { continue };
+        if let Some(without) = unpaired.get_mut(&(off, m)).and_then(Vec::pop) {
+            partner[with] = Some(without);
+            partner[without] = Some(with);
+        }
+    }
+    (0..jobs.len())
+        .filter_map(|i| match partner[i] {
+            None => Some(Unit::Solo(i)),
+            Some(j) if j < i => None,
+            Some(j) if configs[jobs[i].0].breakhammer => Some(Unit::Pair { without: j, with: i }),
+            Some(j) => Some(Unit::Pair { without: i, with: j }),
+        })
+        .collect()
 }
 
 /// One cell: `mix` evaluated under `config` against the `alone` baselines,
@@ -469,6 +566,13 @@ fn evaluate_cell(
         evaluate(config, mix, alone)
     };
     RunRecord::from_eval(config, mix, &eval)
+}
+
+/// `f()`, or the message it panicked with.
+fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    // Asserting unwind safety is sound: a cell keeps no state past its own
+    // call, so nothing a panic interrupts is seen again.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(panic_message)
 }
 
 /// The message of a panic payload caught by `catch_unwind`.
@@ -736,6 +840,107 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Pairing ±BreakHammer siblings into one pool unit changes no record
+    /// and no hook order. On a ±BreakHammer matrix with one arm of some
+    /// pairs missing, a +BH job listed before its sibling, and the two
+    /// fault-injection patterns, every job's outcome is the one it gets
+    /// evaluated alone. Each job is claimed before it is recorded, a pair's
+    /// arm without BreakHammer is recorded before the other is claimed, and
+    /// one worker claims and records one job at a time.
+    #[test]
+    fn paired_jobs_give_the_records_of_jobs_evaluated_alone() {
+        let mut scale = Scale::quick();
+        scale.instructions_per_core = 4_000;
+        scale.benign_entries = 600;
+        scale.attacker_entries = 600;
+        let campaign = Campaign::new(scale.clone());
+        let mixes: Vec<WorkloadMix> = campaign.sweep_mixes(true).into_iter().take(4).collect();
+        let configs = config_matrix(
+            &[MechanismKind::Graphene, MechanismKind::Para],
+            &[64],
+            &[false, true],
+            &scale,
+        );
+        let alone = bh_sim::alone_ipcs(
+            &paper_config(MechanismKind::None, 4096, false, &scale),
+            mixes.iter(),
+        );
+        let (spinning, panicking) = (0, 1);
+        let (graphene, graphene_bh, para, para_bh) = (0, 1, 2, 3);
+        // Graphene+BH misses mix 2 and PARA misses mix 3; PARA+BH on mix 2
+        // comes before its sibling.
+        let mut jobs: Vec<(usize, usize)> = (0..4).map(|m| (graphene, m)).collect();
+        jobs.extend([(graphene_bh, 0), (graphene_bh, 1), (graphene_bh, 3), (para_bh, 3)]);
+        jobs.extend([(para_bh, 2), (para, 0), (para, 1), (para, 2), (para_bh, 0), (para_bh, 1)]);
+        let paired = [(3, 6), (11, 8)];
+
+        let events = std::sync::Mutex::new(Vec::new());
+        let log = |kind: &'static str, i: usize| events.lock().unwrap().push((kind, i));
+        let on_claim = |i: usize| log("claim", i);
+        let on_record = |i: usize, _: Result<&RunRecord, &str>| log("record", i);
+        let hooks = EvalHooks {
+            force_panic_mix: Some(&mixes[panicking].name),
+            force_spin_mix: Some(&mixes[spinning].name),
+            on_claim: &on_claim,
+            on_record: &on_record,
+        };
+        let render = |outcome: &Result<RunRecord, String>| format!("{outcome:?}");
+        let alone_hooks = EvalHooks { on_claim: &|_| {}, on_record: &|_, _| {}, ..hooks };
+        let reference: Vec<String> = jobs
+            .iter()
+            .map(|job| {
+                let outcome = evaluate_jobs(&configs, &mixes, &[*job], &alone, 1, &alone_hooks);
+                render(&outcome[0])
+            })
+            .collect();
+        for (&(_, m), outcome) in jobs.iter().zip(&reference) {
+            if m == spinning {
+                assert!(outcome.contains("Livelock"), "{outcome}");
+            } else if m == panicking {
+                assert!(outcome.contains("forced test panic"), "{outcome}");
+            }
+        }
+
+        for workers in [1, 3] {
+            events.lock().unwrap().clear();
+            let outcomes = evaluate_jobs(&configs, &mixes, &jobs, &alone, workers, &hooks);
+            let rendered: Vec<String> = outcomes.iter().map(render).collect();
+            assert_eq!(rendered, reference, "{workers} workers");
+
+            let events = events.lock().unwrap().clone();
+            assert_eq!(events.len(), 2 * jobs.len(), "{workers} workers: {events:?}");
+            let at = |event: (&str, usize)| {
+                let position = events.iter().position(|e| *e == event);
+                position.unwrap_or_else(|| panic!("{workers} workers: no {event:?} in {events:?}"))
+            };
+            for i in 0..jobs.len() {
+                assert!(at(("claim", i)) < at(("record", i)), "{workers} workers: {events:?}");
+            }
+            for (without, with) in paired {
+                let (recorded, claimed) = (at(("record", without)), at(("claim", with)));
+                assert!(recorded < claimed, "{workers} workers: {events:?}");
+                if workers == 1 {
+                    assert_eq!(recorded + 1, claimed, "{events:?}");
+                }
+            }
+            if workers == 1 {
+                for step in events.chunks(2) {
+                    assert!(matches!(step, [("claim", a), ("record", b)] if a == b), "{events:?}");
+                }
+            }
+        }
+        assert_eq!(
+            pair_units(&configs, &mixes, &jobs, &hooks)
+                .into_iter()
+                .filter_map(|unit| match unit {
+                    Unit::Pair { without, with } => Some((without, with)),
+                    Unit::Solo(_) => None,
+                })
+                .collect::<Vec<_>>(),
+            paired
+        );
     }
 
     #[test]

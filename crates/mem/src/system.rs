@@ -130,6 +130,14 @@ impl MemorySystem {
         self.breakhammer.as_ref()
     }
 
+    /// Detaches the BreakHammer observer and returns it. BreakHammer only
+    /// observes the controllers (its one feedback path is the LLC quota the
+    /// simulator reads from it), so the memory system runs on exactly as one
+    /// built without it.
+    pub fn detach_breakhammer(&mut self) -> Option<BreakHammer> {
+        self.breakhammer.take()
+    }
+
     /// The channel a physical address routes to.
     pub(crate) fn channel_of(&self, addr: PhysAddr) -> usize {
         if self.single_channel {

@@ -13,9 +13,11 @@
 //!
 //! The checkpoint tests hold the event-driven kernel against itself: a run
 //! paused, cloned and resumed must finish, in both halves, with the
-//! uninterrupted run's full result.
+//! uninterrupted run's full result. The paired-run tests do the same for
+//! `System::run_pair`: both arms must finish with their solo runs' results.
 
 use crate::system::tests::{attack_traces, attack_traces_composed, benign_traces};
+use crate::system::PairStop;
 use crate::{SimulationResult, System, SystemConfig, TerminationReason};
 use bh_cpu::Trace;
 use bh_dram::{EccMode, FaultConfig, FaultModel};
@@ -415,6 +417,84 @@ fn livelocked_run_resumes_identically_from_a_checkpoint() {
     let result = assert_checkpoints(system, &[2_500, 10_000, 20_000, 40_000], "livelock");
     assert_eq!(result.termination, TerminationReason::Livelock);
     assert!(result.livelock.is_some(), "livelock verdicts carry a report");
+}
+
+/// Runs `config` (BreakHammer attached) as a ±BreakHammer pair and asserts
+/// that each arm finishes with its solo run's full result, and that the
+/// sibling's ridden-along watchdog is, where the shared prefix stopped, the
+/// solo sibling's watchdog at that cycle. Returns why the prefix stopped.
+fn assert_pair(config: &SystemConfig, traces: &[Trace], required: &[usize]) -> PairStop {
+    let system = |config: &SystemConfig| System::new(config.clone(), traces, required.to_vec());
+    let mut without = config.clone();
+    without.breakhammer = false;
+    let (stop, at, watchdog, (got_without, got_with)) = system(config).run_pair_traced();
+    let label = format!("{} x{}ch, {stop:?} at {at}", config.summary(), config.geometry.channels);
+    assert_eq!(got_with, system(config).run(), "{label}: the arm with BreakHammer diverged");
+    assert_eq!(got_without, system(&without).run(), "{label}: the arm without it diverged");
+    assert_eq!(watchdog, system(&without).watchdog_at(at), "{label}: the ridden-along watchdog");
+    stop
+}
+
+/// A paired run returns exactly the two solo runs' results, whichever way
+/// its shared prefix stops: every mechanism on the checkpoint recipe (whose
+/// BreakHammer throttles the attacker mid-run), an all-benign mix, four
+/// channels, the probabilistic SEC-DED fault model, a chaos livelock the
+/// sibling's watchdog catches inside the prefix, and an epoch budget that
+/// stops the arm with BreakHammer there.
+#[test]
+fn a_paired_run_returns_both_solo_results() {
+    let mut stops = Vec::new();
+    for mechanism in MechanismKind::ALL {
+        if mechanism == MechanismKind::None {
+            continue;
+        }
+        let config = checkpoint_config(mechanism, true);
+        let traces = attack_traces(&config, 2_000, 100);
+        stops.push(assert_pair(&config, &traces, &[0, 1, 2]));
+    }
+    assert!(stops.contains(&PairStop::Quota), "no attack run diverged: {stops:?}");
+
+    let mut benign = SystemConfig::fast_test(MechanismKind::Graphene, 256, true);
+    benign.instructions_per_core = 8_000;
+    let traces = benign_traces(&benign, 2_000, 100);
+    stops.push(assert_pair(&benign, &traces, &[0, 1, 2, 3]));
+
+    let mut four_channels = checkpoint_config(MechanismKind::Graphene, true).with_channels(4);
+    four_channels.instructions_per_core = 12_000;
+    let traces = attack_traces(&four_channels, 2_000, 100);
+    stops.push(assert_pair(&four_channels, &traces, &[0, 1, 2]));
+
+    let mut faulty = SystemConfig::fast_test(MechanismKind::Para, 64, true);
+    faulty.instructions_per_core = 6_000;
+    faulty.fault = probabilistic_secded_fault();
+    let traces = attack_traces(&faulty, 2_000, 100);
+    stops.push(assert_pair(&faulty, &traces, &[0, 1, 2]));
+
+    // Auto-derived epochs: 50 000 cycles without BreakHammer, 500 000 with
+    // its 1 M-cycle window, so the sibling's watchdog calls the livelock
+    // first.
+    let mut livelock = livelock_config(1);
+    livelock.breakhammer = true;
+    livelock.watchdog.epoch_cycles = 0;
+    let mut bh = livelock.effective_breakhammer_config();
+    bh.window_cycles = 1_000_000;
+    livelock.breakhammer_config = Some(bh);
+    let traces = benign_traces(&livelock, 2_000, 7);
+    let stop = assert_pair(&livelock, &traces, &[0, 1, 2, 3]);
+    assert_eq!(stop, PairStop::SiblingVerdict, "the livelock");
+    stops.push(stop);
+
+    // Equal epochs: both watchdogs exceed the budget at cycle 3 000, and the
+    // one of the run with BreakHammer is asked first.
+    let mut budget = SystemConfig::fast_test(MechanismKind::Graphene, 128, true);
+    budget.watchdog.epoch_cycles = 1_000;
+    budget.watchdog.max_epochs = 2;
+    let traces = benign_traces(&budget, 2_000, 7);
+    stops.push(assert_pair(&budget, &traces, &[0, 1, 2, 3]));
+
+    for stop in [PairStop::Quota, PairStop::Verdict, PairStop::SiblingVerdict, PairStop::End] {
+        assert!(stops.contains(&stop), "no paired run stopped on {stop:?}: {stops:?}");
+    }
 }
 
 proptest! {

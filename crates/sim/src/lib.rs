@@ -9,13 +9,16 @@
 //!
 //! * [`SystemConfig`] — the composite configuration (Table 1 / Table 2);
 //! * [`System`] — the wired system; [`System::run`] produces a
-//!   [`SimulationResult`];
+//!   [`SimulationResult`], and [`System::run_pair`] the results of a system
+//!   with BreakHammer and of its sibling without, simulated once up to
+//!   BreakHammer's first throttle;
 //! * [`alone_ipcs`] and [`evaluate`] — two plain functions that measure the
 //!   single-core baselines and run one workload mix against them, computing
 //!   the paper's metrics (weighted speedup of benign applications, maximum
 //!   slowdown, DRAM energy, preventive-action counts); [`alone_ipcs`] is
 //!   [`alone_ipc`] over the [`baseline_traces`] of its mixes, so a caller
-//!   with a worker pool can measure the baselines one trace per job.
+//!   with a worker pool can measure the baselines one trace per job, and
+//!   [`evaluate_pair`] is [`evaluate`] for both arms of a ±BreakHammer pair.
 //!
 //! ## Example
 //!
@@ -54,5 +57,5 @@ pub use result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,
 };
-pub use runner::{alone_ipc, alone_ipcs, baseline_traces, evaluate, MixEvaluation};
+pub use runner::{alone_ipc, alone_ipcs, baseline_traces, evaluate, evaluate_pair, MixEvaluation};
 pub use system::System;

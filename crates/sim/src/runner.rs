@@ -88,6 +88,36 @@ pub fn evaluate(
     mix: &WorkloadMix,
     alone: &BTreeMap<String, f64>,
 ) -> MixEvaluation {
+    let ipc_alone = benign_alone_ipcs(config, mix, alone);
+    let result = mix_system(config, mix).run();
+    mix_evaluation(mix, &ipc_alone, result)
+}
+
+/// [`evaluate`] for both arms of a ±BreakHammer pair at once: `config` has
+/// BreakHammer attached, and the result is `(without, with)`, where `without`
+/// is what [`evaluate`] returns for `config` with `breakhammer` off and
+/// `with` what it returns for `config`. The two arms are simulated once up
+/// to BreakHammer's first throttle (see [`System::run_pair`]).
+///
+/// # Panics
+/// Panics as [`evaluate`] does, or if `config` does not attach BreakHammer.
+pub fn evaluate_pair(
+    config: &SystemConfig,
+    mix: &WorkloadMix,
+    alone: &BTreeMap<String, f64>,
+) -> (MixEvaluation, MixEvaluation) {
+    assert!(config.breakhammer, "a paired evaluation needs a configuration with BreakHammer");
+    let ipc_alone = benign_alone_ipcs(config, mix, alone);
+    let (without, with) = mix_system(config, mix).run_pair();
+    (mix_evaluation(mix, &ipc_alone, without), mix_evaluation(mix, &ipc_alone, with))
+}
+
+/// The alone IPC of each benign thread of `mix`, checked before any run.
+fn benign_alone_ipcs(
+    config: &SystemConfig,
+    mix: &WorkloadMix,
+    alone: &BTreeMap<String, f64>,
+) -> Vec<f64> {
     assert_eq!(
         mix.cores(),
         config.cores,
@@ -95,27 +125,32 @@ pub fn evaluate(
         mix.cores(),
         config.cores
     );
-    let benign_threads = mix.benign_threads();
-    let ipc_alone: Vec<f64> = benign_threads
+    mix.benign_threads()
         .iter()
         .map(|&t| {
             let app = &mix.app_names[t];
             *alone.get(app).unwrap_or_else(|| panic!("no alone-IPC baseline for {app}"))
         })
-        .collect();
+        .collect()
+}
 
+/// The system running `mix` on `config`, its benign threads required.
+fn mix_system(config: &SystemConfig, mix: &WorkloadMix) -> System {
     // The mix's compiled traces are shared into the run (a refcount bump
     // per core): every configuration of a campaign matrix replays the
     // same compiled records instead of regenerating or deep-copying them.
-    let result = System::with_compiled(config.clone(), &mix.traces, benign_threads.clone())
+    System::with_compiled(config.clone(), &mix.traces, mix.benign_threads())
         .watch_victims(mix.victim_rows.iter().map(|v| (v.channel, v.row)))
         .with_success_criterion(mix.success_criterion)
-        .run();
+}
 
-    let benign_perfs: Vec<AppPerf> = benign_threads
+/// The paper's metrics of one run of `mix`.
+fn mix_evaluation(mix: &WorkloadMix, ipc_alone: &[f64], result: SimulationResult) -> MixEvaluation {
+    let benign_perfs: Vec<AppPerf> = mix
+        .benign_threads()
         .iter()
         .zip(ipc_alone)
-        .map(|(&t, ipc_alone)| AppPerf::new(ipc_alone, result.cores[t].ipc.max(1e-6)))
+        .map(|(&t, &ipc_alone)| AppPerf::new(ipc_alone, result.cores[t].ipc.max(1e-6)))
         .collect();
     MixEvaluation {
         weighted_speedup: bh_stats::weighted_speedup(&benign_perfs),

@@ -92,6 +92,72 @@ struct RunState {
     clock: CpuClock,
 }
 
+/// What a run checks at the top of each kernel iteration besides its own
+/// watchdog. A plain run checks nothing: `()`, whose checks compile away, so
+/// [`System::run`] pays nothing for the paired run's [`SharedPrefix`].
+trait Rider {
+    /// True when the run must stop at the top of the iteration at `cycle`,
+    /// before its step.
+    fn stops(&mut self, system: &System, cycle: Cycle) -> bool;
+    /// A cycle the next event horizon must not jump past.
+    fn horizon_cap(&self) -> Cycle;
+}
+
+impl Rider for () {
+    #[inline(always)]
+    fn stops(&mut self, _: &System, _: Cycle) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn horizon_cap(&self) -> Cycle {
+        Cycle::MAX
+    }
+}
+
+/// Why the shared prefix of a paired run stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PairStop {
+    /// The quota sync would change an LLC quota.
+    Quota,
+    /// The watchdog of the run with BreakHammer gave a verdict.
+    Verdict,
+    /// The ridden-along watchdog of the sibling without BreakHammer would
+    /// give a verdict.
+    SiblingVerdict,
+    /// The run ended without diverging.
+    End,
+}
+
+/// The shared prefix of [`System::run_pair`]: the sibling's watchdog rides
+/// along, sampling at its own boundaries a digest without BreakHammer's
+/// words, and the prefix stops where the two arms would diverge.
+struct SharedPrefix {
+    watchdog: Watchdog,
+    stop: Option<PairStop>,
+}
+
+impl Rider for SharedPrefix {
+    fn stops(&mut self, system: &System, cycle: Cycle) -> bool {
+        if system.quota_sync_pending() {
+            self.stop = Some(PairStop::Quota);
+        } else if self.watchdog.due(cycle) {
+            // Observe on a copy: a verdict is left for the sibling to reach
+            // on its own, which also builds its livelock report.
+            let mut watchdog = self.watchdog.clone();
+            match watchdog.observe(cycle, &system.progress_sample(None)) {
+                Some(_) => self.stop = Some(PairStop::SiblingVerdict),
+                None => self.watchdog = watchdog,
+            }
+        }
+        self.stop.is_some()
+    }
+
+    fn horizon_cap(&self) -> Cycle {
+        self.watchdog.horizon_cap()
+    }
+}
+
 /// A fully-wired simulated system. A clone is a checkpoint: it shares the
 /// compiled traces, copies all other state and runs on exactly as the original.
 #[derive(Debug, Clone)]
@@ -314,11 +380,12 @@ impl System {
     /// horizon is behaviour-neutral), and the sample reads step-invariant
     /// state only, so the verdict and snapshot are bit-identical to the
     /// per-cycle reference kernel's.
+    #[inline(always)]
     fn watchdog_fires(&mut self, dram_cycle: Cycle) -> bool {
         if !self.watchdog.due(dram_cycle) {
             return false;
         }
-        let sample = self.progress_sample();
+        let sample = self.progress_sample(self.memory.breakhammer());
         let Some(verdict) = self.watchdog.observe(dram_cycle, &sample) else {
             return false;
         };
@@ -336,8 +403,11 @@ impl System {
 
     /// Assembles one epoch boundary's progress sample: the global progress
     /// tuple plus the structural state digest (which deliberately excludes
-    /// the served-request counters — see the `watchdog` module docs).
-    fn progress_sample(&self) -> ProgressSample {
+    /// the served-request counters — see the `watchdog` module docs). The
+    /// digest covers `breakhammer`'s suspect and quota words, if given: the
+    /// system's own observer, or `None` for the sample a system without
+    /// BreakHammer would draw from the same state.
+    fn progress_sample(&self, breakhammer: Option<&BreakHammer>) -> ProgressSample {
         let mut digest = StateDigest::new();
         let mut instructions_retired = 0u64;
         for core in 0..self.config.cores {
@@ -360,7 +430,7 @@ impl System {
             digest.write_usize(ctrl.pending_preventive_commands());
             digest.write_usize(ctrl.mechanism().blocked_rows());
         }
-        if let Some(bh) = self.memory.breakhammer() {
+        if let Some(bh) = breakhammer {
             for t in 0..self.config.cores {
                 digest.write_bool(bh.is_suspect(ThreadId(t)));
                 digest.write_usize(bh.quota(ThreadId(t)));
@@ -426,10 +496,41 @@ impl System {
 
     /// Runs the simulation to completion, on the event-driven kernel of the
     /// module documentation, and returns the measured results.
-    pub fn run(mut self) -> SimulationResult {
-        let mut run = self.start();
-        self.advance(&mut run, self.config.max_dram_cycles);
+    pub fn run(self) -> SimulationResult {
+        let run = self.start();
+        self.complete(run)
+    }
+
+    /// Runs on from `run` to the end of the run and returns its result.
+    fn complete(mut self, mut run: RunState) -> SimulationResult {
+        self.advance(&mut run, self.config.max_dram_cycles, &mut ());
         self.finish(run.dram_cycle)
+    }
+
+    /// Runs this system, which must have BreakHammer attached, together with
+    /// its sibling without BreakHammer, and returns both results as
+    /// `(without, with)`: exactly what [`System::run`] returns for the system
+    /// built from the same configuration with `breakhammer` off, and for this
+    /// one.
+    ///
+    /// BreakHammer only observes the memory controllers. Its one feedback
+    /// path is the LLC quota it sets, so until the quota sync first changes
+    /// an LLC quota both arms are the same simulation. The paired run
+    /// simulates that shared prefix once, with the sibling's watchdog riding
+    /// along (it samples at its own epoch boundaries, and its digest leaves
+    /// out BreakHammer's words). It stops at the top of the first iteration
+    /// where the quota sync would change a quota or either watchdog gives a
+    /// verdict. There a clone, with BreakHammer detached and the ridden-along
+    /// watchdog, finishes the sibling, and this system finishes itself. A
+    /// run that ends inside the prefix yields both results from its final
+    /// state, without a clone.
+    ///
+    /// # Panics
+    /// Panics if BreakHammer is not attached.
+    pub fn run_pair(mut self) -> (SimulationResult, SimulationResult) {
+        let mut run = self.start();
+        let (stop, watchdog) = self.advance_shared(&mut run);
+        self.finish_pair(run, stop, watchdog)
     }
 
     fn start(&self) -> RunState {
@@ -440,12 +541,17 @@ impl System {
     /// layer can make progress and fast-forwards across the dead cycles in
     /// between, replaying their counter increments in bulk. Runs until the
     /// run ends (a watchdog verdict, the required cores finished, the cycle
-    /// cap) or its next step is at or past `stop`; stopping there and
-    /// resuming changes nothing.
-    fn advance(&mut self, run: &mut RunState, stop: Cycle) {
+    /// cap), `rider` stops it, or its next step is at or past `stop`;
+    /// stopping there and resuming changes nothing.
+    ///
+    /// The loop has two instances, `()` and [`SharedPrefix`], so the
+    /// functions it calls per iteration have two callers each. They are
+    /// `#[inline(always)]`: without that the compiler calls them out of line
+    /// and the plain run's loop is measurably slower on `attack_paper`.
+    fn advance<R: Rider>(&mut self, run: &mut RunState, stop: Cycle, rider: &mut R) {
         let (max, end) = (self.config.max_dram_cycles, stop.min(self.config.max_dram_cycles));
         while self.verdict.is_none() && !self.required_finished() && run.dram_cycle < end {
-            if self.watchdog_fires(run.dram_cycle) {
+            if self.watchdog_fires(run.dram_cycle) || rider.stops(self, run.dram_cycle) {
                 break;
             }
             self.step(run.dram_cycle, &mut run.clock);
@@ -457,12 +563,66 @@ impl System {
             // Clamp to the next watchdog epoch boundary so the kernel steps
             // there (undershooting a horizon is only wasted work, never a
             // behaviour change — the reference kernel steps every cycle).
-            let next = next.clamp(run.dram_cycle + 1, max).min(self.watchdog.horizon_cap());
+            let next = next
+                .clamp(run.dram_cycle + 1, max)
+                .min(self.watchdog.horizon_cap())
+                .min(rider.horizon_cap());
             if next > run.dram_cycle + 1 {
                 self.skip_dead_cycles(next - run.dram_cycle - 1, &mut run.clock);
             }
             run.dram_cycle = next;
         }
+    }
+
+    /// Advances the shared prefix of [`System::run_pair`] from `run` and
+    /// returns why it stopped, with the sibling's ridden-along watchdog (it
+    /// has observed every boundary before the stop cycle, none at it).
+    fn advance_shared(&mut self, run: &mut RunState) -> (PairStop, Watchdog) {
+        assert!(
+            self.memory.breakhammer().is_some(),
+            "a paired run needs a system with BreakHammer attached"
+        );
+        let mut prefix =
+            SharedPrefix { watchdog: Watchdog::new(&self.config.watchdog, None), stop: None };
+        self.advance(run, self.config.max_dram_cycles, &mut prefix);
+        let stop = match prefix.stop {
+            Some(stop) => stop,
+            None if self.verdict.is_some() => PairStop::Verdict,
+            None => PairStop::End,
+        };
+        (stop, prefix.watchdog)
+    }
+
+    /// Finishes both arms of a paired run from the point `advance_shared`
+    /// stopped at, and returns their results as `(without, with)`.
+    fn finish_pair(
+        mut self,
+        run: RunState,
+        stop: PairStop,
+        watchdog: Watchdog,
+    ) -> (SimulationResult, SimulationResult) {
+        if stop == PairStop::End {
+            let with = self.finish(run.dram_cycle);
+            self.detach_breakhammer(watchdog);
+            return (self.finish(run.dram_cycle), with);
+        }
+        let mut without = self.clone();
+        without.detach_breakhammer(watchdog);
+        let without_run = run.clone();
+        let with = self.complete(run);
+        (without.complete(without_run), with)
+    }
+
+    /// Turns this system into its sibling without BreakHammer at the same
+    /// cycle: the observer detached, `watchdog` in place of its own, and
+    /// none of its own verdict.
+    fn detach_breakhammer(&mut self, watchdog: Watchdog) {
+        self.memory.detach_breakhammer();
+        self.config.breakhammer = false;
+        self.synced_quota_version = None;
+        self.watchdog = watchdog;
+        self.verdict = None;
+        self.livelock = None;
     }
 
     /// [`System::run`] paused at each of the ascending cycles in `forks` (at
@@ -474,16 +634,37 @@ impl System {
         let mut run = self.start();
         let mut clones = Vec::new();
         for &fork in forks {
-            self.advance(&mut run, fork);
+            self.advance(&mut run, fork, &mut ());
             clones.push((self.clone(), run.clone()));
         }
-        self.advance(&mut run, self.config.max_dram_cycles);
+        self.advance(&mut run, self.config.max_dram_cycles, &mut ());
         let mut results = vec![self.finish(run.dram_cycle)];
         for (mut system, mut run) in clones {
-            system.advance(&mut run, system.config.max_dram_cycles);
+            system.advance(&mut run, system.config.max_dram_cycles, &mut ());
             results.push(system.finish(run.dram_cycle));
         }
         results
+    }
+
+    /// [`System::run_pair`], also returning why its shared prefix stopped,
+    /// the cycle it stopped at and the sibling's ridden-along watchdog there.
+    #[cfg(test)]
+    pub(crate) fn run_pair_traced(
+        mut self,
+    ) -> (PairStop, Cycle, Watchdog, (SimulationResult, SimulationResult)) {
+        let mut run = self.start();
+        let (stop, watchdog) = self.advance_shared(&mut run);
+        let at = run.dram_cycle;
+        (stop, at, watchdog.clone(), self.finish_pair(run, stop, watchdog))
+    }
+
+    /// This run's watchdog once the run is paused at `cycle` (at the first
+    /// step cycle at or past it).
+    #[cfg(test)]
+    pub(crate) fn watchdog_at(mut self, cycle: Cycle) -> Watchdog {
+        let mut run = self.start();
+        self.advance(&mut run, cycle, &mut ());
+        self.watchdog
     }
 
     /// The reference kernel: executes [`System::step`] at every DRAM cycle.
@@ -503,6 +684,7 @@ impl System {
 
     /// One iteration of the simulation loop at `dram_cycle` — identical for
     /// both kernels.
+    #[inline(always)]
     fn step(&mut self, dram_cycle: Cycle, clock: &mut CpuClock) {
         self.step_inner_quota(dram_cycle);
         self.step_inner_ctrl(dram_cycle);
@@ -511,6 +693,7 @@ impl System {
         self.step_inner_out(dram_cycle);
     }
 
+    #[inline(always)]
     fn step_inner_quota(&mut self, _dram_cycle: Cycle) {
         // 1. Propagate BreakHammer's current quotas into the LLC (skipped
         // while the quota version says the LLC mirror is already current).
@@ -525,6 +708,7 @@ impl System {
         }
     }
 
+    #[inline(always)]
     fn step_inner_ctrl(&mut self, dram_cycle: Cycle) {
         // 2. Retry requests the memory system previously rejected, then tick
         // every channel's controller.
@@ -532,6 +716,7 @@ impl System {
         self.memory.tick(dram_cycle);
     }
 
+    #[inline(always)]
     fn step_inner_fill(&mut self, dram_cycle: Cycle) {
         // 3. Collect responses and complete LLC misses whose data arrived
         // (skipping the drain outright on response-free steps, the common
@@ -577,6 +762,7 @@ impl System {
         self.pending_fills_min = next_min;
     }
 
+    #[inline(always)]
     fn step_inner_core(&mut self, clock: &mut CpuClock) {
         // 4. Tick the cores in the CPU clock domain, one engine epoch per
         // step: cores are stepped in core-index order within each CPU cycle,
@@ -589,6 +775,7 @@ impl System {
         self.cores.tick_epoch(clock.tick_range(), &mut self.llc);
     }
 
+    #[inline(always)]
     fn step_inner_out(&mut self, dram_cycle: Cycle) {
         // 5. Forward new LLC fills and writebacks to their memory channel
         // (skipped outright when the epoch produced none, the common case).
@@ -614,6 +801,22 @@ impl System {
         }
     }
 
+    /// True when the next quota sync would change an LLC quota: BreakHammer
+    /// holds a quota the LLC has not absorbed yet. While the quota version
+    /// matches the last sync the mirror is known-current and the per-thread
+    /// comparison is skipped.
+    fn quota_sync_pending(&self) -> bool {
+        let Some(bh) = self.memory.breakhammer() else {
+            return false;
+        };
+        if self.synced_quota_version == Some(bh.quota_version()) {
+            return false;
+        }
+        let mshrs = self.llc.config().mshrs;
+        (0..self.config.cores)
+            .any(|t| self.llc.quota(ThreadId(t)) != bh.quota(ThreadId(t)).min(mshrs))
+    }
+
     /// Computes the next cycle at which [`System::step`] must run (strictly
     /// after `dram_cycle`), leaving the per-core progress analysis the skip
     /// replay needs in `progress_buf` (reused across calls; left empty when
@@ -625,6 +828,7 @@ impl System {
     /// refresh/preventive deadline, BreakHammer's next window edge, and a
     /// BreakHammer quota the LLC has not absorbed yet. Horizons may
     /// undershoot (waking early is only wasted work) but never overshoot.
+    #[inline(always)]
     fn next_event(&mut self, dram_cycle: Cycle, clock: &CpuClock) -> Cycle {
         // Cheapest checks first: when the controller (O(1), memoized) or a
         // pending fill already pins the next event to the very next cycle, no
@@ -636,21 +840,12 @@ impl System {
         if next <= dram_cycle + 1 {
             return dram_cycle + 1;
         }
-        if let Some(bh) = self.memory.breakhammer() {
-            // BreakHammer quotas the LLC has not absorbed yet (e.g. restored
-            // by the window rotation that `tick` just performed) are
-            // propagated at the top of the next step — that step must not be
-            // skipped, or a quota-stalled core would wake late. While the
-            // quota version matches the last propagation the mirror is
-            // known-current and the per-thread comparison is skipped.
-            if self.synced_quota_version != Some(bh.quota_version()) {
-                let mshrs = self.llc.config().mshrs;
-                for t in 0..self.config.cores {
-                    if self.llc.quota(ThreadId(t)) != bh.quota(ThreadId(t)).min(mshrs) {
-                        return dram_cycle + 1;
-                    }
-                }
-            }
+        // BreakHammer quotas the LLC has not absorbed yet (e.g. restored by
+        // the window rotation that `tick` just performed) are propagated at
+        // the top of the next step — that step must not be skipped, or a
+        // quota-stalled core would wake late.
+        if self.quota_sync_pending() {
+            return dram_cycle + 1;
         }
         if self.pending_fills_min != Cycle::MAX {
             next = next.min(self.pending_fills_min);
@@ -683,6 +878,7 @@ impl System {
     /// probes, failed enqueue retries) without touching any other state. The
     /// core side replays the classifications `progress_buf` captured at the
     /// decision point.
+    #[inline(always)]
     fn skip_dead_cycles(&mut self, dead_cycles: u64, clock: &mut CpuClock) {
         let cpu_ticks = clock.advance(dead_cycles);
         if cpu_ticks > 0 {
@@ -700,7 +896,10 @@ impl System {
         }
     }
 
-    fn finish(mut self, dram_cycles: Cycle) -> SimulationResult {
+    /// The result of the run that stopped at `dram_cycles`. Settling is
+    /// idempotent, so the system can be finished again (as the other arm of
+    /// a paired run) from the same state.
+    fn finish(&mut self, dram_cycles: Cycle) -> SimulationResult {
         // Resolve the termination taxonomy before anything is settled: the
         // watchdog verdict (recorded at its boundary) wins; otherwise the run
         // either completed or hit the cycle cutoff.
@@ -921,7 +1120,7 @@ pub(crate) mod tests {
             let traces = attack_traces(&config, 2_000, 100);
             let mut system = System::new(config, &traces, vec![0, 1, 2]);
             let mut run = system.start();
-            system.advance(&mut run, 5_000);
+            system.advance(&mut run, 5_000, &mut ());
             assert!(run.dram_cycle >= 5_000, "{mechanism}: the run ended early");
             let pages = resident_row_pages(&system);
             // Three stores per channel (disturbance, thresholds, the

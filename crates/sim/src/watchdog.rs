@@ -107,7 +107,7 @@ pub(crate) struct Verdict {
 }
 
 /// The forward-progress watchdog state machine (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Watchdog {
     enabled: bool,
     epoch_cycles: u64,

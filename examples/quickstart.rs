@@ -5,7 +5,7 @@
 
 use breakhammer_suite::mem::AddressMapping;
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{alone_ipcs, evaluate, SystemConfig};
+use breakhammer_suite::sim::{alone_ipcs, evaluate_pair, SystemConfig};
 use breakhammer_suite::workloads::{MixBuilder, MixClass, TraceGenerator};
 
 fn main() {
@@ -27,12 +27,13 @@ fn main() {
     println!("workload {}: {:?} (attacker on core 3)", mix.name, mix.app_names);
 
     // Evaluate the mix with and without BreakHammer attached to Graphene,
-    // both against the same alone-run baselines.
+    // both against the same alone-run baselines. The paired evaluation
+    // simulates the two once, up to BreakHammer's first throttle.
     let alone = alone_ipcs(&base, [&mix]);
-    let mut with_bh = base.clone();
+    let mut with_bh = base;
     with_bh.breakhammer = true;
-    for (label, config) in [("Graphene", base), ("Graphene+BreakHammer", with_bh)] {
-        let eval = evaluate(&config, &mix, &alone);
+    let (without, with) = evaluate_pair(&with_bh, &mix, &alone);
+    for (label, eval) in [("Graphene", without), ("Graphene+BreakHammer", with)] {
         println!("\n== {label} ==");
         println!("  weighted speedup (benign apps): {:.3}", eval.weighted_speedup);
         println!("  max slowdown (benign apps):     {:.3}", eval.max_slowdown);

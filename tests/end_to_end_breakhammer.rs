@@ -5,7 +5,7 @@
 
 use breakhammer_suite::mem::AddressMapping;
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{alone_ipcs, evaluate, MixEvaluation, SystemConfig};
+use breakhammer_suite::sim::{alone_ipcs, evaluate_pair, MixEvaluation, SystemConfig};
 use breakhammer_suite::workloads::{MixBuilder, MixClass, TraceGenerator, WorkloadMix};
 
 fn build_mix(config: &SystemConfig, attack: bool, seed: u64) -> WorkloadMix {
@@ -32,17 +32,19 @@ fn paired_configs(mechanism: MechanismKind, nrh: u64) -> [SystemConfig; 2] {
 }
 
 /// Evaluates `mix` under both configurations against one set of alone
-/// baselines.
-fn evaluate_pair(mix: &WorkloadMix, configs: &[SystemConfig; 2]) -> [MixEvaluation; 2] {
+/// baselines, as one paired evaluation of the configuration with
+/// BreakHammer.
+fn evaluate_both(mix: &WorkloadMix, configs: &[SystemConfig; 2]) -> [MixEvaluation; 2] {
     let alone = alone_ipcs(&configs[0], [mix]);
-    configs.each_ref().map(|config| evaluate(config, mix, &alone))
+    let (without, with) = evaluate_pair(&configs[1], mix, &alone);
+    [without, with]
 }
 
 #[test]
 fn breakhammer_improves_performance_and_energy_under_attack() {
     let configs = paired_configs(MechanismKind::Graphene, 128);
     let mix = build_mix(&configs[0], true, 3);
-    let evals = evaluate_pair(&mix, &configs);
+    let evals = evaluate_both(&mix, &configs);
     let (without, with) = (&evals[0], &evals[1]);
 
     assert!(
@@ -67,7 +69,7 @@ fn breakhammer_improves_performance_and_energy_under_attack() {
 fn breakhammer_reduces_unfairness_under_attack() {
     let configs = paired_configs(MechanismKind::Rfm, 128);
     let mix = build_mix(&configs[0], true, 5);
-    let evals = evaluate_pair(&mix, &configs);
+    let evals = evaluate_both(&mix, &configs);
     assert!(
         evals[1].max_slowdown <= evals[0].max_slowdown * 1.05,
         "unfairness must not get materially worse ({:.3} vs {:.3})",
@@ -80,7 +82,7 @@ fn breakhammer_reduces_unfairness_under_attack() {
 fn breakhammer_is_neutral_when_all_applications_are_benign() {
     let configs = paired_configs(MechanismKind::Graphene, 256);
     let mix = build_mix(&configs[0], false, 9);
-    let evals = evaluate_pair(&mix, &configs);
+    let evals = evaluate_both(&mix, &configs);
     let ratio = evals[1].weighted_speedup / evals[0].weighted_speedup;
     assert!(
         ratio > 0.9,
@@ -103,7 +105,7 @@ fn breakhammer_helps_across_multiple_mechanisms() {
             config.instructions_per_core = 40_000;
         }
         let mix = build_mix(&configs[0], true, 21);
-        let evals = evaluate_pair(&mix, &configs);
+        let evals = evaluate_both(&mix, &configs);
         assert!(
             evals[1].weighted_speedup >= evals[0].weighted_speedup * 0.95,
             "{mechanism}: BreakHammer must not materially hurt attacked mixes ({:.3} vs {:.3})",
