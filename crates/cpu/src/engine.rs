@@ -173,7 +173,7 @@ impl CoreEngine {
             .iter()
             .map(|t| Lane {
                 position: 0,
-                bubbles_left: t.entry(0).bubbles,
+                bubbles_left: t.get(0).bubbles,
                 win_head: 0,
                 win_entries: 0,
                 window_len: 0,
@@ -366,7 +366,7 @@ impl CoreEngine {
                 advance_trace(lane, trace);
                 continue;
             }
-            let entry = trace.entries()[lane.position as usize];
+            let entry = trace.get(lane.position as usize);
             let thread = ThreadId(core);
             // Fast path for a spinning retry: while the LLC attests that the
             // rejection still holds, replay its counter effects without
@@ -476,7 +476,7 @@ impl CoreEngine {
             if lane.bubbles_left > 0 || !lane.access_pending {
                 return CoreProgress::Active;
             }
-            let entry = self.traces[core].entries()[lane.position as usize];
+            let entry = self.traces[core].get(lane.position as usize);
             let thread = ThreadId(core);
             if let Some((addr, uncached, stamp, reason)) = lane.last_reject {
                 if addr == entry.addr
@@ -562,8 +562,8 @@ impl CoreEngine {
 }
 
 /// Advances the lane to its next trace record (cyclic). `position` stays
-/// strictly below the trace length, so record reads are direct slice
-/// indexes (no cyclic modulo on the per-dispatch path).
+/// strictly below the trace length, so record reads are direct
+/// [`CompiledTrace::get`]s (no cyclic modulo on the per-dispatch path).
 #[inline]
 fn advance_trace(lane: &mut Lane, trace: &CompiledTrace) {
     let mut next = lane.position as usize + 1;
@@ -571,7 +571,7 @@ fn advance_trace(lane: &mut Lane, trace: &CompiledTrace) {
         next = 0;
     }
     lane.position = next as u32;
-    lane.bubbles_left = trace.entries()[next].bubbles;
+    lane.bubbles_left = trace.get(next).bubbles;
     lane.access_pending = true;
 }
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //!
 //! * [`Trace`] / [`TraceEntry`] — the instruction-trace format (bursts of
 //!   non-memory instructions followed by one memory access), replayed
-//!   cyclically; [`CompiledTrace`] is its frozen, `Arc`-shared replay form
-//!   (compile once per (mix, seed, geometry), share across every run);
+//!   cyclically; [`CompiledTrace`] is its packed (8 bytes a record),
+//!   `Arc`-shared replay form (compile once per (mix, seed, geometry), share
+//!   across every run);
 //! * [`CoreEngine`] — the trace-driven cores: 4-wide, 128-entry-window cores
 //!   (Table 1) whose in-order retirement makes DRAM latency visible as lost
 //!   IPC, with all cores' hot replay state in flat structure-of-arrays

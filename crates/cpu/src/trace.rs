@@ -143,62 +143,132 @@ impl Trace {
     }
 }
 
-/// A compiled instruction trace: the records of a [`Trace`] in one flat,
-/// immutable, atomically reference-counted slice.
+/// A compiled instruction trace: the records of a [`Trace`] packed into one
+/// immutable, atomically reference-counted array of 8-byte words.
 ///
 /// Compilation is the split between workload *generation* and workload
 /// *replay*: a [`Trace`] is built (or parsed) once and compiled once, and the
 /// resulting `CompiledTrace` is shared by every simulated system that replays
 /// it — across the mixes of a suite that run the same application with the
 /// same trace seed, across the configurations of a campaign matrix, across
-/// repeated runs of the same mix, and across worker threads. Cloning is a reference-count bump; no per-run deep copy of the
-/// record vector ever happens. The record layout (and the 13-byte on-disk
-/// format via [`Trace::to_bytes`] / [`Trace::from_bytes`]) is unchanged from
-/// `Trace` — compilation freezes, it does not re-encode.
+/// repeated runs of the same mix, and across worker threads. Cloning is a
+/// reference-count bump; no per-run deep copy of the records ever happens.
+///
+/// Compilation re-encodes: each record becomes one `u64` holding a 40-bit
+/// address, a 22-bit bubble count and the store and uncached bits, half the
+/// 16 bytes of a [`TraceEntry`]. A record that does not fit (bubbles
+/// ≥ 2²² − 1 or an address ≥ 2⁴⁰; only [`Trace::from_bytes`] of outside
+/// input produces one) is stored as an escape word: the all-ones bubble field
+/// marks it and its address field indexes a side table of full records. So
+/// compilation is lossless for every `Trace` and [`CompiledTrace::get`] stays
+/// O(1). [`Trace`], [`TraceEntry`] and the 13-byte on-disk format
+/// ([`Trace::to_bytes`] / [`Trace::from_bytes`]) are unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledTrace {
-    entries: Arc<[TraceEntry]>,
+    /// One packed record per trace record.
+    words: Arc<[u64]>,
+    /// The records that did not fit a packed word, in trace order.
+    escapes: Arc<[TraceEntry]>,
 }
+
+/// Width of a packed record's address field.
+const ADDR_BITS: u32 = 40;
+/// Width of a packed record's bubble field.
+const BUBBLE_BITS: u32 = 22;
+const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
+/// The bubble field's all-ones value: the word is an escape, and its address
+/// field indexes the side table. Real bubble counts stay below it.
+const ESCAPE: u64 = (1 << BUBBLE_BITS) - 1;
+const STORE_BIT: u64 = 1 << (ADDR_BITS + BUBBLE_BITS);
+const UNCACHED_BIT: u64 = STORE_BIT << 1;
 
 impl From<&Trace> for CompiledTrace {
     fn from(trace: &Trace) -> Self {
-        CompiledTrace { entries: trace.entries().into() }
+        let mut escapes = Vec::new();
+        let words = trace
+            .entries()
+            .iter()
+            .map(|e| {
+                let flags = if e.is_write { STORE_BIT } else { 0 }
+                    | if e.uncached { UNCACHED_BIT } else { 0 };
+                let (bubbles, addr) = if u64::from(e.bubbles) < ESCAPE && e.addr.0 <= ADDR_MASK {
+                    (u64::from(e.bubbles), e.addr.0)
+                } else {
+                    escapes.push(*e);
+                    (ESCAPE, escapes.len() as u64 - 1)
+                };
+                flags | bubbles << ADDR_BITS | addr
+            })
+            .collect();
+        CompiledTrace { words, escapes: escapes.into() }
     }
 }
 
 impl CompiledTrace {
-    /// The trace records.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.words.len()
     }
 
     /// Always false (construction rejects empty traces); provided for API
     /// completeness.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.words.is_empty()
+    }
+
+    /// The record at `index`, decoded from its word.
+    ///
+    /// # Panics
+    /// Panics if `index >= len()`.
+    #[inline]
+    pub fn get(&self, index: usize) -> TraceEntry {
+        let word = self.words[index];
+        let bubbles = (word >> ADDR_BITS) & ESCAPE;
+        if bubbles == ESCAPE {
+            return self.escaped(word);
+        }
+        TraceEntry {
+            bubbles: bubbles as u32,
+            addr: PhysAddr(word & ADDR_MASK),
+            is_write: word & STORE_BIT != 0,
+            uncached: word & UNCACHED_BIT != 0,
+        }
+    }
+
+    /// The side-table record an escape word points at.
+    #[cold]
+    fn escaped(&self, word: u64) -> TraceEntry {
+        self.escapes[(word & ADDR_MASK) as usize]
     }
 
     /// The record at `index` modulo the trace length (cyclic replay, same
     /// contract as [`Trace::entry`]).
-    #[inline]
-    pub(crate) fn entry(&self, index: usize) -> TraceEntry {
-        self.entries[index % self.entries.len()]
+    pub fn entry(&self, index: usize) -> TraceEntry {
+        self.get(index % self.len())
+    }
+
+    /// Bytes of record storage this trace holds: 8 per record, plus one
+    /// [`TraceEntry`] per record that escaped to the side table.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.words) + std::mem::size_of_val(&*self.escapes)
+    }
+
+    /// True if `other` is a clone of this trace (shares its storage), not
+    /// merely an equal compilation.
+    pub fn shares_storage(&self, other: &CompiledTrace) -> bool {
+        Arc::ptr_eq(&self.words, &other.words)
     }
 
     /// Reconstructs an owned [`Trace`] (for serialisation or mutation).
     pub fn to_trace(&self) -> Trace {
-        Trace::new(self.entries.to_vec())
+        Trace::new((0..self.len()).map(|i| self.get(i)).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Trace {
         Trace::new(vec![
@@ -288,17 +358,38 @@ mod tests {
         let compiled = t.compile();
         assert_eq!(compiled.len(), t.len());
         assert!(!compiled.is_empty());
-        assert_eq!(compiled.entries(), t.entries());
+        for (i, e) in t.entries().iter().enumerate() {
+            assert_eq!(compiled.get(i), *e, "record {i}");
+        }
         for i in 0..7 {
             assert_eq!(compiled.entry(i), t.entry(i), "cyclic indexing must match at {i}");
         }
+        assert_eq!(compiled.heap_bytes(), 8 * t.len(), "every record packs into one word");
         let shared = compiled.clone();
-        assert!(Arc::ptr_eq(&shared.entries, &compiled.entries), "clone must be a refcount bump");
+        assert!(shared.shares_storage(&compiled), "clone must be a refcount bump");
         assert_eq!(shared, compiled);
         // A recompile of the same trace is equal but not shared.
         let recompiled = t.compile();
         assert_eq!(recompiled, compiled);
-        assert!(!Arc::ptr_eq(&recompiled.entries, &compiled.entries));
+        assert!(!recompiled.shares_storage(&compiled));
+        assert_eq!(compiled.to_trace(), t);
+    }
+
+    #[test]
+    fn records_that_do_not_fit_a_word_escape_to_the_side_table() {
+        let fits = TraceEntry {
+            uncached: true,
+            ..TraceEntry::store(ESCAPE as u32 - 1, PhysAddr(ADDR_MASK))
+        };
+        let t = Trace::new(vec![
+            fits,
+            TraceEntry::load(ESCAPE as u32, PhysAddr(0x40)),
+            TraceEntry::store(0, PhysAddr(ADDR_MASK + 1)),
+            TraceEntry { uncached: true, ..TraceEntry::load(u32::MAX, PhysAddr(u64::MAX)) },
+        ]);
+        let compiled = t.compile();
+        assert_eq!(&*compiled.escapes, &t.entries()[1..]);
+        assert_eq!(compiled.heap_bytes(), 8 * 4 + 3 * std::mem::size_of::<TraceEntry>());
         assert_eq!(compiled.to_trace(), t);
     }
 
@@ -308,5 +399,53 @@ mod tests {
         // A compiled trace is only ever built from a `Trace`, which rejects
         // an empty record list.
         let _ = Trace::new(vec![]).compile();
+    }
+
+    /// A bubble count weighted to the packed field's edges: the largest
+    /// count that fits, the escape marker, one past it and `u32::MAX`.
+    fn bubbles() -> impl Strategy<Value = u32> {
+        prop_oneof![0..=64, 0..=u32::MAX, (1 << 22) - 2..=1 << 22, u32::MAX..=u32::MAX]
+    }
+
+    /// An address weighted to the packed field's edges: the largest address
+    /// that fits, the first that does not, and `u64::MAX`.
+    fn address() -> impl Strategy<Value = u64> {
+        prop_oneof![0..=(1 << 40) - 1, 0..=u64::MAX, (1 << 40) - 1..=1 << 40, u64::MAX..=u64::MAX]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Compilation is lossless over the whole `TraceEntry` domain: `get`,
+        /// cyclic `entry` and `to_trace` give back every record, escaped or
+        /// packed.
+        #[test]
+        fn compilation_is_lossless_for_any_record(
+            records in proptest::collection::vec(
+                (bubbles(), address(), any::<bool>(), any::<bool>()),
+                1..24,
+            )
+        ) {
+            let t = Trace::new(
+                records
+                    .iter()
+                    .map(|&(bubbles, addr, is_write, uncached)| TraceEntry {
+                        bubbles,
+                        addr: PhysAddr(addr),
+                        is_write,
+                        uncached,
+                    })
+                    .collect(),
+            );
+            let compiled = t.compile();
+            prop_assert_eq!(compiled.len(), t.len());
+            for (i, e) in t.entries().iter().enumerate() {
+                prop_assert_eq!(compiled.get(i), *e);
+            }
+            for i in 0..3 * t.len() {
+                prop_assert_eq!(compiled.entry(i), t.entry(i));
+            }
+            prop_assert_eq!(compiled.to_trace(), t);
+        }
     }
 }

@@ -275,9 +275,13 @@ impl SystemConfig {
             // configurations (e.g. `fast_test`, capped at 5 M cycles) not a
             // single window would complete, so suspect flags would never
             // clear and a throttled thread could never earn its quota back.
-            // Cap the window so every run spans at least ~10 windows,
-            // preserving the identify/throttle/restore dynamics; at the
-            // paper's scale (2 G-cycle cap) the 64 ms window is unaffected.
+            // Cap the window at a tenth of the cycle cap, so a run that
+            // reaches the cap spans at least ~10 windows and keeps the
+            // identify/throttle/restore dynamics. A run that finishes its
+            // instructions earlier may complete none: at quick scale the
+            // window is 2.4 M cycles and an HHHA-00 run 0.19 M (ROADMAP
+            // item 9). At the paper's scale (2 G-cycle cap) the 64 ms window
+            // is unaffected.
             config.window_cycles = config.window_cycles.min((self.max_dram_cycles / 10).max(1));
             config
         })

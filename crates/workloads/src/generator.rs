@@ -304,4 +304,15 @@ mod tests {
         let capacity = g.geometry().channel_bytes();
         assert!(trace.entries().iter().all(|e| e.addr.0 < capacity));
     }
+
+    /// A generated benign trace packs into 8 bytes per record with nothing in
+    /// the escape side table, so a return to 16-byte records fails here.
+    #[test]
+    fn a_generated_trace_compiles_to_one_word_per_record() {
+        let g = generator();
+        let p = BenignProfile::by_name("povray").unwrap();
+        let compiled = g.benign(&p, 20_000, 42).compile();
+        assert_eq!(compiled.len(), 20_000);
+        assert_eq!(compiled.heap_bytes(), 20_000 * 8, "8 bytes per record, no escaped record");
+    }
 }

@@ -401,8 +401,8 @@ mod tests {
         assert_eq!(mix.name, "HHHA-03");
         assert_eq!(mix.app_names.len(), 4);
         assert_eq!(mix.app_names[3], "attacker");
-        assert!(mix.traces[3].entries().iter().all(|e| e.uncached));
-        assert!(mix.traces[0].entries().iter().all(|e| !e.uncached));
+        assert!(mix.traces[3].to_trace().entries().iter().all(|e| e.uncached));
+        assert!(mix.traces[0].to_trace().entries().iter().all(|e| !e.uncached));
     }
 
     #[test]
@@ -459,7 +459,6 @@ mod tests {
     fn suite_mixes_share_the_storage_of_equal_traces() {
         let per_class = 3;
         let suite = planned_suite(&builder(), &all_classes(), per_class, 42);
-        let storage = |mix: &WorkloadMix, slot: usize| mix.traces[slot].entries().as_ptr();
         let mut shared_benign = 0;
         for (i, a) in suite.iter().enumerate() {
             let index_a = i % per_class;
@@ -474,7 +473,7 @@ mod tests {
                     } else {
                         a.app_names[slot] == b.app_names[slot]
                     };
-                    let shared = storage(a, slot) == storage(b, slot);
+                    let shared = a.traces[slot].shares_storage(&b.traces[slot]);
                     assert_eq!(shared, same_key, "{} / {} slot {slot}", a.name, b.name);
                     if shared && !attacker[0] {
                         shared_benign += 1;
@@ -485,9 +484,11 @@ mod tests {
         assert!(shared_benign > 0, "classes at one index share benign traces");
         // Every attack class at one index replays one attacker trace.
         let attacker_traces: Vec<_> =
-            suite.iter().filter(|m| m.attacker_thread.is_some()).map(|m| storage(m, 3)).collect();
-        let distinct: std::collections::HashSet<_> = attacker_traces.iter().collect();
-        assert_eq!(distinct.len(), per_class);
+            suite.iter().filter(|m| m.attacker_thread.is_some()).map(|m| &m.traces[3]).collect();
+        let distinct = (0..attacker_traces.len())
+            .filter(|&i| !attacker_traces[..i].iter().any(|t| t.shares_storage(attacker_traces[i])))
+            .count();
+        assert_eq!(distinct, per_class);
     }
 
     #[test]

@@ -78,6 +78,7 @@ proptest! {
     /// Arbitrary bytes — raw, or behind a header claiming a small or an
     /// absurd record count — parse to `Err` or to exactly the records the
     /// header counts, but never panic or allocate for records that are absent.
+    /// Every trace parsed compiles and decodes back to itself.
     #[test]
     fn trace_parser_never_panics_on_arbitrary_bytes(
         body in proptest::collection::vec(any::<u8>(), 0..120),
@@ -90,6 +91,13 @@ proptest! {
         prop_assert_eq!(parsed.is_ok(), fits);
         if let Ok(trace) = parsed {
             prop_assert_eq!(trace.len() as u64, count);
+            // Parsed records carry arbitrary bubble counts and addresses, most
+            // too wide for a packed word: compilation must still be lossless.
+            let compiled = trace.compile();
+            for (i, e) in trace.entries().iter().enumerate() {
+                prop_assert_eq!(compiled.get(i), *e);
+            }
+            prop_assert_eq!(compiled.to_trace(), trace);
         }
     }
 
