@@ -29,10 +29,11 @@ pub struct BreakHammerStats {
     /// Preventive actions observed.
     pub actions_observed: u64,
     /// Preventive actions observed per memory channel (indexed by channel;
-    /// pre-sized to the system's channel count by
-    /// [`BreakHammer::declare_channels`], so zero-action channels report an
-    /// explicit 0 instead of being absent). The scores themselves are
-    /// system-wide — this only records where the triggering tracker lived.
+    /// one channel from [`BreakHammer::new`], grown to the system's channel
+    /// count by [`BreakHammer::declare_channels`], so zero-action channels
+    /// report an explicit 0 instead of being absent). The scores themselves
+    /// are system-wide — this only records where the triggering tracker
+    /// lived.
     pub actions_per_channel: Vec<u64>,
     /// Suspect identifications (at most one per thread per window).
     pub suspect_identifications: u64,
@@ -102,7 +103,7 @@ impl BreakHammer {
             scores,
             threads,
             window_end,
-            stats: BreakHammerStats::default(),
+            stats: BreakHammerStats { actions_per_channel: vec![0], ..BreakHammerStats::default() },
             quota_version: 0,
         }
     }
@@ -232,12 +233,13 @@ impl BreakHammer {
     /// aggregates all of them into the same system-wide per-thread scores
     /// (the paper's memory-system-wide observer, §5); the channel only feeds
     /// the per-channel statistics.
+    ///
+    /// # Panics
+    /// Panics if `channel` was not declared (see
+    /// [`BreakHammer::declare_channels`]).
     pub fn on_preventive_action_from(&mut self, channel: usize, cycle: Cycle) {
         self.advance_to(cycle);
         self.stats.actions_observed += 1;
-        if self.stats.actions_per_channel.len() <= channel {
-            self.stats.actions_per_channel.resize(channel + 1, 0);
-        }
         self.stats.actions_per_channel[channel] += 1;
         if matches!(self.attribution, ScoreAttribution::PerActivationQuota { .. }) {
             // REGA-style mechanisms have no discrete actions; nothing to do.
@@ -325,6 +327,17 @@ mod tests {
             assert!(!b.is_suspect(ThreadId(t)));
             assert_eq!(b.score(ThreadId(t)), 0.0);
         }
+    }
+
+    #[test]
+    fn actions_per_channel_is_sized_by_new_and_declare_channels() {
+        let mut b = bh();
+        assert_eq!(b.stats().actions_per_channel, [0]);
+        b.declare_channels(3);
+        b.on_activation(ThreadId(0), 0);
+        b.on_preventive_action_from(2, 0);
+        assert_eq!(b.stats().actions_per_channel, [0, 0, 1]);
+        assert_eq!(b.stats().actions_observed, 1);
     }
 
     #[test]

@@ -466,9 +466,9 @@ impl MemoryController {
     }
 
     /// Appends all responses generated so far to `buf` (without clearing it),
-    /// leaving this controller's response buffer empty but warm — used by the
-    /// multi-channel [`MemorySystem`](crate::MemorySystem) to drain every
-    /// channel into one merged buffer each step.
+    /// leaving this controller's response buffer empty but warm — used by
+    /// [`MemorySystem`](crate::MemorySystem) to drain every channel into one
+    /// merged buffer each step.
     pub(crate) fn append_responses_into(&mut self, buf: &mut Vec<MemResponse>) {
         buf.append(&mut self.responses);
     }

@@ -105,7 +105,7 @@ impl AddressMapping {
         x = x * geometry.banks_per_group as u64 + loc.bank.bank as u64;
         x = x * geometry.bank_groups as u64 + loc.bank.bank_group as u64;
         let inner = x * burst_lines as u64 + col_low;
-        let channels = geometry.channels.max(1) as u64;
+        let channels = geometry.channels as u64;
         let line = inner * channels + loc.channel as u64 % channels;
         PhysAddr(line * geometry.column_bytes as u64)
     }
@@ -114,7 +114,7 @@ impl AddressMapping {
 /// Splits a global line index into `(channel, line-within-channel)`:
 /// consecutive lines alternate channels.
 fn split_channel(line: u64, geometry: &DramGeometry) -> (usize, u64) {
-    let channels = geometry.channels.max(1) as u64;
+    let channels = geometry.channels as u64;
     if channels == 1 {
         return (0, line);
     }

@@ -16,17 +16,19 @@
 //! trackers (Graphene, Hydra, BlockHammer, …) stay independent while the
 //! throttling decision is global.
 //!
-//! With a single channel, every code path degenerates to the behaviour of a
-//! lone [`MemoryController`] — and does so through a dedicated fast path:
-//! the hot per-request and per-step entry points ([`MemorySystem::channel_of`],
-//! [`MemorySystem::enqueue_or_defer`], [`MemorySystem::tick`],
-//! [`MemorySystem::next_event`], [`MemorySystem::drain_responses_into`])
-//! forward straight to the sole controller without consulting the address
-//! mapping's channel bits or walking per-channel collections, so a
-//! single-channel system pays no routing tax over driving the controller
-//! directly (`crates/mem/tests/dispatch_overhead.rs` pins this). The digest
-//! harness at the workspace root pins the behavioural equivalence
-//! bit-for-bit.
+//! A one-channel system runs the same code as an N-channel one, over a
+//! one-element controller list: at one channel the mapping's channel split is
+//! the identity, and appending the sole controller's responses yields what a
+//! buffer swap would. A separate one-channel path does not earn its place: one
+//! that forwarded the hot entry points straight to the sole controller was
+//! timed against this code in alternating 28 s benchmark pairs (2 vCPUs), and
+//! `sim_mips` moved by less than the host's run-to-run spread. `attack_paper`
+//! read 12.71 [12.04, 13.46] with it and 12.52 without (median [quartiles],
+//! 10 pairs); `benign_paper` read 43.27 [38.21, 44.79] with it and 40.94
+//! without (30 pairs, in three series of ten that read −6.1 %, +1.7 % and
+//! −1.3 %). `crates/mem/tests/dispatch_overhead.rs` times this path at one
+//! channel against a bare [`MemoryController`], and the digest harness at the
+//! workspace root pins the behaviour bit-for-bit.
 
 use crate::config::MemControllerConfig;
 use crate::controller::{ControllerStats, MemoryController};
@@ -69,13 +71,6 @@ pub struct MemorySystem {
     /// modeled cross-channel interference would exceed the hardware's.
     /// Within a channel, retries stay in arrival order.
     pending_enqueue: Vec<VecDeque<MemRequest>>,
-    /// Total entries across `pending_enqueue` (cheap emptiness probe on the
-    /// per-step fast path).
-    pending_total: usize,
-    /// True for a single-channel system: the hot entry points skip channel
-    /// routing and per-channel iteration and forward straight to
-    /// `controllers[0]`.
-    single_channel: bool,
 }
 
 impl MemorySystem {
@@ -92,7 +87,7 @@ impl MemorySystem {
         mut breakhammer: Option<BreakHammer>,
     ) -> Self {
         assert!(!channels.is_empty(), "a memory system needs at least one channel");
-        let declared = channels[0].0.geometry().channels.max(1);
+        let declared = channels[0].0.geometry().channels;
         assert_eq!(
             channels.len(),
             declared,
@@ -111,8 +106,7 @@ impl MemorySystem {
             bh.declare_channels(controllers.len());
         }
         let pending_enqueue = vec![VecDeque::new(); controllers.len()];
-        let single_channel = controllers.len() == 1;
-        MemorySystem { controllers, breakhammer, pending_enqueue, pending_total: 0, single_channel }
+        MemorySystem { controllers, breakhammer, pending_enqueue }
     }
 
     /// The per-channel controllers, in channel order.
@@ -140,11 +134,6 @@ impl MemorySystem {
 
     /// The channel a physical address routes to.
     pub(crate) fn channel_of(&self, addr: PhysAddr) -> usize {
-        if self.single_channel {
-            // One channel owns every line; skip the mapping's channel split
-            // on the per-request path.
-            return 0;
-        }
         let ctrl = &self.controllers[0];
         ctrl.config().mapping.channel_of(addr, ctrl.channel().geometry())
     }
@@ -164,7 +153,6 @@ impl MemorySystem {
         let channel = self.channel_of(req.addr);
         if let Err(rejected) = self.controllers[channel].try_enqueue(req) {
             self.pending_enqueue[channel].push_back(rejected);
-            self.pending_total += 1;
         }
     }
 
@@ -173,14 +161,13 @@ impl MemorySystem {
     /// independent: a saturated channel never blocks another channel's
     /// retries.
     pub fn retry_pending(&mut self) {
-        if self.pending_total == 0 {
+        if !self.has_pending_enqueue() {
             return;
         }
         for (channel, pending) in self.pending_enqueue.iter_mut().enumerate() {
             while let Some(req) = pending.front().copied() {
                 if self.controllers[channel].try_enqueue(req).is_ok() {
                     pending.pop_front();
-                    self.pending_total -= 1;
                 } else {
                     break;
                 }
@@ -190,7 +177,7 @@ impl MemorySystem {
 
     /// True if some rejected request is still waiting to be retried.
     pub fn has_pending_enqueue(&self) -> bool {
-        self.pending_total > 0
+        self.pending_enqueue.iter().any(|pending| !pending.is_empty())
     }
 
     /// Number of rejected requests parked in `channel`'s enqueue-retry deque
@@ -213,10 +200,6 @@ impl MemorySystem {
     /// Advances every channel controller by one DRAM cycle. The shared
     /// BreakHammer instance observes all of them.
     pub fn tick(&mut self, cycle: Cycle) {
-        if self.single_channel {
-            self.controllers[0].tick(cycle, self.breakhammer.as_mut());
-            return;
-        }
         let breakhammer = &mut self.breakhammer;
         for controller in &mut self.controllers {
             controller.tick(cycle, breakhammer.as_mut());
@@ -228,9 +211,6 @@ impl MemorySystem {
     /// kernel (see [`MemoryController::next_event`] for the per-channel
     /// contract; the same undershoot-only guarantee holds for the minimum).
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        if self.single_channel {
-            return self.controllers[0].next_event(now);
-        }
         self.controllers.iter().map(|c| c.next_event(now)).min().unwrap_or(now + 1)
     }
 
@@ -238,20 +218,12 @@ impl MemorySystem {
     /// per-step probe that lets the simulation loop skip the drain
     /// entirely on response-free steps).
     pub fn has_responses(&self) -> bool {
-        if self.single_channel {
-            return self.controllers[0].has_responses();
-        }
         self.controllers.iter().any(MemoryController::has_responses)
     }
 
     /// Drains every channel's responses into `buf` (cleared first), in
-    /// channel order. With one channel this is exactly
-    /// [`MemoryController::drain_responses_into`] (a buffer swap, no copy).
+    /// channel order.
     pub fn drain_responses_into(&mut self, buf: &mut Vec<MemResponse>) {
-        if self.single_channel {
-            self.controllers[0].drain_responses_into(buf);
-            return;
-        }
         buf.clear();
         for controller in &mut self.controllers {
             controller.append_responses_into(buf);
@@ -329,81 +301,110 @@ mod tests {
         ctrl.config().mapping.encode(&loc, ctrl.channel().geometry())
     }
 
+    /// The channel counts the routing tests run at: one channel takes the
+    /// same paths as several.
+    const CHANNEL_COUNTS: [usize; 3] = [1, 2, 4];
+
     #[test]
     fn requests_route_to_their_mapped_channel() {
-        let mut mem = system(2);
-        for channel in 0..2 {
-            let addr = addr_on(&mem, channel, 5, 0);
-            assert_eq!(mem.channel_of(addr), channel);
-            mem.try_enqueue(MemRequest::read(channel as u64, ThreadId(0), addr, 0)).unwrap();
+        for channels in CHANNEL_COUNTS {
+            let mut mem = system(channels);
+            for channel in 0..channels {
+                let addr = addr_on(&mem, channel, 5, 0);
+                assert_eq!(mem.channel_of(addr), channel);
+                mem.try_enqueue(MemRequest::read(channel as u64, ThreadId(0), addr, 0)).unwrap();
+            }
+            for channel in 0..channels {
+                assert_eq!(mem.controller(channel).queued_requests(), 1, "{channels} channels");
+            }
         }
-        assert_eq!(mem.controller(0).queued_requests(), 1);
-        assert_eq!(mem.controller(1).queued_requests(), 1);
     }
 
     #[test]
     fn responses_merge_across_channels() {
-        let mut mem = system(2);
-        for channel in 0..2u64 {
-            let addr = addr_on(&mem, channel as usize, 7, 0);
-            mem.try_enqueue(MemRequest::read(channel, ThreadId(0), addr, 0)).unwrap();
-        }
-        let mut responses = Vec::new();
-        let mut buf = Vec::new();
-        for cycle in 0..10_000u64 {
-            mem.tick(cycle);
-            mem.drain_responses_into(&mut buf);
-            responses.extend(buf.iter().copied());
-            if responses.len() == 2 {
-                break;
+        for channels in CHANNEL_COUNTS {
+            let mut mem = system(channels);
+            for channel in 0..channels {
+                let addr = addr_on(&mem, channel, 7, 0);
+                mem.try_enqueue(MemRequest::read(channel as u64, ThreadId(0), addr, 0)).unwrap();
             }
+            let mut responses = Vec::new();
+            let mut buf = Vec::new();
+            for cycle in 0..10_000u64 {
+                mem.tick(cycle);
+                if mem.has_responses() {
+                    mem.drain_responses_into(&mut buf);
+                    responses.extend(buf.iter().copied());
+                }
+                assert!(!mem.has_responses());
+                if responses.len() == channels {
+                    break;
+                }
+            }
+            assert_eq!(responses.len(), channels, "every channel must serve its read");
+            let stats = mem.aggregate_stats();
+            assert_eq!(stats.reads_served, channels as u64);
+            assert_eq!(stats.demand_activations, channels as u64);
+            assert_eq!(mem.aggregate_dram_stats().activates, channels as u64);
         }
-        assert_eq!(responses.len(), 2, "both channels must serve their read");
-        let stats = mem.aggregate_stats();
-        assert_eq!(stats.reads_served, 2);
-        assert_eq!(stats.demand_activations, 2);
-        assert_eq!(mem.aggregate_dram_stats().activates, 2);
     }
 
     #[test]
     fn merged_next_event_is_the_minimum_over_channels() {
-        let mut mem = system(2);
-        // Load only channel 1; channel 0 idles until its refresh deadline.
-        let addr = addr_on(&mem, 1, 3, 0);
-        mem.try_enqueue(MemRequest::read(1, ThreadId(0), addr, 0)).unwrap();
-        mem.tick(0);
-        let merged = mem.next_event(0);
-        let per_channel = (0..2).map(|c| mem.controller(c).next_event(0)).min().unwrap();
-        assert_eq!(merged, per_channel);
-        assert!(merged > 0);
+        for channels in CHANNEL_COUNTS {
+            let mut mem = system(channels);
+            // Load only the last channel; the others idle until their
+            // refresh deadline.
+            let last = channels - 1;
+            let addr = addr_on(&mem, last, 3, 0);
+            mem.try_enqueue(MemRequest::read(1, ThreadId(0), addr, 0)).unwrap();
+            mem.tick(0);
+            let merged = mem.next_event(0);
+            let per_channel = (0..channels).map(|c| mem.controller(c).next_event(0)).min().unwrap();
+            assert_eq!(merged, per_channel, "{channels} channels");
+            assert!(merged > 0);
+        }
     }
 
     #[test]
     fn deferred_requests_retry_on_their_own_channel() {
-        let mut mem = system(2);
-        // Fill channel 0's read queue, then defer one more to it.
-        let mut id = 0u64;
-        while mem.controller(0).can_accept(AccessKind::Read) {
-            let addr = addr_on(&mem, 0, id as usize % 64, 0);
-            mem.try_enqueue(MemRequest::read(id, ThreadId(0), addr, 0)).unwrap();
-            id += 1;
-        }
-        mem.enqueue_or_defer(MemRequest::read(id, ThreadId(0), addr_on(&mem, 0, 99, 0), 0));
-        assert!(mem.has_pending_enqueue());
-        // Channel 1 is unaffected: its requests enqueue directly.
-        mem.enqueue_or_defer(MemRequest::read(id + 1, ThreadId(1), addr_on(&mem, 1, 5, 0), 0));
-        assert_eq!(mem.controller(1).queued_requests(), 1);
-        // Draining channel 0 lets the deferred request in.
-        let mut buf = Vec::new();
-        for cycle in 0..100_000u64 {
-            mem.retry_pending();
-            mem.tick(cycle);
-            mem.drain_responses_into(&mut buf);
-            if !mem.has_pending_enqueue() {
-                break;
+        for channels in CHANNEL_COUNTS {
+            let mut mem = system(channels);
+            assert!(!mem.has_pending_enqueue());
+            // Fill channel 0's read queue, then defer one more to it.
+            let mut id = 0u64;
+            while mem.controller(0).can_accept(AccessKind::Read) {
+                let addr = addr_on(&mem, 0, id as usize % 64, 0);
+                mem.try_enqueue(MemRequest::read(id, ThreadId(0), addr, 0)).unwrap();
+                id += 1;
             }
+            mem.enqueue_or_defer(MemRequest::read(id, ThreadId(0), addr_on(&mem, 0, 99, 0), 0));
+            assert!(mem.has_pending_enqueue());
+            assert_eq!(mem.pending_enqueue_depth(0), 1);
+            // The other channels are unaffected: their requests enqueue
+            // directly.
+            for channel in 1..channels {
+                let addr = addr_on(&mem, channel, 5, 0);
+                mem.enqueue_or_defer(MemRequest::read(id + 1, ThreadId(1), addr, 0));
+                assert_eq!(mem.controller(channel).queued_requests(), 1);
+                assert_eq!(mem.pending_enqueue_depth(channel), 0);
+            }
+            // A retry while channel 0 is still full keeps the request parked.
+            mem.retry_pending();
+            assert_eq!(mem.pending_enqueue_depth(0), 1);
+            // Draining channel 0 lets the deferred request in.
+            let mut buf = Vec::new();
+            for cycle in 0..100_000u64 {
+                mem.retry_pending();
+                mem.tick(cycle);
+                mem.drain_responses_into(&mut buf);
+                if !mem.has_pending_enqueue() {
+                    break;
+                }
+            }
+            assert!(!mem.has_pending_enqueue(), "the deferred request must eventually enqueue");
+            assert_eq!(mem.pending_enqueue_depth(0), 0);
         }
-        assert!(!mem.has_pending_enqueue(), "the deferred request must eventually enqueue");
     }
 
     /// A `channels`-channel Graphene system (N_RH = 64) with one shared

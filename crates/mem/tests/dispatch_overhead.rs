@@ -1,23 +1,20 @@
-//! Claw-back guard for the `MemorySystem` layer (PR-4 regression pin).
+//! Dispatch-overhead guard for the `MemorySystem` layer at one channel.
 //!
-//! Introducing the multi-channel [`MemorySystem`] facade put channel routing
+//! The multi-channel [`MemorySystem`] facade puts channel routing
 //! (address-mapping channel bits, per-channel collections, response merging)
-//! between the simulation loop and the sole controller of a single-channel
-//! system, and end-to-end simulator throughput regressed measurably. The
-//! facade now has a dedicated single-channel fast path that forwards every
-//! hot entry point straight to `controllers[0]`; this suite pins it two
-//! ways:
+//! between the simulation loop and the controllers. A one-channel system runs
+//! that general path over a one-element controller list; this suite checks
+//! it two ways against a bare [`MemoryController`]:
 //!
 //! 1. **behavioural equality** — driving the same request stream through a
-//!    1-channel `MemorySystem` and through a bare [`MemoryController`]
-//!    produces identical responses and statistics, cycle for cycle;
+//!    1-channel `MemorySystem` and through a bare controller produces
+//!    identical responses and statistics, cycle for cycle;
 //! 2. **no measurable per-request work** — an interleaved A/B timing run of
 //!    the same dispatch loop must not show the facade meaningfully slower
 //!    than the bare controller. The bound is deliberately generous (see
-//!    `MAX_OVERHEAD_RATIO`): the guard exists to catch a reintroduced
-//!    per-request routing tax (historically ~15-20% end-to-end), not to
-//!    flake on scheduler noise — min-of-N interleaved rounds already sheds
-//!    most of that.
+//!    `MAX_OVERHEAD_RATIO`): the guard exists to catch a routing layer that
+//!    grows real per-request work, not to flake on scheduler noise —
+//!    min-of-N interleaved rounds already sheds most of that.
 //!
 //! The absolute number is the benchmark's `mem.ns_per_request` metric
 //! (`benchmark/`, `--trace 1`).
@@ -32,10 +29,10 @@ use bh_mitigation::MechanismKind;
 use std::time::Instant;
 
 /// A 1-channel `MemorySystem` may be at most this factor slower than the
-/// bare controller on the dispatch loop. The fast path's true ratio is ~1.0;
-/// 1.5 leaves room for timer noise and cold caches on loaded CI machines
-/// while still failing long before a reintroduced routing layer (which costs
-/// a decode + indirection on *every* request and tick) could hide in it.
+/// bare controller on the dispatch loop. 1.5 leaves room for timer noise and
+/// cold caches on loaded CI machines while still failing long before a
+/// routing layer that costs real work on *every* request and tick could hide
+/// in it.
 const MAX_OVERHEAD_RATIO: f64 = 1.5;
 
 fn config() -> MemControllerConfig {
@@ -108,7 +105,7 @@ fn drive_system(mem: &mut MemorySystem, ops: u64) -> (Vec<u64>, u64) {
 /// bare controller: same responses in the same order, same statistics, same
 /// DRAM command counts, same next-event horizons along the way.
 #[test]
-fn single_channel_system_is_behaviourally_identical_to_bare_controller() {
+fn one_channel_system_is_behaviourally_identical_to_bare_controller() {
     let mut ctrl = controller();
     let mut mem = system();
     let (direct_responses, direct_cycle) = drive_controller(&mut ctrl, 3_000);
@@ -126,11 +123,11 @@ fn single_channel_system_is_behaviourally_identical_to_bare_controller() {
     assert_eq!(&mem.aggregate_stats(), mem.controller(0).stats());
 }
 
-/// Interleaved A/B timing: the facade's dispatch loop must not be
-/// measurably slower than driving the controller directly (claw-back guard
-/// for the PR-4 `MemorySystem` dispatch regression).
+/// Interleaved A/B timing: the facade's general dispatch loop, run at one
+/// channel, must not be measurably slower than driving the controller
+/// directly.
 #[test]
-fn single_channel_dispatch_adds_no_measurable_per_request_work() {
+fn one_channel_dispatch_adds_no_measurable_per_request_work() {
     const OPS: u64 = 20_000;
     const ROUNDS: usize = 5;
     // Warm both paths (allocations, branch predictors, lazy tables).
@@ -157,6 +154,6 @@ fn single_channel_dispatch_adds_no_measurable_per_request_work() {
         ratio <= MAX_OVERHEAD_RATIO,
         "1-channel MemorySystem dispatch is {ratio:.2}x the bare controller \
          (direct {direct_best} ns vs system {system_best} ns for {OPS} ops x {ROUNDS} rounds); \
-         the single-channel fast path must keep this at ~1.0x (bound {MAX_OVERHEAD_RATIO})"
+         the general N-channel path run at one channel must stay within {MAX_OVERHEAD_RATIO}x"
     );
 }

@@ -255,7 +255,7 @@ impl System {
         // as the run disturbs rows. With this order the benchmark's
         // `attack_paper` workload peaks at 9.0 MB under glibc malloc.
         let llc = LastLevelCache::new(config.cache.clone(), config.cores);
-        let channels = config.geometry.channels.max(1);
+        let channels = config.geometry.channels;
         let trackers: Vec<_> = (0..channels)
             .map(|ch| {
                 RowHammerTracker::with_fault(
@@ -345,7 +345,7 @@ impl System {
     /// indices are reduced to the configured geometry, so layouts computed
     /// for a larger geometry degrade gracefully on test-scale systems.
     pub fn watch_victims(mut self, victims: impl IntoIterator<Item = (usize, RowAddr)>) -> Self {
-        let channels = self.config.geometry.channels.max(1);
+        let channels = self.config.geometry.channels;
         let rows = self.config.geometry.rows_per_bank;
         self.watched_victims = victims
             .into_iter()

@@ -64,7 +64,7 @@ impl TraceGenerator {
     /// otherwise.
     fn place(&self, index: usize) -> (usize, BankAddr) {
         let banks = self.geometry.banks_per_channel();
-        let slots = banks * self.geometry.channels.max(1);
+        let slots = banks * self.geometry.channels;
         let slot = index % slots;
         (slot / banks, self.geometry.bank_from_flat(slot % banks))
     }
@@ -72,7 +72,7 @@ impl TraceGenerator {
     /// Number of `(channel, bank)` placement slots (the divisor turning a
     /// flat row index into a per-bank row).
     fn placement_slots(&self) -> usize {
-        self.geometry.banks_per_channel() * self.geometry.channels.max(1)
+        self.geometry.banks_per_channel() * self.geometry.channels
     }
 
     /// Generates a benign trace for the library profile named `name` — the

@@ -53,7 +53,7 @@ impl Placement {
                 (ChannelTarget::Interleave, (total / banks).max(1), SPREAD_ROW_STRIDE)
             }
         };
-        let channel_count = geometry.channels.max(1);
+        let channel_count = geometry.channels;
         let channels = match target {
             ChannelTarget::Pinned(channel) => {
                 let channel = channel % channel_count;
