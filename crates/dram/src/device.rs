@@ -111,9 +111,6 @@ pub struct DramChannel {
     banks: Vec<BankState>,
     groups: Vec<BankGroupState>,
     ranks: Vec<RankState>,
-    /// Number of banks with an open row, per rank — keeps the refresh
-    /// machinery's every-tick [`DramChannel::all_banks_closed`] query O(1).
-    open_per_rank: Vec<u32>,
     /// Earliest cycle the shared data bus accepts another column command.
     next_column_bus: Cycle,
     stats: DramStats,
@@ -148,7 +145,6 @@ impl DramChannel {
         let banks = vec![BankState::new(); geometry.banks_per_channel()];
         let groups = vec![BankGroupState::default(); geometry.ranks * geometry.bank_groups];
         let ranks = vec![RankState::default(); geometry.ranks];
-        let ranks_count = geometry.ranks;
         DramChannel {
             geometry,
             timing,
@@ -157,7 +153,6 @@ impl DramChannel {
             banks,
             groups,
             ranks,
-            open_per_rank: vec![0; ranks_count],
             next_column_bus: 0,
             stats: DramStats::default(),
             energy: EnergyCounters::new(),
@@ -209,12 +204,7 @@ impl DramChannel {
 
     /// True if every bank of `rank` is precharged.
     pub fn all_banks_closed(&self, rank: usize) -> bool {
-        debug_assert_eq!(
-            u64::from(self.open_per_rank[rank]),
-            self.geometry.rank_flat_range(rank).filter(|f| !self.banks[*f].is_closed()).count()
-                as u64
-        );
-        self.open_per_rank[rank] == 0
+        self.geometry.rank_flat_range(rank).all(|f| self.banks[f].is_closed())
     }
 
     fn group_index(&self, bank: BankAddr) -> usize {
@@ -283,99 +273,67 @@ impl DramChannel {
     /// (ignoring bank-state requirements, which are checked at issue time).
     pub fn earliest_issue(&self, cmd: &DramCommand) -> Cycle {
         let flat = self.geometry.flat_bank(cmd.bank);
-        let bank = &self.banks[flat];
-        let group = &self.groups[self.group_index(cmd.bank)];
-        let rank = &self.ranks[cmd.bank.rank];
-        let t = &self.timing;
-
+        let rank = cmd.bank.rank;
         match cmd.kind {
-            CommandKind::Activate | CommandKind::VictimRefresh => bank
-                .earliest(cmd.kind)
-                .max(group.next_act)
-                .max(rank.next_act)
-                .max(rank.faw_earliest(FAW_DEPTH, t.t_faw)),
-            CommandKind::Precharge => bank.earliest(cmd.kind),
+            CommandKind::Activate
+            | CommandKind::VictimRefresh
+            | CommandKind::Precharge
+            | CommandKind::Read
+            | CommandKind::Write => {
+                self.demand_ready(flat, self.group_index(cmd.bank), rank, cmd.kind)
+            }
             CommandKind::PrechargeAll => self
                 .geometry
-                .rank_flat_range(cmd.bank.rank)
+                .rank_flat_range(rank)
                 .map(|f| self.banks[f].earliest(CommandKind::Precharge))
                 .max()
                 .unwrap_or(0),
-            CommandKind::Read => bank
-                .earliest(cmd.kind)
-                .max(group.next_rd)
-                .max(rank.next_rd)
-                .max(self.next_column_bus),
-            CommandKind::Write => bank
-                .earliest(cmd.kind)
-                .max(group.next_wr)
-                .max(rank.next_wr)
-                .max(self.next_column_bus),
             CommandKind::Refresh => self
                 .geometry
-                .rank_flat_range(cmd.bank.rank)
+                .rank_flat_range(rank)
                 .map(|f| self.banks[f].earliest(CommandKind::Refresh))
                 .max()
                 .unwrap_or(0)
-                .max(rank.next_ref),
+                .max(self.ranks[rank].next_ref),
             CommandKind::RefreshSameBank | CommandKind::RefreshManagement => {
-                bank.earliest(cmd.kind).max(rank.next_ref)
+                self.banks[flat].earliest(cmd.kind).max(self.ranks[rank].next_ref)
             }
         }
     }
 
-    /// The bank-local component of the earliest cycle at which a
-    /// demand-class command (`Read`, `Write`, `Activate` or `Precharge`) may
-    /// issue to the bank with flat index `flat`: a single load from the
-    /// bank's timing state. Its max with
-    /// [`DramChannel::demand_ready_shared_component`] equals
-    /// [`DramChannel::earliest_issue`] for those kinds, with no
-    /// `DramCommand` to build; split so a scheduler scanning many banks of
-    /// the same (group, rank) derives the shared part once per tick instead
-    /// of the full four-way max per bank.
+    /// Earliest cycle at which a single-bank command of `kind` (`Activate`,
+    /// `VictimRefresh`, `Precharge`, `Read` or `Write`) may issue to the bank
+    /// with flat index `flat`, which sits in bank group `group` (the global
+    /// index `rank * bank_groups + bank_group`) of `rank`. Each of these
+    /// timing rules is written here once: [`DramChannel::earliest_issue`]
+    /// answers with it for these kinds, and a scheduler holding flat indices
+    /// asks it directly, with no `DramCommand` to build.
+    ///
+    /// # Panics
+    /// Panics for any other command kind.
     #[inline]
-    pub fn demand_ready_bank_component(&self, flat: usize, kind: CommandKind) -> Cycle {
-        let bank = &self.banks[flat];
+    pub fn demand_ready(&self, flat: usize, group: usize, rank: usize, kind: CommandKind) -> Cycle {
+        let bank = self.banks[flat].earliest(kind);
+        let group = &self.groups[group];
+        let rank = &self.ranks[rank];
         match kind {
-            CommandKind::Read => bank.next_rd,
-            CommandKind::Write => bank.next_wr,
-            CommandKind::Activate => bank.next_act,
-            _ => bank.next_pre,
-        }
-    }
-
-    /// The bank-independent component of a demand-class command's earliest
-    /// issue cycle (see [`DramChannel::demand_ready_bank_component`]): the
-    /// group/rank/column-bus constraints shared by every bank of the same
-    /// (group, rank).
-    #[inline]
-    pub fn demand_ready_shared_component(
-        &self,
-        group: usize,
-        rank: usize,
-        kind: CommandKind,
-    ) -> Cycle {
-        match kind {
+            CommandKind::Activate | CommandKind::VictimRefresh => bank
+                .max(group.next_act)
+                .max(rank.next_act)
+                .max(rank.faw_earliest(FAW_DEPTH, self.timing.t_faw)),
+            CommandKind::Precharge => bank,
             CommandKind::Read => {
-                let group = &self.groups[group];
-                let rank = &self.ranks[rank];
-                group.next_rd.max(rank.next_rd).max(self.next_column_bus)
+                bank.max(group.next_rd).max(rank.next_rd).max(self.next_column_bus)
             }
             CommandKind::Write => {
-                let group = &self.groups[group];
-                let rank = &self.ranks[rank];
-                group.next_wr.max(rank.next_wr).max(self.next_column_bus)
+                bank.max(group.next_wr).max(rank.next_wr).max(self.next_column_bus)
             }
-            CommandKind::Activate => {
-                let group = &self.groups[group];
-                let rank = &self.ranks[rank];
-                group
-                    .next_act
-                    .max(rank.next_act)
-                    .max(rank.faw_earliest(FAW_DEPTH, self.timing.t_faw))
+            CommandKind::PrechargeAll
+            | CommandKind::Refresh
+            | CommandKind::RefreshSameBank
+            | CommandKind::RefreshManagement => {
+                panic!("{kind:?} is not a single-bank demand command")
             }
-            // Precharge is gated by bank-local state only.
-            _ => 0,
         }
     }
 
@@ -431,7 +389,6 @@ impl DramChannel {
             CommandKind::Activate => {
                 let bank = &mut self.banks[flat];
                 debug_assert!(bank.is_closed(), "ACT on open bank");
-                self.open_per_rank[cmd.bank.rank] += 1;
                 bank.row = RowState::Open { row: cmd.row };
                 bank.next_pre = bank.next_pre.max(cycle + t.t_ras);
                 bank.next_rd = bank.next_rd.max(cycle + t.t_rcd);
@@ -471,9 +428,6 @@ impl DramChannel {
             }
             CommandKind::Precharge => {
                 let bank = &mut self.banks[flat];
-                if !bank.is_closed() {
-                    self.open_per_rank[cmd.bank.rank] -= 1;
-                }
                 bank.row = RowState::Closed;
                 bank.next_act = bank.next_act.max(cycle + t.t_rp);
                 self.stats.precharges += 1;
@@ -483,9 +437,6 @@ impl DramChannel {
             CommandKind::PrechargeAll => {
                 for bi in self.geometry.rank_flat_range(cmd.bank.rank) {
                     let bank = &mut self.banks[bi];
-                    if !bank.is_closed() {
-                        self.open_per_rank[cmd.bank.rank] -= 1;
-                    }
                     bank.row = RowState::Closed;
                     bank.next_act = bank.next_act.max(cycle + t.t_rp);
                 }
@@ -705,6 +656,83 @@ mod tests {
         let fifth = DramCommand::activate(banks[4 % banks.len()], 2);
         let earliest = ch.earliest_issue(&fifth);
         assert!(earliest >= t.t_faw, "earliest {earliest} must respect tFAW {}", t.t_faw);
+    }
+
+    /// `demand_ready` against cycles derived by hand from `TimingParams`
+    /// fields. The timing is picked so the rule under test is the one that
+    /// binds: tCCD_S exceeds a burst, tRC exceeds tRAS + tRP, and tFAW exceeds
+    /// four tRRD_L.
+    #[test]
+    fn demand_ready_matches_hand_derived_timing() {
+        use CommandKind::{Activate, Precharge, Read, VictimRefresh, Write};
+        let t = TimingParams {
+            t_rc: 30,
+            burst_length: 4,
+            t_ccd_l: 9,
+            t_ccd_s: 5,
+            t_wtr_l: 11,
+            t_wtr_s: 7,
+            t_faw: 20,
+            ..TimingParams::fast_test()
+        };
+        let burst = t.burst_length / 2;
+        assert!(t.t_ccd_s > burst && t.t_rc > t.t_ras + t.t_rp && t.t_faw > 4 * t.t_rrd_l);
+        let geometry = DramGeometry { bank_groups: 4, ..DramGeometry::tiny() };
+        let fresh = || DramChannel::new(geometry.clone(), t.clone());
+        let at = |rank, bank_group, bank| BankAddr { rank, bank_group, bank };
+        let loc = |bank| crate::geometry::DramLocation { channel: 0, bank, row: 1, column: 0 };
+        let ready = |ch: &DramChannel, b: BankAddr, kind| {
+            let g = ch.geometry();
+            ch.demand_ready(g.flat_bank(b), b.rank * g.bank_groups + b.bank_group, b.rank, kind)
+        };
+
+        // tFAW: four ACTs to one rank, tRRD_L apart; the fifth waits for the
+        // window opened by the first, the sixth for the one opened by the
+        // second. The other rank keeps no window.
+        let mut ch = fresh();
+        for g in 0..4 {
+            ch.issue(&DramCommand::activate(at(0, g, 0), 1), g as u64 * t.t_rrd_l).unwrap();
+        }
+        assert_eq!(ready(&ch, at(0, 0, 1), Activate), t.t_faw);
+        assert_eq!(ready(&ch, at(0, 0, 1), VictimRefresh), t.t_faw);
+        assert_eq!(ready(&ch, at(1, 0, 0), Activate), 0);
+        ch.issue(&DramCommand::activate(at(0, 0, 1), 1), t.t_faw).unwrap();
+        assert_eq!(ready(&ch, at(0, 1, 1), Activate), t.t_rrd_l + t.t_faw);
+
+        // tRAS, then tRC: a bank's next ACT waits a full row cycle from its
+        // last one, past the precharge's tRP.
+        let mut ch = fresh();
+        ch.issue(&DramCommand::activate(at(0, 0, 0), 1), 0).unwrap();
+        assert_eq!(ready(&ch, at(0, 0, 0), Precharge), t.t_ras);
+        ch.issue(&DramCommand::precharge(at(0, 0, 0)), t.t_ras).unwrap();
+        assert_eq!(ready(&ch, at(0, 0, 0), Activate), t.t_rc);
+
+        // Column commands: tCCD_L within a bank group, tCCD_S across groups
+        // of one rank, only the shared data bus (one burst) across ranks.
+        let mut ch = fresh();
+        let banks = [at(0, 0, 0), at(0, 0, 1), at(0, 1, 0), at(1, 0, 0)];
+        for (i, b) in banks.iter().enumerate() {
+            ch.issue(&DramCommand::activate(*b, 1), i as u64 * t.t_faw).unwrap();
+        }
+        let r = banks.len() as u64 * t.t_faw;
+        ch.issue(&DramCommand::read(loc(banks[0])), r).unwrap();
+        assert_eq!(ready(&ch, banks[0], Precharge), r + t.t_rtp);
+        assert_eq!(ready(&ch, banks[1], Read), r + t.t_ccd_l);
+        assert_eq!(ready(&ch, banks[2], Read), r + t.t_ccd_s);
+        assert_eq!(ready(&ch, banks[3], Read), r + burst);
+        assert_eq!(ready(&ch, banks[1], Write), r + t.t_ccd_l);
+
+        // A write: reads wait tWTR_L (same group) or tWTR_S (same rank) past
+        // its last data beat; another rank's reads and all writes do not.
+        let w = r + t.t_ccd_l;
+        ch.issue(&DramCommand::write(loc(banks[1])), w).unwrap();
+        let done = w + t.cwl + burst;
+        assert_eq!(ready(&ch, banks[0], Read), done + t.t_wtr_l);
+        assert_eq!(ready(&ch, banks[2], Read), done + t.t_wtr_s);
+        assert_eq!(ready(&ch, banks[3], Read), w + burst);
+        assert_eq!(ready(&ch, banks[0], Write), w + t.t_ccd_l);
+        assert_eq!(ready(&ch, banks[2], Write), w + t.t_ccd_s);
+        assert_eq!(ready(&ch, banks[1], Precharge), done + t.t_wr);
     }
 
     #[test]

@@ -143,70 +143,6 @@ enum ServiceStep {
     Precharge,
 }
 
-/// Per-tick cached *shared* (group/rank/column-bus) earliest-issue
-/// components for one (bank group, rank) pair, by command kind. Every bank
-/// of the pair shares these, and a bank's full ready cycle is this shared
-/// component maxed with one bank-local load
-/// ([`DramChannel::demand_ready_bank_component`]) — so the scheduler derives
-/// the scattered group/rank/bus maxes at most once per (pair, kind) per
-/// tick, however many of the pair's banks have requests. Slots are stamped
-/// and filled *lazily*, only for the command kind a bank's candidate
-/// actually needs. The open row itself is read straight off the bank state
-/// — it is a single array load, cheaper than any cache in front of it.
-#[derive(Debug, Clone, Copy, Default)]
-struct SharedScanEntry {
-    /// Tick stamps the corresponding `ready` slot is valid for, indexed by
-    /// [`ReadyKind`].
-    ready_stamp: [u64; 4],
-    /// Shared earliest-issue components, indexed by [`ReadyKind`].
-    ready: [Cycle; 4],
-}
-
-/// Index into [`SharedScanEntry::ready`]: the four demand command kinds the
-/// scheduler distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReadyKind {
-    Read = 0,
-    Write = 1,
-    Activate = 2,
-    Precharge = 3,
-}
-
-impl ReadyKind {
-    fn command(self) -> CommandKind {
-        match self {
-            ReadyKind::Read => CommandKind::Read,
-            ReadyKind::Write => CommandKind::Write,
-            ReadyKind::Activate => CommandKind::Activate,
-            ReadyKind::Precharge => CommandKind::Precharge,
-        }
-    }
-}
-
-/// The earliest issue cycle of `kind` on bank `flat`: the tick-stamped
-/// shared (group/rank/bus) component — derived lazily on the first bank of
-/// the tick that needs this (group, kind) pair — maxed with the bank-local
-/// load. A free function over the individual fields so the scheduler can
-/// fill the cache while it borrows the demand queue.
-#[inline]
-fn bank_ready_in(
-    shared_scan: &mut [SharedScanEntry],
-    channel: &DramChannel,
-    stamp: u64,
-    flat: usize,
-    group: usize,
-    rank: usize,
-    kind: ReadyKind,
-) -> Cycle {
-    let slot = kind as usize;
-    let entry = &mut shared_scan[group];
-    if entry.ready_stamp[slot] != stamp {
-        entry.ready_stamp[slot] = stamp;
-        entry.ready[slot] = channel.demand_ready_shared_component(group, rank, kind.command());
-    }
-    entry.ready[slot].max(channel.demand_ready_bank_component(flat, kind.command()))
-}
-
 /// Result of one scheduling stage within a tick: either a command was issued,
 /// or the stage reports the earliest future cycle at which it could act
 /// ([`Cycle::MAX`] if never, absent external changes).
@@ -274,14 +210,6 @@ pub struct MemoryController {
     /// [`MemoryController::on_demand_activation`]; never allocates in the
     /// steady state).
     sink: ActionSink,
-    /// Per-(bank group, rank) shared scheduling view for the current tick
-    /// (see [`SharedScanEntry`]; `scan_stamp` is bumped once per
-    /// [`MemoryController::tick`], and no command issues between the two
-    /// queue selections of a tick, so the cache stays coherent for the whole
-    /// tick). Indexed by the global group index `rank * bank_groups +
-    /// bank_group` (the index [`QueueEntry::group`] carries).
-    shared_scan: Vec<SharedScanEntry>,
-    scan_stamp: u64,
     hit_streak: Vec<u32>,
     stats: ControllerStats,
     per_thread_latency: Vec<LatencyHistogram>,
@@ -311,7 +239,6 @@ impl MemoryController {
         config.validate().expect("invalid memory controller configuration");
         let ranks = channel.geometry().ranks;
         let banks = channel.geometry().banks_per_channel();
-        let groups_total = ranks * channel.geometry().bank_groups;
         let t_refi = channel.timing().t_refi;
         let num_threads = config.num_threads;
         let read_queue = DemandQueue::new(config.read_queue_capacity, banks);
@@ -334,8 +261,6 @@ impl MemoryController {
             idle_until: 0,
             plan: None,
             sink: ActionSink::default(),
-            shared_scan: vec![SharedScanEntry::default(); groups_total],
-            scan_stamp: 0,
             hit_streak: vec![0; banks],
             stats: ControllerStats::default(),
             per_thread_latency: (0..num_threads).map(|_| LatencyHistogram::new()).collect(),
@@ -436,10 +361,7 @@ impl MemoryController {
                 Some(_) => CommandKind::Precharge,
                 None => CommandKind::Activate,
             };
-            let ready = self
-                .channel
-                .demand_ready_bank_component(flat, kind)
-                .max(self.channel.demand_ready_shared_component(group, loc.bank.rank, kind));
+            let ready = self.channel.demand_ready(flat, group, loc.bank.rank, kind);
             self.idle_until = self.idle_until.min(ready);
         }
         self.queue_mut(req.kind == AccessKind::Write).push(entry);
@@ -542,7 +464,6 @@ impl MemoryController {
                 return;
             }
         }
-        self.scan_stamp += 1;
         let mut horizon = Cycle::MAX;
         match self.try_refresh(cycle) {
             TickOutcome::Issued => {
@@ -783,23 +704,21 @@ impl MemoryController {
         preventive_bank: Option<usize>,
     ) -> Option<(Cycle, usize, ServiceStep)> {
         // Disjoint field borrows: the queue re-derives stale class heads
-        // while the shared-ready cache is filled lazily.
+        // while the rest of the controller is read.
         let Self {
             read_queue,
             write_queue,
-            shared_scan,
             channel,
             hit_streak,
             config,
             next_refresh,
             mechanism,
-            scan_stamp,
             ..
         } = self;
         #[cfg(test)]
         tests::SELECT_PASSES.set(tests::SELECT_PASSES.get() + 1);
         let queue: &mut DemandQueue = if use_writes { write_queue } else { read_queue };
-        let ready_col = if use_writes { ReadyKind::Write } else { ReadyKind::Read };
+        let ready_col = if use_writes { CommandKind::Write } else { CommandKind::Read };
         let cap = config.frfcfs_cap;
         // `(key, slot, step)` of the best candidate so far.
         type Best = Option<((Cycle, bool, u64), usize, ServiceStep)>;
@@ -834,25 +753,22 @@ impl MemoryController {
                     continue;
                 }
                 let reserved = preventive_bank == Some(flat);
-                let mut ready = |kind| {
-                    bank_ready_in(shared_scan, channel, *scan_stamp, flat, group, rank, kind)
-                };
+                let ready = |kind| channel.demand_ready(flat, group, rank, kind);
                 match channel.open_row_flat(flat) {
                     None if reserved => {}
                     None if mechanism.may_block() => {
                         // BlockHammer: a blacklisted row cannot be opened
                         // before its delay expires, so requests differ by row.
-                        let shared = ready(ReadyKind::Activate);
+                        let act = ready(CommandKind::Activate);
                         for (slot, e) in queue.bank(flat) {
                             let blocked = mechanism.blocked_until(e.loc.row_addr(), cycle);
-                            if offer(&mut best, slot, e, ServiceStep::Activate, shared.max(blocked))
-                            {
+                            if offer(&mut best, slot, e, ServiceStep::Activate, act.max(blocked)) {
                                 break;
                             }
                         }
                     }
                     None => {
-                        let at = ready(ReadyKind::Activate);
+                        let at = ready(CommandKind::Activate);
                         offer(&mut best, head_slot, head, ServiceStep::Activate, at);
                     }
                     Some(row) => {
@@ -867,7 +783,7 @@ impl MemoryController {
                             }
                         }
                         if let (Some(slot), false) = (miss, reserved) {
-                            let at = ready(ReadyKind::Precharge);
+                            let at = ready(CommandKind::Precharge);
                             offer(&mut best, slot, queue.entry(slot), ServiceStep::Precharge, at);
                         }
                     }
@@ -1608,7 +1524,8 @@ mod tests {
         /// by bank, kept as the oracle for [`MemoryController::select`]: one
         /// pass over the whole queue in arrival order, deciding request by
         /// request, with every ready cycle taken from
-        /// [`DramChannel::earliest_issue`] instead of the per-tick cache.
+        /// [`DramChannel::earliest_issue`] for a built command instead of
+        /// [`DramChannel::demand_ready`] on a flat bank index.
         fn select_linear(
             &self,
             use_writes: bool,
@@ -1665,7 +1582,6 @@ mod tests {
         /// horizon. Returns the demand horizon of the linear scan if neither
         /// queue has anything to issue.
         fn assert_selectors_agree(&mut self, cycle: Cycle, seen: &mut Coverage) -> Option<Cycle> {
-            self.scan_stamp += 1;
             let (refresh_pending, preventive_bank) = self.masks(cycle);
             let mut demand_horizon = Some(Cycle::MAX);
             for use_writes in [false, true] {

@@ -311,6 +311,14 @@ impl SystemConfig {
         if self.geometry.channels == 0 {
             return Err("the memory system needs at least one channel".to_string());
         }
+        // The controller marks ranks with a due refresh in one `u64` bit each.
+        if self.geometry.ranks > u64::BITS as usize {
+            return Err(format!(
+                "geometry.ranks = {} but a channel holds at most {} ranks",
+                self.geometry.ranks,
+                u64::BITS
+            ));
+        }
         if self.nrh < self.mechanism.min_nrh() {
             return Err(format!(
                 "nrh = {} but {} needs N_RH >= {}",
@@ -396,6 +404,18 @@ mod tests {
         let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
         c.cores = 2; // memctrl still configured for 4 threads
         assert!(c.validate().is_err());
+    }
+
+    /// The refresh-due mask has one `u64` bit per rank: a 65th rank would
+    /// alias rank 0 (release) or overflow the shift (debug).
+    #[test]
+    fn validation_rejects_more_ranks_than_the_refresh_mask_holds() {
+        let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
+        c.geometry.ranks = 64;
+        assert_eq!(c.validate(), Ok(()));
+        c.geometry.ranks = 65;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("geometry.ranks = 65") && err.contains("64"), "{err}");
     }
 
     /// A threshold below the mechanism's minimum is a configuration error
