@@ -173,17 +173,39 @@ impl DramGeometry {
         (bank.rank * self.bank_groups + bank.bank_group) * self.banks_per_group + bank.bank
     }
 
-    /// Inverse of [`DramGeometry::flat_bank`].
+    /// Inverse of [`DramGeometry::flat_bank`], split with shifts: the bank
+    /// counts are powers of two (see
+    /// [`DramGeometry::non_power_of_two_dimension`]).
     ///
     /// # Panics
     /// Panics if `flat` is not a valid dense bank index.
     pub fn bank_from_flat(&self, flat: usize) -> BankAddr {
         assert!(flat < self.banks_per_channel(), "flat bank index {flat} out of range");
-        let bank = flat % self.banks_per_group;
-        let rest = flat / self.banks_per_group;
-        let bank_group = rest % self.bank_groups;
-        let rank = rest / self.bank_groups;
-        BankAddr { rank, bank_group, bank }
+        debug_assert!(self.bank_groups.is_power_of_two() && self.banks_per_group.is_power_of_two());
+        let bank_bits = self.banks_per_group.trailing_zeros();
+        let rest = flat >> bank_bits;
+        BankAddr {
+            rank: rest >> self.bank_groups.trailing_zeros(),
+            bank_group: rest & (self.bank_groups - 1),
+            bank: flat & (self.banks_per_group - 1),
+        }
+    }
+
+    /// The first per-channel dimension that is not a power of two, as
+    /// `(field name, value)`, or `None` when every one is. Addresses and flat
+    /// bank indices are split with shifts and masks, so each must be; the
+    /// channel count is not among them and may be any count.
+    pub fn non_power_of_two_dimension(&self) -> Option<(&'static str, usize)> {
+        [
+            ("ranks", self.ranks),
+            ("bank_groups", self.bank_groups),
+            ("banks_per_group", self.banks_per_group),
+            ("rows_per_bank", self.rows_per_bank),
+            ("columns_per_row", self.columns_per_row),
+            ("column_bytes", self.column_bytes),
+        ]
+        .into_iter()
+        .find(|(_, value)| !value.is_power_of_two())
     }
 
     /// The contiguous range of flat bank indices belonging to `rank` (flat
@@ -314,6 +336,16 @@ mod tests {
         assert_eq!(mid.len(), 2);
         assert!(mid.iter().any(|r| r.row == 63));
         assert!(mid.iter().any(|r| r.row == 65));
+    }
+
+    #[test]
+    fn per_channel_dimensions_must_be_powers_of_two() {
+        assert_eq!(DramGeometry::paper_ddr5().non_power_of_two_dimension(), None);
+        assert_eq!(DramGeometry::tiny().with_channels(3).non_power_of_two_dimension(), None);
+        let g = DramGeometry { rows_per_bank: 96, ..DramGeometry::tiny() };
+        assert_eq!(g.non_power_of_two_dimension(), Some(("rows_per_bank", 96)));
+        let g = DramGeometry { ranks: 0, ..DramGeometry::tiny() };
+        assert_eq!(g.non_power_of_two_dimension(), Some(("ranks", 0)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Memory-controller configuration (Table 1 of the paper).
 
-use crate::mapping::AddressMapping;
+use crate::mapping::{AddressMapping, MappingScheme};
 
 /// Configuration of the memory request scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,6 +55,10 @@ impl MemControllerConfig {
         if self.frfcfs_cap == 0 {
             return Err("the FR-FCFS cap must be at least 1".to_string());
         }
+        let MappingScheme::Mop { burst_lines } = self.mapping.scheme;
+        if !burst_lines.is_power_of_two() {
+            return Err(format!("mapping burst_lines = {burst_lines} is not a power of two"));
+        }
         Ok(())
     }
 }
@@ -75,7 +79,7 @@ mod tests {
         assert_eq!(c.read_queue_capacity, 64);
         assert_eq!(c.write_queue_capacity, 64);
         assert_eq!(c.frfcfs_cap, 4);
-        assert_eq!(c.mapping.scheme, crate::mapping::MappingScheme::Mop { burst_lines: 4 });
+        assert_eq!(c.mapping.scheme, MappingScheme::Mop { burst_lines: 4 });
         assert_eq!(c.validate(), Ok(()));
         assert_eq!(MemControllerConfig::default(), c);
     }
@@ -102,5 +106,9 @@ mod tests {
         let mut c = MemControllerConfig::paper_table1(4);
         c.frfcfs_cap = 0;
         assert!(c.validate().is_err());
+
+        let mut c = MemControllerConfig::paper_table1(4);
+        c.mapping.scheme = MappingScheme::Mop { burst_lines: 3 };
+        assert_eq!(c.validate(), Err("mapping burst_lines = 3 is not a power of two".into()));
     }
 }

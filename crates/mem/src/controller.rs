@@ -41,6 +41,7 @@
 use crate::config::MemControllerConfig;
 use crate::demand_queue::{DemandQueue, QueueEntry};
 use crate::latency::LatencyHistogram;
+use crate::mapping::MopLayout;
 use crate::request::{MemRequest, MemResponse};
 use bh_core::BreakHammer;
 use bh_dram::{
@@ -178,6 +179,8 @@ struct Plan {
 pub struct MemoryController {
     config: MemControllerConfig,
     channel: DramChannel,
+    /// `config.mapping` on the channel's geometry, built once.
+    layout: MopLayout,
     mechanism: Mechanism,
     /// Index of this controller's channel in the memory system (0 on
     /// single-channel systems); reported to BreakHammer with every preventive
@@ -243,9 +246,11 @@ impl MemoryController {
         let num_threads = config.num_threads;
         let read_queue = DemandQueue::new(config.read_queue_capacity, banks);
         let write_queue = DemandQueue::new(config.write_queue_capacity, banks);
+        let layout = config.mapping.layout(channel.geometry());
         MemoryController {
             config,
             channel,
+            layout,
             mechanism,
             channel_index: 0,
             read_queue,
@@ -274,9 +279,9 @@ impl MemoryController {
         self
     }
 
-    /// The controller configuration.
-    pub(crate) fn config(&self) -> &MemControllerConfig {
-        &self.config
+    /// The address layout requests are decoded with.
+    pub(crate) fn layout(&self) -> &MopLayout {
+        &self.layout
     }
 
     /// The DRAM channel driven by this controller.
@@ -327,7 +332,7 @@ impl MemoryController {
             return Err(req);
         }
         let geometry = self.channel.geometry();
-        let loc = self.config.mapping.decode(req.addr, geometry);
+        let loc = self.layout.decode(req.addr);
         let flat = geometry.flat_bank(loc.bank);
         let group = loc.bank.rank * geometry.bank_groups + loc.bank.bank_group;
         let entry = QueueEntry { req, loc, flat, group, classified: false, seq: 0 };
@@ -1454,7 +1459,7 @@ mod tests {
     #[test]
     fn an_uncapped_hit_is_served_while_nothing_older_is_ready() {
         let mut ctrl = controller(MechanismKind::None, 1024);
-        let cap = ctrl.config().frfcfs_cap;
+        let cap = ctrl.config.frfcfs_cap;
         let hits = 2 * u64::from(cap);
         ctrl.try_enqueue(MemRequest::write(0, ThreadId(0), addr_of(&ctrl, 5, 0), 0)).unwrap();
         ctrl.try_enqueue(MemRequest::write(1, ThreadId(0), addr_of(&ctrl, 9, 0), 0)).unwrap();
@@ -1883,7 +1888,7 @@ mod tests {
                             column: 0,
                         };
                         sent[thread] += 1;
-                        let addr = ctrl.config().mapping.encode(&loc, ctrl.channel().geometry());
+                        let addr = ctrl.layout.encode(&loc);
                         ctrl.try_enqueue(MemRequest::read(id, ThreadId(thread), addr, cycle))
                             .unwrap();
                         id += 1;

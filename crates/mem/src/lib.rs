@@ -5,7 +5,8 @@
 //!
 //! * 64-entry read and write request queues,
 //! * FR-FCFS scheduling with a Cap of 4 on column-over-row reordering,
-//! * MOP address mapping,
+//! * MOP address mapping, decoded through a shift/mask [`MopLayout`] built
+//!   once per geometry,
 //! * watermark-driven write draining,
 //! * periodic all-bank refresh (tREFI / tRFC),
 //! * execution of RowHammer-preventive actions requested by the attached
@@ -51,6 +52,6 @@ mod system;
 pub use config::MemControllerConfig;
 pub use controller::{ControllerStats, MemoryController};
 pub use latency::LatencyHistogram;
-pub use mapping::{AddressMapping, ChannelInterleave, MappingScheme};
+pub use mapping::{AddressMapping, ChannelInterleave, MappingScheme, MopLayout};
 pub use request::{MemRequest, MemResponse};
 pub use system::{MemorySystem, SteppingStats};

@@ -134,8 +134,7 @@ impl MemorySystem {
 
     /// The channel a physical address routes to.
     pub(crate) fn channel_of(&self, addr: PhysAddr) -> usize {
-        let ctrl = &self.controllers[0];
-        ctrl.config().mapping.channel_of(addr, ctrl.channel().geometry())
+        self.controllers[0].layout().channel_of(addr)
     }
 
     /// Routes `req` to its channel's controller.
@@ -297,8 +296,7 @@ mod tests {
             row,
             column,
         };
-        let ctrl = mem.controller(0);
-        ctrl.config().mapping.encode(&loc, ctrl.channel().geometry())
+        mem.controller(0).layout().encode(&loc)
     }
 
     /// The channel counts the routing tests run at: one channel takes the

@@ -319,6 +319,10 @@ impl SystemConfig {
                 u64::BITS
             ));
         }
+        // The address mapping and the flat bank index split with shifts.
+        if let Some((field, value)) = self.geometry.non_power_of_two_dimension() {
+            return Err(format!("geometry.{field} = {value} is not a power of two"));
+        }
         if self.nrh < self.mechanism.min_nrh() {
             return Err(format!(
                 "nrh = {} but {} needs N_RH >= {}",
@@ -363,6 +367,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bh_mem::MappingScheme;
 
     #[test]
     fn paper_configuration_matches_table1() {
@@ -416,6 +421,34 @@ mod tests {
         c.geometry.ranks = 65;
         let err = c.validate().unwrap_err();
         assert!(err.contains("geometry.ranks = 65") && err.contains("64"), "{err}");
+    }
+
+    /// Addresses split with shifts and masks: every per-channel dimension
+    /// must be a power of two, and the error names the field. The channel
+    /// count may be any count.
+    #[test]
+    fn validation_rejects_a_dimension_that_is_not_a_power_of_two() {
+        let base = SystemConfig::fast_test(MechanismKind::None, 1024, false);
+        assert_eq!(base.clone().with_channels(3).validate(), Ok(()));
+        for (field, set) in [
+            ("ranks", (|g, v| g.ranks = v) as fn(&mut DramGeometry, usize)),
+            ("bank_groups", |g, v| g.bank_groups = v),
+            ("banks_per_group", |g, v| g.banks_per_group = v),
+            ("rows_per_bank", |g, v| g.rows_per_bank = v),
+            ("columns_per_row", |g, v| g.columns_per_row = v),
+            ("column_bytes", |g, v| g.column_bytes = v),
+        ] {
+            let mut c = base.clone();
+            set(&mut c.geometry, 48);
+            assert_eq!(
+                c.validate(),
+                Err(format!("geometry.{field} = 48 is not a power of two")),
+                "{field}"
+            );
+        }
+        let mut c = base;
+        c.memctrl.mapping.scheme = MappingScheme::Mop { burst_lines: 6 };
+        assert_eq!(c.validate(), Err("mapping burst_lines = 6 is not a power of two".into()));
     }
 
     /// A threshold below the mechanism's minimum is a configuration error

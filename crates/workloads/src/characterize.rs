@@ -51,11 +51,12 @@ pub fn characterize(
     let mut instructions = 0u64;
     let mut activations = 0u64;
     let mut index = 0usize;
+    let layout = mapping.layout(geometry);
     while instructions < window_instructions {
         let entry = trace.entry(index);
         index += 1;
         instructions += entry.instructions();
-        let loc = mapping.decode(entry.addr, geometry);
+        let loc = layout.decode(entry.addr);
         let bank = geometry.flat_bank(loc.bank);
         let open = open_rows.insert(bank, loc.row);
         if open != Some(loc.row) {

@@ -4,12 +4,14 @@
 //! trace whose memory behaviour (intensity, row locality, organic hot rows)
 //! matches the profile. Addresses are produced through the same address
 //! mapping the memory controller uses, so the generator can place accesses in
-//! specific banks and rows.
+//! specific banks and rows. The generator builds that mapping's
+//! [`MopLayout`] once and splits placement indices with shifts, so a record
+//! costs no division unless the channel count is not a power of two.
 
 use crate::profile::{BenignProfile, UnknownProfileError};
 use bh_cpu::{Trace, TraceEntry};
 use bh_dram::{BankAddr, DramGeometry, DramLocation};
-use bh_mem::AddressMapping;
+use bh_mem::{AddressMapping, MopLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,12 +25,18 @@ const FOOTPRINT_BASE: usize = 4_000;
 pub struct TraceGenerator {
     geometry: DramGeometry,
     mapping: AddressMapping,
+    layout: MopLayout,
 }
 
 impl TraceGenerator {
     /// Creates a generator for `geometry` using `mapping`.
+    ///
+    /// # Panics
+    /// Panics if the MOP burst or a per-channel dimension of `geometry` is
+    /// not a power of two (see [`AddressMapping::layout`]).
     pub fn new(geometry: DramGeometry, mapping: AddressMapping) -> Self {
-        TraceGenerator { geometry, mapping }
+        let layout = mapping.layout(&geometry);
+        TraceGenerator { geometry, mapping, layout }
     }
 
     /// Creates a generator for the paper's system configuration.
@@ -46,6 +54,8 @@ impl TraceGenerator {
         self.mapping
     }
 
+    /// The address of `column` in `row` of `bank` on `channel`, with the row
+    /// and column wrapped into the geometry.
     fn encode(
         &self,
         channel: usize,
@@ -53,26 +63,20 @@ impl TraceGenerator {
         row: usize,
         column: usize,
     ) -> bh_dram::PhysAddr {
-        let row = row % self.geometry.rows_per_bank;
-        let column = column % self.geometry.columns_per_row;
-        self.mapping.encode(&DramLocation { channel, bank, row, column }, &self.geometry)
+        let row = row & (self.geometry.rows_per_bank - 1);
+        let column = column & (self.geometry.columns_per_row - 1);
+        self.layout.encode(&DramLocation { channel, bank, row, column })
     }
 
-    /// Spreads a flat placement index over `(channel, bank)` pairs, channel
+    /// Spreads a flat placement index over `(channel, bank)` slots, channel
     /// 0's banks first — identical to the single-channel placement when the
     /// geometry has one channel, and covering every channel's banks evenly
-    /// otherwise.
-    fn place(&self, index: usize) -> (usize, BankAddr) {
+    /// otherwise. Returns the slot's channel and bank and the number of whole
+    /// rounds over the slots before `index` (its row offset).
+    fn place(&self, index: usize) -> (usize, BankAddr, usize) {
         let banks = self.geometry.banks_per_channel();
-        let slots = banks * self.geometry.channels;
-        let slot = index % slots;
-        (slot / banks, self.geometry.bank_from_flat(slot % banks))
-    }
-
-    /// Number of `(channel, bank)` placement slots (the divisor turning a
-    /// flat row index into a per-bank row).
-    fn placement_slots(&self) -> usize {
-        self.geometry.banks_per_channel() * self.geometry.channels
+        let (channel, round) = self.layout.split_channel((index >> banks.trailing_zeros()) as u64);
+        (channel, self.geometry.bank_from_flat(index & (banks - 1)), round as usize)
     }
 
     /// Generates a benign trace for the library profile named `name` — the
@@ -104,7 +108,6 @@ impl TraceGenerator {
         assert!(entries > 0, "a trace needs at least one record");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef_beef);
         let mean_bubbles = (1000.0 / profile.apki - 1.0).max(0.0);
-        let slots = self.placement_slots();
 
         let mut records = Vec::with_capacity(entries);
         let mut current: Option<(usize, BankAddr, usize, usize)> = None;
@@ -118,32 +121,32 @@ impl TraceGenerator {
             };
 
             let roll: f64 = rng.gen();
-            let (channel, bank, row, column) =
-                if roll < profile.hot_row_fraction && profile.hot_rows > 0 {
-                    // Hot rows: skewed popularity so a handful of rows dominate
-                    // (what produces Table 3's 512+ activation rows).
-                    let skew: f64 = rng.gen::<f64>().powi(2);
-                    let hot_index = (skew * profile.hot_rows as f64) as usize % profile.hot_rows;
-                    let (channel, bank) = self.place(hot_index);
-                    let row = HOT_ROW_BASE + hot_index / slots;
-                    (channel, bank, row, rng.gen_range(0..self.geometry.columns_per_row))
-                } else if roll < profile.hot_row_fraction + profile.row_locality {
-                    // Stay in the current row (streaming within a row).
-                    match current {
-                        Some((channel, bank, row, column)) => (channel, bank, row, column + 1),
-                        None => {
-                            let idx = rng.gen_range(0..profile.footprint_rows);
-                            let (channel, bank) = self.place(idx);
-                            (channel, bank, FOOTPRINT_BASE + idx / slots, 0)
-                        }
+            let (channel, bank, row, column) = if roll < profile.hot_row_fraction
+                && profile.hot_rows > 0
+            {
+                // Hot rows: skewed popularity so a handful of rows dominate
+                // (what produces Table 3's 512+ activation rows).
+                let skew: f64 = rng.gen::<f64>().powi(2);
+                let hot_index = (skew * profile.hot_rows as f64) as usize % profile.hot_rows;
+                let (channel, bank, round) = self.place(hot_index);
+                let column = rng.gen_range(0..self.geometry.columns_per_row);
+                (channel, bank, HOT_ROW_BASE + round, column)
+            } else if roll < profile.hot_row_fraction + profile.row_locality {
+                // Stay in the current row (streaming within a row).
+                match current {
+                    Some((channel, bank, row, column)) => (channel, bank, row, column + 1),
+                    None => {
+                        let (channel, bank, round) =
+                            self.place(rng.gen_range(0..profile.footprint_rows));
+                        (channel, bank, FOOTPRINT_BASE + round, 0)
                     }
-                } else {
-                    // Jump to a random row of the streaming footprint.
-                    let idx = rng.gen_range(0..profile.footprint_rows);
-                    let (channel, bank) = self.place(idx);
-                    let row = FOOTPRINT_BASE + idx / slots;
-                    (channel, bank, row, rng.gen_range(0..self.geometry.columns_per_row))
-                };
+                }
+            } else {
+                // Jump to a random row of the streaming footprint.
+                let (channel, bank, round) = self.place(rng.gen_range(0..profile.footprint_rows));
+                let column = rng.gen_range(0..self.geometry.columns_per_row);
+                (channel, bank, FOOTPRINT_BASE + round, column)
+            };
             current = Some((channel, bank, row, column));
 
             let addr = self.encode(channel, bank, row, column);
@@ -314,5 +317,138 @@ mod tests {
         let compiled = g.benign(&p, 20_000, 42).compile();
         assert_eq!(compiled.len(), 20_000);
         assert_eq!(compiled.heap_bytes(), 20_000 * 8, "8 bytes per record, no escaped record");
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! Generation through the shift layout is byte-identical to the
+    //! division-based generator it replaced, kept below verbatim (with the
+    //! division-based `bank_from_flat` and MOP `encode` it called).
+
+    use super::*;
+    use crate::profile::BenignProfile;
+    use bh_mem::MappingScheme;
+    use proptest::prelude::*;
+
+    /// The division-based `DramGeometry::bank_from_flat`.
+    fn bank_from_flat(geometry: &DramGeometry, flat: usize) -> BankAddr {
+        let bank = flat % geometry.banks_per_group;
+        let rest = flat / geometry.banks_per_group;
+        let bank_group = rest % geometry.bank_groups;
+        let rank = rest / geometry.bank_groups;
+        BankAddr { rank, bank_group, bank }
+    }
+
+    /// The division-based `AddressMapping::encode`.
+    fn mop_encode(mapping: AddressMapping, loc: &DramLocation, geometry: &DramGeometry) -> u64 {
+        let MappingScheme::Mop { burst_lines } = mapping.scheme;
+        let col_low = (loc.column % burst_lines) as u64;
+        let col_high = (loc.column / burst_lines) as u64;
+        let col_high_per_row = (geometry.columns_per_row / burst_lines).max(1) as u64;
+        let mut x = loc.row as u64;
+        x = x * col_high_per_row + col_high;
+        x = x * geometry.ranks as u64 + loc.bank.rank as u64;
+        x = x * geometry.banks_per_group as u64 + loc.bank.bank as u64;
+        x = x * geometry.bank_groups as u64 + loc.bank.bank_group as u64;
+        let inner = x * burst_lines as u64 + col_low;
+        let channels = geometry.channels as u64;
+        let line = inner * channels + loc.channel as u64 % channels;
+        line * geometry.column_bytes as u64
+    }
+
+    /// The division-based `TraceGenerator::benign`.
+    fn reference_benign(
+        gen: &TraceGenerator,
+        profile: &BenignProfile,
+        entries: usize,
+        seed: u64,
+    ) -> Trace {
+        let geometry = &gen.geometry;
+        let place = |index: usize| {
+            let banks = geometry.banks_per_channel();
+            let slots = banks * geometry.channels;
+            let slot = index % slots;
+            (slot / banks, bank_from_flat(geometry, slot % banks))
+        };
+        let encode = |channel, bank, row: usize, column: usize| {
+            let row = row % geometry.rows_per_bank;
+            let column = column % geometry.columns_per_row;
+            let loc = DramLocation { channel, bank, row, column };
+            bh_dram::PhysAddr(mop_encode(gen.mapping, &loc, geometry))
+        };
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef_beef);
+        let mean_bubbles = (1000.0 / profile.apki - 1.0).max(0.0);
+        let slots = geometry.banks_per_channel() * geometry.channels;
+
+        let mut records = Vec::with_capacity(entries);
+        let mut current: Option<(usize, BankAddr, usize, usize)> = None;
+        for _ in 0..entries {
+            let bubbles = if mean_bubbles < 0.5 {
+                0
+            } else {
+                rng.gen_range((mean_bubbles * 0.5) as u32..=(mean_bubbles * 1.5) as u32 + 1)
+            };
+
+            let roll: f64 = rng.gen();
+            let (channel, bank, row, column) =
+                if roll < profile.hot_row_fraction && profile.hot_rows > 0 {
+                    let skew: f64 = rng.gen::<f64>().powi(2);
+                    let hot_index = (skew * profile.hot_rows as f64) as usize % profile.hot_rows;
+                    let (channel, bank) = place(hot_index);
+                    let row = HOT_ROW_BASE + hot_index / slots;
+                    (channel, bank, row, rng.gen_range(0..geometry.columns_per_row))
+                } else if roll < profile.hot_row_fraction + profile.row_locality {
+                    match current {
+                        Some((channel, bank, row, column)) => (channel, bank, row, column + 1),
+                        None => {
+                            let idx = rng.gen_range(0..profile.footprint_rows);
+                            let (channel, bank) = place(idx);
+                            (channel, bank, FOOTPRINT_BASE + idx / slots, 0)
+                        }
+                    }
+                } else {
+                    let idx = rng.gen_range(0..profile.footprint_rows);
+                    let (channel, bank) = place(idx);
+                    let row = FOOTPRINT_BASE + idx / slots;
+                    (channel, bank, row, rng.gen_range(0..geometry.columns_per_row))
+                };
+            current = Some((channel, bank, row, column));
+
+            let addr = encode(channel, bank, row, column);
+            let is_write = rng.gen::<f64>() < profile.write_fraction;
+            records.push(if is_write {
+                TraceEntry::store(bubbles, addr)
+            } else {
+                TraceEntry::load(bubbles, addr)
+            });
+        }
+        Trace::new(records)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Every library profile, on both geometries at 1 to 5 channels,
+        /// generates the reference's bytes.
+        #[test]
+        fn benign_traces_are_byte_identical_to_the_division_based_generator(
+            entries in 1usize..600,
+            seed in any::<u64>(),
+        ) {
+            for base in [DramGeometry::tiny(), DramGeometry::paper_ddr5()] {
+                for channels in 1..=5 {
+                    let gen = TraceGenerator::new(
+                        base.clone().with_channels(channels),
+                        AddressMapping::paper_default(),
+                    );
+                    for profile in BenignProfile::library() {
+                        let new = gen.benign(&profile, entries, seed);
+                        let old = reference_benign(&gen, &profile, entries, seed);
+                        prop_assert_eq!(new.to_bytes(), old.to_bytes(), "{} x{}", profile.name, channels);
+                    }
+                }
+            }
+        }
     }
 }

@@ -25,6 +25,15 @@
 //! * [`characterize()`] — the Table 3 characterisation (RBMPKI and rows with
 //!   64+/128+/512+ activations per window).
 //!
+//! Generation is division-free on the paths every record takes: the
+//! generators encode addresses through a [`bh_mem::MopLayout`] built once
+//! per trace, wrap rows and columns with masks and split placement indices
+//! with shifts (every per-channel geometry dimension is a power of two), and
+//! the vendored `rand` reduces each integer draw in 64 bits. Only a channel
+//! count that is not a power of two still divides. Test-only references keep
+//! the division-based benign generator and attacker loop and pin every
+//! trace to their bytes.
+//!
 //! ## Example
 //!
 //! ```

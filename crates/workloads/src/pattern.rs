@@ -12,7 +12,7 @@ use crate::attacker::AttackerKind;
 use crate::placement::AggressorGrid;
 use bh_cpu::{Trace, TraceEntry};
 use bh_dram::{DramGeometry, DramLocation};
-use bh_mem::AddressMapping;
+use bh_mem::{AddressMapping, MopLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -110,7 +110,7 @@ impl Pattern {
             grid,
             schedule: (0..aggressors).collect(),
             geometry,
-            mapping,
+            layout: mapping.layout(geometry),
             bubbles,
             rng: StdRng::seed_from_u64(seed ^ salt),
             column: 0,
@@ -136,7 +136,7 @@ impl Pattern {
                         if i % dwell == 0 {
                             walk.column = walk.rng.gen_range(0..cols);
                         }
-                        walk.hammer(i / dwell, (walk.column + i % dwell) % cols)
+                        walk.hammer(i / dwell, (walk.column + i % dwell) & (cols - 1))
                     })
                     .collect()
             }
@@ -185,7 +185,7 @@ struct Walk<'a> {
     /// The aggressor step of each schedule slot (in order unless fuzzed).
     schedule: Vec<usize>,
     geometry: &'a DramGeometry,
-    mapping: AddressMapping,
+    layout: MopLayout,
     bubbles: u32,
     rng: StdRng,
     /// The column rule's state: the last strided column, or RowPress's base
@@ -207,7 +207,7 @@ impl Walk<'_> {
         let loc = DramLocation {
             channel: self.grid.channel(sweep),
             bank: self.grid.bank(bank_step),
-            row: row % self.geometry.rows_per_bank,
+            row: row & (self.geometry.rows_per_bank - 1),
             column,
         };
         self.record(&loc, self.bubbles, true)
@@ -217,7 +217,7 @@ impl Walk<'_> {
     /// stride along the row.
     fn strided(&mut self, step: usize) -> TraceEntry {
         self.column =
-            (self.column + 1 + self.rng.gen_range(0..3usize)) % self.geometry.columns_per_row;
+            (self.column + 1 + self.rng.gen_range(0..3usize)) & (self.geometry.columns_per_row - 1);
         self.hammer(step, self.column)
     }
 
@@ -232,19 +232,14 @@ impl Walk<'_> {
         let loc = DramLocation {
             channel,
             bank,
-            row: (DECOY_BASE + hot) % self.geometry.rows_per_bank,
+            row: (DECOY_BASE + hot) & (self.geometry.rows_per_bank - 1),
             column: self.rng.gen_range(0..self.geometry.columns_per_row),
         };
         self.record(&loc, self.bubbles + DECOY_EXTRA_BUBBLES, false)
     }
 
     fn record(&self, loc: &DramLocation, bubbles: u32, uncached: bool) -> TraceEntry {
-        TraceEntry {
-            bubbles,
-            addr: self.mapping.encode(loc, self.geometry),
-            is_write: false,
-            uncached,
-        }
+        TraceEntry { bubbles, addr: self.layout.encode(loc), is_write: false, uncached }
     }
 }
 

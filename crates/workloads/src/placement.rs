@@ -63,7 +63,9 @@ impl Placement {
         };
         AggressorGrid {
             channels,
-            banks: (0..banks).map(|b| geometry.bank_from_flat((b * bank_stride) % total)).collect(),
+            banks: (0..banks)
+                .map(|b| geometry.bank_from_flat((b * bank_stride) & (total - 1)))
+                .collect(),
             aggressors,
             row_stride,
         }
