@@ -8,6 +8,13 @@
 //! the behaviour the paper describes ("a suspect can access the data that
 //! already exists in or is being brought to caches") — but it cannot allocate
 //! new miss buffers, which limits its dynamic memory request count.
+//!
+//! Every simulated system holds one LLC and every checkpoint fork copies
+//! it, so a line takes 7 host bytes: a 32-bit tag, an 8-bit recency rank
+//! within its set (exact LRU without a per-access stamp) and a 16-bit
+//! owner-and-dirty word. A Table-1 LLC holds 0.92 MB of line state.
+
+use std::collections::BTreeMap;
 
 use bh_dram::{Cycle, FlatMap, PhysAddr, ThreadId};
 
@@ -18,6 +25,13 @@ pub type MissToken = u64;
 /// completion checks O(1); the remaining bits are an allocation serial that
 /// distinguishes successive occupants of the same slot.
 const TOKEN_SLOT_BITS: u32 = 8;
+
+/// The most ways a set can have: a line's recency rank is one byte.
+const MAX_WAYS: usize = 1 << u8::BITS;
+
+/// The most hardware threads an LLC serves: a line names its owner in the
+/// 15 bits of its `meta` word above the dirty bit.
+pub const LLC_MAX_THREADS: usize = 1 << (u16::BITS - 1);
 
 /// LLC configuration (Table 1: 8 MiB, 8-way, 64-byte lines).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +77,11 @@ impl CacheConfig {
         }
         if self.ways == 0 {
             return Err("associativity must be at least 1".to_string());
+        }
+        if self.ways > MAX_WAYS {
+            return Err(format!(
+                "at most {MAX_WAYS} ways are supported (a line's recency rank is 8-bit)"
+            ));
         }
         if !self.capacity_bytes.is_multiple_of(self.ways * self.line_bytes) {
             return Err("capacity must be a multiple of ways * line size".to_string());
@@ -155,7 +174,15 @@ pub struct CacheStats {
 }
 
 /// The dirty bit of a line's `meta` word (the owner sits above it).
-const DIRTY: u32 = 1;
+const DIRTY: u16 = 1;
+
+/// The `tags` entry of a line whose `tag + 1` does not fit below it; the
+/// full tag lives in [`LastLevelCache::escaped_tags`].
+const ESCAPED: u32 = u32::MAX;
+
+/// The one line address the MSHR map cannot hold (its empty-slot key),
+/// reached only with 1-byte lines.
+const UNMAPPED_LINE: u64 = u64::MAX;
 
 #[derive(Debug, Clone)]
 struct Mshr {
@@ -172,17 +199,27 @@ struct Mshr {
 #[derive(Debug, Clone)]
 pub struct LastLevelCache {
     config: CacheConfig,
-    /// The cache lines, one field per array, each set-major
+    /// The cache lines, 7 bytes each, one field per array, each set-major
     /// (`set * ways + way`). The tag walk every access makes reads `tags`
-    /// alone, where an 8-way set is 64 bytes; the other fields are touched
+    /// alone, where an 8-way set is 32 bytes; the other fields are touched
     /// on a hit and on a fill.
     ///
-    /// `tag + 1` of each line; 0 marks an invalid way.
-    tags: Vec<u64>,
-    /// Use-counter stamp of each line's latest access (the LRU order).
-    last_use: Vec<u64>,
+    /// `tag + 1` of each line; 0 marks an invalid way and [`ESCAPED`] a
+    /// line whose tag is in `escaped_tags`.
+    tags: Vec<u32>,
+    /// Each line's recency rank within its set, 0 the most recent. A set's
+    /// ranks are always a permutation of `0..ways` (invalid ways hold ranks
+    /// too), so a full set's least recently used line is the one ranked
+    /// `ways - 1`: the same order the stamp of each line's latest access
+    /// gives, without the stamp.
+    rank: Vec<u8>,
     /// `owner << 1 | DIRTY` of each line.
-    meta: Vec<u32>,
+    meta: Vec<u16>,
+    /// The full tag of each line whose `tags` entry is [`ESCAPED`], keyed by
+    /// flat line index. Cold: a tag escapes only from 2^32 - 2 up, from an
+    /// address of about 2^52 bytes on Table 1, where a generated trace's
+    /// tags stay below 2^20.
+    escaped_tags: BTreeMap<usize, u64>,
     /// MSHR slots, one per miss buffer. A slot with `token == 0` is free.
     /// Tokens encode their slot in the low [`TOKEN_SLOT_BITS`] bits, so
     /// completion checks are a single slot comparison.
@@ -197,7 +234,8 @@ pub struct LastLevelCache {
     free_slots: [u64; (1 << TOKEN_SLOT_BITS) / 64],
     /// Active miss line addresses -> slot index, for O(1) merge lookups on
     /// the per-access miss path (the slot scan it replaces is small but runs
-    /// on every LLC miss and every reject probe).
+    /// on every LLC miss and every reject probe). It never holds
+    /// [`UNMAPPED_LINE`]; see [`LastLevelCache::active_slot`].
     line_to_slot: FlatMap<u32>,
     /// Number of occupied MSHR slots.
     occupied: usize,
@@ -206,7 +244,6 @@ pub struct LastLevelCache {
     per_thread_mshrs: Vec<usize>,
     quotas: Vec<usize>,
     outgoing: Vec<OutgoingRequest>,
-    use_counter: u64,
     /// Bumped on every fill completion (slot release). Invalidation stamp
     /// for memoized `MshrsFull` rejections: while the pool is full no MSHR
     /// can be allocated, so only a completion can change any stage of the
@@ -221,7 +258,7 @@ pub struct LastLevelCache {
     /// thread-local reasons a memoized `QuotaExceeded` rejection can stop
     /// holding. The remaining reason (the line gaining an active miss to
     /// merge into, which on completion could also turn the access into a
-    /// hit) is checked directly against `line_to_slot`.
+    /// hit) is checked directly against the active misses.
     per_thread_events: Vec<u64>,
     /// `log2(line_bytes)`, cached for the per-access address split.
     line_shift: u32,
@@ -237,13 +274,14 @@ impl LastLevelCache {
     /// with a quota equal to the full MSHR count.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid, `num_threads` is zero, or a
-    /// thread index does not fit the 31 owner bits of a line.
+    /// Panics if the configuration is invalid or `num_threads` is zero or
+    /// above [`LLC_MAX_THREADS`].
     pub fn new(config: CacheConfig, num_threads: usize) -> Self {
         config.validate().expect("invalid cache configuration");
         assert!(num_threads > 0, "need at least one hardware thread");
-        assert!(num_threads - 1 <= (u32::MAX >> 1) as usize, "line owners are stored in 31 bits");
-        let lines = config.sets() * config.ways;
+        assert!(num_threads <= LLC_MAX_THREADS, "line owners are stored in 15 bits");
+        let ways = config.ways;
+        let lines = config.sets() * ways;
         let mshrs = config.mshrs;
         let line_shift = config.line_bytes.trailing_zeros();
         let set_mask = config.sets() as u64 - 1;
@@ -255,8 +293,9 @@ impl LastLevelCache {
         LastLevelCache {
             config,
             tags: vec![0; lines],
-            last_use: vec![0; lines],
+            rank: (0..ways).map(|way| way as u8).collect::<Vec<_>>().repeat(lines / ways),
             meta: vec![0; lines],
+            escaped_tags: BTreeMap::new(),
             slots: vec![
                 Mshr { token: 0, line_addr: 0, thread: ThreadId(0), install: false };
                 mshrs
@@ -269,7 +308,6 @@ impl LastLevelCache {
             per_thread_mshrs: vec![0; num_threads],
             quotas: vec![mshrs; num_threads],
             outgoing: Vec::new(),
-            use_counter: 0,
             completes_version: 0,
             pool_full_version: 0,
             per_thread_events: vec![0; num_threads],
@@ -329,6 +367,7 @@ impl LastLevelCache {
     /// as a retry of the access succeeds (the core does so on every
     /// non-rejected dispatch), or a stale memo could re-validate after the
     /// line has been installed by another thread's fill.
+    #[inline]
     pub fn reject_memo_valid(
         &self,
         thread: ThreadId,
@@ -338,7 +377,7 @@ impl LastLevelCache {
     ) -> bool {
         self.reject_stamp(thread, reason) == stamp
             && (reason == RejectReason::MshrsFull
-                || !self.line_to_slot.contains_key(self.line_addr(addr)))
+                || self.active_slot(self.line_addr(addr)).is_none())
     }
 
     /// True if the miss identified by `token` has completed (its MSHR has been
@@ -381,12 +420,86 @@ impl LastLevelCache {
         line_addr >> self.set_bits
     }
 
+    /// The flat index of `line_addr`'s set's first way.
+    fn set_base(&self, line_addr: u64) -> usize {
+        self.set_index(line_addr) * self.config.ways
+    }
+
+    /// The `tags` entry of a line holding `tag`.
+    fn stored_tag(tag: u64) -> u32 {
+        match u32::try_from(tag) {
+            Ok(tag) if tag < ESCAPED - 1 => tag + 1,
+            _ => ESCAPED,
+        }
+    }
+
+    /// The tag of valid line `line`.
+    fn line_tag(&self, line: usize) -> u64 {
+        match self.tags[line] {
+            ESCAPED => self.escaped_tag(line),
+            stored => u64::from(stored - 1),
+        }
+    }
+
+    // The escape paths below are out of line and cold, so that the hot
+    // functions calling them stay small enough to inline.
+
+    /// The side-table tag of escaped line `line`.
+    #[cold]
+    #[inline(never)]
+    fn escaped_tag(&self, line: usize) -> u64 {
+        self.escaped_tags[&line]
+    }
+
+    /// The line of the set starting at `base` holding escaped tag `tag`.
+    #[cold]
+    #[inline(never)]
+    fn find_escaped(&self, base: usize, tag: u64) -> Option<usize> {
+        (base..base + self.config.ways).find(|line| self.escaped_tags.get(line) == Some(&tag))
+    }
+
+    /// Keeps the side table in step with line `line` refilled with `tag`,
+    /// stored as `stored`, when the old or the new tag escapes.
+    #[cold]
+    #[inline(never)]
+    fn refill_escaped(&mut self, line: usize, stored: u32, tag: u64) {
+        if stored == ESCAPED {
+            self.escaped_tags.insert(line, tag);
+        } else {
+            self.escaped_tags.remove(&line);
+        }
+    }
+
+    /// The active miss on [`UNMAPPED_LINE`], found by scanning the slots.
+    #[cold]
+    #[inline(never)]
+    fn unmapped_slot(&self) -> Option<u32> {
+        let slot = self.slots.iter().position(|m| m.token != 0 && m.line_addr == UNMAPPED_LINE)?;
+        Some(slot as u32)
+    }
+
     /// The flat index of the way of `line_addr`'s set holding it, if any.
     fn find_line(&self, line_addr: u64) -> Option<usize> {
-        let base = self.set_index(line_addr) * self.config.ways;
-        let stored = self.tag(line_addr) + 1;
-        let way = self.tags[base..base + self.config.ways].iter().position(|&t| t == stored)?;
-        Some(base + way)
+        let base = self.set_base(line_addr);
+        let tag = self.tag(line_addr);
+        match Self::stored_tag(tag) {
+            ESCAPED => self.find_escaped(base, tag),
+            stored => {
+                let way =
+                    self.tags[base..base + self.config.ways].iter().position(|&t| t == stored)?;
+                Some(base + way)
+            }
+        }
+    }
+
+    /// Makes `line` the most recent of the set starting at `base`: every
+    /// line ranked more recent than it ages by one.
+    fn promote(&mut self, base: usize, line: usize) {
+        let old = self.rank[line];
+        for rank in &mut self.rank[base..base + self.config.ways] {
+            *rank += u8::from(*rank < old);
+        }
+        self.rank[line] = 0;
     }
 
     /// Performs a demand access on behalf of `thread`.
@@ -397,10 +510,9 @@ impl LastLevelCache {
         is_write: bool,
         cycle: Cycle,
     ) -> AccessOutcome {
-        self.use_counter += 1;
         let line_addr = self.line_addr(addr);
         if let Some(line) = self.find_line(line_addr) {
-            self.last_use[line] = self.use_counter;
+            self.promote(self.set_base(line_addr), line);
             if is_write {
                 self.meta[line] |= DIRTY;
             }
@@ -422,7 +534,6 @@ impl LastLevelCache {
         _is_write: bool,
         _cycle: Cycle,
     ) -> AccessOutcome {
-        self.use_counter += 1;
         let line_addr = self.line_addr(addr);
         self.miss_path(thread, line_addr, false)
     }
@@ -446,7 +557,7 @@ impl LastLevelCache {
         if !uncached && self.find_line(line_addr).is_some() {
             return None;
         }
-        if self.line_to_slot.contains_key(line_addr) {
+        if self.active_slot(line_addr).is_some() {
             return None;
         }
         if self.occupied >= self.config.mshrs {
@@ -458,26 +569,34 @@ impl LastLevelCache {
         None
     }
 
-    /// Replays the counter side effects of `n` rejected access retries
-    /// without walking the access path (one retry per stalled core cycle).
+    /// Replays the statistics of `n` rejected access retries without
+    /// walking the access path (one retry per stalled core cycle).
     ///
     /// A dispatch-stalled core re-issues its rejected access every cycle;
-    /// each attempt bumps the use counter and the rejection statistic. The
-    /// event-driven kernel skips those dead cycles and accounts for them here
-    /// so its statistics stay bit-identical to the per-cycle kernel's.
+    /// each attempt bumps the rejection statistic and changes nothing else.
+    /// The event-driven kernel skips those dead cycles and accounts for them
+    /// here so its statistics stay bit-identical to the per-cycle kernel's.
     pub fn absorb_rejected_probes(&mut self, n: u64, reason: RejectReason) {
-        self.use_counter += n;
         match reason {
             RejectReason::MshrsFull => self.stats.mshr_full_rejections += n,
             RejectReason::QuotaExceeded => self.stats.quota_rejections += n,
         }
     }
 
+    /// The MSHR slot of the active miss on `line_addr`, if any: a map
+    /// lookup, or a slot scan for [`UNMAPPED_LINE`].
+    fn active_slot(&self, line_addr: u64) -> Option<u32> {
+        if line_addr == UNMAPPED_LINE {
+            return self.unmapped_slot();
+        }
+        self.line_to_slot.get(line_addr)
+    }
+
     /// Shared miss handling: merge, pool/quota checks, MSHR allocation.
     fn miss_path(&mut self, thread: ThreadId, line_addr: u64, install: bool) -> AccessOutcome {
         // Merge into an outstanding miss for the same line, if any (lines are
         // unique across MSHRs, so at most one slot can match).
-        if let Some(slot) = self.line_to_slot.get(line_addr) {
+        if let Some(slot) = self.active_slot(line_addr) {
             self.stats.mshr_merges += 1;
             return AccessOutcome::Miss {
                 token: self.slots[slot as usize].token,
@@ -503,7 +622,9 @@ impl LastLevelCache {
             .map(|(i, word)| i * 64 + word.trailing_zeros() as usize)
             .expect("pool has a free slot");
         self.free_slots[slot / 64] &= !(1 << (slot % 64));
-        self.line_to_slot.insert(line_addr, slot as u32);
+        if line_addr != UNMAPPED_LINE {
+            self.line_to_slot.insert(line_addr, slot as u32);
+        }
         let token = (self.next_serial << TOKEN_SLOT_BITS) | slot as MissToken;
         self.next_serial += 1;
         self.slots[slot] = Mshr { token, line_addr, thread, install };
@@ -538,7 +659,9 @@ impl LastLevelCache {
         self.slots[slot].token = 0;
         self.slot_tokens[slot] = 0;
         self.free_slots[slot / 64] |= 1 << (slot % 64);
-        self.line_to_slot.remove(mshr.line_addr);
+        if mshr.line_addr != UNMAPPED_LINE {
+            self.line_to_slot.remove(mshr.line_addr);
+        }
         self.occupied -= 1;
         self.completes_version += 1;
         self.per_thread_events[mshr.thread.index()] += 1;
@@ -549,44 +672,46 @@ impl LastLevelCache {
             return;
         }
 
-        let set_idx = self.set_index(mshr.line_addr);
-        self.use_counter += 1;
-
-        // Choose a victim: the first invalid way if any, else the first
-        // least recently used one.
+        // Choose a victim: the first invalid way if any, else the least
+        // recently used one.
         let ways = self.config.ways;
-        let base = set_idx * ways;
+        let base = self.set_base(mshr.line_addr);
         let set = base..base + ways;
-        let way = self.tags[set.clone()].iter().position(|&t| t == 0).unwrap_or_else(|| {
-            self.last_use[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &last_use)| last_use)
-                .map(|(way, _)| way)
-                .expect("cache sets are never empty")
-        });
-        let victim = base + way;
+        let victim = base
+            + self.tags[set.clone()].iter().position(|&t| t == 0).unwrap_or_else(|| {
+                self.rank[set]
+                    .iter()
+                    .position(|&rank| usize::from(rank) == ways - 1)
+                    .expect("a set's ranks are a permutation of its ways")
+            });
         if self.tags[victim] != 0 && self.meta[victim] & DIRTY != 0 {
             let victim_line_addr =
-                (self.tags[victim] - 1) * self.config.sets() as u64 + set_idx as u64;
+                (self.line_tag(victim) << self.set_bits) | (mshr.line_addr & self.set_mask);
             self.stats.writebacks += 1;
             self.outgoing.push(OutgoingRequest {
                 token: None,
-                thread: ThreadId((self.meta[victim] >> 1) as usize),
+                thread: ThreadId(usize::from(self.meta[victim] >> 1)),
                 addr: PhysAddr(victim_line_addr * self.config.line_bytes as u64),
                 is_writeback: true,
             });
         }
-        self.tags[victim] = self.tag(mshr.line_addr) + 1;
-        self.last_use[victim] = self.use_counter;
-        self.meta[victim] = (mshr.thread.index() as u32) << 1;
+        let tag = self.tag(mshr.line_addr);
+        let stored = Self::stored_tag(tag);
+        if stored == ESCAPED || self.tags[victim] == ESCAPED {
+            self.refill_escaped(victim, stored, tag);
+        }
+        self.tags[victim] = stored;
+        self.meta[victim] = (mshr.thread.index() as u16) << 1;
+        self.promote(base, victim);
     }
 }
 
-/// The LLC with one `Line` record per way and linearly scanned MSHRs, kept
+/// The LLC with one `Line` record per way, a use-counter stamp of each
+/// line's latest access as its LRU order and linearly scanned MSHRs, kept
 /// as the executable reference model: the `reference_equivalence` proptest
 /// drives it in lockstep with [`LastLevelCache`] and asserts identical
-/// outcomes, statistics, outgoing requests and completion states.
+/// outcomes, statistics, outgoing requests, recency orders and completion
+/// states.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -619,7 +744,7 @@ mod reference {
         per_thread_mshrs: Vec<usize>,
         quotas: Vec<usize>,
         pub(super) outgoing: Vec<OutgoingRequest>,
-        pub(super) use_counter: u64,
+        use_counter: u64,
         pub(super) stats: CacheStats,
     }
 
@@ -653,6 +778,14 @@ mod reference {
 
         pub(super) fn set_quota(&mut self, thread: ThreadId, quota: usize) {
             self.quotas[thread.index()] = quota.min(self.config.mshrs);
+        }
+
+        /// The tags of set `set_idx`'s valid lines, most recent first.
+        pub(super) fn recency_order(&self, set_idx: usize) -> Vec<u64> {
+            let mut valid: Vec<&Line> =
+                self.lines[self.set(set_idx)].iter().filter(|l| l.valid).collect();
+            valid.sort_by_key(|l| std::cmp::Reverse(l.last_use));
+            valid.into_iter().map(|l| l.tag).collect()
         }
 
         pub(super) fn is_completed(&self, token: MissToken) -> bool {
@@ -818,6 +951,64 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
+    /// A line's recency rank is 8-bit: 256 ways fit, 257 are a validation
+    /// error rather than a wrapped rank.
+    #[test]
+    fn config_validation_rejects_more_ways_than_a_rank_holds() {
+        let one_set =
+            |ways| CacheConfig { capacity_bytes: ways * 64, ways, ..CacheConfig::tiny_test() };
+        assert_eq!(one_set(256).validate(), Ok(()));
+        let err = one_set(257).validate().unwrap_err();
+        assert!(err.contains("256 ways"), "{err}");
+    }
+
+    /// The largest tag, `u64::MAX` (1-byte lines, one set), goes to the side
+    /// table: stored as `tag + 1` it wrapped to the invalid-way marker, and
+    /// a cold cache answered `Hit`.
+    #[test]
+    fn the_largest_tag_misses_on_a_cold_cache() {
+        let config =
+            CacheConfig { capacity_bytes: 2, ways: 2, line_bytes: 1, hit_latency: 1, mshrs: 2 };
+        assert_eq!(config.validate(), Ok(()));
+        let mut c = LastLevelCache::new(config, 1);
+        let addr = PhysAddr(u64::MAX);
+        let token = match c.access(ThreadId(0), addr, false, 0) {
+            AccessOutcome::Miss { token, allocated: true } => token,
+            other => panic!("expected an allocated miss, got {other:?}"),
+        };
+        c.complete_miss(token);
+        assert_eq!(c.escaped_tags.len(), 1);
+        assert!(matches!(c.access(ThreadId(0), addr, false, 1), AccessOutcome::Hit { .. }));
+        assert!(matches!(
+            c.access(ThreadId(0), PhysAddr(u64::MAX - 1), false, 2),
+            AccessOutcome::Miss { .. }
+        ));
+    }
+
+    /// The bytes of `llc`'s per-line arrays.
+    fn line_state_bytes(llc: &LastLevelCache) -> usize {
+        std::mem::size_of_val(&*llc.tags)
+            + std::mem::size_of_val(&*llc.rank)
+            + std::mem::size_of_val(&*llc.meta)
+    }
+
+    /// A Table-1 LLC holds 7 bytes per line, and every address below 2^51
+    /// bytes keeps its tag in the line: the side table stays empty.
+    #[test]
+    fn a_table1_llc_holds_seven_bytes_per_line() {
+        let mut c = LastLevelCache::new(CacheConfig::paper_table1(), 4);
+        assert_eq!(line_state_bytes(&c), 917_504);
+        assert_eq!(line_state_bytes(&c), 7 * c.tags.len());
+        for addr in [0, 1 << 40, (1 << 51) - 64] {
+            let token = match c.access(ThreadId(1), PhysAddr(addr), true, 0) {
+                AccessOutcome::Miss { token, allocated: true } => token,
+                other => panic!("expected an allocated miss, got {other:?}"),
+            };
+            c.complete_miss(token);
+        }
+        assert!(c.escaped_tags.is_empty());
+    }
+
     #[test]
     fn miss_then_hit_after_fill() {
         let mut c = cache();
@@ -974,36 +1165,82 @@ mod tests {
     use super::reference::LineArrayLlc;
     use proptest::prelude::*;
 
-    /// A 4-way cache of 4 sets with 6 MSHRs: evictions and a full pool are
-    /// both frequent.
-    fn four_way_few_sets() -> CacheConfig {
-        CacheConfig { capacity_bytes: 1024, ways: 4, line_bytes: 64, hit_latency: 3, mshrs: 6 }
+    /// The proptest's geometries, each with 6 MSHRs but `tiny_test`'s 4:
+    /// `tiny_test` (2 ways, 32 sets), 4 and 8 ways (Table 1's associativity)
+    /// of 4 sets, and 4 ways of 1-byte lines in one set, where an address is
+    /// its own tag and `u64::MAX` is a tag.
+    fn geometry(index: usize) -> CacheConfig {
+        let small = |capacity_bytes, ways, line_bytes| CacheConfig {
+            capacity_bytes,
+            ways,
+            line_bytes,
+            hit_latency: 3,
+            mshrs: 6,
+        };
+        match index {
+            0 => CacheConfig::tiny_test(),
+            1 => small(1024, 4, 64),
+            2 => small(2048, 8, 64),
+            _ => small(4, 4, 1),
+        }
+    }
+
+    /// The tags of `set`'s valid lines, most recent first, after checking
+    /// that the set's ranks are a permutation of its ways and that exactly
+    /// its escaped lines are in the side table.
+    fn recency_order(llc: &LastLevelCache, set: usize) -> Vec<u64> {
+        let ways = llc.config.ways;
+        let lines = set * ways..(set + 1) * ways;
+        let mut ranks: Vec<usize> = lines.clone().map(|l| usize::from(llc.rank[l])).collect();
+        ranks.sort_unstable();
+        assert!(ranks.iter().copied().eq(0..ways), "set {set} ranks {ranks:?}");
+        for line in lines.clone() {
+            assert_eq!(
+                llc.tags[line] == ESCAPED,
+                llc.escaped_tags.contains_key(&line),
+                "line {line}"
+            );
+        }
+        let mut valid: Vec<usize> = lines.filter(|&l| llc.tags[l] != 0).collect();
+        valid.sort_by_key(|&l| llc.rank[l]);
+        valid.into_iter().map(|l| llc.line_tag(l)).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The split-array cache and the `Line`-array reference agree on
-        /// every outcome, probe, statistic, outgoing batch, use-counter value
-        /// and completion state across random operation streams. Addresses
-        /// fall in 4 sets with 5 tags each (plus an offset inside the line),
-        /// so sets fill, evict dirty and clean lines, and merge misses.
+        /// The 7-byte-line cache and the `Line`-array reference agree on
+        /// every outcome, probe, statistic, outgoing batch, recency order
+        /// and completion state across random operation streams. Most
+        /// addresses fall in 4 sets with `ways + 2` tags each (plus an offset
+        /// inside the line), so sets fill, evict dirty and clean lines, and
+        /// merge misses. The rest come from a pool of tags at the escape
+        /// edge, `u64::MAX` and addresses drawn over all of `u64`, so lines
+        /// escape to the side table, hit there and are evicted from it.
         #[test]
         fn reference_equivalence(
-            four_way in any::<bool>(),
-            ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..20, 0u64..64), 1..400),
+            geometry_index in 0usize..4,
+            wide in proptest::collection::vec(any::<u64>(), 4),
+            ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..56, 0u64..64), 1..400),
         ) {
-            let config = if four_way { four_way_few_sets() } else { CacheConfig::tiny_test() };
+            let config = geometry(geometry_index);
             let threads = 3;
             let sets = config.sets() as u64;
             let line_bytes = config.line_bytes as u64;
+            let tags_per_set = config.ways as u64 + 2;
+            let edge = |tag: u64| tag * sets * line_bytes;
+            let escape = u64::from(ESCAPED);
+            let pool = [u64::MAX, edge(escape - 2), edge(escape - 1), edge(escape), wide[0], wide[1], wide[2], wide[3]];
             let mut llc = LastLevelCache::new(config.clone(), threads);
             let mut reference = LineArrayLlc::new(config, threads);
             let mut tokens: Vec<MissToken> = Vec::new();
             for (i, &(op, thread, line, arg)) in ops.iter().enumerate() {
                 let context = format!("op {i} ({op}, thread {thread}, line {line}, arg {arg})");
                 let t = ThreadId(thread);
-                let addr = PhysAddr(((line / 4) * sets + line % 4) * line_bytes + arg % line_bytes);
+                let addr = match line.checked_sub(48) {
+                    Some(wide) => PhysAddr(pool[wide as usize]),
+                    None => PhysAddr((((line / 4) % tags_per_set) * sets + line % 4) * line_bytes + arg % line_bytes),
+                };
                 let outcomes = match op {
                     0..=2 => {
                         let is_write = arg % 2 == 1;
@@ -1046,7 +1283,13 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(llc.stats(), &reference.stats, "stats after {}", context);
-                prop_assert_eq!(llc.use_counter, reference.use_counter, "use counter after {}", context);
+                for set in 0..sets as usize {
+                    prop_assert_eq!(
+                        recency_order(&llc, set),
+                        reference.recency_order(set),
+                        "recency order of set {} after {}", set, context
+                    );
+                }
                 prop_assert_eq!(
                     llc.take_outgoing(),
                     std::mem::take(&mut reference.outgoing),

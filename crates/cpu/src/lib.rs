@@ -56,7 +56,7 @@ mod trace;
 
 pub use cache::{
     AccessOutcome, CacheConfig, CacheStats, LastLevelCache, MissToken, OutgoingRequest,
-    RejectReason,
+    RejectReason, LLC_MAX_THREADS,
 };
 pub use core::{CoreConfig, CoreProgress, CoreStats, StallInfo};
 pub use engine::CoreEngine;

@@ -1,7 +1,7 @@
 //! Full-system configuration (Table 1 + Table 2 of the paper).
 
 use bh_core::BreakHammerConfig;
-use bh_cpu::{CacheConfig, CoreConfig};
+use bh_cpu::{CacheConfig, CoreConfig, LLC_MAX_THREADS};
 use bh_dram::{DeviceConfig, DramGeometry, EnergyParams, FaultConfig, TimingParams};
 use bh_mem::MemControllerConfig;
 use bh_mitigation::{MechanismKind, MITIGATED_BLAST_RADIUS};
@@ -297,6 +297,13 @@ impl SystemConfig {
         if self.cores == 0 {
             return Err("the system needs at least one core".to_string());
         }
+        // An LLC line names the core that filled it in 15 bits.
+        if self.cores > LLC_MAX_THREADS {
+            return Err(format!(
+                "cores = {} but the LLC serves at most {LLC_MAX_THREADS} cores",
+                self.cores
+            ));
+        }
         if self.cpu_freq_ghz <= 0.0 || self.cpu_freq_ghz.is_nan() {
             return Err("the CPU frequency must be positive".to_string());
         }
@@ -409,6 +416,20 @@ mod tests {
         let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
         c.cores = 2; // memctrl still configured for 4 threads
         assert!(c.validate().is_err());
+    }
+
+    /// An LLC line names its owner core in 15 bits: a core count past that
+    /// is a validation error, not a panic in `LastLevelCache::new`.
+    #[test]
+    fn validation_rejects_more_cores_than_a_line_owner_names() {
+        let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
+        c.cores = LLC_MAX_THREADS;
+        c.memctrl.num_threads = c.cores;
+        assert_eq!(c.validate(), Ok(()));
+        c.cores = LLC_MAX_THREADS + 1;
+        c.memctrl.num_threads = c.cores;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("cores = 32769") && err.contains("32768"), "{err}");
     }
 
     /// The refresh-due mask has one `u64` bit per rank: a 65th rank would

@@ -246,14 +246,14 @@ impl System {
         );
         assert!(required.iter().all(|r| *r < config.cores), "required core index out of range");
 
-        // The large array first, the LLC's lines: it has the same size in
-        // every system of a sweep, so each new system finds it room where the
-        // last one freed it. The mechanisms' tables differ per kind (Hydra's
+        // The large arrays first, the LLC's lines (0.92 MB on Table 1): they
+        // have the same size in every system of a sweep, so each new system
+        // finds them room where the last one freed them. The mechanisms' tables differ per kind (Hydra's
         // group counters are 128 KiB on the paper geometry) and come last.
         // The disturbance trackers in between hold only a page table (16 KiB
         // per channel on the paper geometry) and allocate their 4 KiB pages
         // as the run disturbs rows. With this order the benchmark's
-        // `attack_paper` workload peaks at 9.0 MB under glibc malloc.
+        // `attack_paper` workload peaks at 6.3 MB under glibc malloc.
         let llc = LastLevelCache::new(config.cache.clone(), config.cores);
         let channels = config.geometry.channels;
         let trackers: Vec<_> = (0..channels)
