@@ -210,6 +210,12 @@ impl TimingParams {
 
     /// Basic sanity checks tying the derived constraints together.
     pub fn validate(&self) -> Result<(), String> {
+        if !(self.clock_mhz.is_finite() && self.clock_mhz > 0.0) {
+            return Err(format!(
+                "clock_mhz = {} but the DRAM clock must be positive and finite",
+                self.clock_mhz
+            ));
+        }
         if self.t_rc < self.t_ras + self.t_rp {
             return Err(format!(
                 "tRC ({}) must cover tRAS ({}) + tRP ({})",
@@ -343,5 +349,11 @@ mod tests {
         let mut t = TimingParams::fast_test();
         t.burst_length = 7;
         assert!(t.validate().is_err());
+
+        for mhz in [0.0, -2400.0, f64::NAN, f64::INFINITY] {
+            let mut t = TimingParams::fast_test();
+            t.clock_mhz = mhz;
+            assert!(t.validate().unwrap_err().starts_with("clock_mhz = "), "{mhz}");
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Full-system configuration (Table 1 + Table 2 of the paper).
 
+use crate::system::CpuClock;
 use bh_core::BreakHammerConfig;
 use bh_cpu::{CacheConfig, CoreConfig, LLC_MAX_THREADS};
 use bh_dram::{DeviceConfig, DramGeometry, EnergyParams, FaultConfig, TimingParams};
@@ -304,8 +305,11 @@ impl SystemConfig {
                 self.cores
             ));
         }
-        if self.cpu_freq_ghz <= 0.0 || self.cpu_freq_ghz.is_nan() {
-            return Err("the CPU frequency must be positive".to_string());
+        if !(self.cpu_freq_ghz.is_finite() && self.cpu_freq_ghz > 0.0) {
+            return Err(format!(
+                "cpu_freq_ghz = {} but the CPU frequency must be positive and finite",
+                self.cpu_freq_ghz
+            ));
         }
         if self.instructions_per_core == 0 {
             return Err("the per-core instruction budget must be positive".to_string());
@@ -352,6 +356,9 @@ impl SystemConfig {
         self.cache.validate()?;
         self.memctrl.validate()?;
         self.timing.validate()?;
+        // Both frequencies are positive and finite here; the kernel's integer
+        // clock needs their ratio to be a bounded dyadic fraction.
+        CpuClock::from_ratio(self.cpu_cycles_per_dram_cycle())?;
         self.fault.validate()?;
         self.watchdog.validate()?;
         self.effective_breakhammer_config().validate()?;
@@ -442,6 +449,67 @@ mod tests {
         c.geometry.ranks = 65;
         let err = c.validate().unwrap_err();
         assert!(err.contains("geometry.ranks = 65") && err.contains("64"), "{err}");
+    }
+
+    /// A CPU frequency that is not positive and finite is an error naming
+    /// the field: an infinite one would tick the cores forever in one DRAM
+    /// cycle.
+    #[test]
+    fn validation_rejects_a_cpu_frequency_that_is_not_positive_and_finite() {
+        for ghz in [0.0, -4.2, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
+            c.cpu_freq_ghz = ghz;
+            let err = c.validate().unwrap_err();
+            assert!(err.starts_with(&format!("cpu_freq_ghz = {ghz} ")), "{ghz}: {err}");
+        }
+    }
+
+    /// A DRAM clock that is not positive and finite is an error naming the
+    /// field, not a misleading complaint about the throttling window.
+    #[test]
+    fn validation_rejects_a_dram_clock_that_is_not_positive_and_finite() {
+        for mhz in [0.0, -2400.0, f64::NAN, f64::INFINITY] {
+            let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
+            c.timing.clock_mhz = mhz;
+            let err = c.validate().unwrap_err();
+            assert!(err.starts_with(&format!("clock_mhz = {mhz} ")), "{mhz}: {err}");
+        }
+    }
+
+    /// One DRAM cycle ticks at most 64 CPU cycles: 102.4 GHz over a
+    /// 1 600 MHz DRAM clock is the bound, 102.5 GHz and 10^12 GHz (which
+    /// never returned) are past it.
+    #[test]
+    fn validation_rejects_a_clock_ratio_past_the_bound() {
+        let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
+        c.timing.clock_mhz = 1600.0;
+        c.cpu_freq_ghz = 102.4;
+        assert_eq!(c.validate(), Ok(()));
+        for ghz in [102.5, 1e12] {
+            c.cpu_freq_ghz = ghz;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("must be positive and at most 64"), "{ghz}: {err}");
+        }
+    }
+
+    /// The integer CPU clock holds a ratio that is a multiple of 2^-16:
+    /// 4.2 GHz over DDR5-4800 (7/4) and over DDR4-3200 (21/8) are, 4.0 GHz
+    /// over DDR5-4800 (5/3) and 4.2 GHz over DDR5-4000 (21/10) are not.
+    #[test]
+    fn validation_rejects_a_clock_ratio_the_integer_clock_cannot_hold() {
+        for (ghz, mhz, exact) in
+            [(4.2, 2400.0, true), (4.2, 1600.0, true), (4.0, 2400.0, false), (4.2, 2000.0, false)]
+        {
+            let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
+            c.cpu_freq_ghz = ghz;
+            c.timing.clock_mhz = mhz;
+            match c.validate() {
+                Ok(()) => assert!(exact, "{ghz} GHz over {mhz} MHz"),
+                Err(err) => {
+                    assert!(!exact && err.contains("not a multiple of 2^-16"), "{err}");
+                }
+            }
+        }
     }
 
     /// Addresses split with shifts and masks: every per-channel dimension

@@ -3,8 +3,9 @@
 //!
 //! The outer simulation loop runs in the DRAM command-clock domain (one
 //! memory-controller tick per iteration); the cores run at the CPU frequency
-//! and are ticked `cpu_freq / dram_freq` times per memory cycle using a
-//! fractional accumulator, matching Table 1's 4.2 GHz cores over DDR5-4800.
+//! and are ticked `cpu_freq / dram_freq` times per memory cycle: the CPU cycle
+//! is a pure integer function of the DRAM cycle ([`CpuClock`]), 7 CPU cycles
+//! per 4 DRAM cycles for Table 1's 4.2 GHz cores over DDR5-4800.
 //!
 //! The kernel is event-driven: it asks each layer for its next-event
 //! horizon — the memory controller's earliest issuable command, the earliest
@@ -29,67 +30,70 @@ use bh_mem::{MemRequest, MemorySystem, SteppingStats};
 use std::collections::VecDeque;
 use std::ops::Range;
 
-/// The CPU/DRAM clock-domain crossing: a fractional accumulator that hands
-/// out the CPU-cycle values to tick for each DRAM cycle. The kernel and its
-/// per-cycle reference drive the same accumulator arithmetic, so their
-/// clock-domain behaviour is identical by construction.
-#[derive(Debug, Clone)]
-struct CpuClock {
-    /// CPU cycles per DRAM command-clock cycle.
-    ratio: f64,
-    /// Fractional CPU cycles accumulated but not yet ticked.
-    acc: f64,
-    /// The CPU-cycle value of the next tick.
-    next_cpu_cycle: Cycle,
+/// The most CPU cycles one DRAM cycle may tick, so that one DRAM step never
+/// ticks an unbounded batch.
+const MAX_CPU_CYCLES_PER_DRAM_CYCLE: u64 = 64;
+
+/// The fraction bits the integer clock holds: the ratio of CPU cycles per
+/// DRAM cycle must be a multiple of `2^-CLOCK_FRACTION_BITS`.
+const CLOCK_FRACTION_BITS: u32 = 16;
+
+/// The CPU/DRAM clock-domain crossing, a pure function of the DRAM cycle:
+/// DRAM cycle `d` ticks the CPU cycles `at(d)..at(d + 1)`, where
+/// `at(d) = floor(d · num / 2^shift)`. The ratio `num / 2^shift` is the
+/// configuration's exactly (Table 1 and `fast_test`: 7/4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CpuClock {
+    num: u64,
+    shift: u32,
 }
 
 impl CpuClock {
-    fn new(ratio: f64) -> Self {
-        CpuClock { ratio, acc: 0.0, next_cpu_cycle: 0 }
-    }
-
-    /// Advances the accumulator by one DRAM cycle and returns the range of
-    /// CPU-cycle values to tick during it (possibly empty).
-    fn tick_range(&mut self) -> Range<Cycle> {
-        self.acc += self.ratio;
-        let start = self.next_cpu_cycle;
-        while self.acc >= 1.0 {
-            self.acc -= 1.0;
-            self.next_cpu_cycle += 1;
+    /// The clock ticking `ratio` CPU cycles per DRAM cycle, or why it cannot:
+    /// the ratio must be positive, at most [`MAX_CPU_CYCLES_PER_DRAM_CYCLE`]
+    /// and a multiple of `2^-`[`CLOCK_FRACTION_BITS`].
+    pub(crate) fn from_ratio(ratio: f64) -> Result<CpuClock, String> {
+        let what =
+            format!("cpu_freq_ghz * 1000 / timing.clock_mhz = {ratio} CPU cycles per DRAM cycle");
+        if !(ratio > 0.0 && ratio <= MAX_CPU_CYCLES_PER_DRAM_CYCLE as f64) {
+            return Err(format!(
+                "{what}, but it must be positive and at most {MAX_CPU_CYCLES_PER_DRAM_CYCLE}"
+            ));
         }
-        start..self.next_cpu_cycle
+        // Scaling by a power of two is exact, so the smallest shift that makes
+        // the ratio whole gives it in lowest terms.
+        (0..=CLOCK_FRACTION_BITS)
+            .map(|shift| (ratio * f64::from(1u32 << shift), shift))
+            .find(|(scaled, _)| scaled.fract() == 0.0)
+            .map(|(scaled, shift)| CpuClock { num: scaled as u64, shift })
+            .ok_or_else(|| {
+                format!(
+                    "{what} is not a multiple of 2^-{CLOCK_FRACTION_BITS}, so the integer CPU \
+                     clock cannot hold it exactly"
+                )
+            })
     }
 
-    /// Advances through `dram_cycles` DRAM cycles and returns how many CPU
-    /// ticks elapse in total (the event-driven kernel's bulk skip).
-    fn advance(&mut self, dram_cycles: u64) -> u64 {
-        let mut ticks = 0;
-        for _ in 0..dram_cycles {
-            let range = self.tick_range();
-            ticks += range.end - range.start;
-        }
-        ticks
+    /// The first CPU cycle DRAM cycle `dram_cycle` ticks.
+    #[inline(always)]
+    fn at(self, dram_cycle: Cycle) -> Cycle {
+        ((u128::from(dram_cycle) * u128::from(self.num)) >> self.shift) as Cycle
     }
 
-    /// Number of DRAM cycles (>= 1) until the DRAM cycle whose tick batch
-    /// contains the CPU cycle `target` (which must not have been ticked yet).
-    fn dram_cycles_until(&self, target: Cycle) -> u64 {
-        let mut probe = self.clone();
-        let mut cycles = 0u64;
-        loop {
-            cycles += 1;
-            if probe.tick_range().end > target {
-                return cycles;
-            }
-        }
+    /// The CPU cycles DRAM cycle `dram_cycle` ticks (possibly none).
+    #[inline(always)]
+    fn ticks(self, dram_cycle: Cycle) -> Range<Cycle> {
+        self.at(dram_cycle)..self.at(dram_cycle + 1)
     }
-}
 
-/// The loop state of a run that `System::advance` keeps outside the system.
-#[derive(Debug, Clone)]
-struct RunState {
-    dram_cycle: Cycle,
-    clock: CpuClock,
+    /// The DRAM cycle whose ticks hold CPU cycle `cpu_cycle`: the first `d`
+    /// with `at(d + 1) > cpu_cycle`, i.e. `ceil((cpu_cycle + 1) · 2^shift /
+    /// num) − 1`.
+    #[inline(always)]
+    fn dram_cycle_of(self, cpu_cycle: Cycle) -> Cycle {
+        let first_past = (u128::from(cpu_cycle) + 1) << self.shift;
+        first_past.div_ceil(u128::from(self.num)) as Cycle - 1
+    }
 }
 
 /// What a run checks at the top of each kernel iteration besides its own
@@ -172,12 +176,11 @@ pub struct System {
     /// Cores that must finish for the simulation to end (benign cores; the
     /// attacker's progress is irrelevant, footnote 9 of the paper).
     required: Vec<usize>,
-    /// Miss completions scheduled for a future DRAM cycle.
+    /// The CPU cycles each DRAM cycle ticks.
+    clock: CpuClock,
+    /// Miss completions scheduled for a future DRAM cycle, in completion
+    /// order (see [`System::step_inner_fill`]), as `(cycle, MSHR token)`.
     pending_fills: VecDeque<(Cycle, u64)>,
-    /// Cached minimum completion cycle in `pending_fills` (`Cycle::MAX` when
-    /// empty): the per-step completion walk and the next-event fill horizon
-    /// both skip the deque entirely while nothing is due.
-    pending_fills_min: Cycle,
     next_writeback_id: u64,
     /// The BreakHammer [`quota_version`](BreakHammer::quota_version) whose
     /// quotas were last propagated into the LLC (`None` before the first
@@ -237,6 +240,8 @@ impl System {
         required: Vec<usize>,
     ) -> Self {
         config.validate().expect("invalid system configuration");
+        let clock = CpuClock::from_ratio(config.cpu_cycles_per_dram_cycle())
+            .expect("validate checked the clock ratio");
         assert_eq!(
             traces.len(),
             config.cores,
@@ -285,14 +290,13 @@ impl System {
             .collect();
         // REGA adjusts the DRAM timing parameters (identically per channel).
         let timing = config.timing.clone().with_adjustment(&mechanisms[0].timing_adjustment());
-        let breakhammer = if config.breakhammer {
-            Some(BreakHammer::new(
-                config.effective_breakhammer_config(),
-                mechanisms[0].attribution(),
-            ))
-        } else {
-            None
-        };
+        let breakhammer_config = config.breakhammer.then(|| config.effective_breakhammer_config());
+        // The auto-derived watchdog epoch must span BreakHammer's window (a
+        // quota-starved thread legitimately waits out a rotation for its
+        // refill), so the effective window length feeds the derivation.
+        let bh_window = breakhammer_config.as_ref().map(|bh| bh.window_cycles);
+        let breakhammer =
+            breakhammer_config.map(|bh| BreakHammer::new(bh, mechanisms[0].attribution()));
         let instances = trackers
             .into_iter()
             .zip(mechanisms)
@@ -310,12 +314,6 @@ impl System {
         let memory = MemorySystem::new(config.memctrl.clone(), instances, breakhammer);
 
         let cores = CoreEngine::new(config.core, traces.to_vec(), config.instructions_per_core);
-
-        // The auto-derived watchdog epoch must span BreakHammer's window (a
-        // quota-starved thread legitimately waits out a rotation for its
-        // refill), so the effective window length feeds the derivation.
-        let bh_window =
-            config.breakhammer.then(|| config.effective_breakhammer_config().window_cycles);
         let watchdog = Watchdog::new(&config.watchdog, bh_window);
 
         System {
@@ -324,8 +322,8 @@ impl System {
             llc,
             memory,
             required,
+            clock,
             pending_fills: VecDeque::new(),
-            pending_fills_min: Cycle::MAX,
             next_writeback_id: 1 << 60,
             synced_quota_version: None,
             response_buf: Vec::new(),
@@ -497,14 +495,14 @@ impl System {
     /// Runs the simulation to completion, on the event-driven kernel of the
     /// module documentation, and returns the measured results.
     pub fn run(self) -> SimulationResult {
-        let run = self.start();
-        self.complete(run)
+        self.complete(0)
     }
 
-    /// Runs on from `run` to the end of the run and returns its result.
-    fn complete(mut self, mut run: RunState) -> SimulationResult {
-        self.advance(&mut run, self.config.max_dram_cycles, &mut ());
-        self.finish(run.dram_cycle)
+    /// Runs on from DRAM cycle `from` to the end of the run and returns its
+    /// result.
+    fn complete(mut self, from: Cycle) -> SimulationResult {
+        let end = self.advance(from, self.config.max_dram_cycles, &mut ());
+        self.finish(end)
     }
 
     /// Runs this system, which must have BreakHammer attached, together with
@@ -528,89 +526,87 @@ impl System {
     /// # Panics
     /// Panics if BreakHammer is not attached.
     pub fn run_pair(mut self) -> (SimulationResult, SimulationResult) {
-        let mut run = self.start();
-        let (stop, watchdog) = self.advance_shared(&mut run);
-        self.finish_pair(run, stop, watchdog)
+        let (at, stop, watchdog) = self.advance_shared();
+        self.finish_pair(at, stop, watchdog)
     }
 
-    fn start(&self) -> RunState {
-        RunState { dram_cycle: 0, clock: CpuClock::new(self.config.cpu_cycles_per_dram_cycle()) }
-    }
-
-    /// The event-driven loop: steps the system only at cycles where some
-    /// layer can make progress and fast-forwards across the dead cycles in
-    /// between, replaying their counter increments in bulk. Runs until the
-    /// run ends (a watchdog verdict, the required cores finished, the cycle
-    /// cap), `rider` stops it, or its next step is at or past `stop`;
-    /// stopping there and resuming changes nothing.
+    /// The event-driven loop, from DRAM cycle `from`: steps the system only
+    /// at cycles where some layer can make progress and fast-forwards across
+    /// the dead cycles in between, replaying their counter increments in
+    /// bulk. Runs until the run ends (a watchdog verdict, the required cores
+    /// finished, the cycle cap), `rider` stops it, or its next step is at or
+    /// past `stop`, and returns the cycle it stopped at; stopping there and
+    /// resuming changes nothing.
     ///
     /// The loop has two instances, `()` and [`SharedPrefix`], so the
     /// functions it calls per iteration have two callers each. They are
     /// `#[inline(always)]`: without that the compiler calls them out of line
     /// and the plain run's loop is measurably slower on `attack_paper`.
-    fn advance<R: Rider>(&mut self, run: &mut RunState, stop: Cycle, rider: &mut R) {
+    fn advance<R: Rider>(&mut self, from: Cycle, stop: Cycle, rider: &mut R) -> Cycle {
         let (max, end) = (self.config.max_dram_cycles, stop.min(self.config.max_dram_cycles));
-        while self.verdict.is_none() && !self.required_finished() && run.dram_cycle < end {
-            if self.watchdog_fires(run.dram_cycle) || rider.stops(self, run.dram_cycle) {
+        let mut dram_cycle = from;
+        while self.verdict.is_none() && !self.required_finished() && dram_cycle < end {
+            if self.watchdog_fires(dram_cycle) || rider.stops(self, dram_cycle) {
                 break;
             }
-            self.step(run.dram_cycle, &mut run.clock);
+            self.step(dram_cycle);
             if self.required_finished() {
-                run.dram_cycle += 1;
-                break;
+                return dram_cycle + 1;
             }
-            let next = self.next_event(run.dram_cycle, &run.clock);
+            let next = self.next_event(dram_cycle);
             // Clamp to the next watchdog epoch boundary so the kernel steps
             // there (undershooting a horizon is only wasted work, never a
             // behaviour change — the reference kernel steps every cycle).
             let next = next
-                .clamp(run.dram_cycle + 1, max)
+                .clamp(dram_cycle + 1, max)
                 .min(self.watchdog.horizon_cap())
                 .min(rider.horizon_cap());
-            if next > run.dram_cycle + 1 {
-                self.skip_dead_cycles(next - run.dram_cycle - 1, &mut run.clock);
+            if next > dram_cycle + 1 {
+                self.skip_dead_cycles(dram_cycle + 1, next);
             }
-            run.dram_cycle = next;
+            dram_cycle = next;
         }
+        dram_cycle
     }
 
-    /// Advances the shared prefix of [`System::run_pair`] from `run` and
-    /// returns why it stopped, with the sibling's ridden-along watchdog (it
-    /// has observed every boundary before the stop cycle, none at it).
-    fn advance_shared(&mut self, run: &mut RunState) -> (PairStop, Watchdog) {
+    /// Advances the shared prefix of [`System::run_pair`] from cycle 0 and
+    /// returns the cycle it stopped at and why, with the sibling's
+    /// ridden-along watchdog (it has observed every boundary before the stop
+    /// cycle, none at it).
+    fn advance_shared(&mut self) -> (Cycle, PairStop, Watchdog) {
         assert!(
             self.memory.breakhammer().is_some(),
             "a paired run needs a system with BreakHammer attached"
         );
         let mut prefix =
             SharedPrefix { watchdog: Watchdog::new(&self.config.watchdog, None), stop: None };
-        self.advance(run, self.config.max_dram_cycles, &mut prefix);
+        let at = self.advance(0, self.config.max_dram_cycles, &mut prefix);
         let stop = match prefix.stop {
             Some(stop) => stop,
             None if self.verdict.is_some() => PairStop::Verdict,
             None => PairStop::End,
         };
-        (stop, prefix.watchdog)
+        (at, stop, prefix.watchdog)
     }
 
-    /// Finishes both arms of a paired run from the point `advance_shared`
-    /// stopped at, and returns their results as `(without, with)`.
+    /// Finishes both arms of a paired run from cycle `at`, where
+    /// `advance_shared` stopped, and returns their results as
+    /// `(without, with)`.
     fn finish_pair(
         mut self,
-        run: RunState,
+        at: Cycle,
         stop: PairStop,
         watchdog: Watchdog,
     ) -> (SimulationResult, SimulationResult) {
         if stop == PairStop::End {
-            let with = self.finish(run.dram_cycle);
+            let with = self.finish(at);
             self.detach_breakhammer(watchdog);
-            return (self.finish(run.dram_cycle), with);
+            return (self.finish(at), with);
         }
         let mut without = self.clone();
         without.detach_breakhammer(watchdog);
-        let without_run = run.clone();
-        let with = self.complete(run);
-        (without.complete(without_run), with)
+        let with = self.complete(at);
+        (without.complete(at), with)
     }
 
     /// Turns this system into its sibling without BreakHammer at the same
@@ -626,23 +622,19 @@ impl System {
     }
 
     /// [`System::run`] paused at each of the ascending cycles in `forks` (at
-    /// the first step cycle at or past it), where a clone of the system and
-    /// its run state is set aside. Returns the original's result, then each
+    /// the first step cycle at or past it), where a clone of the system is
+    /// set aside with the cycle. Returns the original's result, then each
     /// clone's, every one finished on its own after the original.
     #[cfg(test)]
     pub(crate) fn run_forked(mut self, forks: &[Cycle]) -> Vec<SimulationResult> {
-        let mut run = self.start();
+        let mut at = 0;
         let mut clones = Vec::new();
         for &fork in forks {
-            self.advance(&mut run, fork, &mut ());
-            clones.push((self.clone(), run.clone()));
+            at = self.advance(at, fork, &mut ());
+            clones.push((self.clone(), at));
         }
-        self.advance(&mut run, self.config.max_dram_cycles, &mut ());
-        let mut results = vec![self.finish(run.dram_cycle)];
-        for (mut system, mut run) in clones {
-            system.advance(&mut run, system.config.max_dram_cycles, &mut ());
-            results.push(system.finish(run.dram_cycle));
-        }
+        let mut results = vec![self.complete(at)];
+        results.extend(clones.into_iter().map(|(system, at)| system.complete(at)));
         results
     }
 
@@ -652,31 +644,27 @@ impl System {
     pub(crate) fn run_pair_traced(
         mut self,
     ) -> (PairStop, Cycle, Watchdog, (SimulationResult, SimulationResult)) {
-        let mut run = self.start();
-        let (stop, watchdog) = self.advance_shared(&mut run);
-        let at = run.dram_cycle;
-        (stop, at, watchdog.clone(), self.finish_pair(run, stop, watchdog))
+        let (at, stop, watchdog) = self.advance_shared();
+        (stop, at, watchdog.clone(), self.finish_pair(at, stop, watchdog))
     }
 
     /// This run's watchdog once the run is paused at `cycle` (at the first
     /// step cycle at or past it).
     #[cfg(test)]
     pub(crate) fn watchdog_at(mut self, cycle: Cycle) -> Watchdog {
-        let mut run = self.start();
-        self.advance(&mut run, cycle, &mut ());
+        self.advance(0, cycle, &mut ());
         self.watchdog
     }
 
     /// The reference kernel: executes [`System::step`] at every DRAM cycle.
     #[cfg(test)]
     pub(crate) fn run_per_cycle(mut self) -> SimulationResult {
-        let mut clock = CpuClock::new(self.config.cpu_cycles_per_dram_cycle());
         let mut dram_cycle: Cycle = 0;
         while !self.required_finished() && dram_cycle < self.config.max_dram_cycles {
             if self.watchdog_fires(dram_cycle) {
                 break;
             }
-            self.step(dram_cycle, &mut clock);
+            self.step(dram_cycle);
             dram_cycle += 1;
         }
         self.finish(dram_cycle)
@@ -685,11 +673,11 @@ impl System {
     /// One iteration of the simulation loop at `dram_cycle` — identical for
     /// both kernels.
     #[inline(always)]
-    fn step(&mut self, dram_cycle: Cycle, clock: &mut CpuClock) {
+    fn step(&mut self, dram_cycle: Cycle) {
         self.step_inner_quota(dram_cycle);
         self.step_inner_ctrl(dram_cycle);
         self.step_inner_fill(dram_cycle);
-        self.step_inner_core(clock);
+        self.step_inner_core(dram_cycle);
         self.step_inner_out(dram_cycle);
     }
 
@@ -738,32 +726,30 @@ impl System {
                         continue;
                     }
                 }
+                // A read's data arrives `read_latency` after its column
+                // command, the same latency on every channel, and responses
+                // are drained at every step in issue order. So the queue is
+                // sorted by completion cycle: its front is the next fill due.
+                assert!(
+                    self.pending_fills
+                        .back()
+                        .is_none_or(|(last, _)| *last <= response.completed_at),
+                    "fills must arrive in completion order"
+                );
                 self.pending_fills.push_back((response.completed_at, response.id));
-                self.pending_fills_min = self.pending_fills_min.min(response.completed_at);
             }
         }
-        if self.pending_fills_min > dram_cycle {
-            // Nothing is due yet: skip the completion walk.
-            return;
-        }
-        // In-place, order-preserving completion of due fills (same visit
-        // order as draining the queue front to back).
-        let llc = &mut self.llc;
-        let mut next_min = Cycle::MAX;
-        self.pending_fills.retain(|(ready, token)| {
-            if *ready <= dram_cycle {
-                llc.complete_miss(*token);
-                false
-            } else {
-                next_min = next_min.min(*ready);
-                true
+        while let Some(&(ready, token)) = self.pending_fills.front() {
+            if ready > dram_cycle {
+                break;
             }
-        });
-        self.pending_fills_min = next_min;
+            self.llc.complete_miss(token);
+            self.pending_fills.pop_front();
+        }
     }
 
     #[inline(always)]
-    fn step_inner_core(&mut self, clock: &mut CpuClock) {
+    fn step_inner_core(&mut self, dram_cycle: Cycle) {
         // 4. Tick the cores in the CPU clock domain, one engine epoch per
         // step: cores are stepped in core-index order within each CPU cycle,
         // so their LLC accesses drain as a deterministically ordered batch.
@@ -772,7 +758,7 @@ impl System {
         // replayed in bulk when their miss completes, which is the only event
         // that can change their state — completions happen in the fill phase,
         // strictly before this one.
-        self.cores.tick_epoch(clock.tick_range(), &mut self.llc);
+        self.cores.tick_epoch(self.clock.ticks(dram_cycle), &mut self.llc);
     }
 
     #[inline(always)]
@@ -829,7 +815,7 @@ impl System {
     /// BreakHammer quota the LLC has not absorbed yet. Horizons may
     /// undershoot (waking early is only wasted work) but never overshoot.
     #[inline(always)]
-    fn next_event(&mut self, dram_cycle: Cycle, clock: &CpuClock) -> Cycle {
+    fn next_event(&mut self, dram_cycle: Cycle) -> Cycle {
         // Cheapest checks first: when the controller (O(1), memoized) or a
         // pending fill already pins the next event to the very next cycle, no
         // skip is possible and the per-core analysis is not needed (an empty
@@ -847,19 +833,20 @@ impl System {
         if self.quota_sync_pending() {
             return dram_cycle + 1;
         }
-        if self.pending_fills_min != Cycle::MAX {
-            next = next.min(self.pending_fills_min);
+        if let Some(&(ready, _)) = self.pending_fills.front() {
+            next = next.min(ready);
             if next <= dram_cycle + 1 {
                 return dram_cycle + 1;
             }
         }
 
-        if self.cores.progress_batch(&self.llc, clock.next_cpu_cycle, &mut self.progress_buf) {
+        let next_cpu_cycle = self.clock.at(dram_cycle + 1);
+        if self.cores.progress_batch(&self.llc, next_cpu_cycle, &mut self.progress_buf) {
             return dram_cycle + 1;
         }
         for p in &self.progress_buf {
             if let CoreProgress::Stalled(StallInfo { wake_at: Some(t), .. }) = p {
-                next = next.min(dram_cycle + clock.dram_cycles_until(*t));
+                next = next.min(self.clock.dram_cycle_of(*t).max(dram_cycle + 1));
             }
         }
         if let Some(bh) = self.memory.breakhammer() {
@@ -871,7 +858,7 @@ impl System {
         next
     }
 
-    /// Fast-forwards across `dead_cycles` DRAM cycles in which, by
+    /// Fast-forwards across the DRAM cycles `from..to` in which, by
     /// construction of [`System::next_event`], every layer is quiescent:
     /// replays exactly the counter increments the per-cycle reference would
     /// have accrued (stalled-core cycle/stall counters, rejected LLC access
@@ -879,8 +866,8 @@ impl System {
     /// core side replays the classifications `progress_buf` captured at the
     /// decision point.
     #[inline(always)]
-    fn skip_dead_cycles(&mut self, dead_cycles: u64, clock: &mut CpuClock) {
-        let cpu_ticks = clock.advance(dead_cycles);
+    fn skip_dead_cycles(&mut self, from: Cycle, to: Cycle) {
+        let cpu_ticks = self.clock.at(to) - self.clock.at(from);
         if cpu_ticks > 0 {
             for (core, p) in self.progress_buf.iter().enumerate() {
                 if let CoreProgress::Stalled(stall) = p {
@@ -892,7 +879,7 @@ impl System {
             }
         }
         if self.memory.has_pending_enqueue() {
-            self.memory.absorb_enqueue_rejections(dead_cycles);
+            self.memory.absorb_enqueue_rejections(to - from);
         }
     }
 
@@ -1041,6 +1028,7 @@ pub(crate) mod tests {
     use super::*;
     use bh_mitigation::MechanismKind;
     use bh_workloads::{AttackerProfile, BenignProfile, ComposedAttacker, TraceGenerator};
+    use proptest::prelude::*;
 
     /// Four benign cores (core `i` seeded `seed + i`), generated for the
     /// configuration's geometry and address mapping so multi-channel configs
@@ -1119,9 +1107,8 @@ pub(crate) mod tests {
             };
             let traces = attack_traces(&config, 2_000, 100);
             let mut system = System::new(config, &traces, vec![0, 1, 2]);
-            let mut run = system.start();
-            system.advance(&mut run, 5_000, &mut ());
-            assert!(run.dram_cycle >= 5_000, "{mechanism}: the run ended early");
+            let at = system.advance(0, 5_000, &mut ());
+            assert!(at >= 5_000, "{mechanism}: the run ended early");
             let pages = resident_row_pages(&system);
             // Three stores per channel (disturbance, thresholds, the
             // mechanism's counters), together under an eighth of one.
@@ -1262,6 +1249,135 @@ pub(crate) mod tests {
             assert_ne!(config, default);
             assert_eq!(config.validate(), Ok(()));
             assert_eq!(System::new(config, &traces, vec![0, 1, 2]).run(), want);
+        }
+    }
+
+    /// The fractional accumulator the kernel's clock replaced, kept verbatim
+    /// as the integer clock's oracle: it advances one DRAM cycle at a time
+    /// and shares no arithmetic with [`CpuClock`].
+    #[derive(Debug, Clone)]
+    struct AccumulatorClock {
+        /// CPU cycles per DRAM command-clock cycle.
+        ratio: f64,
+        /// Fractional CPU cycles accumulated but not yet ticked.
+        acc: f64,
+        /// The CPU-cycle value of the next tick.
+        next_cpu_cycle: Cycle,
+    }
+
+    impl AccumulatorClock {
+        fn new(ratio: f64) -> Self {
+            AccumulatorClock { ratio, acc: 0.0, next_cpu_cycle: 0 }
+        }
+
+        /// Advances the accumulator by one DRAM cycle and returns the range of
+        /// CPU-cycle values to tick during it (possibly empty).
+        fn tick_range(&mut self) -> Range<Cycle> {
+            self.acc += self.ratio;
+            let start = self.next_cpu_cycle;
+            while self.acc >= 1.0 {
+                self.acc -= 1.0;
+                self.next_cpu_cycle += 1;
+            }
+            start..self.next_cpu_cycle
+        }
+
+        /// Advances through `dram_cycles` DRAM cycles and returns how many CPU
+        /// ticks elapse in total (the event-driven kernel's bulk skip).
+        fn advance(&mut self, dram_cycles: u64) -> u64 {
+            let mut ticks = 0;
+            for _ in 0..dram_cycles {
+                let range = self.tick_range();
+                ticks += range.end - range.start;
+            }
+            ticks
+        }
+
+        /// Number of DRAM cycles (>= 1) until the DRAM cycle whose tick batch
+        /// contains the CPU cycle `target` (which must not have been ticked yet).
+        fn dram_cycles_until(&self, target: Cycle) -> u64 {
+            let mut probe = self.clone();
+            let mut cycles = 0u64;
+            loop {
+                cycles += 1;
+                if probe.tick_range().end > target {
+                    return cycles;
+                }
+            }
+        }
+    }
+
+    /// A ratio of `num / 2^shift` CPU cycles per DRAM cycle: 7/4 (Table 1
+    /// and `fast_test`), 21/8 (4.2 GHz over DDR4-3200) or a random one
+    /// with up to [`CLOCK_FRACTION_BITS`] fraction bits, up to the bound.
+    fn dyadic_ratio(pick: usize, shift: u32, num: u64) -> f64 {
+        match pick {
+            0 => 1.75,
+            1 => 2.625,
+            _ => {
+                let den = 1u64 << shift;
+                (1 + num % (MAX_CPU_CYCLES_PER_DRAM_CYCLE * den)) as f64 / den as f64
+            }
+        }
+    }
+
+    /// The clock ratios a configuration may hold are exactly the positive
+    /// multiples of `2^-16` up to 64 CPU cycles per DRAM cycle.
+    #[test]
+    fn the_integer_clock_holds_the_bounded_dyadic_ratios() {
+        let (max, fraction) = (MAX_CPU_CYCLES_PER_DRAM_CYCLE as f64, CLOCK_FRACTION_BITS as i32);
+        assert_eq!(CpuClock::from_ratio(1.75), Ok(CpuClock { num: 7, shift: 2 }));
+        assert_eq!(CpuClock::from_ratio(2.625), Ok(CpuClock { num: 21, shift: 3 }));
+        assert_eq!(CpuClock::from_ratio(max), Ok(CpuClock { num: 64, shift: 0 }));
+        assert!(CpuClock::from_ratio(2f64.powi(-fraction)).is_ok());
+        assert!(CpuClock::from_ratio(1.0 + 2f64.powi(-fraction)).is_ok());
+        for inexact in [2f64.powi(-fraction - 1), 1.0 + 2f64.powi(-fraction - 1), 2.1, 5.0 / 3.0] {
+            let err = CpuClock::from_ratio(inexact).unwrap_err();
+            assert!(err.contains("is not a multiple of 2^-16"), "{inexact}: {err}");
+        }
+        for out in [0.0, -1.75, max + 2f64.powi(-fraction), 4.2e11, f64::INFINITY, f64::NAN] {
+            let err = CpuClock::from_ratio(out).unwrap_err();
+            assert!(err.contains("must be positive and at most 64"), "{out}: {err}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The integer clock ticks exactly what the accumulator ticks: the
+        /// range of every DRAM cycle up to `start`, then, from the kernel's
+        /// view after stepping `start`, the wake-up cycle of the next tick,
+        /// of the last CPU cycle `span` dead cycles cover and of random CPU
+        /// cycles in between, and the tick count of skipping those cycles.
+        #[test]
+        fn the_integer_clock_ticks_as_the_accumulator(
+            pick in 0usize..4,
+            shift in 0u32..=CLOCK_FRACTION_BITS,
+            num in any::<u64>(),
+            start in 0u64..4_096,
+            span in 0u64..4_096,
+            wakes in prop::collection::vec(any::<u64>(), 8),
+        ) {
+            let ratio = dyadic_ratio(pick, shift, num);
+            let clock = CpuClock::from_ratio(ratio).expect("a bounded dyadic ratio");
+            let mut reference = AccumulatorClock::new(ratio);
+            for dram_cycle in 0..=start {
+                prop_assert_eq!(clock.ticks(dram_cycle), reference.tick_range());
+            }
+            let next_cpu_cycle = clock.at(start + 1);
+            prop_assert_eq!(next_cpu_cycle, reference.next_cpu_cycle);
+            let skipped_to = clock.at(start + 1 + span);
+            let covered = skipped_to - next_cpu_cycle + 1;
+            let targets = [next_cpu_cycle, skipped_to].into_iter()
+                .chain(wakes.iter().map(|w| next_cpu_cycle + w % covered));
+            for t in targets {
+                prop_assert_eq!(
+                    clock.dram_cycle_of(t).max(start + 1),
+                    start + reference.dram_cycles_until(t),
+                    "CPU cycle {} at ratio {}", t, ratio
+                );
+            }
+            prop_assert_eq!(skipped_to - next_cpu_cycle, reference.advance(span));
         }
     }
 
