@@ -136,7 +136,8 @@ pub fn paper_config(
     // Bound the worst case (e.g. AQUA at N_RH=64 under attack, without
     // BreakHammer): runs that exceed ~400 DRAM cycles per target instruction
     // are cut off; IPCs measured up to the cut-off remain valid samples.
-    config.max_dram_cycles = scale.instructions_per_core.saturating_mul(400).max(5_000_000);
+    config.max_dram_cycles =
+        scale.instructions_per_core.saturating_mul(400).clamp(5_000_000, bh_sim::MAX_DRAM_CYCLES);
     config
 }
 

@@ -5,12 +5,12 @@
 //! sweep over two flat vectors:
 //!
 //! * one fixed-size `Lane` row per core, holding every scalar the
-//!   per-cycle loop touches — trace cursor, bubble countdown, window
-//!   occupancy and ring indices, pending-miss (hard-stall) token, stall
-//!   debt, retired count and the cycle/stall counters. A core's whole tick
-//!   reads and writes one row (two or three cache lines, one bounds check),
-//!   where per-object cores chased a heap pointer per core and per-field
-//!   vectors would pay a checked index per field;
+//!   per-cycle loop touches — trace cursor and its decoded record, bubble
+//!   countdown, window occupancy and ring indices, pending-miss (hard-stall)
+//!   token, stall debt, retired count and the cycle/stall counters. A core's
+//!   whole tick reads and writes one row (two or three cache lines, one
+//!   bounds check), where per-object cores chased a heap pointer per core and
+//!   per-field vectors would pay a checked index per field;
 //! * one contiguous window arena of packed 8-byte entries (`Done`-run /
 //!   `ReadyAt(cycle)` / `Pending(token)` in two tag bits), sliced per core
 //!   as a fixed-capacity ring — the head-ready check is a shift-and-compare
@@ -32,7 +32,7 @@
 
 use crate::cache::{AccessOutcome, LastLevelCache, MissToken, RejectReason};
 use crate::core::{CoreConfig, CoreProgress, CoreStats, StallInfo};
-use crate::trace::CompiledTrace;
+use crate::trace::{CompiledTrace, TraceEntry};
 use bh_dram::{Cycle, PhysAddr, ThreadId};
 use std::ops::Range;
 
@@ -79,6 +79,9 @@ type RejectMemo = (PhysAddr, bool, u64, RejectReason);
 struct Lane {
     /// Trace cursor (record index, kept strictly below the trace length).
     position: u32,
+    /// The record at `position`, decoded once when the lane reached it
+    /// (a stalled core re-reads it every cycle).
+    record: TraceEntry,
     /// Bubbles of the current record still to dispatch.
     bubbles_left: u32,
     /// Ring head index of the window (offset within the core's arena slice).
@@ -171,23 +174,27 @@ impl CoreEngine {
         let n = traces.len();
         let lanes = traces
             .iter()
-            .map(|t| Lane {
-                position: 0,
-                bubbles_left: t.get(0).bubbles,
-                win_head: 0,
-                win_entries: 0,
-                window_len: 0,
-                access_pending: true,
-                finished: false,
-                stalled_on: None,
-                stall_debt: 0,
-                last_reject: None,
-                retired_instructions: 0,
-                cycles: 0,
-                loads: 0,
-                stores: 0,
-                dispatch_stall_cycles: 0,
-                retire_stall_cycles: 0,
+            .map(|t| {
+                let record = t.get(0);
+                Lane {
+                    position: 0,
+                    record,
+                    bubbles_left: record.bubbles,
+                    win_head: 0,
+                    win_entries: 0,
+                    window_len: 0,
+                    access_pending: true,
+                    finished: false,
+                    stalled_on: None,
+                    stall_debt: 0,
+                    last_reject: None,
+                    retired_instructions: 0,
+                    cycles: 0,
+                    loads: 0,
+                    stores: 0,
+                    dispatch_stall_cycles: 0,
+                    retire_stall_cycles: 0,
+                }
             })
             .collect();
         CoreEngine {
@@ -366,7 +373,7 @@ impl CoreEngine {
                 advance_trace(lane, trace);
                 continue;
             }
-            let entry = trace.get(lane.position as usize);
+            let entry = lane.record;
             let thread = ThreadId(core);
             // Fast path for a spinning retry: while the LLC attests that the
             // rejection still holds, replay its counter effects without
@@ -476,7 +483,7 @@ impl CoreEngine {
             if lane.bubbles_left > 0 || !lane.access_pending {
                 return CoreProgress::Active;
             }
-            let entry = self.traces[core].get(lane.position as usize);
+            let entry = lane.record;
             let thread = ThreadId(core);
             if let Some((addr, uncached, stamp, reason)) = lane.last_reject {
                 if addr == entry.addr
@@ -561,9 +568,9 @@ impl CoreEngine {
     }
 }
 
-/// Advances the lane to its next trace record (cyclic). `position` stays
-/// strictly below the trace length, so record reads are direct
-/// [`CompiledTrace::get`]s (no cyclic modulo on the per-dispatch path).
+/// Advances the lane to its next trace record (cyclic) and decodes it.
+/// `position` stays strictly below the trace length, so the read is a direct
+/// [`CompiledTrace::get`] (no cyclic modulo on the per-dispatch path).
 #[inline]
 fn advance_trace(lane: &mut Lane, trace: &CompiledTrace) {
     let mut next = lane.position as usize + 1;
@@ -571,7 +578,8 @@ fn advance_trace(lane: &mut Lane, trace: &CompiledTrace) {
         next = 0;
     }
     lane.position = next as u32;
-    lane.bubbles_left = trace.get(next).bubbles;
+    lane.record = trace.get(next);
+    lane.bubbles_left = lane.record.bubbles;
     lane.access_pending = true;
 }
 #[cfg(test)]
@@ -579,7 +587,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use crate::core::{settle_legacy, tick_epoch_legacy, Core};
-    use crate::trace::{Trace, TraceEntry};
+    use crate::trace::Trace;
     use proptest::prelude::*;
 
     /// The reference per-object front-end: one `Core` per thread plus the

@@ -4,7 +4,8 @@
 //!
 //! * [`Trace`] / [`TraceEntry`] — the instruction-trace format (bursts of
 //!   non-memory instructions followed by one memory access), replayed
-//!   cyclically; [`CompiledTrace`] is its packed (8 bytes a record),
+//!   cyclically; [`CompiledTrace`] is its bit-packed (fields as wide as
+//!   each trace needs: 4.0–4.75 bytes a record for a Table-1 benign trace),
 //!   `Arc`-shared replay form (compile once per (mix, seed, geometry), share
 //!   across every run);
 //! * [`CoreEngine`] — the trace-driven cores: 4-wide, 128-entry-window cores

@@ -7,6 +7,12 @@ use bh_dram::{DeviceConfig, DramGeometry, EnergyParams, FaultConfig, TimingParam
 use bh_mem::MemControllerConfig;
 use bh_mitigation::{MechanismKind, MITIGATED_BLAST_RADIUS};
 
+/// The most DRAM cycles a run may last (`SystemConfig::max_dram_cycles`),
+/// 2⁴¹: 15 simulated minutes at 2.4 GHz. Every CPU cycle of a run then stays
+/// below 2⁴⁷ at the 64× clock-ratio cap, so the CPU/DRAM clock crossing
+/// computes in `u64`.
+pub const MAX_DRAM_CYCLES: u64 = 1 << 41;
+
 /// An inert name: `PerCycle` is accepted and runs exactly as `EventDriven`.
 /// It is kept only until the `benchmark` PR of ROADMAP item 2 removes the
 /// name.
@@ -153,7 +159,7 @@ pub struct SystemConfig {
     /// Instructions each tracked core must retire before the simulation ends.
     pub instructions_per_core: u64,
     /// Hard limit on simulated DRAM cycles (safety net against pathological
-    /// configurations).
+    /// configurations), at most [`MAX_DRAM_CYCLES`].
     pub max_dram_cycles: u64,
     /// Seed for the probabilistic mechanisms (PARA).
     pub seed: u64,
@@ -313,6 +319,13 @@ impl SystemConfig {
         }
         if self.instructions_per_core == 0 {
             return Err("the per-core instruction budget must be positive".to_string());
+        }
+        if self.max_dram_cycles > MAX_DRAM_CYCLES {
+            return Err(format!(
+                "max_dram_cycles = {} but a run may last at most 2^41 = {MAX_DRAM_CYCLES} DRAM \
+                 cycles",
+                self.max_dram_cycles
+            ));
         }
         if self.memctrl.num_threads != self.cores {
             return Err(
@@ -489,6 +502,22 @@ mod tests {
             c.cpu_freq_ghz = ghz;
             let err = c.validate().unwrap_err();
             assert!(err.contains("must be positive and at most 64"), "{ghz}: {err}");
+        }
+    }
+
+    /// A run lasts at most 2^41 DRAM cycles, so that its CPU cycles, at up to
+    /// 64 per DRAM cycle, stay below 2^47 and the clock computes in `u64`.
+    #[test]
+    fn validation_rejects_a_cycle_cap_past_2_pow_41() {
+        let mut c = SystemConfig::fast_test(MechanismKind::None, 1024, false);
+        c.timing.clock_mhz = 1600.0;
+        c.cpu_freq_ghz = 102.4;
+        c.max_dram_cycles = MAX_DRAM_CYCLES;
+        assert_eq!(c.validate(), Ok(()));
+        for cap in [MAX_DRAM_CYCLES + 1, u64::MAX] {
+            c.max_dram_cycles = cap;
+            let err = c.validate().unwrap_err();
+            assert!(err.starts_with(&format!("max_dram_cycles = {cap} ")), "{cap}: {err}");
         }
     }
 

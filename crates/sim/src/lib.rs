@@ -52,6 +52,7 @@ mod watchdog;
 
 pub use config::{
     ChannelStepping, ChaosConfig, FrontEndKind, SchedulerKind, SystemConfig, WatchdogConfig,
+    MAX_DRAM_CYCLES,
 };
 pub use result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,

@@ -15,7 +15,7 @@
 //! executes the loop body at every DRAM cycle, is its reference model: the
 //! crate's `differential` tests pin the two bit-identical.
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, MAX_DRAM_CYCLES};
 use crate::result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,
@@ -34,6 +34,10 @@ use std::ops::Range;
 /// ticks an unbounded batch.
 const MAX_CPU_CYCLES_PER_DRAM_CYCLE: u64 = 64;
 
+/// A CPU cycle no run reaches: 2⁴⁷, past the last CPU cycle of a run of
+/// [`MAX_DRAM_CYCLES`] at the ratio cap.
+const CPU_CYCLE_BOUND: Cycle = MAX_DRAM_CYCLES * MAX_CPU_CYCLES_PER_DRAM_CYCLE;
+
 /// The fraction bits the integer clock holds: the ratio of CPU cycles per
 /// DRAM cycle must be a multiple of `2^-CLOCK_FRACTION_BITS`.
 const CLOCK_FRACTION_BITS: u32 = 16;
@@ -41,7 +45,10 @@ const CLOCK_FRACTION_BITS: u32 = 16;
 /// The CPU/DRAM clock-domain crossing, a pure function of the DRAM cycle:
 /// DRAM cycle `d` ticks the CPU cycles `at(d)..at(d + 1)`, where
 /// `at(d) = floor(d · num / 2^shift)`. The ratio `num / 2^shift` is the
-/// configuration's exactly (Table 1 and `fast_test`: 7/4).
+/// configuration's exactly (Table 1 and `fast_test`: 7/4). Both directions
+/// compute in `u64`: `d` stays at most [`MAX_DRAM_CYCLES`] (2⁴¹) and `num`
+/// below 2²², and wake-up CPU cycles are capped at [`CPU_CYCLE_BOUND`]
+/// (2⁴⁷), which with the shift's 16 bits stays below 2⁶⁴.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CpuClock {
     num: u64,
@@ -77,7 +84,7 @@ impl CpuClock {
     /// The first CPU cycle DRAM cycle `dram_cycle` ticks.
     #[inline(always)]
     fn at(self, dram_cycle: Cycle) -> Cycle {
-        ((u128::from(dram_cycle) * u128::from(self.num)) >> self.shift) as Cycle
+        (dram_cycle * self.num) >> self.shift
     }
 
     /// The CPU cycles DRAM cycle `dram_cycle` ticks (possibly none).
@@ -88,11 +95,13 @@ impl CpuClock {
 
     /// The DRAM cycle whose ticks hold CPU cycle `cpu_cycle`: the first `d`
     /// with `at(d + 1) > cpu_cycle`, i.e. `ceil((cpu_cycle + 1) · 2^shift /
-    /// num) − 1`.
+    /// num) − 1`. A CPU cycle past [`CPU_CYCLE_BOUND`] (a wake-up no run
+    /// reaches, e.g. behind an absurd hit latency) reads as the bound, whose
+    /// DRAM cycle is already past every run's cycle cap.
     #[inline(always)]
     fn dram_cycle_of(self, cpu_cycle: Cycle) -> Cycle {
-        let first_past = (u128::from(cpu_cycle) + 1) << self.shift;
-        first_past.div_ceil(u128::from(self.num)) as Cycle - 1
+        let first_past = (cpu_cycle.min(CPU_CYCLE_BOUND) + 1) << self.shift;
+        first_past.div_ceil(self.num) - 1
     }
 }
 

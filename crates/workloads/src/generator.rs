@@ -308,15 +308,18 @@ mod tests {
         assert!(trace.entries().iter().all(|e| e.addr.0 < capacity));
     }
 
-    /// A generated benign trace packs into 8 bytes per record with nothing in
-    /// the escape side table, so a return to 16-byte records fails here.
+    /// A generated benign trace packs each record into 38 bits (25 bits of
+    /// line index, 11 of bubble count, the store and uncached bits): 4.75
+    /// bytes a record, with nothing in the escape side table. A field one bit
+    /// wider, a record escaped or a return to whole-word records fails here.
     #[test]
-    fn a_generated_trace_compiles_to_one_word_per_record() {
+    fn a_generated_trace_compiles_to_38_bits_per_record() {
         let g = generator();
         let p = BenignProfile::by_name("povray").unwrap();
         let compiled = g.benign(&p, 20_000, 42).compile();
         assert_eq!(compiled.len(), 20_000);
-        assert_eq!(compiled.heap_bytes(), 20_000 * 8, "8 bytes per record, no escaped record");
+        // 20 000 × 38 bits fill 11 875 words exactly; then the padding word.
+        assert_eq!(compiled.heap_bytes(), (11_875 + 1) * 8, "38 bits a record, no escape");
     }
 }
 

@@ -91,8 +91,9 @@ proptest! {
         prop_assert_eq!(parsed.is_ok(), fits);
         if let Ok(trace) = parsed {
             prop_assert_eq!(trace.len() as u64, count);
-            // Parsed records carry arbitrary bubble counts and addresses, most
-            // too wide for a packed word: compilation must still be lossless.
+            // Parsed records carry arbitrary bubble counts and addresses, whose
+            // fields mostly need more than one word together, so records
+            // escape: compilation must still be lossless.
             let compiled = trace.compile();
             for (i, e) in trace.entries().iter().enumerate() {
                 prop_assert_eq!(compiled.get(i), *e);
