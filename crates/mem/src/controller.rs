@@ -33,6 +33,13 @@
 //! plan, as it lowers the horizon; any issued command consumes or precedes
 //! it. So the full pass runs about once per issued command, not twice.
 //!
+//! The same holds while the preventive head is held back behind a pending
+//! demand row hit (the bounded deferral in `try_preventive`): until a command
+//! issues, every tick up to the bound would defer it again, so a deferring
+//! tick reports the cycle the deferral ends as its horizon (or an earlier
+//! refresh or demand horizon) and the next tick that runs counts the ticks
+//! skipped in between.
+//!
 //! Every *demand* row activation is reported to the attached mitigation
 //! mechanism (whose trigger algorithm may request preventive actions) and to
 //! BreakHammer (which attributes activations to hardware threads and observes
@@ -127,10 +134,14 @@ impl ControllerStats {
     }
 }
 
-/// Maximum consecutive ticks the head of the preventive queue may be
-/// deferred in favour of pending demand row-hits — enough for several column
-/// accesses (tCCD apart) to drain, small enough that a sustained hit stream
-/// delays each preventive command by a bounded, security-irrelevant amount.
+/// Maximum ticks the head of the preventive queue may be deferred in favour
+/// of pending demand row-hits — enough for several column accesses (tCCD
+/// apart) to drain, small enough that a sustained hit stream delays each
+/// preventive command by a bounded, security-irrelevant amount. A tick counts
+/// whether it runs or the memo skips it: a deferring tick reports, as its
+/// horizon, the first cycle whose tick would find the count at the bound, and
+/// the next tick that runs credits the ticks skipped in between (see
+/// `MemoryController::tick`).
 const PREVENTIVE_DEFER_TICKS: u32 = 32;
 
 /// What the scheduler decided to issue for a chosen demand request.
@@ -195,10 +206,16 @@ pub struct MemoryController {
     /// is due and the refresh stage reduces to a single compare.
     next_refresh_min: Cycle,
     write_drain_mode: bool,
-    /// Consecutive ticks the preventive-queue head has been deferred in
-    /// favour of pending demand row-hits (bounded by
-    /// [`PREVENTIVE_DEFER_TICKS`]).
+    /// Ticks the preventive-queue head has been deferred in favour of
+    /// pending demand row-hits since a preventive command last issued
+    /// (bounded by [`PREVENTIVE_DEFER_TICKS`]), not counting the ticks
+    /// after `deferred_at` that the memo skipped.
     preventive_deferred_ticks: u32,
+    /// The cycle of the last tick that ran, when it deferred the preventive
+    /// head and issued nothing. Until something changes, every tick after it
+    /// would defer again, so the memo skips them and the next tick that runs
+    /// credits them to `preventive_deferred_ticks`.
+    deferred_at: Option<Cycle>,
     /// Memoized [`MemoryController::next_event`] horizon: until this cycle,
     /// `tick` is known to be a pure no-op and early-returns instead of
     /// re-deriving scheduling state. Reset to 0 whenever the queues or the
@@ -263,6 +280,7 @@ impl MemoryController {
             next_refresh_min: t_refi,
             write_drain_mode: false,
             preventive_deferred_ticks: 0,
+            deferred_at: None,
             idle_until: 0,
             plan: None,
             sink: ActionSink::default(),
@@ -340,18 +358,17 @@ impl MemoryController {
         // lower it to this entry's earliest issuable cycle (ignoring
         // scheduling masks, which can only delay further — undershooting the
         // horizon merely wastes a tick, overshooting would skip work).
-        // Known nuance: if this entry is a row hit on the bank the
-        // preventive head is waiting for, the ticks skipped until `ready_at`
-        // do not advance the bounded-deferral counter, so the head can be
-        // deferred up to that many wall-cycles beyond
-        // `PREVENTIVE_DEFER_TICKS`. It is a property of the memo, not of
-        // how the queue is searched: `try_preventive` counts a deferral only
-        // on a tick that runs, and the memo decides which ticks run. Both
-        // kernels share the memo, so they stay bit-identical; the deferral
-        // remains bounded (ticking resumes at the hit's ready cycle) and is
-        // security-neutral while the row is open. The carried-over plan does
-        // not touch this: it only replaces a tick the memo already scheduled
-        // by its outcome, and a tick in the deferral branch never leaves one.
+        // Known nuance: if this entry is the first pending row hit on the
+        // bank the preventive head is waiting for, each tick the memo skips
+        // until `ready_at` would have deferred the head, but none runs to
+        // count it, so the head can be deferred up to that many wall-cycles
+        // beyond `PREVENTIVE_DEFER_TICKS`. It is a property of the memo, not
+        // of how the queue is searched, and both kernels share the memo, so
+        // they stay bit-identical; the deferral remains bounded (ticking
+        // resumes at the hit's ready cycle) and is security-neutral while
+        // the row is open. A head that is already being deferred
+        // (`deferred_at` is set) loses no count: the next tick that runs
+        // credits every tick skipped since, wherever this enqueue moves it.
         //
         // The plan goes the same way as the horizon: the newcomer may be the
         // better candidate at `plan.at` (or flip the drain mode), so the next
@@ -402,7 +419,9 @@ impl MemoryController {
 
     /// Earliest cycle strictly after `now` at which [`MemoryController::tick`]
     /// could do anything beyond a pure no-op — issue a refresh, preventive or
-    /// demand command, or advance the bounded preventive-deferral counter.
+    /// demand command, or stop deferring the preventive head. The ticks in
+    /// between that would only advance the bounded preventive-deferral
+    /// counter are skipped too; the tick at the returned cycle credits them.
     ///
     /// The horizon is computed as a by-product of the most recent
     /// non-issuing [`MemoryController::tick`] (whose scheduling stages
@@ -450,6 +469,13 @@ impl MemoryController {
         if cycle < self.idle_until {
             return;
         }
+        // The last tick that ran deferred the preventive head, and so would
+        // every tick the memo skipped since: count them as the per-tick rule
+        // does (the horizon that tick set keeps the count within the bound).
+        let deferring = self.deferred_at.take();
+        if let Some(last) = deferring {
+            self.preventive_deferred_ticks += cycle.saturating_sub(last + 1) as u32;
+        }
         // Every tick that runs updates the drain mode (with no reads and few
         // writes queued it toggles from one running tick to the next).
         self.update_write_drain_mode();
@@ -461,9 +487,11 @@ impl MemoryController {
         // queues hold requests a second drain-mode update changes nothing.
         // That pass checked that the refresh and preventive stages cannot act
         // before `plan.at + 1`, which leaves the plan as the candidate a full
-        // pass would choose now.
+        // pass would choose now. If that pass deferred the preventive head,
+        // this tick's preventive stage would have deferred it once more.
         if let Some(Plan { use_writes, slot, step, at }) = self.plan.take() {
             if at == cycle {
+                self.preventive_deferred_ticks += u32::from(deferring.is_some());
                 self.service(use_writes, slot, step, cycle, breakhammer);
                 self.idle_until = 0;
                 return;
@@ -505,8 +533,10 @@ impl MemoryController {
             if at <= cycle {
                 self.service(use_writes, slot, step, cycle, breakhammer);
                 // A command was issued: timing and queue state changed, so
-                // the next tick must re-derive its decisions from scratch.
+                // the next tick must re-derive its decisions from scratch —
+                // including whether the preventive head is still deferred.
                 self.idle_until = 0;
+                self.deferred_at = None;
                 return;
             }
             if next.is_none_or(|n| at < n.at) {
@@ -519,8 +549,9 @@ impl MemoryController {
         // command that becomes issuable in the same cycle goes first. A
         // mechanism that may block is left out because `blocked_until` is
         // asked with the cycle, so its answer at `at` is not the one weighed
-        // here. (A tick in `try_preventive`'s bounded-deferral branch reports
-        // `cycle + 1`, below any demand horizon, so it never leaves a plan.)
+        // here. A tick that deferred the preventive head may leave a plan: its
+        // horizon is the cycle the deferral ends, and a plan due before then
+        // issues at a tick whose preventive stage would defer once more.
         self.plan = next.filter(|n| n.at < horizon && !self.mechanism.may_block());
         self.idle_until = next.map_or(horizon, |n| horizon.min(n.at)).max(cycle + 1);
     }
@@ -634,9 +665,20 @@ impl MemoryController {
                     && self.preventive_deferred_ticks < PREVENTIVE_DEFER_TICKS
                 {
                     self.preventive_deferred_ticks += 1;
-                    // The deferral counter advances every tick: no cycle may
-                    // be skipped while deferring.
-                    return TickOutcome::Horizon(cycle + 1);
+                    self.deferred_at = Some(cycle);
+                    // Until a command issues, every following tick would defer
+                    // again, up to the bound: the tick after the last of them
+                    // is the first whose preventive stage can act.
+                    // The one exception is a drain mode that toggles on every
+                    // tick that runs (no reads, few writes): skipping ticks
+                    // would change the mode later ticks see.
+                    if self.read_queue.is_empty()
+                        && self.write_queue.len() <= self.config.write_drain_low
+                    {
+                        return TickOutcome::Horizon(cycle + 1);
+                    }
+                    let left = PREVENTIVE_DEFER_TICKS - self.preventive_deferred_ticks;
+                    return TickOutcome::Horizon(cycle + u64::from(left) + 1);
                 }
             }
         }
@@ -1508,6 +1550,8 @@ mod tests {
         refresh_deadline_at_demand_horizon: u64,
         preventive_horizon_not_after_demand: u64,
         deferral_ticks: u64,
+        plans_left_by_deferring_ticks: u64,
+        plans_issued_while_deferring: u64,
         plan_in_drain_with_both_queues_ready: u64,
         plan_with_hit_at_cap: u64,
         plan_with_hit_over_cap: u64,
@@ -1663,6 +1707,7 @@ mod tests {
                 "cycle {cycle}: the carried-over plan is not what a full pass would issue"
             );
             seen.plans_issued += 1;
+            seen.plans_issued_while_deferring += u64::from(self.deferred_at.is_some());
             seen.plan_in_drain_with_both_queues_ready +=
                 u64::from(first_writes && choices.iter().all(Option::is_some));
             let cap = self.config.frfcfs_cap;
@@ -1694,64 +1739,105 @@ mod tests {
             Some(self.channel.earliest_issue(&cmd))
         }
 
-        /// Everything a tick can change that a later tick can observe.
+        /// Everything a tick can change that a later tick can observe,
+        /// except the memo (`idle_until`, `deferred_at` and the plan), which
+        /// decides only which ticks run.
         fn observable_state(&mut self) -> impl PartialEq + std::fmt::Debug {
             let open_rows: Vec<_> =
                 (0..self.hit_streak.len()).map(|flat| self.channel.open_row_flat(flat)).collect();
             (
                 (self.stats.clone(), self.channel.stats().clone(), self.drain_responses()),
-                (self.idle_until, self.write_drain_mode, self.preventive_deferred_ticks),
+                (self.write_drain_mode, self.preventive_deferred_ticks),
                 (self.hit_streak.clone(), self.preventive_queue.clone(), open_rows),
                 (self.next_refresh.clone(), self.read_queue.len(), self.write_queue.len()),
             )
         }
+
+        /// The controller as it was before a deferring tick reported a
+        /// horizon, kept as the oracle for the deferral horizon: a tick that
+        /// defers the preventive head and issues nothing pins the next tick
+        /// to the very next cycle and leaves no plan, so every deferred tick
+        /// runs and counts itself.
+        fn tick_deferring_per_tick(&mut self, cycle: Cycle) {
+            self.tick(cycle, None);
+            if self.deferred_at == Some(cycle) {
+                self.idle_until = cycle + 1;
+                self.plan = None;
+            }
+        }
     }
 
-    /// Drives the controller with a seeded stream of reads and writes whose
-    /// intensity and locality change every few hundred cycles. Before every
-    /// tick the bank-indexed selector is checked against the linear one, and
-    /// a standing plan against what the linear one would issue; after every
+    /// A seeded stream of reads and writes whose intensity and locality
+    /// change every 400 cycles: rates from 0 to 99 in 256 per cycle, over 1
+    /// to all banks and 1 to 4 rows of each.
+    struct RequestStream {
+        rng: SplitMix,
+        geometry: DramGeometry,
+        read_rate: u64,
+        write_rate: u64,
+        banks: usize,
+        rows: usize,
+        id: u64,
+    }
+
+    impl RequestStream {
+        fn new(seed: u64, geometry: &DramGeometry) -> Self {
+            let geometry = geometry.clone();
+            let (read_rate, write_rate, banks, rows, id) = (0, 0, 1, 1, 0);
+            RequestStream { rng: SplitMix(seed), geometry, read_rate, write_rate, banks, rows, id }
+        }
+
+        /// The requests arriving at `cycle`: a read, a write, both or none.
+        fn arrivals(&mut self, cycle: Cycle) -> Vec<MemRequest> {
+            let rng = &mut self.rng;
+            if cycle.is_multiple_of(400) {
+                self.read_rate = rng.below(100);
+                self.write_rate = rng.below(100);
+                self.banks = 1 + rng.below(self.geometry.banks_per_channel() as u64) as usize;
+                self.rows = 1 + rng.below(4) as usize;
+            }
+            let mut out = Vec::new();
+            for (rate, write) in [(self.read_rate, false), (self.write_rate, true)] {
+                if rng.below(256) >= rate {
+                    continue;
+                }
+                let loc = DramLocation {
+                    channel: 0,
+                    bank: self.geometry.bank_from_flat(rng.below(self.banks as u64) as usize),
+                    row: 40 + 2 * rng.below(self.rows as u64) as usize,
+                    column: rng.below(self.geometry.columns_per_row as u64) as usize,
+                };
+                let addr = AddressMapping::paper_default().encode(&loc, &self.geometry);
+                let thread = ThreadId(rng.below(4) as usize);
+                out.push(if write {
+                    MemRequest::write(self.id, thread, addr, cycle)
+                } else {
+                    MemRequest::read(self.id, thread, addr, cycle)
+                });
+                self.id += 1;
+            }
+            out
+        }
+    }
+
+    /// Drives the controller with a [`RequestStream`]. Before every tick the
+    /// bank-indexed selector is checked against the linear one, and a
+    /// standing plan against what the linear one would issue; after every
     /// tick the controller is compared with a twin fed the same stream whose
     /// plan is discarded before each tick, so that it always runs the full
     /// refresh / preventive / select pass.
     fn drive_both_selectors(kind: MechanismKind, nrh: u64, seed: u64, seen: &mut Coverage) {
         let mut ctrl = controller(kind, nrh);
         let mut full = controller(kind, nrh);
-        let geometry = ctrl.channel().geometry().clone();
-        let mut rng = SplitMix(seed);
-        let (mut read_rate, mut write_rate, mut banks, mut rows) = (0, 0, 1, 1);
-        let mut id = 0;
+        let mut stream = RequestStream::new(seed, ctrl.channel().geometry());
         for cycle in 0..40_000 {
-            if cycle % 400 == 0 {
-                read_rate = rng.below(100);
-                write_rate = rng.below(100);
-                banks = 1 + rng.below(geometry.banks_per_channel() as u64) as usize;
-                rows = 1 + rng.below(4) as usize;
-            }
-            for (rate, write) in [(read_rate, false), (write_rate, true)] {
-                if rng.below(256) >= rate {
-                    continue;
-                }
-                let loc = DramLocation {
-                    channel: 0,
-                    bank: geometry.bank_from_flat(rng.below(banks as u64) as usize),
-                    row: 40 + 2 * rng.below(rows as u64) as usize,
-                    column: rng.below(geometry.columns_per_row as u64) as usize,
-                };
-                let addr = AddressMapping::paper_default().encode(&loc, &geometry);
-                let thread = ThreadId(rng.below(4) as usize);
-                let req = if write {
-                    MemRequest::write(id, thread, addr, cycle)
-                } else {
-                    MemRequest::read(id, thread, addr, cycle)
-                };
-                id += 1;
+            for req in stream.arrivals(cycle) {
                 // A full queue rejecting the request is part of the stream.
                 let standing = ctrl.plan.is_some();
                 let accepted = ctrl.try_enqueue(req).is_ok();
                 assert_eq!(full.try_enqueue(req).is_ok(), accepted);
                 let dropped = u64::from(accepted && standing && ctrl.plan.is_none());
-                if write {
+                if req.kind == AccessKind::Write {
                     seen.plan_dropped_by_write += dropped;
                 } else {
                     seen.plan_dropped_by_read += dropped;
@@ -1769,12 +1855,20 @@ mod tests {
             full.tick(cycle, None);
             seen.select_passes_without_plans += SELECT_PASSES.get() - passes;
             assert_eq!(ctrl.observable_state(), full.observable_state(), "after cycle {cycle}");
+            let memo = |c: &MemoryController| (c.idle_until, c.deferred_at);
+            assert_eq!(memo(&ctrl), memo(&full), "after cycle {cycle}");
 
-            // Where a plan must not be left behind.
-            if ctrl.preventive_deferred_ticks > deferred {
-                seen.deferral_ticks += 1;
-                assert!(ctrl.plan.is_none(), "cycle {cycle}: plan left by a deferring tick");
+            seen.deferral_ticks += u64::from(ctrl.preventive_deferred_ticks > deferred);
+            // A tick that deferred the preventive head and issued nothing may
+            // leave a plan. The check before the tick at `plan.at` holds it
+            // to the linear scan's choice; the head must still be deferred
+            // there, so the plan is due before the deferral's bound.
+            if let (Some(at), Some(plan)) = (ctrl.deferred_at, ctrl.plan) {
+                seen.plans_left_by_deferring_ticks += u64::from(at == cycle);
+                let left = PREVENTIVE_DEFER_TICKS - ctrl.preventive_deferred_ticks;
+                assert!(plan.at <= at + u64::from(left), "cycle {cycle}: plan past the bound");
             }
+            // Where a plan must not be left behind.
             let Some(demand) = demand_horizon.filter(|&d| d != Cycle::MAX && ctrl.idle_until != 0)
             else {
                 continue;
@@ -1783,7 +1877,9 @@ mod tests {
                 seen.refresh_deadline_at_demand_horizon += 1;
                 assert!(ctrl.plan.is_none(), "cycle {cycle}: plan at a refresh deadline");
             }
-            if ctrl.preventive_ready_at().is_some_and(|at| at <= demand) {
+            if ctrl.deferred_at.is_none()
+                && ctrl.preventive_ready_at().is_some_and(|at| at <= demand)
+            {
                 seen.preventive_horizon_not_after_demand += 1;
                 assert!(ctrl.plan.is_none(), "cycle {cycle}: plan beside a preventive command");
             }
@@ -1827,6 +1923,8 @@ mod tests {
             refresh_deadline_at_demand_horizon,
             preventive_horizon_not_after_demand,
             deferral_ticks,
+            plans_left_by_deferring_ticks,
+            plans_issued_while_deferring,
             plan_in_drain_with_both_queues_ready,
             plan_with_hit_at_cap,
             plan_with_hit_over_cap,
@@ -1849,7 +1947,9 @@ mod tests {
             ("plans dropped by a write arriving first", plan_dropped_by_write),
             ("refresh deadlines at the demand horizon", refresh_deadline_at_demand_horizon),
             ("preventive heads due no later than the demand", preventive_horizon_not_after_demand),
-            ("ticks that deferred the preventive head", deferral_ticks),
+            ("ticks that advanced the deferral counter", deferral_ticks),
+            ("plans left by a deferring tick", plans_left_by_deferring_ticks),
+            ("plans issued while deferring", plans_issued_while_deferring),
             ("plans in drain mode with both queues ready", plan_in_drain_with_both_queues_ready),
             ("plans weighed against a hit at the cap", plan_with_hit_at_cap),
             ("plans weighed against a hit over the cap", plan_with_hit_over_cap),
@@ -1858,6 +1958,106 @@ mod tests {
         }
         // A command issued from a plan is a tick without selection passes.
         assert!(select_passes + plans_issued <= select_passes_without_plans);
+    }
+
+    /// Which deferral situations [`drive_deferral_twins`] exercised.
+    #[derive(Debug, Default)]
+    struct DeferralCoverage {
+        /// Ticks the per-tick twin deferred the preventive head on.
+        deferred: u64,
+        /// Of those, ticks the event-driven controller skipped and credited.
+        skipped: u64,
+        /// Deferred ticks with no read and at most `write_drain_low` writes
+        /// queued, where the drain mode toggles on every tick that runs.
+        toggling_drain: u64,
+        /// Commands issued from a plan left by a deferring tick.
+        plans_issued: u64,
+        /// Enqueues that lowered the horizon of a deferring tick.
+        horizons_lowered: u64,
+        /// Ticks at which the deferral counter reached its bound.
+        bound_reached: u64,
+    }
+
+    /// Feeds a [`RequestStream`] to two controllers: one advances by
+    /// [`MemoryController::next_event`] as the simulation kernel does,
+    /// its twin ticks every cycle with per-tick deferral
+    /// ([`MemoryController::tick_deferring_per_tick`]). At every tick the
+    /// first one runs, both must be in the same observable state.
+    fn drive_deferral_twins(kind: MechanismKind, seed: u64, seen: &mut DeferralCoverage) {
+        let mut ctrl = controller(kind, 64);
+        let mut twin = controller(kind, 64);
+        let mut stream = RequestStream::new(seed, ctrl.channel().geometry());
+        let mut next = 0;
+        for cycle in 0..40_000 {
+            for req in stream.arrivals(cycle) {
+                let idle_until = ctrl.idle_until;
+                let accepted = ctrl.try_enqueue(req).is_ok();
+                assert_eq!(twin.try_enqueue(req).is_ok(), accepted);
+                // Requests arrive between the ticks of `cycle - 1` and
+                // `cycle`, where the kernel asks for the next event.
+                if accepted && cycle > 0 {
+                    next = next.min(ctrl.next_event(cycle - 1));
+                }
+                seen.horizons_lowered +=
+                    u64::from(ctrl.deferred_at.is_some() && ctrl.idle_until < idle_until);
+            }
+            let deferred = twin.preventive_deferred_ticks;
+            twin.tick_deferring_per_tick(cycle);
+            if twin.preventive_deferred_ticks > deferred {
+                seen.deferred += 1;
+                seen.skipped += u64::from(cycle != next);
+                seen.toggling_drain += u64::from(
+                    twin.read_queue.is_empty()
+                        && twin.write_queue.len() <= twin.config.write_drain_low,
+                );
+                seen.bound_reached +=
+                    u64::from(twin.preventive_deferred_ticks == PREVENTIVE_DEFER_TICKS);
+            }
+            if cycle != next {
+                continue;
+            }
+            let planned = ctrl.plan.is_some_and(|p| p.at == cycle) && ctrl.deferred_at.is_some();
+            ctrl.tick(cycle, None);
+            seen.plans_issued += u64::from(planned);
+            assert_eq!(ctrl.observable_state(), twin.observable_state(), "after cycle {cycle}");
+            next = ctrl.next_event(cycle);
+        }
+    }
+
+    /// A deferring tick's horizon skips only ticks that would have deferred
+    /// again, and the skipped ticks are counted as the per-tick rule counts
+    /// them: under the mechanisms that defer most, the event-driven
+    /// controller is at every tick it runs where a controller that defers
+    /// tick by tick is.
+    #[test]
+    fn the_deferral_horizon_skips_only_deferring_ticks() {
+        let mut seen = DeferralCoverage::default();
+        for (i, kind) in [MechanismKind::Para, MechanismKind::Graphene, MechanismKind::Hydra]
+            .into_iter()
+            .enumerate()
+        {
+            for seed in 0..3 {
+                drive_deferral_twins(kind, 0xDEFE_0000 + 16 * i as u64 + seed, &mut seen);
+            }
+        }
+        let DeferralCoverage {
+            deferred,
+            skipped,
+            toggling_drain,
+            plans_issued,
+            horizons_lowered,
+            bound_reached,
+        } = seen;
+        for (what, count) in [
+            ("deferred ticks", deferred),
+            ("deferred ticks skipped", skipped),
+            ("deferred ticks with a toggling drain mode", toggling_drain),
+            ("plans issued after a deferring tick", plans_issued),
+            ("deferral horizons lowered by an enqueue", horizons_lowered),
+            ("deferrals that reached the bound", bound_reached),
+        ] {
+            assert!(count > 100, "{what}: only {count} cases");
+        }
     }
 
     /// Four threads hammer two rows each of their own bank, two reads in
@@ -1907,8 +2107,12 @@ mod tests {
             assert!(ctrl.stats().preventive_refresh_actions > 100);
             (SELECT_PASSES.get() - passes) as f64 / (DEMAND_COMMANDS.get() - commands) as f64
         };
+        // Measured: 1.03 with, 1.90 without.
         let (with, without) = (per_command(true), per_command(false));
-        assert!(with <= 1.45 && without >= 1.9, "{with:.2} vs {without:.2} selections per command");
+        assert!(
+            with <= 1.27 && without >= 1.72,
+            "{with:.2} vs {without:.2} selections per command"
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use breakhammer_suite::mitigation::MechanismKind;
 use breakhammer_suite::sim::{SimulationResult, System, SystemConfig};
+use breakhammer_suite::workloads::{AttackerProfile, TraceGenerator};
 
 mod common;
 use common::{attack_traces, attack_traces_composed, probabilistic_secded_fault};
@@ -254,12 +255,64 @@ fn run_fault_matrix() -> Vec<(String, u64)> {
     out
 }
 
+/// Runs the benchmark's `HHHA-00` attack mix at seed 42 (`libquantum`,
+/// `fotonik3d` and `gemsfdtd` beside the paper-default attacker) on the
+/// Table-1 system, 100 k instructions a core, under the mechanisms whose
+/// preventive refreshes the controller defers most, ±BreakHammer, and returns
+/// the rows for the deferral golden file.
+///
+/// In these cells the controller holds a preventive precharge behind pending
+/// demand row hits for many cycles at a time (PARA at N_RH 64 queues a
+/// same-bank refresh on every activation; tens of thousands of deferred ticks
+/// a cell), so they pin the bounded deferral's tick-exact bookkeeping, which
+/// the `fast_test` matrices above barely reach. Hydra runs at 128: at 64 it
+/// lets bits flip under this mix.
+fn run_deferral_matrix() -> Vec<(String, u64)> {
+    use MechanismKind::{Graphene, Hydra, Para, Rfm, Twice};
+    let seed = 42;
+    let table1 = SystemConfig::paper_table1(MechanismKind::None, 64, false);
+    let generator = TraceGenerator::new(table1.geometry.clone(), table1.memctrl.mapping);
+    let mut traces: Vec<_> = ["libquantum", "fotonik3d", "gemsfdtd"]
+        .iter()
+        .enumerate()
+        .map(|(slot, name)| {
+            let trace_seed = seed ^ ((slot as u64) << 32);
+            generator.benign_named(name, 20_000, trace_seed).unwrap_or_else(|e| panic!("{e}"))
+        })
+        .collect();
+    let attacker = AttackerProfile::paper_default().compose();
+    traces.push(attacker.trace(&table1.geometry, table1.memctrl.mapping, 8_000, seed ^ 0xdead));
+    let victims = attacker.victim_rows(&table1.geometry);
+    let mut out = Vec::new();
+    for (mechanism, nrh) in [(Para, 64), (Graphene, 64), (Twice, 64), (Rfm, 64), (Hydra, 128)] {
+        for breakhammer in [false, true] {
+            let mut config = SystemConfig::paper_table1(mechanism, nrh, breakhammer);
+            config.instructions_per_core = 100_000;
+            config.max_dram_cycles = 40_000_000;
+            config.seed = seed;
+            let result = System::new(config, &traces, vec![0, 1, 2])
+                .watch_victims(victims.iter().map(|v| (v.channel, v.row)))
+                .run();
+            assert_eq!(result.bitflips, 0, "{mechanism}@{nrh}: bits flipped");
+            out.push((
+                label(&format!("{mechanism}@{nrh}"), breakhammer),
+                digest_with_outcome(&result),
+            ));
+        }
+    }
+    out
+}
+
 fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/digests.golden.txt")
 }
 
 fn fault_golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fault_digests.golden.txt")
+}
+
+fn deferral_golden_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/deferral_digests.golden.txt")
 }
 
 fn scenario_golden_path() -> std::path::PathBuf {
@@ -324,4 +377,10 @@ fn simulation_digests_match_golden_file() {
 #[test]
 fn fault_digests_match_golden_file() {
     check_golden(&fault_golden_path(), &run_fault_matrix());
+}
+
+/// The deferral-heavy Table-1 cells must match their committed golden file.
+#[test]
+fn deferral_digests_match_golden_file() {
+    check_golden(&deferral_golden_path(), &run_deferral_matrix());
 }
