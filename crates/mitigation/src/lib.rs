@@ -57,6 +57,8 @@
 mod action;
 mod aqua;
 mod blockhammer;
+#[cfg(test)]
+mod exact_counter;
 mod graphene;
 mod hydra;
 mod mechanism;

@@ -41,8 +41,8 @@ use std::collections::BinaryHeap;
 
 /// A Misra–Gries summary over row indices.
 ///
-/// Rows must fit in a `u32` (row indices are bounded by `rows_per_bank`, far
-/// below that).
+/// Rows must fit in a `u32`: row indices are below `rows_per_bank`, which
+/// `SystemConfig::validate` caps at 2^32.
 #[derive(Debug, Clone)]
 pub struct MisraGries {
     capacity: usize,

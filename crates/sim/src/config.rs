@@ -347,6 +347,14 @@ impl SystemConfig {
         if let Some((field, value)) = self.geometry.non_power_of_two_dimension() {
             return Err(format!("geometry.{field} = {value} is not a power of two"));
         }
+        // Misra–Gries queues rows as `u32`, and BlockHammer's blacklist and
+        // Hydra's row-count cache key them as `bank << 32 | row`.
+        if self.geometry.rows_per_bank as u64 > 1 << 32 {
+            return Err(format!(
+                "geometry.rows_per_bank = {} but a bank may hold at most 2^32 rows",
+                self.geometry.rows_per_bank
+            ));
+        }
         if self.nrh < self.mechanism.min_nrh() {
             return Err(format!(
                 "nrh = {} but {} needs N_RH >= {}",
@@ -567,6 +575,21 @@ mod tests {
         let mut c = base;
         c.memctrl.mapping.scheme = MappingScheme::Mop { burst_lines: 6 };
         assert_eq!(c.validate(), Err("mapping burst_lines = 6 is not a power of two".into()));
+    }
+
+    /// The trackers index a bank's rows in 32 bits: 2^33 rows a bank is an
+    /// error naming the field, 2^32 is accepted. Validation only; a `System`
+    /// of that geometry would allocate per-row page tables.
+    #[test]
+    fn validation_rejects_more_rows_than_the_trackers_index() {
+        let mut c = SystemConfig::fast_test(MechanismKind::Graphene, 1024, false);
+        c.geometry.rows_per_bank = 1 << 32;
+        assert_eq!(c.validate(), Ok(()));
+        c.geometry.rows_per_bank = 1 << 33;
+        assert_eq!(
+            c.validate(),
+            Err("geometry.rows_per_bank = 8589934592 but a bank may hold at most 2^32 rows".into())
+        );
     }
 
     /// A threshold below the mechanism's minimum is a configuration error
