@@ -114,10 +114,7 @@ mod tests {
         let mut other = sample_record();
         other.breakhammer = false;
         other.weighted_speedup = 1.0;
-        let records = [
-            CellRecord::from_run("a/m/1", 1, true, &sample_record()),
-            CellRecord::from_run("b/m/1", 1, true, &other),
-        ];
+        let records = [sample_record(), other];
         let table = report_table(&records);
         let csv = table.to_csv();
         assert!(csv.contains("Graphene+BH,64,1"), "{csv}");
@@ -128,15 +125,15 @@ mod tests {
 
     #[test]
     fn report_computes_flips_prevented_per_unit_slowdown() {
-        let make = |mechanism, breakhammer, ws: f64, flips_raw: u64| {
+        let make = |mechanism: MechanismKind, breakhammer, ws: f64, flips_raw: u64| {
             let mut r = sample_record();
-            r.mechanism = mechanism;
+            r.mechanism = mechanism.label().to_string();
             r.breakhammer = breakhammer;
             r.weighted_speedup = ws;
             r.flips_raw = flips_raw;
             r.flips_silent = flips_raw;
             r.attack_success = flips_raw > 0;
-            CellRecord::from_run("c/m/1", 1, true, &r)
+            r
         };
         let records = vec![
             make(MechanismKind::None, false, 4.0, 100),

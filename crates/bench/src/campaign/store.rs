@@ -6,7 +6,8 @@
 //! field and flushed as soon as its cell finishes. Everything about the
 //! bytes lives here: cell identity, the seal, the JSON subset the lines use
 //! (hand-rolled: the workspace vendors no JSON crate), the field schema, and
-//! the file itself with its retrying append and its tolerant readers.
+//! the file itself with its retrying append and its one tolerant reader,
+//! [`ResultStore::entries`], which every other read folds.
 
 // Hash collections are deliberate here: parsed objects and cell-id sets are
 // lookup/membership state that is never iterated for output, and bh-bench is
@@ -14,8 +15,8 @@
 #![allow(clippy::disallowed_types)]
 
 use super::json::{parse_object, push_field, take_field, Json};
-use crate::experiments::RunRecord;
-use bh_sim::{SystemConfig, TerminationReason};
+use bh_sim::{MixEvaluation, SystemConfig, TerminationReason};
+use bh_workloads::WorkloadMix;
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -87,7 +88,9 @@ fn seal_intact(line: &str) -> bool {
 
 // --- result lines -----------------------------------------------------------
 
-/// One completed cell parsed back from a result store.
+/// One evaluated (configuration, mix) pair, flattened: what
+/// [`evaluate_jobs`](crate::evaluate_jobs) returns, what the figures
+/// aggregate, and what one line of a result store holds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellRecord {
     /// Cell id (`"<config digest>/<mix>/<seed>"`).
@@ -102,7 +105,7 @@ pub struct CellRecord {
     pub seed: u64,
     /// Mix instance name.
     pub mix: String,
-    /// Mix class label.
+    /// Mix class label (e.g. `"HHHA"`).
     pub mix_class: String,
     /// Attack-scenario tag (`None` for classic/benign mixes).
     pub scenario: Option<String>,
@@ -122,11 +125,13 @@ pub struct CellRecord {
     pub attacker_identified: bool,
     /// True if a benign thread was flagged as a suspect.
     pub benign_misidentified: bool,
-    /// Would-be RowHammer bitflips.
+    /// Would-be RowHammer bitflips (must be 0 for deterministic mechanisms).
     pub bitflips: u64,
-    /// Largest end-of-run disturbance of any watched victim row.
+    /// Largest end-of-run disturbance of any watched victim row (0 when the
+    /// mix declared no victims).
     pub max_victim_disturbance: u64,
-    /// Raw bit-flips before ECC (the fault model's output).
+    /// Raw bit-flips before ECC (the fault model's output; 0 under the
+    /// default hard-threshold model whenever `bitflips` is 0).
     pub flips_raw: u64,
     /// Flips corrected by ECC.
     pub flips_corrected: u64,
@@ -212,36 +217,46 @@ impl CellRecord {
         self.status == "ok"
     }
 
-    /// The store's view of one evaluated cell. `status` reflects the run's
-    /// termination: `"ok"`, `"livelock"` or `"budget"`.
-    pub fn from_run(cell: &str, seed: u64, attack: bool, r: &RunRecord) -> Self {
+    /// Flattens `mix` evaluated under `config`. `status` reflects the run's
+    /// termination (`"ok"`, `"livelock"` or `"budget"`), `seed` is the
+    /// configuration's and `attack` whether the mix has an attacker; `cell`
+    /// stays empty (the sweep names a cell when it writes the line).
+    pub(crate) fn from_eval(
+        config: &SystemConfig,
+        mix: &WorkloadMix,
+        eval: &MixEvaluation,
+    ) -> Self {
+        let result = &eval.result;
+        let benign = mix.benign_threads();
+        let hist = result.merged_latency(&benign);
+        let to_ns = |cycles: u64| config.timing.cycles_to_ns(cycles);
         CellRecord {
-            status: termination_status(r.termination).to_string(),
-            cell: cell.to_string(),
-            mechanism: r.mechanism.to_string(),
-            nrh: r.nrh,
-            breakhammer: r.breakhammer,
-            seed,
-            mix: r.mix_name.clone(),
-            mix_class: r.mix_class.clone(),
-            scenario: r.scenario.clone(),
-            attack,
-            weighted_speedup: r.weighted_speedup,
-            max_slowdown: r.max_slowdown,
-            energy_nj: r.energy_nj,
-            preventive_actions: r.preventive_actions,
-            latency_ns: r.latency_ns,
-            attacker_identified: r.attacker_identified,
-            benign_misidentified: r.benign_misidentified,
-            bitflips: r.bitflips as u64,
-            max_victim_disturbance: r.max_victim_disturbance,
-            flips_raw: r.flips_raw,
-            flips_corrected: r.flips_corrected,
-            flips_detected: r.flips_detected,
-            flips_silent: r.flips_silent,
-            attack_success: r.attack_success,
-            termination: r.termination.label().to_string(),
-            livelock_report: r.livelock.clone(),
+            status: termination_status(result.termination).to_string(),
+            cell: String::new(),
+            mechanism: config.mechanism.label().to_string(),
+            nrh: config.nrh,
+            breakhammer: config.breakhammer,
+            seed: config.seed,
+            mix: mix.name.clone(),
+            mix_class: mix.class.label(),
+            scenario: mix.scenario.clone(),
+            attack: mix.attacker_thread.is_some(),
+            weighted_speedup: eval.weighted_speedup,
+            max_slowdown: eval.max_slowdown,
+            energy_nj: result.energy_nj,
+            preventive_actions: result.preventive_actions,
+            latency_ns: [50.0, 90.0, 99.0].map(|p| to_ns(hist.percentile(p))),
+            attacker_identified: mix.attacker_thread.is_some_and(|t| result.ever_suspect[t]),
+            benign_misidentified: benign.iter().any(|t| result.ever_suspect[*t]),
+            bitflips: result.bitflips as u64,
+            max_victim_disturbance: result.max_victim_disturbance(),
+            flips_raw: result.outcome.flips_raw,
+            flips_corrected: result.outcome.corrected,
+            flips_detected: result.outcome.detected,
+            flips_silent: result.outcome.silent,
+            attack_success: result.outcome.attack_success,
+            termination: result.termination.label().to_string(),
+            livelock_report: result.livelock.as_ref().map(|report| report.to_string()),
         }
     }
 
@@ -281,10 +296,10 @@ impl CellRecord {
     }
 }
 
-/// Serialises one evaluated cell as a single sealed JSONL line (no trailing
-/// newline).
-pub fn record_line(cell: &str, seed: u64, attack: bool, r: &RunRecord) -> String {
-    CellRecord::from_run(cell, seed, attack, r).to_line()
+/// Serialises `r` as the sealed JSONL line (no trailing newline) of cell
+/// `cell`, with its `seed` and `attack` fields set to those given.
+pub fn record_line(cell: &str, seed: u64, attack: bool, r: &CellRecord) -> String {
+    CellRecord { cell: cell.to_string(), seed, attack, ..r.clone() }.to_line()
 }
 
 /// Serialises one *failed* cell (a cell whose evaluation panicked) as a
@@ -310,18 +325,6 @@ pub struct FailedCell {
     pub cell: String,
     /// The panic message recorded when the cell failed.
     pub error: String,
-}
-
-impl FailedCell {
-    /// Parses one store line as a failed-cell record; `None` for anything
-    /// else (evaluated cells, malformed or seal-broken lines, foreign
-    /// schemas).
-    pub fn parse(line: &str) -> Option<Self> {
-        match StoreEntry::parse(line)? {
-            StoreEntry::Failed(failed) => Some(failed),
-            StoreEntry::Completed(_) => None,
-        }
-    }
 }
 
 /// One well-formed line of a result store: an evaluated cell (status `"ok"`,
@@ -478,8 +481,10 @@ impl ResultStore {
     }
 
     /// Every well-formed entry of a store (completed and failed cells), in
-    /// file order. Malformed lines — truncated tails, interior garbage,
-    /// half-overwritten records — are skipped; their cells rerun on resume.
+    /// file order: the store's one reader, which [`ResultStore::load`],
+    /// [`ResultStore::settled_cells`] and the free folds below build on.
+    /// Malformed lines — truncated tails, interior garbage, half-overwritten
+    /// records — are skipped; their cells rerun on resume.
     pub fn entries(path: &Path) -> io::Result<Vec<StoreEntry>> {
         let mut entries = Vec::new();
         for line in BufReader::new(File::open(path)?).lines() {
@@ -505,22 +510,6 @@ impl ResultStore {
     /// cells rerun on resume.
     pub fn settled_cells(path: &Path) -> io::Result<HashSet<String>> {
         Ok(Self::load(path)?.into_iter().map(|record| record.cell).collect())
-    }
-
-    /// The set of cell ids with a healthy (`"ok"`) record in a store.
-    /// Livelock/budget verdicts and failed cells are excluded.
-    pub fn completed_cells(path: &Path) -> io::Result<HashSet<String>> {
-        Ok(Self::load(path)?.into_iter().filter(CellRecord::is_ok).map(|r| r.cell).collect())
-    }
-
-    /// [`verdict_cells`] of the store at `path`.
-    pub fn verdict_cells(path: &Path) -> io::Result<Vec<CellRecord>> {
-        Ok(verdict_cells(&Self::load(path)?))
-    }
-
-    /// [`pending_failures`] of the store at `path`.
-    pub fn failed_cells(path: &Path) -> io::Result<Vec<FailedCell>> {
-        Ok(pending_failures(&Self::entries(path)?))
     }
 }
 
@@ -566,17 +555,23 @@ pub fn pending_failures(entries: &[StoreEntry]) -> Vec<FailedCell> {
 pub(super) mod tests {
     use super::super::report_table;
     use super::*;
-    use crate::experiments::paper_config;
+    use crate::experiments::{config_matrix, evaluate_jobs, paper_config, EvalHooks};
     use crate::scale::Scale;
+    use crate::Campaign;
     use bh_mitigation::MechanismKind;
 
-    pub(in crate::campaign) fn sample_record() -> RunRecord {
-        RunRecord {
-            mechanism: MechanismKind::Graphene,
+    pub(in crate::campaign) fn sample_record() -> CellRecord {
+        CellRecord {
+            status: "ok".to_string(),
+            cell: String::new(),
+            mechanism: "Graphene".to_string(),
             nrh: 64,
             breakhammer: true,
+            seed: 42,
+            mix: "HHHA-00".to_string(),
             mix_class: "HHHA".to_string(),
-            mix_name: "HHHA-00".to_string(),
+            scenario: Some("fuzz-nbr".to_string()),
+            attack: true,
             weighted_speedup: 3.25,
             max_slowdown: 1.5,
             energy_nj: 123456.75,
@@ -585,15 +580,24 @@ pub(super) mod tests {
             attacker_identified: true,
             benign_misidentified: false,
             bitflips: 0,
-            scenario: Some("fuzz-nbr".to_string()),
             max_victim_disturbance: 17,
             flips_raw: 9,
             flips_corrected: 4,
             flips_detected: 2,
             flips_silent: 3,
             attack_success: true,
-            termination: TerminationReason::Completed,
-            livelock: None,
+            termination: "completed".to_string(),
+            livelock_report: None,
+        }
+    }
+
+    /// `sample_record` ended by `termination`, with its store status.
+    fn ended(termination: TerminationReason, livelock_report: Option<&str>) -> CellRecord {
+        CellRecord {
+            status: termination_status(termination).to_string(),
+            termination: termination.label().to_string(),
+            livelock_report: livelock_report.map(str::to_string),
+            ..sample_record()
         }
     }
 
@@ -642,6 +646,46 @@ pub(super) mod tests {
         let parsed = CellRecord::parse(&line).expect("line parses");
         assert_eq!(parsed.scenario, None);
         assert!(!parsed.attack);
+    }
+
+    /// The bytes of a stored line, pinned: a round trip cannot see a field
+    /// that is written and read back wrong in the same way.
+    #[test]
+    fn a_record_line_keeps_its_bytes() {
+        let line = record_line("deadbeef/HHHA-00/42", 42, true, &sample_record());
+        let pinned = concat!(
+            r#"{"schema":3,"status":"ok","cell":"deadbeef/HHHA-00/42","mechanism":"Graphene","#,
+            r#""nrh":64,"breakhammer":true,"seed":42,"mix":"HHHA-00","mix_class":"HHHA","#,
+            r#""scenario":"fuzz-nbr","attack":true,"weighted_speedup":3.25,"max_slowdown":1.5,"#,
+            r#""energy_nj":123456.75,"preventive_actions":42,"latency_p50_ns":10.5,"#,
+            r#""latency_p90_ns":20.25,"latency_p99_ns":99,"attacker_identified":true,"#,
+            r#""benign_misidentified":false,"bitflips":0,"max_victim_disturbance":17,"#,
+            r#""flips_raw":9,"flips_corrected":4,"flips_detected":2,"flips_silent":3,"#,
+            r#""attack_success":true,"termination":"completed","livelock_report":null,"#,
+            r#""crc":"84b906a4bf73d31b"}"#,
+        );
+        assert_eq!(line, pinned);
+    }
+
+    /// The line of one real cell evaluated through `evaluate_jobs` (Graphene
+    /// at N_RH 64 with BreakHammer on the first attack mix of a tiny
+    /// campaign), pinned by its FNV-1a digest.
+    #[test]
+    fn an_evaluated_cells_line_keeps_its_bytes() {
+        let mut scale = Scale::quick();
+        scale.instructions_per_core = 4_000;
+        scale.benign_entries = 600;
+        scale.attacker_entries = 600;
+        let mix = Campaign::new(scale.clone()).sweep_mixes(true).swap_remove(0);
+        let configs = config_matrix(&[MechanismKind::Graphene], &[64], &[true], &scale);
+        let unprotected = paper_config(MechanismKind::None, 4096, false, &scale);
+        let alone = bh_sim::alone_ipcs(&unprotected, [&mix]);
+        let mixes = std::slice::from_ref(&mix);
+        let outcome = evaluate_jobs(&configs, mixes, &[(0, 0)], &alone, 1, &EvalHooks::none());
+        let record = outcome[0].as_ref().expect("the cell evaluates");
+        let cell = format!("pin/{}/{}", mix.name, scale.seed);
+        let line = record_line(&cell, scale.seed, true, record);
+        assert_eq!(format!("{:016x}", fnv1a64(line.bytes())), "615c8493ba866557", "{line}");
     }
 
     /// Every field distinct and none at its default: a row dropped from
@@ -714,24 +758,22 @@ pub(super) mod tests {
 
     #[test]
     fn watchdog_verdicts_round_trip_with_their_status() {
-        let mut record = sample_record();
-        record.termination = TerminationReason::Livelock;
-        record.livelock = Some("livelock at cycle 25000 (4 zero-progress epochs): …".to_string());
+        let report = "livelock at cycle 25000 (4 zero-progress epochs): …";
+        let record = ended(TerminationReason::Livelock, Some(report));
         let line = record_line("c/m/1", 1, true, &record);
         let parsed = CellRecord::parse(&line).expect("line parses");
         assert_eq!(parsed.status, "livelock");
         assert!(!parsed.is_ok());
         assert_eq!(parsed.termination, "livelock");
-        assert_eq!(parsed.livelock_report.as_deref(), record.livelock.as_deref());
+        assert_eq!(parsed.livelock_report.as_deref(), Some(report));
 
-        record.termination = TerminationReason::BudgetExceeded;
-        record.livelock = None;
+        let record = ended(TerminationReason::BudgetExceeded, None);
         let parsed = CellRecord::parse(&record_line("c/m/1", 1, true, &record)).expect("parses");
         assert_eq!(parsed.status, "budget");
         assert_eq!(parsed.termination, "budget");
         assert_eq!(parsed.livelock_report, None);
 
-        record.termination = TerminationReason::CycleCutoff;
+        let record = ended(TerminationReason::CycleCutoff, None);
         let parsed = CellRecord::parse(&record_line("c/m/1", 1, true, &record)).expect("parses");
         assert_eq!(parsed.status, "ok", "a cycle cutoff is a healthy outcome");
         assert_eq!(parsed.termination, "cutoff");
@@ -790,15 +832,15 @@ pub(super) mod tests {
     fn failed_lines_round_trip_and_never_count_as_completed() {
         let line = failed_line("a/m/1", 1, true, "panicked at 'boom'");
         assert_eq!(CellRecord::parse(&line), None, "a failed line is not a completed cell");
-        let failed = FailedCell::parse(&line).expect("failed line parses");
-        assert_eq!(failed.cell, "a/m/1");
-        assert_eq!(failed.error, "panicked at 'boom'");
-        match StoreEntry::parse(&line) {
-            Some(StoreEntry::Failed(f)) => assert_eq!(f, failed),
-            other => panic!("expected a failed entry, got {other:?}"),
-        }
+        let failed =
+            FailedCell { cell: "a/m/1".to_string(), error: "panicked at 'boom'".to_string() };
+        assert_eq!(StoreEntry::parse(&line), Some(StoreEntry::Failed(failed)));
         let ok = record_line("a/m/1", 1, true, &sample_record());
-        assert_eq!(FailedCell::parse(&ok), None, "a completed line is not a failure");
+        let entry = StoreEntry::parse(&ok);
+        assert!(
+            matches!(entry, Some(StoreEntry::Completed(_))),
+            "a completed line is not a failure"
+        );
     }
 
     #[test]
@@ -812,21 +854,20 @@ pub(super) mod tests {
             // A later resume completed cell a; b is still pending.
             store.append(&record_line("a/m/1", 1, true, &sample_record()));
         }
-        let pending = ResultStore::failed_cells(&path).expect("store loads");
+        let pending = pending_failures(&ResultStore::entries(&path).expect("store loads"));
         assert_eq!(pending.len(), 1, "{pending:?}");
         assert_eq!(pending[0].cell, "b/m/1");
-        let completed = ResultStore::completed_cells(&path).expect("store loads");
-        assert_eq!(completed, HashSet::from(["a/m/1".to_string()]));
+        assert_eq!(ok_cells(&path), HashSet::from(["a/m/1".to_string()]));
         std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
     fn string_escapes_survive_the_round_trip() {
         let mut record = sample_record();
-        record.mix_name = "m\"x\\w — tab\there\n".to_string();
+        record.mix = "m\"x\\w — tab\there\n".to_string();
         let line = record_line("c/m/1", 1, true, &record);
         let parsed = CellRecord::parse(&line).expect("line parses");
-        assert_eq!(parsed.mix, record.mix_name);
+        assert_eq!(parsed.mix, record.mix);
     }
 
     #[test]
@@ -862,8 +903,7 @@ pub(super) mod tests {
             store.append("{\"schema\":1,\"cell\":\"trunc");
             store.append(&record_line("b/m/1", 1, true, &sample_record()));
         }
-        let cells = ResultStore::completed_cells(&path).expect("store loads");
-        assert_eq!(cells, HashSet::from(["a/m/1".to_string(), "b/m/1".to_string()]));
+        assert_eq!(ok_cells(&path), HashSet::from(["a/m/1".to_string(), "b/m/1".to_string()]));
         assert_eq!(ResultStore::load(&path).expect("store loads").len(), 2);
         std::fs::remove_file(&path).expect("cleanup");
     }
@@ -875,12 +915,9 @@ pub(super) mod tests {
         {
             let store = ResultStore::create(&path).expect("fresh store");
             store.append(&record_line("ok/m/1", 1, true, &sample_record()));
-            let mut spun = sample_record();
-            spun.termination = TerminationReason::Livelock;
-            spun.livelock = Some("livelock at cycle 25000: …".to_string());
+            let spun = ended(TerminationReason::Livelock, Some("livelock at cycle 25000: …"));
             store.append(&record_line("spin/m/1", 1, true, &spun));
-            let mut cut = sample_record();
-            cut.termination = TerminationReason::BudgetExceeded;
+            let cut = ended(TerminationReason::BudgetExceeded, None);
             store.append(&record_line("cut/m/1", 1, true, &cut));
             store.append(&failed_line("boom/m/1", 1, true, "panicked"));
         }
@@ -890,16 +927,16 @@ pub(super) mod tests {
             HashSet::from(["ok/m/1".to_string(), "spin/m/1".to_string(), "cut/m/1".to_string()]),
             "every evaluated cell settles, whatever the verdict"
         );
-        let completed = ResultStore::completed_cells(&path).expect("store loads");
-        assert_eq!(completed, HashSet::from(["ok/m/1".to_string()]));
-        let verdicts = ResultStore::verdict_cells(&path).expect("store loads");
+        assert_eq!(ok_cells(&path), HashSet::from(["ok/m/1".to_string()]));
+        let entries = ResultStore::entries(&path).expect("store loads");
+        let pending = pending_failures(&entries);
+        let verdicts = verdict_cells(&evaluated_cells(entries));
         assert_eq!(verdicts.len(), 2);
         assert_eq!(verdicts[0].cell, "spin/m/1");
         assert_eq!(verdicts[0].status, "livelock");
         assert!(verdicts[0].livelock_report.is_some());
         assert_eq!(verdicts[1].cell, "cut/m/1");
         assert_eq!(verdicts[1].status, "budget");
-        let pending = ResultStore::failed_cells(&path).expect("store loads");
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].cell, "boom/m/1");
         // Verdict cells carry truncated-run numbers; the report skips them.
@@ -966,6 +1003,12 @@ pub(super) mod tests {
             message.contains(path.to_str().expect("utf8 path")),
             "the error names the store path: {message}"
         );
+    }
+
+    /// The ids of the cells a store holds a healthy (`"ok"`) record of.
+    fn ok_cells(path: &Path) -> HashSet<String> {
+        let records = ResultStore::load(path).expect("store loads");
+        records.into_iter().filter(CellRecord::is_ok).map(|r| r.cell).collect()
     }
 
     fn test_path(tag: &str) -> PathBuf {

@@ -4,12 +4,11 @@
 // The settled-cell set is membership state, never iterated for results.
 #![allow(clippy::disallowed_types)]
 
-use super::store::{config_digest, failed_line, record_line, ResultStore};
-use crate::experiments::{config_matrix, evaluate_jobs, EvalHooks, RunRecord};
+use super::store::{config_digest, failed_line, record_line, CellRecord, ResultStore};
+use crate::experiments::{config_matrix, evaluate_jobs, EvalHooks};
 use crate::scale::Scale;
 use crate::Campaign;
 use bh_mitigation::MechanismKind;
-use bh_sim::TerminationReason;
 use std::collections::HashSet;
 
 // --- the sweep engine -------------------------------------------------------
@@ -111,7 +110,7 @@ impl CampaignSpec {
                 continue;
             }
             let alone = campaign.warmed_alone_cache();
-            let on_cell = |i: usize, outcome: Result<&RunRecord, &str>| match outcome {
+            let on_cell = |i: usize, outcome: Result<&CellRecord, &str>| match outcome {
                 Ok(record) => store.append(&record_line(&cells[i], seed, self.attack, record)),
                 Err(error) => store.append(&failed_line(&cells[i], seed, self.attack, error)),
             };
@@ -127,10 +126,10 @@ impl CampaignSpec {
                 match result {
                     Ok(record) => {
                         summary.evaluated_cells += 1;
-                        match record.termination {
-                            TerminationReason::Livelock => summary.livelock_cells += 1,
-                            TerminationReason::BudgetExceeded => summary.budget_cells += 1,
-                            TerminationReason::Completed | TerminationReason::CycleCutoff => {}
+                        match record.status.as_str() {
+                            "livelock" => summary.livelock_cells += 1,
+                            "budget" => summary.budget_cells += 1,
+                            _ => {}
                         }
                     }
                     Err(_) => summary.failed_cells += 1,

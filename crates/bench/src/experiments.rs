@@ -3,112 +3,22 @@
 //! A [`Campaign`] holds the workload mixes plus their alone-IPC baselines and
 //! evaluates configurations against them on a worker pool
 //! ([`evaluate_jobs`]); each evaluated (configuration, mix) pair — a cell —
-//! comes back as a flat [`RunRecord`], which the aggregation helpers at the
-//! end of the module select from and reduce. The experiment scale lives in
-//! [`crate::scale`].
+//! comes back as one flat [`CellRecord`] — the record a line of a result
+//! store holds — which the aggregation helpers at the end of the module
+//! select from and reduce. The experiment scale lives in [`crate::scale`].
 
+use crate::campaign::CellRecord;
 use crate::scale::Scale;
 use bh_mitigation::MechanismKind;
-use bh_sim::{
-    alone_ipc, baseline_traces, evaluate, evaluate_pair, MixEvaluation, SystemConfig,
-    TerminationReason,
-};
+use bh_sim::{alone_ipc, baseline_traces, evaluate, evaluate_pair, SystemConfig};
 use bh_stats::Table;
 use bh_workloads::{scenario_by_name, MixBuilder, MixClass, TraceGenerator, WorkloadMix};
 use std::collections::BTreeMap;
 
-/// One evaluated (configuration, mix) pair, flattened for aggregation.
-#[derive(Debug, Clone)]
-pub struct RunRecord {
-    /// Mitigation mechanism.
-    pub mechanism: MechanismKind,
-    /// RowHammer threshold.
-    pub nrh: u64,
-    /// Whether BreakHammer was attached.
-    pub breakhammer: bool,
-    /// Mix class label (e.g. `"HHHA"`).
-    pub mix_class: String,
-    /// Mix instance name.
-    pub mix_name: String,
-    /// Weighted speedup over the benign applications.
-    pub weighted_speedup: f64,
-    /// Maximum slowdown of a benign application.
-    pub max_slowdown: f64,
-    /// DRAM energy in nanojoules.
-    pub energy_nj: f64,
-    /// RowHammer-preventive actions performed.
-    pub preventive_actions: u64,
-    /// Benign-application memory-latency percentiles in nanoseconds
-    /// (p50, p90, p99).
-    pub latency_ns: [f64; 3],
-    /// True if the attacker thread was identified as a suspect.
-    pub attacker_identified: bool,
-    /// True if any benign thread was identified as a suspect.
-    pub benign_misidentified: bool,
-    /// Would-be RowHammer bitflips (must be 0 for deterministic mechanisms).
-    pub bitflips: usize,
-    /// Attack-scenario tag of the mix (`None` for the classic attacker and
-    /// for benign mixes).
-    pub scenario: Option<String>,
-    /// Largest end-of-run disturbance of any watched victim row (0 when the
-    /// mix declared no victims).
-    pub max_victim_disturbance: u64,
-    /// Raw bit-flips before ECC (the fault model's output; 0 under the
-    /// default hard-threshold model whenever `bitflips` is 0).
-    pub flips_raw: u64,
-    /// Flips corrected by ECC.
-    pub flips_corrected: u64,
-    /// Flips detected but not corrected (machine-check events).
-    pub flips_detected: u64,
-    /// Flips that escaped ECC silently.
-    pub flips_silent: u64,
-    /// Whether the run satisfied the mix's attack-success criterion.
-    pub attack_success: bool,
-    /// How the run ended: completed, cut off, livelocked, or out of budget.
-    pub termination: TerminationReason,
-    /// Rendered livelock diagnostic snapshot (`None` unless `termination`
-    /// is [`TerminationReason::Livelock`]).
-    pub livelock: Option<String>,
-}
-
-impl RunRecord {
-    fn from_eval(config: &SystemConfig, mix: &WorkloadMix, eval: &MixEvaluation) -> Self {
-        let benign = mix.benign_threads();
-        let hist = eval.result.merged_latency(&benign);
-        let to_ns = |cycles: u64| config.timing.cycles_to_ns(cycles);
-        let attacker_identified =
-            mix.attacker_thread.map(|t| eval.result.ever_suspect[t]).unwrap_or(false);
-        let benign_misidentified = benign.iter().any(|t| eval.result.ever_suspect[*t]);
-        RunRecord {
-            mechanism: config.mechanism,
-            nrh: config.nrh,
-            breakhammer: config.breakhammer,
-            mix_class: mix.class.label(),
-            mix_name: mix.name.clone(),
-            weighted_speedup: eval.weighted_speedup,
-            max_slowdown: eval.max_slowdown,
-            energy_nj: eval.result.energy_nj,
-            preventive_actions: eval.result.preventive_actions,
-            latency_ns: [
-                to_ns(hist.percentile(50.0)),
-                to_ns(hist.percentile(90.0)),
-                to_ns(hist.percentile(99.0)),
-            ],
-            attacker_identified,
-            benign_misidentified,
-            bitflips: eval.result.bitflips,
-            scenario: mix.scenario.clone(),
-            max_victim_disturbance: eval.result.max_victim_disturbance(),
-            flips_raw: eval.result.outcome.flips_raw,
-            flips_corrected: eval.result.outcome.corrected,
-            flips_detected: eval.result.outcome.detected,
-            flips_silent: eval.result.outcome.silent,
-            attack_success: eval.result.outcome.attack_success,
-            termination: eval.result.termination,
-            livelock: eval.result.livelock.as_ref().map(|report| report.to_string()),
-        }
-    }
-}
+/// An inert name for [`CellRecord`], kept only because
+/// `benchmark/src/campaign.rs` names it, until the `benchmark` PR of ROADMAP
+/// item 2 removes the name.
+pub type RunRecord = CellRecord;
 
 /// Short configuration label used in tables, e.g. `"Graphene+BH"`.
 pub fn config_label(mechanism: MechanismKind, breakhammer: bool) -> String {
@@ -271,7 +181,7 @@ impl Campaign {
 
     /// Evaluates one configuration against the attack or benign mix suite,
     /// running mixes in parallel, and returns one record per mix.
-    pub fn run(&mut self, config: &SystemConfig, attack: bool) -> Vec<RunRecord> {
+    pub fn run(&mut self, config: &SystemConfig, attack: bool) -> Vec<CellRecord> {
         self.run_configs(std::slice::from_ref(config), attack)
     }
 
@@ -285,7 +195,7 @@ impl Campaign {
         nrh_values: &[u64],
         breakhammer_options: &[bool],
         attack: bool,
-    ) -> Vec<RunRecord> {
+    ) -> Vec<CellRecord> {
         let configs = config_matrix(mechanisms, nrh_values, breakhammer_options, &self.scale);
         self.run_configs(&configs, attack)
     }
@@ -294,7 +204,7 @@ impl Campaign {
     /// suite with a shared worker pool, returning records grouped by
     /// configuration (in `configs` order) and, within each configuration, in
     /// mix order — the same order the former config-serial loop produced.
-    fn run_configs(&mut self, configs: &[SystemConfig], attack: bool) -> Vec<RunRecord> {
+    fn run_configs(&mut self, configs: &[SystemConfig], attack: bool) -> Vec<CellRecord> {
         self.warmed_alone_cache();
         let mixes = self.sweep_mixes(attack);
         let jobs: Vec<(usize, usize)> =
@@ -356,7 +266,7 @@ pub struct EvalHooks<'a> {
     /// Fires on the worker thread as soon as cell `i` completes or panics
     /// (for a pair: as soon as both arms complete, the arm without
     /// BreakHammer first).
-    pub on_record: &'a (dyn Fn(usize, Result<&RunRecord, &str>) + Sync),
+    pub on_record: &'a (dyn Fn(usize, Result<&CellRecord, &str>) + Sync),
 }
 
 impl EvalHooks<'_> {
@@ -417,7 +327,7 @@ fn on_pool<R: Send>(n: usize, workers: usize, job: impl Fn(usize) -> R + Sync) -
 }
 
 /// Evaluates a set of `(config index, mix index)` jobs on a pool of
-/// `workers` threads and returns one [`RunRecord`] per job, in `jobs` order.
+/// `workers` threads and returns one [`CellRecord`] per job, in `jobs` order.
 ///
 /// A cell is a pure function of its configuration, its mix and the `alone`
 /// baselines (`evaluate_cell`), so workers share nothing but the job
@@ -447,8 +357,8 @@ pub fn evaluate_jobs(
     alone: &BTreeMap<String, f64>,
     workers: usize,
     hooks: &EvalHooks<'_>,
-) -> Vec<Result<RunRecord, String>> {
-    let record = |i: usize, cell: Result<RunRecord, String>| {
+) -> Vec<Result<CellRecord, String>> {
+    let record = |i: usize, cell: Result<CellRecord, String>| {
         (hooks.on_record)(i, cell.as_ref().map_err(String::as_str));
         (i, cell)
     };
@@ -468,8 +378,8 @@ pub fn evaluate_jobs(
                 let ((c_without, m), (c_with, _)) = (jobs[without], jobs[with]);
                 let (off, on) = evaluate_pair(&configs[c_with], &mixes[m], alone);
                 (
-                    RunRecord::from_eval(&configs[c_without], &mixes[m], &off),
-                    RunRecord::from_eval(&configs[c_with], &mixes[m], &on),
+                    CellRecord::from_eval(&configs[c_without], &mixes[m], &off),
+                    CellRecord::from_eval(&configs[c_with], &mixes[m], &on),
                 )
             }) {
                 Ok((off, on)) => (Ok(off), Some(Ok(on))),
@@ -480,7 +390,7 @@ pub fn evaluate_jobs(
             vec![first, record(with, second.unwrap_or_else(|| solo(with)))]
         }
     });
-    let mut slots: Vec<Option<Result<RunRecord, String>>> = jobs.iter().map(|_| None).collect();
+    let mut slots: Vec<Option<Result<CellRecord, String>>> = jobs.iter().map(|_| None).collect();
     for (i, cell) in outcomes.into_iter().flatten() {
         slots[i] = Some(cell);
     }
@@ -550,7 +460,7 @@ fn evaluate_cell(
     mix: &WorkloadMix,
     alone: &BTreeMap<String, f64>,
     hooks: &EvalHooks<'_>,
-) -> RunRecord {
+) -> CellRecord {
     if let Some(pattern) = hooks.force_panic_mix {
         assert!(!mix.name.contains(pattern), "forced test panic for mix {}", mix.name);
     }
@@ -566,7 +476,7 @@ fn evaluate_cell(
     } else {
         evaluate(config, mix, alone)
     };
-    RunRecord::from_eval(config, mix, &eval)
+    CellRecord::from_eval(config, mix, &eval)
 }
 
 /// `f()`, or the message it panicked with.
@@ -589,14 +499,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Selects the records matching a configuration.
 pub fn select(
-    records: &[RunRecord],
+    records: &[CellRecord],
     mechanism: MechanismKind,
     nrh: u64,
     breakhammer: bool,
-) -> Vec<&RunRecord> {
+) -> Vec<&CellRecord> {
     records
         .iter()
-        .filter(|r| r.mechanism == mechanism && r.nrh == nrh && r.breakhammer == breakhammer)
+        .filter(|r| {
+            r.mechanism == mechanism.label() && r.nrh == nrh && r.breakhammer == breakhammer
+        })
         .collect()
 }
 
@@ -604,7 +516,7 @@ pub fn select(
 ///
 /// # Panics
 /// Panics if the selection is empty.
-pub fn geomean_speedup(records: &[&RunRecord]) -> f64 {
+pub fn geomean_speedup(records: &[&CellRecord]) -> f64 {
     let values: Vec<f64> = records.iter().map(|r| r.weighted_speedup).collect();
     bh_stats::geometric_mean(&values)
 }
@@ -613,7 +525,7 @@ pub fn geomean_speedup(records: &[&RunRecord]) -> f64 {
 ///
 /// # Panics
 /// Panics if the selection is empty.
-pub fn mean_of(records: &[&RunRecord], f: impl Fn(&RunRecord) -> f64) -> f64 {
+pub fn mean_of(records: &[&CellRecord], f: impl Fn(&CellRecord) -> f64) -> f64 {
     assert!(!records.is_empty(), "cannot aggregate an empty selection");
     records.iter().map(|r| f(r)).sum::<f64>() / records.len() as f64
 }
@@ -806,7 +718,7 @@ mod tests {
             mixes.iter(),
         );
         let (spinning, panicking, clean) = (0, 1, 2);
-        let render = |outcome: &Result<RunRecord, String>| format!("{outcome:?}");
+        let render = |outcome: &Result<CellRecord, String>| format!("{outcome:?}");
         let reference: Vec<String> = evaluate_jobs(
             &configs,
             &mixes,
@@ -831,8 +743,8 @@ mod tests {
             let outcomes = evaluate_jobs(&configs, &mixes, &jobs, &alone, workers, &hooks);
             for (&(c, m), outcome) in jobs.iter().zip(&outcomes) {
                 if m == spinning {
-                    let termination = outcome.as_ref().map(|r| r.termination);
-                    assert_eq!(termination, Ok(TerminationReason::Livelock));
+                    let status = outcome.as_ref().map(|r| r.status.as_str());
+                    assert_eq!(status, Ok("livelock"));
                 } else if m == panicking {
                     let message = outcome.as_ref().expect_err("a forced panic fails the cell");
                     assert!(message.contains("forced test panic"), "{message}");
@@ -880,14 +792,14 @@ mod tests {
         let events = std::sync::Mutex::new(Vec::new());
         let log = |kind: &'static str, i: usize| events.lock().unwrap().push((kind, i));
         let on_claim = |i: usize| log("claim", i);
-        let on_record = |i: usize, _: Result<&RunRecord, &str>| log("record", i);
+        let on_record = |i: usize, _: Result<&CellRecord, &str>| log("record", i);
         let hooks = EvalHooks {
             force_panic_mix: Some(&mixes[panicking].name),
             force_spin_mix: Some(&mixes[spinning].name),
             on_claim: &on_claim,
             on_record: &on_record,
         };
-        let render = |outcome: &Result<RunRecord, String>| format!("{outcome:?}");
+        let render = |outcome: &Result<CellRecord, String>| format!("{outcome:?}");
         let alone_hooks = EvalHooks { on_claim: &|_| {}, on_record: &|_, _| {}, ..hooks };
         let reference: Vec<String> = jobs
             .iter()
@@ -898,7 +810,7 @@ mod tests {
             .collect();
         for (&(_, m), outcome) in jobs.iter().zip(&reference) {
             if m == spinning {
-                assert!(outcome.contains("Livelock"), "{outcome}");
+                assert!(outcome.contains("status: \"livelock\""), "{outcome}");
             } else if m == panicking {
                 assert!(outcome.contains("forced test panic"), "{outcome}");
             }
@@ -946,29 +858,13 @@ mod tests {
 
     #[test]
     fn record_selection_and_aggregation() {
-        let make = |mech, nrh, bh, ws| RunRecord {
-            mechanism: mech,
+        let make = |mech: MechanismKind, nrh, breakhammer, weighted_speedup| CellRecord {
+            mechanism: mech.label().to_string(),
             nrh,
-            breakhammer: bh,
-            mix_class: "HHHA".to_string(),
-            mix_name: "HHHA-00".to_string(),
-            weighted_speedup: ws,
+            breakhammer,
+            weighted_speedup,
             max_slowdown: 2.0,
-            energy_nj: 10.0,
-            preventive_actions: 5,
-            latency_ns: [10.0, 20.0, 30.0],
-            attacker_identified: true,
-            benign_misidentified: false,
-            bitflips: 0,
-            scenario: None,
-            max_victim_disturbance: 0,
-            flips_raw: 0,
-            flips_corrected: 0,
-            flips_detected: 0,
-            flips_silent: 0,
-            attack_success: false,
-            termination: TerminationReason::Completed,
-            livelock: None,
+            ..CellRecord::default()
         };
         let records = vec![
             make(MechanismKind::Para, 1024, true, 2.0),

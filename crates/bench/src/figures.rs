@@ -13,9 +13,9 @@
 //! Nothing here reads the process environment or prints: a figure is a
 //! function from a [`BenchEnv`] to the text its binary used to print.
 
+use crate::campaign::CellRecord;
 use crate::experiments::{
     config_label, geomean_speedup, mean_of, paper_config, render_results, select, Campaign,
-    RunRecord,
 };
 use crate::scale::BenchEnv;
 use bh_core::hw_cost::{HardwareCost, BITS_PER_THREAD, CLOCK_GHZ, PIPELINE_STAGES};
@@ -53,7 +53,7 @@ struct Sweep {
     attack: bool,
     /// How a selection of runs reduces to the number plotted:
     /// [`geomean_speedup`], or one of the means below.
-    metric: fn(&[&RunRecord]) -> f64,
+    metric: fn(&[&CellRecord]) -> f64,
     mechanisms: fn() -> Vec<MechanismKind>,
     /// BreakHammer arms simulated and tabulated, in row order.
     arms: &'static [bool],
@@ -63,17 +63,17 @@ struct Sweep {
 }
 
 /// Mean maximum slowdown of a benign application.
-fn unfairness(set: &[&RunRecord]) -> f64 {
+fn unfairness(set: &[&CellRecord]) -> f64 {
     mean_of(set, |r| r.max_slowdown)
 }
 
 /// Mean DRAM energy (nJ).
-fn energy(set: &[&RunRecord]) -> f64 {
+fn energy(set: &[&CellRecord]) -> f64 {
     mean_of(set, |r| r.energy_nj)
 }
 
 /// Mean RowHammer-preventive actions.
-fn preventive_actions(set: &[&RunRecord]) -> f64 {
+fn preventive_actions(set: &[&CellRecord]) -> f64 {
     mean_of(set, |r| r.preventive_actions as f64)
 }
 
@@ -318,7 +318,7 @@ fn lowest_nrh(env: &BenchEnv) -> u64 {
 }
 
 /// The unprotected system (which does not depend on N_RH) over a suite.
-fn run_unprotected(campaign: &mut Campaign, nrh: u64, attack: bool) -> Vec<RunRecord> {
+fn run_unprotected(campaign: &mut Campaign, nrh: u64, attack: bool) -> Vec<CellRecord> {
     let config = paper_config(MechanismKind::None, nrh, false, campaign.scale());
     campaign.run(&config, attack)
 }
@@ -347,7 +347,7 @@ fn render_sweep(spec: &Sweep, env: &BenchEnv) -> String {
             classes.push("geomean".to_string());
             for &mechanism in &mechanisms {
                 for class in &classes {
-                    let of_class = |breakhammer| -> Vec<&RunRecord> {
+                    let of_class = |breakhammer| -> Vec<&CellRecord> {
                         select(&records, mechanism, nrhs[0], breakhammer)
                             .into_iter()
                             .filter(|r| class == "geomean" || r.mix_class == *class)
@@ -499,7 +499,7 @@ fn run_variant(
     nrh: u64,
     attack: bool,
     tweak: impl Fn(&mut BreakHammerConfig),
-) -> Vec<RunRecord> {
+) -> Vec<CellRecord> {
     let mut config = paper_config(MechanismKind::Graphene, nrh, true, campaign.scale());
     let mut breakhammer = config.effective_breakhammer_config();
     tweak(&mut breakhammer);

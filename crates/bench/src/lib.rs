@@ -8,6 +8,9 @@
 //! campaigns, parallel evaluation, aggregation and table/CSV output — lives
 //! in `experiments` ([`Campaign`], [`evaluate_jobs`]); [`scale`] turns the
 //! `BH_*` environment variables into typed values once, at the binary edge.
+//! One [`CellRecord`] describes an evaluated cell everywhere: it is what
+//! [`evaluate_jobs`] returns, what the figures aggregate, and what a line of
+//! a [`ResultStore`] holds.
 //!
 //! Host-time measurement is not this crate's job: the repository's one
 //! performance harness is the standalone `benchmark/` package, which drives

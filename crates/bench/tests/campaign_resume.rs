@@ -10,11 +10,14 @@
 // Test-only HashSets: completed-cell fixtures and assertion sets.
 #![allow(clippy::disallowed_types)]
 
-use bh_bench::campaign::{report_table, CampaignSpec, ResultStore};
+use bh_bench::campaign::{
+    pending_failures, report_table, verdict_cells, CampaignSpec, CellRecord, FailedCell,
+    ResultStore,
+};
 use bh_bench::Scale;
 use bh_mitigation::MechanismKind;
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tiny_spec() -> CampaignSpec {
     let mut scale = Scale::quick();
@@ -32,6 +35,21 @@ fn tiny_spec() -> CampaignSpec {
 
 fn test_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bh-campaign-resume-{tag}-{}.jsonl", std::process::id()))
+}
+
+/// The failed cells of the store at `path` still pending a retry.
+fn pending(path: &Path) -> Vec<FailedCell> {
+    pending_failures(&ResultStore::entries(path).expect("store parses"))
+}
+
+/// The cells of the store at `path` settled with a watchdog verdict.
+fn verdicts(path: &Path) -> Vec<CellRecord> {
+    verdict_cells(&ResultStore::load(path).expect("store parses"))
+}
+
+/// How many cells of the store at `path` ended healthily.
+fn ok_cells(path: &Path) -> usize {
+    ResultStore::load(path).expect("store parses").iter().filter(|r| r.is_ok()).count()
 }
 
 fn sorted_lines(path: &PathBuf) -> Vec<String> {
@@ -186,10 +204,10 @@ fn panicking_cell_is_isolated_and_retried_on_resume() {
     assert!(!summary.complete(), "failed cells leave the grid incomplete");
 
     // The failures are in the store as failed lines, pending retry.
-    let pending = ResultStore::failed_cells(&path).expect("store parses");
-    assert_eq!(pending.len(), 2, "{pending:?}");
-    assert!(pending.iter().all(|f| f.cell.contains("HHHA")), "{pending:?}");
-    assert!(pending.iter().all(|f| f.error.contains("forced test panic")), "{pending:?}");
+    let failures = pending(&path);
+    assert_eq!(failures.len(), 2, "{failures:?}");
+    assert!(failures.iter().all(|f| f.cell.contains("HHHA")), "{failures:?}");
+    assert!(failures.iter().all(|f| f.error.contains("forced test panic")), "{failures:?}");
     // A panic is not a verdict: failed cells are pending, not settled.
     let settled = ResultStore::settled_cells(&path).expect("store parses");
     assert_eq!(settled.len(), 10);
@@ -202,7 +220,7 @@ fn panicking_cell_is_isolated_and_retried_on_resume() {
     assert_eq!(resumed.evaluated_cells, 2);
     assert_eq!(resumed.failed_cells, 0);
     assert!(resumed.complete());
-    assert!(ResultStore::failed_cells(&path).expect("store parses").is_empty());
+    assert!(pending(&path).is_empty());
     assert_eq!(ResultStore::load(&path).expect("store loads").len(), 12);
 
     std::fs::remove_file(&path).expect("cleanup");
@@ -229,7 +247,7 @@ fn livelocked_cells_are_settled_and_skipped_on_resume() {
     assert!(summary.complete(), "verdict cells settle the grid");
 
     // The verdicts are in the store with their diagnostic snapshots…
-    let verdicts = ResultStore::verdict_cells(&path).expect("store parses");
+    let verdicts = verdicts(&path);
     assert_eq!(verdicts.len(), 2, "{verdicts:?}");
     assert!(verdicts.iter().all(|v| v.cell.contains("HHHA")), "{verdicts:?}");
     assert!(verdicts.iter().all(|v| v.status == "livelock" && v.termination == "livelock"));
@@ -242,7 +260,7 @@ fn livelocked_cells_are_settled_and_skipped_on_resume() {
     // …and count as settled but not ok.
     let settled = ResultStore::settled_cells(&path).expect("store parses");
     assert_eq!(settled.len(), 12);
-    assert_eq!(ResultStore::completed_cells(&path).expect("store parses").len(), 10);
+    assert_eq!(ok_cells(&path), 10);
 
     // Resume — with the chaos hook cleared — finds nothing to do: the
     // verdict cells are skipped, not rerun.
@@ -322,10 +340,10 @@ fn mixed_chaos_sweep_records_honest_statuses_and_resumes_idempotently() {
     assert!(!summary.complete(), "failed cells leave the grid incomplete");
 
     // Honest statuses: 8 ok, 2 livelock (settled), 2 failed (pending).
-    assert_eq!(ResultStore::completed_cells(&path).expect("store parses").len(), 8);
+    assert_eq!(ok_cells(&path), 8);
     let settled = ResultStore::settled_cells(&path).expect("store parses");
     assert_eq!(settled.len(), 10);
-    assert_eq!(ResultStore::failed_cells(&path).expect("store parses").len(), 2);
+    assert_eq!(pending(&path).len(), 2);
 
     // Resume with the panic fault healed: only the failed cells rerun; the
     // livelock verdicts stay settled.
@@ -345,7 +363,7 @@ fn mixed_chaos_sweep_records_honest_statuses_and_resumes_idempotently() {
     let noop = spec.run(&noop_store, &settled, None);
     assert_eq!(noop.evaluated_cells, 0, "{noop:?}");
     assert_eq!(noop.skipped_cells, 12);
-    assert_eq!(ResultStore::verdict_cells(&path).expect("store parses").len(), 2);
+    assert_eq!(verdicts(&path).len(), 2);
 
     std::fs::remove_file(&path).expect("cleanup");
 }

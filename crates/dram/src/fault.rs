@@ -88,6 +88,12 @@ impl FaultConfig {
 
 /// What counts as a successful attack on the watched victim rows (declared
 /// by a workload's victim layout; evaluated against the end-of-run flips).
+///
+/// With one variant it selects nothing. It stays, with
+/// `System::with_success_criterion`, `WorkloadMix::success_criterion` and
+/// `ComposedAttacker::success_criterion`, only because `benchmark/` calls
+/// those names; they are inert names until the `benchmark` PR of ROADMAP
+/// item 2 removes them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SuccessCriterion {
     /// At least one watched victim row took a flip that escaped ECC — the
@@ -95,10 +101,6 @@ pub enum SuccessCriterion {
     /// not hand the attacker anything.
     #[default]
     AnySilentFlip,
-    /// At least one watched victim row took any raw flip, ECC or not — the
-    /// denial-of-service reading where even a detected (machine-check)
-    /// flip crashes the victim.
-    AnyFlip,
 }
 
 // --- deterministic hashing ---------------------------------------------------
