@@ -1,19 +1,36 @@
 //! Shared experiment machinery behind every figure, table and sweep.
 //!
-//! A [`Campaign`] holds the workload mixes plus their alone-IPC baselines and
-//! evaluates configurations against them on a worker pool
-//! ([`evaluate_jobs`]); each evaluated (configuration, mix) pair — a cell —
-//! comes back as one flat [`CellRecord`] — the record a line of a result
-//! store holds — which the aggregation helpers at the end of the module
-//! select from and reduce. The experiment scale lives in [`crate::scale`].
+//! A suite is the attack, benign and scenario mixes of one generation seed,
+//! planned as one [`SuitePlan`](bh_workloads::SuitePlan): its distinct
+//! traces, its mixes and its applications' alone-IPC baselines are each
+//! built on first need and kept. [`Campaign`] holds one suite with every
+//! trace generated; a campaign sweep ([`CampaignSpec`](crate::CampaignSpec))
+//! plans one suite per seed and generates nothing up front.
+//!
+//! Both evaluate through one pool per sweep (`evaluate_suites`). Its items
+//! are, suite after suite, the ±BreakHammer units of the sweep's cells, and
+//! before each unit the inputs it is the first to need: its mix's traces and
+//! its applications' baselines. A unit forces its inputs, so a cell waits
+//! for its own mix only, no barrier separates traces, baselines and cells,
+//! and an input that no unit needs is never built. [`evaluate_jobs`] runs the
+//! same units on inputs the caller built. Each evaluated (configuration, mix)
+//! pair — a cell — comes back as one flat [`CellRecord`] — the record a line
+//! of a result store holds — which the aggregation helpers at the end of the
+//! module select from and reduce. The experiment scale lives in
+//! [`crate::scale`].
 
 use crate::campaign::CellRecord;
 use crate::scale::Scale;
 use bh_mitigation::MechanismKind;
 use bh_sim::{alone_ipc, baseline_traces, evaluate, evaluate_pair, SystemConfig};
 use bh_stats::Table;
-use bh_workloads::{scenario_by_name, MixBuilder, MixClass, TraceGenerator, WorkloadMix};
+use bh_workloads::{
+    scenario_by_name, CompiledTrace, MixBuilder, MixClass, SuitePlan, TraceGenerator, WorkloadMix,
+};
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An inert name for [`CellRecord`], kept only because
 /// `benchmark/src/campaign.rs` names it, until the `benchmark` PR of ROADMAP
@@ -77,16 +94,16 @@ pub fn config_matrix(
 /// baselines, and evaluates configurations against them (in parallel).
 ///
 /// Everything it runs goes on the worker pool of [`Scale::worker_threads`]:
-/// the suites' distinct traces when it is built, the alone baselines before
-/// its first sweep, and every sweep's cells.
+/// the suite's distinct traces when it is built, then one pool per call of
+/// [`Campaign::run_matrix`] whose items are its cells and, each just before
+/// the first cell that reads it, an alone baseline not measured yet.
 #[derive(Debug)]
 pub struct Campaign {
     scale: Scale,
-    attack_mixes: Vec<WorkloadMix>,
-    benign_mixes: Vec<WorkloadMix>,
-    /// Mixes carrying the composable-attacker scenarios of
-    /// [`Scale::scenarios`] (appended to `attack_mixes` in attack sweeps).
-    scenario_mixes: Vec<WorkloadMix>,
+    /// The attack, benign and scenario mixes (those of
+    /// [`Scale::scenarios`]) as one suite, every trace generated; baselines
+    /// measured by a sweep stay for the next one.
+    suite: Arc<Suite>,
     /// [`alone_ipcs`](bh_sim::alone_ipcs) over every suite, measured on
     /// first use.
     alone: BTreeMap<String, f64>,
@@ -107,7 +124,7 @@ fn mix_builder(scale: &Scale) -> MixBuilder {
 impl Campaign {
     /// Generates the attack, benign and scenario mix suites for `scale`.
     ///
-    /// Each suite is one [`SuitePlan`](bh_workloads::SuitePlan), so each of
+    /// The suites are one [`SuitePlan`](bh_workloads::SuitePlan), so each of
     /// its distinct traces is generated once, on the worker pool; the mixes
     /// do not depend on the worker count.
     ///
@@ -115,32 +132,11 @@ impl Campaign {
     /// Panics (listing the catalog) if `scale.scenarios` names an unknown
     /// attack scenario.
     pub fn new(scale: Scale) -> Self {
-        let builder = mix_builder(&scale);
-        let (per_class, workers) = (scale.mixes_per_class, scale.worker_threads);
-        // One plan over both class lists, so attack and benign mixes share
-        // the traces they have in common.
-        let attack_classes = MixClass::attack_classes();
-        let mut plan = builder.plan(scale.seed);
-        for class in attack_classes.iter().chain(&MixClass::benign_classes()) {
-            for index in 0..per_class {
-                plan.add(*class, index);
-            }
-        }
-        let mut attack_mixes = plan.build_with(|n, generate| on_pool(n, workers, generate));
-        let benign_mixes = attack_mixes.split_off(attack_classes.len() * per_class);
-        // Scenario sweeps hold the benign company fixed (the HHHA class) so
-        // differences between scenarios isolate the attacker's shape.
-        let mut scenario_mixes = Vec::new();
-        for name in &scale.scenarios {
-            let scenario = scenario_by_name(name).unwrap_or_else(|e| panic!("{e}"));
-            let scenario_builder = builder.clone().with_scenario(&scenario);
-            let mut plan = scenario_builder.plan(scale.seed);
-            for index in 0..per_class {
-                plan.add(attack_classes[0], index);
-            }
-            scenario_mixes.extend(plan.build_with(|n, generate| on_pool(n, workers, generate)));
-        }
-        Campaign { scale, attack_mixes, benign_mixes, scenario_mixes, alone: BTreeMap::new() }
+        let suite = Suite::new(&scale);
+        on_pool(suite.traces.len(), scale.worker_threads, |i| {
+            suite.trace(i);
+        });
+        Campaign { scale, suite: Arc::new(suite), alone: BTreeMap::new() }
     }
 
     /// The experiment scale in use.
@@ -152,11 +148,8 @@ impl Campaign {
     /// the classic attack suite plus every requested scenario suite. Cloning
     /// a mix bumps trace reference counts, it does not copy records.
     pub fn sweep_mixes(&self, attack: bool) -> Vec<WorkloadMix> {
-        if attack {
-            self.attack_mixes.iter().chain(self.scenario_mixes.iter()).cloned().collect()
-        } else {
-            self.benign_mixes.to_vec()
-        }
+        let mixes = self.suite.sweep_mixes(attack).into_iter();
+        mixes.map(|m| self.suite.mix(m).clone()).collect()
     }
 
     /// Measures (once) and returns the alone-IPC baselines of every benign
@@ -164,13 +157,14 @@ impl Campaign {
     /// unprotected system, so one map serves every configuration of a sweep.
     ///
     /// The map is [`alone_ipcs`](bh_sim::alone_ipcs) over every suite, with
-    /// each baseline measured as one job on the worker pool.
+    /// each baseline measured as one job on the worker pool. Sweeps do not
+    /// need it: their pool measures the baselines their cells read.
     pub fn warmed_alone_cache(&mut self) -> &BTreeMap<String, f64> {
         if self.alone.is_empty() {
             let config = paper_config(MechanismKind::None, 4096, false, &self.scale);
-            let suites = self.attack_mixes.iter().chain(&self.benign_mixes);
-            let traces: Vec<_> =
-                baseline_traces(suites.chain(&self.scenario_mixes)).into_iter().collect();
+            // Plan order: attack, benign, then scenario mixes.
+            let mixes = (0..self.suite.mixes.len()).map(|m| self.suite.mix(m));
+            let traces: Vec<_> = baseline_traces(mixes).into_iter().collect();
             let ipcs = on_pool(traces.len(), self.scale.worker_threads, |i| {
                 alone_ipc(&config, traces[i].1)
             });
@@ -201,34 +195,40 @@ impl Campaign {
     }
 
     /// Evaluates every (configuration, mix) pair of `configs` × the chosen
-    /// suite with a shared worker pool, returning records grouped by
+    /// suite on one pool (`evaluate_suites`), returning records grouped by
     /// configuration (in `configs` order) and, within each configuration, in
     /// mix order — the same order the former config-serial loop produced.
     fn run_configs(&mut self, configs: &[SystemConfig], attack: bool) -> Vec<CellRecord> {
-        self.warmed_alone_cache();
-        let mixes = self.sweep_mixes(attack);
+        let mixes = self.suite.sweep_mixes(attack);
         let jobs: Vec<(usize, usize)> =
-            (0..configs.len()).flat_map(|c| (0..mixes.len()).map(move |m| (c, m))).collect();
-        let results = evaluate_jobs(
-            configs,
-            &mixes,
-            &jobs,
-            &self.alone,
-            self.scale.worker_threads,
-            &EvalHooks::none(),
-        );
+            (0..configs.len()).flat_map(|c| mixes.iter().map(move |&m| (c, m))).collect();
+        let sweep = SuiteJobs {
+            suite: Arc::clone(&self.suite),
+            configs: configs.to_vec(),
+            jobs: jobs.clone(),
+        };
+        let outcomes: Mutex<Vec<Option<Result<CellRecord, String>>>> =
+            Mutex::new(jobs.iter().map(|_| None).collect());
+        let on_record = |i: usize, outcome: Result<&CellRecord, &str>| {
+            let outcome = outcome.cloned().map_err(str::to_string);
+            outcomes.lock().expect("no worker panics holding the outcomes")[i] = Some(outcome);
+        };
+        let hooks = EvalHooks { on_record: &on_record, ..EvalHooks::none() };
+        evaluate_suites([sweep], self.scale.worker_threads, &hooks);
+        let results = outcomes.into_inner().expect("the pool has joined");
         // Figure binaries want every cell: a panicking cell no longer kills
         // the other workers mid-sweep, but an incomplete matrix must still
         // fail loudly once everything else has finished.
         let mut records = Vec::with_capacity(results.len());
         let mut failed = Vec::new();
-        for (i, result) in results.into_iter().enumerate() {
-            let (c, m) = jobs[i];
-            match result {
+        for (result, (c, m)) in results.into_iter().zip(jobs) {
+            match result.expect("every job ran") {
                 Ok(record) => records.push(record),
-                Err(error) => {
-                    failed.push(format!("[{} × {}] {error}", configs[c].summary(), mixes[m].name))
-                }
+                Err(error) => failed.push(format!(
+                    "[{} × {}] {error}",
+                    configs[c].summary(),
+                    self.suite.mix_name(m)
+                )),
             }
         }
         assert!(
@@ -239,6 +239,274 @@ impl Campaign {
         );
         records
     }
+}
+
+/// One suite: the attack, benign and scenario mixes of one generation seed
+/// as one [`SuitePlan`], whose distinct traces, assembled mixes and alone
+/// baselines are each built on first need, by whichever thread needs it
+/// first, and then kept.
+#[derive(Debug)]
+pub(crate) struct Suite {
+    plan: SuitePlan,
+    /// The plan's attack, benign and scenario mixes, in plan order.
+    groups: [Range<usize>; 3],
+    traces: Vec<OnceLock<CompiledTrace>>,
+    mixes: Vec<OnceLock<WorkloadMix>>,
+    /// Each benign application's baseline, in the order the plan first
+    /// names the applications.
+    baselines: Vec<Baseline>,
+    /// The baselines (indices into `baselines`) each mix reads.
+    reads: Vec<Vec<usize>>,
+    /// The unprotected system every baseline is measured on.
+    alone_config: SystemConfig,
+}
+
+/// One application's alone-IPC baseline, measured on `trace`: the first
+/// trace the plan gives the application in attack, benign, scenario order,
+/// as [`baseline_traces`] picks it over [`Campaign`]'s mixes.
+#[derive(Debug)]
+struct Baseline {
+    app: String,
+    trace: usize,
+    ipc: OnceLock<f64>,
+}
+
+impl Suite {
+    /// The suite of `scale`'s seed, mixes per class and scenarios, with
+    /// nothing generated yet.
+    ///
+    /// # Panics
+    /// Panics (listing the catalog) if `scale.scenarios` names an unknown
+    /// attack scenario.
+    pub(crate) fn new(scale: &Scale) -> Suite {
+        let per_class = scale.mixes_per_class;
+        let (attack, benign) = (MixClass::attack_classes(), MixClass::benign_classes());
+        let mut plan = mix_builder(scale).plan(scale.seed);
+        for class in attack.iter().chain(&benign) {
+            for index in 0..per_class {
+                plan.add(*class, index);
+            }
+        }
+        // Scenario sweeps hold the benign company fixed (the HHHA class) so
+        // differences between scenarios isolate the attacker's shape.
+        for name in &scale.scenarios {
+            let scenario = scenario_by_name(name).unwrap_or_else(|e| panic!("{e}"));
+            for index in 0..per_class {
+                plan.add_scenario(&scenario, attack[0], index);
+            }
+        }
+        let (attack_end, benign_end) =
+            (attack.len() * per_class, (attack.len() + benign.len()) * per_class);
+        let groups = [0..attack_end, attack_end..benign_end, benign_end..plan.mix_count()];
+        let mut baselines: Vec<Baseline> = Vec::new();
+        let mut named: BTreeMap<&str, usize> = BTreeMap::new();
+        let reads = (0..plan.mix_count())
+            .map(|m| {
+                let mut reads = Vec::new();
+                for (app, trace) in plan.benign_apps(m) {
+                    let b = *named.entry(app).or_insert_with(|| {
+                        let ipc = OnceLock::new();
+                        baselines.push(Baseline { app: app.to_string(), trace, ipc });
+                        baselines.len() - 1
+                    });
+                    if !reads.contains(&b) {
+                        reads.push(b);
+                    }
+                }
+                reads
+            })
+            .collect();
+        Suite {
+            traces: (0..plan.trace_count()).map(|_| OnceLock::new()).collect(),
+            mixes: (0..plan.mix_count()).map(|_| OnceLock::new()).collect(),
+            plan,
+            groups,
+            baselines,
+            reads,
+            alone_config: paper_config(MechanismKind::None, 4096, false, scale),
+        }
+    }
+
+    /// The plan's mixes an attack (or benign) sweep evaluates, as
+    /// [`Campaign::sweep_mixes`] lists them.
+    pub(crate) fn sweep_mixes(&self, attack: bool) -> Vec<usize> {
+        let [attack_mixes, benign_mixes, scenario_mixes] = self.groups.clone();
+        if attack {
+            attack_mixes.chain(scenario_mixes).collect()
+        } else {
+            benign_mixes.collect()
+        }
+    }
+
+    /// The name of mix `m`.
+    pub(crate) fn mix_name(&self, m: usize) -> &str {
+        self.plan.mix_name(m)
+    }
+
+    /// Distinct trace `i`, generated on first need.
+    fn trace(&self, i: usize) -> &CompiledTrace {
+        self.traces[i].get_or_init(|| {
+            #[cfg(test)]
+            count_built(self.alone_config.seed, 0);
+            self.plan.generate(i)
+        })
+    }
+
+    /// Mix `m`, assembled (and its traces generated) on first need.
+    fn mix(&self, m: usize) -> &WorkloadMix {
+        self.mixes[m].get_or_init(|| self.plan.mix(m, |i| self.trace(i).clone()))
+    }
+
+    /// Baseline `b`'s alone IPC, measured on first need.
+    fn baseline(&self, b: usize) -> f64 {
+        let baseline = &self.baselines[b];
+        *baseline.ipc.get_or_init(|| {
+            #[cfg(test)]
+            count_built(self.alone_config.seed, 1);
+            alone_ipc(&self.alone_config, self.trace(baseline.trace))
+        })
+    }
+
+    /// The alone IPCs mix `m`'s applications are normalised to, measured on
+    /// first need.
+    fn alone(&self, m: usize) -> BTreeMap<String, f64> {
+        self.reads[m].iter().map(|&b| (self.baselines[b].app.clone(), self.baseline(b))).collect()
+    }
+}
+
+/// Traces generated (`[0]`) and baselines measured (`[1]`) by every suite
+/// so far, by suite seed: how the tests count what a sweep builds.
+#[cfg(test)]
+pub(crate) static BUILT: Mutex<BTreeMap<u64, [usize; 2]>> = Mutex::new(BTreeMap::new());
+
+#[cfg(test)]
+fn count_built(seed: u64, kind: usize) {
+    BUILT.lock().expect("counting never panics").entry(seed).or_default()[kind] += 1;
+}
+
+/// One suite's share of an [`evaluate_suites`] pool: the configurations, and
+/// the (configuration, mix of the suite's plan) jobs to evaluate.
+#[derive(Debug)]
+pub(crate) struct SuiteJobs {
+    pub(crate) suite: Arc<Suite>,
+    pub(crate) configs: Vec<SystemConfig>,
+    pub(crate) jobs: Vec<(usize, usize)>,
+}
+
+/// What one item of an [`evaluate_suites`] pool does to its suite.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Trace(usize),
+    Baseline(usize),
+    Unit(Unit),
+}
+
+/// A suite's jobs while its items are in an [`evaluate_suites`] pool.
+#[derive(Debug)]
+struct SuiteRun {
+    /// The suite, until every unit holds its inputs.
+    live: Mutex<Option<Arc<Suite>>>,
+    configs: Vec<SystemConfig>,
+    jobs: Vec<(usize, usize)>,
+    /// The index of the first job among every suite's jobs.
+    offset: usize,
+    /// Units that have not taken their inputs yet.
+    units_left: AtomicUsize,
+}
+
+impl SuiteRun {
+    /// Runs one item of the suite.
+    fn run(&self, step: Step, hooks: &EvalHooks<'_>) {
+        let held = self.live.lock().expect("no thread panics holding a suite").clone();
+        // Only an input can find its suite gone: the unit that needs it
+        // built it first.
+        let Some(suite) = held else { return };
+        match step {
+            Step::Trace(t) => {
+                suite.trace(t);
+            }
+            Step::Baseline(b) => {
+                suite.baseline(b);
+            }
+            Step::Unit(unit) => {
+                let m = unit.mix(&self.jobs);
+                // The unit keeps its own mix (a refcount per trace), not the
+                // suite: once every unit of the suite has its inputs, the
+                // traces and mixes no running unit replays are freed.
+                let (mix, alone) = (suite.mix(m).clone(), suite.alone(m));
+                drop(suite);
+                // Relaxed: the count publishes no data; the suite's inputs
+                // are reached through the `OnceLock`s.
+                if self.units_left.fetch_sub(1, Ordering::Relaxed) == 1 {
+                    self.live.lock().expect("no thread panics holding a suite").take();
+                }
+                run_unit(unit, &self.configs, &self.jobs, &mix, &alone, hooks, self.offset);
+            }
+        }
+    }
+}
+
+/// Evaluates every suite's jobs on one pool of `workers` threads. The hooks
+/// see a job by its index in the suites' jobs laid end to end, and
+/// `hooks.on_record` is where each outcome goes: the pool keeps none.
+///
+/// The pool's items are, suite after suite, the units of [`evaluate_jobs`]
+/// (a job, or a ±BreakHammer pair) and the inputs of each: the distinct
+/// traces its mix replays, and the alone baselines of its applications with
+/// the traces they are measured on. An input is listed just before the first
+/// unit that needs it, and a unit forces its own inputs, so it waits only for
+/// the ones other workers are still building; an input no unit needs is
+/// never built. `suites` is drawn on the calling thread while the threads
+/// work, so only the first suite's plan delays the first cell.
+/// A unit keeps a clone of its own mix while it runs, and once every unit of
+/// a suite holds its inputs, the pool drops its hold on the suite: besides
+/// the mixes still running, the inputs of about one suite are alive at once.
+/// Every input is a pure function of its suite, so records do not depend on
+/// which worker built what.
+pub(crate) fn evaluate_suites(
+    suites: impl IntoIterator<Item = SuiteJobs>,
+    workers: usize,
+    hooks: &EvalHooks<'_>,
+) {
+    let produce = |send: &mut dyn FnMut((Arc<SuiteRun>, Step))| {
+        let mut offset = 0;
+        for SuiteJobs { suite, configs, jobs } in suites {
+            let units = pair_units(&configs, &jobs, |m| hooks.injects(suite.mix_name(m)));
+            let mut steps = Vec::new();
+            let mut listed = vec![false; suite.traces.len()];
+            let mut trace = |t: usize, steps: &mut Vec<Step>| {
+                if !std::mem::replace(&mut listed[t], true) {
+                    steps.push(Step::Trace(t));
+                }
+            };
+            let mut measured = vec![false; suite.baselines.len()];
+            for &unit in &units {
+                let m = unit.mix(&jobs);
+                for &t in suite.plan.trace_indices(m) {
+                    trace(t, &mut steps);
+                }
+                for &b in &suite.reads[m] {
+                    if !std::mem::replace(&mut measured[b], true) {
+                        trace(suite.baselines[b].trace, &mut steps);
+                        steps.push(Step::Baseline(b));
+                    }
+                }
+                steps.push(Step::Unit(unit));
+            }
+            let run = Arc::new(SuiteRun {
+                live: Mutex::new(Some(suite)),
+                offset,
+                units_left: AtomicUsize::new(units.len()),
+                configs,
+                jobs,
+            });
+            offset += run.jobs.len();
+            for step in steps {
+                send((Arc::clone(&run), step));
+            }
+        }
+    };
+    stream_pool(workers, produce, |(run, step): (Arc<SuiteRun>, Step)| run.run(step, hooks));
 }
 
 /// Fault-injection and observation hooks threaded through [`evaluate_jobs`].
@@ -270,6 +538,14 @@ pub struct EvalHooks<'a> {
 }
 
 impl EvalHooks<'_> {
+    /// True when a fault-injection pattern matches `mix_name`.
+    fn injects(&self, mix_name: &str) -> bool {
+        [self.force_panic_mix, self.force_spin_mix]
+            .into_iter()
+            .flatten()
+            .any(|pattern| mix_name.contains(pattern))
+    }
+
     /// No fault injection, no observers — the plain-sweep default.
     pub fn none() -> EvalHooks<'static> {
         EvalHooks {
@@ -291,39 +567,69 @@ impl std::fmt::Debug for EvalHooks<'_> {
 }
 
 /// `job(0)`, …, `job(n - 1)` on a pool of up to `workers` scoped threads
-/// that claim indices from one shared counter, returned in index order.
-///
-/// Every job the campaign runs — a trace, an alone baseline, a cell — is a
-/// pure function of its index, so which thread runs it, and what that thread
-/// ran before, cannot change the result. Each thread keeps its results in a
-/// local vector tagged with the index, stitched together after the scope
-/// joins: there is no shared result lock. A panicking job panics the caller
-/// with the job's own payload once the other threads have finished.
+/// (see [`stream_pool`]), returned in index order.
 fn on_pool<R: Send>(n: usize, workers: usize, job: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    stream_pool(workers, |send| (0..n).for_each(send), job)
+}
+
+/// `job` of every item `produce` sends, on a pool of up to `workers` scoped
+/// threads, returned in the order the items were sent.
+///
+/// `produce` runs on the calling thread while the threads work: one thread
+/// starts with each of the first `workers` items, and the threads take items
+/// in the order they were sent. The queue never makes `produce` wait: a
+/// bounded one woke the calling thread once per item, and `setup_s` read
+/// 5–15 % higher on `campaign_sweep`. Every job the campaign runs — a trace,
+/// an alone baseline, a cell — is a pure function of its item, so which
+/// thread runs it, and what that thread ran before, cannot change the
+/// result. Each thread keeps its results in a local vector tagged with the
+/// item's position, stitched together after the scope joins: there is no
+/// shared result lock. A panicking job, or `produce`, panics the caller with
+/// its own payload once the threads have finished.
+fn stream_pool<T: Send, R: Send>(
+    workers: usize,
+    produce: impl FnOnce(&mut dyn FnMut(T)),
+    job: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let (send, receive) = std::sync::mpsc::channel::<(usize, T)>();
+    let receive = Mutex::new(receive);
     let worker = || {
         let mut local = Vec::new();
         loop {
-            // Relaxed: the counter publishes no data, only distinct indices;
-            // results reach the caller through the joins.
-            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if i >= n {
-                return local;
-            }
-            local.push((i, job(i)));
+            // A `let` statement of its own, so the guard is dropped before
+            // the job runs: a thread waits for the next item holding the
+            // queue, never while it runs a job (a `while let` scrutinee would
+            // hold it through the loop body and serialise the pool).
+            let next = receive.lock().expect("no thread panics taking an item").recv();
+            let Ok((k, item)) = next else { return local };
+            local.push((k, job(item)));
         }
     };
     let outputs: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            (0..workers.clamp(1, n.max(1))).map(|_| scope.spawn(worker)).collect();
+        // `send` moves in, so a panicking `produce` drops it and the threads
+        // stop waiting for items.
+        let send = send;
+        let mut handles = Vec::new();
+        let mut sent = 0;
+        produce(&mut |item| {
+            if handles.len() < workers.max(1) {
+                handles.push(scope.spawn(worker));
+            }
+            send.send((sent, item)).expect("the queue is open until the pool joins");
+            sent += 1;
+        });
+        drop(send);
         let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         joined.into_iter().map(|h| h.unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
     });
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, result) in outputs.into_iter().flatten() {
-        slots[i] = Some(result);
+    let mut slots: Vec<Option<R>> = Vec::new();
+    for (k, result) in outputs.into_iter().flatten() {
+        if slots.len() <= k {
+            slots.resize_with(k + 1, || None);
+        }
+        slots[k] = Some(result);
     }
-    slots.into_iter().map(|slot| slot.expect("every job ran")).collect()
+    slots.into_iter().map(|slot| slot.expect("every item ran")).collect()
 }
 
 /// Evaluates a set of `(config index, mix index)` jobs on a pool of
@@ -358,37 +664,10 @@ pub fn evaluate_jobs(
     workers: usize,
     hooks: &EvalHooks<'_>,
 ) -> Vec<Result<CellRecord, String>> {
-    let record = |i: usize, cell: Result<CellRecord, String>| {
-        (hooks.on_record)(i, cell.as_ref().map_err(String::as_str));
-        (i, cell)
-    };
-    let solo = |i: usize| {
-        let (c, m) = jobs[i];
-        catch_panic(|| evaluate_cell(&configs[c], &mixes[m], alone, hooks))
-    };
-    let units = pair_units(configs, mixes, jobs, hooks);
-    let outcomes = on_pool(units.len(), workers, |u| match units[u] {
-        Unit::Solo(i) => {
-            (hooks.on_claim)(i);
-            vec![record(i, solo(i))]
-        }
-        Unit::Pair { without, with } => {
-            (hooks.on_claim)(without);
-            let (first, second) = match catch_panic(|| {
-                let ((c_without, m), (c_with, _)) = (jobs[without], jobs[with]);
-                let (off, on) = evaluate_pair(&configs[c_with], &mixes[m], alone);
-                (
-                    CellRecord::from_eval(&configs[c_without], &mixes[m], &off),
-                    CellRecord::from_eval(&configs[c_with], &mixes[m], &on),
-                )
-            }) {
-                Ok((off, on)) => (Ok(off), Some(Ok(on))),
-                Err(_) => (solo(without), None),
-            };
-            let first = record(without, first);
-            (hooks.on_claim)(with);
-            vec![first, record(with, second.unwrap_or_else(|| solo(with)))]
-        }
+    let units = pair_units(configs, jobs, |m| hooks.injects(&mixes[m].name));
+    let outcomes = on_pool(units.len(), workers, |u| {
+        let unit = units[u];
+        run_unit(unit, configs, jobs, &mixes[unit.mix(jobs)], alone, hooks, 0)
     });
     let mut slots: Vec<Option<Result<CellRecord, String>>> = jobs.iter().map(|_| None).collect();
     for (i, cell) in outcomes.into_iter().flatten() {
@@ -397,23 +676,30 @@ pub fn evaluate_jobs(
     slots.into_iter().map(|slot| slot.expect("every job ran")).collect()
 }
 
-/// One unit of [`evaluate_jobs`]' pool: a job alone, or the job indices of a
-/// ±BreakHammer pair.
+/// One unit of a pool: a job alone, or the job indices of a ±BreakHammer
+/// pair.
 #[derive(Debug, Clone, Copy)]
 enum Unit {
     Solo(usize),
     Pair { without: usize, with: usize },
 }
 
+impl Unit {
+    /// The mix the unit's jobs evaluate.
+    fn mix(self, jobs: &[(usize, usize)]) -> usize {
+        let (Unit::Solo(i) | Unit::Pair { without: i, .. }) = self;
+        jobs[i].1
+    }
+}
+
 /// Groups `jobs` into pool units, in the order of each unit's first job.
 /// A job with BreakHammer pairs with the first unpaired job of the same mix
-/// whose configuration is its own with `breakhammer` off; mixes under a
-/// fault-injection pattern of `hooks` never pair.
+/// whose configuration is its own with `breakhammer` off; mixes `injected`
+/// under a fault-injection pattern never pair.
 fn pair_units(
     configs: &[SystemConfig],
-    mixes: &[WorkloadMix],
     jobs: &[(usize, usize)],
-    hooks: &EvalHooks<'_>,
+    injected: impl Fn(usize) -> bool,
 ) -> Vec<Unit> {
     let sibling: Vec<Option<usize>> = configs
         .iter()
@@ -422,12 +708,6 @@ fn pair_units(
             config.breakhammer.then(|| configs.iter().position(|c| *c == off)).flatten()
         })
         .collect();
-    let injected = |m: usize| {
-        [hooks.force_panic_mix, hooks.force_spin_mix]
-            .into_iter()
-            .flatten()
-            .any(|pattern| mixes[m].name.contains(pattern))
-    };
     // The jobs without BreakHammer not yet paired, by (configuration, mix).
     let mut unpaired: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
     for (i, &(c, m)) in jobs.iter().enumerate().rev() {
@@ -451,6 +731,50 @@ fn pair_units(
             Some(j) => Some(Unit::Pair { without: i, with: j }),
         })
         .collect()
+}
+
+/// Evaluates `unit` of `jobs` on `mix` against the `alone` baselines,
+/// firing `hooks` per job (a pair's arm without BreakHammer first: claim,
+/// record, then the other arm's claim and record), and returns each job's
+/// outcome. Jobs are numbered from `offset`, for the hooks and in the
+/// result.
+fn run_unit(
+    unit: Unit,
+    configs: &[SystemConfig],
+    jobs: &[(usize, usize)],
+    mix: &WorkloadMix,
+    alone: &BTreeMap<String, f64>,
+    hooks: &EvalHooks<'_>,
+    offset: usize,
+) -> Vec<(usize, Result<CellRecord, String>)> {
+    let record = |i: usize, cell: Result<CellRecord, String>| {
+        (hooks.on_record)(offset + i, cell.as_ref().map_err(String::as_str));
+        (offset + i, cell)
+    };
+    let solo = |i: usize| catch_panic(|| evaluate_cell(&configs[jobs[i].0], mix, alone, hooks));
+    match unit {
+        Unit::Solo(i) => {
+            (hooks.on_claim)(offset + i);
+            vec![record(i, solo(i))]
+        }
+        Unit::Pair { without, with } => {
+            (hooks.on_claim)(offset + without);
+            let (first, second) = match catch_panic(|| {
+                let (c_without, c_with) = (jobs[without].0, jobs[with].0);
+                let (off, on) = evaluate_pair(&configs[c_with], mix, alone);
+                (
+                    CellRecord::from_eval(&configs[c_without], mix, &off),
+                    CellRecord::from_eval(&configs[c_with], mix, &on),
+                )
+            }) {
+                Ok((off, on)) => (Ok(off), Some(Ok(on))),
+                Err(_) => (solo(without), None),
+            };
+            let first = record(without, first);
+            (hooks.on_claim)(offset + with);
+            vec![first, record(with, second.unwrap_or_else(|| solo(with)))]
+        }
+    }
 }
 
 /// One cell: `mix` evaluated under `config` against the `alone` baselines,
@@ -487,7 +811,7 @@ fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 }
 
 /// The message of a panic payload caught by `catch_unwind`.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<String>()
         .cloned()
@@ -542,6 +866,12 @@ mod tests {
     use super::*;
     use bh_workloads::scenario_catalog;
 
+    /// A campaign's attack, benign and scenario mixes.
+    fn groups(campaign: &Campaign) -> [Vec<&WorkloadMix>; 3] {
+        let suite = &campaign.suite;
+        suite.groups.clone().map(|group| group.map(|m| suite.mix(m)).collect())
+    }
+
     #[test]
     fn campaign_builds_the_requested_mix_suites() {
         let mut scale = Scale::quick();
@@ -549,11 +879,12 @@ mod tests {
         scale.benign_entries = 500;
         scale.attacker_entries = 500;
         let campaign = Campaign::new(scale);
-        assert_eq!(campaign.attack_mixes.len(), 12);
-        assert_eq!(campaign.benign_mixes.len(), 12);
-        assert!(campaign.attack_mixes.iter().all(|m| m.attacker_thread.is_some()));
-        assert!(campaign.benign_mixes.iter().all(|m| m.attacker_thread.is_none()));
-        assert!(campaign.scenario_mixes.is_empty(), "no scenarios requested");
+        let [attack_mixes, benign_mixes, scenario_mixes] = groups(&campaign);
+        assert_eq!(attack_mixes.len(), 12);
+        assert_eq!(benign_mixes.len(), 12);
+        assert!(attack_mixes.iter().all(|m| m.attacker_thread.is_some()));
+        assert!(benign_mixes.iter().all(|m| m.attacker_thread.is_none()));
+        assert!(scenario_mixes.is_empty(), "no scenarios requested");
     }
 
     #[test]
@@ -564,10 +895,10 @@ mod tests {
         scale.attacker_entries = 500;
         let campaign = Campaign::new(scale.clone());
         let builder = mix_builder(&scale);
-        for (mixes, classes) in [
-            (&campaign.attack_mixes, MixClass::attack_classes()),
-            (&campaign.benign_mixes, MixClass::benign_classes()),
-        ] {
+        let [attack_mixes, benign_mixes, _] = groups(&campaign);
+        for (mixes, classes) in
+            [(attack_mixes, MixClass::attack_classes()), (benign_mixes, MixClass::benign_classes())]
+        {
             let separate: Vec<WorkloadMix> = classes
                 .iter()
                 .flat_map(|&class| (0..scale.mixes_per_class).map(move |index| (class, index)))
@@ -592,16 +923,17 @@ mod tests {
         scale.attacker_entries = 500;
         scale.scenarios = scenario_catalog().iter().map(|s| s.name.to_string()).collect();
         let campaign = Campaign::new(scale);
-        assert_eq!(campaign.scenario_mixes.len(), scenario_catalog().len());
-        for (mix, scenario) in campaign.scenario_mixes.iter().zip(scenario_catalog()) {
+        let [attack_mixes, benign_mixes, scenario_mixes] = groups(&campaign);
+        assert_eq!(scenario_mixes.len(), scenario_catalog().len());
+        for (mix, scenario) in scenario_mixes.iter().zip(scenario_catalog()) {
             assert_eq!(mix.scenario.as_deref(), Some(scenario.name));
             assert!(mix.name.contains(scenario.name), "{}", mix.name);
             assert!(mix.attacker_thread.is_some());
             assert!(!mix.victim_rows.is_empty(), "{}", mix.name);
         }
         let sweep = campaign.sweep_mixes(true);
-        assert_eq!(sweep.len(), campaign.attack_mixes.len() + campaign.scenario_mixes.len());
-        assert_eq!(campaign.sweep_mixes(false).len(), campaign.benign_mixes.len());
+        assert_eq!(sweep.len(), attack_mixes.len() + scenario_mixes.len());
+        assert_eq!(campaign.sweep_mixes(false).len(), benign_mixes.len());
     }
 
     #[test]
@@ -625,12 +957,7 @@ mod tests {
     }
 
     fn all_mixes(campaign: &Campaign) -> Vec<&WorkloadMix> {
-        campaign
-            .attack_mixes
-            .iter()
-            .chain(&campaign.benign_mixes)
-            .chain(&campaign.scenario_mixes)
-            .collect()
+        groups(campaign).concat()
     }
 
     /// Generating the suites and measuring the baselines on the pool gives
@@ -668,6 +995,39 @@ mod tests {
     #[should_panic(expected = "job 3 failed")]
     fn a_panicking_pool_job_panics_the_caller_with_its_own_message() {
         on_pool(8, 3, |i| assert!(i != 3, "job {i} failed"));
+    }
+
+    /// Two jobs on a two-thread pool run at the same time: each waits for
+    /// the other's message, which a pool running one job at a time never
+    /// delivers within the timeout.
+    #[test]
+    fn a_two_thread_pool_runs_two_jobs_at_once() {
+        let (to_second, at_second) = std::sync::mpsc::channel();
+        let (to_first, at_first) = std::sync::mpsc::channel();
+        let ends = [
+            (Mutex::new(to_second), Mutex::new(at_first)),
+            (Mutex::new(to_first), Mutex::new(at_second)),
+        ];
+        let met = on_pool(2, 2, |i| {
+            let (send, receive) = &ends[i];
+            send.lock().unwrap().send(()).unwrap();
+            let wait = std::time::Duration::from_secs(20);
+            receive.lock().unwrap().recv_timeout(wait).is_ok()
+        });
+        assert_eq!(met, [true, true]);
+    }
+
+    /// A producer that panics mid-stream stops the threads waiting for its
+    /// next item, and the caller sees its panic.
+    #[test]
+    #[should_panic(expected = "the producer failed")]
+    fn a_panicking_producer_panics_the_caller_instead_of_hanging_the_pool() {
+        let produce = |send: &mut dyn FnMut(usize)| {
+            send(1);
+            send(2);
+            panic!("the producer failed");
+        };
+        stream_pool(3, produce, |i| i * i);
     }
 
     #[test]
@@ -845,7 +1205,7 @@ mod tests {
             }
         }
         assert_eq!(
-            pair_units(&configs, &mixes, &jobs, &hooks)
+            pair_units(&configs, &jobs, |m| hooks.injects(&mixes[m].name))
                 .into_iter()
                 .filter_map(|unit| match unit {
                     Unit::Pair { without, with } => Some((without, with)),

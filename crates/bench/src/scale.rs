@@ -151,9 +151,9 @@ impl Scale {
             } else {
                 list.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect()
             };
-            // An unknown name would stop the sweep inside `Campaign::new`, and
-            // a repeated one would evaluate and store every one of its cells
-            // twice.
+            // An unknown name would stop the sweep before its first cell,
+            // and a repeated one would evaluate and store every one of its
+            // cells twice.
             let problem = if names.is_empty() {
                 Some("names no scenarios".to_string())
             } else if let Some(unknown) = names.iter().find(|name| !catalog.contains(name)) {

@@ -94,6 +94,9 @@ struct Lane {
     access_pending: bool,
     /// True once the instruction budget has been retired.
     finished: bool,
+    /// True when the run waits for this core to finish
+    /// ([`CoreEngine::require`]).
+    required: bool,
     /// Hard-stall token: while `Some`, the core's window is full with this
     /// incomplete miss at its head and its ticks accrue as debt.
     stalled_on: Option<MissToken>,
@@ -124,6 +127,9 @@ pub struct CoreEngine {
     target_instructions: u64,
     /// One hot-state row per core.
     lanes: Vec<Lane>,
+    /// Required lanes not finished yet: [`CoreEngine::required_finished`]
+    /// reads it instead of walking the lanes.
+    required_running: usize,
     /// Window arena: `cores × window_size` packed entries; core `i` owns the
     /// slice `[i*window_size, (i+1)*window_size)` as a ring buffer.
     window: Vec<PackedEntry>,
@@ -185,6 +191,7 @@ impl CoreEngine {
                     window_len: 0,
                     access_pending: true,
                     finished: false,
+                    required: false,
                     stalled_on: None,
                     stall_debt: 0,
                     last_reject: None,
@@ -201,6 +208,7 @@ impl CoreEngine {
             config,
             target_instructions,
             lanes,
+            required_running: 0,
             window: vec![0; n * config.window_size],
             traces,
         }
@@ -214,6 +222,29 @@ impl CoreEngine {
     /// True once core `core` has retired its instruction budget.
     pub fn finished(&self, core: usize) -> bool {
         self.lanes[core].finished
+    }
+
+    /// Marks `cores` as the ones a run waits for: once each of them has
+    /// finished, [`CoreEngine::required_finished`] holds. No core is
+    /// required until this is called.
+    ///
+    /// # Panics
+    /// Panics if a core index is out of range.
+    pub fn require(&mut self, cores: &[usize]) {
+        for &core in cores {
+            let lane = &mut self.lanes[core];
+            if !lane.required && !lane.finished {
+                self.required_running += 1;
+            }
+            lane.required = true;
+        }
+    }
+
+    /// True once every core marked by [`CoreEngine::require`] has retired
+    /// its instruction budget, in O(1).
+    #[inline]
+    pub fn required_finished(&self) -> bool {
+        self.required_running == 0
     }
 
     /// Instructions retired by core `core` so far.
@@ -303,7 +334,8 @@ impl CoreEngine {
     /// reference `Core::tick`, kept in lockstep with it statement by
     /// statement (the differential proptest below enforces this).
     fn tick_core(&mut self, core: usize, cycle: Cycle, llc: &mut LastLevelCache) {
-        let CoreEngine { config, traces, target_instructions, lanes, window } = self;
+        let CoreEngine { config, traces, target_instructions, lanes, required_running, window } =
+            self;
         let ws = config.window_size as u32;
         let lane = &mut lanes[core];
         let win = &mut window[config.window_size * core..config.window_size * (core + 1)];
@@ -350,6 +382,7 @@ impl CoreEngine {
             retired += take;
             if lane.retired_instructions >= target {
                 lane.finished = true;
+                *required_running -= usize::from(lane.required);
                 return;
             }
         }
@@ -666,6 +699,10 @@ mod tests {
         let mut legacy = LegacyFrontEnd::new(config, &traces, target);
         let compiled = traces.iter().map(Trace::compile).collect();
         let mut engine = CoreEngine::new(config, compiled, target);
+        // Every core but the last is required (core 0 listed twice), as a
+        // system requires its benign cores and not the attacker.
+        let required: Vec<usize> = (0..traces.len() - 1).chain([0]).collect();
+        engine.require(&required);
         let mut llc_a = llc(mshrs);
         let mut llc_b = llc(mshrs);
 
@@ -752,6 +789,11 @@ mod tests {
                     "progress classification diverged for core {i} at cycle {cycle}"
                 );
             }
+            assert_eq!(
+                engine.required_finished(),
+                required.iter().all(|&i| legacy.cores[i].finished()),
+                "required-finished count diverged at cycle {cycle}"
+            );
             if (0..traces.len()).all(|i| engine.finished(i)) {
                 break;
             }

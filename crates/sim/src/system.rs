@@ -177,14 +177,14 @@ impl Rider for SharedPrefix {
 pub struct System {
     config: SystemConfig,
     /// Every core's trace replay; core `i` runs `ThreadId(i)`.
+    /// The cores; those that must finish for the simulation to end (benign
+    /// cores; the attacker's progress is irrelevant, footnote 9 of the
+    /// paper) are marked [`CoreEngine::require`]d.
     cores: CoreEngine,
     llc: LastLevelCache,
     /// The sharded memory system: one controller + mitigation instance per
     /// channel, one shared BreakHammer observer.
     memory: MemorySystem,
-    /// Cores that must finish for the simulation to end (benign cores; the
-    /// attacker's progress is irrelevant, footnote 9 of the paper).
-    required: Vec<usize>,
     /// The CPU cycles each DRAM cycle ticks.
     clock: CpuClock,
     /// Miss completions scheduled for a future DRAM cycle, in completion
@@ -323,7 +323,8 @@ impl System {
             .collect();
         let memory = MemorySystem::new(config.memctrl.clone(), instances, breakhammer);
 
-        let cores = CoreEngine::new(config.core, traces.to_vec(), config.instructions_per_core);
+        let mut cores = CoreEngine::new(config.core, traces.to_vec(), config.instructions_per_core);
+        cores.require(&required);
         let watchdog = Watchdog::new(&config.watchdog, bh_window);
 
         System {
@@ -331,7 +332,6 @@ impl System {
             cores,
             llc,
             memory,
-            required,
             clock,
             pending_fills: VecDeque::new(),
             next_writeback_id: 1 << 60,
@@ -373,8 +373,9 @@ impl System {
         self
     }
 
+    #[inline(always)]
     fn required_finished(&self) -> bool {
-        self.required.iter().all(|i| self.cores.finished(*i))
+        self.cores.required_finished()
     }
 
     /// Watchdog observation at the top of every kernel iteration. Returns

@@ -61,6 +61,9 @@ mod scenario;
 mod victim;
 
 pub use attacker::{AttackerKind, AttackerProfile, ChannelTarget};
+/// The compiled trace a [`WorkloadMix`] core replays and
+/// [`SuitePlan::generate`] returns.
+pub use bh_cpu::CompiledTrace;
 pub use characterize::{characterize, WorkloadCharacteristics};
 pub use compose::ComposedAttacker;
 pub use generator::TraceGenerator;

@@ -187,10 +187,11 @@ impl MixBuilder {
         plan.build().pop().expect("the plan holds one mix")
     }
 
-    /// An empty suite of mixes generated from `seed`.
-    pub fn plan(&self, seed: u64) -> SuitePlan<'_> {
+    /// An empty suite of mixes generated from `seed`. The plan keeps a copy
+    /// of the builder: its generator, entry counts and attacker.
+    pub fn plan(&self, seed: u64) -> SuitePlan {
         SuitePlan {
-            builder: self,
+            builder: self.clone(),
             seed,
             traces: Vec::new(),
             ids: BTreeMap::new(),
@@ -199,16 +200,35 @@ impl MixBuilder {
     }
 }
 
+/// What one distinct trace of a [`SuitePlan`] replays.
+#[derive(Debug, Clone)]
+enum Source {
+    Benign(BenignProfile),
+    Attacker(ComposedAttacker),
+}
+
+/// What tells the distinct traces of a [`SuitePlan`] apart, besides their
+/// trace seed: the benign profile's name, or the attacker's scenario name
+/// (`None`: a profile attacker, of which a plan has one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum TraceKey {
+    Benign(&'static str),
+    Attacker(Option<&'static str>),
+}
+
 /// A suite of mixes whose applications are drawn but whose traces are not
 /// generated yet.
 ///
 /// The plan lists each distinct trace its mixes replay once: neither the
-/// application draw nor the trace seed depends on the mix class, so at one
-/// index every class with the same application in a slot shares that trace,
-/// and every attack class shares one attacker trace.
-/// [`SuitePlan::build_with`] generates the distinct traces with a caller's
-/// runner (one thread or a pool: each trace is a pure function of the plan
-/// and its index) and assembles the mixes, whose equal traces share one
+/// application draw nor the trace seed depends on the mix class or on the
+/// attacker, so at one index every class with the same application in a
+/// slot shares that trace, every attack class shares one attacker trace, and
+/// a scenario mix ([`SuitePlan::add_scenario`]) shares its benign cores with
+/// the mix of the builder's own attacker. Each distinct trace is a pure
+/// function of the plan and its index ([`SuitePlan::generate`]), so a caller
+/// may generate them in any order, on any threads, and only the ones it
+/// needs: [`SuitePlan::trace_indices`] names the traces of each mix, and
+/// [`SuitePlan::mix`] assembles a mix from them, equal traces sharing one
 /// storage.
 ///
 /// # Example
@@ -223,81 +243,100 @@ impl MixBuilder {
 /// for class in MixClass::attack_classes() {
 ///     plan.add(class, 0);
 /// }
+/// // The six mixes replay one attacker trace.
+/// assert!(plan.trace_count() <= 6 * 3 + 1);
 /// // One thread per distinct trace.
-/// let mixes = plan.build_with(|n, generate| {
-///     std::thread::scope(|s| {
-///         let handles: Vec<_> = (0..n).map(|i| s.spawn(move || generate(i))).collect();
-///         handles.into_iter().map(|h| h.join().expect("trace generated")).collect()
-///     })
+/// let traces: Vec<_> = std::thread::scope(|s| {
+///     let plan = &plan;
+///     let handles: Vec<_> =
+///         (0..plan.trace_count()).map(|i| s.spawn(move || plan.generate(i))).collect();
+///     handles.into_iter().map(|h| h.join().expect("trace generated")).collect()
 /// });
-/// assert_eq!(mixes[0].traces, builder.build(MixClass::attack_classes()[0], 0, 42).traces);
+/// let hhha = plan.mix(0, |i| traces[i].clone());
+/// assert_eq!(hhha.traces, builder.build(MixClass::attack_classes()[0], 0, 42).traces);
 /// ```
 #[derive(Debug)]
-pub struct SuitePlan<'a> {
-    builder: &'a MixBuilder,
+pub struct SuitePlan {
+    builder: MixBuilder,
     seed: u64,
-    /// Each distinct trace: the benign profile it replays (`None`: the
-    /// builder's attacker) at a trace seed. The builder fixes the generator,
-    /// both entry counts and the attacker, so this determines the trace.
-    traces: Vec<(Option<BenignProfile>, u64)>,
-    /// The index into `traces` of each (profile name, trace seed); the
-    /// attacker's key has no name.
-    ids: BTreeMap<(Option<&'static str>, u64), usize>,
+    /// Each distinct trace: what it replays, at a trace seed. The builder
+    /// fixes the generator and both entry counts, so this determines the
+    /// trace.
+    traces: Vec<(Source, u64)>,
+    /// The index into `traces` of each (key, trace seed).
+    ids: BTreeMap<(TraceKey, u64), usize>,
     /// Each planned mix (its `traces` still empty) and, per slot, the index
     /// into `traces` of the trace it replays.
     mixes: Vec<(WorkloadMix, Vec<usize>)>,
 }
 
-impl SuitePlan<'_> {
+impl SuitePlan {
     /// Adds the `index`-th mix of `class`, as [`MixBuilder::build`] builds it.
     pub fn add(&mut self, class: MixClass, index: usize) {
-        let (builder, seed) = (self.builder, self.seed);
+        let (attacker, scenario) = (self.builder.attacker, self.builder.scenario);
+        self.add_mix(class, index, attacker, scenario);
+    }
+
+    /// Adds the `index`-th mix of `class` under `scenario`'s attacker, as the
+    /// builder [`with_scenario`](MixBuilder::with_scenario) builds it. Its
+    /// benign cores replay the traces of the mix [`SuitePlan::add`] adds for
+    /// the same class and index.
+    pub fn add_scenario(&mut self, scenario: &AttackScenario, class: MixClass, index: usize) {
+        self.add_mix(class, index, scenario.attacker, Some(scenario.name));
+    }
+
+    fn add_mix(
+        &mut self,
+        class: MixClass,
+        index: usize,
+        attacker: ComposedAttacker,
+        scenario: Option<&'static str>,
+    ) {
+        let seed = self.seed;
         let mut rng =
             StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(index as u64));
         let mut slots = Vec::with_capacity(4);
         let mut app_names = Vec::with_capacity(4);
         let mut attacker_thread = None;
         for (slot, spec) in class.slots.iter().enumerate() {
-            let (profile, trace_seed) = match spec {
+            let (source, key, trace_seed) = match spec {
                 SlotClass::Benign(intensity) => {
                     let candidates = BenignProfile::of_class(*intensity);
                     let profile =
                         candidates.choose(&mut rng).expect("profile library covers every class");
                     app_names.push(profile.name.to_string());
-                    (Some(profile.clone()), seed ^ ((index as u64) << 16) ^ ((slot as u64) << 32))
+                    let trace_seed = seed ^ ((index as u64) << 16) ^ ((slot as u64) << 32);
+                    (Source::Benign(profile.clone()), TraceKey::Benign(profile.name), trace_seed)
                 }
                 SlotClass::Attacker => {
                     attacker_thread = Some(slot);
                     app_names.push("attacker".to_string());
-                    (None, seed ^ ((index as u64) << 16) ^ 0xdead)
+                    let trace_seed = seed ^ ((index as u64) << 16) ^ 0xdead;
+                    (Source::Attacker(attacker), TraceKey::Attacker(scenario), trace_seed)
                 }
             };
             let traces = &mut self.traces;
-            let key = (profile.as_ref().map(|p| p.name), trace_seed);
-            slots.push(*self.ids.entry(key).or_insert_with(|| {
-                traces.push((profile, trace_seed));
+            slots.push(*self.ids.entry((key, trace_seed)).or_insert_with(|| {
+                traces.push((source, trace_seed));
                 traces.len() - 1
             }));
         }
-        let name = match builder.scenario {
+        let name = match scenario {
             Some(suffix) => format!("{}-{suffix}-{index:02}", class.label()),
             None => format!("{}-{index:02}", class.label()),
         };
         let attacked = attacker_thread.is_some();
+        let geometry = self.builder.generator.geometry();
         let mix = WorkloadMix {
             name,
             class,
             app_names,
             traces: Vec::new(),
             attacker_thread,
-            victim_rows: if attacked {
-                builder.attacker.victim_rows(builder.generator.geometry())
-            } else {
-                Vec::new()
-            },
-            scenario: builder.scenario.map(String::from),
+            victim_rows: if attacked { attacker.victim_rows(geometry) } else { Vec::new() },
+            scenario: scenario.map(String::from),
             success_criterion: if attacked {
-                builder.attacker.success_criterion()
+                attacker.success_criterion()
             } else {
                 bh_dram::SuccessCriterion::default()
             },
@@ -305,13 +344,47 @@ impl SuitePlan<'_> {
         self.mixes.push((mix, slots));
     }
 
+    /// Number of planned mixes.
+    pub fn mix_count(&self) -> usize {
+        self.mixes.len()
+    }
+
+    /// The name of planned mix `m`.
+    pub fn mix_name(&self, m: usize) -> &str {
+        &self.mixes[m].0.name
+    }
+
+    /// Number of distinct traces the planned mixes replay.
+    pub fn trace_count(&self) -> usize {
+        self.traces.len()
+    }
+
+    /// The distinct trace each core of planned mix `m` replays, as an index
+    /// below [`SuitePlan::trace_count`].
+    pub fn trace_indices(&self, m: usize) -> &[usize] {
+        &self.mixes[m].1
+    }
+
+    /// Each benign core of planned mix `m`, in core order: its
+    /// application's name and the index of the distinct trace it replays.
+    pub fn benign_apps(&self, m: usize) -> impl Iterator<Item = (&str, usize)> {
+        let (mix, slots) = &self.mixes[m];
+        slots
+            .iter()
+            .enumerate()
+            .filter(move |&(core, _)| Some(core) != mix.attacker_thread)
+            .map(move |(core, &trace)| (mix.app_names[core].as_str(), trace))
+    }
+
     /// Generates and compiles distinct trace `i`.
-    fn generate(&self, i: usize) -> CompiledTrace {
-        let builder = self.builder;
+    pub fn generate(&self, i: usize) -> CompiledTrace {
+        let builder = &self.builder;
         let generator = &builder.generator;
         let trace = match &self.traces[i] {
-            (Some(profile), seed) => generator.benign(profile, builder.benign_entries, *seed),
-            (None, seed) => builder.attacker.trace(
+            (Source::Benign(profile), seed) => {
+                generator.benign(profile, builder.benign_entries, *seed)
+            }
+            (Source::Attacker(attacker), seed) => attacker.trace(
                 generator.geometry(),
                 generator.mapping(),
                 builder.attacker_entries,
@@ -321,33 +394,19 @@ impl SuitePlan<'_> {
         trace.compile()
     }
 
-    /// The planned mixes, in the order they were added.
-    ///
-    /// `run(n, generate)` must return `generate(0)`, …, `generate(n - 1)` in
-    /// index order, as `(0..n).map(generate).collect()` does; it may call
-    /// them in any order and on any threads.
-    ///
-    /// # Panics
-    /// Panics if `run` returns other than `n` traces.
-    pub fn build_with(
-        self,
-        run: impl FnOnce(usize, &(dyn Fn(usize) -> CompiledTrace + Sync)) -> Vec<CompiledTrace>,
-    ) -> Vec<WorkloadMix> {
-        let n = self.traces.len();
-        let traces = run(n, &|i| self.generate(i));
-        assert_eq!(traces.len(), n, "one trace per distinct trace of the plan");
-        self.mixes
-            .into_iter()
-            .map(|(mix, slots)| WorkloadMix {
-                traces: slots.iter().map(|&i| traces[i].clone()).collect(),
-                ..mix
-            })
-            .collect()
+    /// Planned mix `m`, its cores replaying `trace(i)` for each distinct
+    /// trace `i` of [`SuitePlan::trace_indices`].
+    pub fn mix(&self, m: usize, trace: impl FnMut(usize) -> CompiledTrace) -> WorkloadMix {
+        let (mix, slots) = &self.mixes[m];
+        WorkloadMix { traces: slots.iter().copied().map(trace).collect(), ..mix.clone() }
     }
 
-    /// [`SuitePlan::build_with`] with the traces generated one after another.
-    fn build(self) -> Vec<WorkloadMix> {
-        self.build_with(|n, generate| (0..n).map(generate).collect())
+    /// Every planned mix, in the order they were added, with each distinct
+    /// trace generated once, one after another.
+    fn build(&self) -> Vec<WorkloadMix> {
+        let traces: Vec<CompiledTrace> =
+            (0..self.trace_count()).map(|i| self.generate(i)).collect();
+        (0..self.mix_count()).map(|m| self.mix(m, |i| traces[i].clone())).collect()
     }
 }
 
@@ -518,6 +577,34 @@ mod tests {
                 assert_eq!(plain.traces[t], mix.traces[t], "{}", scenario.name);
             }
         }
+    }
+
+    #[test]
+    fn a_planned_scenario_mix_shares_the_benign_traces_of_its_attack_mix() {
+        let b = builder();
+        let class = MixClass::attack_classes()[0];
+        let scenario = crate::scenario::scenario_catalog().remove(0);
+        let mut plan = b.plan(42);
+        plan.add(class, 0);
+        let plain = plan.trace_count();
+        plan.add_scenario(&scenario, class, 0);
+        // Only the scenario's attacker trace is new.
+        assert_eq!(plan.trace_count(), plain + 1);
+        assert_eq!(
+            plan.benign_apps(1).collect::<Vec<_>>(),
+            plan.benign_apps(0).collect::<Vec<_>>()
+        );
+        let mixes = plan.build();
+        let single = b.clone().with_scenario(&scenario).build(class, 0, 42);
+        assert_eq!(mixes[1].name, single.name);
+        assert_eq!(mixes[1].scenario, single.scenario);
+        assert_eq!(mixes[1].traces, single.traces);
+        assert_eq!(mixes[1].victim_rows, single.victim_rows);
+        assert_eq!(mixes[1].success_criterion, single.success_criterion);
+        for t in mixes[0].benign_threads() {
+            assert!(mixes[0].traces[t].shares_storage(&mixes[1].traces[t]), "core {t}");
+        }
+        assert_ne!(mixes[0].traces[3], mixes[1].traces[3], "the attackers differ");
     }
 
     #[test]
