@@ -532,13 +532,7 @@ impl LastLevelCache {
     /// in the cache. MSHR allocation — and therefore BreakHammer's per-thread
     /// quota — still applies, which is exactly how BreakHammer throttles an
     /// attacker built around uncached accesses.
-    pub(crate) fn access_bypass(
-        &mut self,
-        thread: ThreadId,
-        addr: PhysAddr,
-        _is_write: bool,
-        _cycle: Cycle,
-    ) -> AccessOutcome {
+    pub(crate) fn access_bypass(&mut self, thread: ThreadId, addr: PhysAddr) -> AccessOutcome {
         let line_addr = self.line_addr(addr);
         self.miss_path(thread, line_addr, false)
     }
@@ -1251,7 +1245,7 @@ mod tests {
                         let is_write = arg % 2 == 1;
                         Some((llc.access(t, addr, is_write, arg), reference.access(t, addr, is_write, arg)))
                     }
-                    3 => Some((llc.access_bypass(t, addr, false, arg), reference.access_bypass(t, addr))),
+                    3 => Some((llc.access_bypass(t, addr), reference.access_bypass(t, addr))),
                     4..=6 => {
                         let token = tokens.get(arg as usize % tokens.len().max(1)).copied();
                         if let Some(token) = token {
@@ -1320,7 +1314,7 @@ mod bypass_tests {
     fn bypass_accesses_never_hit_and_never_install() {
         let mut c = LastLevelCache::new(CacheConfig::tiny_test(), 1);
         let addr = PhysAddr(0x4000);
-        let tok = match c.access_bypass(ThreadId(0), addr, false, 0) {
+        let tok = match c.access_bypass(ThreadId(0), addr) {
             AccessOutcome::Miss { token, allocated: true } => token,
             other => panic!("{other:?}"),
         };
@@ -1328,7 +1322,7 @@ mod bypass_tests {
         // A second bypass access to the same address misses again (nothing was
         // installed), and even a normal access still misses.
         assert!(matches!(
-            c.access_bypass(ThreadId(0), addr, false, 1),
+            c.access_bypass(ThreadId(0), addr),
             AccessOutcome::Miss { allocated: true, .. }
         ));
         let outstanding: Vec<MissToken> =
@@ -1344,11 +1338,11 @@ mod bypass_tests {
         let mut c = LastLevelCache::new(CacheConfig::tiny_test(), 1);
         c.set_quota(ThreadId(0), 1);
         assert!(matches!(
-            c.access_bypass(ThreadId(0), PhysAddr(0x1000), false, 0),
+            c.access_bypass(ThreadId(0), PhysAddr(0x1000)),
             AccessOutcome::Miss { allocated: true, .. }
         ));
         assert_eq!(
-            c.access_bypass(ThreadId(0), PhysAddr(0x9000), false, 1),
+            c.access_bypass(ThreadId(0), PhysAddr(0x9000)),
             AccessOutcome::Rejected { reason: RejectReason::QuotaExceeded }
         );
     }

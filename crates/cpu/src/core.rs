@@ -29,10 +29,13 @@ use {
 
 /// Description of a core that cannot make architectural progress, produced by
 /// [`CoreEngine::progress_batch`](crate::CoreEngine::progress_batch). While a
-/// core is stalled, each of its ticks is a pure counter increment; the
-/// event-driven simulation kernel uses this analysis to skip those dead
-/// cycles and replay the counters in bulk via
-/// [`CoreEngine::absorb_stall_ticks`](crate::CoreEngine::absorb_stall_ticks).
+/// core is stalled, each of its ticks only counts one core cycle (and, while
+/// it retries a rejected access, one rejected LLC probe); the event-driven
+/// simulation kernel uses this analysis to skip those dead cycles and replay
+/// the cycles via
+/// [`CoreEngine::absorb_stall_ticks`](crate::CoreEngine::absorb_stall_ticks)
+/// and the probes via
+/// [`LastLevelCache::absorb_rejected_probes`](crate::LastLevelCache::absorb_rejected_probes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallInfo {
     /// Earliest CPU cycle at which the core can make progress on its own
@@ -40,12 +43,9 @@ pub struct StallInfo {
     /// `None` means only an external event — an LLC fill completing or a
     /// BreakHammer quota change — can wake the core.
     pub wake_at: Option<Cycle>,
-    /// The window head is an outstanding miss: every stalled tick counts as a
-    /// retire-stall cycle.
-    pub retire_stalled: bool,
     /// The core retries a rejected LLC access every tick (MSHRs full or the
-    /// thread is over its BreakHammer quota): every stalled tick counts as a
-    /// dispatch-stall cycle and performs one rejected LLC probe.
+    /// thread is over its BreakHammer quota): every stalled tick performs
+    /// one rejected LLC probe, counted by the LLC under this reason.
     pub reject: Option<RejectReason>,
 }
 
@@ -59,7 +59,7 @@ pub enum CoreProgress {
     /// every cycle.
     Active,
     /// The next tick is a pure counter increment; see [`StallInfo`] for when
-    /// the core wakes and which counters each skipped tick accrues.
+    /// the core wakes and whether each skipped tick is a rejected LLC probe.
     Stalled(StallInfo),
 }
 
@@ -94,15 +94,6 @@ pub struct CoreStats {
     pub retired_instructions: u64,
     /// Core cycles elapsed (while the core was still running).
     pub cycles: u64,
-    /// Loads issued to the LLC.
-    pub loads: u64,
-    /// Stores issued to the LLC.
-    pub stores: u64,
-    /// Cycles in which dispatch was blocked because the LLC rejected an
-    /// access (MSHRs full or quota exceeded).
-    pub dispatch_stall_cycles: u64,
-    /// Cycles in which nothing retired because the head load was pending.
-    pub retire_stall_cycles: u64,
 }
 
 impl CoreStats {
@@ -207,9 +198,9 @@ impl Core {
 
     /// If the core is hard-stalled — instruction window full with an
     /// incomplete-looking miss at its head — returns that head's token. Until
-    /// the token completes, every tick of this core is exactly one retire
-    /// stall (no dispatch can run, no self-state can change), so the
-    /// simulator may skip ticking it and replay the cycles in bulk via
+    /// the token completes, every tick of this core only counts a cycle (no
+    /// dispatch can run, no self-state can change), so the simulator may
+    /// skip ticking it and replay the cycles in bulk via
     /// [`Core::absorb_hard_stall`]. The caller checks the token's completion.
     pub(crate) fn window_full_on(&self) -> Option<MissToken> {
         if self.window_len < self.config.window_size {
@@ -222,11 +213,9 @@ impl Core {
     }
 
     /// Replays `ticks` hard-stalled cycles (see [`Core::window_full_on`]):
-    /// the per-cycle kernel would have counted each as one core cycle and one
-    /// retire-stall cycle.
+    /// the per-cycle kernel would have counted each as one core cycle.
     pub(crate) fn absorb_hard_stall(&mut self, ticks: u64) {
         self.stats.cycles += ticks;
-        self.stats.retire_stall_cycles += ticks;
     }
 
     /// Appends `n` complete instructions to the window, extending a trailing
@@ -251,11 +240,11 @@ impl Core {
             return CoreProgress::Finished;
         }
         // Would the retire stage make progress?
-        let (retire_progress, wake_at, retire_stalled) = match self.window.front() {
-            Some(WindowEntry::Done(_)) => (true, None, false),
-            Some(WindowEntry::ReadyAt(t)) => (*t <= next_cycle, Some(*t), false),
-            Some(WindowEntry::Pending(token)) => (llc.is_completed(*token), None, true),
-            None => (false, None, false),
+        let (retire_progress, wake_at) = match self.window.front() {
+            Some(WindowEntry::Done(_)) => (true, None),
+            Some(WindowEntry::ReadyAt(t)) => (*t <= next_cycle, Some(*t)),
+            Some(WindowEntry::Pending(token)) => (llc.is_completed(*token), None),
+            None => (false, None),
         };
         if retire_progress {
             return CoreProgress::Active;
@@ -273,7 +262,7 @@ impl Core {
                     && llc.reject_memo_valid(self.thread, addr, reason, stamp)
                 {
                     reject = Some(reason);
-                    return CoreProgress::Stalled(StallInfo { wake_at, retire_stalled, reject });
+                    return CoreProgress::Stalled(StallInfo { wake_at, reject });
                 }
             }
             match llc.probe_reject(self.thread, entry.addr, entry.uncached) {
@@ -281,7 +270,7 @@ impl Core {
                 Some(reason) => reject = Some(reason),
             }
         }
-        CoreProgress::Stalled(StallInfo { wake_at, retire_stalled, reject })
+        CoreProgress::Stalled(StallInfo { wake_at, reject })
     }
 
     /// Advances the core by one cycle, retiring and dispatching instructions.
@@ -299,12 +288,7 @@ impl Core {
                 Some(WindowEntry::Done(n)) => *n as usize,
                 Some(WindowEntry::ReadyAt(t)) if cycle >= *t => 1,
                 Some(WindowEntry::Pending(token)) if llc.is_completed(*token) => 1,
-                other => {
-                    if matches!(other, Some(WindowEntry::Pending(_))) && retired == 0 {
-                        self.stats.retire_stall_cycles += 1;
-                    }
-                    break;
-                }
+                _ => break,
             };
             let budget = (self.config.retire_width - retired)
                 .min((self.target_instructions - self.stats.retired_instructions) as usize);
@@ -353,58 +337,19 @@ impl Core {
                     && llc.reject_memo_valid(self.thread, addr, reason, stamp)
                 {
                     llc.absorb_rejected_probes(1, reason);
-                    self.stats.dispatch_stall_cycles += 1;
                     break;
                 }
             }
             let outcome = if entry.uncached {
-                llc.access_bypass(self.thread, entry.addr, entry.is_write, cycle)
+                llc.access_bypass(self.thread, entry.addr)
             } else {
                 llc.access(self.thread, entry.addr, entry.is_write, cycle)
             };
-            if !matches!(outcome, AccessOutcome::Rejected { .. }) {
-                // The memo must not outlive the rejected episode: a stale
-                // entry could re-validate much later (same trace address, no
-                // thread-local events in between) even though the line has
-                // since been installed by another thread's fill. Clearing on
-                // every successful dispatch confines the memo to one
-                // continuous rejection, where the stamp's invalidation
-                // conditions are exhaustive.
-                self.last_reject = None;
-            }
-            match outcome {
-                AccessOutcome::Hit { ready_at } => {
-                    if entry.is_write {
-                        self.push_done(1);
-                    } else {
-                        self.window.push_back(WindowEntry::ReadyAt(ready_at));
-                        self.window_len += 1;
-                    }
-                    if entry.is_write {
-                        self.stats.stores += 1;
-                    } else {
-                        self.stats.loads += 1;
-                    }
-                    self.access_pending = false;
-                    self.advance_trace();
-                    dispatched += 1;
-                }
-                AccessOutcome::Miss { token, .. } => {
-                    if entry.is_write {
-                        self.push_done(1);
-                    } else {
-                        self.window.push_back(WindowEntry::Pending(token));
-                        self.window_len += 1;
-                    }
-                    if entry.is_write {
-                        self.stats.stores += 1;
-                    } else {
-                        self.stats.loads += 1;
-                    }
-                    self.access_pending = false;
-                    self.advance_trace();
-                    dispatched += 1;
-                }
+            // What a load leaves in the window (a store leaves a done
+            // instruction).
+            let load = match outcome {
+                AccessOutcome::Hit { ready_at } => WindowEntry::ReadyAt(ready_at),
+                AccessOutcome::Miss { token, .. } => WindowEntry::Pending(token),
                 AccessOutcome::Rejected { reason } => {
                     // The LLC cannot take the access this cycle (MSHRs full or
                     // the thread is over its BreakHammer quota): stall.
@@ -414,10 +359,26 @@ impl Core {
                         llc.reject_stamp(self.thread, reason),
                         reason,
                     ));
-                    self.stats.dispatch_stall_cycles += 1;
                     break;
                 }
+            };
+            // The memo must not outlive the rejected episode: a stale entry
+            // could re-validate much later (same trace address, no
+            // thread-local events in between) even though the line has since
+            // been installed by another thread's fill. Clearing on every
+            // successful dispatch confines the memo to one continuous
+            // rejection, where the stamp's invalidation conditions are
+            // exhaustive.
+            self.last_reject = None;
+            if entry.is_write {
+                self.push_done(1);
+            } else {
+                self.window.push_back(load);
+                self.window_len += 1;
             }
+            self.access_pending = false;
+            self.advance_trace();
+            dispatched += 1;
         }
     }
 }
@@ -562,7 +523,8 @@ mod tests {
         core.settle();
         assert!(!core.finished(0));
         assert!(core.retired_instructions(0) < 200);
-        assert!(core.stats(0).retire_stall_cycles > 5_000);
+        assert!(core.is_hard_stalled(0), "the window must fill behind the first miss");
+        assert_eq!(core.stats(0).cycles, 10_000, "settle folds the hard-stall cycles in");
     }
 
     #[test]
@@ -581,10 +543,7 @@ mod tests {
             "quota of 1 MSHR ({throttled_cycles}) should be much slower than 16 ({free_cycles})"
         );
         assert!(throttled_llc.stats().quota_rejections > 0);
-        assert!(
-            throttled_core.stats(0).dispatch_stall_cycles
-                > free_core.stats(0).dispatch_stall_cycles
-        );
+        assert_eq!(free_llc.stats().quota_rejections, 0, "a full quota never binds first");
     }
 
     #[test]
@@ -599,7 +558,7 @@ mod tests {
             cycle += 1;
         }
         assert!(core.finished(0), "store-only trace must finish without memory responses");
-        assert!(core.stats(0).stores > 0);
+        assert!(cache.stats().misses > 0, "the stores must have reached the LLC and missed");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * one fixed-size `Lane` row per core, holding every scalar the
 //!   per-cycle loop touches — trace cursor and its decoded record, bubble
 //!   countdown, window occupancy and ring indices, pending-miss (hard-stall)
-//!   token, stall debt, retired count and the cycle/stall counters. A core's
+//!   token, stall debt, retired count and cycle count. A core's
 //!   whole tick reads and writes one row (two or three cache lines, one
 //!   bounds check), where per-object cores chased a heap pointer per core and
 //!   per-field vectors would pay a checked index per field;
@@ -107,10 +107,6 @@ struct Lane {
     // --- statistics (the [`CoreStats`] fields, inline) ---
     retired_instructions: u64,
     cycles: u64,
-    loads: u64,
-    stores: u64,
-    dispatch_stall_cycles: u64,
-    retire_stall_cycles: u64,
 }
 
 /// The data-oriented front-end for all cores of a simulated system.
@@ -197,10 +193,6 @@ impl CoreEngine {
                     last_reject: None,
                     retired_instructions: 0,
                     cycles: 0,
-                    loads: 0,
-                    stores: 0,
-                    dispatch_stall_cycles: 0,
-                    retire_stall_cycles: 0,
                 }
             })
             .collect();
@@ -256,23 +248,14 @@ impl CoreEngine {
     /// [`CoreEngine::settle`] first to fold outstanding hard-stall debt in.
     pub fn stats(&self, core: usize) -> CoreStats {
         let lane = &self.lanes[core];
-        CoreStats {
-            retired_instructions: lane.retired_instructions,
-            cycles: lane.cycles,
-            loads: lane.loads,
-            stores: lane.stores,
-            dispatch_stall_cycles: lane.dispatch_stall_cycles,
-            retire_stall_cycles: lane.retire_stall_cycles,
-        }
+        CoreStats { retired_instructions: lane.retired_instructions, cycles: lane.cycles }
     }
 
     /// Folds every core's outstanding hard-stall debt into its counters
     /// (call before reading final statistics).
     pub fn settle(&mut self) {
         for lane in &mut self.lanes {
-            let debt = std::mem::take(&mut lane.stall_debt);
-            lane.cycles += debt;
-            lane.retire_stall_cycles += debt;
+            lane.cycles += std::mem::take(&mut lane.stall_debt);
         }
     }
 
@@ -303,9 +286,7 @@ impl CoreEngine {
                             lane.stall_debt += 1;
                             continue;
                         }
-                        let debt = std::mem::take(&mut lane.stall_debt);
-                        lane.cycles += debt;
-                        lane.retire_stall_cycles += debt;
+                        lane.cycles += std::mem::take(&mut lane.stall_debt);
                         lane.stalled_on = None;
                     }
                 }
@@ -360,12 +341,7 @@ impl CoreEngine {
                 TAG_DONE => payload(e) as usize,
                 TAG_READY if payload(e) <= cycle => 1,
                 TAG_PENDING if llc.is_completed(payload(e)) => 1,
-                t => {
-                    if t == TAG_PENDING && retired == 0 {
-                        lane.retire_stall_cycles += 1;
-                    }
-                    break;
-                }
+                _ => break,
             };
             let budget =
                 (config.retire_width - retired).min((target - lane.retired_instructions) as usize);
@@ -417,51 +393,19 @@ impl CoreEngine {
                     && llc.reject_memo_valid(thread, addr, reason, stamp)
                 {
                     llc.absorb_rejected_probes(1, reason);
-                    lane.dispatch_stall_cycles += 1;
                     break;
                 }
             }
             let outcome = if entry.uncached {
-                llc.access_bypass(thread, entry.addr, entry.is_write, cycle)
+                llc.access_bypass(thread, entry.addr)
             } else {
                 llc.access(thread, entry.addr, entry.is_write, cycle)
             };
-            if !matches!(outcome, AccessOutcome::Rejected { .. }) {
-                // The memo must not outlive one continuous rejection episode
-                // (see `Core::tick` for the stale-revalidation hazard).
-                lane.last_reject = None;
-            }
-            match outcome {
-                AccessOutcome::Hit { ready_at } => {
-                    if entry.is_write {
-                        push_done(lane, win, ws, 1);
-                        lane.stores += 1;
-                    } else {
-                        let slot = win_slot(lane, ws, lane.win_entries);
-                        win[slot] = pack(TAG_READY, ready_at);
-                        lane.win_entries += 1;
-                        lane.window_len += 1;
-                        lane.loads += 1;
-                    }
-                    lane.access_pending = false;
-                    advance_trace(lane, trace);
-                    dispatched += 1;
-                }
-                AccessOutcome::Miss { token, .. } => {
-                    if entry.is_write {
-                        push_done(lane, win, ws, 1);
-                        lane.stores += 1;
-                    } else {
-                        let slot = win_slot(lane, ws, lane.win_entries);
-                        win[slot] = pack(TAG_PENDING, token);
-                        lane.win_entries += 1;
-                        lane.window_len += 1;
-                        lane.loads += 1;
-                    }
-                    lane.access_pending = false;
-                    advance_trace(lane, trace);
-                    dispatched += 1;
-                }
+            // What a load leaves in the window (a store leaves a done
+            // instruction).
+            let load = match outcome {
+                AccessOutcome::Hit { ready_at } => pack(TAG_READY, ready_at),
+                AccessOutcome::Miss { token, .. } => pack(TAG_PENDING, token),
                 AccessOutcome::Rejected { reason } => {
                     // The LLC cannot take the access this cycle: stall.
                     lane.last_reject = Some((
@@ -470,18 +414,30 @@ impl CoreEngine {
                         llc.reject_stamp(thread, reason),
                         reason,
                     ));
-                    lane.dispatch_stall_cycles += 1;
                     break;
                 }
+            };
+            // The memo must not outlive one continuous rejection episode
+            // (see `Core::tick` for the stale-revalidation hazard).
+            lane.last_reject = None;
+            if entry.is_write {
+                push_done(lane, win, ws, 1);
+            } else {
+                let slot = win_slot(lane, ws, lane.win_entries);
+                win[slot] = load;
+                lane.win_entries += 1;
+                lane.window_len += 1;
             }
+            lane.access_pending = false;
+            advance_trace(lane, trace);
+            dispatched += 1;
         }
     }
 
     /// Classifies what core `core`'s next tick (at CPU cycle `next_cycle`)
     /// would do, without mutating anything — the engine-side mirror of the
     /// reference `Core::progress`, used by the event-driven
-    /// kernel to find stall horizons. A hard-stalled core reports the same
-    /// retire-stall classification the deferred ticks will replay.
+    /// kernel to find stall horizons.
     pub(crate) fn progress(
         &self,
         core: usize,
@@ -499,13 +455,13 @@ impl CoreEngine {
         } else {
             Some(self.window[self.config.window_size * core + lane.win_head as usize])
         };
-        let (retire_progress, wake_at, retire_stalled) = match front {
+        let (retire_progress, wake_at) = match front {
             Some(e) => match tag(e) {
-                TAG_DONE => (true, None, false),
-                TAG_READY => (payload(e) <= next_cycle, Some(payload(e)), false),
-                _ => (llc.is_completed(payload(e)), None, true),
+                TAG_DONE => (true, None),
+                TAG_READY => (payload(e) <= next_cycle, Some(payload(e))),
+                _ => (llc.is_completed(payload(e)), None),
             },
-            None => (false, None, false),
+            None => (false, None),
         };
         if retire_progress {
             return CoreProgress::Active;
@@ -524,7 +480,7 @@ impl CoreEngine {
                     && llc.reject_memo_valid(thread, addr, reason, stamp)
                 {
                     reject = Some(reason);
-                    return CoreProgress::Stalled(StallInfo { wake_at, retire_stalled, reject });
+                    return CoreProgress::Stalled(StallInfo { wake_at, reject });
                 }
             }
             match llc.probe_reject(thread, entry.addr, entry.uncached) {
@@ -532,25 +488,21 @@ impl CoreEngine {
                 Some(reason) => reject = Some(reason),
             }
         }
-        CoreProgress::Stalled(StallInfo { wake_at, retire_stalled, reject })
+        CoreProgress::Stalled(StallInfo { wake_at, reject })
     }
 
-    /// Replays `ticks` stalled cycles' counter increments for core `core` in
-    /// bulk (the event-driven kernel's dead-cycle skip): each skipped tick
-    /// counts as the pure counter increment `stall` classifies it as.
+    /// Replays `ticks` stalled cycles for core `core` in bulk (the
+    /// event-driven kernel's dead-cycle skip): a stalled tick only counts a
+    /// core cycle, whatever `_stall` says stalled it. The caller replays a
+    /// spinning retry's rejected probes into the LLC
+    /// ([`LastLevelCache::absorb_rejected_probes`]). `_stall` is inert; it
+    /// stays because the benchmark's front-end replay passes it.
     ///
-    /// Skipped cycles go straight into the counters — only *stepped* cycles
+    /// Skipped cycles go straight into the counter — only *stepped* cycles
     /// of a hard-stalled core accrue as debt — so a skipped run and a
     /// stepped one agree cycle for cycle, not just in sum.
-    pub fn absorb_stall_ticks(&mut self, core: usize, ticks: u64, stall: &StallInfo) {
-        let lane = &mut self.lanes[core];
-        lane.cycles += ticks;
-        if stall.retire_stalled {
-            lane.retire_stall_cycles += ticks;
-        }
-        if stall.reject.is_some() {
-            lane.dispatch_stall_cycles += ticks;
-        }
+    pub fn absorb_stall_ticks(&mut self, core: usize, ticks: u64, _stall: &StallInfo) {
+        self.lanes[core].cycles += ticks;
     }
 
     /// Batched progress classification for every core at once — the

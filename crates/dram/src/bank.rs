@@ -71,13 +71,11 @@ impl BankState {
     pub(crate) fn earliest(&self, kind: CommandKind) -> Cycle {
         match kind {
             CommandKind::Activate | CommandKind::VictimRefresh => self.next_act,
-            CommandKind::Precharge | CommandKind::PrechargeAll => self.next_pre,
+            CommandKind::Precharge => self.next_pre,
             CommandKind::Read => self.next_rd,
             CommandKind::Write => self.next_wr,
             // Refresh-class commands require the bank to be ACT-quiet.
-            CommandKind::Refresh
-            | CommandKind::RefreshSameBank
-            | CommandKind::RefreshManagement => self.next_act,
+            CommandKind::Refresh | CommandKind::RefreshManagement => self.next_act,
         }
     }
 }

@@ -1,11 +1,14 @@
 //! DRAM command set.
 //!
 //! The memory controller drives the devices with the commands defined here.
-//! The set covers everything the paper's evaluation needs: the basic
-//! activate / precharge / read / write protocol, periodic refresh, the DDR5
-//! refresh-management (RFM) command used by the RFM and PRAC mechanisms, and
-//! directed victim-row refreshes (modelled as a dedicated command so that
-//! preventive actions are visible in statistics and energy accounting).
+//! The set holds the seven kinds the controller issues, and no other: the
+//! basic activate / precharge / read / write protocol, all-bank periodic
+//! refresh, the DDR5 refresh-management (RFM) command used by the RFM and
+//! PRAC mechanisms, and directed victim-row refreshes (modelled as a
+//! dedicated command so that preventive actions are visible in statistics
+//! and energy accounting). The controller closes a rank for refresh with
+//! per-bank PREs, so there is no precharge-all, and it refreshes all banks
+//! at once, so there is no same-bank refresh.
 
 use crate::geometry::{BankAddr, DramLocation, RowAddr};
 use std::fmt;
@@ -17,16 +20,12 @@ pub enum CommandKind {
     Activate,
     /// Precharge (close) the open row of one bank.
     Precharge,
-    /// Precharge all banks of a rank.
-    PrechargeAll,
     /// Column read from the open row.
     Read,
     /// Column write into the open row.
     Write,
     /// All-bank auto refresh (issued every tREFI).
     Refresh,
-    /// Same-bank refresh (DDR5 REFsb); refreshes one bank of every bank group.
-    RefreshSameBank,
     /// Refresh management command (DDR5 RFM): gives the DRAM chip a time
     /// window to perform in-DRAM preventive refreshes.
     RefreshManagement,
@@ -49,27 +48,14 @@ impl CommandKind {
         matches!(self, CommandKind::Activate | CommandKind::VictimRefresh)
     }
 
-    /// True for refresh-class commands that block the target for a long time.
-    pub fn is_refresh(self) -> bool {
-        matches!(
-            self,
-            CommandKind::Refresh
-                | CommandKind::RefreshSameBank
-                | CommandKind::RefreshManagement
-                | CommandKind::VictimRefresh
-        )
-    }
-
     /// Short mnemonic used in traces and debug output.
     pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CommandKind::Activate => "ACT",
             CommandKind::Precharge => "PRE",
-            CommandKind::PrechargeAll => "PREA",
             CommandKind::Read => "RD",
             CommandKind::Write => "WR",
             CommandKind::Refresh => "REF",
-            CommandKind::RefreshSameBank => "REFsb",
             CommandKind::RefreshManagement => "RFM",
             CommandKind::VictimRefresh => "VRR",
         }
@@ -105,16 +91,6 @@ impl DramCommand {
     /// Builds a precharge command for `bank`.
     pub fn precharge(bank: BankAddr) -> Self {
         DramCommand { kind: CommandKind::Precharge, bank, row: 0, column: 0 }
-    }
-
-    /// Builds a precharge-all command for the rank containing `bank`.
-    pub fn precharge_all(rank: usize) -> Self {
-        DramCommand {
-            kind: CommandKind::PrechargeAll,
-            bank: BankAddr { rank, bank_group: 0, bank: 0 },
-            row: 0,
-            column: 0,
-        }
     }
 
     /// Builds a column read for `loc`.
@@ -157,7 +133,7 @@ impl fmt::Display for DramCommand {
             CommandKind::Read | CommandKind::Write => {
                 write!(f, "{} {} row{} col{}", self.kind, self.bank, self.row, self.column)
             }
-            CommandKind::Refresh | CommandKind::PrechargeAll => {
+            CommandKind::Refresh => {
                 write!(f, "{} rank{}", self.kind, self.bank.rank)
             }
             _ => write!(f, "{} {}", self.kind, self.bank),
@@ -181,9 +157,6 @@ mod tests {
         assert!(CommandKind::Activate.opens_row());
         assert!(CommandKind::VictimRefresh.opens_row());
         assert!(!CommandKind::Precharge.opens_row());
-        assert!(CommandKind::Refresh.is_refresh());
-        assert!(CommandKind::RefreshManagement.is_refresh());
-        assert!(!CommandKind::Read.is_refresh());
     }
 
     #[test]
@@ -226,11 +199,9 @@ mod tests {
         let kinds = [
             CommandKind::Activate,
             CommandKind::Precharge,
-            CommandKind::PrechargeAll,
             CommandKind::Read,
             CommandKind::Write,
             CommandKind::Refresh,
-            CommandKind::RefreshSameBank,
             CommandKind::RefreshManagement,
             CommandKind::VictimRefresh,
         ];

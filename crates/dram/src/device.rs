@@ -1,5 +1,5 @@
 //! The DRAM channel device model: banks, timing-constraint engine, command
-//! execution, statistics, energy accounting and RowHammer tracking.
+//! execution, statistics, energy and RowHammer tracking.
 //!
 //! [`DramChannel`] is driven by the memory controller in `bh-mem`. The
 //! controller asks [`DramChannel::earliest_issue`] when a candidate command
@@ -9,7 +9,7 @@
 
 use crate::bank::{BankGroupState, BankState, RankState, RowState};
 use crate::command::{CommandKind, DramCommand};
-use crate::energy::{EnergyCounters, EnergyParams};
+use crate::energy::EnergyParams;
 use crate::error::DramError;
 use crate::geometry::{BankAddr, DramGeometry, RowAddr};
 use crate::rowhammer::RowHammerTracker;
@@ -30,7 +30,8 @@ pub struct CommandOutcome {
     pub busy_until: Cycle,
 }
 
-/// Per-command-kind issue counters.
+/// Per-command-kind issue counters: the channel's one count of its commands,
+/// which its energy ([`DramChannel::energy_nj`]) is weighed from.
 // `accumulate` destructures every field; its unit test pins that each one
 // reaches the sum.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -39,7 +40,8 @@ pub struct DramStats {
     pub activates: u64,
     /// PRE commands issued.
     pub precharges: u64,
-    /// PREA commands issued.
+    /// Always 0: the device models no precharge-all. Inert; it stays
+    /// because the benchmark hashes the `Debug` text of a result.
     pub precharge_alls: u64,
     /// RD commands issued.
     pub reads: u64,
@@ -47,7 +49,8 @@ pub struct DramStats {
     pub writes: u64,
     /// REF commands issued.
     pub refreshes: u64,
-    /// REFsb commands issued.
+    /// Always 0: the device models no same-bank refresh. Inert; it stays
+    /// because the benchmark hashes the `Debug` text of a result.
     pub refreshes_same_bank: u64,
     /// RFM commands issued.
     pub rfm_commands: u64,
@@ -114,7 +117,6 @@ pub struct DramChannel {
     /// Earliest cycle the shared data bus accepts another column command.
     next_column_bus: Cycle,
     stats: DramStats,
-    energy: EnergyCounters,
     rowhammer: Option<RowHammerTracker>,
 }
 
@@ -155,7 +157,6 @@ impl DramChannel {
             ranks,
             next_column_bus: 0,
             stats: DramStats::default(),
-            energy: EnergyCounters::new(),
             rowhammer,
         }
     }
@@ -170,19 +171,16 @@ impl DramChannel {
         &self.timing
     }
 
-    /// The channel's energy parameters.
-    pub fn energy_params(&self) -> &EnergyParams {
-        &self.energy_params
-    }
-
     /// Command-issue statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats
     }
 
-    /// Energy event counters.
-    pub fn energy(&self) -> &EnergyCounters {
-        &self.energy
+    /// DRAM energy in nanojoules after `elapsed_cycles` of simulated time:
+    /// the commands counted in [`DramChannel::stats`], weighed by the
+    /// channel's [`EnergyParams`], plus every rank's background power.
+    pub fn energy_nj(&self, elapsed_cycles: Cycle) -> f64 {
+        self.energy_params.total_nj(&self.stats, &self.timing, elapsed_cycles, self.geometry.ranks)
     }
 
     /// The RowHammer tracker, if one is attached.
@@ -259,12 +257,12 @@ impl DramChannel {
                     return violation("all banks of the rank must be precharged before REF");
                 }
             }
-            CommandKind::RefreshSameBank | CommandKind::RefreshManagement => {
+            CommandKind::RefreshManagement => {
                 if !bank.is_closed() {
                     return violation("target bank must be precharged");
                 }
             }
-            CommandKind::Precharge | CommandKind::PrechargeAll => {}
+            CommandKind::Precharge => {}
         }
         Ok(())
     }
@@ -282,12 +280,6 @@ impl DramChannel {
             | CommandKind::Write => {
                 self.demand_ready(flat, self.group_index(cmd.bank), rank, cmd.kind)
             }
-            CommandKind::PrechargeAll => self
-                .geometry
-                .rank_flat_range(rank)
-                .map(|f| self.banks[f].earliest(CommandKind::Precharge))
-                .max()
-                .unwrap_or(0),
             CommandKind::Refresh => self
                 .geometry
                 .rank_flat_range(rank)
@@ -295,7 +287,7 @@ impl DramChannel {
                 .max()
                 .unwrap_or(0)
                 .max(self.ranks[rank].next_ref),
-            CommandKind::RefreshSameBank | CommandKind::RefreshManagement => {
+            CommandKind::RefreshManagement => {
                 self.banks[flat].earliest(cmd.kind).max(self.ranks[rank].next_ref)
             }
         }
@@ -328,10 +320,7 @@ impl DramChannel {
             CommandKind::Write => {
                 bank.max(group.next_wr).max(rank.next_wr).max(self.next_column_bus)
             }
-            CommandKind::PrechargeAll
-            | CommandKind::Refresh
-            | CommandKind::RefreshSameBank
-            | CommandKind::RefreshManagement => {
+            CommandKind::Refresh | CommandKind::RefreshManagement => {
                 panic!("{kind:?} is not a single-bank demand command")
             }
         }
@@ -400,7 +389,6 @@ impl DramChannel {
                 rank.next_act = rank.next_act.max(cycle + t.t_rrd_s);
                 rank.record_activation(cycle, FAW_DEPTH);
                 self.stats.activates += 1;
-                self.energy.activations += 1;
                 if let Some(rh) = self.rowhammer.as_mut() {
                     rh.on_activate(RowAddr { bank: cmd.bank, row: cmd.row }, cycle);
                 }
@@ -420,7 +408,6 @@ impl DramChannel {
                 rank.next_act = rank.next_act.max(cycle + t.t_rrd_s);
                 rank.record_activation(cycle, FAW_DEPTH);
                 self.stats.victim_refreshes += 1;
-                self.energy.victim_refreshes += 1;
                 if let Some(rh) = self.rowhammer.as_mut() {
                     rh.on_row_refreshed(RowAddr { bank: cmd.bank, row: cmd.row });
                 }
@@ -431,17 +418,6 @@ impl DramChannel {
                 bank.row = RowState::Closed;
                 bank.next_act = bank.next_act.max(cycle + t.t_rp);
                 self.stats.precharges += 1;
-                self.energy.precharges += 1;
-                CommandOutcome { data_ready_at: None, busy_until: cycle + t.t_rp }
-            }
-            CommandKind::PrechargeAll => {
-                for bi in self.geometry.rank_flat_range(cmd.bank.rank) {
-                    let bank = &mut self.banks[bi];
-                    bank.row = RowState::Closed;
-                    bank.next_act = bank.next_act.max(cycle + t.t_rp);
-                }
-                self.stats.precharge_alls += 1;
-                self.energy.precharges += 1;
                 CommandOutcome { data_ready_at: None, busy_until: cycle + t.t_rp }
             }
             CommandKind::Read => {
@@ -455,7 +431,6 @@ impl DramChannel {
                 rank.next_wr = rank.next_wr.max(cycle + t.t_ccd_s);
                 self.next_column_bus = self.next_column_bus.max(cycle + t.burst_cycles());
                 self.stats.reads += 1;
-                self.energy.reads += 1;
                 let ready = cycle + t.read_latency();
                 CommandOutcome { data_ready_at: Some(ready), busy_until: ready }
             }
@@ -471,7 +446,6 @@ impl DramChannel {
                 rank.next_wr = rank.next_wr.max(cycle + t.t_ccd_s);
                 self.next_column_bus = self.next_column_bus.max(cycle + t.burst_cycles());
                 self.stats.writes += 1;
-                self.energy.writes += 1;
                 CommandOutcome { data_ready_at: Some(done), busy_until: done }
             }
             CommandKind::Refresh => {
@@ -490,22 +464,10 @@ impl DramChannel {
                 let end = (start + rows_per_ref).min(self.geometry.rows_per_bank);
                 rank.refresh_cursor = if end >= self.geometry.rows_per_bank { 0 } else { end };
                 self.stats.refreshes += 1;
-                self.energy.refreshes += 1;
                 if let Some(rh) = self.rowhammer.as_mut() {
                     rh.on_periodic_refresh(cmd.bank.rank, start, end);
                 }
                 CommandOutcome { data_ready_at: None, busy_until: cycle + t.t_rfc }
-            }
-            CommandKind::RefreshSameBank => {
-                for bg in 0..self.geometry.bank_groups {
-                    let b = BankAddr { rank: cmd.bank.rank, bank_group: bg, bank: cmd.bank.bank };
-                    let bi = self.geometry.flat_bank(b);
-                    let bank = &mut self.banks[bi];
-                    bank.next_act = bank.next_act.max(cycle + t.t_rfc_sb);
-                }
-                self.stats.refreshes_same_bank += 1;
-                self.energy.refreshes_same_bank += 1;
-                CommandOutcome { data_ready_at: None, busy_until: cycle + t.t_rfc_sb }
             }
             CommandKind::RefreshManagement => {
                 let bank = &mut self.banks[flat];
@@ -516,7 +478,6 @@ impl DramChannel {
                 let rank = &mut self.ranks[cmd.bank.rank];
                 rank.next_ref = rank.next_ref.max(cycle + t.t_rfm);
                 self.stats.rfm_commands += 1;
-                self.energy.rfm_commands += 1;
                 let serviced = self.config.rfm_aggressors_serviced;
                 if let Some(rh) = self.rowhammer.as_mut() {
                     rh.service_rfm(cmd.bank, serviced);
@@ -755,8 +716,8 @@ mod tests {
         ch.issue(&DramCommand::activate(bank(), 5), 0).unwrap();
         let reff = DramCommand::refresh(0);
         assert!(matches!(ch.issue(&reff, 10_000), Err(DramError::StateViolation { .. })));
-        // Precharge everything, then refresh.
-        ch.issue(&DramCommand::precharge_all(0), t.t_ras).unwrap();
+        // Close the open bank, then refresh.
+        ch.issue(&DramCommand::precharge(bank()), t.t_ras).unwrap();
         let cycle = ch.earliest_issue(&reff).max(t.t_ras + t.t_rp);
         let out = ch.issue(&reff, cycle).unwrap();
         assert_eq!(out.busy_until, cycle + t.t_rfc);
@@ -813,7 +774,6 @@ mod tests {
         assert_eq!(out.busy_until, cycle + t.t_rc);
         assert_eq!(ch.rowhammer().unwrap().disturbance_of(victim), 0);
         assert_eq!(ch.stats().victim_refreshes, 1);
-        assert_eq!(ch.energy().victim_refreshes, 1);
     }
 
     #[test]

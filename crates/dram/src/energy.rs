@@ -1,14 +1,17 @@
 //! Event-based DRAM energy model.
 //!
 //! The paper evaluates DRAM energy (Fig. 12) with a DRAMPower-style model on
-//! top of Ramulator. Our substitute counts the energy-relevant events the
-//! device performs (activate/precharge pairs, column reads and writes,
-//! all-bank refreshes, RFM windows, directed victim refreshes and AQUA row
-//! migrations) and adds rank background power integrated over simulated time.
+//! top of Ramulator. Our substitute weighs the commands a channel counts in
+//! its [`DramStats`] (activate/precharge pairs, column reads and writes,
+//! all-bank refreshes, RFM windows and directed victim refreshes; AQUA's row
+//! migrations reach it as those commands) and adds rank background power
+//! integrated over simulated time. The channel reports the sum as
+//! [`DramChannel::energy_nj`](crate::DramChannel::energy_nj).
 //! Absolute joules differ from the authors' testbed, but the normalised
 //! energy — dominated by how many preventive actions and data transfers were
 //! performed — is preserved.
 
+use crate::device::DramStats;
 use crate::timing::TimingParams;
 
 /// Per-event energies (nanojoules) and background power (milliwatts).
@@ -22,7 +25,9 @@ pub struct EnergyParams {
     pub write_nj: f64,
     /// Energy of one all-bank refresh command in nJ.
     pub refresh_nj: f64,
-    /// Energy of one same-bank refresh command in nJ.
+    /// Energy of one same-bank refresh command in nJ. Inert: the device
+    /// models no REFsb, so no energy sum reads it. It stays because
+    /// `SystemConfig`'s `Debug` text, which the benchmark hashes, renders it.
     pub refresh_sb_nj: f64,
     /// Energy of one refresh-management (RFM) window in nJ.
     pub rfm_nj: f64,
@@ -47,65 +52,38 @@ impl EnergyParams {
             background_mw_per_rank: 120.0,
         }
     }
+
+    /// Total DRAM energy in nanojoules of the commands counted in `stats`
+    /// after `elapsed_cycles` of simulated time on a system with `ranks`
+    /// ranks.
+    pub(crate) fn total_nj(
+        &self,
+        stats: &DramStats,
+        timing: &TimingParams,
+        elapsed_cycles: u64,
+        ranks: usize,
+    ) -> f64 {
+        let dynamic = self.dynamic_nj(stats);
+        let seconds = timing.cycles_to_ns(elapsed_cycles) * 1e-9;
+        let background = self.background_mw_per_rank * 1e-3 * ranks as f64 * seconds * 1e9;
+        dynamic + background
+    }
+
+    /// Dynamic (event) energy only, in nanojoules. Each ACT is charged as
+    /// one ACT + PRE pair, so precharges add nothing of their own.
+    pub(crate) fn dynamic_nj(&self, stats: &DramStats) -> f64 {
+        stats.activates as f64 * self.act_pre_nj
+            + stats.reads as f64 * self.read_nj
+            + stats.writes as f64 * self.write_nj
+            + stats.refreshes as f64 * self.refresh_nj
+            + stats.rfm_commands as f64 * self.rfm_nj
+            + stats.victim_refreshes as f64 * self.victim_refresh_nj
+    }
 }
 
 impl Default for EnergyParams {
     fn default() -> Self {
         EnergyParams::ddr5()
-    }
-}
-
-/// Running counters of the energy-relevant events one channel has performed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EnergyCounters {
-    /// Row activations (each eventually paired with a precharge).
-    pub activations: u64,
-    /// Explicit precharges (informational; energy is charged per ACT).
-    pub precharges: u64,
-    /// Column reads.
-    pub reads: u64,
-    /// Column writes.
-    pub writes: u64,
-    /// All-bank refresh commands.
-    pub refreshes: u64,
-    /// Same-bank refresh commands.
-    pub refreshes_same_bank: u64,
-    /// Refresh-management commands.
-    pub rfm_commands: u64,
-    /// Directed victim-row refreshes (preventive refreshes).
-    pub victim_refreshes: u64,
-}
-
-impl EnergyCounters {
-    /// Creates zeroed counters.
-    pub(crate) fn new() -> Self {
-        EnergyCounters::default()
-    }
-
-    /// Total DRAM energy in nanojoules after `elapsed_cycles` of simulated
-    /// time on a system with `ranks` ranks.
-    pub fn total_nj(
-        &self,
-        params: &EnergyParams,
-        timing: &TimingParams,
-        elapsed_cycles: u64,
-        ranks: usize,
-    ) -> f64 {
-        let dynamic = self.dynamic_nj(params);
-        let seconds = timing.cycles_to_ns(elapsed_cycles) * 1e-9;
-        let background = params.background_mw_per_rank * 1e-3 * ranks as f64 * seconds * 1e9;
-        dynamic + background
-    }
-
-    /// Dynamic (event) energy only, in nanojoules.
-    pub(crate) fn dynamic_nj(&self, params: &EnergyParams) -> f64 {
-        self.activations as f64 * params.act_pre_nj
-            + self.reads as f64 * params.read_nj
-            + self.writes as f64 * params.write_nj
-            + self.refreshes as f64 * params.refresh_nj
-            + self.refreshes_same_bank as f64 * params.refresh_sb_nj
-            + self.rfm_commands as f64 * params.rfm_nj
-            + self.victim_refreshes as f64 * params.victim_refresh_nj
     }
 }
 
@@ -115,11 +93,11 @@ mod tests {
 
     #[test]
     fn zero_counters_have_only_background_energy() {
-        let c = EnergyCounters::new();
+        let c = DramStats::default();
         let p = EnergyParams::ddr5();
         let t = TimingParams::ddr5_4800();
-        assert_eq!(c.dynamic_nj(&p), 0.0);
-        let total = c.total_nj(&p, &t, t.ns_to_cycles(1000.0), 2);
+        assert_eq!(p.dynamic_nj(&c), 0.0);
+        let total = p.total_nj(&c, &t, t.ns_to_cycles(1000.0), 2);
         // 2 ranks * 120mW * 1us = 240 nJ
         assert!((total - 240.0).abs() < 1.0, "got {total}");
     }
@@ -127,20 +105,23 @@ mod tests {
     #[test]
     fn dynamic_energy_scales_with_events() {
         let p = EnergyParams::ddr5();
-        let mut c = EnergyCounters::new();
-        c.activations = 10;
-        c.reads = 5;
-        c.writes = 3;
-        c.refreshes = 1;
-        c.rfm_commands = 2;
-        c.victim_refreshes = 4;
+        let c = DramStats {
+            activates: 10,
+            precharges: 10,
+            reads: 5,
+            writes: 3,
+            refreshes: 1,
+            rfm_commands: 2,
+            victim_refreshes: 4,
+            ..DramStats::default()
+        };
         let expected = 10.0 * p.act_pre_nj
             + 5.0 * p.read_nj
             + 3.0 * p.write_nj
             + 1.0 * p.refresh_nj
             + 2.0 * p.rfm_nj
             + 4.0 * p.victim_refresh_nj;
-        assert!((c.dynamic_nj(&p) - expected).abs() < 1e-9);
+        assert!((p.dynamic_nj(&c) - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -148,11 +129,8 @@ mod tests {
         // Sanity check for the shape of Fig. 12: a workload with many victim
         // refreshes consumes visibly more dynamic energy than one without.
         let p = EnergyParams::ddr5();
-        let mut quiet = EnergyCounters::new();
-        quiet.activations = 1000;
-        quiet.reads = 1000;
-        let mut hammered = quiet.clone();
-        hammered.victim_refreshes = 4000;
-        assert!(hammered.dynamic_nj(&p) > 2.0 * quiet.dynamic_nj(&p));
+        let quiet = DramStats { activates: 1000, reads: 1000, ..DramStats::default() };
+        let hammered = DramStats { victim_refreshes: 4000, ..quiet.clone() };
+        assert!(p.dynamic_nj(&hammered) > 2.0 * p.dynamic_nj(&quiet));
     }
 }

@@ -5,12 +5,16 @@
 //! one memory channel. It provides
 //!
 //! * the DRAM organization ([`DramGeometry`], [`BankAddr`], [`RowAddr`]),
-//! * the command set ([`DramCommand`], [`CommandKind`]),
+//! * the command set the memory controller issues ([`DramCommand`],
+//!   [`CommandKind`]: ACT, PRE, RD, WR, REF, RFM and directed victim-row
+//!   refresh),
 //! * JEDEC-style timing constraints with DDR4-3200 and DDR5-4800 presets
 //!   ([`TimingParams`]),
 //! * the per-bank / per-bank-group / per-rank state machine and timing engine
-//!   ([`DramChannel`]),
-//! * an event-based DRAM energy model ([`EnergyParams`], [`EnergyCounters`]),
+//!   ([`DramChannel`]), which counts each command it issues once, in
+//!   [`DramStats`],
+//! * an event-based DRAM energy model ([`EnergyParams`]) that weighs those
+//!   counts ([`DramChannel::energy_nj`]),
 //! * and a RowHammer victim-disturbance tracker ([`RowHammerTracker`]) used to
 //!   verify that mitigation mechanisms — with or without BreakHammer attached —
 //!   never allow a row to accumulate `N_RH` activations without a refresh.
@@ -58,7 +62,7 @@ mod types;
 pub use bank::{BankGroupState, BankState, RankState, RowState};
 pub use command::{CommandKind, DramCommand};
 pub use device::{CommandOutcome, DeviceConfig, DramChannel, DramStats};
-pub use energy::{EnergyCounters, EnergyParams};
+pub use energy::EnergyParams;
 pub use error::DramError;
 pub use fault::{
     classify_flips, EccClassification, EccMode, FaultConfig, FaultModel, SuccessCriterion,

@@ -56,7 +56,9 @@ pub struct TimingParams {
     // --- refresh ------------------------------------------------------------
     /// All-bank refresh cycle time (command blocks the rank for this long).
     pub t_rfc: CycleDelta,
-    /// Same-bank refresh cycle time.
+    /// Same-bank refresh cycle time. Inert: the device models no REFsb, so
+    /// no timing rule reads it. It stays because `SystemConfig`'s `Debug`
+    /// text, which the benchmark hashes, renders it.
     pub t_rfc_sb: CycleDelta,
     /// Average refresh interval (one REF per tREFI keeps the retention
     /// guarantee).
@@ -204,7 +206,6 @@ impl TimingParams {
         self.t_rp += adj.extra_t_rp;
         self.t_ras += adj.extra_t_ras;
         self.t_rc += adj.extra_t_rp + adj.extra_t_ras;
-        self.t_rfc += adj.extra_t_rfc;
         self
     }
 
@@ -253,8 +254,6 @@ pub struct TimingAdjustment {
     pub extra_t_rp: CycleDelta,
     /// Extra cycles added to tRAS.
     pub extra_t_ras: CycleDelta,
-    /// Extra cycles added to tRFC.
-    pub extra_t_rfc: CycleDelta,
 }
 
 impl TimingAdjustment {
@@ -322,7 +321,7 @@ mod tests {
     #[test]
     fn adjustment_inflates_row_cycle() {
         let base = TimingParams::fast_test();
-        let adj = TimingAdjustment { extra_t_rp: 3, extra_t_ras: 5, extra_t_rfc: 0 };
+        let adj = TimingAdjustment { extra_t_rp: 3, extra_t_ras: 5 };
         let adjusted = base.clone().with_adjustment(&adj);
         assert_eq!(adjusted.t_rp, base.t_rp + 3);
         assert_eq!(adjusted.t_ras, base.t_ras + 5);

@@ -38,8 +38,7 @@ impl Rega {
         // precharge phase. ~0 extra cycles at N_RH >= 2K, growing to ~32
         // extra cycles (≈13 ns at DDR5-4800) at N_RH = 64.
         let extra = (2048 / nrh).min(32);
-        let adjustment =
-            TimingAdjustment { extra_t_rp: extra, extra_t_ras: extra / 2, extra_t_rfc: 0 };
+        let adjustment = TimingAdjustment { extra_t_rp: extra, extra_t_ras: extra / 2 };
         Rega { rega_t, adjustment }
     }
 

@@ -190,7 +190,6 @@ pub struct System {
     /// Miss completions scheduled for a future DRAM cycle, in completion
     /// order (see [`System::step_inner_fill`]), as `(cycle, MSHR token)`.
     pending_fills: VecDeque<(Cycle, u64)>,
-    next_writeback_id: u64,
     /// The BreakHammer [`quota_version`](BreakHammer::quota_version) whose
     /// quotas were last propagated into the LLC (`None` before the first
     /// propagation). While the version is unchanged the per-step propagation
@@ -334,7 +333,6 @@ impl System {
             memory,
             clock,
             pending_fills: VecDeque::new(),
-            next_writeback_id: 1 << 60,
             synced_quota_version: None,
             response_buf: Vec::new(),
             progress_buf: Vec::new(),
@@ -726,7 +724,7 @@ impl System {
             self.response_buf.clear();
         }
         for response in &self.response_buf {
-            if response.kind.is_read() && response.id < (1 << 60) {
+            if response.kind.is_read() {
                 // Chaos injection: drop fills completing at/after the
                 // configured cycle. The MSHR stays occupied forever, so every
                 // core eventually hard-stalls — the deterministic livelock
@@ -783,9 +781,10 @@ impl System {
         for i in 0..self.outgoing_buf.len() {
             let outgoing = self.outgoing_buf[i];
             let req = if outgoing.is_writeback {
-                let id = self.next_writeback_id;
-                self.next_writeback_id += 1;
-                MemRequest::write(id, outgoing.thread, outgoing.addr, dram_cycle)
+                // No one waits on a writeback: its response is dropped in
+                // the fill phase (`is_read` excludes it), so its id is never
+                // read.
+                MemRequest::write(0, outgoing.thread, outgoing.addr, dram_cycle)
             } else {
                 MemRequest::read(
                     outgoing.token.expect("fills carry their MSHR token"),
@@ -872,10 +871,10 @@ impl System {
     /// Fast-forwards across the DRAM cycles `from..to` in which, by
     /// construction of [`System::next_event`], every layer is quiescent:
     /// replays exactly the counter increments the per-cycle reference would
-    /// have accrued (stalled-core cycle/stall counters, rejected LLC access
-    /// probes, failed enqueue retries) without touching any other state. The
-    /// core side replays the classifications `progress_buf` captured at the
-    /// decision point.
+    /// have accrued (stalled-core cycles, rejected LLC access probes, failed
+    /// enqueue retries) without touching any other state. The rejected
+    /// probes are the ones the classifications `progress_buf` captured at the
+    /// decision point name.
     #[inline(always)]
     fn skip_dead_cycles(&mut self, from: Cycle, to: Cycle) {
         let cpu_ticks = self.clock.at(to) - self.clock.at(from);
@@ -956,12 +955,7 @@ impl System {
                 ChannelBreakdown {
                     controller: ctrl.stats().clone(),
                     dram: channel.stats().clone(),
-                    energy_nj: channel.energy().total_nj(
-                        channel.energy_params(),
-                        channel.timing(),
-                        dram_cycles,
-                        channel.geometry().ranks,
-                    ),
+                    energy_nj: channel.energy_nj(dram_cycles),
                     bitflips: channel.rowhammer().map(|t| t.bitflip_count()).unwrap_or(0),
                     machine_checks: ecc.machine_checks,
                 }

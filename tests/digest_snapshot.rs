@@ -6,10 +6,9 @@
 //! digests are compared against `tests/digests.golden.txt`, which pins the
 //! simulator's observable behaviour across refactors: any change to
 //! scheduling, mitigation, throttling or accounting shows up as a digest
-//! mismatch. (Each row keeps its `event_driven` label from when the goldens
-//! also held a per-cycle-kernel row; that kernel is now a test-only reference
-//! whose equality with the default is pinned by `bh_sim`'s differential
-//! tests.)
+//! mismatch. The rows are the default event-driven kernel's; its equality
+//! with the test-only per-cycle reference kernel is pinned by `bh_sim`'s
+//! differential tests.
 //!
 //! To regenerate the golden file after an *intentional* behaviour change:
 //!
@@ -148,7 +147,7 @@ fn config_for(mechanism: MechanismKind, breakhammer: bool) -> SystemConfig {
 
 /// The golden row label of one configuration.
 fn label(prefix: &str, breakhammer: bool) -> String {
-    format!("{prefix} {} event_driven", if breakhammer { "bh" } else { "nobh" })
+    format!("{prefix} {}", if breakhammer { "bh" } else { "nobh" })
 }
 
 fn run_matrix() -> Vec<(String, u64)> {

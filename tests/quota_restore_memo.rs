@@ -67,7 +67,7 @@ fn quota_stalled_core_redispatches_the_cycle_the_quota_returns() {
     let (mut core, mut llc) = quota_starved();
     // Spin long enough that the rejection is memoized and replayed.
     core.tick_epoch(0..10, &mut llc);
-    assert_eq!(core.stats(0).loads, 0, "no load can dispatch with a zero quota");
+    assert_eq!(llc.stats().misses, 0, "no load can take an MSHR with a zero quota");
     assert!(llc.stats().quota_rejections >= 10, "every spin cycle must count a rejection");
     let mut progress = Vec::new();
     assert!(!core.progress_batch(&llc, 10, &mut progress), "a zero quota must stall the core");
@@ -88,10 +88,10 @@ fn quota_stalled_core_redispatches_the_cycle_the_quota_returns() {
         core.progress_batch(&llc, 10, &mut progress),
         "the stalled core must be re-dispatchable on the restore cycle itself"
     );
-    let loads_before = core.stats(0).loads;
+    let misses_before = llc.stats().misses;
     core.tick_epoch(10..11, &mut llc);
     assert!(
-        core.stats(0).loads > loads_before,
+        llc.stats().misses > misses_before,
         "the first tick after the restore must dispatch the memoized access"
     );
 }
