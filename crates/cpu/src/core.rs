@@ -196,12 +196,12 @@ impl Core {
         self.access_pending = true;
     }
 
-    /// If the core is hard-stalled — instruction window full with an
-    /// incomplete-looking miss at its head — returns that head's token. Until
-    /// the token completes, every tick of this core only counts a cycle (no
-    /// dispatch can run, no self-state can change), so the simulator may
-    /// skip ticking it and replay the cycles in bulk via
-    /// [`Core::absorb_hard_stall`]. The caller checks the token's completion.
+    /// If the core is hard-stalled — instruction window full with a miss at
+    /// its head — returns that head's token. Until the token completes, a
+    /// tick of this core only counts a cycle (no dispatch can run, no
+    /// self-state can change): the state in which `CoreEngine::tick_epoch`
+    /// skips a core's tick, which the engine differential compares with
+    /// [`CoreEngine::is_hard_stalled`](crate::CoreEngine::is_hard_stalled).
     pub(crate) fn window_full_on(&self) -> Option<MissToken> {
         if self.window_len < self.config.window_size {
             return None;
@@ -210,12 +210,6 @@ impl Core {
             Some(WindowEntry::Pending(token)) => Some(*token),
             _ => None,
         }
-    }
-
-    /// Replays `ticks` hard-stalled cycles (see [`Core::window_full_on`]):
-    /// the per-cycle kernel would have counted each as one core cycle.
-    pub(crate) fn absorb_hard_stall(&mut self, ticks: u64) {
-        self.stats.cycles += ticks;
     }
 
     /// Appends `n` complete instructions to the window, extending a trailing
@@ -383,48 +377,20 @@ impl Core {
     }
 }
 
-/// Drives reference cores through the CPU cycles of one event epoch, exactly
-/// as [`CoreEngine::tick_epoch`](crate::CoreEngine::tick_epoch) drives its
-/// lanes: cores are ticked in index order within each cycle, and a
-/// hard-stalled core (window full behind an incomplete miss, `stalled_on[i]`
-/// set) is not ticked — its cycles accrue as debt in `stall_debt[i]` and
-/// replay via `Core::absorb_hard_stall` when the miss completes.
+/// Drives reference cores through the CPU cycles of one event epoch, in
+/// index order within each cycle, as
+/// [`CoreEngine::tick_epoch`](crate::CoreEngine::tick_epoch) drives its
+/// lanes — but ticking every unfinished core every cycle, hard-stalled or
+/// not.
 #[cfg(test)]
 pub(crate) fn tick_epoch_legacy(
     cores: &mut [Core],
-    stalled_on: &mut [Option<MissToken>],
-    stall_debt: &mut [u64],
     cycles: std::ops::Range<Cycle>,
     llc: &mut LastLevelCache,
 ) {
     for cpu_cycle in cycles {
-        for (i, core) in cores.iter_mut().enumerate() {
-            if core.finished() {
-                continue;
-            }
-            if let Some(token) = stalled_on[i] {
-                if !llc.is_completed(token) {
-                    stall_debt[i] += 1;
-                    continue;
-                }
-                core.absorb_hard_stall(std::mem::take(&mut stall_debt[i]));
-                stalled_on[i] = None;
-            }
+        for core in cores.iter_mut() {
             core.tick(cpu_cycle, llc);
-            stalled_on[i] = core.window_full_on();
-        }
-    }
-}
-
-/// Folds outstanding hard-stall debt into the reference cores' counters (the
-/// end-of-run counterpart of [`tick_epoch_legacy`]; see
-/// `Core::absorb_hard_stall`).
-#[cfg(test)]
-pub(crate) fn settle_legacy(cores: &mut [Core], stall_debt: &mut [u64]) {
-    for (i, core) in cores.iter_mut().enumerate() {
-        let debt = std::mem::take(&mut stall_debt[i]);
-        if debt > 0 {
-            core.absorb_hard_stall(debt);
         }
     }
 }
@@ -485,7 +451,6 @@ mod tests {
             cycle += 1;
         }
         assert!(engine.finished(0), "core did not finish");
-        engine.settle();
         cycle
     }
 
@@ -520,11 +485,10 @@ mod tests {
         let mut cache =
             LastLevelCache::new(CacheConfig { mshrs: 64, ..CacheConfig::tiny_test() }, 1);
         core.tick_epoch(0..10_000, &mut cache);
-        core.settle();
         assert!(!core.finished(0));
         assert!(core.retired_instructions(0) < 200);
         assert!(core.is_hard_stalled(0), "the window must fill behind the first miss");
-        assert_eq!(core.stats(0).cycles, 10_000, "settle folds the hard-stall cycles in");
+        assert_eq!(core.stats(0).cycles, 10_000, "a hard-stalled tick counts its cycle");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * one fixed-size `Lane` row per core, holding every scalar the
 //!   per-cycle loop touches — trace cursor and its decoded record, bubble
 //!   countdown, window occupancy and ring indices, pending-miss (hard-stall)
-//!   token, stall debt, retired count and cycle count. A core's
+//!   token, retired count and cycle count. A core's
 //!   whole tick reads and writes one row (two or three cache lines, one
 //!   bounds check), where per-object cores chased a heap pointer per core and
 //!   per-field vectors would pay a checked index per field;
@@ -98,10 +98,9 @@ struct Lane {
     /// ([`CoreEngine::require`]).
     required: bool,
     /// Hard-stall token: while `Some`, the core's window is full with this
-    /// incomplete miss at its head and its ticks accrue as debt.
+    /// miss at its head, and until it completes a tick only counts a cycle.
+    /// A memo of the window state, re-derived after every stepped tick.
     stalled_on: Option<MissToken>,
-    /// Deferred hard-stalled cycles, replayed in bulk on wake-up/settle.
-    stall_debt: u64,
     /// Memoized rejected-access outcome (spinning-retry fast path).
     last_reject: Option<RejectMemo>,
     // --- statistics (the [`CoreStats`] fields, inline) ---
@@ -113,9 +112,8 @@ struct Lane {
 ///
 /// Indexing is by core: core `i` runs hardware thread `ThreadId(i)` and
 /// replays `traces[i]` until `target_instructions` have retired, exactly
-/// like the reference `Core` built per thread. Hard-stall bookkeeping (the
-/// window-full-behind-a-miss fast path) is owned by the engine itself.
-/// A clone shares the compiled traces and copies every lane.
+/// like the reference `Core` built per thread. A clone shares the compiled
+/// traces and copies every lane.
 #[derive(Debug, Clone)]
 pub struct CoreEngine {
     config: CoreConfig,
@@ -189,7 +187,6 @@ impl CoreEngine {
                     finished: false,
                     required: false,
                     stalled_on: None,
-                    stall_debt: 0,
                     last_reject: None,
                     retired_instructions: 0,
                     cycles: 0,
@@ -244,34 +241,33 @@ impl CoreEngine {
         self.lanes[core].retired_instructions
     }
 
-    /// Materialises core `core`'s statistics (gathered from its lane). Call
-    /// [`CoreEngine::settle`] first to fold outstanding hard-stall debt in.
+    /// Core `core`'s statistics (gathered from its lane), exact at any cycle:
+    /// every cycle is counted at the tick where it passes.
     pub fn stats(&self, core: usize) -> CoreStats {
         let lane = &self.lanes[core];
         CoreStats { retired_instructions: lane.retired_instructions, cycles: lane.cycles }
     }
 
-    /// Folds every core's outstanding hard-stall debt into its counters
-    /// (call before reading final statistics).
-    pub fn settle(&mut self) {
-        for lane in &mut self.lanes {
-            lane.cycles += std::mem::take(&mut lane.stall_debt);
-        }
-    }
+    /// Does nothing: [`CoreEngine::stats`] needs no final step. An inert
+    /// name, kept only because the benchmark's front-end replay calls it,
+    /// until the `benchmark` PR of ROADMAP item 2 removes it.
+    pub fn settle(&mut self) {}
 
-    /// True while core `core` is hard-stalled on an incomplete miss (its
-    /// deferred cycles replay when the miss completes). Exposed for tests.
+    /// True while core `core`'s window is full behind a miss at its head, as
+    /// of its last stepped tick: until that miss completes,
+    /// [`CoreEngine::tick_epoch`] only counts the core's cycles.
     pub fn is_hard_stalled(&self, core: usize) -> bool {
         self.lanes[core].stalled_on.is_some()
     }
 
     /// Steps every core through the CPU cycles of one event epoch, in core
     /// index order within each cycle — the engine's deterministic Core→LLC
-    /// batch order. Hard-stalled cores (window full behind an incomplete
-    /// miss) are not stepped: their cycles accrue as debt and replay in bulk
-    /// when their miss completes. The caller completes LLC fills *before*
-    /// the epoch (so a completed miss is the only event that wakes a
-    /// hard-stalled core) and drains the LLC's outgoing batch *after* it.
+    /// batch order. A hard-stalled core (window full behind an incomplete
+    /// miss) is not stepped: such a tick could only count the core's cycle,
+    /// so it counts the cycle and nothing else. The caller completes LLC
+    /// fills *before* the epoch (so a completed miss is the only event that
+    /// wakes a hard-stalled core) and drains the LLC's outgoing batch *after*
+    /// it.
     pub fn tick_epoch(&mut self, cycles: Range<Cycle>, llc: &mut LastLevelCache) {
         let n = self.num_cores();
         for cpu_cycle in cycles {
@@ -281,13 +277,9 @@ impl CoreEngine {
                     if lane.finished {
                         continue;
                     }
-                    if let Some(token) = lane.stalled_on {
-                        if !llc.is_completed(token) {
-                            lane.stall_debt += 1;
-                            continue;
-                        }
-                        lane.cycles += std::mem::take(&mut lane.stall_debt);
-                        lane.stalled_on = None;
+                    if lane.stalled_on.is_some_and(|token| !llc.is_completed(token)) {
+                        lane.cycles += 1;
+                        continue;
                     }
                 }
                 self.tick_core(core, cpu_cycle, llc);
@@ -498,9 +490,8 @@ impl CoreEngine {
     /// ([`LastLevelCache::absorb_rejected_probes`]). `_stall` is inert; it
     /// stays because the benchmark's front-end replay passes it.
     ///
-    /// Skipped cycles go straight into the counter — only *stepped* cycles
-    /// of a hard-stalled core accrue as debt — so a skipped run and a
-    /// stepped one agree cycle for cycle, not just in sum.
+    /// A skipped run and a stepped one agree cycle for cycle: both add each
+    /// stalled cycle to the counter as it passes.
     pub fn absorb_stall_ticks(&mut self, core: usize, ticks: u64, _stall: &StallInfo) {
         self.lanes[core].cycles += ticks;
     }
@@ -571,43 +562,9 @@ fn advance_trace(lane: &mut Lane, trace: &CompiledTrace) {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::core::{settle_legacy, tick_epoch_legacy, Core};
+    use crate::core::{tick_epoch_legacy, Core};
     use crate::trace::Trace;
     use proptest::prelude::*;
-
-    /// The reference per-object front-end: one `Core` per thread plus the
-    /// hard-stall bookkeeping `tick_epoch_legacy`/`settle_legacy` drive.
-    struct LegacyFrontEnd {
-        cores: Vec<Core>,
-        stalled_on: Vec<Option<MissToken>>,
-        stall_debt: Vec<u64>,
-    }
-
-    impl LegacyFrontEnd {
-        fn new(config: CoreConfig, traces: &[Trace], target: u64) -> Self {
-            let cores = traces
-                .iter()
-                .enumerate()
-                .map(|(i, t)| Core::new(ThreadId(i), config, t.clone(), target))
-                .collect::<Vec<_>>();
-            let n = cores.len();
-            LegacyFrontEnd { cores, stalled_on: vec![None; n], stall_debt: vec![0; n] }
-        }
-
-        fn tick_epoch(&mut self, cycles: Range<Cycle>, llc: &mut LastLevelCache) {
-            tick_epoch_legacy(
-                &mut self.cores,
-                &mut self.stalled_on,
-                &mut self.stall_debt,
-                cycles,
-                llc,
-            );
-        }
-
-        fn settle(&mut self) {
-            settle_legacy(&mut self.cores, &mut self.stall_debt);
-        }
-    }
 
     fn llc(mshrs: usize) -> LastLevelCache {
         LastLevelCache::new(CacheConfig { mshrs, ..CacheConfig::tiny_test() }, 4)
@@ -634,10 +591,10 @@ mod tests {
         )
     }
 
-    /// Drives both front-ends cycle by cycle with an identical miss
-    /// completion schedule and identical mid-run quota flips, asserting
-    /// equality of every observable after every epoch and after the final
-    /// settle (the cutoff edge: the run ends while debt is outstanding).
+    /// Drives the engine and the reference front-end (one `Core` per thread,
+    /// each ticked every cycle) with an identical miss completion schedule
+    /// and identical mid-run quota flips, asserting equality of every
+    /// observable, each core's statistics included, after every epoch.
     fn differential_run(
         traces: Vec<Trace>,
         target: u64,
@@ -648,7 +605,11 @@ mod tests {
         epoch: u64,
     ) {
         let config = CoreConfig { width: 4, window_size: 16, retire_width: 4 };
-        let mut legacy = LegacyFrontEnd::new(config, &traces, target);
+        let mut legacy: Vec<Core> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, t)| Core::new(ThreadId(i), config, t.clone(), target))
+            .collect();
         let compiled = traces.iter().map(Trace::compile).collect();
         let mut engine = CoreEngine::new(config, compiled, target);
         // Every core but the last is required (core 0 listed twice), as a
@@ -686,7 +647,7 @@ mod tests {
                 }
             });
             let end = (cycle + epoch).min(max_cycles);
-            legacy.tick_epoch(cycle..end, &mut llc_a);
+            tick_epoch_legacy(&mut legacy, cycle..end, &mut llc_a);
             engine.tick_epoch(cycle..end, &mut llc_b);
             for out in llc_a.take_outgoing() {
                 if let Some(token) = out.token {
@@ -724,47 +685,38 @@ mod tests {
                     "batched vs scalar classifications diverged at cycle {cycle}"
                 );
             }
-            for i in 0..traces.len() {
+            for (i, core) in legacy.iter().enumerate() {
                 assert_eq!(
-                    legacy.cores[i].finished(),
+                    core.stats(),
+                    &engine.stats(i),
+                    "stats diverged for core {i} at cycle {cycle}"
+                );
+                assert_eq!(core.stats().retired_instructions, engine.retired_instructions(i));
+                assert_eq!(
+                    core.finished(),
                     engine.finished(i),
                     "finished flag diverged for core {i} at cycle {cycle}"
                 );
                 assert_eq!(
-                    legacy.stalled_on[i].is_some(),
+                    core.window_full_on().is_some(),
                     engine.is_hard_stalled(i),
                     "hard-stall state diverged for core {i} at cycle {cycle}"
                 );
                 assert_eq!(
-                    legacy.cores[i].progress(&llc_a, end),
+                    core.progress(&llc_a, end),
                     engine.progress(i, &llc_b, end),
                     "progress classification diverged for core {i} at cycle {cycle}"
                 );
             }
             assert_eq!(
                 engine.required_finished(),
-                required.iter().all(|&i| legacy.cores[i].finished()),
+                required.iter().all(|&i| legacy[i].finished()),
                 "required-finished count diverged at cycle {cycle}"
             );
             if (0..traces.len()).all(|i| engine.finished(i)) {
                 break;
             }
             cycle = end;
-        }
-        // Cutoff edge: settle outstanding hard-stall debt on both sides and
-        // compare the final statistics bit for bit.
-        legacy.settle();
-        engine.settle();
-        for i in 0..traces.len() {
-            assert_eq!(
-                legacy.cores[i].stats(),
-                &engine.stats(i),
-                "final stats diverged for core {i}"
-            );
-            assert_eq!(
-                legacy.cores[i].stats().retired_instructions,
-                engine.retired_instructions(i)
-            );
         }
     }
 
@@ -780,26 +732,53 @@ mod tests {
         differential_run(traces, 3_000, 4, 37, vec![(500, 1, 1), (2_500, 1, 4)], 60_000, 2);
     }
 
-    #[test]
-    fn engine_matches_core_under_hard_stall_and_cutoff() {
-        // Never-completing misses: every core hard-stalls, and the run ends
-        // at the cutoff with debt outstanding on both sides.
-        let traces: Vec<Trace> = (0..2)
+    /// Two cores whose loads each miss a distinct line. With 16 MSHRs the
+    /// window of the 16-entry test core fills behind its first miss; with
+    /// fewer, the cores spin on rejected accesses instead.
+    fn missing_traces() -> Vec<Trace> {
+        (0..2)
             .map(|c| {
                 Trace::new(
                     (0..16).map(|i| TraceEntry::load(1, PhysAddr((c * 64 + i) * 0x1000))).collect(),
                 )
             })
-            .collect();
-        differential_run(traces, 10_000, 2, 1 << 40, vec![], 5_000, 3);
+            .collect()
+    }
+
+    #[test]
+    fn engine_matches_core_under_hard_stall_and_cutoff() {
+        // Never-completing misses: the run ends at the cutoff with every
+        // core still stalled, spinning on a full MSHR pool or hard-stalled.
+        for mshrs in [2, 16] {
+            differential_run(missing_traces(), 10_000, mshrs, 1 << 40, vec![], 5_000, 3);
+        }
+    }
+
+    #[test]
+    fn a_hard_stalled_core_counts_every_cycle_as_it_passes() {
+        // No miss ever completes: each core's window fills behind its first
+        // miss and stays full, and its statistics must still cover every
+        // CPU cycle elapsed, with no final step.
+        let config = CoreConfig { width: 4, window_size: 16, retire_width: 4 };
+        let compiled = missing_traces().iter().map(Trace::compile).collect();
+        let mut engine = CoreEngine::new(config, compiled, 10_000);
+        let mut llc = llc(16);
+        for start in (0..3_000).step_by(3) {
+            engine.tick_epoch(start..start + 3, &mut llc);
+            let _ = llc.take_outgoing();
+        }
+        for core in 0..2 {
+            assert!(engine.is_hard_stalled(core), "core {core} must be hard-stalled");
+            assert_eq!(engine.stats(core).cycles, 3_000, "core {core} lost stalled cycles");
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Randomized traces × stall patterns: the SoA engine and the legacy
-        /// per-object cores must be bit-identical, including the hard-stall
-        /// debt replay and the settle-at-cutoff edge.
+        /// Randomized traces × stall patterns: the SoA engine, which skips
+        /// the ticks of hard-stalled cores, and the legacy per-object cores,
+        /// ticked every cycle, must be bit-identical at every epoch.
         #[test]
         fn engine_is_bit_identical_to_core(
             raw_traces in proptest::collection::vec(

@@ -42,7 +42,6 @@
 //!     }
 //!     cycle += 1;
 //! }
-//! cores.settle();
 //! assert!(cores.finished(0));
 //! assert!(cores.stats(0).ipc() > 0.0);
 //! ```

@@ -127,7 +127,7 @@ fn max_cycle_cutoff_is_identical_across_kernels() {
 
 /// A cutoff that lands while every core is hard-stalled: the event-driven
 /// kernel fast-forwards through the stalled tail, the per-cycle kernel
-/// grinds through it, and the settled stall debt must be identical.
+/// grinds through it, and the cores' cycle counts must be identical.
 #[test]
 fn cutoff_mid_stall_is_identical_across_kernels() {
     let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, false);

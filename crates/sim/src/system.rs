@@ -158,7 +158,8 @@ impl Rider for SharedPrefix {
             // Observe on a copy: a verdict is left for the sibling to reach
             // on its own, which also builds its livelock report.
             let mut watchdog = self.watchdog.clone();
-            match watchdog.observe(cycle, &system.progress_sample(None)) {
+            let (cores, channels) = system.lane_states();
+            match watchdog.observe(cycle, &system.progress_sample(None, &cores, &channels)) {
                 Some(_) => self.stop = Some(PairStop::SiblingVerdict),
                 None => self.watchdog = watchdog,
             }
@@ -389,78 +390,47 @@ impl System {
     /// per-cycle reference kernel's.
     #[inline(always)]
     fn watchdog_fires(&mut self, dram_cycle: Cycle) -> bool {
-        if !self.watchdog.due(dram_cycle) {
-            return false;
-        }
-        let sample = self.progress_sample(self.memory.breakhammer());
+        self.watchdog.due(dram_cycle) && self.observe_progress(dram_cycle)
+    }
+
+    /// The epoch-boundary half of [`System::watchdog_fires`]: samples
+    /// progress, records the verdict, if any, and a livelock's snapshot. Kept
+    /// out of line because it runs once an epoch: inlined, the snapshot code
+    /// would grow the kernel loop.
+    #[inline(never)]
+    fn observe_progress(&mut self, dram_cycle: Cycle) -> bool {
+        let (cores, channels) = self.lane_states();
+        let sample = self.progress_sample(self.memory.breakhammer(), &cores, &channels);
         let Some(verdict) = self.watchdog.observe(dram_cycle, &sample) else {
             return false;
         };
         if verdict.reason == TerminationReason::Livelock {
-            self.livelock = Some(self.livelock_report(
-                dram_cycle,
-                verdict.zero_progress_epochs,
-                verdict.fixpoint,
-                &sample,
-            ));
+            let suspects = self
+                .memory
+                .breakhammer()
+                .map(|bh| (0..self.config.cores).map(|t| bh.is_suspect(ThreadId(t))).collect())
+                .unwrap_or_default();
+            self.livelock = Some(LivelockReport {
+                detected_at: dram_cycle,
+                zero_progress_epochs: verdict.zero_progress_epochs,
+                fixpoint: verdict.fixpoint,
+                instructions_retired: sample.instructions_retired,
+                reads_served: sample.reads_served,
+                writes_served: sample.writes_served,
+                preventive_actions: sample.preventive_actions,
+                cores,
+                channels,
+                suspects,
+            });
         }
         self.verdict = Some(verdict.reason);
         true
     }
 
-    /// Assembles one epoch boundary's progress sample: the global progress
-    /// tuple plus the structural state digest (which deliberately excludes
-    /// the served-request counters — see the `watchdog` module docs). The
-    /// digest covers `breakhammer`'s suspect and quota words, if given: the
-    /// system's own observer, or `None` for the sample a system without
-    /// BreakHammer would draw from the same state.
-    fn progress_sample(&self, breakhammer: Option<&BreakHammer>) -> ProgressSample {
-        let mut digest = StateDigest::new();
-        let mut instructions_retired = 0u64;
-        for core in 0..self.config.cores {
-            let retired = self.cores.retired_instructions(core);
-            instructions_retired += retired;
-            digest.write_u64(retired);
-            digest.write_bool(self.cores.finished(core));
-            digest.write_bool(self.cores.is_hard_stalled(core));
-        }
-        let mut reads_served = 0u64;
-        let mut writes_served = 0u64;
-        let mut preventive_actions = 0u64;
-        for (channel, ctrl) in self.memory.controllers().iter().enumerate() {
-            let stats = ctrl.stats();
-            reads_served += stats.reads_served;
-            writes_served += stats.writes_served;
-            preventive_actions += stats.preventive_actions_total();
-            digest.write_usize(ctrl.queued_requests());
-            digest.write_usize(self.memory.pending_enqueue_depth(channel));
-            digest.write_usize(ctrl.pending_preventive_commands());
-            digest.write_usize(ctrl.mechanism().blocked_rows());
-        }
-        if let Some(bh) = breakhammer {
-            for t in 0..self.config.cores {
-                digest.write_bool(bh.is_suspect(ThreadId(t)));
-                digest.write_usize(bh.quota(ThreadId(t)));
-            }
-        }
-        ProgressSample {
-            instructions_retired,
-            reads_served,
-            writes_served,
-            preventive_actions,
-            state_digest: digest.finish(),
-        }
-    }
-
-    /// Builds the diagnostic snapshot accompanying a livelock verdict, from
-    /// the same step-invariant state the sample was drawn from.
-    fn livelock_report(
-        &self,
-        detected_at: Cycle,
-        zero_progress_epochs: u32,
-        fixpoint: bool,
-        sample: &ProgressSample,
-    ) -> LivelockReport {
+    /// Every core lane's and channel queue's step-invariant state, in index
+    /// order: what the watchdog's state digest folds and a livelock report
+    /// shows.
+    fn lane_states(&self) -> (Vec<CoreLaneState>, Vec<ChannelLaneState>) {
         let cores = (0..self.config.cores)
             .map(|core| CoreLaneState {
                 thread: ThreadId(core),
@@ -482,22 +452,47 @@ impl System {
                 blocked_rows: ctrl.mechanism().blocked_rows(),
             })
             .collect();
-        let suspects = self
-            .memory
-            .breakhammer()
-            .map(|bh| (0..self.config.cores).map(|t| bh.is_suspect(ThreadId(t))).collect())
-            .unwrap_or_default();
-        LivelockReport {
-            detected_at,
-            zero_progress_epochs,
-            fixpoint,
-            instructions_retired: sample.instructions_retired,
-            reads_served: sample.reads_served,
-            writes_served: sample.writes_served,
-            preventive_actions: sample.preventive_actions,
-            cores,
-            channels,
-            suspects,
+        (cores, channels)
+    }
+
+    /// Assembles one epoch boundary's progress sample from the lane states
+    /// of [`System::lane_states`]: the global progress tuple plus the
+    /// structural state digest (which deliberately excludes the
+    /// served-request counters — see the `watchdog` module docs). The digest
+    /// covers `breakhammer`'s suspect and quota words, if given: the system's
+    /// own observer, or `None` for the sample a system without BreakHammer
+    /// would draw from the same state.
+    fn progress_sample(
+        &self,
+        breakhammer: Option<&BreakHammer>,
+        cores: &[CoreLaneState],
+        channels: &[ChannelLaneState],
+    ) -> ProgressSample {
+        let mut digest = StateDigest::new();
+        for core in cores {
+            digest.write_u64(core.retired);
+            digest.write_bool(core.finished);
+            digest.write_bool(core.hard_stalled);
+        }
+        for channel in channels {
+            digest.write_usize(channel.queued);
+            digest.write_usize(channel.retry_deque);
+            digest.write_usize(channel.pending_preventive);
+            digest.write_usize(channel.blocked_rows);
+        }
+        if let Some(bh) = breakhammer {
+            for t in 0..self.config.cores {
+                digest.write_bool(bh.is_suspect(ThreadId(t)));
+                digest.write_usize(bh.quota(ThreadId(t)));
+            }
+        }
+        let served = self.memory.controllers().iter().map(|ctrl| ctrl.stats());
+        ProgressSample {
+            instructions_retired: cores.iter().map(|core| core.retired).sum(),
+            reads_served: served.clone().map(|stats| stats.reads_served).sum(),
+            writes_served: served.clone().map(|stats| stats.writes_served).sum(),
+            preventive_actions: served.map(|stats| stats.preventive_actions_total()).sum(),
+            state_digest: digest.finish(),
         }
     }
 
@@ -763,10 +758,9 @@ impl System {
         // step: cores are stepped in core-index order within each CPU cycle,
         // so their LLC accesses drain as a deterministically ordered batch.
         // Hard-stalled cores (window full behind an incomplete miss) are not
-        // ticked: their cycles accumulate as debt (inside the engine) and are
-        // replayed in bulk when their miss completes, which is the only event
-        // that can change their state — completions happen in the fill phase,
-        // strictly before this one.
+        // ticked, only their cycles counted, until their miss completes,
+        // which is the only event that can change their state — completions
+        // happen in the fill phase, strictly before this one.
         self.cores.tick_epoch(self.clock.ticks(dram_cycle), &mut self.llc);
     }
 
@@ -893,21 +887,19 @@ impl System {
         }
     }
 
-    /// The result of the run that stopped at `dram_cycles`. Settling is
-    /// idempotent, so the system can be finished again (as the other arm of
-    /// a paired run) from the same state.
+    /// The result of the run that stopped at `dram_cycles`. It reads the
+    /// state without changing it (apart from taking the livelock report), so
+    /// the system can be finished again (as the other arm of a paired run)
+    /// from the same state.
     fn finish(&mut self, dram_cycles: Cycle) -> SimulationResult {
-        // Resolve the termination taxonomy before anything is settled: the
-        // watchdog verdict (recorded at its boundary) wins; otherwise the run
-        // either completed or hit the cycle cutoff.
+        // The watchdog verdict (recorded at its boundary) wins; otherwise the
+        // run either completed or hit the cycle cutoff.
         let termination = self.verdict.unwrap_or(if self.required_finished() {
             TerminationReason::Completed
         } else {
             TerminationReason::CycleCutoff
         });
         let livelock = self.livelock.take();
-        // Settle any deferred hard-stall cycles before reading core stats.
-        self.cores.settle();
         let cores: Vec<CorePerformance> = (0..self.config.cores)
             .map(|core| {
                 let stats = self.cores.stats(core);

@@ -1,21 +1,22 @@
 //! Per-core cycle accounting at the `max_dram_cycles` cutoff.
 //!
 //! A core that is hard-stalled (instruction window full behind an incomplete
-//! miss) accrues its cycles as *debt* that is only replayed into the core
-//! when the miss completes — or, if the simulation is cut off mid-stall, by
-//! the final flush before the `SimulationResult` snapshot. If that flush
-//! were missing, a core cut off mid-stall would under-report its cycles and
-//! per-core cycle totals would no longer sum to the simulated horizon.
-//! This test forces a cutoff in the middle of a hard stall and pins the
-//! invariant.
+//! miss) is not stepped, and the event-driven kernel skips its dead cycles
+//! in bulk; either way each of its cycles must be counted as it passes. A
+//! cycle left uncounted would make a core cut off mid-stall under-report its
+//! cycles, so per-core cycle totals would no longer sum to the simulated
+//! horizon. This test forces a cutoff in the middle of a hard stall and pins
+//! the invariant.
 
 use breakhammer_suite::mitigation::MechanismKind;
 use breakhammer_suite::sim::{System, SystemConfig, TerminationReason};
 use breakhammer_suite::workloads::AttackerProfile;
 
 /// CPU ticks the simulator's clock-domain crossing performs over
-/// `dram_cycles` DRAM cycles — the same fractional-accumulator arithmetic,
-/// replayed operation for operation, so the comparison is exact.
+/// `dram_cycles` DRAM cycles, counted by a fractional accumulator. The
+/// kernel's integer clock ticks exactly as this accumulator at every ratio
+/// `SystemConfig::validate` accepts (`the_integer_clock` tests in `bh-sim`),
+/// so the comparison is exact.
 fn cpu_ticks(dram_cycles: u64, ratio: f64) -> u64 {
     let mut acc = 0.0f64;
     let mut ticks = 0u64;
@@ -30,11 +31,10 @@ fn cpu_ticks(dram_cycles: u64, ratio: f64) -> u64 {
 }
 
 /// The invariant: at the cutoff, every unfinished core's cycle counter must
-/// equal the CPU ticks elapsed over the simulated horizon — stall debt
-/// included. An unflushed final-step debt would leave the hard-stalled cores
-/// short.
+/// equal the CPU ticks elapsed over the simulated horizon, hard-stalled
+/// ticks included.
 #[test]
-fn cutoff_mid_stall_flushes_all_stall_debt_into_the_cores() {
+fn cutoff_mid_stall_counts_every_stalled_cycle() {
     // Four copies of the tight uncached hammering loop: every core's window
     // fills up behind outstanding misses almost immediately and stays full,
     // so the `max_dram_cycles` cutoff is guaranteed to land mid-hard-stall.
@@ -58,7 +58,7 @@ fn cutoff_mid_stall_flushes_all_stall_debt_into_the_cores() {
         assert!(!core.finished, "the cutoff must land before completion");
         assert_eq!(
             core.cycles, expected,
-            "core {:?} cycles must cover the whole horizon (stall debt flushed)",
+            "core {:?} cycles must cover the whole horizon, stalled ticks included",
             core.thread
         );
     }
