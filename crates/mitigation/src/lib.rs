@@ -57,8 +57,6 @@
 mod action;
 mod aqua;
 mod blockhammer;
-#[cfg(test)]
-mod exact_counter;
 mod graphene;
 mod hydra;
 mod mechanism;

@@ -150,6 +150,18 @@ fn label(prefix: &str, breakhammer: bool) -> String {
     format!("{prefix} {}", if breakhammer { "bh" } else { "nobh" })
 }
 
+/// `ControllerStats::periodic_refreshes` and `DramStats::refreshes` count
+/// the same REF commands: the controller's refresh stage is their only
+/// issuer. Every matrix row pins that, channel by channel and in total, so a
+/// canonical result encoding may keep one of the two on a tested fact.
+fn assert_refreshes_counted_once(label: &str, result: &SimulationResult) {
+    assert!(!result.per_channel.is_empty(), "{label}: no per-channel breakdown");
+    for (channel, c) in result.per_channel.iter().enumerate() {
+        assert_eq!(c.controller.periodic_refreshes, c.dram.refreshes, "{label}, channel {channel}");
+    }
+    assert_eq!(result.controller.periodic_refreshes, result.dram.refreshes, "{label}");
+}
+
 fn run_matrix() -> Vec<(String, u64)> {
     let mut out = Vec::with_capacity(20);
     for mechanism in MechanismKind::ALL {
@@ -157,7 +169,9 @@ fn run_matrix() -> Vec<(String, u64)> {
             let config = config_for(mechanism, breakhammer);
             let traces = attack_traces(&config, 2_000, 100);
             let result = System::new(config, &traces, vec![0, 1, 2]).run();
-            out.push((label(&mechanism.to_string(), breakhammer), digest(&result)));
+            let label = label(&mechanism.to_string(), breakhammer);
+            assert_refreshes_counted_once(&label, &result);
+            out.push((label, digest(&result)));
         }
     }
     out
@@ -196,7 +210,9 @@ fn run_scenario_matrix() -> Vec<(String, u64)> {
             let result = System::new(config, &traces, vec![0, 1, 2])
                 .watch_victims(victims.iter().map(|v| (v.channel, v.row)))
                 .run();
-            out.push((label(scenario.name, breakhammer), digest_with_victims(&result)));
+            let label = label(scenario.name, breakhammer);
+            assert_refreshes_counted_once(&label, &result);
+            out.push((label, digest_with_victims(&result)));
         }
     }
     out
@@ -245,10 +261,9 @@ fn run_fault_matrix() -> Vec<(String, u64)> {
                     "undefended fault-matrix run produced no flips — coverage lost"
                 );
             }
-            out.push((
-                label(&format!("fault {mechanism}"), breakhammer),
-                digest_with_outcome(&result),
-            ));
+            let label = label(&format!("fault {mechanism}"), breakhammer);
+            assert_refreshes_counted_once(&label, &result);
+            out.push((label, digest_with_outcome(&result)));
         }
     }
     out
@@ -293,10 +308,9 @@ fn run_deferral_matrix() -> Vec<(String, u64)> {
                 .watch_victims(victims.iter().map(|v| (v.channel, v.row)))
                 .run();
             assert_eq!(result.bitflips, 0, "{mechanism}@{nrh}: bits flipped");
-            out.push((
-                label(&format!("{mechanism}@{nrh}"), breakhammer),
-                digest_with_outcome(&result),
-            ));
+            let label = label(&format!("{mechanism}@{nrh}"), breakhammer);
+            assert_refreshes_counted_once(&label, &result);
+            out.push((label, digest_with_outcome(&result)));
         }
     }
     out
